@@ -18,6 +18,7 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use gcd_sim::PoolGauges;
 use xbfs_multi_gcd::RankHealth;
@@ -25,6 +26,8 @@ use xbfs_telemetry::{
     names::live, Counter, FlightRecorder, Gauge, LogHistogram, MetricUnit, MetricsRegistry,
     MetricsSnapshot,
 };
+
+use crate::worker::Completion;
 
 /// Worker state gauge codes.
 pub(crate) const WORKER_IDLE: f64 = 0.0;
@@ -78,7 +81,10 @@ pub struct ServerMetrics {
 
     // Admission / connection stage.
     pub(crate) requests: [Arc<Counter>; 3],
-    pub(crate) latency_ms: [Arc<LogHistogram>; 3],
+    /// Admission → reply on the socket, per status.
+    latency_ms: [Arc<LogHistogram>; 3],
+    /// Worker finished → reply on the socket.
+    write_ms: Arc<LogHistogram>,
     pub(crate) admitted: Arc<Counter>,
     pub(crate) shed_queue: Arc<Counter>,
     pub(crate) shed_breaker: Arc<Counter>,
@@ -171,6 +177,7 @@ impl ServerMetrics {
             dump_requests: AtomicU64::new(0),
             requests,
             latency_ms,
+            write_ms: reg.histogram(live::WRITE_MS, MetricUnit::Millis, &[]),
             admitted: reg.counter(live::ADMITTED_TOTAL, MetricUnit::Count, &[]),
             shed_queue: reg.counter(live::SHED_TOTAL, MetricUnit::Count, &[("reason", "queue")]),
             shed_breaker: reg.counter(
@@ -264,14 +271,22 @@ impl ServerMetrics {
         }
     }
 
-    /// Record one finished request (status + end-to-end latency).
-    pub(crate) fn finish_request(&self, worker: usize, status: &str, latency_ms: f64) {
-        let i = status_idx(status);
-        self.requests[i].add(1);
-        self.latency_ms[i].record(latency_ms);
+    /// Count one request a worker finished. Its latency is recorded
+    /// later, by [`Self::reply_written`].
+    pub(crate) fn finish_request(&self, worker: usize, status: &str) {
+        self.requests[status_idx(status)].add(1);
         if let Some(w) = self.workers.get(worker) {
             w.requests.add(1);
         }
+    }
+
+    /// Stop a request's clocks now that its reply is on the socket:
+    /// end-to-end latency since admission, and the share of it spent
+    /// between the worker finishing and the write returning.
+    pub(crate) fn reply_written(&self, done: &Completion) {
+        let ms = |since: Instant| since.elapsed().as_secs_f64() * 1000.0;
+        self.latency_ms[done.status].record(ms(done.enqueued));
+        self.write_ms.record(ms(done.finished));
     }
 
     /// Fold one cluster run's per-rank deltas into the rank series
@@ -396,10 +411,10 @@ mod tests {
     #[test]
     fn finish_request_feeds_status_series_and_worker_counters() {
         let m = ServerMetrics::new(2, tmpdir("finish"), 16);
-        m.finish_request(0, "ok", 12.0);
-        m.finish_request(1, "timeout", 80.0);
-        m.finish_request(0, "error", 5.0);
-        m.finish_request(0, "ok", 14.0);
+        m.finish_request(0, "ok");
+        m.finish_request(1, "timeout");
+        m.finish_request(0, "error");
+        m.finish_request(0, "ok");
         let snap = m.snapshot();
         assert_eq!(snap.counter_family_total(live::REQUESTS_TOTAL), 4);
         let ok = snap
@@ -410,14 +425,35 @@ mod tests {
             .find(live::WORKER_REQUESTS_TOTAL, &[("worker", "0")])
             .unwrap();
         assert_eq!(w0.value, SeriesValue::Counter(3));
-        match &snap
-            .find(live::REQUEST_LATENCY_MS, &[("status", "ok")])
-            .unwrap()
-            .value
-        {
-            SeriesValue::Histogram(h) => assert_eq!(h.count(), 2),
-            other => panic!("expected histogram, got {other:?}"),
-        }
+    }
+
+    #[test]
+    fn reply_written_stops_both_clocks_on_the_status_series() {
+        let m = ServerMetrics::new(1, tmpdir("written"), 16);
+        let enqueued = Instant::now() - std::time::Duration::from_millis(20);
+        let finished = Instant::now() - std::time::Duration::from_millis(5);
+        m.reply_written(&Completion {
+            line: String::new(),
+            status: status_idx("timeout"),
+            enqueued,
+            finished,
+        });
+        let snap = m.snapshot();
+        let hist =
+            |name: &str, labels: &[(&str, &str)]| match &snap.find(name, labels).unwrap().value {
+                SeriesValue::Histogram(h) => h.clone(),
+                other => panic!("expected histogram, got {other:?}"),
+            };
+        let latency = hist(live::REQUEST_LATENCY_MS, &[("status", "timeout")]);
+        let write = hist(live::WRITE_MS, &[]);
+        assert_eq!((latency.count(), write.count()), (1, 1));
+        assert_eq!(
+            hist(live::REQUEST_LATENCY_MS, &[("status", "ok")]).count(),
+            0
+        );
+        // The write gap is the tail of the latency, never more than it.
+        assert!(write.sum() >= 5.0 && latency.sum() >= 20.0);
+        assert!(write.sum() < latency.sum());
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The serving daemon: TCP listener, connection handlers, worker pool,
 //! and the graceful-drain choreography.
 //!
-//! Thread layout: one accept thread, one handler thread per connection,
-//! `workers` engine threads consuming the admission queue. A handler
-//! never runs BFS itself — it parses requests, applies breaker/admission
-//! policy, and forwards accepted jobs with a per-connection response
-//! channel; completions are written back in finish order, matched by id.
+//! Thread layout: one accept thread, a reader and a writer thread per
+//! connection, `workers` engine threads consuming the admission queue. A
+//! reader never runs BFS itself — it parses requests, applies
+//! breaker/admission policy, answers control ops inline, and forwards
+//! accepted jobs with a per-connection completion channel. The writer
+//! blocks on that channel and puts completions on the socket the moment
+//! a worker produces them, in finish order, matched by id.
 //!
 //! Drain: `initiate_drain` (or the wire `shutdown` op) flips the
 //! draining flag, moves the queue to `Draining` (reject new, keep
@@ -17,10 +19,10 @@
 //! so explicitly.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -35,7 +37,7 @@ use crate::journal::{FsyncPolicy, Journal};
 use crate::metrics::ServerMetrics;
 use crate::protocol::{self, Request};
 use crate::queue::{Admission, AdmissionQueue};
-use crate::worker::{worker_loop, Job};
+use crate::worker::{worker_loop, Completion, Job};
 
 /// Builds one fresh device per engine generation. Fresh devices (not
 /// clones) are what make a rebuilt engine's modeled timeline — and hence
@@ -173,7 +175,7 @@ pub(crate) struct Shared {
     /// Per-rank health merged from every worker's cluster engine (empty
     /// for single-device servers). Indexed by rank of the initial
     /// partitioning; Degrade leaves dead ranks' entries frozen.
-    pub(crate) rank_health: std::sync::Mutex<Vec<RankHealth>>,
+    pub(crate) rank_health: Mutex<Vec<RankHealth>>,
     /// The always-on live metrics plane + flight recorder.
     pub(crate) metrics: ServerMetrics,
     /// The write-ahead request journal (`None` = durability off).
@@ -498,7 +500,7 @@ impl Server {
             rec,
             draining: AtomicBool::new(false),
             dedup: DedupCache::new(cfg.dedup_cap),
-            rank_health: std::sync::Mutex::new(Vec::new()),
+            rank_health: Mutex::new(Vec::new()),
             metrics,
             journal,
             started: Instant::now(),
@@ -563,7 +565,7 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::ReplayedJournal, starte
     }
     let n = replay.incomplete.len() as u64;
     if n > 0 {
-        let (tx, rx) = mpsc::channel::<String>();
+        let (tx, rx) = mpsc::channel::<Completion>();
         let _ = std::thread::Builder::new()
             .name("xbfs-recovery".into())
             .spawn(move || while rx.recv().is_ok() {});
@@ -778,187 +780,247 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
 /// unbounded allocation.
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
-/// Serve one connection until EOF (or until drain completes with no
-/// in-flight requests). All socket writes happen on this thread;
-/// completions arrive over the per-connection channel.
+/// One connection's write side, shared by its reader thread (inline
+/// replies) and its writer thread (completions). Every reply goes out as
+/// one `write_all` under the socket lock, so lines from the two threads
+/// never interleave and a line never straddles two TCP segments.
+struct Conn {
+    sock: Mutex<TcpStream>,
+    /// Requests admitted on this connection whose replies are not on the
+    /// socket yet. The reader counts a request *before* submitting it —
+    /// a worker can finish it before `submit` even returns — and the
+    /// writer uncounts it once written.
+    pending: AtomicUsize,
+}
+
+impl Conn {
+    fn sock(&self) -> MutexGuard<'_, TcpStream> {
+        self.sock
+            .lock()
+            .expect("socket lock poisoned: this connection's other thread panicked mid-write")
+    }
+
+    /// Answer inline from the reader thread. A client that stopped
+    /// listening is not an error worth reporting, but there is no point
+    /// reading more from it either: shutting the socket down ends the
+    /// read loop at its next read.
+    fn reply(&self, line: String) {
+        self.reply_with(|| line);
+    }
+
+    /// [`Self::reply`] with the line built under the socket lock, for
+    /// replies that must observe everything already written.
+    fn reply_with(&self, line: impl FnOnce() -> String) {
+        let mut sock = self.sock();
+        let mut line = line();
+        line.push('\n');
+        if sock.write_all(line.as_bytes()).is_err() {
+            let _ = sock.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// Serve one connection until EOF (or until drain completes with nothing
+/// owed). This thread reads and admits; a writer thread of its own
+/// delivers completions the moment workers produce them.
 fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
-    // A finite read timeout lets the handler poll the response channel
-    // and the draining flag while the client is idle.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let Ok(mut writer) = stream.try_clone() else {
+    let dropped = || {
         shared
             .stats
             .dropped_connections
-            .fetch_add(1, Ordering::Relaxed);
+            .fetch_add(1, Ordering::Relaxed)
+    };
+    // Replies are whole lines in one write; Nagle would only hold them
+    // back behind the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    // The read timeout paces two checks the blocked reader cannot be
+    // woken for — the idle budget and the draining flag. No reply waits
+    // on it: the writer blocks on the completion channel instead.
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let Ok(sock) = stream.try_clone() else {
+        dropped();
         return;
     };
+    let conn = Arc::new(Conn {
+        sock: Mutex::new(sock),
+        pending: AtomicUsize::new(0),
+    });
+    let (tx, rx) = mpsc::channel::<Completion>();
+    let writer = {
+        let (shared, conn) = (Arc::clone(&shared), Arc::clone(&conn));
+        std::thread::Builder::new()
+            .name("xbfs-conn-writer".into())
+            .spawn(move || write_completions(&shared, &conn, rx))
+    };
+    let Ok(writer) = writer else {
+        dropped();
+        return;
+    };
+    // The reader's sender dies with this call; each admitted job holds a
+    // clone, so the writer returns exactly when the last one is answered
+    // (or as soon as the socket fails).
+    read_requests(&shared, &conn, stream, tx);
+    let lost = writer.join().unwrap_or(true);
+    if lost || conn.pending.load(Ordering::Acquire) > 0 {
+        // In-flight requests whose responses can no longer be delivered.
+        dropped();
+    }
+}
+
+/// The connection's writer: block on the completion channel, take
+/// everything that is ready, and hand it to the socket as one
+/// `write_all`. Returns whether a completion could not be delivered; the
+/// receiver is dropped on return, so completions that arrive after a
+/// failed write count as `undelivered` at the worker.
+fn write_completions(shared: &Shared, conn: &Conn, rx: mpsc::Receiver<Completion>) -> bool {
+    let mut ready: Vec<Completion> = Vec::new();
+    let mut buf = String::new();
+    while let Ok(first) = rx.recv() {
+        ready.push(first);
+        ready.extend(rx.try_iter());
+        buf.clear();
+        for done in &ready {
+            buf.push_str(&done.line);
+            buf.push('\n');
+        }
+        let mut sock = conn.sock();
+        if sock.write_all(buf.as_bytes()).is_err() {
+            // Unblock the reader: nothing it admits could be answered.
+            let _ = sock.shutdown(Shutdown::Both);
+            return true;
+        }
+        // Clocks stop before the socket lock is released; a `metrics`
+        // reply on this connection snapshots under the same lock, so it
+        // covers every answer its client has already read.
+        for done in &ready {
+            shared.metrics.reply_written(done);
+        }
+        drop(sock);
+        conn.pending.fetch_sub(ready.len(), Ordering::AcqRel);
+        ready.clear();
+    }
+    false
+}
+
+/// The connection's reader: parse and dispatch request lines until EOF,
+/// an overlong line, the idle budget, or a drain with nothing owed.
+fn read_requests(
+    shared: &Arc<Shared>,
+    conn: &Conn,
+    stream: TcpStream,
+    tx: mpsc::Sender<Completion>,
+) {
     let mut reader = BufReader::new(stream);
-    let (tx, rx) = mpsc::channel::<String>();
-    let mut pending: usize = 0;
-    let mut eof = false;
-    let mut lost = false; // a completed response could not be delivered
     let mut line = String::new();
     let idle_ms = shared.cfg.idle_timeout_ms;
     let mut last_activity = Instant::now();
-
-    'serve: loop {
-        // 1. Flush any completed responses.
-        while let Ok(resp) = rx.try_recv() {
-            pending -= 1;
-            if writeln!(writer, "{resp}").is_err() {
-                lost = true;
-                break 'serve;
+    loop {
+        // Once the server is draining and everything owed here is
+        // answered, close without reading further.
+        if shared.is_draining() && conn.pending.load(Ordering::Acquire) == 0 {
+            return;
+        }
+        // The `take` bound keeps a newline-less firehose from growing
+        // `line` without limit — one byte past the cap proves the line
+        // is overlong.
+        let before = line.len();
+        let cap = (MAX_REQUEST_LINE + 1 - before) as u64;
+        match (&mut reader).take(cap).read_line(&mut line) {
+            Ok(_) if line.ends_with('\n') => {
+                last_activity = Instant::now();
+                let req = std::mem::take(&mut line);
+                dispatch_line(shared, conn, &tx, req.trim());
             }
-        }
-        // 2. Exit once everything owed here is answered and either the
-        //    client closed or the server is draining.
-        if (eof || shared.is_draining()) && pending == 0 {
-            break;
-        }
-        // 3. Read the next request line (timeout keeps us responsive;
-        //    the `take` bound keeps a newline-less firehose from growing
-        //    `line` without limit — one byte past the cap proves the
-        //    line is overlong).
-        if !eof {
-            let before = line.len();
-            let cap = (MAX_REQUEST_LINE + 1 - before) as u64;
-            match (&mut reader).take(cap).read_line(&mut line) {
-                Ok(_) if line.ends_with('\n') => {
-                    last_activity = Instant::now();
-                    let req = std::mem::take(&mut line);
-                    dispatch_line(&shared, &tx, &mut writer, &mut pending, req.trim());
-                }
-                // Checked before the EOF arm: a cap-exhausted read also
-                // returns `Ok(0)` and must shed, not close quietly.
-                Ok(_) if line.len() > MAX_REQUEST_LINE => {
-                    // Overlong: answer typed and close — the line framing
-                    // is unrecoverable past the cap.
-                    shared.stats.long_lines.fetch_add(1, Ordering::Relaxed);
-                    shared.metrics.long_lines.add(1);
-                    let _ = writeln!(
-                        writer,
-                        "{}",
-                        protocol::error_line(
-                            0,
-                            "overlong",
-                            &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
-                        )
-                    );
-                    line.clear();
-                    eof = true;
-                }
-                Ok(_) => eof = true, // EOF (0) or partial line at EOF
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
+            // Checked before the EOF arm: a cap-exhausted read also
+            // returns `Ok(0)` and must shed, not close quietly.
+            Ok(_) if line.len() > MAX_REQUEST_LINE => {
+                // Overlong: answer typed and close — the line framing
+                // is unrecoverable past the cap.
+                shared.stats.long_lines.fetch_add(1, Ordering::Relaxed);
+                shared.metrics.long_lines.add(1);
+                conn.reply(protocol::error_line(
+                    0,
+                    "overlong",
+                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes"),
+                ));
+                return;
+            }
+            Ok(_) => return, // EOF (0) or partial line at EOF
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if line.len() > before {
+                    last_activity = Instant::now(); // partial bytes arrived
+                } else if idle_ms > 0
+                    && conn.pending.load(Ordering::Acquire) == 0
+                    && line.is_empty()
+                    && last_activity.elapsed() >= Duration::from_millis(idle_ms)
                 {
-                    if line.len() > before {
-                        last_activity = Instant::now(); // partial bytes arrived
-                    } else if idle_ms > 0
-                        && pending == 0
-                        && line.is_empty()
-                        && last_activity.elapsed() >= Duration::from_millis(idle_ms)
-                    {
-                        // Nothing owed, nothing in progress, nothing said
-                        // for the whole idle budget: stop pinning a thread.
-                        shared
-                            .stats
-                            .idle_disconnects
-                            .fetch_add(1, Ordering::Relaxed);
-                        shared.metrics.idle_disconnects.add(1);
-                        break 'serve;
-                    }
+                    // Nothing owed, nothing in progress, nothing said
+                    // for the whole idle budget: stop pinning threads.
+                    shared
+                        .stats
+                        .idle_disconnects
+                        .fetch_add(1, Ordering::Relaxed);
+                    shared.metrics.idle_disconnects.add(1);
+                    return;
                 }
-                Err(_) => eof = true,
             }
-        } else {
-            // EOF with responses still owed: wait on the channel.
-            match rx.recv_timeout(Duration::from_millis(50)) {
-                Ok(resp) => {
-                    pending -= 1;
-                    if writeln!(writer, "{resp}").is_err() {
-                        lost = true;
-                        break;
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            }
+            Err(_) => return,
         }
-    }
-    if lost || pending > 0 {
-        // In-flight requests whose responses can no longer be delivered.
-        shared
-            .stats
-            .dropped_connections
-            .fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Parse + answer one request line; `bfs` goes through breaker and
 /// admission control, everything else is answered inline.
-fn dispatch_line(
-    shared: &Arc<Shared>,
-    tx: &mpsc::Sender<String>,
-    writer: &mut TcpStream,
-    pending: &mut usize,
-    raw: &str,
-) {
+fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion>, raw: &str) {
     if raw.is_empty() {
         return;
     }
-    let reply = |writer: &mut TcpStream, s: String| {
-        let _ = writeln!(writer, "{s}");
-    };
     let req = match protocol::parse_request(raw) {
         Ok(r) => r,
         Err(e) => {
             shared.stats.bad_lines.fetch_add(1, Ordering::Relaxed);
             shared.metrics.bad_lines.add(1);
-            reply(writer, protocol::error_line(0, "usage", &e));
+            conn.reply(protocol::error_line(0, "usage", &e));
             return;
         }
     };
     match req {
-        Request::Ping { id } => reply(writer, protocol::pong_line(id)),
-        Request::Info { id } => reply(
-            writer,
-            protocol::info_line(
-                id,
-                shared.graph.num_vertices(),
-                shared.graph.num_edges(),
-                shared.cfg.workers,
-                shared.cfg.queue_cap,
-            ),
-        ),
+        Request::Ping { id } => conn.reply(protocol::pong_line(id)),
+        Request::Info { id } => conn.reply(protocol::info_line(
+            id,
+            shared.graph.num_vertices(),
+            shared.graph.num_edges(),
+            shared.cfg.workers,
+            shared.cfg.queue_cap,
+        )),
         Request::Stats { id } => {
             let s = &shared.stats;
             let q = shared.queue.stats();
             let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-            reply(
-                writer,
-                format!(
-                    "{{\"v\":\"{}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
+            conn.reply(format!(
+                "{{\"v\":\"{}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
                      \"shed\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\"depth\":{},\
                      \"breaker_open\":{}}}",
-                    protocol::PROTOCOL,
-                    q.accepted,
-                    q.shed,
-                    ld(&s.ok),
-                    ld(&s.timeouts),
-                    ld(&s.errors),
-                    shared.queue.depth(),
-                    shared.breaker.is_open()
-                ),
-            );
+                protocol::PROTOCOL,
+                q.accepted,
+                q.shed,
+                ld(&s.ok),
+                ld(&s.timeouts),
+                ld(&s.errors),
+                shared.queue.depth(),
+                shared.breaker.is_open()
+            ));
         }
         Request::Shutdown { id } => {
-            reply(writer, protocol::shutdown_line(id));
+            conn.reply(protocol::shutdown_line(id));
             shared.begin_drain();
         }
+        // Snapshot under the socket lock: see `write_completions`.
         Request::Metrics { id } => {
-            let snap = shared.metrics_snapshot();
-            reply(writer, protocol::metrics_line(id, &snap.to_json()));
+            conn.reply_with(|| protocol::metrics_line(id, &shared.metrics_snapshot().to_json()))
         }
         Request::Bfs(bfs) => {
             let id = bfs.id;
@@ -977,16 +1039,17 @@ fn dispatch_line(
                         shared.now_us(),
                         vec![("id".into(), AttrValue::U64(id))],
                     );
-                    reply(writer, protocol::mark_deduped(&cached));
+                    conn.reply(protocol::mark_deduped(&cached));
                     return;
                 }
             }
             if shared.is_draining() {
                 shared.metrics.rejected_draining.add(1);
-                reply(
-                    writer,
-                    protocol::overloaded_line(id, "draining", shared.cfg.retry_after_ms),
-                );
+                conn.reply(protocol::overloaded_line(
+                    id,
+                    "draining",
+                    shared.cfg.retry_after_ms,
+                ));
                 return;
             }
             if let Err(retry_ms) = shared.breaker.admit() {
@@ -997,10 +1060,7 @@ fn dispatch_line(
                     "shed.breaker",
                     format!("id={id} retry_after_ms={retry_ms}"),
                 );
-                reply(
-                    writer,
-                    protocol::overloaded_line(id, "breaker-open", retry_ms),
-                );
+                conn.reply(protocol::overloaded_line(id, "breaker-open", retry_ms));
                 return;
             }
             // The journal needs the request after `Job` takes ownership;
@@ -1011,9 +1071,11 @@ fn dispatch_line(
                 enqueued: Instant::now(),
                 resp: tx.clone(),
             };
+            // Counted before `submit`: a worker may finish the job, and
+            // the writer uncount it, before `submit` returns.
+            conn.pending.fetch_add(1, Ordering::AcqRel);
             match shared.queue.submit(job) {
                 Admission::Accepted { .. } => {
-                    *pending += 1;
                     if let (Some(j), Some(req)) = (&shared.journal, &journal_req) {
                         if j.append_admit(req).is_err() {
                             shared.metrics.flight.note(
@@ -1033,6 +1095,7 @@ fn dispatch_line(
                     );
                 }
                 Admission::Shed { retry_after_ms } => {
+                    conn.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.metrics.shed_queue.add(1);
                     shared.metrics.retry_after_ms.set(retry_after_ms as f64);
                     shared.metrics.flight.note(
@@ -1047,17 +1110,16 @@ fn dispatch_line(
                         shared.now_us(),
                         vec![("id".into(), AttrValue::U64(id))],
                     );
-                    reply(
-                        writer,
-                        protocol::overloaded_line(id, "queue-full", retry_after_ms),
-                    );
+                    conn.reply(protocol::overloaded_line(id, "queue-full", retry_after_ms));
                 }
                 Admission::Draining => {
+                    conn.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.metrics.rejected_draining.add(1);
-                    reply(
-                        writer,
-                        protocol::overloaded_line(id, "draining", shared.cfg.retry_after_ms),
-                    );
+                    conn.reply(protocol::overloaded_line(
+                        id,
+                        "draining",
+                        shared.cfg.retry_after_ms,
+                    ));
                 }
             }
         }

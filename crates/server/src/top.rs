@@ -219,8 +219,10 @@ pub fn render(prev: Option<&TopSnapshot>, curr: &TopSnapshot, addr: &str) -> Str
     let (_, _, p50, p99) = curr
         .hist(live::REQUEST_LATENCY_MS, &[("status", "ok")])
         .unwrap_or((0, 0.0, 0.0, 0.0));
+    let (_, _, write_p50, _) = curr.hist(live::WRITE_MS, &[]).unwrap_or((0, 0.0, 0.0, 0.0));
     out.push_str(&format!(
-        "requests   ok {ok}{}  timeout {to}  error {er}   p50 {p50:.2}ms  p99 {p99:.2}ms\n",
+        "requests   ok {ok}{}  timeout {to}  error {er}   p50 {p50:.2}ms  p99 {p99:.2}ms  \
+         write p50 {write_p50:.2}ms\n",
         rate(
             prev,
             curr,
@@ -397,7 +399,10 @@ mod tests {
               \"unit\":\"state\",\"kind\":\"gauge\",\"value\":2}},\
              {{\"name\":\"serve.request_latency_ms\",\"labels\":{{\"status\":\"ok\"}},\
               \"unit\":\"ms\",\"kind\":\"histogram\",\"count\":{ok},\"sum\":12.0,\
-              \"p50\":1.5,\"p99\":9.75,\"buckets\":[[100,{ok}]]}}]}}"
+              \"p50\":1.5,\"p99\":9.75,\"buckets\":[[100,{ok}]]}},\
+             {{\"name\":\"serve.write_ms\",\"labels\":{{}},\
+              \"unit\":\"ms\",\"kind\":\"histogram\",\"count\":{ok},\"sum\":2.0,\
+              \"p50\":0.25,\"p99\":0.5,\"buckets\":[[60,{ok}]]}}]}}"
         );
         TopSnapshot::parse(&JsonValue::parse(&json).unwrap()).unwrap()
     }
@@ -432,7 +437,10 @@ mod tests {
         assert!(frame.contains("ok 50 (+20.0/s)"), "frame:\n{frame}");
         assert!(frame.contains("w0=running"), "frame:\n{frame}");
         assert!(frame.contains("w1=quarantined"), "frame:\n{frame}");
-        assert!(frame.contains("p99 9.75ms"), "frame:\n{frame}");
+        assert!(
+            frame.contains("p99 9.75ms  write p50 0.25ms"),
+            "frame:\n{frame}"
+        );
     }
 
     #[test]

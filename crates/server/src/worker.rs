@@ -39,17 +39,28 @@ use xbfs_multi_gcd::{ClusterConfig, ClusterError, FaultConfig, FaultPlan, GcdClu
 use xbfs_telemetry::{names, AttrValue};
 
 use crate::chaos::ChaosAction;
-use crate::metrics::{WORKER_IDLE, WORKER_QUARANTINED, WORKER_RUNNING};
+use crate::metrics::{status_idx, WORKER_IDLE, WORKER_QUARANTINED, WORKER_RUNNING};
 use crate::protocol::{self, BfsRequest};
 use crate::server::Shared;
 
 /// One admitted request in flight: the parsed request, when it was
-/// admitted, and the channel that delivers the response line back to the
+/// admitted, and the channel that delivers its completion back to the
 /// connection that owns it.
 pub(crate) struct Job {
     pub(crate) req: BfsRequest,
     pub(crate) enqueued: Instant,
-    pub(crate) resp: mpsc::Sender<String>,
+    pub(crate) resp: mpsc::Sender<Completion>,
+}
+
+/// A finished request on its way to its connection's writer, carrying
+/// the two instants the writer needs to stop the latency clocks once the
+/// line is on the socket.
+pub(crate) struct Completion {
+    pub(crate) line: String,
+    /// [`status_idx`] of the terminal status.
+    pub(crate) status: usize,
+    pub(crate) enqueued: Instant,
+    pub(crate) finished: Instant,
 }
 
 /// Engine generation, discarded and rebuilt as a unit on quarantine.
@@ -92,11 +103,19 @@ fn discard(engine: &mut Option<Engine<'_>>) {
     }
 }
 
-/// Deliver a response line; a dead connection with an answered-but-lost
-/// request is the one "dropped" case the smoke test asserts never
-/// happens under clean shutdown.
-fn deliver(shared: &Shared, job_resp: &mpsc::Sender<String>, line: String) {
-    if job_resp.send(line).is_err() {
+/// Hand a response line to the owning connection's writer, which blocks
+/// on this channel — the send is the wake-up, and it never blocks the
+/// worker. A connection whose writer is gone (write error, dead client)
+/// makes this an answered-but-lost request: the one "dropped" case the
+/// smoke test asserts never happens under clean shutdown.
+fn deliver(shared: &Shared, job: &Job, status: &str, line: String) {
+    let done = Completion {
+        line,
+        status: status_idx(status),
+        enqueued: job.enqueued,
+        finished: Instant::now(),
+    };
+    if job.resp.send(done).is_err() {
         shared.stats.undelivered.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -162,7 +181,7 @@ fn serve_one<'g>(
     rec.end_span(span, shared.now_us());
 
     let total_ms = job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    m.finish_request(worker_idx, outcome.status, total_ms);
+    m.finish_request(worker_idx, outcome.status);
     if let Some(d) = job.req.deadline_ms.or(shared.cfg.default_deadline_ms) {
         m.deadline_headroom_ms.record((d - total_ms).max(0.0));
     }
@@ -191,7 +210,7 @@ fn serve_one<'g>(
     // The completion record lands before delivery: a crash after this
     // point replays the id from the warm cache, not by re-execution.
     shared.journal_done(id, job.req.source, outcome.status, &outcome.line, cacheable);
-    deliver(shared, &job.resp, outcome.line);
+    deliver(shared, &job, outcome.status, outcome.line);
 }
 
 struct Outcome {
@@ -795,11 +814,11 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
         } else {
             shared.stats.errors.fetch_add(1, Ordering::Relaxed);
         }
-        shared.metrics.finish_request(worker, status, wait_ms);
+        shared.metrics.finish_request(worker, status);
         // Triage rejections are terminal too — without a completion
         // record a restart would re-enqueue (and re-reject) them forever.
         shared.journal_done(id, job.req.source, status, &line, false);
-        deliver(shared, &job.resp, line);
+        deliver(shared, &job, status, line);
     };
     // Queue wait spends the wall budget first, exactly like the solo path.
     let deadline_ms = job.req.deadline_ms.or(shared.cfg.default_deadline_ms);
@@ -877,11 +896,11 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
     })
 }
 
-/// Epilogue shared by every batch-member outcome: latency + headroom
+/// Epilogue shared by every batch-member outcome: status + headroom
 /// series, idempotency cache, and delivery.
 fn finish_member(shared: &Shared, worker: usize, mb: &Member, status: &str, line: String) {
     let total_ms = mb.job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    shared.metrics.finish_request(worker, status, total_ms);
+    shared.metrics.finish_request(worker, status);
     if let Some(d) = mb.job.req.deadline_ms.or(shared.cfg.default_deadline_ms) {
         shared
             .metrics
@@ -893,7 +912,7 @@ fn finish_member(shared: &Shared, worker: usize, mb: &Member, status: &str, line
         shared.dedup.record(mb.job.req.id, mb.job.req.source, &line);
     }
     shared.journal_done(mb.job.req.id, mb.job.req.source, status, &line, cacheable);
-    deliver(shared, &mb.job.resp, line);
+    deliver(shared, &mb.job, status, line);
 }
 
 /// Re-run one batch member solo (1-wide) on the — possibly just

@@ -2,13 +2,16 @@
 //! (an injected worker panic never kills the listener, and the replayed
 //! result is bit-identical to a single-shot run), deadline timeouts,
 //! load shedding, chaos gating, graceful drain, cluster serving with
-//! mid-request checkpoint/restart, idempotent replay, and client-side
-//! shed retries.
+//! mid-request checkpoint/restart, idempotent replay, client-side shed
+//! retries, and the completion-driven reply path (no reply waits on a
+//! timer, pipelined lines never interleave, a client that never reads
+//! stalls nobody else).
 
+use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcd_sim::Device;
 use xbfs_core::{Xbfs, XbfsConfig};
@@ -46,12 +49,17 @@ impl Client {
         writer
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
+        writer.set_nodelay(true).unwrap();
         let reader = BufReader::new(writer.try_clone().unwrap());
         Self { writer, reader }
     }
 
+    /// One line, one segment: a `writeln!` would send the newline as a
+    /// second write and let Nagle hold it behind the server's delayed ACK.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send");
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> protocol::ResponseSummary {
@@ -61,11 +69,13 @@ impl Client {
     }
 
     fn bfs(&mut self, id: u64, source: u32, extra: &str) -> protocol::ResponseSummary {
-        self.send(&format!(
-            "{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":{source}{extra}}}"
-        ));
+        self.send(&bfs_line(id, source, extra));
         self.recv()
     }
+}
+
+fn bfs_line(id: u64, source: u32, extra: &str) -> String {
+    format!("{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":{source}{extra}}}")
 }
 
 /// The digest a plain single-shot engine computes for this source — the
@@ -495,6 +505,160 @@ fn shutdown_op_drains_and_rejects_late_requests() {
     let report = handle.join();
     assert!(report.drain_clean, "{report:?}");
     assert_eq!(report.ok, 1);
+}
+
+// ---------------------------------------------------------------------
+// Completion-driven replies: reader/writer split per connection.
+// ---------------------------------------------------------------------
+
+/// Small enough that one BFS is well under a millisecond, so what a
+/// round trip costs is the serving shell.
+fn tiny_graph() -> Arc<Csr> {
+    Arc::new(erdos_renyi(64, 256, 5))
+}
+
+/// A lone synchronous client gets each answer when the worker produces
+/// it, not when a poll timer next fires: 20 round trips on a tiny graph
+/// fit in half a second with room to spare (a 50 ms flush poll alone
+/// would make them take a full second).
+#[test]
+fn sequential_round_trips_never_wait_on_a_timer() {
+    let handle = start(ServeConfig::default(), tiny_graph());
+    let mut c = Client::connect(handle.addr());
+    assert_eq!(c.bfs(0, 1, "").status, "ok"); // engine build is not the shell
+    let started = Instant::now();
+    for id in 1..=20u64 {
+        let r = c.bfs(id, (id % 64) as u32, "");
+        assert_eq!((r.id, r.status.as_str()), (id, "ok"));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "20 round trips took {took:?}"
+    );
+
+    handle.initiate_drain();
+    let report = handle.join();
+    assert!(report.drain_clean, "{report:?}");
+    assert_eq!(report.ok, 21);
+}
+
+/// The reader (inline `ping`/`stats` replies) and the writer (`bfs`
+/// completions) share one socket: under a deep pipeline every reply is
+/// still one whole JSON line and every id is answered exactly once.
+#[test]
+fn pipelined_replies_from_both_threads_never_interleave() {
+    let cfg = ServeConfig {
+        queue_cap: 512,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, tiny_graph());
+    let c = Client::connect(handle.addr());
+    let mut expected: HashSet<u64> = HashSet::new();
+    let mut lines = String::new();
+    for id in 0..256u64 {
+        lines.push_str(&bfs_line(id, (id % 64) as u32, ""));
+        lines.push('\n');
+        expected.insert(id);
+        if id % 4 == 0 {
+            let op = if id % 8 == 0 { "ping" } else { "stats" };
+            lines.push_str(&format!("{{\"op\":\"{op}\",\"id\":{}}}\n", 1000 + id));
+            expected.insert(1000 + id);
+        }
+    }
+    // Written from a second thread so neither side can block the other
+    // on a full socket buffer.
+    let mut writer = c.writer.try_clone().unwrap();
+    let sender = std::thread::spawn(move || writer.write_all(lines.as_bytes()).expect("send"));
+    let mut reader = c.reader;
+    let mut seen: HashSet<u64> = HashSet::new();
+    for _ in 0..expected.len() {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("recv");
+        assert!(line.ends_with('\n'), "torn line {line:?}");
+        let r = protocol::parse_response(line.trim())
+            .unwrap_or_else(|e| panic!("reply is not one whole JSON line ({e}): {line:?}"));
+        assert_eq!(r.status, "ok", "{line}");
+        assert!(seen.insert(r.id), "id {} answered twice", r.id);
+    }
+    sender.join().unwrap();
+    assert_eq!(seen, expected);
+
+    handle.initiate_drain();
+    let report = handle.join();
+    assert!(report.drain_clean, "{report:?}");
+    assert_eq!(report.ok, 256);
+    assert_eq!(report.dropped_connections, 0);
+}
+
+/// A client that pipelines requests and never reads wedges its own
+/// connection once the socket buffers fill — and nothing else: the
+/// worker keeps finishing that client's jobs (delivery never blocks), a
+/// second connection is served meanwhile, and when the wedged client
+/// goes away its undeliverable replies are counted, once.
+#[test]
+fn client_that_never_reads_stalls_only_its_own_connection() {
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, tiny_graph());
+
+    // Flood until our own write blocks: the server stopped reading this
+    // connection, which it only does when its replies have nowhere to go.
+    let stuck = TcpStream::connect(handle.addr()).unwrap();
+    stuck
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut flood = stuck.try_clone().unwrap();
+    let flooder = std::thread::spawn(move || {
+        // Fresh ids throughout: a repeated id would be answered from the
+        // idempotency cache instead of reaching the queue.
+        let mut ids = 1_000_000u64..;
+        let mut chunk = || -> String {
+            ids.by_ref()
+                .take(64)
+                .map(|id| bfs_line(id, 1, "") + "\n")
+                .collect()
+        };
+        // Bounded, so a server that buffered without limit fails the
+        // test instead of hanging it.
+        (0..20_000).any(|_| flood.write_all(chunk().as_bytes()).is_err())
+    });
+    assert!(flooder.join().unwrap(), "flooding connection never wedged");
+
+    // The flood left the queue full; once the worker has emptied it into
+    // the wedged connection's channel, the other connection is served at
+    // full speed.
+    let mut c = Client::connect(handle.addr());
+    loop {
+        c.send("{\"op\":\"stats\",\"id\":1}");
+        let mut line = String::new();
+        c.reader.read_line(&mut line).expect("recv stats");
+        if line.contains("\"depth\":0,") {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for id in 10..20u64 {
+        let r = c.bfs(id, (id % 64) as u32, "");
+        assert_eq!((r.id, r.status.as_str()), (id, "ok"));
+    }
+
+    // Closing with unread replies resets the connection; what its writer
+    // still held can never be delivered.
+    drop(stuck);
+    drop(c);
+    handle.initiate_drain();
+    let report = handle.join();
+    assert_eq!(report.dropped_connections, 1, "{report:?}");
+    assert_eq!(report.connections, 2, "{report:?}");
+    assert!(report.shed > 0, "the flood overran a 32-deep queue");
+    assert_eq!(
+        report.accepted,
+        report.ok + report.timeouts + report.errors,
+        "the worker finished everything admitted: {report:?}"
+    );
 }
 
 // ---------------------------------------------------------------------

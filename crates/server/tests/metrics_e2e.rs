@@ -2,16 +2,17 @@
 //! op returns a consistent `xbfs-metrics-v1` snapshot that reconciles
 //! with the final serve report, the `--metrics-addr` HTTP listener
 //! serves Prometheus text and JSON mid-load without perturbing workers,
+//! the registry's latency clock stops where the client's wait does,
 //! worker panics leave a flight-recorder dump referenced by the report,
 //! and `xbfs top` renders frames from successive snapshots.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use gcd_sim::Device;
-use xbfs_core::XbfsConfig;
+use xbfs_core::{Xbfs, XbfsConfig};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
 use xbfs_server::top::{run_top, TopSnapshot};
@@ -46,12 +47,16 @@ impl Client {
         writer
             .set_read_timeout(Some(Duration::from_secs(30)))
             .unwrap();
+        writer.set_nodelay(true).unwrap();
         let reader = BufReader::new(writer.try_clone().unwrap());
         Self { writer, reader }
     }
 
     fn roundtrip(&mut self, line: &str) -> String {
-        writeln!(self.writer, "{line}").expect("send");
+        // One write per line, so the client's own Nagle never stalls it.
+        self.writer
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send");
         let mut resp = String::new();
         self.reader.read_line(&mut resp).expect("recv");
         resp.trim().to_string()
@@ -117,6 +122,64 @@ fn metrics_op_snapshot_reconciles_with_final_report() {
         snap.counter(live::ADMITTED_TOTAL, &[]),
         "scrape reconciles with the report: nothing lost"
     );
+}
+
+/// The registry's latency series is the wait a client sees: it starts at
+/// admission, stops once the reply is on the socket, and so sits between
+/// the engine's own wall time and the client's round trip.
+#[test]
+fn registry_latency_clock_stops_at_the_socket() {
+    let g = test_graph();
+    let ms = |t: Instant| t.elapsed().as_secs_f64() * 1000.0;
+    let dev = Device::mi250x();
+    let engine = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
+    let handle = start(ServeConfig::default(), Arc::clone(&g));
+    let mut c = Client::connect(handle.addr());
+    // Each round trip is followed by a direct run of the same source, so
+    // a slow moment on the host slows both; the best direct run is the
+    // engine's wall time.
+    let mut engine_ms = f64::INFINITY;
+    let mut client_ms: Vec<f64> = (0..15u64)
+        .map(|id| {
+            let t = Instant::now();
+            let r = c.roundtrip(&format!(
+                "{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":7}}"
+            ));
+            let waited = ms(t);
+            assert!(r.contains("\"status\":\"ok\""), "{r}");
+            let t = Instant::now();
+            engine.run(7).unwrap();
+            engine_ms = engine_ms.min(ms(t));
+            waited
+        })
+        .collect();
+    client_ms.sort_by(f64::total_cmp);
+    let client_p50 = client_ms[client_ms.len() / 2];
+
+    let snap = c.scrape(90);
+    let (count, _, p50, _) = snap
+        .hist(live::REQUEST_LATENCY_MS, &[("status", "ok")])
+        .expect("ok latency histogram present");
+    let (written, _, write_p50, _) = snap
+        .hist(live::WRITE_MS, &[])
+        .expect("write-stage histogram present");
+    assert_eq!((count, written), (15, 15), "one sample per reply written");
+    assert!(
+        p50 >= engine_ms,
+        "registry p50 {p50} ms cannot undercut the engine's {engine_ms} ms"
+    );
+    // Within a few ms either way: the registry reports its bucket's
+    // upper bound (up to an eighth above the sample), and on a busy host
+    // the writer can be descheduled between the write and the clock read.
+    assert!(
+        client_p50 - p50 < 10.0 && p50 - client_p50 * 1.125 < 10.0,
+        "registry p50 {p50} ms must track the client's {client_p50} ms"
+    );
+    assert!(write_p50 < p50, "write stage {write_p50} ms of {p50} ms");
+
+    handle.initiate_drain();
+    let report = handle.join();
+    assert!(report.drain_clean, "{report:?}");
 }
 
 #[test]

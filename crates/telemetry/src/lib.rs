@@ -192,9 +192,13 @@ pub mod names {
         pub const RETRY_AFTER_MS: &str = "serve.retry_after_ms";
         /// Queue-wait distribution, wall ms (histogram).
         pub const QUEUE_WAIT_MS: &str = "serve.queue_wait_ms";
-        /// End-to-end request latency, wall ms (histogram), labeled
+        /// End-to-end request latency, admission to the reply reaching
+        /// the socket, wall ms (histogram), labeled
         /// `status=ok|timeout|error`.
         pub const REQUEST_LATENCY_MS: &str = "serve.request_latency_ms";
+        /// The response-write stage: worker finished to the reply
+        /// reaching the socket, wall ms (histogram).
+        pub const WRITE_MS: &str = "serve.write_ms";
         /// Deadline headroom left at completion, wall ms (histogram).
         pub const DEADLINE_HEADROOM_MS: &str = "serve.deadline_headroom_ms";
         /// Per-worker state gauge: 0=idle, 1=running, 2=quarantined;

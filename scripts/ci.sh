@@ -1,8 +1,29 @@
 #!/usr/bin/env bash
 # Local CI gate — identical to .github/workflows/ci.yml.
-# Usage: scripts/ci.sh
+# Usage: scripts/ci.sh [lone-latency]
+#   no argument   the whole gate
+#   lone-latency  only that stage; the workflow's job of the same name
+#                 calls this, so the gate is written down once
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+lone_latency() {
+  echo "==> lone-latency (a lone client of the default serve arm waits for the engine, not a timer)"
+  local LINE X
+  LINE=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    --workload serve-lone-s14 --seconds 2 --trace 0 | tail -1)
+  echo "    $LINE"
+  grep -q '"correct":true' <<<"$LINE" || { echo "serve-lone-s14 is not correct" >&2; exit 1; }
+  X=$(grep -o '"host_overhead_x":{"value":[0-9.]*' <<<"$LINE" | grep -o '[0-9.]*$')
+  # ~8 with completion-driven replies, ~50 with a Nagle stall, ~100 with a
+  # 50 ms flush poll on top
+  awk -v x="$X" 'BEGIN { exit !(x < 25) }' \
+    || { echo "host_overhead_x = $X, want < 25: replies are waiting on something" >&2; exit 1; }
+}
+if [ "${1:-}" = lone-latency ]; then
+  lone_latency
+  exit 0
+fi
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace --benches --examples
@@ -347,5 +368,7 @@ printf '{"schema":"xbfs-bench-pr9-v1","journal_served_qps":%s,"nojournal_served_
   "$(cat "$SMOKE/killer.json")" "$(cat "$SMOKE/loadgen_journal.json")" \
   "$(cat "$SMOKE/serve_journal.json")" > results/BENCH_pr9.json
 echo "    wrote results/BENCH_pr9.json (overhead=${JOVERHEAD}%, replayed=$REPLAYED, recovery=${RECOVERY_MS}ms)"
+
+lone_latency
 
 echo "CI gate passed."
