@@ -39,10 +39,9 @@ fn bench_coalescer(c: &mut Criterion) {
     group.bench_function("streaming_access", |b| {
         b.iter(|| {
             let mut co = Coalescer::new(128, 64);
-            let mut missed = Vec::new();
             for i in 0..n {
-                missed.clear();
-                std::hint::black_box(co.access(i * 4, 4, &mut missed));
+                let line = co.line_of(i * 4);
+                std::hint::black_box(co.touch(line));
             }
         })
     });

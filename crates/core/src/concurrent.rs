@@ -280,7 +280,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
                         &inner.stamp,
                         &inner.fresh,
                         &inner.frontier,
-                        qlen,
                         epoch,
                     )
                 },
@@ -479,7 +478,6 @@ pub fn ms_bfs(device: &Device, graph: &Csr, sources: &[u32]) -> MsBfsRun {
 /// with a 64-bit `atomicOr` into `fresh`. Neighbor masks are gated by the
 /// epoch stamp: a stale stamp means the mask is leftover from an earlier
 /// batch and reads as empty.
-#[allow(clippy::too_many_arguments)]
 fn expand_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
@@ -487,15 +485,15 @@ fn expand_kernel(
     stamp: &BufU32,
     fresh: &BufU64,
     frontier: &BufU32,
-    qlen: usize,
     epoch: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().filter(|&i| i < qlen).collect();
+    // Launched with `items` = the frontier length: every lane has an entry.
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(frontier, &gids, &mut us);
+    w.vload32_range(frontier, gids.start, gids.len(), &mut us);
     let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
     // Frontier vertices were stamped when they were discovered, so their
     // own masks need no gate.
@@ -563,18 +561,17 @@ fn fold_kernel(
     enc_level: u32,
     epoch: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut fb = Vec::with_capacity(gids.len());
-    w.vload64(fresh, &gids, &mut fb);
+    w.vload64_range(fresh, gids.start, gids.len(), &mut fb);
     w.alu(1);
     let pending: Vec<(usize, u64)> = gids
-        .iter()
         .zip(&fb)
         .filter(|&(_, &b)| b != 0)
-        .map(|(&v, &b)| (v, b))
+        .map(|(v, &b)| (v, b))
         .collect();
     if pending.is_empty() {
         return;
@@ -619,12 +616,7 @@ fn fold_kernel(
         return;
     }
     let base = w.wave_add32(counters, 0, members.len() as u32) as usize;
-    let writes: Vec<(usize, u32)> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .collect();
-    w.vstore32(next_frontier, &writes);
+    w.vstore32_range(next_frontier, base, &members);
 }
 
 #[cfg(test)]

@@ -29,45 +29,30 @@ use gcd_sim::WaveCtx;
 /// `items = number of segments`; segment `t` of wave `w` is the stripe
 /// `{region(w) + j·width + lane(t)}`.
 pub fn bu_count(w: &mut WaveCtx, st: &BfsState, n: usize) {
-    let width = w.width();
-    let seg_len = st.seg_len;
-    let region = w.wave_id() * width * seg_len;
+    let region = w.wave_id() * w.width() * st.seg_len;
     if region >= n {
         return;
     }
-    let lanes: Vec<usize> = w.lanes().collect();
+    let lanes = w.lanes();
     // Stripe stride = actual lane count so partial trailing waves still
     // cover their region contiguously (and coalesced).
     let nl = lanes.len();
     let mut counts = vec![0u32; nl];
-    for j in 0..seg_len {
-        let mut idxs = Vec::with_capacity(nl);
-        let mut lane_of = Vec::with_capacity(nl);
-        for l in 0..nl {
-            let i = region + j * nl + l;
-            if i < n {
-                idxs.push(i);
-                lane_of.push(l);
-            }
-        }
-        if idxs.is_empty() {
+    let mut sts = Vec::with_capacity(nl);
+    for j in 0..st.seg_len {
+        let start = region + j * nl;
+        let count = nl.min(n.saturating_sub(start));
+        if count == 0 {
             break;
         }
-        let mut sts = Vec::with_capacity(idxs.len());
-        w.vload32(&st.status, &idxs, &mut sts);
+        sts.clear();
+        w.vload32_range(&st.status, start, count, &mut sts);
         w.alu(1);
-        for (&l, &s) in lane_of.iter().zip(&sts) {
-            if is_unvisited(s, st.base) {
-                counts[l] += 1;
-            }
+        for (c, &s) in counts.iter_mut().zip(&sts) {
+            *c += u32::from(is_unvisited(s, st.base));
         }
     }
-    let writes: Vec<(usize, u32)> = lanes
-        .iter()
-        .zip(&counts)
-        .map(|(&gid, &c)| (gid, c))
-        .collect();
-    w.vstore32(&st.seg_counts, &writes);
+    w.vstore32_range(&st.seg_counts, lanes.start, &counts);
 }
 
 /// Kernel 2: block partial sums. Launch with
@@ -85,9 +70,8 @@ pub fn bu_reduce(w: &mut WaveCtx, st: &BfsState) {
         w.sstore32(&st.block_sums, b, 0);
         return;
     }
-    let idxs: Vec<usize> = (start..end).collect();
-    let mut counts = Vec::with_capacity(idxs.len());
-    w.vload32(&st.seg_counts, &idxs, &mut counts);
+    let mut counts = Vec::with_capacity(end - start);
+    w.vload32_range(&st.seg_counts, start, end - start, &mut counts);
     let sum = w.wave_reduce_add(&counts);
     w.sstore32(&st.block_sums, b, sum as u32);
 }
@@ -106,17 +90,14 @@ pub fn bu_scan(w: &mut WaveCtx, st: &BfsState) {
     let mut chunk = 0;
     while chunk < nb {
         let end = (chunk + width).min(nb);
-        let idxs: Vec<usize> = (chunk..end).collect();
-        let mut vals = Vec::with_capacity(idxs.len());
-        w.vload32(&st.block_sums, &idxs, &mut vals);
+        let mut vals = Vec::with_capacity(end - chunk);
+        w.vload32_range(&st.block_sums, chunk, end - chunk, &mut vals);
         let mut pref = Vec::with_capacity(vals.len());
         let total = w.wave_prefix_sum(&vals, &mut pref);
-        let writes: Vec<(usize, u32)> = idxs
-            .iter()
-            .zip(&pref)
-            .map(|(&i, &p)| (i, carry + p))
-            .collect();
-        w.vstore32(&st.block_sums, &writes);
+        for p in &mut pref {
+            *p += carry;
+        }
+        w.vstore32_range(&st.block_sums, chunk, &pref);
         carry += total;
         chunk = end;
     }
@@ -127,46 +108,37 @@ pub fn bu_scan(w: &mut WaveCtx, st: &BfsState) {
 /// the bottom-up queue. Launch with `items = number of segments` (same
 /// striping as [`bu_count`]).
 pub fn bu_place(w: &mut WaveCtx, st: &BfsState, n: usize) {
-    let width = w.width();
-    let seg_len = st.seg_len;
-    let region = w.wave_id() * width * seg_len;
+    let region = w.wave_id() * w.width() * st.seg_len;
     if region >= n {
         return;
     }
-    let lanes: Vec<usize> = w.lanes().collect();
+    let lanes = w.lanes();
+    let nl = lanes.len();
     // Per-lane start offset = block offset + exclusive prefix of this
     // wave's segment counts.
-    let block = w.wave_id();
-    let base = w.sload32(&st.block_sums, block);
-    let cidx: Vec<usize> = lanes.clone();
-    let mut counts = Vec::with_capacity(cidx.len());
-    w.vload32(&st.seg_counts, &cidx, &mut counts);
-    let mut pref = Vec::with_capacity(counts.len());
+    let base = w.sload32(&st.block_sums, w.wave_id());
+    let mut counts = Vec::with_capacity(nl);
+    w.vload32_range(&st.seg_counts, lanes.start, nl, &mut counts);
+    let mut pref = Vec::with_capacity(nl);
     w.wave_prefix_sum(&counts, &mut pref);
     let mut cursors: Vec<usize> = pref.iter().map(|&p| (base + p) as usize).collect();
 
-    let nl = lanes.len();
-    for j in 0..seg_len {
-        let mut idxs = Vec::with_capacity(nl);
-        let mut lane_of = Vec::with_capacity(nl);
-        for l in 0..nl {
-            let i = region + j * nl + l;
-            if i < n {
-                idxs.push(i);
-                lane_of.push(l);
-            }
-        }
-        if idxs.is_empty() {
+    let mut sts = Vec::with_capacity(nl);
+    let mut writes = Vec::with_capacity(nl);
+    for j in 0..st.seg_len {
+        let start = region + j * nl;
+        let count = nl.min(n.saturating_sub(start));
+        if count == 0 {
             break;
         }
-        let mut sts = Vec::with_capacity(idxs.len());
-        w.vload32(&st.status, &idxs, &mut sts);
+        sts.clear();
+        w.vload32_range(&st.status, start, count, &mut sts);
         w.alu(1);
-        let mut writes = Vec::new();
-        for ((&i, &l), &s) in idxs.iter().zip(&lane_of).zip(&sts) {
+        writes.clear();
+        for ((i, cursor), &s) in (start..).zip(&mut cursors).zip(&sts) {
             if is_unvisited(s, st.base) {
-                writes.push((cursors[l], i as u32));
-                cursors[l] += 1;
+                writes.push((*cursor, i as u32));
+                *cursor += 1;
             }
         }
         w.vstore32(&st.bu_queue, &writes);
@@ -192,12 +164,12 @@ pub fn bu_expand_thread(
     opts: &BottomUpOpts,
 ) {
     debug_assert!(bu_len <= st.bu_queue.len());
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut vs = Vec::with_capacity(gids.len());
-    w.vload32(&st.bu_queue, &gids, &mut vs);
+    w.vload32_range(&st.bu_queue, gids.start, gids.len(), &mut vs);
     // A vertex may have been claimed by a previous level's pass while the
     // queue is stale; skip those.
     let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
@@ -344,9 +316,8 @@ pub fn bu_expand_wave(
     let mut claim: Option<(u32, u32)> = None; // (level, parent)
     while base < deg {
         let count = width.min(deg - base);
-        let aidx: Vec<usize> = (0..count).map(|l| off as usize + base + l).collect();
         let mut nbrs = Vec::with_capacity(count);
-        w.vload32(&g.adjacency, &aidx, &mut nbrs);
+        w.vload32_range(&g.adjacency, off as usize + base, count, &mut nbrs);
         let nsidx: Vec<usize> = nbrs.iter().map(|&v| v as usize).collect();
         let mut nsts = Vec::with_capacity(count);
         w.vload32(&st.status, &nsidx, &mut nsts);

@@ -127,27 +127,23 @@ fn enqueue_binned(
             continue;
         }
         let base = w.wave_add32(&st.counters, ctr::QUEUE_LEN[b], members.len() as u32);
-        let writes: Vec<(usize, u32)> = members
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (base as usize + i, v))
-            .collect();
-        w.vstore32(&st.next_queues[b], &writes);
+        w.vstore32_range(&st.next_queues[b], base as usize, members);
     }
 }
 
-/// Load and optionally filter the frontier vertices a set of lanes handles.
-/// Returns `(vertex, offset, degree)` triples for surviving lanes.
+/// Load and optionally filter the frontier vertices this wave's lanes
+/// handle (queue entries `w.lanes()`). Returns `(vertex, offset, degree)`
+/// triples for surviving lanes.
 fn load_frontier(
     w: &mut WaveCtx,
     g: &DeviceGraph,
     st: &BfsState,
     queue: &BufU32,
-    gids: &[usize],
     opts: &TopDownOpts,
 ) -> Vec<(u32, u64, u32)> {
+    let gids = w.lanes();
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(queue, gids, &mut us);
+    w.vload32_range(queue, gids.start, gids.len(), &mut us);
     let mut kept: Vec<u32> = if opts.filter {
         let sidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
         let mut sts = Vec::with_capacity(sidx.len());
@@ -186,11 +182,10 @@ pub fn expand_thread(
     queue: &BufU32,
     opts: &TopDownOpts,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
-    if gids.is_empty() {
+    if w.lanes().is_empty() {
         return;
     }
-    let mut lanes = load_frontier(w, g, st, queue, &gids, opts);
+    let mut lanes = load_frontier(w, g, st, queue, opts);
     let mut claimed: Vec<Claim> = Vec::new();
     let mut k = 0u32;
     loop {
@@ -281,9 +276,8 @@ fn expand_cooperative(
     let mut base = sub * width;
     while base < deg {
         let count = width.min(deg - base);
-        let aidx: Vec<usize> = (0..count).map(|l| (off as usize) + base + l).collect();
         let mut vs = Vec::with_capacity(count);
-        w.vload32(&g.adjacency, &aidx, &mut vs);
+        w.vload32_range(&g.adjacency, off as usize + base, count, &mut vs);
         let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
         let mut svs = Vec::with_capacity(count);
         w.vload32(&st.status, &sidx, &mut svs);
@@ -348,9 +342,8 @@ pub fn expand_block(
             let mut base = wave * width;
             while base < deg {
                 let count = width.min(deg - base);
-                let aidx: Vec<usize> = (0..count).map(|l| off as usize + base + l).collect();
                 let mut vs = Vec::with_capacity(count);
-                w.vload32(&dg.adjacency, &aidx, &mut vs);
+                w.vload32_range(&dg.adjacency, off as usize + base, count, &mut vs);
                 let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
                 let mut svs = Vec::with_capacity(count);
                 w.vload32(&st.status, &sidx, &mut svs);
@@ -420,18 +413,17 @@ pub fn generation_scan(
     balancing: bool,
     thresholds: BinThresholds,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut sts = Vec::with_capacity(gids.len());
-    w.vload32(&st.status, &gids, &mut sts);
+    w.vload32_range(&st.status, gids.start, gids.len(), &mut sts);
     w.alu(1);
     let members: Vec<u32> = gids
-        .iter()
         .zip(&sts)
         .filter(|&(_, &s)| s == level)
-        .map(|(&v, _)| v as u32)
+        .map(|(v, _)| v as u32)
         .collect();
     if members.is_empty() {
         return;

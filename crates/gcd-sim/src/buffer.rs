@@ -1,8 +1,9 @@
 //! Device buffers.
 //!
 //! Kernels see device memory as typed arrays of `u32` / `u64`; storage is
-//! atomic so functional-mode execution can run wavefronts in parallel with
-//! rayon exactly the way real workgroups race on global memory. Each buffer
+//! atomic so kernel bodies can mutate it through a shared reference, the
+//! way real workgroups race on global memory (the simulator itself runs
+//! waves one after another on the launching thread). Each buffer
 //! carries a base "device address" from a bump allocator so the memory
 //! hierarchy model can reason about cache lines across buffers.
 
@@ -89,6 +90,13 @@ macro_rules! impl_buf {
             #[inline]
             pub fn store(&self, idx: usize, val: $prim) {
                 self.data[idx].store(val, Ordering::Relaxed);
+            }
+
+            /// Append elements `start..start + count` to `out`.
+            #[inline]
+            pub(crate) fn load_range(&self, start: usize, count: usize, out: &mut Vec<$prim>) {
+                let src = &self.data[start..start + count];
+                out.extend(src.iter().map(|a| a.load(Ordering::Relaxed)));
             }
 
             /// Raw compare-exchange; returns the previous value on success.

@@ -7,21 +7,22 @@
 //! coalescing stage): an access whose line is resident is free; a miss is
 //! forwarded to the next level (functional-mode counters or the shared L2).
 
+/// Ways per set.
+const WAYS: usize = 4;
+
 /// Small set-associative line filter, LRU within each set.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Coalescer {
-    /// log2(number of sets).
-    set_bits: u32,
-    ways: usize,
+    set_mask: u64,
     line_bits: u32,
-    /// `sets[set][way]` holds line tags (`u64::MAX` = invalid).
+    /// `sets[set * WAYS + way]` holds line tags (`u64::MAX` = invalid).
     sets: Vec<u64>,
     /// LRU stamps parallel to `sets`.
     stamps: Vec<u64>,
     tick: u64,
-    /// Accesses that found their line resident.
+    /// Touches that found their line resident.
     pub hits: u64,
-    /// Accesses forwarded to the next level.
+    /// Touches forwarded to the next level.
     pub misses: u64,
 }
 
@@ -31,14 +32,12 @@ impl Coalescer {
     /// at least 4.
     pub fn new(lines: usize, line_bytes: usize) -> Self {
         assert!(line_bytes.is_power_of_two());
-        let ways = 4usize;
-        let sets = (lines.max(ways) / ways).next_power_of_two();
+        let sets = (lines.max(WAYS) / WAYS).next_power_of_two();
         Self {
-            set_bits: sets.trailing_zeros(),
-            ways,
+            set_mask: sets as u64 - 1,
             line_bits: line_bytes.trailing_zeros(),
-            sets: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
+            sets: vec![u64::MAX; sets * WAYS],
+            stamps: vec![0; sets * WAYS],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -51,44 +50,52 @@ impl Coalescer {
         addr >> self.line_bits
     }
 
-    /// Access `len` bytes at `addr`; returns the number of *new* line
-    /// fetches this access generates (0, 1, or 2 for a straddling access),
-    /// pushing each missed line id into `missed`.
-    pub fn access(&mut self, addr: u64, len: u32, missed: &mut Vec<u64>) -> u32 {
-        let first = self.line_of(addr);
-        let last = self.line_of(addr + u64::from(len) - 1);
-        let mut fetches = 0;
-        for line in first..=last {
-            if self.touch(line) {
-                self.hits += 1;
-            } else {
-                self.misses += 1;
-                missed.push(line);
-                fetches += 1;
-            }
-        }
-        fetches
+    /// Bytes per line.
+    #[inline]
+    pub fn line_bytes(&self) -> u64 {
+        1 << self.line_bits
     }
 
-    /// Touch a line; true if it was resident.
-    fn touch(&mut self, line: u64) -> bool {
-        self.tick += 1;
-        let set = (line & ((1 << self.set_bits) - 1)) as usize;
-        let base = set * self.ways;
-        let slots = &mut self.sets[base..base + self.ways];
-        if let Some(w) = slots.iter().position(|&t| t == line) {
-            self.stamps[base + w] = self.tick;
-            return true;
-        }
-        // Evict LRU way.
-        let (victim, _) = self.stamps[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &s)| s)
-            .unwrap();
-        self.sets[base + victim] = line;
-        self.stamps[base + victim] = self.tick;
-        false
+    /// Touch a line; true if it was resident. A miss installs the line over
+    /// the least recently used way of its set (the first such way on ties).
+    #[inline]
+    pub fn touch(&mut self, line: u64) -> bool {
+        self.touch_run(line, 1)
+    }
+
+    /// `k >= 1` back-to-back touches of one line, in one step: only the
+    /// first can miss (it leaves the line resident), the other `k - 1` hit,
+    /// and the line ends up stamped with the tick of the last. Returns
+    /// whether the first touch hit.
+    #[inline]
+    pub fn touch_run(&mut self, line: u64, k: u64) -> bool {
+        debug_assert!(k >= 1);
+        self.tick += k;
+        let base = (line & self.set_mask) as usize * WAYS;
+        let tags: &mut [u64; WAYS] = (&mut self.sets[base..base + WAYS])
+            .try_into()
+            .expect("a set is WAYS wide");
+        let stamps: &mut [u64; WAYS] = (&mut self.stamps[base..base + WAYS])
+            .try_into()
+            .expect("a set is WAYS wide");
+        // Fixed-size arrays: both scans unroll.
+        let resident = tags.iter().position(|&t| t == line);
+        let way = resident.unwrap_or_else(|| {
+            // First minimum stamp, like `min_by_key`.
+            let mut victim = 0;
+            for w in 1..WAYS {
+                if stamps[w] < stamps[victim] {
+                    victim = w;
+                }
+            }
+            tags[victim] = line;
+            victim
+        });
+        let hit = resident.is_some();
+        stamps[way] = self.tick;
+        self.hits += k - 1 + u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Reset residency and counters (new wave reuses the allocation).
@@ -108,12 +115,11 @@ mod tests {
     #[test]
     fn sequential_accesses_coalesce() {
         let mut c = Coalescer::new(64, 64);
-        let mut missed = Vec::new();
         // 64 consecutive u32 reads = 16 per line -> 4 lines.
         for i in 0..64u64 {
-            c.access(i * 4, 4, &mut missed);
+            let line = c.line_of(i * 4);
+            c.touch(line);
         }
-        assert_eq!(missed.len(), 4);
         assert_eq!(c.misses, 4);
         assert_eq!(c.hits, 60);
     }
@@ -121,46 +127,58 @@ mod tests {
     #[test]
     fn random_gathers_do_not_coalesce() {
         let mut c = Coalescer::new(64, 64);
-        let mut missed = Vec::new();
         for i in 0..32u64 {
-            c.access(i * 4096, 4, &mut missed); // distinct lines, distinct sets
+            assert!(!c.touch(i * 64)); // distinct lines
         }
         assert_eq!(c.misses, 32);
     }
 
     #[test]
-    fn straddling_access_counts_two_lines() {
-        let mut c = Coalescer::new(16, 64);
-        let mut missed = Vec::new();
-        let fetched = c.access(62, 4, &mut missed); // crosses 64-byte boundary
-        assert_eq!(fetched, 2);
+    fn lru_evicts_oldest() {
+        let mut c = Coalescer::new(4, 64); // 1 set, 4 ways
+        for line in 0..4u64 {
+            c.touch(line);
+        }
+        c.touch(0); // refresh line 0
+        c.touch(4); // evicts line 1 (oldest)
+        assert!(c.touch(0), "line 0 should still be resident");
+        assert!(!c.touch(1), "line 1 should have been evicted");
     }
 
     #[test]
-    fn lru_evicts_oldest() {
-        let mut c = Coalescer::new(4, 64); // 1 set, 4 ways
-        let mut missed = Vec::new();
-        for line in 0..4u64 {
-            c.access(line * 64, 4, &mut missed);
+    fn ties_evict_the_first_way() {
+        let mut c = Coalescer::new(4, 64);
+        c.touch(7); // cold set: every stamp is 0, way 0 is the victim
+        assert_eq!(c.sets[..WAYS], [7, u64::MAX, u64::MAX, u64::MAX]);
+    }
+
+    #[test]
+    fn touch_run_equals_repeated_touches() {
+        let mut run = Coalescer::new(4, 64);
+        let mut one = run.clone();
+        for (line, k) in [
+            (3u64, 5u64),
+            (9, 1),
+            (3, 2),
+            (1, 16),
+            (2, 3),
+            (4, 7),
+            (9, 2),
+        ] {
+            let first_hit = run.touch_run(line, k);
+            let hits: Vec<bool> = (0..k).map(|_| one.touch(line)).collect();
+            assert_eq!(first_hit, hits[0]);
+            assert!(hits[1..].iter().all(|&h| h));
+            assert_eq!(run, one);
         }
-        c.access(0, 4, &mut missed); // refresh line 0
-        c.access(4 * 64, 4, &mut missed); // evicts line 1 (oldest)
-        missed.clear();
-        c.access(0, 4, &mut missed);
-        assert!(missed.is_empty(), "line 0 should still be resident");
-        c.access(64, 4, &mut missed);
-        assert_eq!(missed.len(), 1, "line 1 should have been evicted");
     }
 
     #[test]
     fn reset_clears_residency() {
         let mut c = Coalescer::new(16, 64);
-        let mut missed = Vec::new();
-        c.access(0, 4, &mut missed);
+        c.touch(0);
         c.reset();
-        missed.clear();
-        c.access(0, 4, &mut missed);
-        assert_eq!(missed.len(), 1);
+        assert!(!c.touch(0));
         assert_eq!(c.hits, 0);
     }
 }

@@ -9,36 +9,23 @@ use crate::group::{GroupCfg, GroupCtx};
 use crate::kernel::{KernelReport, LaunchCfg, WaveStats};
 use crate::l2::L2Model;
 use crate::pool::{fnv1a, splitmix64, PoolError, POOL_CANARY};
-use crate::wave::{MemSink, WaveCtx};
-use parking_lot::Mutex;
-use rayon::prelude::*;
+use crate::wave::WaveCtx;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
-/// Execution fidelity.
+/// Execution fidelity. Either way a launch runs its waves one after
+/// another on the calling thread; the modes differ in what a coalescer
+/// miss costs to classify.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
-    /// Wavefronts run in parallel on host cores; memory effects are
-    /// approximated by the per-wave coalescer only (no shared L2 model).
-    /// Fast — used for end-to-end GTEPS experiments.
+    /// Memory effects are approximated by the per-wave coalescer only (no
+    /// shared L2 model). Fast — used for end-to-end GTEPS experiments.
     Functional,
-    /// Wavefronts replay through a shared L2 model, producing exact
-    /// rocprofiler-style counters. Slow — used for Tables I, III–VI. See
-    /// [`TimingReplay`] for how the replay is scheduled.
+    /// Every coalescer miss is classified through a shared L2 model the
+    /// moment it happens, producing exact rocprofiler-style counters.
+    /// Slow — used for Tables I, III–VI.
     Timing,
-}
-
-/// How timing-mode launches drive the shared L2 model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TimingReplay {
-    /// One wave at a time through the L2 — the original reference path.
-    Sequential,
-    /// Two-phase: waves execute through `into_par_iter`, capturing their
-    /// coalescer misses in order; the captured lines are then replayed
-    /// through the L2 in wave order. Bit-identical to [`Self::Sequential`]
-    /// (DESIGN.md §8) while keeping every dispatch parallel-shaped.
-    #[default]
-    Parallel,
 }
 
 /// Per-wave coalescer capacity in lines (≈ the 16 KiB L0/L1 vector cache of
@@ -211,7 +198,6 @@ pub struct PoolGauges {
 pub struct Device {
     arch: ArchProfile,
     mode: ExecMode,
-    replay: TimingReplay,
     compiler: Compiler,
     l2: Mutex<L2Model>,
     next_addr: AtomicU64,
@@ -251,7 +237,6 @@ impl Device {
         Self {
             arch,
             mode,
-            replay: TimingReplay::default(),
             compiler: Compiler::ClangO3,
             l2: Mutex::new(l2),
             next_addr: AtomicU64::new(0),
@@ -286,17 +271,6 @@ impl Device {
     /// The execution mode.
     pub fn mode(&self) -> ExecMode {
         self.mode
-    }
-
-    /// Select how timing-mode launches replay through the L2 (the default,
-    /// [`TimingReplay::Parallel`], is bit-identical to the sequential path).
-    pub fn set_timing_replay(&mut self, replay: TimingReplay) {
-        self.replay = replay;
-    }
-
-    /// Current timing-replay schedule.
-    pub fn timing_replay(&self) -> TimingReplay {
-        self.replay
     }
 
     /// Select the compiler model (paper §IV-A).
@@ -660,7 +634,10 @@ impl Device {
     pub fn reset_timeline(&self) {
         self.streams.lock().fill(0.0);
         self.dirty.lock().fill(false);
-        self.l2.lock().invalidate();
+        // Functional mode never consults the L2: leave its arrays alone.
+        if self.mode == ExecMode::Timing {
+            self.l2.lock().invalidate();
+        }
     }
 
     /// Drain recorded kernel reports.
@@ -670,194 +647,81 @@ impl Device {
 
     // ---- kernel launch ----
 
-    /// Launch a kernel on `stream`: `body` is invoked once per wavefront.
-    /// Returns the report (also recorded if profiling is enabled).
+    /// The shared L2 for a timing-mode launch (per-kernel counters
+    /// zeroed, residency kept), `None` in functional mode.
+    fn launch_l2(&self) -> Option<MutexGuard<'_, L2Model>> {
+        (self.mode == ExecMode::Timing).then(|| {
+            let mut l2 = self.l2.lock();
+            l2.reset_counters();
+            l2
+        })
+    }
+
+    /// Price a finished launch, advance `stream` by it and record it.
+    fn finish_launch(
+        &self,
+        stream: usize,
+        cfg: &LaunchCfg,
+        stats: WaveStats,
+        lds: Option<(usize, usize)>,
+    ) -> KernelReport {
+        let report = self.cost_model(cfg, stats, lds);
+        self.streams.lock()[stream] += report.runtime_ms * 1000.0;
+        self.dirty.lock()[stream] = true;
+        if self.profiling {
+            self.reports.lock().push(report.clone());
+        }
+        report
+    }
+
+    /// Launch a kernel on `stream`: `body` is invoked once per wavefront,
+    /// in wave order. Returns the report (also recorded if profiling is
+    /// enabled).
     pub fn launch<F>(&self, stream: usize, cfg: LaunchCfg, body: F) -> KernelReport
     where
-        F: Fn(&mut WaveCtx) + Sync,
+        F: Fn(&mut WaveCtx),
     {
         let width = self.arch.wavefront_size;
-        let n_waves = cfg.items.div_ceil(width);
-        let stats = match (self.mode, self.replay) {
-            (ExecMode::Functional, _) => (0..n_waves)
-                .into_par_iter()
-                .map_init(
-                    || Coalescer::new(COALESCER_LINES, self.arch.line_bytes),
-                    |co, w| {
-                        let mut ctx = WaveCtx::new(w, width, cfg.items, co, MemSink::Functional);
-                        body(&mut ctx);
-                        ctx.stats
-                    },
-                )
-                .reduce(WaveStats::default, |mut a, b| {
-                    a.merge(&b);
-                    a
-                }),
-            (ExecMode::Timing, TimingReplay::Parallel) => {
-                // Phase A: waves run in parallel, each against its own cold
-                // coalescer, capturing L2-bound lines in execution order.
-                let captured: Vec<(WaveStats, Vec<(u64, bool)>)> = (0..n_waves)
-                    .into_par_iter()
-                    .map_init(
-                        || Coalescer::new(COALESCER_LINES, self.arch.line_bytes),
-                        |co, w| {
-                            let mut misses = Vec::new();
-                            let mut ctx = WaveCtx::new(
-                                w,
-                                width,
-                                cfg.items,
-                                co,
-                                MemSink::Capture(&mut misses),
-                            );
-                            body(&mut ctx);
-                            let stats = ctx.stats;
-                            (stats, misses)
-                        },
-                    )
-                    .collect();
-                // Phase B: classify the capture through the shared L2 in
-                // wave order — bit-identical to the sequential schedule.
-                self.classify_captured(captured)
-            }
-            (ExecMode::Timing, TimingReplay::Sequential) => {
-                let mut l2 = self.l2.lock();
-                l2.reset_counters();
-                let mut co = Coalescer::new(COALESCER_LINES, self.arch.line_bytes);
-                let mut total = WaveStats::default();
-                for w in 0..n_waves {
-                    let mut ctx = WaveCtx::new(w, width, cfg.items, &mut co, MemSink::L2(&mut l2));
-                    body(&mut ctx);
-                    total.merge(&ctx.stats);
-                }
-                total
-            }
-        };
-        let report = self.cost_model(&cfg, stats, None);
-        {
-            let mut s = self.streams.lock();
-            s[stream] += report.runtime_ms * 1000.0;
-            self.dirty.lock()[stream] = true;
+        let mut l2 = self.launch_l2();
+        let mut co = Coalescer::new(COALESCER_LINES, self.arch.line_bytes);
+        let mut stats = WaveStats::default();
+        for w in 0..cfg.items.div_ceil(width) {
+            let mut ctx = WaveCtx::new(w, width, cfg.items, &mut co, l2.as_deref_mut());
+            body(&mut ctx);
+            stats.merge(&ctx.stats);
         }
-        if self.profiling {
-            self.reports.lock().push(report.clone());
-        }
-        report
+        self.finish_launch(stream, &cfg, stats, None)
     }
 
-    /// Launch a workgroup (block) kernel: `body` runs once per group with
-    /// LDS and a barrier (see [`GroupCtx`]).
+    /// Launch a workgroup (block) kernel: `body` runs once per group, in
+    /// group order, with LDS and a barrier (see [`GroupCtx`]).
     pub fn launch_groups<F>(&self, stream: usize, cfg: GroupCfg, body: F) -> KernelReport
     where
-        F: Fn(&mut GroupCtx) + Sync,
+        F: Fn(&mut GroupCtx),
     {
         let width = self.arch.wavefront_size;
-        let stats = match (self.mode, self.replay) {
-            (ExecMode::Functional, _) => (0..cfg.groups)
-                .into_par_iter()
-                .map(|gid| {
-                    let mut ctx = GroupCtx::new(
-                        gid,
-                        cfg,
-                        width,
-                        self.arch.line_bytes,
-                        COALESCER_LINES,
-                        MemSink::Functional,
-                    );
-                    body(&mut ctx);
-                    ctx.stats
-                })
-                .reduce(WaveStats::default, |mut a, b| {
-                    a.merge(&b);
-                    a
-                }),
-            (ExecMode::Timing, TimingReplay::Parallel) => {
-                // Same two-phase schedule as `launch`, one capture per
-                // group (a group's waves already execute in a fixed order).
-                let captured: Vec<(WaveStats, Vec<(u64, bool)>)> = (0..cfg.groups)
-                    .into_par_iter()
-                    .map(|gid| {
-                        let mut misses = Vec::new();
-                        let mut ctx = GroupCtx::new(
-                            gid,
-                            cfg,
-                            width,
-                            self.arch.line_bytes,
-                            COALESCER_LINES,
-                            MemSink::Capture(&mut misses),
-                        );
-                        body(&mut ctx);
-                        let stats = ctx.stats;
-                        drop(ctx);
-                        (stats, misses)
-                    })
-                    .collect();
-                self.classify_captured(captured)
-            }
-            (ExecMode::Timing, TimingReplay::Sequential) => {
-                let mut l2 = self.l2.lock();
-                l2.reset_counters();
-                let mut total = WaveStats::default();
-                for gid in 0..cfg.groups {
-                    let mut ctx = GroupCtx::new(
-                        gid,
-                        cfg,
-                        width,
-                        self.arch.line_bytes,
-                        COALESCER_LINES,
-                        MemSink::L2(&mut l2),
-                    );
-                    body(&mut ctx);
-                    total.merge(&ctx.stats);
-                }
-                total
-            }
-        };
+        let mut l2 = self.launch_l2();
+        // One set of group scratch, lent to each group in turn.
+        let mut lds = vec![0u32; cfg.lds_bytes / 4];
+        let mut coalescers =
+            vec![Coalescer::new(COALESCER_LINES, self.arch.line_bytes); cfg.waves_per_group];
+        let mut stats = WaveStats::default();
+        for gid in 0..cfg.groups {
+            let mut ctx = GroupCtx::new(
+                gid,
+                cfg,
+                width,
+                &mut lds,
+                &mut coalescers,
+                l2.as_deref_mut(),
+            );
+            body(&mut ctx);
+            stats.merge(&ctx.stats);
+        }
         let lcfg = LaunchCfg::new(cfg.name, cfg.groups * cfg.waves_per_group * width)
             .with_registers(cfg.registers_per_thread);
-        let report = self.cost_model(&lcfg, stats, Some((cfg.lds_bytes, cfg.waves_per_group)));
-        {
-            let mut s = self.streams.lock();
-            s[stream] += report.runtime_ms * 1000.0;
-            self.dirty.lock()[stream] = true;
-        }
-        if self.profiling {
-            self.reports.lock().push(report.clone());
-        }
-        report
-    }
-
-    /// Phase B of the parallel timing replay: push every captured line
-    /// through the shared L2 in wave/group order, settle each unit's
-    /// deferred `l2_hits`/`hbm_lines`, and merge the totals.
-    ///
-    /// Determinism: the flattened line sequence is exactly what the
-    /// sequential schedule would have issued (capture preserves intra-wave
-    /// order, waves are concatenated in index order), and
-    /// [`L2Model::replay`] is bit-identical to per-line `access_line` calls.
-    /// All other `WaveStats` fields are plain sums, so the merged report
-    /// cannot depend on the Phase-A execution schedule.
-    fn classify_captured(&self, captured: Vec<(WaveStats, Vec<(u64, bool)>)>) -> WaveStats {
-        let mut l2 = self.l2.lock();
-        l2.reset_counters();
-        let flat: Vec<u64> = captured
-            .iter()
-            .flat_map(|(_, misses)| misses.iter().map(|&(line, _)| line))
-            .collect();
-        let hit = l2.replay(&flat);
-        let mut total = WaveStats::default();
-        let mut i = 0;
-        for (mut stats, misses) in captured {
-            for &(_, is_read) in &misses {
-                if hit[i] {
-                    stats.l2_hits += 1;
-                } else if is_read {
-                    stats.hbm_lines += 1;
-                }
-                i += 1;
-            }
-            total.merge(&stats);
-        }
-        total
+        let lds_use = Some((cfg.lds_bytes, cfg.waves_per_group));
+        self.finish_launch(stream, &lcfg, stats, lds_use)
     }
 
     /// Convert raw counters into a rocprof-style report. `lds` carries
@@ -944,19 +808,10 @@ impl Device {
     /// kernel: one coalesced store stream).
     pub fn fill_u32(&self, stream: usize, buf: &BufU32, val: u32) -> KernelReport {
         let cfg = LaunchCfg::new("fill_u32", buf.len()).with_registers(8);
+        let vals = vec![val; self.arch.wavefront_size];
         self.launch(stream, cfg, |w| {
-            let writes: Vec<(usize, u32)> = w.lanes().map(|gid| (gid, val)).collect();
-            w.vstore32(buf, &writes);
-        })
-    }
-
-    /// Device-side fill of a `u64` buffer (same memset model, 8-byte
-    /// stores).
-    pub fn fill_u64(&self, stream: usize, buf: &BufU64, val: u64) -> KernelReport {
-        let cfg = LaunchCfg::new("fill_u64", buf.len()).with_registers(8);
-        self.launch(stream, cfg, |w| {
-            let writes: Vec<(usize, u64)> = w.lanes().map(|gid| (gid, val)).collect();
-            w.vstore64(buf, &writes);
+            let lanes = w.lanes();
+            w.vstore32_range(buf, lanes.start, &vals[..lanes.len()]);
         })
     }
 }
@@ -1138,61 +993,6 @@ mod tests {
         let r = dev.launch(0, LaunchCfg::new("empty", 0), |_w| {});
         assert!((r.runtime_ms - dev.arch().launch_us / 1000.0).abs() < 1e-9);
         assert_eq!(r.stats.instructions, 0);
-    }
-
-    /// The default parallel timing replay must be bit-identical to the
-    /// sequential reference schedule: same counters, same modeled times,
-    /// same L2 residency carried into the next kernel.
-    #[test]
-    fn parallel_timing_replay_is_bit_identical_to_sequential() {
-        let run = |replay: TimingReplay| {
-            let mut dev = Device::new(ArchProfile::mi250x_gcd(), ExecMode::Timing, 1);
-            dev.set_timing_replay(replay);
-            let buf = dev.alloc_u32(1 << 16);
-            let aux = dev.alloc_u32(1 << 10);
-            // Kernel 1: strided gather (cold L2) + atomics.
-            dev.launch(0, LaunchCfg::new("gather", 1 << 14), |w| {
-                let idxs: Vec<usize> = w.lanes().map(|g| (g * 7) % (1 << 16)).collect();
-                let mut out = Vec::new();
-                w.vload32(&buf, &idxs, &mut out);
-                w.wave_add32(&aux, 0, 1);
-            });
-            // Kernel 2: re-reads a subset — L2 residency from kernel 1
-            // must carry over identically.
-            dev.launch(0, LaunchCfg::new("rescan", 1 << 13), |w| {
-                let idxs: Vec<usize> = w.lanes().map(|g| g * 2).collect();
-                let mut out = Vec::new();
-                w.vload32(&buf, &idxs, &mut out);
-            });
-            // Kernel 3: a workgroup launch with LDS staging.
-            dev.launch_groups(0, GroupCfg::new("grouped", 64), |g| {
-                for wv in 0..g.waves_per_group() {
-                    g.wave(wv, |w| {
-                        let idxs: Vec<usize> = w.lanes().map(|i| i % (1 << 16)).collect();
-                        let mut out = Vec::new();
-                        w.vload32(&buf, &idxs, &mut out);
-                    });
-                }
-                g.barrier();
-            });
-            (dev.take_reports(), dev.elapsed_us())
-        };
-        let (seq_reports, seq_us) = run(TimingReplay::Sequential);
-        let (par_reports, par_us) = run(TimingReplay::Parallel);
-        assert_eq!(seq_reports.len(), par_reports.len());
-        for (s, p) in seq_reports.iter().zip(&par_reports) {
-            assert_eq!(s.name, p.name);
-            assert_eq!(s.stats, p.stats, "kernel {} counters diverged", s.name);
-            assert_eq!(
-                s.runtime_ms.to_bits(),
-                p.runtime_ms.to_bits(),
-                "kernel {} modeled time diverged",
-                s.name
-            );
-            assert_eq!(s.l2_hit_pct.to_bits(), p.l2_hit_pct.to_bits());
-            assert_eq!(s.fetch_kb.to_bits(), p.fetch_kb.to_bits());
-        }
-        assert_eq!(seq_us.to_bits(), par_us.to_bits());
     }
 
     #[test]

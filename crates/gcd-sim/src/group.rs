@@ -9,7 +9,8 @@
 
 use crate::coalescer::Coalescer;
 use crate::kernel::WaveStats;
-use crate::wave::{MemSink, WaveCtx};
+use crate::l2::L2Model;
+use crate::wave::WaveCtx;
 
 /// Launch shape of a workgroup kernel.
 #[derive(Debug, Clone, Copy)]
@@ -63,38 +64,39 @@ pub struct GroupCtx<'a> {
     group_id: usize,
     cfg: GroupCfg,
     width: usize,
-    lds: Vec<u32>,
+    lds: &'a mut [u32],
     /// Aggregated stats of all the group's wave executions.
     pub stats: WaveStats,
     /// Per-wave coalescers (waves of a group share the CU's L1 in reality;
     /// one coalescer per wave is the conservative choice).
-    coalescers: Vec<Coalescer>,
-    sink: MemSink<'a>,
-    line_bytes: usize,
+    coalescers: &'a mut [Coalescer],
+    l2: Option<&'a mut L2Model>,
     items_per_group: usize,
 }
 
 impl<'a> GroupCtx<'a> {
+    /// Group `group_id` of a launch, over scratch the launch loop owns and
+    /// lends to one group after another: `lds` (`cfg.lds_bytes / 4` words,
+    /// zeroed here) and one coalescer per wave (each reset when its wave
+    /// runs).
     pub(crate) fn new(
         group_id: usize,
         cfg: GroupCfg,
         width: usize,
-        line_bytes: usize,
-        coalescer_lines: usize,
-        sink: MemSink<'a>,
+        lds: &'a mut [u32],
+        coalescers: &'a mut [Coalescer],
+        l2: Option<&'a mut L2Model>,
     ) -> Self {
-        let coalescers = (0..cfg.waves_per_group)
-            .map(|_| Coalescer::new(coalescer_lines, line_bytes))
-            .collect();
+        debug_assert_eq!(coalescers.len(), cfg.waves_per_group);
+        lds.fill(0);
         Self {
             group_id,
             cfg,
             width,
-            lds: vec![0; cfg.lds_bytes / 4],
+            lds,
             stats: WaveStats::default(),
             coalescers,
-            sink,
-            line_bytes,
+            l2,
             items_per_group: cfg.waves_per_group * width,
         }
     }
@@ -125,13 +127,12 @@ impl<'a> GroupCtx<'a> {
         assert!(wave < self.cfg.waves_per_group, "wave index out of range");
         let global_wave = self.group_id * self.cfg.waves_per_group + wave;
         let items = (self.group_id + 1) * self.items_per_group; // full groups
-        let _ = self.line_bytes;
         let mut ctx = WaveCtx::new(
             global_wave,
             self.width,
             items,
             &mut self.coalescers[wave],
-            self.sink.reborrow(),
+            self.l2.as_deref_mut(),
         );
         body(&mut ctx);
         self.stats.merge(&ctx.stats);
@@ -176,6 +177,20 @@ impl<'a> GroupCtx<'a> {
 mod tests {
     use super::*;
 
+    /// Run `body` on group `gid` of `cfg` over freshly built scratch.
+    fn with_group(gid: usize, cfg: GroupCfg, body: impl FnOnce(&mut GroupCtx)) {
+        let mut lds = vec![0; cfg.lds_bytes / 4];
+        let mut coalescers = vec![Coalescer::new(128, 64); cfg.waves_per_group];
+        body(&mut GroupCtx::new(
+            gid,
+            cfg,
+            64,
+            &mut lds,
+            &mut coalescers,
+            None,
+        ));
+    }
+
     #[test]
     fn cfg_builder() {
         let c = GroupCfg::new("k", 10)
@@ -189,47 +204,34 @@ mod tests {
 
     #[test]
     fn lds_round_trip_and_charging() {
-        let mut g = GroupCtx::new(0, GroupCfg::new("k", 1), 64, 64, 128, MemSink::Functional);
-        assert_eq!(g.lds_len(), (16 << 10) / 4);
-        g.lds_scatter(&[(0, 7), (100, 9)]);
-        let mut out = Vec::new();
-        g.lds_gather(&[100, 0], &mut out);
-        assert_eq!(out, vec![9, 7]);
-        assert_eq!(g.stats.instructions, 2);
-        // LDS ops never hit the memory system.
-        assert_eq!(g.stats.accesses, 0);
+        with_group(0, GroupCfg::new("k", 1), |g| {
+            assert_eq!(g.lds_len(), (16 << 10) / 4);
+            g.lds_scatter(&[(0, 7), (100, 9)]);
+            let mut out = Vec::new();
+            g.lds_gather(&[100, 0], &mut out);
+            assert_eq!(out, vec![9, 7]);
+            assert_eq!(g.stats.instructions, 2);
+            // LDS ops never hit the memory system.
+            assert_eq!(g.stats.accesses, 0);
+        });
     }
 
     #[test]
     fn barrier_charges_all_waves() {
-        let mut g = GroupCtx::new(
-            0,
-            GroupCfg::new("k", 1).with_waves(4),
-            64,
-            64,
-            128,
-            MemSink::Functional,
-        );
-        g.barrier();
-        assert_eq!(g.stats.instructions, 4);
+        with_group(0, GroupCfg::new("k", 1).with_waves(4), |g| {
+            g.barrier();
+            assert_eq!(g.stats.instructions, 4);
+        });
     }
 
     #[test]
     fn wave_ids_are_global() {
-        let mut g = GroupCtx::new(
-            3,
-            GroupCfg::new("k", 8).with_waves(4),
-            64,
-            64,
-            128,
-            MemSink::Functional,
-        );
         let mut seen = Vec::new();
-        for wv in 0..4 {
-            g.wave(wv, |w| {
-                seen.push((w.wave_id(), w.lanes().next().unwrap()));
-            });
-        }
+        with_group(3, GroupCfg::new("k", 8).with_waves(4), |g| {
+            for wv in 0..4 {
+                g.wave(wv, |w| seen.push((w.wave_id(), w.lanes().start)));
+            }
+        });
         // Group 3, 4 waves of width 64: global waves 12..16.
         assert_eq!(seen, vec![(12, 768), (13, 832), (14, 896), (15, 960)]);
     }
@@ -237,14 +239,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "wave index out of range")]
     fn rejects_bad_wave_index() {
-        let mut g = GroupCtx::new(
-            0,
-            GroupCfg::new("k", 1).with_waves(2),
-            64,
-            64,
-            128,
-            MemSink::Functional,
-        );
-        g.wave(2, |_| {});
+        with_group(0, GroupCfg::new("k", 1).with_waves(2), |g| {
+            g.wave(2, |_| {})
+        });
     }
 }

@@ -6,7 +6,7 @@
 //! `hits / (hits + misses)` is `L2CacheHit`.
 
 /// Set-associative LRU cache over line addresses.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L2Model {
     set_mask: u64,
     ways: usize,
@@ -37,57 +37,29 @@ impl L2Model {
         }
     }
 
-    /// Access one line; returns true on hit.
+    /// Access one line; returns true on hit. A miss replaces the least
+    /// recently used way of the line's set (the first such way on ties).
+    #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
         self.tick += 1;
-        self.access_with_stamp(line, self.tick)
-    }
-
-    /// Core LRU step with an explicit stamp — shared by the sequential path
-    /// ([`Self::access_line`]) and the batched [`Self::replay`].
-    fn access_with_stamp(&mut self, line: u64, stamp: u64) -> bool {
-        let set = (line & self.set_mask) as usize;
-        let base = set * self.ways;
-        if let Some(w) = self.tags[base..base + self.ways]
-            .iter()
-            .position(|&t| t == line)
-        {
-            self.stamps[base + w] = stamp;
+        let base = (line & self.set_mask) as usize * self.ways;
+        let tags = &mut self.tags[base..base + self.ways];
+        let stamps = &mut self.stamps[base..base + self.ways];
+        if let Some(w) = tags.iter().position(|&t| t == line) {
+            stamps[w] = self.tick;
             self.hits += 1;
             return true;
         }
-        let (victim, _) = self.stamps[base..base + self.ways]
-            .iter()
-            .enumerate()
-            .min_by_key(|&(_, &s)| s)
-            .unwrap();
-        self.tags[base + victim] = line;
-        self.stamps[base + victim] = stamp;
+        let mut victim = 0;
+        for (w, &s) in stamps.iter().enumerate().skip(1) {
+            if s < stamps[victim] {
+                victim = w;
+            }
+        }
+        tags[victim] = line;
+        stamps[victim] = self.tick;
         self.misses += 1;
         false
-    }
-
-    /// Replay a batch of line accesses, sharded by cache set, and return the
-    /// per-access hit/miss verdicts in the original order.
-    ///
-    /// Bit-identical to calling [`Self::access_line`] once per element:
-    /// access `p` uses stamp `tick + p + 1` (exactly the tick the sequential
-    /// path would assign), sets are fully independent (tags/stamps/eviction
-    /// never cross a set boundary), and within one set the accesses are
-    /// processed in ascending global position. Grouping the trace by set
-    /// makes each run a disjoint-region task — the shape a parallel
-    /// classifier wants — while the hit/miss counters remain plain sums.
-    pub fn replay(&mut self, lines: &[u64]) -> Vec<bool> {
-        let base = self.tick;
-        let mut order: Vec<u32> = (0..lines.len() as u32).collect();
-        order.sort_unstable_by_key(|&p| (lines[p as usize] & self.set_mask, p));
-        let mut hits_out = vec![false; lines.len()];
-        for &p in &order {
-            let line = lines[p as usize];
-            hits_out[p as usize] = self.access_with_stamp(line, base + u64::from(p) + 1);
-        }
-        self.tick = base + lines.len() as u64;
-        hits_out
     }
 
     /// Hit rate in percent over all accesses so far (0 if none).
@@ -173,44 +145,5 @@ mod tests {
     #[test]
     fn hit_pct_empty_is_zero() {
         assert_eq!(L2Model::new(4096, 4, 64).hit_pct(), 0.0);
-    }
-
-    /// xorshift-driven trace: replay must agree with access_line per access
-    /// and leave identical tags/stamps/tick/hit/miss state.
-    #[test]
-    fn replay_matches_sequential_access() {
-        let mut x = 0x9E3779B97F4A7C15u64;
-        let mut next = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x % 192 // small line space on a 64-line cache => heavy eviction
-        };
-        let trace: Vec<u64> = (0..4096).map(|_| next()).collect();
-
-        let mut seq = L2Model::new(4096, 4, 64);
-        let mut par = seq.clone();
-        // Warm both caches identically so the replay starts mid-stream.
-        for &l in &trace[..512] {
-            seq.access_line(l);
-            par.access_line(l);
-        }
-        let seq_hits: Vec<bool> = trace[512..].iter().map(|&l| seq.access_line(l)).collect();
-        let par_hits = par.replay(&trace[512..]);
-        assert_eq!(seq_hits, par_hits);
-        assert_eq!(seq.hits, par.hits);
-        assert_eq!(seq.misses, par.misses);
-        assert_eq!(seq.tick, par.tick);
-        assert_eq!(seq.tags, par.tags);
-        assert_eq!(seq.stamps, par.stamps);
-    }
-
-    #[test]
-    fn replay_empty_is_noop() {
-        let mut l2 = L2Model::new(4096, 4, 64);
-        l2.access_line(3);
-        let before = (l2.tick, l2.hits, l2.misses);
-        assert!(l2.replay(&[]).is_empty());
-        assert_eq!((l2.tick, l2.hits, l2.misses), before);
     }
 }

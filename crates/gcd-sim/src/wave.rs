@@ -17,32 +17,7 @@ use crate::buffer::{BufU32, BufU64};
 use crate::coalescer::Coalescer;
 use crate::kernel::WaveStats;
 use crate::l2::L2Model;
-
-/// Where a wave's coalescer misses go — the three classification regimes a
-/// launch can run under.
-pub(crate) enum MemSink<'a> {
-    /// Functional mode: no shared L2 model; every read miss is charged as an
-    /// HBM fetch (documented overestimate).
-    Functional,
-    /// Sequential timing: classify each miss through the shared L2 the
-    /// moment it happens.
-    L2(&'a mut L2Model),
-    /// Parallel timing, phase A: record `(line, is_read)` in execution order
-    /// and defer L2 classification to a later in-order replay.
-    Capture(&'a mut Vec<(u64, bool)>),
-}
-
-impl MemSink<'_> {
-    /// Reborrow for handing the sink to a shorter-lived [`WaveCtx`] (one per
-    /// `GroupCtx::wave` call).
-    pub(crate) fn reborrow(&mut self) -> MemSink<'_> {
-        match self {
-            MemSink::Functional => MemSink::Functional,
-            MemSink::L2(l2) => MemSink::L2(l2),
-            MemSink::Capture(buf) => MemSink::Capture(buf),
-        }
-    }
-}
+use std::ops::Range;
 
 /// Execution context of a single wavefront.
 pub struct WaveCtx<'a> {
@@ -50,19 +25,25 @@ pub struct WaveCtx<'a> {
     width: usize,
     items: usize,
     coalescer: &'a mut Coalescer,
-    sink: MemSink<'a>,
-    missed: Vec<u64>,
+    /// Timing mode: the shared L2 every coalescer miss is classified
+    /// through the moment it happens. Functional mode: `None`, and every
+    /// read miss is charged as an HBM fetch (documented overestimate).
+    l2: Option<&'a mut L2Model>,
     /// Counters accumulated by this wave.
     pub stats: WaveStats,
 }
 
 impl<'a> WaveCtx<'a> {
-    pub(crate) fn new(
+    /// Wave `wave_id` of a launch of `items` work-items, `width` lanes
+    /// wide, tracing through `coalescer` (reset here: every wave starts
+    /// cold) and, when given, `l2`. [`crate::Device::launch`] builds one
+    /// per wave; standalone contexts are for tests of the trace itself.
+    pub fn new(
         wave_id: usize,
         width: usize,
         items: usize,
         coalescer: &'a mut Coalescer,
-        sink: MemSink<'a>,
+        l2: Option<&'a mut L2Model>,
     ) -> Self {
         coalescer.reset();
         Self {
@@ -70,8 +51,7 @@ impl<'a> WaveCtx<'a> {
             width,
             items,
             coalescer,
-            sink,
-            missed: Vec::with_capacity(8),
+            l2,
             stats: WaveStats::default(),
         }
     }
@@ -103,8 +83,9 @@ impl<'a> WaveCtx<'a> {
         (gid < self.items).then_some(gid)
     }
 
-    /// Iterate the global ids covered by this wave.
-    pub fn lanes(&self) -> impl Iterator<Item = usize> + '_ {
+    /// The global ids covered by this wave (empty past the launch size).
+    #[inline]
+    pub fn lanes(&self) -> Range<usize> {
         let start = self.wave_id * self.width;
         let end = (start + self.width).min(self.items);
         start..end
@@ -116,37 +97,63 @@ impl<'a> WaveCtx<'a> {
         self.stats.instructions += n;
     }
 
+    /// `k` back-to-back lane accesses to one line: only the first can leave
+    /// the coalescer.
+    #[inline]
+    fn touch_line(&mut self, line: u64, k: u64, is_read: bool) {
+        if self.coalescer.touch_run(line, k) {
+            self.stats.l1_hits += k;
+            return;
+        }
+        self.stats.l1_hits += k - 1;
+        self.stats.l2_accesses += 1;
+        let l2_hit = self.l2.as_mut().is_some_and(|l2| l2.access_line(line));
+        if l2_hit {
+            self.stats.l2_hits += 1;
+        } else if is_read {
+            self.stats.hbm_lines += 1;
+        }
+    }
+
+    /// One lane's access of `len` bytes at `addr`.
+    #[inline]
     fn trace(&mut self, addr: u64, len: u32, is_read: bool) {
         self.stats.accesses += 1;
-        self.missed.clear();
-        let fetched = self.coalescer.access(addr, len, &mut self.missed);
         let first = self.coalescer.line_of(addr);
         let last = self.coalescer.line_of(addr + u64::from(len) - 1);
-        let touched = last - first + 1;
-        self.stats.l1_hits += touched - u64::from(fetched);
-        for i in 0..self.missed.len() {
-            let line = self.missed[i];
-            self.stats.l2_accesses += 1;
-            match &mut self.sink {
-                MemSink::L2(l2) => {
-                    if l2.access_line(line) {
-                        self.stats.l2_hits += 1;
-                    } else if is_read {
-                        self.stats.hbm_lines += 1;
-                    }
-                }
-                MemSink::Functional => {
-                    if is_read {
-                        self.stats.hbm_lines += 1;
-                    }
-                }
-                // `l2_hits`/`hbm_lines` are settled later by the in-order
-                // replay (`Device::classify_captured`).
-                MemSink::Capture(buf) => buf.push((line, is_read)),
-            }
+        self.touch_line(first, 1, is_read);
+        // Device allocations are line-aligned; only a hand-placed buffer
+        // has elements that straddle into a second line.
+        for line in first + 1..=last {
+            self.touch_line(line, 1, is_read);
         }
         if !is_read {
             self.stats.bytes_written += u64::from(len);
+        }
+    }
+
+    /// `count` lanes accessing consecutive `elem`-byte elements from `addr`
+    /// up: charges exactly what `count` calls of [`Self::trace`] would, one
+    /// coalescer step per line instead of one per lane.
+    fn trace_run(&mut self, addr: u64, elem: u32, count: usize, is_read: bool) {
+        let elem = u64::from(elem);
+        debug_assert!(
+            addr.is_multiple_of(elem),
+            "elements must not straddle lines"
+        );
+        self.stats.accesses += count as u64;
+        let line_bytes = self.coalescer.line_bytes();
+        let mut line = self.coalescer.line_of(addr);
+        let mut left = count as u64;
+        let mut k = left.min(((line + 1) * line_bytes - addr) / elem);
+        while left > 0 {
+            self.touch_line(line, k, is_read);
+            left -= k;
+            line += 1;
+            k = left.min(line_bytes / elem);
+        }
+        if !is_read {
+            self.stats.bytes_written += elem * count as u64;
         }
     }
 
@@ -237,20 +244,65 @@ impl<'a> WaveCtx<'a> {
         }
     }
 
+    /// Load the `count` consecutive 32-bit values from `start` up, appended
+    /// to `out` — [`Self::vload32`] over `start..start + count`, same
+    /// counters, traced per line instead of per lane.
+    pub fn vload32_range(&mut self, buf: &BufU32, start: usize, count: usize, out: &mut Vec<u32>) {
+        if count == 0 {
+            return;
+        }
+        self.charge_vector(count);
+        self.trace_run(buf.addr(start), 4, count, true);
+        buf.load_range(start, count, out);
+    }
+
+    /// Load `count` consecutive 64-bit values (see [`Self::vload32_range`]).
+    pub fn vload64_range(&mut self, buf: &BufU64, start: usize, count: usize, out: &mut Vec<u64>) {
+        if count == 0 {
+            return;
+        }
+        self.charge_vector(count);
+        self.trace_run(buf.addr(start), 8, count, true);
+        buf.load_range(start, count, out);
+    }
+
+    /// Store `vals` at consecutive indices from `start` up —
+    /// [`Self::vstore32`] of `(start + i, vals[i])`, same counters.
+    pub fn vstore32_range(&mut self, buf: &BufU32, start: usize, vals: &[u32]) {
+        if vals.is_empty() {
+            return;
+        }
+        self.charge_vector(vals.len());
+        self.trace_run(buf.addr(start), 4, vals.len(), false);
+        for (i, &v) in vals.iter().enumerate() {
+            buf.store(start + i, v);
+        }
+    }
+
     fn charge_atomics(
         &mut self,
-        idxs: impl Iterator<Item = usize> + Clone,
+        idxs: impl ExactSizeIterator<Item = usize>,
         buf_base: u64,
         elem: u64,
     ) {
-        let n = idxs.clone().count() as u64;
-        self.stats.atomics += n;
+        let n = idxs.len();
+        self.stats.atomics += n as u64;
         // Ops hitting the same cache line within one wave op serialize at
-        // the L2 atomic unit.
-        let mut lines: Vec<u64> = idxs.map(|i| (buf_base + elem * i as u64) >> 6).collect();
+        // the L2 atomic unit. A batch is at most a wave wide unless the
+        // caller models a per-lane loop.
+        let (mut stack, mut heap) = ([0u64; 64], Vec::new());
+        let lines = if n <= stack.len() {
+            &mut stack[..n]
+        } else {
+            heap.resize(n, 0);
+            &mut heap[..]
+        };
+        for (slot, i) in lines.iter_mut().zip(idxs) {
+            *slot = self.coalescer.line_of(buf_base + elem * i as u64);
+        }
         lines.sort_unstable();
-        lines.dedup();
-        self.stats.atomic_conflicts += n - lines.len() as u64;
+        let repeats = lines.windows(2).filter(|p| p[0] == p[1]).count();
+        self.stats.atomic_conflicts += repeats as u64;
     }
 
     /// Per-lane compare-exchange batch. Each entry is `(idx, expected, new)`;
@@ -434,14 +486,14 @@ pub fn popc64(mask: u64) -> u32 {
 mod tests {
     use super::*;
 
-    fn ctx_with<'a>(co: &'a mut Coalescer) -> WaveCtx<'a> {
-        WaveCtx::new(0, 64, 1024, co, MemSink::Functional)
+    fn ctx_with(co: &mut Coalescer) -> WaveCtx<'_> {
+        WaveCtx::new(0, 64, 1024, co, None)
     }
 
     #[test]
     fn lanes_respect_partial_waves() {
         let mut co = Coalescer::new(64, 64);
-        let ctx = WaveCtx::new(2, 64, 140, &mut co, MemSink::Functional);
+        let ctx = WaveCtx::new(2, 64, 140, &mut co, None);
         let lanes: Vec<usize> = ctx.lanes().collect();
         assert_eq!(lanes.first(), Some(&128));
         assert_eq!(lanes.len(), 12); // 140 - 128
@@ -518,7 +570,7 @@ mod tests {
         let mut l2 = L2Model::new(1 << 20, 16, 64);
         let mut out = Vec::new();
         {
-            let mut ctx = WaveCtx::new(0, 64, 1024, &mut co, MemSink::L2(&mut l2));
+            let mut ctx = WaveCtx::new(0, 64, 1024, &mut co, Some(&mut l2));
             let idxs: Vec<usize> = (0..64).map(|i| i * 16).collect(); // distinct lines
             ctx.vload32(&buf, &idxs, &mut out);
             assert_eq!(ctx.stats.l2_accesses, 64);
@@ -526,7 +578,7 @@ mod tests {
         }
         // Second wave re-reads the same lines: coalescer is reset but L2 is
         // warm, so fetches become L2 hits.
-        let mut ctx = WaveCtx::new(1, 64, 1024, &mut co, MemSink::L2(&mut l2));
+        let mut ctx = WaveCtx::new(1, 64, 1024, &mut co, Some(&mut l2));
         out.clear();
         let idxs: Vec<usize> = (0..64).map(|i| i * 16).collect();
         ctx.vload32(&buf, &idxs, &mut out);
@@ -535,26 +587,48 @@ mod tests {
     }
 
     #[test]
-    fn capture_sink_records_misses_in_order_and_defers_classification() {
-        let buf = BufU32::new(0, 1024);
-        let mut co = Coalescer::new(4, 64); // tiny: everything spills
-        let mut misses = Vec::new();
-        let mut ctx = WaveCtx::new(0, 64, 1024, &mut co, MemSink::Capture(&mut misses));
-        let idxs: Vec<usize> = (0..32).map(|i| i * 16).collect(); // distinct lines
-        let mut out = Vec::new();
-        ctx.vload32(&buf, &idxs, &mut out);
-        ctx.vstore32(&buf, &[(512, 1)]);
-        assert_eq!(ctx.stats.l2_accesses, 33);
-        // Classification is deferred to the replay phase.
-        assert_eq!(ctx.stats.l2_hits, 0);
-        assert_eq!(ctx.stats.hbm_lines, 0);
-        drop(ctx);
-        assert_eq!(misses.len(), 33);
-        assert!(misses[..32].iter().all(|&(_, is_read)| is_read));
-        assert!(!misses[32].1, "store miss must be captured as a write");
-        // Lines appear in execution order.
-        let lines: Vec<u64> = misses[..4].iter().map(|&(l, _)| l).collect();
-        assert_eq!(lines, vec![0, 1, 2, 3]);
+    fn straddling_access_touches_both_lines() {
+        // Only a hand-placed buffer can straddle: device allocations are
+        // line-aligned.
+        let buf = BufU32::new(62, 2);
+        let mut co = Coalescer::new(16, 64);
+        let mut ctx = ctx_with(&mut co);
+        ctx.sload32(&buf, 0); // bytes 62..66
+        assert_eq!(ctx.stats.accesses, 1);
+        assert_eq!(ctx.stats.hbm_lines, 2);
+        ctx.sload32(&buf, 0);
+        assert_eq!(ctx.stats.l1_hits, 2);
+    }
+
+    #[test]
+    fn range_load_charges_like_the_gather() {
+        let vals: Vec<u32> = (0..200).collect();
+        let buf = BufU32::from_slice(4096, &vals);
+        let idxs: Vec<usize> = (5..150).collect();
+        let (mut co_a, mut co_b) = (Coalescer::new(4, 64), Coalescer::new(4, 64));
+        let (mut l2_a, mut l2_b) = (L2Model::new(4096, 4, 64), L2Model::new(4096, 4, 64));
+        let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
+        let mut a = WaveCtx::new(0, 64, 1024, &mut co_a, Some(&mut l2_a));
+        a.vload32(&buf, &idxs, &mut out_a);
+        let mut b = WaveCtx::new(0, 64, 1024, &mut co_b, Some(&mut l2_b));
+        b.vload32_range(&buf, 5, 145, &mut out_b);
+        assert_eq!(out_a, out_b);
+        assert_eq!(a.stats, b.stats);
+        assert_eq!(a.stats.instructions, 3); // 145 lanes = 3 wave-wide issues
+        assert_eq!(co_a, co_b);
+        assert_eq!(l2_a, l2_b);
+    }
+
+    #[test]
+    fn wide_atomic_batches_count_conflicts_exactly() {
+        let buf = BufU32::new(0, 4096);
+        let mut co = Coalescer::new(64, 64);
+        let mut ctx = ctx_with(&mut co);
+        // 100 ops (wider than the stack buffer) over 10 distinct lines.
+        let ops: Vec<(usize, u32)> = (0..100).map(|i| ((i % 10) * 16, 1)).collect();
+        ctx.vor32(&buf, &ops);
+        assert_eq!(ctx.stats.atomics, 100);
+        assert_eq!(ctx.stats.atomic_conflicts, 90);
     }
 
     #[test]

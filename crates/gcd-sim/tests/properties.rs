@@ -3,23 +3,124 @@
 
 use gcd_sim::coalescer::Coalescer;
 use gcd_sim::l2::L2Model;
-use gcd_sim::{ArchProfile, Device, ExecMode, LaunchCfg};
+use gcd_sim::{ArchProfile, Device, ExecMode, LaunchCfg, WaveCtx};
 use proptest::prelude::*;
+
+/// One contiguous request: elements `start..start + count`.
+type Span = (usize, usize);
+
+/// Elements in each buffer of the range-op tests.
+const RANGE_BUF: usize = 1000;
+
+fn span() -> impl Strategy<Value = Span> {
+    // Up to 6 waves wide, any alignment of either end within its line.
+    (0usize..RANGE_BUF - 400, 0usize..400)
+}
+
+/// Drive two waves from identical coalescer and L2 state: `per_lane` issues
+/// the indexed ops, `ranged` the `_range` ops over the same elements.
+/// Returns what each left behind, for comparison.
+fn run_both<T: PartialEq + std::fmt::Debug>(
+    coalescer_lines: usize,
+    timing: bool,
+    warm: impl Fn(&mut WaveCtx),
+    per_lane: impl Fn(&mut WaveCtx) -> T,
+    ranged: impl Fn(&mut WaveCtx) -> T,
+) -> [(T, gcd_sim::WaveStats, Coalescer, L2Model); 2] {
+    let run = |body: &dyn Fn(&mut WaveCtx) -> T| {
+        let mut co = Coalescer::new(coalescer_lines, 64);
+        // 64 lines, 4-way: the warm-up alone overflows it.
+        let mut l2 = L2Model::new(4096, 4, 64);
+        let mut w = WaveCtx::new(3, 64, 1 << 20, &mut co, timing.then_some(&mut l2));
+        warm(&mut w);
+        let out = body(&mut w);
+        let stats = w.stats;
+        (out, stats, co, l2)
+    };
+    [run(&per_lane), run(&ranged)]
+}
 
 proptest! {
     #[test]
     fn coalescer_accounting_balances(addrs in proptest::collection::vec(0u64..1 << 20, 1..300)) {
         let mut co = Coalescer::new(128, 64);
-        let mut missed = Vec::new();
-        let mut total_lines = 0u64;
+        let mut missed = 0u64;
         for &a in &addrs {
-            let before = missed.len();
-            co.access(a, 4, &mut missed);
-            total_lines += 1 + u64::from((a % 64) > 60); // 4-byte access straddles iff offset > 60
-            let _ = before;
+            let line = co.line_of(a);
+            missed += u64::from(!co.touch(line));
         }
-        prop_assert_eq!(co.hits + co.misses, total_lines);
-        prop_assert_eq!(co.misses as usize, missed.len());
+        prop_assert_eq!(co.hits + co.misses, addrs.len() as u64);
+        prop_assert_eq!(co.misses, missed);
+    }
+
+    #[test]
+    fn touch_run_is_k_touches(ops in proptest::collection::vec((0u64..24, 1u64..40), 1..80)) {
+        // 4 lines under a 24-line working set: nearly every new line evicts.
+        let mut run = Coalescer::new(4, 64);
+        let mut one = run.clone();
+        for &(line, k) in &ops {
+            let first_hit = run.touch_run(line, k);
+            let hits: Vec<bool> = (0..k).map(|_| one.touch(line)).collect();
+            prop_assert_eq!(first_hit, hits[0]);
+            prop_assert!(hits[1..].iter().all(|&h| h));
+            prop_assert_eq!(&run, &one);
+        }
+    }
+
+    /// `vload32_range` / `vload64_range` / `vstore32_range` are the per-lane
+    /// ops over `start..start + count`: same values, same `WaveStats`, same
+    /// coalescer (tags, stamps, tick, hits, misses) and same L2 afterwards.
+    #[test]
+    fn range_ops_match_per_lane_ops(
+        pad_lines in 0usize..9,
+        (l32, l64, st32) in (span(), span(), span()),
+        tiny_coalescer in any::<bool>(),
+        timing in any::<bool>(),
+        warm in proptest::collection::vec(0usize..RANGE_BUF, 0..120),
+        fill in any::<u32>(),
+    ) {
+        let dev = Device::mi250x();
+        // Shift the buffers' base by whole lines: a different set mapping.
+        let _pad = dev.alloc_u32(16 * pad_lines + 1);
+        let words: Vec<u32> = (0..RANGE_BUF as u32).map(|i| i.wrapping_mul(fill | 1)).collect();
+        let b32 = dev.upload_u32(&words);
+        let b64 = dev.upload_u64(&words.iter().map(|&w| u64::from(w) << 7).collect::<Vec<_>>());
+        let dst = dev.alloc_u32(RANGE_BUF);
+        let vals: Vec<u32> = (0..st32.1 as u32).map(|i| i ^ fill).collect();
+        let idxs = |(start, count): Span| (start..start + count).collect::<Vec<usize>>();
+
+        let lines = if tiny_coalescer { 4 } else { 128 };
+        let [a, b] = run_both(
+            lines,
+            timing,
+            |w| {
+                // Mid-stream state: scattered loads before the ops under test.
+                let mut sink = Vec::new();
+                w.vload32(&b32, &warm, &mut sink);
+            },
+            |w| {
+                let (mut o32, mut o64) = (Vec::new(), Vec::new());
+                w.vload32(&b32, &idxs(l32), &mut o32);
+                w.vload64(&b64, &idxs(l64), &mut o64);
+                let writes: Vec<(usize, u32)> = idxs(st32).into_iter().zip(vals.iter().copied()).collect();
+                w.vstore32(&dst, &writes);
+                let stored = dst.to_host();
+                dst.host_fill(0);
+                (o32, o64, stored)
+            },
+            |w| {
+                let (mut o32, mut o64) = (Vec::new(), Vec::new());
+                w.vload32_range(&b32, l32.0, l32.1, &mut o32);
+                w.vload64_range(&b64, l64.0, l64.1, &mut o64);
+                w.vstore32_range(&dst, st32.0, &vals);
+                (o32, o64, dst.to_host())
+            },
+        );
+        prop_assert_eq!(&a.0, &b.0);
+        prop_assert_eq!(a.0.0.len(), l32.1);
+        prop_assert_eq!(a.1, b.1);
+        prop_assert_eq!(&a.2, &b.2);
+        prop_assert_eq!(&a.3, &b.3);
     }
 
     #[test]

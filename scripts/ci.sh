@@ -1,29 +1,41 @@
 #!/usr/bin/env bash
 # Local CI gate — identical to .github/workflows/ci.yml.
-# Usage: scripts/ci.sh [lone-latency]
+# Usage: scripts/ci.sh [lone-latency|sim-overhead]
 #   no argument   the whole gate
-#   lone-latency  only that stage; the workflow's job of the same name
+#   lone-latency, sim-overhead
+#                 only that stage; the workflow's job of the same name
 #                 calls this, so the gate is written down once
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-lone_latency() {
-  echo "==> lone-latency (a lone client of the default serve arm waits for the engine, not a timer)"
+overhead_gate() { # $1 = xbfs-perf workload, $2 = limit on its host_overhead_x
   local LINE X
   LINE=$(cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-    --workload serve-lone-s14 --seconds 2 --trace 0 | tail -1)
+    --workload "$1" --seconds 2 --trace 0 | tail -1)
   echo "    $LINE"
-  grep -q '"correct":true' <<<"$LINE" || { echo "serve-lone-s14 is not correct" >&2; exit 1; }
+  grep -q '"correct":true' <<<"$LINE" || { echo "$1 is not correct" >&2; exit 1; }
   X=$(grep -o '"host_overhead_x":{"value":[0-9.]*' <<<"$LINE" | grep -o '[0-9.]*$')
-  # ~8 with completion-driven replies, ~50 with a Nagle stall, ~100 with a
-  # 50 ms flush poll on top
-  awk -v x="$X" 'BEGIN { exit !(x < 25) }' \
-    || { echo "host_overhead_x = $X, want < 25: replies are waiting on something" >&2; exit 1; }
+  awk -v x="$X" -v l="$2" 'BEGIN { exit !(x < l) }' \
+    || { echo "$1 host_overhead_x = $X, want < $2" >&2; exit 1; }
 }
-if [ "${1:-}" = lone-latency ]; then
-  lone_latency
-  exit 0
-fi
+lone_latency() {
+  echo "==> lone-latency (a lone client of the default serve arm waits for the engine, not a timer)"
+  # ~8 with completion-driven replies, ~50 with a Nagle stall, ~100 with a
+  # 50 ms flush poll on top: above 25, replies are waiting on something
+  overhead_gate serve-lone-s14 25
+}
+sim_overhead() {
+  echo "==> sim-overhead (a modeled edge stays cheap on the host, in both exec modes)"
+  # Medians before -> after gcd-sim was reduced to one memory-trace path
+  # (results/BENCH_pr15.json): 16.3 -> 5.5 and 5.4 -> 3.1. Each limit sits
+  # between the slowest run after (5.9, 3.4) and the fastest before (15.3, 4.6).
+  overhead_gate direct-timing-s14 10
+  overhead_gate direct-solo-s16 4
+}
+case "${1:-}" in
+  lone-latency) lone_latency; exit 0 ;;
+  sim-overhead) sim_overhead; exit 0 ;;
+esac
 
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace --benches --examples
@@ -370,5 +382,6 @@ printf '{"schema":"xbfs-bench-pr9-v1","journal_served_qps":%s,"nojournal_served_
 echo "    wrote results/BENCH_pr9.json (overhead=${JOVERHEAD}%, replayed=$REPLAYED, recovery=${RECOVERY_MS}ms)"
 
 lone_latency
+sim_overhead
 
 echo "CI gate passed."
