@@ -129,17 +129,17 @@ fn push_kernel(
     edge_ctr: &gcd_sim::BufU64,
     level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(in_q, &gids, &mut us);
-    let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
+    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    let uidx = us.iter().map(|&u| u as usize);
     let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
+    w.vload32(&g.degrees, uidx, &mut degs);
     let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
     let mut claimed: Vec<u32> = Vec::new();
     let mut k = 0u32;
@@ -148,21 +148,17 @@ fn push_kernel(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|&(o, _)| (o + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut svs = Vec::with_capacity(sidx.len());
-        w.vload32(status, &sidx, &mut svs);
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        let sidx = vs.iter().map(|&v| v as usize);
+        let mut svs = Vec::with_capacity(vs.len());
+        w.vload32(status, sidx.clone(), &mut svs);
         w.alu(1);
         let ops: Vec<(usize, u32, u32)> = sidx
-            .iter()
             .zip(&svs)
             .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(&i, _)| (i, UNVISITED, level + 1))
+            .map(|(i, _)| (i, UNVISITED, level + 1))
             .collect();
         if !ops.is_empty() {
             let mut results = Vec::with_capacity(ops.len());
@@ -187,18 +183,17 @@ fn pull_kernel(
     edge_ctr: &gcd_sim::BufU64,
     level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut sts = Vec::with_capacity(gids.len());
-    w.vload32(status, &gids, &mut sts);
+    w.vload32_range(status, gids.start, gids.len(), &mut sts);
     w.alu(1);
     let unvisited: Vec<usize> = gids
-        .iter()
         .zip(&sts)
         .filter(|&(_, &s)| s == UNVISITED)
-        .map(|(&v, _)| v)
+        .map(|(v, _)| v)
         .collect();
     if unvisited.is_empty() {
         return;
@@ -221,15 +216,11 @@ fn pull_kernel(
         .collect();
     let mut claimed: Vec<u32> = Vec::new();
     while !lanes.is_empty() {
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|l| (l.off + u64::from(l.k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|l| (l.off + u64::from(l.k)) as usize);
         let mut nbrs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut nbrs);
-        let nsidx: Vec<usize> = nbrs.iter().map(|&v| v as usize).collect();
-        let mut nsts = Vec::with_capacity(nsidx.len());
-        w.vload32(status, &nsidx, &mut nsts);
+        w.vload32(&g.adjacency, aidx, &mut nbrs);
+        let mut nsts = Vec::with_capacity(nbrs.len());
+        w.vload32(status, nbrs.iter().map(|&v| v as usize), &mut nsts);
         w.alu(1);
         let mut writes: Vec<(usize, u32)> = Vec::new();
         let mut i = 0;
@@ -258,29 +249,23 @@ fn rebuild_queue(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut sts = Vec::with_capacity(gids.len());
-    w.vload32(status, &gids, &mut sts);
+    w.vload32_range(status, gids.start, gids.len(), &mut sts);
     w.alu(1);
     let members: Vec<u32> = gids
-        .iter()
         .zip(&sts)
         .filter(|&(_, &s)| s == level)
-        .map(|(&v, _)| v as u32)
+        .map(|(v, _)| v as u32)
         .collect();
     if members.is_empty() {
         return;
     }
     let base = w.wave_add32(counters, c::QUEUE_LEN, members.len() as u32) as usize;
-    let writes: Vec<(usize, u32)> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .collect();
-    w.vstore32(out_q, &writes);
+    w.vstore32_range(out_q, base, &members);
 }
 
 fn commit(
@@ -295,20 +280,14 @@ fn commit(
     if claimed.is_empty() {
         return;
     }
-    let didx: Vec<usize> = claimed.iter().map(|&v| v as usize).collect();
-    let mut cdegs = Vec::with_capacity(didx.len());
-    w.vload32(&g.degrees, &didx, &mut cdegs);
+    let mut cdegs = Vec::with_capacity(claimed.len());
+    w.vload32(&g.degrees, claimed.iter().map(|&v| v as usize), &mut cdegs);
     let sum = w.wave_reduce_add(&cdegs);
     w.wave_add32(counters, c::CLAIMED, claimed.len() as u32);
     w.wave_add64(edge_ctr, 0, sum);
     if let Some(q) = out_q {
         let base = w.wave_add32(counters, c::QUEUE_LEN, claimed.len() as u32) as usize;
-        let writes: Vec<(usize, u32)> = claimed
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (base + i, v))
-            .collect();
-        w.vstore32(q, &writes);
+        w.vstore32_range(q, base, claimed);
     }
 }
 

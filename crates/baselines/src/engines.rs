@@ -87,18 +87,17 @@ fn scan_expand_kernel(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut sts = Vec::with_capacity(gids.len());
-    w.vload32(status, &gids, &mut sts);
+    w.vload32_range(status, gids.start, gids.len(), &mut sts);
     w.alu(1);
     let us: Vec<usize> = gids
-        .iter()
         .zip(&sts)
         .filter(|&(_, &s)| s == level)
-        .map(|(&v, _)| v)
+        .map(|(v, _)| v)
         .collect();
     if us.is_empty() {
         return;
@@ -115,21 +114,17 @@ fn scan_expand_kernel(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|&(o, _)| (o + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let vsidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut svs = Vec::with_capacity(vsidx.len());
-        w.vload32(status, &vsidx, &mut svs);
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        let vsidx = vs.iter().map(|&v| v as usize);
+        let mut svs = Vec::with_capacity(vs.len());
+        w.vload32(status, vsidx.clone(), &mut svs);
         w.alu(1);
         let ops: Vec<(usize, u32, u32)> = vsidx
-            .iter()
             .zip(&svs)
             .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(&i, _)| (i, UNVISITED, level + 1))
+            .map(|(i, _)| (i, UNVISITED, level + 1))
             .collect();
         if !ops.is_empty() {
             let mut results = Vec::with_capacity(ops.len());
@@ -198,17 +193,17 @@ fn gunrock_advance(
     raw_q: &gcd_sim::BufU32,
     counters: &gcd_sim::BufU32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(in_q, &gids, &mut us);
-    let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
+    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    let uidx = us.iter().map(|&u| u as usize);
     let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
+    w.vload32(&g.degrees, uidx, &mut degs);
     let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
     let mut out: Vec<u32> = Vec::new();
     let mut k = 0u32;
@@ -217,15 +212,11 @@ fn gunrock_advance(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|&(o, _)| (o + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let vsidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut svs = Vec::with_capacity(vsidx.len());
-        w.vload32(status, &vsidx, &mut svs);
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        let mut svs = Vec::with_capacity(vs.len());
+        w.vload32(status, vs.iter().map(|&v| v as usize), &mut svs);
         w.alu(1);
         // No claim: every unvisited sighting is enqueued (duplicates!).
         out.extend(
@@ -239,15 +230,8 @@ fn gunrock_advance(
     if out.is_empty() {
         return;
     }
-    let cap = raw_q.len();
     let base = w.wave_add32(counters, c::OUT_LEN, out.len() as u32) as usize;
-    let writes: Vec<(usize, u32)> = out
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .filter(|&(i, _)| i < cap)
-        .collect();
-    w.vstore32(raw_q, &writes);
+    store_clipped(w, raw_q, base, &out);
 }
 
 fn gunrock_filter(
@@ -258,18 +242,15 @@ fn gunrock_filter(
     counters: &gcd_sim::BufU32,
     next_level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut vs = Vec::with_capacity(gids.len());
-    w.vload32(raw_q, &gids, &mut vs);
-    let ops: Vec<(usize, u32, u32)> = vs
-        .iter()
-        .map(|&v| (v as usize, UNVISITED, next_level))
-        .collect();
-    let mut results = Vec::with_capacity(ops.len());
-    w.vcas32(status, &ops, &mut results);
+    w.vload32_range(raw_q, gids.start, gids.len(), &mut vs);
+    let ops = vs.iter().map(|&v| (v as usize, UNVISITED, next_level));
+    let mut results = Vec::with_capacity(vs.len());
+    w.vcas32(status, ops, &mut results);
     let winners: Vec<u32> = vs
         .iter()
         .zip(&results)
@@ -280,12 +261,7 @@ fn gunrock_filter(
         return;
     }
     let base = w.wave_add32(counters, c::OUT_LEN, winners.len() as u32) as usize;
-    let writes: Vec<(usize, u32)> = winners
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .collect();
-    w.vstore32(out_q, &writes);
+    w.vstore32_range(out_q, base, &winners);
 }
 
 impl GpuBfs for EnterpriseLike {
@@ -444,17 +420,17 @@ fn hq_expand(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(in_q, &gids, &mut us);
-    let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
+    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    let uidx = us.iter().map(|&u| u as usize);
     let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
+    w.vload32(&g.degrees, uidx, &mut degs);
     let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
     let mut claimed: Vec<u32> = Vec::new();
     let mut k = 0u32;
@@ -463,21 +439,17 @@ fn hq_expand(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|&(o, _)| (o + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let vsidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut svs = Vec::with_capacity(vsidx.len());
-        w.vload32(status, &vsidx, &mut svs);
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        let vsidx = vs.iter().map(|&v| v as usize);
+        let mut svs = Vec::with_capacity(vs.len());
+        w.vload32(status, vsidx.clone(), &mut svs);
         w.alu(1);
         let ops: Vec<(usize, u32, u32)> = vsidx
-            .iter()
             .zip(&svs)
             .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(&i, _)| (i, UNVISITED, level + 1))
+            .map(|(i, _)| (i, UNVISITED, level + 1))
             .collect();
         if !ops.is_empty() {
             let mut results = Vec::with_capacity(ops.len());
@@ -495,13 +467,8 @@ fn hq_expand(
     // of per-claim global atomics straight into the out queue (both paths
     // allocate from OUT_LEN, so compact and spills interleave safely).
     let region_base = w.wave_id() * HQ_REGION;
-    let local: Vec<(usize, u32)> = claimed
-        .iter()
-        .take(HQ_REGION)
-        .enumerate()
-        .map(|(i, &v)| (region_base + i, v))
-        .collect();
-    w.vstore32(regions, &local);
+    let local = &claimed[..claimed.len().min(HQ_REGION)];
+    w.vstore32_range(regions, region_base, local);
     w.sstore32(region_counts, w.wave_id(), local.len() as u32);
     if claimed.len() > HQ_REGION {
         let cap = out_q.len();
@@ -530,17 +497,9 @@ fn hq_compact(
         return;
     }
     let base = w.wave_add32(counters, c::OUT_LEN, cnt as u32) as usize;
-    let idxs: Vec<usize> = (0..cnt).map(|i| r * HQ_REGION + i).collect();
     let mut vals = Vec::with_capacity(cnt);
-    w.vload32(regions, &idxs, &mut vals);
-    let cap = out_q.len();
-    let writes: Vec<(usize, u32)> = vals
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .filter(|&(i, _)| i < cap)
-        .collect();
-    w.vstore32(out_q, &writes);
+    w.vload32_range(regions, r * HQ_REGION, cnt, &mut vals);
+    store_clipped(w, out_q, base, &vals);
 }
 
 impl GpuBfs for SsspAsync {
@@ -587,19 +546,19 @@ fn sssp_relax(
     out_q: &gcd_sim::BufU32,
     counters: &gcd_sim::BufU32,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(in_q, &gids, &mut us);
-    let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
+    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    let uidx = us.iter().map(|&u| u as usize);
     let mut dus = Vec::with_capacity(uidx.len());
-    w.vload32(dist, &uidx, &mut dus);
+    w.vload32(dist, uidx.clone(), &mut dus);
     let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
+    w.vload32(&g.degrees, uidx, &mut degs);
     struct Lane {
         du: u32,
         off: u64,
@@ -617,12 +576,9 @@ fn sssp_relax(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|l| (l.off + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
+        w.vload32(&g.adjacency, aidx, &mut vs);
         // Atomic-min relaxation per neighbor.
         let ops: Vec<(usize, u32)> = vs
             .iter()
@@ -642,15 +598,15 @@ fn sssp_relax(
     if improved.is_empty() {
         return;
     }
-    let cap = out_q.len();
     let base = w.wave_add32(counters, c::OUT_LEN, improved.len() as u32) as usize;
-    let writes: Vec<(usize, u32)> = improved
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .filter(|&(i, _)| i < cap)
-        .collect();
-    w.vstore32(out_q, &writes);
+    store_clipped(w, out_q, base, &improved);
+}
+
+/// Append `vals` to `q` from slot `base` up, dropping what would land past
+/// its end (worklists are sized for the worst case the model charges for).
+fn store_clipped(w: &mut WaveCtx, q: &gcd_sim::BufU32, base: usize, vals: &[u32]) {
+    let fits = vals.len().min(q.len().saturating_sub(base));
+    w.vstore32_range(q, base, &vals[..fits]);
 }
 
 #[cfg(test)]

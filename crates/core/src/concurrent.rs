@@ -494,15 +494,15 @@ fn expand_kernel(
     }
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(frontier, gids.start, gids.len(), &mut us);
-    let uidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
+    let uidx = us.iter().map(|&u| u as usize);
     // Frontier vertices were stamped when they were discovered, so their
     // own masks need no gate.
-    let mut ubits = Vec::with_capacity(uidx.len());
-    w.vload64(seen, &uidx, &mut ubits);
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
+    let mut ubits = Vec::with_capacity(us.len());
+    w.vload64(seen, uidx.clone(), &mut ubits);
+    let mut offs = Vec::with_capacity(us.len());
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
+    let mut degs = Vec::with_capacity(us.len());
+    w.vload32(&g.degrees, uidx, &mut degs);
     struct Lane {
         bits: u64,
         off: u64,
@@ -513,33 +513,29 @@ fn expand_kernel(
         .zip(offs.iter().zip(&degs))
         .map(|(&bits, (&off, &deg))| Lane { bits, off, deg })
         .collect();
+    let (mut vs, mut sts, mut svs) = (Vec::new(), Vec::new(), Vec::new());
+    let mut ops: Vec<(usize, u64)> = Vec::new();
     let mut k = 0u32;
     loop {
         lanes.retain(|l| k < l.deg);
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|l| (l.off + u64::from(k)) as usize)
-            .collect();
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut sts = Vec::with_capacity(sidx.len());
-        w.vload32(stamp, &sidx, &mut sts);
-        let mut svs = Vec::with_capacity(sidx.len());
-        w.vload64(seen, &sidx, &mut svs);
+        vs.clear();
+        let aidx = lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        sts.clear();
+        w.vload32(stamp, vs.iter().map(|&v| v as usize), &mut sts);
+        svs.clear();
+        w.vload64(seen, vs.iter().map(|&v| v as usize), &mut svs);
         w.alu(2);
-        let ops: Vec<(usize, u64)> = sidx
-            .iter()
-            .zip(lanes.iter().zip(sts.iter().zip(&svs)))
-            .filter_map(|(&i, (l, (&st, &sv)))| {
-                let sb = if st == epoch { sv } else { 0 };
-                let new = l.bits & !sb;
-                (new != 0).then_some((i, new))
-            })
-            .collect();
+        ops.clear();
+        let fresh_bits = vs.iter().zip(lanes.iter().zip(sts.iter().zip(&svs)));
+        ops.extend(fresh_bits.filter_map(|(&v, (l, (&st, &sv)))| {
+            let sb = if st == epoch { sv } else { 0 };
+            let new = l.bits & !sb;
+            (new != 0).then_some((v as usize, new))
+        }));
         w.vor64(fresh, &ops);
         k += 1;
     }
@@ -576,25 +572,20 @@ fn fold_kernel(
     if pending.is_empty() {
         return;
     }
-    let sidx: Vec<usize> = pending.iter().map(|&(v, _)| v).collect();
-    let mut sts = Vec::with_capacity(sidx.len());
-    w.vload32(stamp, &sidx, &mut sts);
-    let mut sbits = Vec::with_capacity(sidx.len());
-    w.vload64(seen, &sidx, &mut sbits);
+    let mut sts = Vec::with_capacity(pending.len());
+    w.vload32(stamp, pending.iter().map(|&(v, _)| v), &mut sts);
+    let mut sbits = Vec::with_capacity(pending.len());
+    w.vload64(seen, pending.iter().map(|&(v, _)| v), &mut sbits);
     let mut members: Vec<u32> = Vec::new();
     let mut seen_writes: Vec<(usize, u64)> = Vec::new();
-    let mut stamp_writes: Vec<(usize, u32)> = Vec::new();
-    let mut fresh_clears: Vec<(usize, u64)> = Vec::with_capacity(pending.len());
     let mut level_writes: Vec<Vec<(usize, u32)>> = vec![Vec::new(); level_of.len()];
     for (&(v, b), (&st, &raw_sb)) in pending.iter().zip(sts.iter().zip(&sbits)) {
-        fresh_clears.push((v, 0));
         let sb = if st == epoch { raw_sb } else { 0 };
         let new = b & !sb;
         if new == 0 {
             continue;
         }
         seen_writes.push((v, sb | new));
-        stamp_writes.push((v, epoch));
         members.push(v as u32);
         let mut bits = new;
         while bits != 0 {
@@ -604,9 +595,9 @@ fn fold_kernel(
         }
         w.alu(1);
     }
-    w.vstore64(fresh, &fresh_clears);
+    w.vstore64(fresh, pending.iter().map(|&(v, _)| (v, 0)));
     w.vstore64(seen, &seen_writes);
-    w.vstore32(stamp, &stamp_writes);
+    w.vstore32(stamp, seen_writes.iter().map(|&(v, _)| (v, epoch)));
     for (s, writes) in level_writes.iter().enumerate() {
         if !writes.is_empty() {
             w.vstore32(&level_of[s], writes);

@@ -172,100 +172,82 @@ pub fn bu_expand_thread(
     w.vload32_range(&st.bu_queue, gids.start, gids.len(), &mut vs);
     // A vertex may have been claimed by a previous level's pass while the
     // queue is stale; skip those.
-    let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-    let mut cur = Vec::with_capacity(sidx.len());
-    w.vload32(&st.status, &sidx, &mut cur);
+    let mut cur = Vec::with_capacity(vs.len());
+    w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut cur);
     w.alu(1);
-    let vs: Vec<u32> = vs
-        .iter()
-        .zip(&cur)
-        .filter(|&(_, &s)| is_unvisited(s, st.base))
-        .map(|(&v, _)| v)
-        .collect();
+    let mut unvisited = cur.iter().map(|&s| is_unvisited(s, st.base));
+    vs.retain(|_| unvisited.next().expect("one status per queue entry"));
     if vs.is_empty() {
         return;
     }
-    let vidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-    let mut offs = Vec::with_capacity(vidx.len());
-    w.vload64(&g.offsets, &vidx, &mut offs);
-    let mut degs = Vec::with_capacity(vidx.len());
-    w.vload32(&g.degrees, &vidx, &mut degs);
+    let mut offs = Vec::with_capacity(vs.len());
+    w.vload64(&g.offsets, vs.iter().map(|&v| v as usize), &mut offs);
+    let mut degs = Vec::with_capacity(vs.len());
+    w.vload32(&g.degrees, vs.iter().map(|&v| v as usize), &mut degs);
 
-    struct Lane {
-        v: u32,
-        off: u64,
-        deg: u32,
-        k: u32,
-        /// First neighbor observed at `level + 1` (proactive candidate).
-        next_parent: Option<u32>,
+    // Live lanes, compacted in place as they retire: parallel arrays, so
+    // each round's adjacency gather takes its indices straight from `at`.
+    let mut at = Vec::with_capacity(vs.len()); // next adjacency index
+    let mut end = Vec::with_capacity(vs.len());
+    let mut live = 0;
+    for (i, (&off, &deg)) in offs.iter().zip(&degs).enumerate() {
+        // Isolated vertices are unreachable: no lane.
+        if deg > 0 {
+            vs[live] = vs[i];
+            at.push(off as usize);
+            end.push(off as usize + deg as usize);
+            live += 1;
+        }
     }
-    let mut lanes: Vec<Lane> = vs
-        .iter()
-        .zip(offs.iter().zip(&degs))
-        .filter(|&(_, (_, &deg))| deg > 0) // isolated vertices are unreachable
-        .map(|(&v, (&off, &deg))| Lane {
-            v,
-            off,
-            deg,
-            k: 0,
-            next_parent: None,
-        })
-        .collect();
+    // First neighbor observed at `level + 1` (proactive candidate).
+    let mut cand: Vec<Option<u32>> = vec![None; live];
 
     let next = opts.level + 1;
     let mut claimed: Vec<(u32, u32, bool)> = Vec::new(); // (v, parent, proactive)
-    while !lanes.is_empty() {
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|l| (l.off + u64::from(l.k)) as usize)
-            .collect();
-        let mut nbrs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut nbrs);
-        let nsidx: Vec<usize> = nbrs.iter().map(|&v| v as usize).collect();
-        let mut nsts = Vec::with_capacity(nsidx.len());
-        w.vload32(&st.status, &nsidx, &mut nsts);
+    let (mut nbrs, mut nsts) = (Vec::with_capacity(live), Vec::with_capacity(live));
+    let mut writes: Vec<(usize, u32)> = Vec::with_capacity(live);
+    while live > 0 {
+        nbrs.clear();
+        w.vload32(&g.adjacency, &at[..live], &mut nbrs);
+        nsts.clear();
+        w.vload32(&st.status, nbrs.iter().map(|&v| v as usize), &mut nsts);
         w.alu(2);
-        let mut writes: Vec<(usize, u32)> = Vec::new();
-        let mut i = 0;
-        lanes.retain_mut(|l| {
-            let nb = nbrs[i];
-            let s = nsts[i];
-            i += 1;
+        writes.clear();
+        let mut kept = 0;
+        for i in 0..live {
+            let (v, nb, s) = (vs[i], nbrs[i], nsts[i]);
             if s == opts.level {
                 // Early termination: parent found.
-                writes.push((l.v as usize, next));
-                claimed.push((l.v, nb, false));
-                return false;
+                writes.push((v as usize, next));
+                claimed.push((v, nb, false));
+                continue;
             }
-            if opts.proactive && s == next && l.next_parent.is_none() {
-                l.next_parent = Some(nb);
+            let c = cand[i].or((opts.proactive && s == next).then_some(nb));
+            if at[i] + 1 < end[i] {
+                (vs[kept], at[kept], end[kept], cand[kept]) = (v, at[i] + 1, end[i], c);
+                kept += 1;
+            } else if let Some(p) = c {
+                // Exhausted: a proactive claim.
+                writes.push((v as usize, next + 1));
+                claimed.push((v, p, true));
             }
-            l.k += 1;
-            if l.k >= l.deg {
-                // Exhausted: maybe a proactive claim.
-                if let Some(p) = l.next_parent {
-                    writes.push((l.v as usize, next + 1));
-                    claimed.push((l.v, p, true));
-                }
-                return false;
-            }
-            true
-        });
-        if !writes.is_empty() {
-            w.vstore32(&st.status, &writes);
         }
+        live = kept;
+        w.vstore32(&st.status, &writes);
     }
 
     if claimed.is_empty() {
         return;
     }
     if let Some(parents) = &st.parents {
-        let writes: Vec<(usize, u32)> = claimed.iter().map(|&(v, p, _)| (v as usize, p)).collect();
-        w.vstore32(parents, &writes);
+        w.vstore32(parents, claimed.iter().map(|&(v, p, _)| (v as usize, p)));
     }
-    let didx: Vec<usize> = claimed.iter().map(|&(v, _, _)| v as usize).collect();
-    let mut cdegs = Vec::with_capacity(didx.len());
-    w.vload32(&g.degrees, &didx, &mut cdegs);
+    let mut cdegs = Vec::with_capacity(claimed.len());
+    w.vload32(
+        &g.degrees,
+        claimed.iter().map(|&(v, _, _)| v as usize),
+        &mut cdegs,
+    );
     let (mut n_now, mut n_pro) = (0u32, 0u32);
     let (mut e_now, mut e_pro) = (0u64, 0u64);
     for (&(_, _, pro), &d) in claimed.iter().zip(&cdegs) {
@@ -318,9 +300,8 @@ pub fn bu_expand_wave(
         let count = width.min(deg - base);
         let mut nbrs = Vec::with_capacity(count);
         w.vload32_range(&g.adjacency, off as usize + base, count, &mut nbrs);
-        let nsidx: Vec<usize> = nbrs.iter().map(|&v| v as usize).collect();
         let mut nsts = Vec::with_capacity(count);
-        w.vload32(&st.status, &nsidx, &mut nsts);
+        w.vload32(&st.status, nbrs.iter().map(|&v| v as usize), &mut nsts);
         let found = w.ballot(&nsts.iter().map(|&s| s == opts.level).collect::<Vec<_>>());
         if found != 0 {
             let lane = found.trailing_zeros() as usize;
@@ -482,6 +463,75 @@ mod tests {
         assert_eq!(st.counters.load(ctr::PROACTIVE), 1);
         // Parent of the proactive claim is the level-1 neighbor.
         assert_eq!(st.parents.as_ref().unwrap().load(0), 4);
+    }
+
+    #[test]
+    fn one_wave_of_mixed_degrees_matches_a_host_loop() {
+        // Lanes 0..64 probe only pool vertices (64..), never each other, so
+        // each lane's outcome is a plain walk of its own list: the first
+        // neighbor at `level` claims `level + 1`; failing that, the first at
+        // `level + 1` claims `level + 2` proactively. Degrees cycle through
+        // 0, 1 and 66.., so lanes retire in every round of a long loop.
+        const POOL: u32 = 200;
+        let level = 3;
+        let pool_status = |j: u32| match j {
+            j if j % 67 == 0 => level,
+            j if j % 5 == 0 => level + 1,
+            j if j % 2 == 0 => UNVISITED,
+            _ => 1,
+        };
+        let mut offsets = vec![0u64];
+        let mut adjacency = Vec::new();
+        for v in 0..64 + POOL {
+            let deg = if v < 64 {
+                [0, 1, 66 + v][v as usize % 3]
+            } else {
+                0
+            };
+            adjacency.extend((0..deg).map(|j| 64 + (v * 7 + j * 13) % POOL));
+            offsets.push(adjacency.len() as u64);
+        }
+        let g = Csr::from_parts(offsets, adjacency).unwrap();
+        let dev = Device::mi250x();
+        let dg = DeviceGraph::upload(&dev, &g);
+        let st = BfsState::new(&dev, g.num_vertices(), true, 64);
+        st.status.host_fill(UNVISITED);
+        for j in 0..POOL {
+            st.status.store((64 + j) as usize, pool_status(j));
+        }
+        for v in 0..64 {
+            st.bu_queue.store(v, v as u32);
+        }
+        let parents = st.parents.as_ref().unwrap();
+        let (mut status, mut parent) = (st.status.to_host(), parents.to_host());
+        let (mut claimed, mut proactive) = (0, 0);
+        for v in 0..64u32 {
+            let at = |lvl| {
+                g.neighbors(v)
+                    .iter()
+                    .find(|&&nb| status[nb as usize] == lvl)
+            };
+            if let Some(&nb) = at(level) {
+                (status[v as usize], parent[v as usize]) = (level + 1, nb);
+                claimed += 1;
+            } else if let Some(&nb) = at(level + 1) {
+                (status[v as usize], parent[v as usize]) = (level + 2, nb);
+                proactive += 1;
+            }
+        }
+        assert!(claimed > 0 && proactive > 0 && claimed + proactive < 40);
+
+        let opts = BottomUpOpts {
+            level,
+            proactive: true,
+        };
+        dev.launch(0, LaunchCfg::new("bu_expand", 64), |w| {
+            bu_expand_thread(w, &dg, &st, 64, &opts);
+        });
+        assert_eq!(st.status.to_host(), status);
+        assert_eq!(parents.to_host(), parent);
+        assert_eq!(st.counters.load(ctr::CLAIMED), claimed);
+        assert_eq!(st.counters.load(ctr::PROACTIVE), proactive);
     }
 
     #[test]

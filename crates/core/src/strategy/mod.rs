@@ -56,11 +56,10 @@ pub fn launch_reset_counters(dev: &Device, stream: usize, st: &BfsState) {
         stream,
         LaunchCfg::new("reset_counters", ctr::N).with_registers(regs::RESET),
         |w| {
-            let writes: Vec<(usize, u32)> = w.lanes().map(|g| (g, 0)).collect();
-            w.vstore32(&st.counters, &writes);
+            let lanes = w.lanes();
+            w.vstore32(&st.counters, lanes.map(|g| (g, 0)));
             if w.wave_id() == 0 {
-                let writes64: Vec<(usize, u64)> = (0..ectr::N).map(|i| (i, 0)).collect();
-                w.vstore64(&st.edge_counters, &writes64);
+                w.vstore64(&st.edge_counters, (0..ectr::N).map(|i| (i, 0)));
             }
         },
     );

@@ -56,12 +56,11 @@ fn claim_candidates(
     }
     let next = opts.level + 1;
     if opts.atomic_claim {
-        let ops: Vec<(usize, u32, u32)> = cands
+        let ops = cands
             .iter()
-            .map(|&(v, _, observed)| (v as usize, observed, next))
-            .collect();
-        let mut results = Vec::with_capacity(ops.len());
-        w.vcas32(&st.status, &ops, &mut results);
+            .map(|&(v, _, observed)| (v as usize, observed, next));
+        let mut results = Vec::with_capacity(cands.len());
+        w.vcas32(&st.status, ops, &mut results);
         for (c, r) in cands.iter().zip(&results) {
             if r.is_ok() {
                 claimed.push(*c);
@@ -69,8 +68,10 @@ fn claim_candidates(
         }
     } else {
         // Plain stores: benign same-value races (single-scan, §III-B).
-        let writes: Vec<(usize, u32)> = cands.iter().map(|&(v, _, _)| (v as usize, next)).collect();
-        w.vstore32(&st.status, &writes);
+        w.vstore32(
+            &st.status,
+            cands.iter().map(|&(v, _, _)| (v as usize, next)),
+        );
         claimed.extend_from_slice(cands);
     }
 }
@@ -88,19 +89,21 @@ fn commit_claims(
         return;
     }
     if let Some(parents) = &st.parents {
-        let writes: Vec<(usize, u32)> = claimed.iter().map(|&(v, p, _)| (v as usize, p)).collect();
-        w.vstore32(parents, &writes);
+        w.vstore32(parents, claimed.iter().map(|&(v, p, _)| (v as usize, p)));
     }
     // Degrees of claimed vertices: needed for the edge-ratio counter and,
     // when balancing, for bin selection.
-    let didx: Vec<usize> = claimed.iter().map(|&(v, _, _)| v as usize).collect();
-    let mut cdegs = Vec::with_capacity(didx.len());
-    w.vload32(&g.degrees, &didx, &mut cdegs);
+    let mut cdegs = Vec::with_capacity(claimed.len());
+    w.vload32(
+        &g.degrees,
+        claimed.iter().map(|&(v, _, _)| v as usize),
+        &mut cdegs,
+    );
     let deg_sum = w.wave_reduce_add(&cdegs);
     w.wave_add32(&st.counters, ctr::CLAIMED, claimed.len() as u32);
     w.wave_add64(&st.edge_counters, ectr::CLAIMED_EDGES, deg_sum);
     if opts.enqueue {
-        enqueue_binned(w, st, opts, claimed, &cdegs);
+        enqueue_binned(w, st, opts, claimed.iter().map(|c| c.0), &cdegs);
     }
 }
 
@@ -110,11 +113,11 @@ fn enqueue_binned(
     w: &mut WaveCtx,
     st: &BfsState,
     opts: &TopDownOpts,
-    claimed: &[Claim],
+    vertices: impl Iterator<Item = u32>,
     degs: &[u32],
 ) {
     let mut bins: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for (&(v, _, _), &d) in claimed.iter().zip(degs) {
+    for (v, &d) in vertices.zip(degs) {
         let b = if opts.balancing {
             opts.thresholds.bin(d)
         } else {
@@ -144,29 +147,19 @@ fn load_frontier(
     let gids = w.lanes();
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(queue, gids.start, gids.len(), &mut us);
-    let mut kept: Vec<u32> = if opts.filter {
-        let sidx: Vec<usize> = us.iter().map(|&u| u as usize).collect();
-        let mut sts = Vec::with_capacity(sidx.len());
-        w.vload32(&st.status, &sidx, &mut sts);
+    if opts.filter {
+        let mut sts = Vec::with_capacity(us.len());
+        w.vload32(&st.status, us.iter().map(|&u| u as usize), &mut sts);
         w.alu(1);
-        us.iter()
-            .zip(&sts)
-            .filter(|&(_, &s)| s == opts.level)
-            .map(|(&u, _)| u)
-            .collect()
-    } else {
-        us
-    };
-    if kept.is_empty() {
-        return Vec::new();
+        let mut at_level = sts.iter().map(|&s| s == opts.level);
+        us.retain(|_| at_level.next().expect("one status per queue entry"));
     }
-    kept.dedup(); // cheap guard; exact queues contain no duplicates anyway
-    let uidx: Vec<usize> = kept.iter().map(|&u| u as usize).collect();
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, &uidx, &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, &uidx, &mut degs);
-    kept.iter()
+    us.dedup(); // cheap guard; exact queues contain no duplicates anyway
+    let mut offs = Vec::with_capacity(us.len());
+    w.vload64(&g.offsets, us.iter().map(|&u| u as usize), &mut offs);
+    let mut degs = Vec::with_capacity(us.len());
+    w.vload32(&g.degrees, us.iter().map(|&u| u as usize), &mut degs);
+    us.iter()
         .zip(offs.iter().zip(&degs))
         .map(|(&u, (&o, &d))| (u, o, d))
         .collect()
@@ -187,34 +180,31 @@ pub fn expand_thread(
     }
     let mut lanes = load_frontier(w, g, st, queue, opts);
     let mut claimed: Vec<Claim> = Vec::new();
+    let (mut vs, mut svs) = (Vec::new(), Vec::new());
+    let mut cands: Vec<Claim> = Vec::new();
     let mut k = 0u32;
     loop {
-        let active: Vec<&(u32, u64, u32)> = lanes.iter().filter(|&&(_, _, d)| k < d).collect();
-        if active.is_empty() {
+        // Retire finished lanes: each gather below takes one index per lane.
+        lanes.retain(|&(_, _, d)| k < d);
+        if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = active
-            .iter()
-            .map(|&&(_, o, _)| (o + u64::from(k)) as usize)
-            .collect();
-        let parents: Vec<u32> = active.iter().map(|&&(u, _, _)| u).collect();
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, &aidx, &mut vs);
-        let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
-        let mut svs = Vec::with_capacity(sidx.len());
-        w.vload32(&st.status, &sidx, &mut svs);
+        let aidx = lanes.iter().map(|&(_, o, _)| (o + u64::from(k)) as usize);
+        vs.clear();
+        w.vload32(&g.adjacency, aidx, &mut vs);
+        svs.clear();
+        w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut svs);
         w.alu(1);
-        let cands: Vec<Claim> = vs
-            .iter()
-            .zip(&parents)
-            .zip(&svs)
-            .filter(|&(_, &s)| is_unvisited(s, st.base))
-            .map(|((&v, &p), &s)| (v, p, s))
-            .collect();
+        cands.clear();
+        cands.extend(
+            vs.iter()
+                .zip(&lanes)
+                .zip(&svs)
+                .filter(|&(_, &s)| is_unvisited(s, st.base))
+                .map(|((&v, &(u, _, _)), &s)| (v, u, s)),
+        );
         claim_candidates(w, st, opts, &cands, &mut claimed);
         k += 1;
-        // Retire finished lanes eagerly so the filter above stays cheap.
-        lanes.retain(|&(_, _, d)| k < d);
     }
     commit_claims(w, g, st, opts, &claimed);
 }
@@ -278,9 +268,8 @@ fn expand_cooperative(
         let count = width.min(deg - base);
         let mut vs = Vec::with_capacity(count);
         w.vload32_range(&g.adjacency, off as usize + base, count, &mut vs);
-        let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
         let mut svs = Vec::with_capacity(count);
-        w.vload32(&st.status, &sidx, &mut svs);
+        w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut svs);
         w.alu(1);
         let cands: Vec<Claim> = vs
             .iter()
@@ -344,9 +333,8 @@ pub fn expand_block(
                 let count = width.min(deg - base);
                 let mut vs = Vec::with_capacity(count);
                 w.vload32_range(&dg.adjacency, off as usize + base, count, &mut vs);
-                let sidx: Vec<usize> = vs.iter().map(|&v| v as usize).collect();
                 let mut svs = Vec::with_capacity(count);
-                w.vload32(&st.status, &sidx, &mut svs);
+                w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut svs);
                 w.alu(1);
                 let cands: Vec<Claim> = vs
                     .iter()
@@ -436,11 +424,9 @@ pub fn generation_scan(
         balancing,
         thresholds,
     };
-    let claims: Vec<Claim> = members.iter().map(|&v| (v, 0, 0)).collect();
-    let didx: Vec<usize> = members.iter().map(|&v| v as usize).collect();
-    let mut degs = Vec::with_capacity(didx.len());
-    w.vload32(&g.degrees, &didx, &mut degs);
-    enqueue_binned(w, st, &opts, &claims, &degs);
+    let mut degs = Vec::with_capacity(members.len());
+    w.vload32(&g.degrees, members.iter().map(|&v| v as usize), &mut degs);
+    enqueue_binned(w, st, &opts, members.iter().copied(), &degs);
 }
 
 #[cfg(test)]

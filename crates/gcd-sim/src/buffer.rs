@@ -99,6 +99,15 @@ macro_rules! impl_buf {
                 out.extend(src.iter().map(|a| a.load(Ordering::Relaxed)));
             }
 
+            /// Store `vals` at elements `start..start + vals.len()`.
+            #[inline]
+            pub(crate) fn store_range(&self, start: usize, vals: &[$prim]) {
+                let dst = &self.data[start..start + vals.len()];
+                dst.iter()
+                    .zip(vals)
+                    .for_each(|(a, &v)| a.store(v, Ordering::Relaxed));
+            }
+
             /// Raw compare-exchange; returns the previous value on success.
             #[inline]
             pub fn cas(&self, idx: usize, current: $prim, new: $prim) -> Result<$prim, $prim> {
@@ -142,9 +151,7 @@ macro_rules! impl_buf {
             /// Overwrite contents from a host slice (untraced).
             pub fn host_write(&self, src: &[$prim]) {
                 assert_eq!(src.len(), self.data.len(), "host_write length mismatch");
-                for (a, &v) in self.data.iter().zip(src) {
-                    a.store(v, Ordering::Relaxed);
-                }
+                self.store_range(0, src);
             }
         }
     };

@@ -15,11 +15,10 @@ const WAYS: usize = 4;
 pub struct Coalescer {
     set_mask: u64,
     line_bits: u32,
-    /// `sets[set * WAYS + way]` holds line tags (`u64::MAX` = invalid).
+    /// `sets[set * WAYS + way]` holds line tags (`u64::MAX` = invalid), each
+    /// set most recently used first: the order is the whole LRU state, and
+    /// invalid ways sit at the tail.
     sets: Vec<u64>,
-    /// LRU stamps parallel to `sets`.
-    stamps: Vec<u64>,
-    tick: u64,
     /// Touches that found their line resident.
     pub hits: u64,
     /// Touches forwarded to the next level.
@@ -32,13 +31,11 @@ impl Coalescer {
     /// at least 4.
     pub fn new(lines: usize, line_bytes: usize) -> Self {
         assert!(line_bytes.is_power_of_two());
-        let sets = (lines.max(WAYS) / WAYS).next_power_of_two();
+        let sets = lines.max(WAYS).div_ceil(WAYS).next_power_of_two();
         Self {
             set_mask: sets as u64 - 1,
             line_bits: line_bytes.trailing_zeros(),
             sets: vec![u64::MAX; sets * WAYS],
-            stamps: vec![0; sets * WAYS],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
@@ -57,42 +54,36 @@ impl Coalescer {
     }
 
     /// Touch a line; true if it was resident. A miss installs the line over
-    /// the least recently used way of its set (the first such way on ties).
+    /// the least recently used way of its set (an invalid way while one is
+    /// left).
     #[inline]
     pub fn touch(&mut self, line: u64) -> bool {
         self.touch_run(line, 1)
     }
 
     /// `k >= 1` back-to-back touches of one line, in one step: only the
-    /// first can miss (it leaves the line resident), the other `k - 1` hit,
-    /// and the line ends up stamped with the tick of the last. Returns
-    /// whether the first touch hit.
+    /// first can miss (it leaves the line most recent, where the other
+    /// `k - 1` hit it without moving it). Returns whether the first touch
+    /// hit.
     #[inline]
     pub fn touch_run(&mut self, line: u64, k: u64) -> bool {
         debug_assert!(k >= 1);
-        self.tick += k;
         let base = (line & self.set_mask) as usize * WAYS;
-        let tags: &mut [u64; WAYS] = (&mut self.sets[base..base + WAYS])
+        let set: &mut [u64; WAYS] = (&mut self.sets[base..base + WAYS])
             .try_into()
             .expect("a set is WAYS wide");
-        let stamps: &mut [u64; WAYS] = (&mut self.stamps[base..base + WAYS])
-            .try_into()
-            .expect("a set is WAYS wide");
-        // Fixed-size arrays: both scans unroll.
-        let resident = tags.iter().position(|&t| t == line);
-        let way = resident.unwrap_or_else(|| {
-            // First minimum stamp, like `min_by_key`.
-            let mut victim = 0;
-            for w in 1..WAYS {
-                if stamps[w] < stamps[victim] {
-                    victim = w;
-                }
-            }
-            tags[victim] = line;
-            victim
-        });
-        let hit = resident.is_some();
-        stamps[way] = self.tick;
+        let [s0, s1, s2, s3] = *set;
+        let (m0, m1, m2) = (s0 == line, s1 == line, s2 == line);
+        let hit = m0 | m1 | m2 | (s3 == line);
+        // Move-to-front as selects, not branches (a gather's hit/miss
+        // pattern is unpredictable): ways ahead of the match, or all of
+        // them on a miss, shift back one place and the last drops out.
+        *set = [
+            line,
+            if m0 { s1 } else { s0 },
+            if m0 | m1 { s2 } else { s1 },
+            if m0 | m1 | m2 { s3 } else { s2 },
+        ];
         self.hits += k - 1 + u64::from(hit);
         self.misses += u64::from(!hit);
         hit
@@ -101,8 +92,6 @@ impl Coalescer {
     /// Reset residency and counters (new wave reuses the allocation).
     pub fn reset(&mut self) {
         self.sets.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.tick = 0;
         self.hits = 0;
         self.misses = 0;
     }
@@ -148,8 +137,19 @@ mod tests {
     #[test]
     fn ties_evict_the_first_way() {
         let mut c = Coalescer::new(4, 64);
-        c.touch(7); // cold set: every stamp is 0, way 0 is the victim
+        c.touch(7); // cold set: the line lands in way 0, the invalid ways stay behind it
         assert_eq!(c.sets[..WAYS], [7, u64::MAX, u64::MAX, u64::MAX]);
+    }
+
+    #[test]
+    fn capacity_rounds_up_to_a_power_of_two() {
+        for (lines, holds) in [(1, 4), (4, 4), (5, 8), (6, 8), (8, 8), (9, 16), (128, 128)] {
+            let mut c = Coalescer::new(lines, 64);
+            assert_eq!(c.sets.len(), holds, "new({lines}, 64)");
+            // Consecutive lines spread evenly over the sets: all stay resident.
+            (0..holds as u64).for_each(|l| assert!(!c.touch(l)));
+            (0..holds as u64).for_each(|l| assert!(c.touch(l), "{lines}: line {l} evicted"));
+        }
     }
 
     #[test]

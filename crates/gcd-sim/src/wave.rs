@@ -17,6 +17,7 @@ use crate::buffer::{BufU32, BufU64};
 use crate::coalescer::Coalescer;
 use crate::kernel::WaveStats;
 use crate::l2::L2Model;
+use std::borrow::Borrow;
 use std::ops::Range;
 
 /// Execution context of a single wavefront.
@@ -101,14 +102,20 @@ impl<'a> WaveCtx<'a> {
     /// the coalescer.
     #[inline]
     fn touch_line(&mut self, line: u64, k: u64, is_read: bool) {
-        if self.coalescer.touch_run(line, k) {
-            self.stats.l1_hits += k;
+        let hit = self.coalescer.touch_run(line, k);
+        let miss = u64::from(!hit);
+        self.stats.l1_hits += k - miss;
+        self.stats.l2_accesses += miss;
+        // Counters move by the hit bit, not by a branch on it; only timing
+        // mode has an L2 to ask, and that test never changes within a launch.
+        let Some(l2) = self.l2.as_mut() else {
+            self.stats.hbm_lines += miss & u64::from(is_read);
+            return;
+        };
+        if hit {
             return;
         }
-        self.stats.l1_hits += k - 1;
-        self.stats.l2_accesses += 1;
-        let l2_hit = self.l2.as_mut().is_some_and(|l2| l2.access_line(line));
-        if l2_hit {
+        if l2.access_line(line) {
             self.stats.l2_hits += 1;
         } else if is_read {
             self.stats.hbm_lines += 1;
@@ -195,53 +202,80 @@ impl<'a> WaveCtx<'a> {
         self.stats.instructions += lanes.div_ceil(self.width) as u64;
     }
 
-    /// Gather 32-bit values at `idxs` (one per active lane); results are
-    /// appended to `out` in lane order.
-    pub fn vload32(&mut self, buf: &BufU32, idxs: &[usize], out: &mut Vec<u32>) {
-        if idxs.is_empty() {
+    /// One indexed vector op: charge the issue, then trace (`addr`, `elem`
+    /// bytes) and apply each lane in order. An op with no lanes is free.
+    #[inline]
+    fn vector<T: Copy>(
+        &mut self,
+        ops: impl IntoIterator<Item: Borrow<T>, IntoIter: ExactSizeIterator>,
+        elem: u32,
+        is_read: bool,
+        addr: impl Fn(&T) -> u64,
+        mut lane: impl FnMut(T),
+    ) {
+        let ops = ops.into_iter();
+        if ops.len() == 0 {
             return;
         }
-        self.charge_vector(idxs.len());
-        for &i in idxs {
-            self.trace(buf.addr(i), 4, true);
-            out.push(buf.load(i));
+        self.charge_vector(ops.len());
+        for op in ops {
+            let op = *op.borrow();
+            self.trace(addr(&op), elem, is_read);
+            lane(op);
         }
+    }
+
+    /// Gather 32-bit values at `idxs` (one per active lane); results are
+    /// appended to `out` in lane order. Like every indexed vector op, takes
+    /// the lanes from any exact-size iterator — a slice, or a `map` over
+    /// wherever the indices already live.
+    pub fn vload32(
+        &mut self,
+        buf: &BufU32,
+        idxs: impl IntoIterator<Item: Borrow<usize>, IntoIter: ExactSizeIterator>,
+        out: &mut Vec<u32>,
+    ) {
+        self.vector(idxs, 4, true, |&i| buf.addr(i), |i| out.push(buf.load(i)));
     }
 
     /// Gather 64-bit values.
-    pub fn vload64(&mut self, buf: &BufU64, idxs: &[usize], out: &mut Vec<u64>) {
-        if idxs.is_empty() {
-            return;
-        }
-        self.charge_vector(idxs.len());
-        for &i in idxs {
-            self.trace(buf.addr(i), 8, true);
-            out.push(buf.load(i));
-        }
+    pub fn vload64(
+        &mut self,
+        buf: &BufU64,
+        idxs: impl IntoIterator<Item: Borrow<usize>, IntoIter: ExactSizeIterator>,
+        out: &mut Vec<u64>,
+    ) {
+        self.vector(idxs, 8, true, |&i| buf.addr(i), |i| out.push(buf.load(i)));
     }
 
     /// Scatter 32-bit values.
-    pub fn vstore32(&mut self, buf: &BufU32, writes: &[(usize, u32)]) {
-        if writes.is_empty() {
-            return;
-        }
-        self.charge_vector(writes.len());
-        for &(i, v) in writes {
-            self.trace(buf.addr(i), 4, false);
-            buf.store(i, v);
-        }
+    pub fn vstore32(
+        &mut self,
+        buf: &BufU32,
+        writes: impl IntoIterator<Item: Borrow<(usize, u32)>, IntoIter: ExactSizeIterator>,
+    ) {
+        self.vector(
+            writes,
+            4,
+            false,
+            |w| buf.addr(w.0),
+            |(i, v)| buf.store(i, v),
+        );
     }
 
     /// Scatter 64-bit values.
-    pub fn vstore64(&mut self, buf: &BufU64, writes: &[(usize, u64)]) {
-        if writes.is_empty() {
-            return;
-        }
-        self.charge_vector(writes.len());
-        for &(i, v) in writes {
-            self.trace(buf.addr(i), 8, false);
-            buf.store(i, v);
-        }
+    pub fn vstore64(
+        &mut self,
+        buf: &BufU64,
+        writes: impl IntoIterator<Item: Borrow<(usize, u64)>, IntoIter: ExactSizeIterator>,
+    ) {
+        self.vector(
+            writes,
+            8,
+            false,
+            |w| buf.addr(w.0),
+            |(i, v)| buf.store(i, v),
+        );
     }
 
     /// Load the `count` consecutive 32-bit values from `start` up, appended
@@ -274,18 +308,20 @@ impl<'a> WaveCtx<'a> {
         }
         self.charge_vector(vals.len());
         self.trace_run(buf.addr(start), 4, vals.len(), false);
-        for (i, &v) in vals.iter().enumerate() {
-            buf.store(start + i, v);
-        }
+        buf.store_range(start, vals);
     }
 
-    fn charge_atomics(
+    /// One atomic vector op: [`Self::vector`] plus the atomic-unit charges.
+    #[inline]
+    fn atomic<T: Copy>(
         &mut self,
-        idxs: impl ExactSizeIterator<Item = usize>,
-        buf_base: u64,
-        elem: u64,
+        ops: impl IntoIterator<Item: Borrow<T>, IntoIter: ExactSizeIterator + Clone>,
+        elem: u32,
+        addr: impl Fn(&T) -> u64,
+        lane: impl FnMut(T),
     ) {
-        let n = idxs.len();
+        let ops = ops.into_iter();
+        let n = ops.len();
         self.stats.atomics += n as u64;
         // Ops hitting the same cache line within one wave op serialize at
         // the L2 atomic unit. A batch is at most a wave wide unless the
@@ -297,12 +333,13 @@ impl<'a> WaveCtx<'a> {
             heap.resize(n, 0);
             &mut heap[..]
         };
-        for (slot, i) in lines.iter_mut().zip(idxs) {
-            *slot = self.coalescer.line_of(buf_base + elem * i as u64);
+        for (slot, op) in lines.iter_mut().zip(ops.clone()) {
+            *slot = self.coalescer.line_of(addr(op.borrow()));
         }
         lines.sort_unstable();
         let repeats = lines.windows(2).filter(|p| p[0] == p[1]).count();
         self.stats.atomic_conflicts += repeats as u64;
+        self.vector(ops, elem, true, addr, lane);
     }
 
     /// Per-lane compare-exchange batch. Each entry is `(idx, expected, new)`;
@@ -310,74 +347,61 @@ impl<'a> WaveCtx<'a> {
     pub fn vcas32(
         &mut self,
         buf: &BufU32,
-        ops: &[(usize, u32, u32)],
+        ops: impl IntoIterator<Item: Borrow<(usize, u32, u32)>, IntoIter: ExactSizeIterator + Clone>,
         out: &mut Vec<Result<u32, u32>>,
     ) {
-        if ops.is_empty() {
-            return;
-        }
-        self.charge_vector(ops.len());
-        self.charge_atomics(ops.iter().map(|o| o.0), buf.addr(0), 4);
-        for &(i, cur, new) in ops {
-            self.trace(buf.addr(i), 4, true);
-            out.push(buf.cas(i, cur, new));
-        }
+        let cas = |(i, cur, new)| out.push(buf.cas(i, cur, new));
+        self.atomic(ops, 4, |o| buf.addr(o.0), cas);
     }
 
     /// Per-lane fetch-add batch; returns previous values in lane order.
-    pub fn vadd32(&mut self, buf: &BufU32, ops: &[(usize, u32)], out: &mut Vec<u32>) {
-        if ops.is_empty() {
-            return;
-        }
-        self.charge_vector(ops.len());
-        self.charge_atomics(ops.iter().map(|o| o.0), buf.addr(0), 4);
-        for &(i, v) in ops {
-            self.trace(buf.addr(i), 4, true);
-            out.push(buf.fetch_add(i, v));
-        }
+    pub fn vadd32(
+        &mut self,
+        buf: &BufU32,
+        ops: impl IntoIterator<Item: Borrow<(usize, u32)>, IntoIter: ExactSizeIterator + Clone>,
+        out: &mut Vec<u32>,
+    ) {
+        let add = |(i, v)| out.push(buf.fetch_add(i, v));
+        self.atomic(ops, 4, |o| buf.addr(o.0), add);
     }
 
     /// Per-lane atomic-OR batch (`atomicOr`) — the frontier-bitmap update
     /// primitive of distributed BFS.
-    pub fn vor32(&mut self, buf: &BufU32, ops: &[(usize, u32)]) {
-        if ops.is_empty() {
-            return;
-        }
-        self.charge_vector(ops.len());
-        self.charge_atomics(ops.iter().map(|o| o.0), buf.addr(0), 4);
-        for &(i, v) in ops {
-            self.trace(buf.addr(i), 4, true);
+    pub fn vor32(
+        &mut self,
+        buf: &BufU32,
+        ops: impl IntoIterator<Item: Borrow<(usize, u32)>, IntoIter: ExactSizeIterator + Clone>,
+    ) {
+        let or = |(i, v)| {
             buf.fetch_or(i, v);
-        }
+        };
+        self.atomic(ops, 4, |o| buf.addr(o.0), or);
     }
 
     /// Per-lane atomic-OR batch on 64-bit words (`atomicOr` on
     /// `unsigned long long`) — the visited-mask update primitive of
     /// wave-width-64 multi-source BFS.
-    pub fn vor64(&mut self, buf: &BufU64, ops: &[(usize, u64)]) {
-        if ops.is_empty() {
-            return;
-        }
-        self.charge_vector(ops.len());
-        self.charge_atomics(ops.iter().map(|o| o.0), buf.addr(0), 8);
-        for &(i, v) in ops {
-            self.trace(buf.addr(i), 8, true);
+    pub fn vor64(
+        &mut self,
+        buf: &BufU64,
+        ops: impl IntoIterator<Item: Borrow<(usize, u64)>, IntoIter: ExactSizeIterator + Clone>,
+    ) {
+        let or = |(i, v)| {
             buf.fetch_or(i, v);
-        }
+        };
+        self.atomic(ops, 8, |o| buf.addr(o.0), or);
     }
 
     /// Per-lane atomic-minimum batch (`atomicMin`); returns previous values
     /// in lane order. The relaxation primitive of SSSP-style BFS.
-    pub fn vmin32(&mut self, buf: &BufU32, ops: &[(usize, u32)], out: &mut Vec<u32>) {
-        if ops.is_empty() {
-            return;
-        }
-        self.charge_vector(ops.len());
-        self.charge_atomics(ops.iter().map(|o| o.0), buf.addr(0), 4);
-        for &(i, v) in ops {
-            self.trace(buf.addr(i), 4, true);
-            out.push(buf.fetch_min(i, v));
-        }
+    pub fn vmin32(
+        &mut self,
+        buf: &BufU32,
+        ops: impl IntoIterator<Item: Borrow<(usize, u32)>, IntoIter: ExactSizeIterator + Clone>,
+        out: &mut Vec<u32>,
+    ) {
+        let min = |(i, v)| out.push(buf.fetch_min(i, v));
+        self.atomic(ops, 4, |o| buf.addr(o.0), min);
     }
 
     /// Uniform (wave-aggregated) fetch-add: one atomic performed by the
@@ -507,7 +531,7 @@ mod tests {
         let mut co = Coalescer::new(64, 64);
         let mut ctx = ctx_with(&mut co);
         let mut out = Vec::new();
-        ctx.vload32(&buf, &[0, 2], &mut out);
+        ctx.vload32(&buf, [0, 2], &mut out);
         assert_eq!(out, vec![10, 30]);
         assert_eq!(ctx.stats.instructions, 1);
         assert_eq!(ctx.stats.accesses, 2);
@@ -521,7 +545,7 @@ mod tests {
         let mut co = Coalescer::new(64, 64);
         let mut ctx = ctx_with(&mut co);
         let mut out = Vec::new();
-        ctx.vload32(&buf, &[], &mut out);
+        ctx.vload32(&buf, [0usize; 0], &mut out);
         assert_eq!(ctx.stats.instructions, 0);
     }
 
@@ -534,7 +558,7 @@ mod tests {
         // Three CAS on the same line (idx 0, 1, 2), one far away.
         ctx.vcas32(
             &buf,
-            &[(0, 0, 1), (1, 0, 1), (2, 0, 1), (32, 0, 1)],
+            [(0, 0, 1), (1, 0, 1), (2, 0, 1), (32, 0, 1)],
             &mut out,
         );
         assert_eq!(ctx.stats.atomics, 4);
@@ -542,7 +566,7 @@ mod tests {
         assert!(out.iter().all(|r| r.is_ok()));
         // Losing CAS:
         out.clear();
-        ctx.vcas32(&buf, &[(0, 0, 9)], &mut out);
+        ctx.vcas32(&buf, [(0, 0, 9)], &mut out);
         assert_eq!(out[0], Err(1));
     }
 
@@ -551,14 +575,14 @@ mod tests {
         let buf = BufU32::new(4096, 64);
         let mut co = Coalescer::new(64, 64);
         let mut ctx = ctx_with(&mut co);
-        ctx.vstore32(&buf, &[(0, 1), (1, 2)]);
+        ctx.vstore32(&buf, [(0, 1), (1, 2)]);
         assert_eq!(ctx.stats.hbm_lines, 0);
         assert_eq!(ctx.stats.bytes_written, 8);
         // Second store on the same line already hit the coalescer.
         assert_eq!(ctx.stats.l1_hits, 1);
         // A read of the just-written line also hits the coalescer.
         let mut out = Vec::new();
-        ctx.vload32(&buf, &[0], &mut out);
+        ctx.vload32(&buf, [0], &mut out);
         assert_eq!(ctx.stats.hbm_lines, 0);
         assert_eq!(ctx.stats.l1_hits, 2);
     }

@@ -25,7 +25,7 @@ fn kernel_oob_access_panics_in_both_modes() {
     let buf = dev.alloc_u32(8);
     dev.launch(0, LaunchCfg::new("bad", 64), |w| {
         let mut out = Vec::new();
-        w.vload32(&buf, &[100], &mut out);
+        w.vload32(&buf, [100], &mut out);
     });
 }
 

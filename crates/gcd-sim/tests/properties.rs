@@ -17,8 +17,52 @@ fn span() -> impl Strategy<Value = Span> {
     (0usize..RANGE_BUF - 400, 0usize..400)
 }
 
-/// Drive two waves from identical coalescer and L2 state: `per_lane` issues
-/// the indexed ops, `ranged` the `_range` ops over the same elements.
+/// The stamp-clock LRU that `Coalescer` was before it kept each set in
+/// recency order (a global tick, a stamp per way, first-minimum-stamp
+/// victim): the model the branch-free one must be indistinguishable from.
+struct StampLru {
+    set_mask: u64,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+}
+
+impl StampLru {
+    fn new(lines: usize) -> Self {
+        let sets = lines.max(4).div_ceil(4).next_power_of_two();
+        Self {
+            set_mask: sets as u64 - 1,
+            tags: vec![u64::MAX; sets * 4],
+            stamps: vec![0; sets * 4],
+            tick: 0,
+            hits: 0,
+            misses: 0,
+        }
+    }
+
+    fn touch_run(&mut self, line: u64, k: u64) -> bool {
+        self.tick += k;
+        let base = (line & self.set_mask) as usize * 4;
+        let resident = (base..base + 4).find(|&w| self.tags[w] == line);
+        // `min_by_key` returns the first of equal minima.
+        let way = resident.unwrap_or_else(|| {
+            (base..base + 4)
+                .min_by_key(|&w| self.stamps[w])
+                .expect("4 ways")
+        });
+        self.tags[way] = line;
+        self.stamps[way] = self.tick;
+        self.hits += k - 1 + u64::from(resident.is_some());
+        self.misses += u64::from(resident.is_none());
+        resident.is_some()
+    }
+}
+
+/// Drive two waves from identical coalescer and L2 state, one through each
+/// of two spellings of the same accesses (`per_lane` the indexed ops over a
+/// slice, `ranged` the `_range` ops or the indexed ops over an iterator).
 /// Returns what each left behind, for comparison.
 fn run_both<T: PartialEq + std::fmt::Debug>(
     coalescer_lines: usize,
@@ -67,9 +111,34 @@ proptest! {
         }
     }
 
+    /// Recency order alone is exact LRU: against the stamp-clock model, every
+    /// touch returns the same hit bit, and the counters and the resident
+    /// lines (hence each set's, a line having one set) end up the same —
+    /// for working sets inside and well beyond the capacity.
+    #[test]
+    fn recency_order_is_stamp_lru(
+        size in 0usize..3,
+        wide in any::<bool>(),
+        ops in proptest::collection::vec((any::<u64>(), 1u64..=64), 1..400),
+    ) {
+        let lines = [4usize, 16, 128][size];
+        let span = if wide { 6 * lines } else { 3 * lines / 4 } as u64;
+        let mut co = Coalescer::new(lines, 64);
+        let mut lru = StampLru::new(lines);
+        for &(raw, k) in &ops {
+            prop_assert_eq!(co.touch_run(raw % span, k), lru.touch_run(raw % span, k));
+        }
+        prop_assert_eq!((co.hits, co.misses), (lru.hits, lru.misses));
+        // A probe of a copy reads residency without disturbing it.
+        let resident: Vec<u64> = (0..span).filter(|&l| co.clone().touch(l)).collect();
+        let mut expect: Vec<u64> = lru.tags.iter().copied().filter(|&t| t != u64::MAX).collect();
+        expect.sort_unstable();
+        prop_assert_eq!(resident, expect);
+    }
+
     /// `vload32_range` / `vload64_range` / `vstore32_range` are the per-lane
     /// ops over `start..start + count`: same values, same `WaveStats`, same
-    /// coalescer (tags, stamps, tick, hits, misses) and same L2 afterwards.
+    /// coalescer (recency order, hits, misses) and same L2 afterwards.
     #[test]
     fn range_ops_match_per_lane_ops(
         pad_lines in 0usize..9,
@@ -100,8 +169,8 @@ proptest! {
             },
             |w| {
                 let (mut o32, mut o64) = (Vec::new(), Vec::new());
-                w.vload32(&b32, &idxs(l32), &mut o32);
-                w.vload64(&b64, &idxs(l64), &mut o64);
+                w.vload32(&b32, idxs(l32), &mut o32);
+                w.vload64(&b64, idxs(l64), &mut o64);
                 let writes: Vec<(usize, u32)> = idxs(st32).into_iter().zip(vals.iter().copied()).collect();
                 w.vstore32(&dst, &writes);
                 let stored = dst.to_host();
@@ -118,6 +187,78 @@ proptest! {
         );
         prop_assert_eq!(&a.0, &b.0);
         prop_assert_eq!(a.0.0.len(), l32.1);
+        prop_assert_eq!(a.1, b.1);
+        prop_assert_eq!(&a.2, &b.2);
+        prop_assert_eq!(&a.3, &b.3);
+    }
+
+    /// Every indexed op charges and does the same whether its lanes come
+    /// from a `&Vec` or from a `map` over where the operands live — also for
+    /// atomic batches wider than the 64 lines `charge`d on the stack.
+    #[test]
+    fn iterator_ops_match_slice_ops(
+        picks in proptest::collection::vec((0u32..RANGE_BUF as u32, any::<u32>()), 65..200),
+        tiny_coalescer in any::<bool>(),
+        timing in any::<bool>(),
+        warm in proptest::collection::vec(0usize..RANGE_BUF, 0..120),
+    ) {
+        let dev = Device::mi250x();
+        let words: Vec<u32> = (0..RANGE_BUF as u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let wide: Vec<u64> = words.iter().map(|&w| u64::from(w) << 7).collect();
+        let (b32, b64) = (dev.upload_u32(&words), dev.upload_u64(&wide));
+        // Both spellings start from the same contents and return what they
+        // read plus what they left in the buffers.
+        let finish = |loads: (Vec<u32>, Vec<u64>), rmw: (Vec<Result<u32, u32>>, Vec<u32>, Vec<u32>)| {
+            let left = (b32.to_host(), b64.to_host());
+            b32.host_write(&words);
+            b64.host_write(&wide);
+            (loads, rmw, left)
+        };
+        let lines = if tiny_coalescer { 4 } else { 128 };
+        let [a, b] = run_both(
+            lines,
+            timing,
+            |w| w.vload32(&b32, &warm, &mut Vec::new()),
+            |w| {
+                let idx: Vec<usize> = picks.iter().map(|&(i, _)| i as usize).collect();
+                let w32: Vec<(usize, u32)> = picks.iter().map(|&(i, v)| (i as usize, v)).collect();
+                let w64: Vec<(usize, u64)> = picks.iter().map(|&(i, v)| (i as usize, u64::from(v))).collect();
+                let cas: Vec<(usize, u32, u32)> = picks.iter().map(|&(i, v)| (i as usize, words[i as usize], v)).collect();
+                let (mut o32, mut o64) = (Vec::new(), Vec::new());
+                let (mut won, mut added, mut mins) = (Vec::new(), Vec::new(), Vec::new());
+                w.vload32(&b32, &idx, &mut o32);
+                w.vload64(&b64, &idx, &mut o64);
+                w.vcas32(&b32, &cas, &mut won);
+                w.vadd32(&b32, &w32, &mut added);
+                w.vmin32(&b32, &w32, &mut mins);
+                w.vor32(&b32, &w32);
+                w.vor64(&b64, &w64);
+                w.vstore32(&b32, &w32[..40]);
+                w.vstore64(&b64, &w64[..40]);
+                finish((o32, o64), (won, added, mins))
+            },
+            |w| {
+                let idx = picks.iter().map(|&(i, _)| i as usize);
+                let w32 = picks.iter().map(|&(i, v)| (i as usize, v));
+                let w64 = picks.iter().map(|&(i, v)| (i as usize, u64::from(v)));
+                let cas = picks.iter().map(|&(i, v)| (i as usize, words[i as usize], v));
+                let (mut o32, mut o64) = (Vec::new(), Vec::new());
+                let (mut won, mut added, mut mins) = (Vec::new(), Vec::new(), Vec::new());
+                w.vload32(&b32, idx.clone(), &mut o32);
+                w.vload64(&b64, idx, &mut o64);
+                w.vcas32(&b32, cas, &mut won);
+                w.vadd32(&b32, w32.clone(), &mut added);
+                w.vmin32(&b32, w32.clone(), &mut mins);
+                w.vor32(&b32, w32.clone());
+                w.vor64(&b64, w64.clone());
+                w.vstore32(&b32, w32.take(40));
+                w.vstore64(&b64, w64.take(40));
+                finish((o32, o64), (won, added, mins))
+            },
+        );
+        prop_assert_eq!(&a.0, &b.0);
+        prop_assert_eq!(a.0.0.0.len(), picks.len());
+        prop_assert!(a.1.atomics as usize == 5 * picks.len() && a.1.atomic_conflicts > 0);
         prop_assert_eq!(a.1, b.1);
         prop_assert_eq!(&a.2, &b.2);
         prop_assert_eq!(&a.3, &b.3);
@@ -240,7 +381,7 @@ fn cas_races_have_exactly_one_winner() {
     slot.host_fill(u32::MAX);
     dev.launch(0, LaunchCfg::new("cas_storm", 64 * 64), |w| {
         let mut results = Vec::new();
-        w.vcas32(&slot, &[(0, u32::MAX, w.wave_id() as u32)], &mut results);
+        w.vcas32(&slot, [(0, u32::MAX, w.wave_id() as u32)], &mut results);
         if results[0].is_ok() {
             w.wave_add32(&wins, 0, 1);
         }

@@ -1143,7 +1143,7 @@ impl<'g> GcdCluster<'g> {
                 LaunchCfg::new("dist_reset64", 1).with_registers(8),
                 |w| {
                     if w.wave_id() == 0 {
-                        w.vstore64(&r.edge_counters, &[(0, 0)]);
+                        w.vstore64(&r.edge_counters, [(0, 0)]);
                     }
                 },
             );
@@ -1286,7 +1286,7 @@ impl<'g> GcdCluster<'g> {
                 LaunchCfg::new("dist_reset64", 1).with_registers(8),
                 |w| {
                     if w.wave_id() == 0 {
-                        w.vstore64(&r.edge_counters, &[(0, 0)]);
+                        w.vstore64(&r.edge_counters, [(0, 0)]);
                     }
                 },
             );
@@ -1298,14 +1298,11 @@ impl<'g> GcdCluster<'g> {
                 0,
                 LaunchCfg::new("dist_bitmap_set", qlen).with_registers(12),
                 |w| {
-                    let gids: Vec<usize> = w.lanes().collect();
+                    let gids = w.lanes();
                     let mut vs = Vec::with_capacity(gids.len());
-                    w.vload32(&r.frontier, &gids, &mut vs);
-                    let ops: Vec<(usize, u32)> = vs
-                        .iter()
-                        .map(|&v| ((v / 32) as usize, 1u32 << (v % 32)))
-                        .collect();
-                    w.vor32(&r.bitmap, &ops);
+                    w.vload32_range(&r.frontier, gids.start, gids.len(), &mut vs);
+                    let ops = vs.iter().map(|&v| ((v / 32) as usize, 1u32 << (v % 32)));
+                    w.vor32(&r.bitmap, ops);
                 },
             );
         }
@@ -1390,17 +1387,17 @@ fn push_expand_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut us = Vec::with_capacity(gids.len());
-    w.vload32(&r.frontier, &gids, &mut us);
-    let lidx: Vec<usize> = us.iter().map(|&u| part.to_local(u) as usize).collect();
+    w.vload32_range(&r.frontier, gids.start, gids.len(), &mut us);
+    let lidx = us.iter().map(|&u| part.to_local(u) as usize);
     let mut offs = Vec::with_capacity(lidx.len());
-    w.vload64(&r.offsets, &lidx, &mut offs);
+    w.vload64(&r.offsets, lidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(lidx.len());
-    w.vload32(&r.degrees, &lidx, &mut degs);
+    w.vload32(&r.degrees, lidx, &mut degs);
 
     let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
     let mut local_claims: Vec<u32> = Vec::new();
@@ -1412,27 +1409,20 @@ fn push_expand_kernel(
         if lanes.is_empty() {
             break;
         }
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|&(o, _)| (o + u64::from(k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&r.adjacency, &aidx, &mut vs);
+        w.vload32(&r.adjacency, aidx, &mut vs);
         w.alu(1);
         // Local neighbors: check + CAS claim now.
         let local_cands: Vec<u32> = vs.iter().copied().filter(|&v| part.owns(v)).collect();
         if !local_cands.is_empty() {
-            let sidx: Vec<usize> = local_cands
-                .iter()
-                .map(|&v| part.to_local(v) as usize)
-                .collect();
+            let sidx = local_cands.iter().map(|&v| part.to_local(v) as usize);
             let mut sts = Vec::with_capacity(sidx.len());
-            w.vload32(&r.status, &sidx, &mut sts);
+            w.vload32(&r.status, sidx.clone(), &mut sts);
             let ops: Vec<(usize, u32, u32)> = sidx
-                .iter()
                 .zip(&sts)
                 .filter(|&(_, &s)| s == UNVISITED)
-                .map(|(&i, _)| (i, UNVISITED, level + 1))
+                .map(|(i, _)| (i, UNVISITED, level + 1))
                 .collect();
             if !ops.is_empty() {
                 let mut results = Vec::with_capacity(ops.len());
@@ -1458,13 +1448,8 @@ fn push_expand_kernel(
         }
         let base = w.wave_add32(&r.counters, d, cands.len() as u32) as usize;
         let cap = r.buckets[d].len();
-        let writes: Vec<(usize, u32)> = cands
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (base + i, v))
-            .inspect(|&(i, _)| assert!(i < cap, "bucket overflow toward rank {d}"))
-            .collect();
-        w.vstore32(&r.buckets[d], &writes);
+        assert!(base + cands.len() <= cap, "bucket overflow toward rank {d}");
+        w.vstore32_range(&r.buckets[d], base, cands);
     }
 }
 
@@ -1476,21 +1461,22 @@ fn claim_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut vs = Vec::with_capacity(gids.len());
-    w.vload32(&r.inbox, &gids, &mut vs);
-    let sidx: Vec<usize> = vs.iter().map(|&v| part.to_local(v) as usize).collect();
-    let ops: Vec<(usize, u32, u32)> = sidx.iter().map(|&i| (i, UNVISITED, level + 1)).collect();
-    let mut results = Vec::with_capacity(ops.len());
-    w.vcas32(&r.status, &ops, &mut results);
-    let winners: Vec<u32> = sidx
+    w.vload32_range(&r.inbox, gids.start, gids.len(), &mut vs);
+    let ops = vs
+        .iter()
+        .map(|&v| (part.to_local(v) as usize, UNVISITED, level + 1));
+    let mut results = Vec::with_capacity(vs.len());
+    w.vcas32(&r.status, ops, &mut results);
+    let winners: Vec<u32> = vs
         .iter()
         .zip(&results)
         .filter(|&(_, res)| res.is_ok())
-        .map(|(&i, _)| part.to_global(i as u32))
+        .map(|(&v, _)| v)
         .collect();
     commit_local_claims(w, r, part, &winners, p);
 }
@@ -1504,18 +1490,17 @@ fn pull_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids: Vec<usize> = w.lanes().collect();
+    let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
     let mut sts = Vec::with_capacity(gids.len());
-    w.vload32(&r.status, &gids, &mut sts);
+    w.vload32_range(&r.status, gids.start, gids.len(), &mut sts);
     w.alu(1);
     let unvisited: Vec<usize> = gids
-        .iter()
         .zip(&sts)
         .filter(|&(_, &s)| s == UNVISITED)
-        .map(|(&l, _)| l)
+        .map(|(l, _)| l)
         .collect();
     if unvisited.is_empty() {
         return;
@@ -1543,15 +1528,15 @@ fn pull_kernel(
         .collect();
     let mut claims: Vec<u32> = Vec::new();
     while !lanes.is_empty() {
-        let aidx: Vec<usize> = lanes
-            .iter()
-            .map(|l| (l.off + u64::from(l.k)) as usize)
-            .collect();
+        let aidx = lanes.iter().map(|l| (l.off + u64::from(l.k)) as usize);
         let mut nbrs = Vec::with_capacity(aidx.len());
-        w.vload32(&r.adjacency, &aidx, &mut nbrs);
-        let widx: Vec<usize> = nbrs.iter().map(|&v| (v / 32) as usize).collect();
-        let mut words = Vec::with_capacity(widx.len());
-        w.vload32(&r.bitmap, &widx, &mut words);
+        w.vload32(&r.adjacency, aidx, &mut nbrs);
+        let mut words = Vec::with_capacity(nbrs.len());
+        w.vload32(
+            &r.bitmap,
+            nbrs.iter().map(|&v| (v / 32) as usize),
+            &mut words,
+        );
         w.alu(2);
         let mut writes: Vec<(usize, u32)> = Vec::new();
         let mut i = 0;
@@ -1586,18 +1571,13 @@ fn commit_local_claims(
     if claims.is_empty() {
         return;
     }
-    let didx: Vec<usize> = claims.iter().map(|&v| part.to_local(v) as usize).collect();
-    let mut cdegs = Vec::with_capacity(didx.len());
-    w.vload32(&r.degrees, &didx, &mut cdegs);
+    let didx = claims.iter().map(|&v| part.to_local(v) as usize);
+    let mut cdegs = Vec::with_capacity(claims.len());
+    w.vload32(&r.degrees, didx, &mut cdegs);
     let sum = w.wave_reduce_add(&cdegs);
     let base = w.wave_add32(&r.counters, p + 1, claims.len() as u32) as usize;
     w.wave_add64(&r.edge_counters, 0, sum);
-    let writes: Vec<(usize, u32)> = claims
-        .iter()
-        .enumerate()
-        .map(|(i, &v)| (base + i, v))
-        .collect();
-    w.vstore32(&r.next_frontier, &writes);
+    w.vstore32_range(&r.next_frontier, base, claims);
 }
 
 impl GcdCluster<'_> {

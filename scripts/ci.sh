@@ -26,11 +26,13 @@ lone_latency() {
 }
 sim_overhead() {
   echo "==> sim-overhead (a modeled edge stays cheap on the host, in both exec modes)"
-  # Medians before -> after gcd-sim was reduced to one memory-trace path
-  # (results/BENCH_pr15.json): 16.3 -> 5.5 and 5.4 -> 3.1. Each limit sits
-  # between the slowest run after (5.9, 3.4) and the fastest before (15.3, 4.6).
-  overhead_gate direct-timing-s14 10
-  overhead_gate direct-solo-s16 4
+  # Medians before -> after the traced lane access lost its branch and its
+  # index vectors (results/BENCH_pr16.json): 5.55 -> 4.30 and 3.02 -> 2.03.
+  # The solo limit sits about midway between its medians, above the slowest
+  # run after (2.16) and below the fastest before (2.80); the timing limit
+  # sits between the old limit (10) and the slowest run after (4.45).
+  overhead_gate direct-timing-s14 7
+  overhead_gate direct-solo-s16 2.6
 }
 case "${1:-}" in
   lone-latency) lone_latency; exit 0 ;;
