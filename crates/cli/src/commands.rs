@@ -4,7 +4,7 @@
 use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
-use xbfs_core::{ms_bfs, BitflipPlan, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{BitflipPlan, MsBfs, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
@@ -654,9 +654,9 @@ fn bfs(args: &Args) -> Result<String, CliError> {
         );
     }
     let sab = plan.as_ref().map(|plan| Sabotage { plan, salt: 0 });
-    // One governed entry point: sabotage, deadline budget and
-    // certification compose; a blown budget maps to exit code 8.
-    let (run, cert) = xbfs.run_governed(source, &recorder, sab.as_ref(), deadline_ms, verify)?;
+    // Sabotage, deadline budget and certification compose; a blown
+    // budget maps to exit code 8.
+    let (run, cert) = xbfs.run_with(source, &recorder, sab.as_ref(), deadline_ms, verify)?;
     let mut cert_note = String::new();
     if let Some(cert) = &cert {
         cert_note = format!(
@@ -798,7 +798,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         eprint!("{trace_warning}");
     }
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
-    let run = cluster.run_with_faults_traced(source, &faults, &recorder)?;
+    let run = cluster.run_with(source, &faults, &recorder, None)?;
 
     let mut out = trace_warning;
     out.push_str(&format!(
@@ -880,7 +880,7 @@ fn msbfs(args: &Args) -> Result<String, CliError> {
         .clamp(1, xbfs_core::MAX_CONCURRENT);
     let sources = pick_sources(&g, k, 7);
     let dev = mk_device(args, 1)?;
-    let run = ms_bfs(&dev, &g, &sources);
+    let run = MsBfs::new(&dev, &g)?.run_batch(&sources);
     // Compare with sequential runs for the sharing factor.
     let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default())?;
     let mut seq_ms = 0.0f64;
@@ -1061,7 +1061,7 @@ fn sweep_worker(
                         })
                     })
                     .flatten();
-                match engine.run_verified(s, &Recorder::disabled(), sab.as_ref()) {
+                match engine.run_with(s, &Recorder::disabled(), sab.as_ref(), None, true) {
                     Ok((run, _cert)) => {
                         health.certified += 1;
                         if attempt > 0 {
@@ -1265,11 +1265,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         // Under --verify the pooled pass certifies every run; the rebuild
         // reference must pay the same certification cost or the
         // pooled-vs-unpooled ratio compares different amounts of work.
-        let run = if verify {
-            xbfs.run_verified(s, &Recorder::disabled(), None)?.0
-        } else {
-            xbfs.run(s)?
-        };
+        let (run, _cert) = xbfs.run_with(s, &Recorder::disabled(), None, None, verify)?;
         ref_levels.push(run.result_digest());
         rebuilt.push(SweepRec {
             ms: run.total_ms,
@@ -1306,14 +1302,14 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     let mut multi_json = String::new();
     if multi_source {
         let dev = mk_device(args, cfg.required_streams())?;
-        let eng = xbfs_core::MsBfs::new(dev, &g)?;
+        let eng = MsBfs::new(dev, &g)?;
         let t2 = std::time::Instant::now();
         let mut ms_model_ms = 0.0f64;
         let mut ms_edges = 0u64;
         let mut batches = 0usize;
         let mut slot_digests: Vec<u64> = Vec::with_capacity(n);
         for part in sources.chunks(xbfs_core::MAX_CONCURRENT) {
-            let (run, _certs) = eng.run_governed(part, None, verify).map_err(|e| {
+            let (run, _certs) = eng.run_with(part, None, verify).map_err(|e| {
                 let code = match e {
                     XbfsError::Integrity(_) => exit_code::INTEGRITY,
                     _ => exit_code::GENERIC,

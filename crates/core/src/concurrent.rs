@@ -20,15 +20,16 @@
 //! engine does **O(1) epoch resets** instead of O(|V|) fills — the seen
 //! mask is gated by a per-vertex epoch stamp, and the per-slot level
 //! arrays use the same base-offset encoding as [`crate::BfsState`].
-//! [`MsBfs::run_governed`] adds the serving governors: a modeled-time
+//! [`MsBfs::run_with`] adds the serving governors: a modeled-time
 //! deadline checked between levels and optional per-slot certification
 //! ([`crate::integrity::certify_ms_run`]).
 
 use std::borrow::Borrow;
 
 use crate::device_graph::DeviceGraph;
+use crate::engine::{reached, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use crate::error::XbfsError;
-use crate::integrity::{certify_ms_run, Certificate, IntegrityError};
+use crate::integrity::{certify_ms_run, verified_run, Certificate};
 use crate::state::UNVISITED;
 use crate::stats::levels_digest;
 use gcd_sim::{BufU32, BufU64, Device, LaunchCfg, WaveCtx};
@@ -72,8 +73,7 @@ struct MsInner {
 /// A persistent, pooled multi-source engine: the graph upload and every
 /// device buffer are built **once**, and each batch reuses them — repeat
 /// batches over one graph pay only the traversal itself (resets are O(1)
-/// epoch bumps). The free-standing [`ms_bfs`] is a one-shot convenience
-/// wrapper.
+/// epoch bumps).
 pub struct MsBfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,
@@ -134,28 +134,23 @@ impl<D: Borrow<Device>> MsBfs<D> {
     /// Run up to [`MAX_CONCURRENT`] BFS instances in one shared traversal.
     ///
     /// Panics on invalid input (empty / oversized batch, out-of-range
-    /// source); serving layers should use [`MsBfs::run_governed`], which
+    /// source); serving layers should use [`MsBfs::run_with`], which
     /// returns typed errors and supports deadlines and certification.
     pub fn run_batch(&self, sources: &[u32]) -> MsBfsRun {
-        assert!(!sources.is_empty(), "need at least one source");
-        assert!(
-            sources.len() <= MAX_CONCURRENT,
-            "at most {MAX_CONCURRENT} concurrent sources"
-        );
-        let n = self.graph.num_vertices();
-        for &s in sources {
-            assert!((s as usize) < n, "source {s} out of range");
+        match self.run_with(sources, None, false) {
+            Ok((run, _)) => run,
+            Err(e) => panic!("{e}"),
         }
-        self.run_impl(sources, None)
-            .expect("no deadline: run cannot fail")
     }
 
-    /// The serving layer's entry point: one batch under every governor at
-    /// once. `deadline_ms` bounds the modeled clock (checked between
-    /// levels — a batch that completes on its last level is never a
-    /// timeout), `verify` runs the pool sweeps, CSR re-check, and the
-    /// per-slot certificate ([`certify_ms_run`]).
-    pub fn run_governed(
+    /// The full form of [`MsBfs::run_batch`]: one batch under every
+    /// governor at once. `deadline_ms` bounds the modeled clock (checked
+    /// between levels — a batch that completes on its last level is never
+    /// a timeout), `verify` runs the verified pipeline with the per-slot
+    /// certificate ([`certify_ms_run`]). An out-of-range source is a
+    /// typed error; an empty or oversized batch is a caller bug and
+    /// panics.
+    pub fn run_with(
         &self,
         sources: &[u32],
         deadline_ms: Option<f64>,
@@ -167,37 +162,18 @@ impl<D: Borrow<Device>> MsBfs<D> {
             "at most {MAX_CONCURRENT} concurrent sources"
         );
         let n = self.graph.num_vertices();
-        for &s in sources {
-            if (s as usize) >= n {
-                return Err(XbfsError::SourceOutOfRange {
-                    source: s,
-                    num_vertices: n,
-                });
-            }
+        if let Some(&source) = sources.iter().find(|&&s| s as usize >= n) {
+            return Err(XbfsError::SourceOutOfRange {
+                source,
+                num_vertices: n,
+            });
         }
+        let run = || self.run_impl(sources, deadline_ms);
         if !verify {
-            return self.run_impl(sources, deadline_ms).map(|run| (run, None));
+            return run().map(|run| (run, None));
         }
-        let dev: &Device = self.device.borrow();
-        // Surface corruption the pool already quarantined before investing
-        // in a batch, exactly like the single-source verified pipeline.
-        if let Some(f) = dev.take_pool_faults().into_iter().next() {
-            return Err(IntegrityError::Pool(f).into());
-        }
-        dev.verify_pool().map_err(IntegrityError::Pool)?;
-        let run = self.run_impl(sources, deadline_ms)?;
-        self.graph.verify()?;
-        let certs = certify_ms_run(
-            &self.graph.offsets.to_host(),
-            &self.graph.adjacency.to_host(),
-            &run,
-        )
-        .map_err(IntegrityError::Certificate)?;
-        dev.verify_pool().map_err(IntegrityError::Pool)?;
-        if let Some(f) = dev.take_pool_faults().into_iter().next() {
-            return Err(IntegrityError::Pool(f).into());
-        }
-        Ok((run, Some(certs)))
+        verified_run(self.device.borrow(), &self.graph, run, certify_ms_run)
+            .map(|(run, certs)| (run, Some(certs)))
     }
 
     fn run_impl(&self, sources: &[u32], deadline_ms: Option<f64>) -> Result<MsBfsRun, XbfsError> {
@@ -404,6 +380,37 @@ impl<D: Borrow<Device>> Drop for MsBfs<D> {
     }
 }
 
+impl<D: Borrow<Device>> Engine for MsBfs<D> {
+    fn width(&self) -> usize {
+        MAX_CONCURRENT
+    }
+
+    fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
+        let sources = req.slots(MAX_CONCURRENT)?;
+        match req.inject {
+            Inject::None => {}
+            Inject::Bitflips(_) => {
+                return Err(EngineError::unsupported(
+                    "bitflip chaos requires a batch-width 1 server",
+                ))
+            }
+            Inject::RankCrash { .. } => {
+                return Err(EngineError::unsupported(
+                    "crash chaos requires a --cluster server",
+                ))
+            }
+        }
+        let (run, certs) = self.run_with(sources, req.deadline_ms, req.verify)?;
+        Ok(RunOutcome {
+            slots: (0..run.width()).map(|slot| run.answer(slot)).collect(),
+            total_ms: run.total_ms,
+            levels: run.levels,
+            certified: certs.is_some(),
+            recoveries: None,
+        })
+    }
+}
+
 /// Result of a concurrent run.
 #[derive(Debug, Clone)]
 pub struct MsBfsRun {
@@ -447,10 +454,21 @@ impl MsBfsRun {
 
     /// Vertices one slot reached.
     pub fn slot_reached(&self, slot: usize) -> u64 {
-        self.levels[slot]
-            .iter()
-            .filter(|&&l| l != UNVISITED)
-            .count() as u64
+        reached(&self.levels[slot])
+    }
+
+    /// What batched serving answers with for one slot: depth is the
+    /// deepest level and the digest is the levels-only
+    /// [`MsBfsRun::result_digest`], so batching is invisible next to a
+    /// solo run's `result_digest`.
+    pub fn answer(&self, slot: usize) -> SlotAnswer {
+        SlotAnswer {
+            source: self.sources[slot],
+            depth: self.slot_depth(slot),
+            reached: self.slot_reached(slot),
+            gteps: self.slot_gteps(slot),
+            digest: self.result_digest(slot),
+        }
     }
 
     /// Per-slot GTEPS share (slot edges over the shared batch time).
@@ -461,17 +479,6 @@ impl MsBfsRun {
             0.0
         }
     }
-}
-
-/// Run up to [`MAX_CONCURRENT`] BFS instances in one shared traversal.
-///
-/// One-shot convenience over [`MsBfs`]: builds the engine (upload +
-/// buffers) and runs a single batch. Batched drivers should keep an
-/// [`MsBfs`] alive instead.
-pub fn ms_bfs(device: &Device, graph: &Csr, sources: &[u32]) -> MsBfsRun {
-    MsBfs::new(device, graph)
-        .expect("one-shot ms_bfs requires a non-empty graph")
-        .run_batch(sources)
 }
 
 /// Expansion: each frontier vertex pushes `its bits & !seen` to neighbors
@@ -614,6 +621,11 @@ fn fold_kernel(
 mod tests {
     use super::*;
     use xbfs_graph::bfs_levels_serial;
+
+    /// One batch on a one-shot engine.
+    fn one_shot(device: &Device, graph: &Csr, sources: &[u32]) -> MsBfsRun {
+        MsBfs::new(device, graph).unwrap().run_batch(sources)
+    }
     use xbfs_graph::generators::{barabasi_albert, erdos_renyi, rmat_graph, RmatParams};
     use xbfs_graph::stats::pick_sources;
 
@@ -622,7 +634,7 @@ mod tests {
         let g = erdos_renyi(400, 1600, 9);
         let sources = pick_sources(&g, 8, 3);
         let dev = Device::mi250x();
-        let run = ms_bfs(&dev, &g, &sources);
+        let run = one_shot(&dev, &g, &sources);
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(
                 run.levels[i],
@@ -636,13 +648,13 @@ mod tests {
     fn duplicate_and_single_sources() {
         let g = barabasi_albert(300, 3, 1);
         let dev = Device::mi250x();
-        let run = ms_bfs(&dev, &g, &[7, 7, 12]);
+        let run = one_shot(&dev, &g, &[7, 7, 12]);
         assert_eq!(run.levels[0], run.levels[1]);
         assert_eq!(run.result_digest(0), run.result_digest(1));
         assert_eq!(run.levels[0], bfs_levels_serial(&g, 7));
         assert_eq!(run.levels[2], bfs_levels_serial(&g, 12));
 
-        let run1 = ms_bfs(&dev, &g, &[5]);
+        let run1 = one_shot(&dev, &g, &[5]);
         assert_eq!(run1.levels[0], bfs_levels_serial(&g, 5));
     }
 
@@ -651,7 +663,7 @@ mod tests {
         let g = rmat_graph(RmatParams::graph500(9), 2);
         let sources = pick_sources(&g, MAX_CONCURRENT, 5);
         let dev = Device::mi250x();
-        let run = ms_bfs(&dev, &g, &sources);
+        let run = one_shot(&dev, &g, &sources);
         assert_eq!(run.levels.len(), MAX_CONCURRENT);
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(run.levels[i], bfs_levels_serial(&g, s), "source {s}");
@@ -666,7 +678,7 @@ mod tests {
         let g = rmat_graph(RmatParams::graph500(12), 4);
         let sources = pick_sources(&g, 16, 11);
         let dev = Device::mi250x();
-        let shared = ms_bfs(&dev, &g, &sources);
+        let shared = one_shot(&dev, &g, &sources);
         let xbfs = crate::Xbfs::new(&dev, &g, crate::XbfsConfig::default()).unwrap();
         let sequential_ms: f64 = sources.iter().map(|&s| xbfs.run(s).unwrap().total_ms).sum();
         assert!(
@@ -683,7 +695,7 @@ mod tests {
         let g = erdos_renyi(50, 100, 1);
         let dev = Device::mi250x();
         let sources: Vec<u32> = (0..65).collect();
-        ms_bfs(&dev, &g, &sources);
+        one_shot(&dev, &g, &sources);
     }
 
     #[test]
@@ -704,7 +716,7 @@ mod tests {
         let first = engine.run_batch(&batches[0]);
         for (bi, sources) in batches.iter().enumerate() {
             let warm = engine.run_batch(sources);
-            let fresh = ms_bfs(&Device::mi250x(), &g, sources);
+            let fresh = one_shot(&Device::mi250x(), &g, sources);
             assert_eq!(warm.levels, fresh.levels, "batch {bi} levels diverged");
             for slot in 0..sources.len() {
                 assert_eq!(
@@ -726,11 +738,11 @@ mod tests {
         let sources = pick_sources(&g, 32, 4);
         // An absurdly small budget must abort between levels...
         let err = engine
-            .run_governed(&sources, Some(1e-6), false)
+            .run_with(&sources, Some(1e-6), false)
             .expect_err("1ns budget must abort");
         assert!(matches!(err, XbfsError::DeadlineExceeded { .. }));
         // ...and the engine must remain consistent for the next batch.
-        let (run, _) = engine.run_governed(&sources, None, false).unwrap();
+        let (run, _) = engine.run_with(&sources, None, false).unwrap();
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(run.levels[i], bfs_levels_serial(&g, s), "source {s}");
         }
@@ -742,7 +754,7 @@ mod tests {
         let dev = Device::mi250x();
         let engine = MsBfs::new(&dev, &g).unwrap();
         let sources = pick_sources(&g, 16, 7);
-        let (run, certs) = engine.run_governed(&sources, None, true).unwrap();
+        let (run, certs) = engine.run_with(&sources, None, true).unwrap();
         let certs = certs.expect("verify produces certificates");
         assert_eq!(certs.len(), sources.len());
         for (i, c) in certs.iter().enumerate() {

@@ -28,6 +28,7 @@
 
 use crate::concurrent::MsBfsRun;
 use crate::device_graph::DeviceGraph;
+use crate::error::XbfsError;
 use crate::state::{is_unvisited, BfsState, UNVISITED};
 use crate::stats::{levels_digest, BfsRun};
 use gcd_sim::{fnv1a, splitmix64, Device, PoolError};
@@ -487,6 +488,36 @@ impl From<CertViolation> for IntegrityError {
     fn from(v: CertViolation) -> Self {
         Self::Certificate(v)
     }
+}
+
+/// The verified pipeline both device engines run under `verify`: pre-run
+/// pool sweep, the (optionally sabotaged) `run`, CSR checksum re-check,
+/// `certify` over the host copy of the CSR, and a post-run pool sweep.
+/// The run itself is the exact unverified hot path, so certified
+/// fault-free results are bit-identical to unverified ones.
+pub(crate) fn verified_run<R, C>(
+    dev: &Device,
+    graph: &DeviceGraph,
+    run: impl FnOnce() -> Result<R, XbfsError>,
+    certify: impl FnOnce(&[u64], &[u32], &R) -> Result<C, CertViolation>,
+) -> Result<(R, C), XbfsError> {
+    // Surface corruption the pool already quarantined (e.g. during
+    // engine construction) before investing in a run.
+    if let Some(f) = dev.take_pool_faults().into_iter().next() {
+        return Err(IntegrityError::Pool(f).into());
+    }
+    dev.verify_pool().map_err(IntegrityError::Pool)?;
+    let out = run()?;
+    graph.verify()?;
+    let cert = certify(&graph.offsets.to_host(), &graph.adjacency.to_host(), &out)
+        .map_err(IntegrityError::Certificate)?;
+    // Catch corruption of buffers that sat parked during the run, and
+    // any quarantine the run's own acquires performed.
+    dev.verify_pool().map_err(IntegrityError::Pool)?;
+    if let Some(f) = dev.take_pool_faults().into_iter().next() {
+        return Err(IntegrityError::Pool(f).into());
+    }
+    Ok((out, cert))
 }
 
 /// Validate a run's output against the graph in O(|V| + |E|): source at

@@ -14,7 +14,8 @@
 //!   thread/wave/group kernels ([`strategy::topdown`]),
 //! * the adaptive `α`-controller ([`controller`]),
 //! * the host-side runner with per-level sync, counter readback and the
-//!   single-stream consolidation of §IV-B ([`runner`]), and
+//!   single-stream consolidation of §IV-B ([`runner`]),
+//! * the one contract every engine answers to ([`engine`]), and
 //! * the §V-F bandwidth-efficiency analysis ([`efficiency`]).
 //!
 //! # Quick start
@@ -38,6 +39,7 @@ pub mod config;
 pub mod controller;
 pub mod device_graph;
 pub mod efficiency;
+pub mod engine;
 pub mod error;
 pub mod integrity;
 pub mod run_ctx;
@@ -47,11 +49,12 @@ pub mod stats;
 pub mod strategy;
 pub mod tuner;
 
-pub use concurrent::{ms_bfs, MsBfs, MsBfsRun, MAX_CONCURRENT};
+pub use concurrent::{MsBfs, MsBfsRun, MAX_CONCURRENT};
 pub use config::XbfsConfig;
 pub use controller::Controller;
 pub use device_graph::DeviceGraph;
 pub use efficiency::{bandwidth_efficiency, Efficiency};
+pub use engine::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 pub use error::XbfsError;
 pub use integrity::{
     apply_sabotage, certify_ms_run, certify_run, BitflipPlan, CertViolation, Certificate,

@@ -12,8 +12,9 @@
 use crate::config::XbfsConfig;
 use crate::controller::Controller;
 use crate::device_graph::DeviceGraph;
+use crate::engine::{Engine, EngineError, Inject, RunOutcome, RunRequest};
 use crate::error::XbfsError;
-use crate::integrity::{apply_sabotage, certify_run, Certificate, Sabotage};
+use crate::integrity::{apply_sabotage, certify_run, verified_run, Certificate, Sabotage};
 use crate::state::{ctr, decode_level, ectr, BfsState, QueueState, UNVISITED};
 use crate::stats::{BfsRun, LevelStats};
 use crate::strategy::{
@@ -124,67 +125,30 @@ impl<D: Borrow<Device>> Xbfs<D> {
     /// statistics. Models the paper's "n to n" measured window: status
     /// initialization through final sync.
     pub fn run(&self, source: u32) -> Result<BfsRun, XbfsError> {
-        self.run_traced(source, &Recorder::disabled())
+        self.run_impl(source, &Recorder::disabled(), None, None)
     }
 
-    /// Like [`Xbfs::run`], but records structured telemetry into `rec`:
-    /// a `run > level > {queue_gen, expand} > kernel` span tree on the
-    /// modeled device timeline, per-level strategy-choice events, and
-    /// frontier/fetch counter series. With a disabled recorder every
-    /// telemetry call is a single relaxed atomic load, so this is the
-    /// same hot path `run` uses.
-    pub fn run_traced(&self, source: u32, rec: &Recorder) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, rec, None, None)
-    }
-
-    /// [`Xbfs::run`] under a modeled-time budget: between levels the device
-    /// clock is checked against `deadline_ms`, and a run that crosses it
-    /// aborts with [`XbfsError::DeadlineExceeded`] instead of finishing.
-    /// The pooled state stays reusable after an abort — the next run's
-    /// epoch reset clears the partial traversal in O(1).
-    pub fn run_with_deadline(&self, source: u32, deadline_ms: f64) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, &Recorder::disabled(), None, Some(deadline_ms))
-    }
-
-    /// Run with certificate validation: the pool and CSR are checksummed
-    /// around the run and the output is validated by
-    /// [`crate::integrity::certify_run`]; any detection surfaces as
-    /// [`XbfsError::Integrity`]. The run itself is the exact hot path
-    /// [`Xbfs::run`] executes, so certified fault-free results are
-    /// bit-identical to unverified ones.
-    pub fn run_certified(&self, source: u32) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_certified_traced(source, &Recorder::disabled())
-    }
-
-    /// [`Xbfs::run_certified`] with telemetry (see [`Xbfs::run_traced`]).
-    pub fn run_certified_traced(
-        &self,
-        source: u32,
-        rec: &Recorder,
-    ) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_verified(source, rec, None)
-    }
-
-    /// Run with bit-flip injection but *no* verification — the "what does
-    /// corruption do when nothing checks" baseline the CLI exposes as
-    /// `--inject-bitflips` without `--verify`.
-    pub fn run_with_sabotage(
-        &self,
-        source: u32,
-        rec: &Recorder,
-        sabotage: &Sabotage<'_>,
-    ) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, rec, Some(sabotage), None)
-    }
-
-    /// The serving layer's entry point: one run under every governor at
-    /// once. `deadline_ms` bounds the modeled clock (see
-    /// [`Xbfs::run_with_deadline`]), `verify` turns on the full
-    /// [`Xbfs::run_verified`] pipeline (pool sweeps, CSR re-check,
-    /// certificate), and `sabotage` injects faults for chaos testing.
-    /// With `verify` off the certificate is `None` and the run is the
-    /// exact unverified hot path.
-    pub fn run_governed(
+    /// The full form of [`Xbfs::run`]: one run under every governor at
+    /// once.
+    ///
+    /// * `rec` records a `run > level > {queue_gen, expand} > kernel` span
+    ///   tree on the modeled device timeline, per-level strategy-choice
+    ///   events, and frontier/fetch counter series. With a disabled
+    ///   recorder every telemetry call is a single relaxed atomic load.
+    /// * `sabotage` injects bit flips after the level loop — with `verify`
+    ///   this exercises the detection path end to end; without, it is the
+    ///   "what does corruption do when nothing checks" baseline.
+    /// * `deadline_ms` bounds the modeled clock: it is checked between
+    ///   levels, and a run that crosses it aborts with
+    ///   [`XbfsError::DeadlineExceeded`]. The pooled state stays reusable
+    ///   after an abort — the next run's epoch reset clears the partial
+    ///   traversal in O(1).
+    /// * `verify` wraps the run in the verified pipeline (pool sweeps,
+    ///   CSR re-check, [`certify_run`]); any detection surfaces as
+    ///   [`XbfsError::Integrity`]. With `verify` off the certificate is
+    ///   `None`. Either way the run itself is the exact hot path
+    ///   [`Xbfs::run`] executes.
+    pub fn run_with(
         &self,
         source: u32,
         rec: &Recorder,
@@ -192,59 +156,12 @@ impl<D: Borrow<Device>> Xbfs<D> {
         deadline_ms: Option<f64>,
         verify: bool,
     ) -> Result<(BfsRun, Option<Certificate>), XbfsError> {
-        if verify {
-            self.run_checked(source, rec, sabotage, deadline_ms)
-                .map(|(run, cert)| (run, Some(cert)))
-        } else {
-            self.run_impl(source, rec, sabotage, deadline_ms)
-                .map(|run| (run, None))
+        let run = || self.run_impl(source, rec, sabotage, deadline_ms);
+        if !verify {
+            return run().map(|run| (run, None));
         }
-    }
-
-    /// The full verified pipeline: pre-run pool sweep, the (optionally
-    /// sabotaged) run, CSR checksum re-check, certificate validation, and
-    /// a post-run pool sweep. Injection, when requested, happens inside
-    /// the run — this is how the detection path is exercised end to end.
-    pub fn run_verified(
-        &self,
-        source: u32,
-        rec: &Recorder,
-        sabotage: Option<&Sabotage<'_>>,
-    ) -> Result<(BfsRun, Certificate), XbfsError> {
-        self.run_checked(source, rec, sabotage, None)
-    }
-
-    fn run_checked(
-        &self,
-        source: u32,
-        rec: &Recorder,
-        sabotage: Option<&Sabotage<'_>>,
-        deadline_ms: Option<f64>,
-    ) -> Result<(BfsRun, Certificate), XbfsError> {
-        let dev: &Device = self.device.borrow();
-        // Surface corruption the pool already quarantined (e.g. during
-        // engine construction) before investing in a run.
-        if let Some(f) = dev.take_pool_faults().into_iter().next() {
-            return Err(crate::integrity::IntegrityError::Pool(f).into());
-        }
-        dev.verify_pool()
-            .map_err(crate::integrity::IntegrityError::Pool)?;
-        let run = self.run_impl(source, rec, sabotage, deadline_ms)?;
-        self.graph.verify()?;
-        let cert = certify_run(
-            &self.graph.offsets.to_host(),
-            &self.graph.adjacency.to_host(),
-            &run,
-        )
-        .map_err(crate::integrity::IntegrityError::Certificate)?;
-        // Catch corruption of buffers that sat parked during the run, and
-        // any quarantine the run's own acquires performed.
-        dev.verify_pool()
-            .map_err(crate::integrity::IntegrityError::Pool)?;
-        if let Some(f) = dev.take_pool_faults().into_iter().next() {
-            return Err(crate::integrity::IntegrityError::Pool(f).into());
-        }
-        Ok((run, cert))
+        verified_run(self.device.borrow(), &self.graph, run, certify_run)
+            .map(|(run, cert)| (run, Some(cert)))
     }
 
     fn run_impl(
@@ -564,6 +481,34 @@ impl<D: Borrow<Device>> Drop for Xbfs<D> {
     }
 }
 
+impl<D: Borrow<Device>> Engine for Xbfs<D> {
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
+        let source = req.slots(1)?[0];
+        let sabotage = match req.inject {
+            Inject::None => None,
+            Inject::Bitflips(sab) => Some(sab),
+            Inject::RankCrash { .. } => {
+                return Err(EngineError::unsupported(
+                    "crash chaos requires a --cluster server",
+                ))
+            }
+        };
+        let (run, cert) =
+            self.run_with(source, req.trace, sabotage, req.deadline_ms, req.verify)?;
+        Ok(RunOutcome {
+            slots: vec![run.answer()],
+            total_ms: run.total_ms,
+            levels: vec![run.levels],
+            certified: cert.is_some(),
+            recoveries: None,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -728,6 +673,12 @@ mod tests {
         );
     }
 
+    /// `run_with` under a deadline only (no trace, sabotage or verify).
+    fn run_until(xbfs: &Xbfs<&Device>, source: u32, ms: f64) -> Result<BfsRun, XbfsError> {
+        xbfs.run_with(source, &Recorder::disabled(), None, Some(ms), false)
+            .map(|(run, _)| run)
+    }
+
     #[test]
     fn tight_deadline_aborts_with_typed_error() {
         let g = rmat_graph(RmatParams::graph500(10), 3);
@@ -736,9 +687,7 @@ mod tests {
         let full = xbfs.run(0).unwrap();
         assert!(full.depth() > 2, "need a multi-level run to abort");
         // A budget below the full runtime must fire between levels.
-        let err = xbfs
-            .run_with_deadline(0, full.total_ms / 100.0)
-            .unwrap_err();
+        let err = run_until(&xbfs, 0, full.total_ms / 100.0).unwrap_err();
         match err {
             XbfsError::DeadlineExceeded {
                 level,
@@ -761,32 +710,28 @@ mod tests {
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
         let reference = xbfs.run(5).unwrap();
-        assert!(xbfs.run_with_deadline(5, 1e-6).is_err());
+        assert!(run_until(&xbfs, 5, 1e-6).is_err());
         let after_abort = xbfs.run(5).unwrap();
         assert_eq!(after_abort.levels, reference.levels);
         assert_eq!(after_abort.digest(), reference.digest());
         // And a generous budget behaves exactly like no budget at all.
-        let roomy = xbfs
-            .run_with_deadline(5, reference.total_ms * 100.0)
-            .unwrap();
+        let roomy = run_until(&xbfs, 5, reference.total_ms * 100.0).unwrap();
         assert_eq!(roomy.digest(), reference.digest());
     }
 
     #[test]
-    fn run_governed_composes_deadline_and_verification() {
+    fn run_with_composes_deadline_and_verification() {
         let g = erdos_renyi(2000, 8000, 5);
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
         let rec = Recorder::disabled();
-        let (run, cert) = xbfs.run_governed(0, &rec, None, Some(1e9), true).unwrap();
+        let (run, cert) = xbfs.run_with(0, &rec, None, Some(1e9), true).unwrap();
         assert!(cert.is_some(), "verify=true must yield a certificate");
         assert_eq!(run.levels, bfs_levels_serial(&g, 0));
-        let (fast, no_cert) = xbfs.run_governed(0, &rec, None, None, false).unwrap();
+        let (fast, no_cert) = xbfs.run_with(0, &rec, None, None, false).unwrap();
         assert!(no_cert.is_none());
         assert_eq!(fast.digest(), run.digest());
-        let err = xbfs
-            .run_governed(0, &rec, None, Some(1e-6), true)
-            .unwrap_err();
+        let err = xbfs.run_with(0, &rec, None, Some(1e-6), true).unwrap_err();
         assert!(matches!(err, XbfsError::DeadlineExceeded { .. }));
     }
 }

@@ -1,6 +1,7 @@
 //! Per-run and per-level statistics — the raw material for every table and
 //! figure in the paper's evaluation.
 
+use crate::engine::{reached, SlotAnswer};
 use crate::strategy::Strategy;
 use gcd_sim::KernelReport;
 use serde::{Deserialize, Serialize};
@@ -115,6 +116,18 @@ impl BfsRun {
     /// bit-for-bit against a single-device run of the same traversal.
     pub fn result_digest(&self) -> u64 {
         levels_digest(self.source, &self.levels)
+    }
+
+    /// What the solo engine answers with: depth is the level count and
+    /// the digest is [`BfsRun::digest`], which folds in the modeled time.
+    pub fn answer(&self) -> SlotAnswer {
+        SlotAnswer {
+            source: self.source,
+            depth: self.depth() as u32,
+            reached: reached(&self.levels),
+            gteps: self.gteps,
+            digest: self.digest(),
+        }
     }
 }
 

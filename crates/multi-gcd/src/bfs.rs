@@ -20,7 +20,7 @@
 //!
 //! # Fault tolerance
 //!
-//! [`GcdCluster::run_with_faults`] executes under a [`FaultConfig`]: the
+//! [`GcdCluster::run_with`] executes under a [`FaultConfig`]: the
 //! collectives retry dropped messages with exponential backoff (charging
 //! retransmitted bytes and backoff waits to the cost model), bandwidth-
 //! degradation windows slow every link, and GCD crashes are recovered by
@@ -33,13 +33,15 @@
 
 use crate::error::ClusterError;
 use crate::faults::{
-    faulty_allgather, faulty_allreduce, faulty_alltoall, FaultConfig, FaultPlan, RecoveryPolicy,
+    faulty_allgather, faulty_allreduce, faulty_alltoall, FaultConfig, FaultEvent, FaultPlan,
+    RecoveryPolicy,
 };
 use crate::interconnect::LinkModel;
 use crate::partition::Partition;
 use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{names, AttrValue, Recorder, SpanId};
 
@@ -186,6 +188,18 @@ impl ClusterRun {
             .filter(|&&l| l != UNVISITED)
             .max()
             .map_or(0, |&l| l + 1)
+    }
+
+    /// What cluster serving answers with: depth is the level count and
+    /// the digest is the levels-only [`ClusterRun::result_digest`].
+    pub fn answer(&self) -> SlotAnswer {
+        SlotAnswer {
+            source: self.source,
+            depth: self.depth(),
+            reached: xbfs_core::engine::reached(&self.levels),
+            gteps: self.gteps,
+            digest: self.result_digest(),
+        }
     }
 
     /// Serialize the run (config, seed, fault plan, recoveries, per-level
@@ -399,6 +413,10 @@ pub struct GcdCluster<'g> {
     ranks: Vec<RankState>,
     scratch: LevelScratch,
     health: Vec<RankHealth>,
+    /// See [`GcdCluster::set_checkpoint_every`].
+    checkpoint_every: u32,
+    /// See [`GcdCluster::take_phase_us`].
+    phase_us: (f64, f64),
 }
 
 impl<'g> GcdCluster<'g> {
@@ -423,6 +441,8 @@ impl<'g> GcdCluster<'g> {
             ranks,
             scratch: LevelScratch::default(),
             health: vec![RankHealth::default(); cfg.num_gcds],
+            checkpoint_every: 0,
+            phase_us: (0.0, 0.0),
         })
     }
 
@@ -504,51 +524,47 @@ impl<'g> GcdCluster<'g> {
         }
     }
 
+    /// Set the checkpoint cadence (every N levels, 0 = off) for runs made
+    /// through the [`Engine`] contract, which carries no [`FaultConfig`].
+    pub fn set_checkpoint_every(&mut self, levels: u32) {
+        self.checkpoint_every = levels;
+    }
+
+    /// Drain the modeled `(expand, exchange)` µs summed over the runs the
+    /// [`Engine`] impl completed since the last call — how much of the
+    /// served time went to expanding frontiers vs exchanging them.
+    pub fn take_phase_us(&mut self) -> (f64, f64) {
+        std::mem::take(&mut self.phase_us)
+    }
+
     /// Run one fault-free distributed BFS from `source`.
     pub fn run(&mut self, source: VertexId) -> Result<ClusterRun, ClusterError> {
-        self.run_with_faults(source, &FaultConfig::none())
+        self.run_with(source, &FaultConfig::none(), &Recorder::disabled(), None)
     }
 
-    /// Run one distributed BFS from `source` under a fault schedule.
+    /// The full form of [`GcdCluster::run`]: one distributed BFS from
+    /// `source` under a fault schedule, a recorder and an optional budget.
     ///
-    /// Collectives retry dropped messages per `faults.retry`; GCD crashes
-    /// are recovered per `faults.recovery` from the last checkpoint (the
-    /// initial state always counts as one). After a
-    /// [`RecoveryPolicy::Degrade`] recovery, the cluster permanently runs
-    /// with one GCD fewer.
-    pub fn run_with_faults(
-        &mut self,
-        source: VertexId,
-        faults: &FaultConfig,
-    ) -> Result<ClusterRun, ClusterError> {
-        self.run_with_faults_traced(source, faults, &Recorder::disabled())
-    }
-
-    /// Like [`GcdCluster::run_with_faults`], but records structured
-    /// telemetry into `rec`: a `run > level > collective` span tree on the
-    /// modeled cluster timeline (max over GCD clocks), plus checkpoint and
-    /// recovery spans, fault events, and byte/retry counter series. With a
-    /// disabled recorder every telemetry call is one relaxed atomic load.
-    pub fn run_with_faults_traced(
-        &mut self,
-        source: VertexId,
-        faults: &FaultConfig,
-        rec: &Recorder,
-    ) -> Result<ClusterRun, ClusterError> {
-        self.run_governed(source, faults, rec, None)
-    }
-
-    /// Like [`GcdCluster::run_with_faults_traced`], but under an
-    /// optional modeled-time budget (`deadline_ms`): the fleet clock is
-    /// checked between levels — and immediately after a crash recovery
-    /// is charged — and a run that crosses the budget aborts with
-    /// [`ClusterError::DeadlineExceeded`] instead of finishing. A run
-    /// that completes on its last level is never a timeout. Recovery
-    /// overhead counts against the budget, which is what lets a serving
-    /// layer promise "recovered within the request's remaining
-    /// deadline". The cluster state stays reusable after an abort: the
-    /// next run's init re-uploads status arrays and resets timelines.
-    pub fn run_governed(
+    /// * `faults`: collectives retry dropped messages per `faults.retry`;
+    ///   GCD crashes are recovered per `faults.recovery` from the last
+    ///   checkpoint (the initial state always counts as one). After a
+    ///   [`RecoveryPolicy::Degrade`] recovery, the cluster permanently
+    ///   runs with one GCD fewer.
+    /// * `rec` records a `run > level > collective` span tree on the
+    ///   modeled cluster timeline (max over GCD clocks), plus checkpoint
+    ///   and recovery spans, fault events, and byte/retry counter series.
+    ///   With a disabled recorder every telemetry call is one relaxed
+    ///   atomic load.
+    /// * `deadline_ms` is a modeled-time budget: the fleet clock is
+    ///   checked between levels — and immediately after a crash recovery
+    ///   is charged — and a run that crosses it aborts with
+    ///   [`ClusterError::DeadlineExceeded`] instead of finishing. A run
+    ///   that completes on its last level is never a timeout. Recovery
+    ///   overhead counts against the budget, which is what lets a serving
+    ///   layer promise "recovered within the request's remaining
+    ///   deadline". The cluster state stays reusable after an abort: the
+    ///   next run's init re-uploads status arrays and resets timelines.
+    pub fn run_with(
         &mut self,
         source: VertexId,
         faults: &FaultConfig,
@@ -1271,6 +1287,7 @@ impl<'g> GcdCluster<'g> {
             ranks,
             scratch,
             health,
+            ..
         } = self;
         let p = cfg.num_gcds;
         scratch.ensure(p, ranks[0].bitmap.len());
@@ -1590,6 +1607,80 @@ impl GcdCluster<'_> {
     }
 }
 
+impl From<ClusterError> for EngineError {
+    fn from(e: ClusterError) -> Self {
+        match e {
+            ClusterError::DeadlineExceeded {
+                elapsed_us,
+                deadline_us,
+                ..
+            } => Self::Deadline {
+                elapsed_us,
+                deadline_us,
+            },
+            // Checkpoint/restart could not save the run: the whole
+            // cluster is suspect.
+            ClusterError::Unrecoverable { .. } | ClusterError::LinkFailed { .. } => Self::Suspect {
+                kind: "unrecoverable",
+                msg: e.to_string(),
+            },
+            other => Self::Rejected {
+                kind: "invalid",
+                msg: other.to_string(),
+            },
+        }
+    }
+}
+
+impl Engine for GcdCluster<'_> {
+    fn width(&self) -> usize {
+        1
+    }
+
+    /// `Inject::RankCrash` becomes a one-event fault plan, recovered from
+    /// the latest checkpoint within the request's budget. The cluster has
+    /// no certificate machinery; `verify` is a host-side validation of
+    /// the level array against the graph.
+    fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
+        let source = req.slots(1)?[0];
+        let mut faults = FaultConfig {
+            checkpoint_every: self.checkpoint_every,
+            ..FaultConfig::default()
+        };
+        match req.inject {
+            Inject::None => {}
+            Inject::RankCrash { level, rank } => {
+                faults.plan.events = vec![FaultEvent::GcdCrash { rank, level }];
+            }
+            Inject::Bitflips(_) => {
+                return Err(EngineError::unsupported(
+                    "bitflip chaos requires a single-device server",
+                ))
+            }
+        }
+        let run = self.run_with(source, &faults, req.trace, req.deadline_ms)?;
+        if req.verify {
+            xbfs_graph::validate_bfs_levels(self.graph, source, &run.levels).map_err(|e| {
+                EngineError::Suspect {
+                    kind: "integrity",
+                    msg: format!("cluster result failed validation: {e:?}"),
+                }
+            })?;
+        }
+        for ls in &run.level_stats {
+            self.phase_us.0 += ls.expand_ms * 1000.0;
+            self.phase_us.1 += ls.exchange_ms * 1000.0;
+        }
+        Ok(RunOutcome {
+            slots: vec![run.answer()],
+            total_ms: run.total_ms,
+            certified: req.verify,
+            recoveries: Some(run.recoveries.len() as u64),
+            levels: vec![run.levels],
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1611,6 +1702,15 @@ mod tests {
             recovery,
             checkpoint_every,
         }
+    }
+
+    /// An untraced, unbudgeted run under `faults`.
+    fn faulted(
+        cluster: &mut GcdCluster<'_>,
+        src: u32,
+        faults: &FaultConfig,
+    ) -> Result<ClusterRun, ClusterError> {
+        cluster.run_with(src, faults, &Recorder::disabled(), None)
     }
 
     #[test]
@@ -1749,7 +1849,7 @@ mod tests {
         let clean = check(&g, cfg, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
-        let run = cluster.run_with_faults(1, &faults).unwrap();
+        let run = faulted(&mut cluster, 1, &faults).unwrap();
         assert_eq!(run.levels, clean.levels, "recovered levels must match");
         validate_bfs_levels(&g, 1, &run.levels).expect("Graph500 level validation");
         assert_eq!(run.recoveries.len(), 1);
@@ -1775,7 +1875,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // Checkpoint every 3 levels: a crash at level 2 rewinds to level 0.
         let faults = fault_cfg("crash@2:rank0", RecoveryPolicy::Degrade, 3);
-        let run = cluster.run_with_faults(src, &faults).unwrap();
+        let run = faulted(&mut cluster, src, &faults).unwrap();
         assert_eq!(run.levels, clean.levels);
         validate_bfs_levels(&g, src, &run.levels).expect("Graph500 level validation");
         assert_eq!(run.recoveries[0].gcds_after, 3);
@@ -1804,7 +1904,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::Degrade, 1);
         assert!(matches!(
-            cluster.run_with_faults(0, &faults),
+            faulted(&mut cluster, 0, &faults),
             Err(ClusterError::Unrecoverable { rank: 0, .. })
         ));
     }
@@ -1823,7 +1923,7 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             0,
         );
-        let run = cluster.run_with_faults(0, &faults).unwrap();
+        let run = faulted(&mut cluster, 0, &faults).unwrap();
         assert_eq!(run.levels, clean.levels);
         let l0 = &run.level_stats[0];
         assert!(l0.retransmitted_bytes > 0, "drops must retransmit");
@@ -1841,7 +1941,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("drop@0:0-1x9", RecoveryPolicy::PromoteSpare, 0);
         assert!(matches!(
-            cluster.run_with_faults(5, &faults),
+            faulted(&mut cluster, 5, &faults),
             Err(ClusterError::LinkFailed { src: 0, dst: 1, .. })
         ));
     }
@@ -1858,7 +1958,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // A plan with a (never-firing) late crash keeps fault mode on.
         let faults = fault_cfg("crash@99:rank0", RecoveryPolicy::PromoteSpare, 2);
-        let run = cluster.run_with_faults(src, &faults).unwrap();
+        let run = faulted(&mut cluster, src, &faults).unwrap();
         assert_eq!(run.levels, clean.levels);
         assert!(run.recoveries.is_empty());
         let flagged: Vec<u32> = run
@@ -1887,7 +1987,7 @@ mod tests {
         assert!(clean.level_stats.len() > 2, "need a multi-level run");
         let rec = Recorder::disabled();
         let err = cluster
-            .run_governed(1, &FaultConfig::none(), &rec, Some(clean.total_ms / 100.0))
+            .run_with(1, &FaultConfig::none(), &rec, Some(clean.total_ms / 100.0))
             .unwrap_err();
         match err {
             ClusterError::DeadlineExceeded {
@@ -1905,7 +2005,7 @@ mod tests {
         assert_eq!(again.levels, clean.levels);
         // A generous budget behaves exactly like no budget at all.
         let roomy = cluster
-            .run_governed(1, &FaultConfig::none(), &rec, Some(clean.total_ms * 100.0))
+            .run_with(1, &FaultConfig::none(), &rec, Some(clean.total_ms * 100.0))
             .unwrap();
         assert_eq!(roomy.levels, clean.levels);
         assert_eq!(roomy.result_digest(), clean.result_digest());
@@ -1924,7 +2024,7 @@ mod tests {
         // Generous budget: the crash is recovered *within* it.
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let run = cluster
-            .run_governed(1, &faults, &rec, Some(clean.total_ms * 100.0))
+            .run_with(1, &faults, &rec, Some(clean.total_ms * 100.0))
             .unwrap();
         assert_eq!(run.recoveries.len(), 1);
         assert_eq!(run.levels, clean.levels, "recovered within the budget");
@@ -1932,7 +2032,7 @@ mod tests {
         // recovery: the run aborts typed instead of overrunning.
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let err = cluster
-            .run_governed(1, &faults, &rec, Some(clean.total_ms * 0.2))
+            .run_with(1, &faults, &rec, Some(clean.total_ms * 0.2))
             .unwrap_err();
         assert!(
             matches!(err, ClusterError::DeadlineExceeded { .. }),
@@ -1957,7 +2057,7 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             1,
         );
-        cluster.run_with_faults(1, &faults).unwrap();
+        faulted(&mut cluster, 1, &faults).unwrap();
         let health = cluster.take_health();
         assert_eq!(health.len(), 4);
         assert_eq!(health[1].crashes, 1, "crash lands on the victim rank");
@@ -2004,7 +2104,7 @@ mod tests {
         // not the (recovery-inflated) timeline.
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::PromoteSpare, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-        let healed = cluster.run_with_faults(1, &faults).unwrap();
+        let healed = faulted(&mut cluster, 1, &faults).unwrap();
         assert!(healed.total_ms > clean.total_ms);
         assert_eq!(healed.result_digest(), single.result_digest());
     }
@@ -2021,7 +2121,7 @@ mod tests {
             plan: FaultPlan::parse("seed=9,drop@0:0-1x1").unwrap(),
             ..FaultConfig::default()
         };
-        let run = cluster.run_with_faults(3, &faults).unwrap();
+        let run = faulted(&mut cluster, 3, &faults).unwrap();
         assert_eq!(run.seed, 9);
         assert_eq!(run.fault_plan, faults.plan);
         let json = run.to_json();
@@ -2033,15 +2133,11 @@ mod tests {
         assert!(csv.starts_with("level,attempt,"));
         // The recorded plan reproduces the run exactly.
         let mut again = GcdCluster::new(&g, run.config, LinkModel::frontier()).unwrap();
-        let rerun = again
-            .run_with_faults(
-                run.source,
-                &FaultConfig {
-                    plan: FaultPlan::parse(&run.fault_plan.to_spec()).unwrap(),
-                    ..FaultConfig::default()
-                },
-            )
-            .unwrap();
+        let replayed = FaultConfig {
+            plan: FaultPlan::parse(&run.fault_plan.to_spec()).unwrap(),
+            ..FaultConfig::default()
+        };
+        let rerun = faulted(&mut again, run.source, &replayed).unwrap();
         assert_eq!(rerun.levels, run.levels);
         assert_eq!(rerun.total_ms, run.total_ms);
     }

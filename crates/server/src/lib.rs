@@ -10,7 +10,7 @@
 //!   latency collapse under backlog.
 //! - **Deadlines** — per-request wall budgets: queue wait is charged
 //!   against the budget, the remainder rides into the run loop as a
-//!   modeled-time deadline ([`xbfs_core::Xbfs::run_governed`]), and
+//!   modeled-time deadline ([`xbfs_core::RunRequest::deadline_ms`]), and
 //!   exceedances surface as typed `timeout` responses.
 //! - **Panic isolation** — worker threads wrap execution in
 //!   `catch_unwind`; a panicking engine is quarantined (engine *and*

@@ -5,8 +5,8 @@
 //! pipeline and match out-of-order completions (a FIFO queue consumed by
 //! several workers completes out of order across connections).
 //!
-//! Ops: `ping`, `info`, `stats`, `shutdown`, and `bfs`. A `bfs` response
-//! has one of four statuses:
+//! Ops: `ping`, `info`, `stats`, `metrics`, `shutdown`, and `bfs`. A
+//! `bfs` response has one of four statuses:
 //!
 //! - `ok` — levels computed; carries depth/total_ms/gteps, the FNV-1a
 //!   result digest ([`xbfs_core::BfsRun::digest`], hex), queue wait,
@@ -21,8 +21,7 @@
 //! plain string assembly with [`xbfs_telemetry::json::escape`] on every
 //! interpolated string.
 
-use xbfs_core::{BfsRun, MsBfsRun};
-use xbfs_multi_gcd::ClusterRun;
+use xbfs_core::{BfsRun, SlotAnswer};
 use xbfs_telemetry::json::{escape, JsonValue};
 
 /// Protocol identifier, echoed in every request and response.
@@ -78,24 +77,55 @@ pub enum Request {
     Bfs(BfsRequest),
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    v.get(key)?.as_f64().map(|f| f as u64)
+/// Largest `id` the protocol carries: ids travel as JSON numbers, which
+/// the reader holds as `f64`, and 2^53 is where distinct integers start
+/// to share one `f64` (2^53 + 1 reads back as 2^53). Every integer below
+/// it is exact, so an accepted id is always echoed as sent.
+pub const MAX_ID: u64 = (1 << 53) - 1;
+
+/// Field `key` as the exact unsigned integer the sender wrote. `Ok(None)`
+/// when it is absent or not a number; an error when it is a number that
+/// is negative, fractional, non-finite or above `max` — never a silently
+/// clamped or truncated stand-in.
+fn uint_field(v: &JsonValue, key: &str, max: u64) -> Result<Option<u64>, String> {
+    match v.get(key).and_then(|n| n.as_f64()) {
+        None => Ok(None),
+        Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= max as f64 => Ok(Some(f as u64)),
+        Some(_) => Err(format!("`{key}` must be an integer in 0..={max}")),
+    }
 }
 
-/// Parse one request line. Errors are human-readable and become an
-/// `error` response carrying id 0 when no id could be recovered.
-pub fn parse_request(line: &str) -> Result<Request, String> {
-    let v = JsonValue::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
+fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
+    uint_field(v, key, MAX_ID).ok().flatten()
+}
+
+/// Why a request line was refused: answered as a typed `usage` error.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BadRequest {
+    /// The request's own id when one parsed (so the error can be matched
+    /// to it), else 0.
+    pub id: u64,
+    /// Human-readable reason.
+    pub message: String,
+}
+
+/// Parse one request line. A refusal echoes the request's id whenever
+/// one could be recovered.
+pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
+    let bad = |id: u64, message: String| BadRequest { id, message };
+    let v = JsonValue::parse(line).map_err(|e| bad(0, format!("bad JSON: {e}")))?;
+    let id = uint_field(&v, "id", MAX_ID)
+        .map_err(|why| bad(0, why))?
+        .ok_or_else(|| bad(0, "missing numeric `id`".into()))?;
     if let Some(proto) = v.get("v").and_then(|p| p.as_str()) {
         if proto != PROTOCOL {
-            return Err(format!("unsupported protocol `{proto}`"));
+            return Err(bad(id, format!("unsupported protocol `{proto}`")));
         }
     }
-    let id = get_u64(&v, "id").ok_or("missing numeric `id`")?;
     let op = v
         .get("op")
         .and_then(|o| o.as_str())
-        .ok_or("missing string `op`")?;
+        .ok_or_else(|| bad(id, "missing string `op`".into()))?;
     match op {
         "ping" => Ok(Request::Ping { id }),
         "info" => Ok(Request::Info { id }),
@@ -103,10 +133,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "shutdown" => Ok(Request::Shutdown { id }),
         "metrics" => Ok(Request::Metrics { id }),
         "bfs" => {
-            let source = v
-                .get("source")
-                .and_then(|s| s.as_f64())
-                .ok_or("bfs needs numeric `source`")? as u32;
+            let source = uint_field(&v, "source", u64::from(u32::MAX))
+                .map_err(|why| bad(id, why))?
+                .ok_or_else(|| bad(id, "bfs needs numeric `source`".into()))?
+                as u32;
             Ok(Request::Bfs(BfsRequest {
                 id,
                 source,
@@ -118,7 +148,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                     .map(|s| s.to_string()),
             }))
         }
-        other => Err(format!("unknown op `{other}`")),
+        other => Err(bad(id, format!("unknown op `{other}`"))),
     }
 }
 
@@ -126,98 +156,59 @@ fn head(id: u64, status: &str) -> String {
     format!("{{\"v\":\"{PROTOCOL}\",\"id\":{id},\"status\":\"{status}\"")
 }
 
-/// `ok` response for a completed run.
-pub fn ok_line(id: u64, run: &BfsRun, certified: bool, wait_ms: f64, attempts: u32) -> String {
-    let reached = run
-        .levels
-        .iter()
-        .filter(|&&l| l != xbfs_core::UNVISITED)
-        .count();
-    format!(
+/// The `ok` response for one slot of an engine run — the one place the
+/// payload is formatted. What `depth` counts and what `digest` covers is
+/// the answering engine's choice ([`SlotAnswer`]). `batch` is set by
+/// batch-width servers to how many members shared the traversal (1 for a
+/// lone request that outwaited its linger window); `recoveries` by
+/// cluster servers to the mid-request checkpoint restores.
+#[allow(clippy::too_many_arguments)]
+pub fn slot_ok_line(
+    id: u64,
+    slot: &SlotAnswer,
+    total_ms: f64,
+    certified: bool,
+    wait_ms: f64,
+    attempts: u32,
+    batch: Option<usize>,
+    recoveries: Option<u64>,
+) -> String {
+    let mut line = format!(
         "{},\"source\":{},\"depth\":{},\"reached\":{},\"total_ms\":{:.6},\"gteps\":{:.6},\
-         \"digest\":\"{:#018x}\",\"certified\":{},\"wait_ms\":{:.3},\"attempts\":{}}}",
+         \"digest\":\"{:#018x}\",\"certified\":{},\"wait_ms\":{:.3},\"attempts\":{}",
         head(id, "ok"),
-        run.source,
-        run.depth(),
-        reached,
-        run.total_ms,
-        run.gteps,
-        run.digest(),
+        slot.source,
+        slot.depth,
+        slot.reached,
+        total_ms,
+        slot.gteps,
+        slot.digest,
         certified,
         wait_ms,
         attempts
-    )
+    );
+    if let Some(batch) = batch {
+        line.push_str(&format!(",\"batch\":{batch}"));
+    }
+    if let Some(recoveries) = recoveries {
+        line.push_str(&format!(",\"recoveries\":{recoveries}"));
+    }
+    line.push('}');
+    line
 }
 
-/// `ok` response for one member of a coalesced multi-source batch,
-/// demultiplexed from its slot of the shared traversal.
-///
-/// The digest is the slot's *levels-only* [`MsBfsRun::result_digest`] —
-/// bit-identical to the [`BfsRun::result_digest`] a solo run of the same
-/// source would produce, so batching is invisible in the response
-/// payload. `batch` carries how many members shared the traversal (1 for
-/// a lone request that outwaited its linger window).
-pub fn batched_ok_line(
-    id: u64,
-    run: &MsBfsRun,
-    slot: usize,
-    certified: bool,
-    wait_ms: f64,
-    attempts: u32,
-    batch: usize,
-) -> String {
-    format!(
-        "{},\"source\":{},\"depth\":{},\"reached\":{},\"total_ms\":{:.6},\"gteps\":{:.6},\
-         \"digest\":\"{:#018x}\",\"certified\":{},\"wait_ms\":{:.3},\"attempts\":{},\
-         \"batch\":{}}}",
-        head(id, "ok"),
-        run.sources[slot],
-        run.slot_depth(slot),
-        run.slot_reached(slot),
+/// `ok` response for a completed solo run: depth is the level count and
+/// the digest is [`BfsRun::digest`], which folds in the modeled time.
+pub fn ok_line(id: u64, run: &BfsRun, certified: bool, wait_ms: f64, attempts: u32) -> String {
+    slot_ok_line(
+        id,
+        &run.answer(),
         run.total_ms,
-        run.slot_gteps(slot),
-        run.result_digest(slot),
         certified,
         wait_ms,
         attempts,
-        batch
-    )
-}
-
-/// `ok` response for a run completed on the partitioned cluster engine.
-///
-/// The digest is the *levels-only* [`ClusterRun::result_digest`] — bit
-/// identical to a fault-free single-device run over the same graph and
-/// source — so chaos soaks can certify recovered results against a
-/// reference. `recoveries` counts mid-request checkpoint restores.
-pub fn cluster_ok_line(
-    id: u64,
-    run: &ClusterRun,
-    certified: bool,
-    wait_ms: f64,
-    attempts: u32,
-    recoveries: u64,
-) -> String {
-    let reached = run
-        .levels
-        .iter()
-        .filter(|&&l| l != xbfs_core::UNVISITED)
-        .count();
-    format!(
-        "{},\"source\":{},\"depth\":{},\"reached\":{},\"total_ms\":{:.6},\"gteps\":{:.6},\
-         \"digest\":\"{:#018x}\",\"certified\":{},\"wait_ms\":{:.3},\"attempts\":{},\
-         \"recoveries\":{}}}",
-        head(id, "ok"),
-        run.source,
-        run.depth(),
-        reached,
-        run.total_ms,
-        run.gteps,
-        run.result_digest(),
-        certified,
-        wait_ms,
-        attempts,
-        recoveries
+        None,
+        None,
     )
 }
 
@@ -357,6 +348,8 @@ pub fn mark_deduped(line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbfs_core::MsBfsRun;
+    use xbfs_multi_gcd::ClusterRun;
 
     #[test]
     fn bfs_request_round_trip() {
@@ -403,6 +396,32 @@ mod tests {
         );
     }
 
+    /// Numbers that are not exactly the integer the client meant must be
+    /// refused, not clamped or truncated into a different request — and
+    /// the refusal carries the request's id whenever that much parsed.
+    #[test]
+    fn hostile_ids_and_sources_are_refused_not_coerced() {
+        for (line, id) in [
+            ("{\"op\":\"bfs\",\"id\":1,\"source\":-1}", 1),
+            ("{\"op\":\"bfs\",\"id\":1,\"source\":3.9}", 1),
+            ("{\"op\":\"bfs\",\"id\":1,\"source\":4294967296}", 1),
+            ("{\"op\":\"bfs\",\"id\":1,\"source\":1e999}", 1),
+            ("{\"op\":\"bfs\",\"id\":-7,\"source\":0}", 0),
+            ("{\"op\":\"bfs\",\"id\":9007199254740993,\"source\":0}", 0),
+        ] {
+            match parse_request(line) {
+                Err(bad) => assert_eq!(bad.id, id, "{line}: {bad:?}"),
+                Ok(req) => panic!("{line} parsed to {req:?}"),
+            }
+        }
+        // The largest values that survive the trip exactly still parse.
+        let line = format!("{{\"op\":\"bfs\",\"id\":{MAX_ID},\"source\":{}}}", u32::MAX);
+        match parse_request(&line).unwrap() {
+            Request::Bfs(r) => assert_eq!((r.id, r.source), (MAX_ID, u32::MAX)),
+            other => panic!("{other:?}"),
+        }
+    }
+
     #[test]
     fn response_lines_parse_back() {
         let over = overloaded_line(3, "queue full", 40);
@@ -431,6 +450,16 @@ mod tests {
             gteps: 0.004,
         };
         let line = ok_line(9, &run, true, 3.25, 2);
+        // The wire format, byte for byte (captured before the three
+        // renderers were merged): field order, `{:.6}` / `{:.3}`
+        // formatting and the absence of a trailer are all part of it.
+        assert_eq!(
+            line,
+            "{\"v\":\"xbfs-serve-v1\",\"id\":9,\"status\":\"ok\",\"source\":2,\"depth\":0,\
+             \"reached\":3,\"total_ms\":1.500000,\"gteps\":0.004000,\
+             \"digest\":\"0x744045af50b1da06\",\"certified\":true,\"wait_ms\":3.250,\
+             \"attempts\":2}"
+        );
         let s = parse_response(&line).unwrap();
         assert_eq!(s.status, "ok");
         assert_eq!(s.source, Some(2));
@@ -455,7 +484,14 @@ mod tests {
             gteps: 0.003,
             gteps_per_gcd: 0.0004,
         };
-        let line = cluster_ok_line(11, &run, true, 1.5, 1, 3);
+        let line = slot_ok_line(11, &run.answer(), run.total_ms, true, 1.5, 1, None, Some(3));
+        assert_eq!(
+            line,
+            "{\"v\":\"xbfs-serve-v1\",\"id\":11,\"status\":\"ok\",\"source\":1,\"depth\":3,\
+             \"reached\":4,\"total_ms\":2.250000,\"gteps\":0.003000,\
+             \"digest\":\"0xe0a356454be7213f\",\"certified\":true,\"wait_ms\":1.500,\
+             \"attempts\":1,\"recoveries\":3}"
+        );
         let s = parse_response(&line).unwrap();
         assert_eq!(s.status, "ok");
         assert_eq!(s.source, Some(1));
@@ -466,7 +502,6 @@ mod tests {
             s.digest.unwrap(),
             format!("{:#018x}", xbfs_core::levels_digest(1, &run.levels))
         );
-        assert!(line.contains("\"depth\":3"));
     }
 
     #[test]
@@ -479,7 +514,23 @@ mod tests {
             traversed_edges: 10,
             gteps: 0.008,
         };
-        let line = batched_ok_line(21, &run, 1, true, 0.5, 1, 2);
+        let line = slot_ok_line(
+            21,
+            &run.answer(1),
+            run.total_ms,
+            true,
+            0.5,
+            1,
+            Some(2),
+            None,
+        );
+        assert_eq!(
+            line,
+            "{\"v\":\"xbfs-serve-v1\",\"id\":21,\"status\":\"ok\",\"source\":2,\"depth\":2,\
+             \"reached\":4,\"total_ms\":1.250000,\"gteps\":0.000005,\
+             \"digest\":\"0x66c8e725ce7d0395\",\"certified\":true,\"wait_ms\":0.500,\
+             \"attempts\":1,\"batch\":2}"
+        );
         let s = parse_response(&line).unwrap();
         assert_eq!((s.id, s.status.as_str()), (21, "ok"));
         assert_eq!(s.source, Some(2));
@@ -490,8 +541,6 @@ mod tests {
             s.digest.unwrap(),
             format!("{:#018x}", xbfs_core::levels_digest(2, &run.levels[1]))
         );
-        assert!(line.contains("\"depth\":2"));
-        assert!(line.contains("\"reached\":4"));
     }
 
     #[test]

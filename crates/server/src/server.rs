@@ -837,6 +837,12 @@ fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
     // woken for — the idle budget and the draining flag. No reply waits
     // on it: the writer blocks on the completion channel instead.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    // A client that neither reads nor closes would block a write forever,
+    // pinning both of this connection's threads and any drain. A write
+    // stuck for the whole idle budget fails instead: the socket is shut,
+    // the writer reports its completions lost, the reader sees EOF.
+    let idle_ms = shared.cfg.idle_timeout_ms;
+    let _ = stream.set_write_timeout((idle_ms > 0).then(|| Duration::from_millis(idle_ms)));
     let Ok(sock) = stream.try_clone() else {
         dropped();
         return;
@@ -980,10 +986,10 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
     }
     let req = match protocol::parse_request(raw) {
         Ok(r) => r,
-        Err(e) => {
+        Err(bad) => {
             shared.stats.bad_lines.fetch_add(1, Ordering::Relaxed);
             shared.metrics.bad_lines.add(1);
-            conn.reply(protocol::error_line(0, "usage", &e));
+            conn.reply(protocol::error_line(bad.id, "usage", &bad.message));
             return;
         }
     };

@@ -236,11 +236,18 @@ fn bad_source_is_a_typed_error_not_a_crash() {
     let r = c.bfs(1, 1_000_000, "");
     assert_eq!(r.status, "error");
     assert_eq!(r.kind.as_deref(), Some("invalid"));
+    // A source that is not an exact vertex id is refused at the parser
+    // (never coerced into a different vertex), with the request's id.
+    c.send("{\"op\":\"bfs\",\"id\":5,\"source\":-1}");
+    let r = c.recv();
+    assert_eq!((r.id, r.status.as_str()), (5, "error"), "{r:?}");
+    assert_eq!(r.kind.as_deref(), Some("usage"));
     let r = c.bfs(2, 1, "");
     assert_eq!(r.status, "ok", "server keeps serving after a bad request");
     handle.initiate_drain();
     let report = handle.join();
     assert!(report.drain_clean, "{report:?}");
+    assert_eq!(report.bad_lines, 1, "{report:?}");
 }
 
 #[test]
@@ -594,12 +601,14 @@ fn pipelined_replies_from_both_threads_never_interleave() {
 /// A client that pipelines requests and never reads wedges its own
 /// connection once the socket buffers fill — and nothing else: the
 /// worker keeps finishing that client's jobs (delivery never blocks), a
-/// second connection is served meanwhile, and when the wedged client
-/// goes away its undeliverable replies are counted, once.
+/// second connection is served meanwhile, and the wedged connection is
+/// given up on after the idle budget — the client never has to close —
+/// with its undeliverable replies counted, once.
 #[test]
 fn client_that_never_reads_stalls_only_its_own_connection() {
     let cfg = ServeConfig {
         workers: 1,
+        idle_timeout_ms: 1_000,
         ..ServeConfig::default()
     };
     let handle = start(cfg, tiny_graph());
@@ -645,12 +654,19 @@ fn client_that_never_reads_stalls_only_its_own_connection() {
         assert_eq!((r.id, r.status.as_str()), (id, "ok"));
     }
 
-    // Closing with unread replies resets the connection; what its writer
-    // still held can never be delivered.
-    drop(stuck);
+    // The wedged client neither reads nor closes. A write blocked for
+    // the whole idle budget fails, so its threads let go and the drain
+    // completes; what its writer still held can never be delivered.
     drop(c);
     handle.initiate_drain();
-    let report = handle.join();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(handle.join());
+    });
+    let report = rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("drain must not wait on a client that never reads and never closes");
+    drop(stuck);
     assert_eq!(report.dropped_connections, 1, "{report:?}");
     assert_eq!(report.connections, 2, "{report:?}");
     assert!(report.shed > 0, "the flood overran a 32-deep queue");

@@ -12,8 +12,9 @@
 //!   (`run > level > {expand, queue_gen, scan, collective, checkpoint,
 //!   recovery}`) with typed attributes, stamped on the *modeled* device
 //!   timeline (microseconds) so traces are bit-deterministic.
-//! * **Metrics** ([`metrics`]) — typed counters/gauges/histograms plus the
-//!   canonical metric- and span-name registry ([`names`]).
+//! * **Metrics** ([`registry`]) — the live plane's typed counters, gauges
+//!   and log-linear histograms, plus the canonical metric- and span-name
+//!   vocabulary ([`names`]).
 //! * **Exporters** ([`export`]) — one [`TraceSink`] trait with four
 //!   implementations: human-readable per-level table, machine-readable
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
@@ -48,16 +49,15 @@
 pub mod export;
 pub mod flight;
 pub mod json;
-pub mod metrics;
 pub mod registry;
 pub mod span;
 
 pub use export::{TraceFormat, TraceSink};
 pub use flight::{FlightEvent, FlightRecorder};
 pub use json::JsonValue;
-pub use metrics::{Counter, Gauge, Histogram, MetricUnit};
 pub use registry::{
-    HistogramSnapshot, LogHistogram, MetricsRegistry, MetricsSnapshot, SeriesSnapshot, SeriesValue,
+    Counter, Gauge, HistogramSnapshot, LogHistogram, MetricUnit, MetricsRegistry, MetricsSnapshot,
+    SeriesSnapshot, SeriesValue,
 };
 pub use span::{AttrValue, CounterRecord, EventRecord, Recorder, SpanId, SpanRecord, Trace};
 

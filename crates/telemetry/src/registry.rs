@@ -30,7 +30,100 @@ use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::json::escape;
-use crate::metrics::{Counter, Gauge, MetricUnit};
+
+/// The unit a metric is denominated in, carried alongside the value so
+/// exposition (Prometheus text, `xbfs-metrics-v1` JSON, dashboards) can
+/// label series honestly instead of guessing from the name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum MetricUnit {
+    /// A dimensionless count (requests, events, items).
+    #[default]
+    Count,
+    /// Bytes.
+    Bytes,
+    /// Milliseconds.
+    Millis,
+    /// Microseconds (the modeled device clock's native unit).
+    Micros,
+    /// An enumerated state code (e.g. worker 0=idle/1=running/2=quarantined).
+    State,
+}
+
+impl MetricUnit {
+    /// Stable lowercase token used in both exposition formats.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MetricUnit::Count => "count",
+            MetricUnit::Bytes => "bytes",
+            MetricUnit::Millis => "ms",
+            MetricUnit::Micros => "us",
+            MetricUnit::State => "state",
+        }
+    }
+}
+
+/// A monotonic counter (adds only).
+///
+/// The value is a single `AtomicU64`, so a scrape observes it with one
+/// 64-bit load — there is no paired cell (no separate count/sum, no unit
+/// stored behind a lock) that could tear against it mid-update. The unit
+/// is immutable metadata fixed at construction.
+#[derive(Debug, Default)]
+pub struct Counter {
+    value: AtomicU64,
+    unit: MetricUnit,
+}
+
+impl Counter {
+    /// A zeroed, dimensionless counter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// A zeroed counter denominated in `unit`.
+    pub fn with_unit(unit: MetricUnit) -> Self {
+        Self {
+            value: AtomicU64::new(0),
+            unit,
+        }
+    }
+
+    /// The unit this counter was created with.
+    pub fn unit(&self) -> MetricUnit {
+        self.unit
+    }
+
+    /// Add `delta` to the counter.
+    pub fn add(&self, delta: u64) {
+        self.value.fetch_add(delta, Ordering::Relaxed);
+    }
+
+    /// Current value: one atomic load, torn-read-free by construction.
+    pub fn get(&self) -> u64 {
+        self.value.load(Ordering::Relaxed)
+    }
+}
+
+/// A last-value gauge (stores an `f64` via its bit pattern).
+#[derive(Debug, Default)]
+pub struct Gauge(AtomicU64);
+
+impl Gauge {
+    /// A gauge initialized to 0.0.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Set the gauge.
+    pub fn set(&self, value: f64) {
+        self.0.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Current value.
+    pub fn get(&self) -> f64 {
+        f64::from_bits(self.0.load(Ordering::Relaxed))
+    }
+}
 
 /// Sub-bucket resolution: 2^3 = 8 log-linear sub-buckets per octave,
 /// bounding the relative bucket width (and hence any percentile error)
@@ -559,6 +652,70 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counter_and_gauge() {
+        let c = Counter::new();
+        c.add(3);
+        c.add(4);
+        assert_eq!(c.get(), 7);
+        assert_eq!(c.unit(), MetricUnit::Count);
+        let b = Counter::with_unit(MetricUnit::Bytes);
+        b.add(1024);
+        assert_eq!(b.get(), 1024);
+        assert_eq!(b.unit(), MetricUnit::Bytes);
+        let g = Gauge::new();
+        g.set(0.25);
+        assert_eq!(g.get(), 0.25);
+    }
+
+    /// Regression test for scrape consistency: concurrent scrapes of a
+    /// counter under heavy write load must only ever observe monotone,
+    /// exact intermediate values — a torn read (e.g. a 32-bit half
+    /// update, or a value/unit pair read across an update) would show
+    /// up as a regression or an impossible value.
+    #[test]
+    fn counter_scrapes_are_monotone_under_concurrent_writes() {
+        use std::sync::Arc;
+
+        const WRITERS: usize = 4;
+        const ADDS_PER_WRITER: u64 = 50_000;
+        const DELTA: u64 = 0x1_0000_0001; // straddles the 32-bit boundary
+
+        let c = Arc::new(Counter::with_unit(MetricUnit::Bytes));
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for _ in 0..ADDS_PER_WRITER {
+                        c.add(DELTA);
+                    }
+                })
+            })
+            .collect();
+
+        // Scrape continuously while the writers run.
+        let mut last = 0u64;
+        loop {
+            let v = c.get();
+            assert!(v >= last, "scrape went backwards: {last} -> {v}");
+            assert_eq!(
+                v % DELTA,
+                0,
+                "torn read: {v} is not a multiple of the delta"
+            );
+            assert_eq!(c.unit(), MetricUnit::Bytes);
+            last = v;
+            if v == WRITERS as u64 * ADDS_PER_WRITER * DELTA {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(c.get(), WRITERS as u64 * ADDS_PER_WRITER * DELTA);
+    }
 
     #[test]
     fn bucket_index_is_monotone_and_bounded() {

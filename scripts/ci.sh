@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Local CI gate — identical to .github/workflows/ci.yml.
-# Usage: scripts/ci.sh [lone-latency|sim-overhead]
+# Usage: scripts/ci.sh [lone-latency|sim-overhead|lines]
 #   no argument   the whole gate
-#   lone-latency, sim-overhead
+#   lone-latency, sim-overhead, lines
 #                 only that stage; the workflow's job of the same name
 #                 calls this, so the gate is written down once
 set -euo pipefail
@@ -34,9 +34,22 @@ sim_overhead() {
   overhead_gate direct-timing-s14 7
   overhead_gate direct-solo-s16 2.6
 }
+# Source lines under crates/*/src may not grow unnoticed: a change that
+# must grow the tree raises this number in its own diff, where review
+# sees it; a change that shrinks it lowers the number to the new count.
+LINES_CEILING=29768
+lines() {
+  echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
+  local N
+  N=$(find crates -path '*/src/*' -name '*.rs' | xargs cat | wc -l)
+  echo "    $N"
+  test "$N" -le "$LINES_CEILING" \
+    || { echo "crates/*/src has $N lines, ceiling is $LINES_CEILING" >&2; exit 1; }
+}
 case "${1:-}" in
   lone-latency) lone_latency; exit 0 ;;
   sim-overhead) sim_overhead; exit 0 ;;
+  lines) lines; exit 0 ;;
 esac
 
 echo "==> cargo build --release --workspace"
@@ -385,5 +398,6 @@ echo "    wrote results/BENCH_pr9.json (overhead=${JOVERHEAD}%, replayed=$REPLAY
 
 lone_latency
 sim_overhead
+lines
 
 echo "CI gate passed."

@@ -6,7 +6,7 @@
 # every digest stays consistent across the crash boundary.
 #
 # Usage: scripts/killer.sh [GRAPH.bin]
-#   REQUESTS=400 RPS=300 KILL_AFTER=0.6 KILLS=1 scripts/killer.sh
+#   REQUESTS=3600 RPS=4000 KILL_AFTER=0.6 KILLS=1 scripts/killer.sh
 #
 # Exits nonzero if any request is lost, any digest diverges, the restarted
 # server replays nothing, or the final drain is not clean.
@@ -16,8 +16,10 @@ cd "$(dirname "$0")/.."
 XBFS=${XBFS:-target/release/xbfs}
 # Offered load deliberately exceeds two workers' capacity so the queue is
 # backed up when the SIGKILL lands — that backlog is what replay recovers.
-REQUESTS=${REQUESTS:-600}
-RPS=${RPS:-2000}
+# The send alone outlasts KILL_AFTER (3600 / 4000 = 0.9 s), so however
+# fast the engine gets, the kill lands under live load.
+REQUESTS=${REQUESTS:-3600}
+RPS=${RPS:-4000}
 KILL_AFTER=${KILL_AFTER:-0.6}   # seconds of live load before each SIGKILL
 KILLS=${KILLS:-1}               # crash/restart cycles within one load run
 FSYNC=${FSYNC:-batch=8}

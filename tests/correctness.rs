@@ -1,15 +1,22 @@
 //! Cross-crate correctness: XBFS and every baseline engine produce exact
 //! BFS levels on every dataset analog, from many sources, on both
-//! architecture profiles.
+//! architecture profiles — and every engine behind the `Engine` contract
+//! answers every kind of request like the serial reference.
 
 use gcd_sim::{ArchProfile, Device, ExecMode};
 use xbfs_baselines::{
     BeamerLike, EnterpriseLike, GpuBfs, GunrockLike, HierarchicalQueue, SimpleTopDown, SsspAsync,
 };
-use xbfs_core::{Strategy, Xbfs, XbfsConfig};
-use xbfs_graph::reference::bfs_levels_parallel;
+use xbfs_core::{
+    levels_digest, Engine, EngineError, MsBfs, RunRequest, Strategy, Xbfs, XbfsConfig,
+};
+use xbfs_graph::builder::{BuildOptions, CsrBuilder};
+use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
+use xbfs_graph::reference::{bfs_levels_parallel, bfs_levels_serial};
 use xbfs_graph::stats::pick_sources;
-use xbfs_graph::{rearrange_by_degree, Dataset, RearrangeOrder};
+use xbfs_graph::{rearrange_by_degree, Csr, Dataset, RearrangeOrder};
+use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
+use xbfs_telemetry::Recorder;
 
 const SHIFT: u32 = 11; // tiny analogs: keep the full matrix fast
 
@@ -108,4 +115,125 @@ fn timing_and_functional_modes_agree() {
     // Timing mode filters fetches through the L2, so it can only observe
     // less HBM traffic than the coalescer-only functional estimate.
     assert!(run_t.total_fetch_kb() <= run_f.total_fetch_kb() + 1.0);
+}
+
+/// Every engine the contract covers, each on its own device(s): `Xbfs`
+/// adaptive and with each strategy forced, in both execution modes; the
+/// 64-wide `MsBfs`; the partitioned cluster on 1, 2 and 4 GCDs.
+fn every_engine(g: &Csr) -> Vec<(String, Box<dyn Engine + '_>)> {
+    let mut engines: Vec<(String, Box<dyn Engine + '_>)> = Vec::new();
+    for mode in [ExecMode::Functional, ExecMode::Timing] {
+        let forced =
+            [Strategy::ScanFree, Strategy::SingleScan, Strategy::BottomUp].map(XbfsConfig::forced);
+        for cfg in std::iter::once(XbfsConfig::default()).chain(forced) {
+            let dev = Device::new(ArchProfile::mi250x_gcd(), mode, cfg.required_streams());
+            let name = format!("xbfs {mode:?} forced={:?}", cfg.forced);
+            engines.push((name, Box::new(Xbfs::new(dev, g, cfg).unwrap())));
+        }
+    }
+    let msbfs = MsBfs::new(Device::mi250x(), g).unwrap();
+    engines.push(("msbfs".into(), Box::new(msbfs)));
+    for num_gcds in [1, 2, 4] {
+        let cfg = ClusterConfig {
+            num_gcds,
+            ..ClusterConfig::node_of_8()
+        };
+        let cluster = GcdCluster::new(g, cfg, LinkModel::frontier()).unwrap();
+        engines.push((format!("cluster x{num_gcds}"), Box::new(cluster)));
+    }
+    engines
+}
+
+fn undirected(n: usize, edges: impl IntoIterator<Item = (u32, u32)>) -> Csr {
+    let mut b = CsrBuilder::new(n);
+    b.extend_edges(edges);
+    b.build(BuildOptions::default())
+}
+
+/// The differential harness in its smallest form: one loop over
+/// `dyn Engine`. Every engine × input shape × request kind must answer
+/// each slot with the serial reference's levels, report `certified`
+/// exactly when asked to verify, abort a 1 µs budget with a typed
+/// `Deadline` — and still be reference-equal on its very next run.
+#[test]
+fn every_engine_answers_every_request_like_the_reference() {
+    let rmat = rmat_graph(RmatParams::graph500(10), 3);
+    let er = erdos_renyi(600, 2_400, 5);
+    let inputs: Vec<(&str, Vec<u32>, Csr)> = vec![
+        ("rmat-s10", pick_sources(&rmat, 3, 7), rmat),
+        ("erdos-renyi", pick_sources(&er, 3, 7), er),
+        (
+            "two triangles",
+            vec![0, 2, 4],
+            undirected(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),
+        ),
+        (
+            "path",
+            vec![0, 20, 39],
+            undirected(40, (0..39).map(|v| (v, v + 1))),
+        ),
+        (
+            "star",
+            vec![0, 1, 49],
+            undirected(50, (1..50).map(|v| (0, v))),
+        ),
+        // Vertices 0 and 7 touch no edge at all.
+        (
+            "isolated source",
+            vec![0, 7, 2],
+            undirected(8, [(1, 2), (2, 3), (3, 1)]),
+        ),
+    ];
+    let rec = Recorder::disabled();
+    for (input, sources, g) in &inputs {
+        let reference: Vec<Vec<u32>> = sources.iter().map(|&s| bfs_levels_serial(g, s)).collect();
+        for (name, mut engine) in every_engine(g) {
+            let width = engine.width();
+            for (chunk, expect) in sources.chunks(width).zip(reference.chunks(width)) {
+                let what = format!("{name} on {input}, sources {chunk:?}");
+                let check = |engine: &mut dyn Engine, req: RunRequest<'_>| {
+                    let out = engine.run(&req).unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(out.certified, req.verify, "{what}");
+                    assert_eq!(out.slots.len(), chunk.len(), "{what}");
+                    for (slot, &source) in chunk.iter().enumerate() {
+                        assert_eq!(out.slots[slot].source, source, "{what}");
+                        assert_eq!(
+                            levels_digest(source, &out.levels[slot]),
+                            levels_digest(source, &expect[slot]),
+                            "{what}: slot {slot} diverged from the serial reference"
+                        );
+                    }
+                };
+                let plain = RunRequest::plain(chunk, &rec);
+                check(&mut *engine, plain);
+                check(
+                    &mut *engine,
+                    RunRequest {
+                        verify: true,
+                        ..plain
+                    },
+                );
+                check(
+                    &mut *engine,
+                    RunRequest {
+                        deadline_ms: Some(1e9),
+                        ..plain
+                    },
+                );
+                // A budget is only checked between levels, so a run that
+                // finishes on its first level is never a timeout.
+                let tight = RunRequest {
+                    deadline_ms: Some(1e-3),
+                    ..plain
+                };
+                if expect.iter().flatten().any(|&l| l == 1) {
+                    let err = engine.run(&tight).expect_err(&what);
+                    assert!(matches!(err, EngineError::Deadline { .. }), "{what}: {err}");
+                } else {
+                    check(&mut *engine, tight);
+                }
+                check(&mut *engine, plain);
+            }
+        }
+    }
 }

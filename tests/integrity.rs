@@ -3,7 +3,7 @@
 //! fault-free runs are bit-identical to the unverified hot path.
 
 use gcd_sim::Device;
-use xbfs_core::{BfsRun, BitflipPlan, Sabotage, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{BfsRun, BitflipPlan, Certificate, Sabotage, Xbfs, XbfsConfig, XbfsError};
 use xbfs_graph::Dataset;
 
 const SHIFT: u32 = 10;
@@ -36,6 +36,17 @@ fn engine<'a>(dev: &'a Device, g: &xbfs_graph::Csr) -> Xbfs<&'a Device> {
     Xbfs::new(dev, g, cfg).unwrap()
 }
 
+/// One run through the verified pipeline, optionally sabotaged.
+fn certified(
+    xbfs: &Xbfs<&Device>,
+    source: u32,
+    sabotage: Option<&Sabotage<'_>>,
+) -> Result<(BfsRun, Certificate), XbfsError> {
+    let rec = xbfs_telemetry::Recorder::disabled();
+    let (run, cert) = xbfs.run_with(source, &rec, sabotage, None, true)?;
+    Ok((run, cert.expect("verify yields a certificate")))
+}
+
 /// The acceptance property: a single seeded bit flip into any target —
 /// status, parents, CSR, or a parked pool buffer — is detected by the
 /// verified path for every one of 64 seeds. The target kind rotates with
@@ -66,7 +77,7 @@ fn injected_bitflips_detected_for_64_seeds() {
             salt: 0,
         };
         let source = (seed % 16) as u32;
-        let got = xbfs.run_verified(source, &xbfs_telemetry::Recorder::disabled(), Some(&sab));
+        let got = certified(&xbfs, source, Some(&sab));
         match got {
             Err(XbfsError::Integrity(_)) => {}
             other => panic!(
@@ -90,7 +101,7 @@ fn certified_runs_bit_identical_to_unverified_runs() {
         // Fresh engine so the epoch/pool state matches run-for-run.
         let dev2 = Device::mi250x();
         let xbfs2 = engine(&dev2, &g);
-        let (certified, cert) = xbfs2.run_certified(source).unwrap();
+        let (certified, cert) = certified(&xbfs2, source, None).unwrap();
         assert_eq!(
             fingerprint(&plain),
             fingerprint(&certified),
@@ -117,7 +128,7 @@ fn pooled_reruns_stay_certified() {
     let dev = Device::mi250x();
     let xbfs = engine(&dev, &g);
     for source in 0..24u32 {
-        xbfs.run_certified(source)
+        certified(&xbfs, source, None)
             .unwrap_or_else(|e| panic!("source {source}: clean pooled run must certify: {e}"));
     }
 }
@@ -141,9 +152,7 @@ fn parked_buffer_corruption_is_caught_by_the_pool_sweep() {
         plan: &plan,
         salt: 1,
     };
-    let err = xbfs
-        .run_verified(2, &xbfs_telemetry::Recorder::disabled(), Some(&sab))
-        .unwrap_err();
+    let err = certified(&xbfs, 2, Some(&sab)).unwrap_err();
     assert!(
         matches!(
             &err,

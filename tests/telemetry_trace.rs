@@ -24,7 +24,7 @@ fn traced_single_gcd_run_covers_every_level_and_matches_untraced() {
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
     let rec = Recorder::new();
-    let traced = xbfs2.run_traced(0, &rec).unwrap();
+    let (traced, _) = xbfs2.run_with(0, &rec, None, None, false).unwrap();
 
     // Instrumentation must not perturb the modeled run.
     assert_eq!(plain.levels, traced.levels);
@@ -75,7 +75,7 @@ fn disabled_recorder_records_nothing_and_changes_nothing() {
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
     let off = Recorder::disabled();
-    let run = xbfs2.run_traced(3, &off).unwrap();
+    let (run, _) = xbfs2.run_with(3, &off, None, None, false).unwrap();
 
     assert_eq!(plain.levels, run.levels);
     assert!((plain.total_ms - run.total_ms).abs() < 1e-12);
@@ -100,11 +100,13 @@ fn traced_faulted_cluster_run_records_recovery_and_matches_untraced() {
     };
 
     let mut plain_cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-    let plain = plain_cluster.run_with_faults(0, &faults).unwrap();
+    let plain = plain_cluster
+        .run_with(0, &faults, &Recorder::disabled(), None)
+        .unwrap();
 
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
     let rec = Recorder::new();
-    let run = cluster.run_with_faults_traced(0, &faults, &rec).unwrap();
+    let run = cluster.run_with(0, &faults, &rec, None).unwrap();
 
     assert_eq!(plain.levels, run.levels);
     assert!((plain.total_ms - run.total_ms).abs() < 1e-12);
