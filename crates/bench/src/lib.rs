@@ -1,12 +1,10 @@
 //! Experiment harness regenerating every table and figure of the paper's
 //! evaluation (see DESIGN.md §5 for the experiment index).
 //!
-//! Two entry points:
-//!
-//! * the `repro` binary — `cargo run --release -p xbfs-bench --bin repro
-//!   [--smoke] [experiment…]` — prints paper-shaped tables;
-//! * the Criterion benches under `benches/` — wall-clock measurements of
-//!   the same code paths.
+//! One entry point: the `repro` binary — `cargo run --release -p
+//! xbfs-bench --bin repro [--smoke] [experiment…]` — prints paper-shaped
+//! tables. Host wall-clock cost of the same code paths is `xbfs-perf`'s
+//! job (`benchmark/`).
 
 pub mod common;
 pub mod extras;

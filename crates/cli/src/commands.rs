@@ -522,7 +522,11 @@ fn info(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn mk_device(args: &Args, streams: usize) -> Result<Device, CliError> {
+/// `--arch`, `--timing` and `--compiler`, parsed: the one place the
+/// profile and compiler names are written down.
+type DeviceSpec = (ArchProfile, ExecMode, Compiler);
+
+fn parse_device(args: &Args) -> Result<DeviceSpec, CliError> {
     let arch = match args.get::<String>("arch", "mi250x".into())?.as_str() {
         "mi250x" => ArchProfile::mi250x_gcd(),
         "mi100" => ArchProfile::mi100(),
@@ -534,16 +538,23 @@ fn mk_device(args: &Args, streams: usize) -> Result<Device, CliError> {
     } else {
         ExecMode::Functional
     };
+    let compiler = match args.get::<String>("compiler", "clang".into())?.as_str() {
+        "clang" => Compiler::ClangO3,
+        "hipcc" => Compiler::HipccO3,
+        "clang-O0" => Compiler::ClangO0,
+        other => return Err(CliError::usage(format!("unknown compiler {other:?}"))),
+    };
+    Ok((arch, mode, compiler))
+}
+
+fn build_device((arch, mode, compiler): DeviceSpec, streams: usize) -> Device {
     let mut dev = Device::new(arch, mode, streams);
-    dev.set_compiler(
-        match args.get::<String>("compiler", "clang".into())?.as_str() {
-            "clang" => Compiler::ClangO3,
-            "hipcc" => Compiler::HipccO3,
-            "clang-O0" => Compiler::ClangO0,
-            other => return Err(CliError::usage(format!("unknown compiler {other:?}"))),
-        },
-    );
-    Ok(dev)
+    dev.set_compiler(compiler);
+    dev
+}
+
+fn mk_device(args: &Args, streams: usize) -> Result<Device, CliError> {
+    Ok(build_device(parse_device(args)?, streams))
 }
 
 /// Parse `--trace` and build the recorder: enabled only when tracing was
@@ -1531,33 +1542,12 @@ fn serve(args: &Args) -> Result<String, CliError> {
     };
     let (workers, queue_cap) = (scfg.workers, scfg.queue_cap);
 
-    // Validate --arch/--compiler once up front; the factory re-parses the
-    // already-validated names so quarantine rebuilds can mint fresh
-    // devices long after `args` is gone.
+    // Parse --arch/--compiler once up front; the factory clones the parsed
+    // values so quarantine rebuilds can mint fresh devices long after
+    // `args` is gone.
     let streams = xcfg.required_streams();
-    mk_device(args, streams)?;
-    let arch = args.get::<String>("arch", "mi250x".into())?;
-    let compiler = args.get::<String>("compiler", "clang".into())?;
-    let timing = args.flag("timing");
-    let factory: DeviceFactory = std::sync::Arc::new(move || {
-        let profile = match arch.as_str() {
-            "mi100" => ArchProfile::mi100(),
-            "p6000" => ArchProfile::p6000(),
-            _ => ArchProfile::mi250x_gcd(),
-        };
-        let mode = if timing {
-            ExecMode::Timing
-        } else {
-            ExecMode::Functional
-        };
-        let mut dev = Device::new(profile, mode, streams);
-        dev.set_compiler(match compiler.as_str() {
-            "hipcc" => Compiler::HipccO3,
-            "clang-O0" => Compiler::ClangO0,
-            _ => Compiler::ClangO3,
-        });
-        dev
-    });
+    let spec = parse_device(args)?;
+    let factory: DeviceFactory = std::sync::Arc::new(move || build_device(spec.clone(), streams));
 
     let (trace_opt, recorder) = trace_setup(args)?;
     let rec = std::sync::Arc::new(recorder);

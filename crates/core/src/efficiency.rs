@@ -7,10 +7,9 @@
 
 use crate::stats::BfsRun;
 use gcd_sim::ArchProfile;
-use serde::{Deserialize, Serialize};
 
 /// Efficiency figures for one run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Efficiency {
     /// `16|V| + 4|M|` bytes.
     pub predicted_bytes: u64,

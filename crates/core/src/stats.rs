@@ -4,10 +4,9 @@
 use crate::engine::{reached, SlotAnswer};
 use crate::strategy::Strategy;
 use gcd_sim::KernelReport;
-use serde::{Deserialize, Serialize};
 
 /// What happened at one BFS level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelStats {
     /// BFS level this row describes.
     pub level: u32,
@@ -41,7 +40,7 @@ impl LevelStats {
 }
 
 /// Result of one BFS run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct BfsRun {
     /// Source vertex of the run.
     pub source: u32,

@@ -8,7 +8,6 @@ use crate::config::XbfsConfig;
 use crate::device_graph::DeviceGraph;
 use crate::state::{ctr, ectr, BfsState, BinThresholds, QueueState};
 use gcd_sim::{Device, GroupCfg, LaunchCfg};
-use serde::{Deserialize, Serialize};
 
 pub use bottom_up::BottomUpOpts;
 pub use topdown::{TopDownOpts, GROUP_WAVES};
@@ -25,7 +24,7 @@ mod regs {
 }
 
 /// One of XBFS's frontier-queue-generation strategies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// Atomic status claim + wave-aggregated atomic enqueue; no status
     /// scan. Best at very small edge ratios (§III-A).

@@ -6,10 +6,8 @@
 //! the cost model consumes live here, so the porting story is a matter of
 //! swapping profiles, not code.
 
-use serde::{Deserialize, Serialize};
-
 /// Static description of one GPU (one GCD for MI250X).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ArchProfile {
     /// Marketing name of the part.
     pub name: &'static str,
@@ -134,7 +132,7 @@ impl ArchProfile {
 /// Which compiler produced the "binary" (paper §IV-A: `clang` beats `hipcc`
 /// on the bottom-up kernel by using fewer registers; omitting `-O3` causes
 /// register spilling and a ~10× slowdown).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Compiler {
     /// `clang -O3`: baseline register budget.
     ClangO3,
@@ -145,7 +143,7 @@ pub enum Compiler {
 }
 
 /// Multipliers the compiler applies to a kernel's resource usage.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct CompilerModel {
     /// Multiplier on the kernel's declared registers-per-thread.
     pub register_factor: f64,

@@ -1,8 +1,6 @@
 //! Kernel launch descriptors, per-wave statistics and the rocprof-style
 //! per-kernel report.
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of one kernel launch.
 #[derive(Debug, Clone, Copy)]
 pub struct LaunchCfg {
@@ -35,7 +33,7 @@ impl LaunchCfg {
 
 /// Raw counters accumulated while executing wavefronts. Merged across waves
 /// with [`WaveStats::merge`].
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct WaveStats {
     /// Wave (lockstep) instructions issued.
     pub instructions: u64,
@@ -75,7 +73,7 @@ impl WaveStats {
 
 /// What rocprofiler would report for one kernel dispatch — the schema of
 /// the paper's Tables III–V.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct KernelReport {
     /// Kernel name as configured at launch.
     pub name: String,

@@ -6,11 +6,10 @@
 //! the raw [`KernelReport`] stream of a run into those aggregates.
 
 use crate::kernel::{KernelReport, WaveStats};
-use serde::{Deserialize, Serialize};
 use xbfs_telemetry::export::csv_field;
 
 /// All kernel rows recorded for one phase (one BFS level), in launch order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PhaseProfile {
     /// The phase label shared by these kernels.
     pub phase: String,

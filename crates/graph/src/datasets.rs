@@ -14,10 +14,9 @@ use crate::csr::Csr;
 use crate::generators::{
     barabasi_albert, community_graph, layered_citation_graph, rmat_graph, RmatParams,
 };
-use serde::{Deserialize, Serialize};
 
 /// One of the paper's Table II datasets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Dataset {
     /// LiveJournal (LJ): social network, |V| = 4,036,538, |E| = 69,362,378.
     LiveJournal,
@@ -34,7 +33,7 @@ pub enum Dataset {
 }
 
 /// Static description of a dataset: the paper's numbers plus our analog.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DatasetSpec {
     /// Full dataset name as in Table II.
     pub name: &'static str,

@@ -5,10 +5,9 @@
 use crate::csr::{Csr, VertexId};
 use crate::reference::bfs_levels_serial;
 use crate::UNVISITED;
-use serde::{Deserialize, Serialize};
 
 /// Summary statistics for one graph.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GraphSummary {
     /// Number of vertices.
     pub num_vertices: usize,
@@ -41,7 +40,7 @@ pub fn summarize(g: &Csr) -> GraphSummary {
 
 /// Log2-bucketed degree histogram: `hist[i]` counts vertices with degree in
 /// `[2^i, 2^(i+1))`; bucket 0 also counts degree-1; degree-0 tracked apart.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DegreeHistogram {
     /// Vertices with degree zero.
     pub zero: usize,
@@ -70,7 +69,7 @@ pub fn degree_histogram(g: &Csr) -> DegreeHistogram {
 
 /// Per-level frontier profile of a BFS from `source` — the quantity plotted
 /// in Fig. 6 is `log2(edge_ratio)` per level.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LevelProfile {
     /// BFS source this profile was computed from.
     pub source: VertexId,

@@ -39,7 +39,6 @@ use crate::faults::{
 use crate::interconnect::LinkModel;
 use crate::partition::Partition;
 use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
@@ -52,7 +51,7 @@ pub const UNVISITED: u32 = u32::MAX;
 const BUCKET_SLACK: usize = 4;
 
 /// Configuration of a distributed run.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct ClusterConfig {
     /// Number of GCDs.
     pub num_gcds: usize,
@@ -74,7 +73,7 @@ impl ClusterConfig {
 }
 
 /// What one level did.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ClusterLevelStats {
     /// Level this row describes.
     pub level: u32,
@@ -109,7 +108,7 @@ pub struct ClusterLevelStats {
 }
 
 /// One crash recovery performed during a run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RecoveryReport {
     /// Level at which the crash was detected.
     pub detected_level: u32,
@@ -130,7 +129,7 @@ pub struct RecoveryReport {
 /// rank; the vector keeps its initial length even after a graceful-
 /// degradation recovery shrinks the cluster, so rank rows stay stable
 /// across a serving session.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankHealth {
     /// Injected GCD crashes observed on this rank.
     pub crashes: u64,

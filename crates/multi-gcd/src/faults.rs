@@ -17,11 +17,10 @@
 
 use crate::error::ClusterError;
 use crate::interconnect::LinkModel;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One scheduled fault.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FaultEvent {
     /// Rank `rank` dies at the start of level `level`.
     GcdCrash {
@@ -55,7 +54,7 @@ pub enum FaultEvent {
 }
 
 /// A deterministic, seedable schedule of faults.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed recorded with the plan (drives [`FaultPlan::random`] and is
     /// exported with every run for reproducibility).
@@ -312,7 +311,7 @@ impl fmt::Display for FaultPlan {
 }
 
 /// Timeout-and-retry behavior of the simulated collectives.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Retransmissions attempted after the first failure.
     pub max_retries: u32,
@@ -351,7 +350,7 @@ impl RetryPolicy {
 }
 
 /// How the cluster recovers from a GCD crash.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryPolicy {
     /// Repartition the dead rank's block across the survivors and continue
     /// with one GCD fewer (graceful degradation).
@@ -370,7 +369,7 @@ impl fmt::Display for RecoveryPolicy {
 }
 
 /// Everything the engine needs to run under faults.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// The fault schedule.
     pub plan: FaultPlan,

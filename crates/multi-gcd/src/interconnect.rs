@@ -6,10 +6,8 @@
 //! distinguishes intra-node and inter-node transfers and charges per-message
 //! latency plus bandwidth-limited transfer time.
 
-use serde::{Deserialize, Serialize};
-
 /// Bandwidth/latency description of the cluster fabric.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkModel {
     /// GCDs per node (Frontier: 8).
     pub gcds_per_node: usize,
@@ -55,37 +53,6 @@ impl LinkModel {
         lat + bytes as f64 / (bw * 1e3)
     }
 
-    /// Time for rank `rank` to complete a personalized all-to-all where it
-    /// sends `send[d]` bytes to each destination and receives `recv[s]`
-    /// bytes from each source. Sends serialize on the rank's injection
-    /// port; receives overlap with sends (full duplex), so the cost is the
-    /// max of the two directions.
-    pub fn alltoall_us(&self, rank: usize, send: &[u64], recv: &[u64]) -> f64 {
-        let tx: f64 = send
-            .iter()
-            .enumerate()
-            .map(|(d, &b)| {
-                if b > 0 {
-                    self.transfer_us(rank, d, b)
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        let rx: f64 = recv
-            .iter()
-            .enumerate()
-            .map(|(s, &b)| {
-                if b > 0 {
-                    self.transfer_us(s, rank, b)
-                } else {
-                    0.0
-                }
-            })
-            .sum();
-        tx.max(rx)
-    }
-
     /// Time for a `bytes`-payload allreduce across `num_ranks` ranks
     /// (recursive doubling: log2(P) rounds over the worst link).
     pub fn allreduce_us(&self, num_ranks: usize, bytes: u64) -> f64 {
@@ -99,20 +66,6 @@ impl LinkModel {
             self.intra_latency_us + bytes as f64 / (self.intra_node_gbps * 1e3)
         };
         rounds * worst
-    }
-
-    /// Time for an allgather where every rank contributes `bytes` (ring:
-    /// P−1 steps of one block each over the worst link).
-    pub fn allgather_us(&self, num_ranks: usize, bytes: u64) -> f64 {
-        if num_ranks <= 1 {
-            return 0.0;
-        }
-        let worst = if num_ranks > self.gcds_per_node {
-            self.inter_latency_us + bytes as f64 / (self.inter_node_gbps * 1e3)
-        } else {
-            self.intra_latency_us + bytes as f64 / (self.intra_node_gbps * 1e3)
-        };
-        (num_ranks - 1) as f64 * worst
     }
 }
 
@@ -132,24 +85,11 @@ mod tests {
     }
 
     #[test]
-    fn alltoall_is_duplex_max() {
-        let l = LinkModel::frontier();
-        let tx_only = l.alltoall_us(0, &[0, 1 << 20, 0, 0], &[0, 0, 0, 0]);
-        let duplex = l.alltoall_us(0, &[0, 1 << 20, 0, 0], &[0, 1 << 20, 0, 0]);
-        assert!((tx_only - duplex).abs() < 1e-9, "receives overlap sends");
-        let both_tx = l.alltoall_us(0, &[0, 1 << 20, 1 << 20, 0], &[0; 4]);
-        assert!(both_tx > tx_only);
-    }
-
-    #[test]
-    fn collectives_scale_logarithmically_and_linearly() {
+    fn allreduce_scales_logarithmically() {
         let l = LinkModel::frontier();
         let r2 = l.allreduce_us(2, 64);
         let r8 = l.allreduce_us(8, 64);
         assert!((r8 / r2 - 3.0).abs() < 1e-9, "log2(8)/log2(2) = 3");
         assert_eq!(l.allreduce_us(1, 64), 0.0);
-        let g4 = l.allgather_us(4, 1024);
-        let g8 = l.allgather_us(8, 1024);
-        assert!((g8 / g4 - 7.0 / 3.0).abs() < 1e-9);
     }
 }

@@ -22,7 +22,6 @@ struct Inner {
     state: State,
     consecutive_failures: u32,
     trips: u64,
-    fast_rejects: u64,
     /// State-kind changes (closed/open/half-open), any direction.
     transitions: u64,
 }
@@ -61,7 +60,6 @@ impl CircuitBreaker {
                 state: State::Closed,
                 consecutive_failures: 0,
                 trips: 0,
-                fast_rejects: 0,
                 transitions: 0,
             }),
             threshold: threshold.max(1),
@@ -84,7 +82,6 @@ impl CircuitBreaker {
                     g.set_state(State::HalfOpen { probe_out: true });
                     Ok(()) // this caller is the probe
                 } else {
-                    g.fast_rejects += 1;
                     let left = self.cooldown - elapsed;
                     Err((left.as_millis() as u64).max(1))
                 }
@@ -93,10 +90,7 @@ impl CircuitBreaker {
                 g.set_state(State::HalfOpen { probe_out: true });
                 Ok(())
             }
-            State::HalfOpen { probe_out: true } => {
-                g.fast_rejects += 1;
-                Err((self.cooldown.as_millis() as u64).max(1))
-            }
+            State::HalfOpen { probe_out: true } => Err((self.cooldown.as_millis() as u64).max(1)),
         }
     }
 
@@ -132,17 +126,6 @@ impl CircuitBreaker {
         self.lock().trips
     }
 
-    /// Requests rejected fast while the breaker was open.
-    pub fn fast_rejects(&self) -> u64 {
-        self.lock().fast_rejects
-    }
-
-    /// Is the breaker currently rejecting (open and still cooling down)?
-    pub fn is_open(&self) -> bool {
-        let g = self.lock();
-        matches!(g.state, State::Open { since } if since.elapsed() < self.cooldown)
-    }
-
     /// Current state as a stable gauge code: 0 = closed, 1 = half-open,
     /// 2 = open.
     pub fn state_code(&self) -> u8 {
@@ -172,7 +155,6 @@ mod tests {
         assert!(b.record_failure());
         assert_eq!(b.trips(), 1);
         assert!(b.admit().is_err());
-        assert!(b.fast_rejects() >= 1);
     }
 
     #[test]
@@ -191,7 +173,7 @@ mod tests {
         assert!(b.admit().is_ok(), "post-cooldown admit is the probe");
         b.record_success();
         assert!(b.admit().is_ok());
-        assert!(!b.is_open());
+        assert_eq!(b.state_code(), 0);
     }
 
     #[test]

@@ -5,10 +5,16 @@
 //!
 //! All handles are pre-registered at server start, so the hot path
 //! never touches the registry lock — an update is the one relaxed
-//! atomic the telemetry crate promises. Metric increments sit at the
-//! exact same sites as the drain-time [`crate::server::Counters`], which
-//! is what makes a mid-load scrape reconcile with the final serve
-//! report.
+//! atomic the telemetry crate promises.
+//!
+//! The registry is the server's only ledger. Every event has one owner:
+//! either the handle here *is* the count (the site calls `add` and
+//! nothing else), or a component that needs its total for its own
+//! reasons keeps it — the journal on its append path, the breaker and
+//! the queue under their locks — and `Shared::metrics_snapshot` samples
+//! it into its series with `raise_to`. Never both. The serve report, the
+//! wire `stats` line and `xbfs top` are three views of one
+//! `MetricsSnapshot`, so they cannot disagree with a scrape.
 //!
 //! Per-rank cluster series and the flight-dump ledger are the two
 //! exceptions to "pre-registered": ranks appear when the first cluster
@@ -16,7 +22,6 @@
 //! request path), and dumps are rare by definition.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -24,7 +29,6 @@ use gcd_sim::PoolGauges;
 use xbfs_multi_gcd::RankHealth;
 use xbfs_telemetry::{
     names::live, Counter, FlightRecorder, Gauge, LogHistogram, MetricUnit, MetricsRegistry,
-    MetricsSnapshot,
 };
 
 use crate::worker::Completion;
@@ -37,8 +41,7 @@ pub(crate) const WORKER_RUNNING: f64 = 1.0;
 pub(crate) const WORKER_QUARANTINED: f64 = 2.0;
 
 /// Most flight dumps kept on disk per server life; beyond this, dump
-/// requests still count but stop writing files (a crash loop must not
-/// fill the disk).
+/// requests stop writing files (a crash loop must not fill the disk).
 const MAX_FLIGHT_DUMPS: usize = 32;
 
 /// Request statuses, in the order the per-status handle arrays use.
@@ -77,7 +80,6 @@ pub struct ServerMetrics {
     pub(crate) flight: FlightRecorder,
     flight_dir: PathBuf,
     dumps: Mutex<Vec<String>>,
-    dump_requests: AtomicU64,
 
     // Admission / connection stage.
     pub(crate) requests: [Arc<Counter>; 3],
@@ -94,40 +96,38 @@ pub struct ServerMetrics {
     pub(crate) long_lines: Arc<Counter>,
     pub(crate) idle_disconnects: Arc<Counter>,
     pub(crate) connections: Arc<Counter>,
+    pub(crate) dropped_connections: Arc<Counter>,
+    pub(crate) undelivered: Arc<Counter>,
+    pub(crate) chaos_ignored: Arc<Counter>,
+    pub(crate) retried_ok: Arc<Counter>,
     pub(crate) queue_depth: Arc<Gauge>,
+    pub(crate) max_queue_depth: Arc<Gauge>,
     pub(crate) retry_after_ms: Arc<Gauge>,
     pub(crate) queue_wait_ms: Arc<LogHistogram>,
     pub(crate) deadline_headroom_ms: Arc<LogHistogram>,
 
     // Batching stage (all zero / empty unless `--batch-width > 1`).
     pub(crate) batches_total: Arc<Counter>,
+    pub(crate) batched_requests: Arc<Counter>,
+    pub(crate) max_batch_size: Arc<Gauge>,
     pub(crate) batch_size: Arc<LogHistogram>,
     pub(crate) batch_occupancy_pct: Arc<Gauge>,
     pub(crate) linger_wait_ms: Arc<LogHistogram>,
 
-    // Breaker.
+    // Breaker: it owns its state and totals under its lock; sampled.
     pub(crate) breaker_state: Arc<Gauge>,
     pub(crate) breaker_transitions: Arc<Counter>,
     pub(crate) breaker_trips: Arc<Counter>,
-    /// High-water marks of the breaker's own totals already folded into
-    /// the counters above (scrape-time delta sync, `fetch_max`-guarded
-    /// so concurrent scrapes never double-add).
-    breaker_transitions_seen: AtomicU64,
-    breaker_trips_seen: AtomicU64,
     pub(crate) flight_dumps_total: Arc<Counter>,
 
     // Durability (all zero unless `--journal` is set). The journal owns
-    // the authoritative totals; scrapes fold them in as deltas (same
-    // `fetch_max` guard as the breaker) so the append hot path touches
-    // only the journal's own relaxed atomics.
+    // the first three totals, so its append hot path touches only its
+    // own relaxed atomics; sampled.
     pub(crate) journal_appends: Arc<Counter>,
     pub(crate) journal_fsyncs: Arc<Counter>,
     pub(crate) journal_bytes: Arc<Counter>,
     pub(crate) replayed_requests: Arc<Counter>,
     pub(crate) recovery_ms: Arc<Gauge>,
-    journal_appends_seen: AtomicU64,
-    journal_fsyncs_seen: AtomicU64,
-    journal_bytes_seen: AtomicU64,
 
     // Per-worker.
     pub(crate) workers: Vec<WorkerMetrics>,
@@ -174,7 +174,6 @@ impl ServerMetrics {
             flight: FlightRecorder::new(workers.max(1), flight_ring.max(8)),
             flight_dir,
             dumps: Mutex::new(Vec::new()),
-            dump_requests: AtomicU64::new(0),
             requests,
             latency_ms,
             write_ms: reg.histogram(live::WRITE_MS, MetricUnit::Millis, &[]),
@@ -191,7 +190,16 @@ impl ServerMetrics {
             long_lines: reg.counter(live::LONG_LINES_TOTAL, MetricUnit::Count, &[]),
             idle_disconnects: reg.counter(live::IDLE_DISCONNECTS_TOTAL, MetricUnit::Count, &[]),
             connections: reg.counter(live::CONNECTIONS_TOTAL, MetricUnit::Count, &[]),
+            dropped_connections: reg.counter(
+                live::DROPPED_CONNECTIONS_TOTAL,
+                MetricUnit::Count,
+                &[],
+            ),
+            undelivered: reg.counter(live::UNDELIVERED_TOTAL, MetricUnit::Count, &[]),
+            chaos_ignored: reg.counter(live::CHAOS_IGNORED_TOTAL, MetricUnit::Count, &[]),
+            retried_ok: reg.counter(live::RETRIED_OK_TOTAL, MetricUnit::Count, &[]),
             queue_depth: reg.gauge(live::QUEUE_DEPTH, MetricUnit::Count, &[]),
+            max_queue_depth: reg.gauge(live::MAX_QUEUE_DEPTH, MetricUnit::Count, &[]),
             retry_after_ms: reg.gauge(live::RETRY_AFTER_MS, MetricUnit::Millis, &[]),
             queue_wait_ms: reg.histogram(live::QUEUE_WAIT_MS, MetricUnit::Millis, &[]),
             deadline_headroom_ms: reg.histogram(
@@ -200,6 +208,8 @@ impl ServerMetrics {
                 &[],
             ),
             batches_total: reg.counter(live::BATCHES_TOTAL, MetricUnit::Count, &[]),
+            batched_requests: reg.counter(live::BATCHED_REQUESTS_TOTAL, MetricUnit::Count, &[]),
+            max_batch_size: reg.gauge(live::MAX_BATCH_SIZE, MetricUnit::Count, &[]),
             batch_size: reg.histogram(live::BATCH_SIZE, MetricUnit::Count, &[]),
             batch_occupancy_pct: reg.gauge(live::BATCH_OCCUPANCY_PCT, MetricUnit::Count, &[]),
             linger_wait_ms: reg.histogram(live::LINGER_WAIT_MS, MetricUnit::Millis, &[]),
@@ -210,17 +220,12 @@ impl ServerMetrics {
                 &[],
             ),
             breaker_trips: reg.counter(live::BREAKER_TRIPS_TOTAL, MetricUnit::Count, &[]),
-            breaker_transitions_seen: AtomicU64::new(0),
-            breaker_trips_seen: AtomicU64::new(0),
             flight_dumps_total: reg.counter(live::FLIGHT_DUMPS_TOTAL, MetricUnit::Count, &[]),
             journal_appends: reg.counter(live::JOURNAL_APPENDS_TOTAL, MetricUnit::Count, &[]),
             journal_fsyncs: reg.counter(live::JOURNAL_FSYNCS_TOTAL, MetricUnit::Count, &[]),
             journal_bytes: reg.counter(live::JOURNAL_BYTES_TOTAL, MetricUnit::Bytes, &[]),
             replayed_requests: reg.counter(live::REPLAYED_REQUESTS_TOTAL, MetricUnit::Count, &[]),
             recovery_ms: reg.gauge(live::RECOVERY_MS, MetricUnit::Millis, &[]),
-            journal_appends_seen: AtomicU64::new(0),
-            journal_fsyncs_seen: AtomicU64::new(0),
-            journal_bytes_seen: AtomicU64::new(0),
             workers: worker_handles,
             cluster_expand_us: reg.counter(live::CLUSTER_EXPAND_US_TOTAL, MetricUnit::Micros, &[]),
             cluster_exchange_us: reg.counter(
@@ -230,44 +235,6 @@ impl ServerMetrics {
             ),
             ranks: Mutex::new(Vec::new()),
             registry: reg,
-        }
-    }
-
-    /// Fold the breaker's current state + totals into the live series.
-    /// Deltas are guarded by `fetch_max`, so racing scrapes add each
-    /// transition exactly once.
-    pub(crate) fn sync_breaker(&self, state_code: u8, transitions: u64, trips: u64) {
-        self.breaker_state.set(f64::from(state_code));
-        let prev = self
-            .breaker_transitions_seen
-            .fetch_max(transitions, Ordering::Relaxed);
-        if transitions > prev {
-            self.breaker_transitions.add(transitions - prev);
-        }
-        let prev = self.breaker_trips_seen.fetch_max(trips, Ordering::Relaxed);
-        if trips > prev {
-            self.breaker_trips.add(trips - prev);
-        }
-    }
-
-    /// Fold the journal's current totals into the live series (same
-    /// scrape-time delta discipline as [`Self::sync_breaker`]).
-    pub(crate) fn sync_journal(&self, appends: u64, fsyncs: u64, bytes: u64) {
-        let prev = self
-            .journal_appends_seen
-            .fetch_max(appends, Ordering::Relaxed);
-        if appends > prev {
-            self.journal_appends.add(appends - prev);
-        }
-        let prev = self
-            .journal_fsyncs_seen
-            .fetch_max(fsyncs, Ordering::Relaxed);
-        if fsyncs > prev {
-            self.journal_fsyncs.add(fsyncs - prev);
-        }
-        let prev = self.journal_bytes_seen.fetch_max(bytes, Ordering::Relaxed);
-        if bytes > prev {
-            self.journal_bytes.add(bytes - prev);
         }
     }
 
@@ -343,7 +310,6 @@ impl ServerMetrics {
     /// (already pushed onto the ledger) unless the dump cap was hit or
     /// the write failed — dumps are forensics, never a failure source.
     pub(crate) fn dump_flight(&self, reason: &str) -> Option<String> {
-        self.dump_requests.fetch_add(1, Ordering::Relaxed);
         {
             let dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
             if dumps.len() >= MAX_FLIGHT_DUMPS {
@@ -387,13 +353,6 @@ impl ServerMetrics {
     pub(crate) fn flight_dir(&self) -> &Path {
         &self.flight_dir
     }
-
-    /// One consistent snapshot of every series (breaker/queue gauges are
-    /// refreshed by the caller before snapshotting — see
-    /// `Shared::metrics_snapshot`).
-    pub(crate) fn snapshot(&self) -> MetricsSnapshot {
-        self.registry.snapshot()
-    }
 }
 
 #[cfg(test)]
@@ -415,7 +374,7 @@ mod tests {
         m.finish_request(1, "timeout");
         m.finish_request(0, "error");
         m.finish_request(0, "ok");
-        let snap = m.snapshot();
+        let snap = m.registry.snapshot();
         assert_eq!(snap.counter_family_total(live::REQUESTS_TOTAL), 4);
         let ok = snap
             .find(live::REQUESTS_TOTAL, &[("status", "ok")])
@@ -438,7 +397,7 @@ mod tests {
             enqueued,
             finished,
         });
-        let snap = m.snapshot();
+        let snap = m.registry.snapshot();
         let hist =
             |name: &str, labels: &[(&str, &str)]| match &snap.find(name, labels).unwrap().value {
                 SeriesValue::Histogram(h) => h.clone(),
@@ -491,7 +450,7 @@ mod tests {
                 limit_bytes: None,
             },
         );
-        let snap = m.snapshot();
+        let snap = m.registry.snapshot();
         let hits = snap
             .find(live::POOL_HITS_TOTAL, &[("worker", "0")])
             .unwrap();
@@ -510,7 +469,7 @@ mod tests {
         };
         m.merge_rank_health(&[RankHealth::default(), h.clone()]);
         m.merge_rank_health(&[RankHealth::default(), h]);
-        let snap = m.snapshot();
+        let snap = m.registry.snapshot();
         let crashes = snap
             .find(live::RANK_CRASHES_TOTAL, &[("rank", "1")])
             .unwrap();
@@ -519,27 +478,6 @@ mod tests {
             .find(live::RANK_RETRANSMITTED_BYTES_TOTAL, &[("rank", "1")])
             .unwrap();
         assert_eq!(bytes.value, SeriesValue::Counter(128));
-    }
-
-    #[test]
-    fn journal_sync_folds_deltas_once() {
-        let m = ServerMetrics::new(1, tmpdir("journal"), 16);
-        m.sync_journal(10, 2, 640);
-        m.sync_journal(10, 2, 640); // racing scrape: no double-add
-        m.sync_journal(15, 3, 1000);
-        let snap = m.snapshot();
-        assert_eq!(
-            snap.find(live::JOURNAL_APPENDS_TOTAL, &[]).unwrap().value,
-            SeriesValue::Counter(15)
-        );
-        assert_eq!(
-            snap.find(live::JOURNAL_FSYNCS_TOTAL, &[]).unwrap().value,
-            SeriesValue::Counter(3)
-        );
-        assert_eq!(
-            snap.find(live::JOURNAL_BYTES_TOTAL, &[]).unwrap().value,
-            SeriesValue::Counter(1000)
-        );
     }
 
     #[test]
@@ -553,7 +491,7 @@ mod tests {
         assert!(text.contains("reason: worker-panic"));
         assert!(text.contains("injected worker panic"));
         assert_eq!(m.dump_paths(), vec![path]);
-        let snap = m.snapshot();
+        let snap = m.registry.snapshot();
         assert_eq!(
             snap.find(live::FLIGHT_DUMPS_TOTAL, &[]).unwrap().value,
             SeriesValue::Counter(1)

@@ -44,7 +44,10 @@ pub enum Admission {
     Draining,
 }
 
-/// Counters the queue maintains under its own lock.
+/// Counters the queue maintains under its own lock: its own invariants
+/// (and the shed hint's spreading). Of these the server's books sample
+/// only `max_depth`; admission outcomes are counted once, at the
+/// decision sites, in the metrics registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Requests admitted (tickets issued).

@@ -18,10 +18,11 @@
 //! answered before the process exits — the report's `drain_clean` says
 //! so explicitly.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -29,7 +30,8 @@ use std::time::{Duration, Instant};
 use gcd_sim::Device;
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::RankHealth;
-use xbfs_telemetry::{names, AttrValue, Recorder};
+use xbfs_telemetry::names::{self, live};
+use xbfs_telemetry::{AttrValue, MetricsSnapshot, Recorder, SeriesValue};
 
 use crate::breaker::CircuitBreaker;
 use crate::dedup::DedupCache;
@@ -135,31 +137,6 @@ impl Default for ServeConfig {
     }
 }
 
-/// Lock-free serving counters (relaxed; merged once at drain).
-#[derive(Debug, Default)]
-pub(crate) struct Counters {
-    pub(crate) ok: AtomicU64,
-    pub(crate) timeouts: AtomicU64,
-    pub(crate) errors: AtomicU64,
-    pub(crate) replayed: AtomicU64,
-    pub(crate) panics_recovered: AtomicU64,
-    pub(crate) rebuilds: AtomicU64,
-    pub(crate) chaos_ignored: AtomicU64,
-    pub(crate) undelivered: AtomicU64,
-    pub(crate) breaker_trips_seen: AtomicU64,
-    pub(crate) connections: AtomicU64,
-    pub(crate) dropped_connections: AtomicU64,
-    pub(crate) bad_lines: AtomicU64,
-    pub(crate) deduped: AtomicU64,
-    pub(crate) batches: AtomicU64,
-    pub(crate) batched_requests: AtomicU64,
-    pub(crate) max_batch: AtomicU64,
-    pub(crate) replayed_requests: AtomicU64,
-    pub(crate) recovery_us: AtomicU64,
-    pub(crate) long_lines: AtomicU64,
-    pub(crate) idle_disconnects: AtomicU64,
-}
-
 /// Everything handlers and workers share.
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
@@ -168,15 +145,11 @@ pub(crate) struct Shared {
     pub(crate) graph: Arc<Csr>,
     pub(crate) xcfg: xbfs_core::XbfsConfig,
     pub(crate) factory: DeviceFactory,
-    pub(crate) stats: Counters,
     pub(crate) rec: Arc<Recorder>,
     pub(crate) draining: AtomicBool,
     pub(crate) dedup: DedupCache,
-    /// Per-rank health merged from every worker's cluster engine (empty
-    /// for single-device servers). Indexed by rank of the initial
-    /// partitioning; Degrade leaves dead ranks' entries frozen.
-    pub(crate) rank_health: Mutex<Vec<RankHealth>>,
-    /// The always-on live metrics plane + flight recorder.
+    /// The always-on live metrics plane + flight recorder: the server's
+    /// only ledger.
     pub(crate) metrics: ServerMetrics,
     /// The write-ahead request journal (`None` = durability off).
     pub(crate) journal: Option<Journal>,
@@ -217,36 +190,25 @@ impl Shared {
         }
     }
 
-    /// Fold one cluster run's per-rank health into the server-wide view.
-    pub(crate) fn merge_rank_health(&self, health: &[RankHealth]) {
-        self.metrics.merge_rank_health(health);
-        let mut acc = self.rank_health.lock().unwrap();
-        if acc.len() < health.len() {
-            acc.resize(health.len(), RankHealth::default());
-        }
-        for (a, h) in acc.iter_mut().zip(health) {
-            a.crashes += h.crashes;
-            a.checkpoints_restored += h.checkpoints_restored;
-            a.retransmitted_bytes += h.retransmitted_bytes;
-        }
-    }
-
-    /// One consistent scrape: refresh the sampled gauges (breaker state,
-    /// queue depth — both read from their owners, not shadow-tracked),
-    /// then freeze the registry. Runs entirely on the scraping thread;
-    /// workers are never stopped or signaled.
-    pub(crate) fn metrics_snapshot(&self) -> xbfs_telemetry::MetricsSnapshot {
+    /// One consistent scrape, and the only way anything reads the
+    /// server's books: sample the totals their owners keep (the breaker
+    /// and the queue under their locks, the journal on its append path)
+    /// into their series, then freeze the registry. Runs entirely on the
+    /// scraping thread; workers are never stopped or signaled.
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let m = &self.metrics;
-        m.sync_breaker(
-            self.breaker.state_code(),
-            self.breaker.transitions(),
-            self.breaker.trips(),
-        );
+        m.breaker_state.set(f64::from(self.breaker.state_code()));
+        m.breaker_transitions.raise_to(self.breaker.transitions());
+        m.breaker_trips.raise_to(self.breaker.trips());
         m.queue_depth.set(self.queue.depth() as f64);
+        m.max_queue_depth
+            .raise_to(self.queue.stats().max_depth as f64);
         if let Some(j) = &self.journal {
-            m.sync_journal(j.appends(), j.fsyncs(), j.bytes_written());
+            m.journal_appends.raise_to(j.appends());
+            m.journal_fsyncs.raise_to(j.fsyncs());
+            m.journal_bytes.raise_to(j.bytes_written());
         }
-        m.snapshot()
+        m.registry.snapshot()
     }
 
     /// Journal a completion record (no-op without a journal). `line`
@@ -285,6 +247,29 @@ pub(crate) fn extract_digest(line: &str) -> Option<&str> {
     let rest = &line[start..];
     let end = rest.find('"')?;
     Some(&rest[..end])
+}
+
+/// The `breaker.state` gauge code of an open breaker.
+const BREAKER_OPEN: f64 = 2.0;
+
+/// Per-rank cluster health, rebuilt from the `cluster.rank_*_total{rank}`
+/// series. Keyed by the parsed rank because series sort by label
+/// *string* (`"10"` before `"2"`).
+fn rank_health(snap: &MetricsSnapshot) -> Vec<RankHealth> {
+    let mut ranks: BTreeMap<usize, RankHealth> = BTreeMap::new();
+    for s in &snap.series {
+        let field: fn(&mut RankHealth) -> &mut u64 = match s.name.as_str() {
+            live::RANK_CRASHES_TOTAL => |h| &mut h.crashes,
+            live::RANK_RESTORES_TOTAL => |h| &mut h.checkpoints_restored,
+            live::RANK_RETRANSMITTED_BYTES_TOTAL => |h| &mut h.retransmitted_bytes,
+            _ => continue,
+        };
+        let rank = s.label("rank").and_then(|r| r.parse().ok());
+        if let (Some(rank), &SeriesValue::Counter(v)) = (rank, &s.value) {
+            *field(ranks.entry(rank).or_default()) = v;
+        }
+    }
+    ranks.into_values().collect()
 }
 
 /// Merged end-of-life report: one line of truth per robustness claim.
@@ -365,6 +350,62 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// The report as a pure function of one metrics snapshot — a live
+    /// scrape mid-load or the last one `join` takes — so it cannot
+    /// disagree with what `/metrics` said. The two things no series
+    /// carries ride along: the flight-dump paths and how many requests
+    /// were still queued at close.
+    pub fn from_snapshot(
+        snap: &MetricsSnapshot,
+        cfg: &ServeConfig,
+        flight_dumps: Vec<String>,
+        abandoned: usize,
+    ) -> Self {
+        let count = |name: &str| snap.counter(name, &[]);
+        let finished = |status: &str| snap.counter(live::REQUESTS_TOTAL, &[("status", status)]);
+        let high_water = |name: &str| snap.gauge(name, &[]).unwrap_or(0.0);
+        let accepted = count(live::ADMITTED_TOTAL);
+        let (ok, timeouts, errors) = (finished("ok"), finished("timeout"), finished("error"));
+        let dropped_connections = count(live::DROPPED_CONNECTIONS_TOTAL);
+        Self {
+            accepted,
+            shed: snap.counter(live::SHED_TOTAL, &[("reason", "queue")]),
+            rejected_draining: count(live::REJECTED_DRAINING_TOTAL),
+            ok,
+            timeouts,
+            errors,
+            replayed: count(live::RETRIED_OK_TOTAL),
+            panics_recovered: snap.counter_family_total(live::WORKER_PANICS_TOTAL),
+            rebuilds: snap.counter_family_total(live::WORKER_REBUILDS_TOTAL),
+            chaos_ignored: count(live::CHAOS_IGNORED_TOTAL),
+            breaker_trips: count(live::BREAKER_TRIPS_TOTAL),
+            breaker_fast_rejects: snap.counter(live::SHED_TOTAL, &[("reason", "breaker")]),
+            connections: count(live::CONNECTIONS_TOTAL),
+            dropped_connections,
+            bad_lines: count(live::BAD_LINES_TOTAL),
+            max_queue_depth: high_water(live::MAX_QUEUE_DEPTH) as usize,
+            deduped: count(live::DEDUPED_TOTAL),
+            batches: count(live::BATCHES_TOTAL),
+            batched_requests: count(live::BATCHED_REQUESTS_TOTAL),
+            max_batch_size: high_water(live::MAX_BATCH_SIZE) as u64,
+            batch_width: cfg.batch_width.max(1),
+            journal_appends: count(live::JOURNAL_APPENDS_TOTAL),
+            journal_fsyncs: count(live::JOURNAL_FSYNCS_TOTAL),
+            journal_bytes: count(live::JOURNAL_BYTES_TOTAL),
+            replayed_requests: count(live::REPLAYED_REQUESTS_TOTAL),
+            recovery_ms: high_water(live::RECOVERY_MS),
+            long_lines: count(live::LONG_LINES_TOTAL),
+            idle_disconnects: count(live::IDLE_DISCONNECTS_TOTAL),
+            flight_dumps,
+            cluster: cfg.cluster.unwrap_or(0),
+            rank_health: rank_health(snap),
+            drain_clean: abandoned == 0
+                && count(live::UNDELIVERED_TOTAL) == 0
+                && dropped_connections == 0
+                && accepted == ok + timeouts + errors,
+        }
+    }
+
     /// `xbfs-serve-report-v1` JSON object (single line).
     pub fn to_json(&self) -> String {
         let mut s = format!(
@@ -496,11 +537,9 @@ impl Server {
             graph,
             xcfg,
             factory,
-            stats: Counters::default(),
             rec,
             draining: AtomicBool::new(false),
             dedup: DedupCache::new(cfg.dedup_cap),
-            rank_health: Mutex::new(Vec::new()),
             metrics,
             journal,
             started: Instant::now(),
@@ -593,10 +632,8 @@ fn recover(shared: &Arc<Shared>, replay: crate::journal::ReplayedJournal, starte
             }
         }
     }
-    shared.stats.replayed_requests.store(n, Ordering::Relaxed);
     shared.metrics.replayed_requests.add(n);
     let us = started.elapsed().as_micros() as u64;
-    shared.stats.recovery_us.store(us, Ordering::Relaxed);
     shared.metrics.recovery_ms.set(us as f64 / 1000.0);
     shared.metrics.flight.note(
         shared.metrics.flight.control_lane(),
@@ -653,50 +690,12 @@ impl ServerHandle {
         if let Some(j) = &self.shared.journal {
             let _ = j.sync();
         }
-        let q = self.shared.queue.stats();
-        let s = &self.shared.stats;
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let (journal_appends, journal_fsyncs, journal_bytes) = match &self.shared.journal {
-            Some(j) => (j.appends(), j.fsyncs(), j.bytes_written()),
-            None => (0, 0, 0),
-        };
-        ServeReport {
-            accepted: q.accepted,
-            shed: q.shed,
-            rejected_draining: q.rejected_draining,
-            ok: ld(&s.ok),
-            timeouts: ld(&s.timeouts),
-            errors: ld(&s.errors),
-            replayed: ld(&s.replayed),
-            panics_recovered: ld(&s.panics_recovered),
-            rebuilds: ld(&s.rebuilds),
-            chaos_ignored: ld(&s.chaos_ignored),
-            breaker_trips: self.shared.breaker.trips(),
-            breaker_fast_rejects: self.shared.breaker.fast_rejects(),
-            connections: ld(&s.connections),
-            dropped_connections: ld(&s.dropped_connections),
-            bad_lines: ld(&s.bad_lines),
-            max_queue_depth: q.max_depth,
-            deduped: ld(&s.deduped),
-            batches: ld(&s.batches),
-            batched_requests: ld(&s.batched_requests),
-            max_batch_size: ld(&s.max_batch),
-            batch_width: self.shared.cfg.batch_width.max(1),
-            journal_appends,
-            journal_fsyncs,
-            journal_bytes,
-            replayed_requests: ld(&s.replayed_requests),
-            recovery_ms: ld(&s.recovery_us) as f64 / 1000.0,
-            long_lines: ld(&s.long_lines),
-            idle_disconnects: ld(&s.idle_disconnects),
-            flight_dumps: self.shared.metrics.dump_paths(),
-            cluster: self.shared.cfg.cluster.unwrap_or(0),
-            rank_health: self.shared.rank_health.lock().unwrap().clone(),
-            drain_clean: abandoned.is_empty()
-                && ld(&s.undelivered) == 0
-                && ld(&s.dropped_connections) == 0
-                && q.accepted == ld(&s.ok) + ld(&s.timeouts) + ld(&s.errors),
-        }
+        ServeReport::from_snapshot(
+            &self.shared.metrics_snapshot(),
+            &self.shared.cfg,
+            self.shared.metrics.dump_paths(),
+            abandoned.len(),
+        )
     }
 }
 
@@ -720,9 +719,16 @@ fn metrics_loop(shared: Arc<Shared>, listener: TcpListener) {
 fn serve_scrape(shared: &Shared, stream: TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(Some(Duration::from_millis(500)))?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
+    // No scrape needs more than 8 KiB of request.
+    let mut reader = BufReader::new(stream.take(8192));
     let mut line = String::new();
     reader.read_line(&mut line)?;
+    // Read the headers out too: closing a socket with input unread resets
+    // it, and the reset can overtake the reply on its way to the client.
+    let mut header = String::new();
+    while reader.read_line(&mut header)? > 2 {
+        header.clear();
+    }
     let path = line.split_whitespace().nth(1).unwrap_or("");
     let (status, ctype, body) = if path == "/metrics.json" {
         (
@@ -755,7 +761,6 @@ fn accept_loop(shared: Arc<Shared>, listener: TcpListener) {
         }
         match conn {
             Ok(stream) => {
-                shared.stats.connections.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.connections.add(1);
                 let sh = Arc::clone(&shared);
                 if let Ok(h) = std::thread::Builder::new()
@@ -824,12 +829,7 @@ impl Conn {
 /// owed). This thread reads and admits; a writer thread of its own
 /// delivers completions the moment workers produce them.
 fn handle_conn(shared: Arc<Shared>, stream: TcpStream) {
-    let dropped = || {
-        shared
-            .stats
-            .dropped_connections
-            .fetch_add(1, Ordering::Relaxed)
-    };
+    let dropped = || shared.metrics.dropped_connections.add(1);
     // Replies are whole lines in one write; Nagle would only hold them
     // back behind the client's delayed ACK.
     let _ = stream.set_nodelay(true);
@@ -942,7 +942,6 @@ fn read_requests(
             Ok(_) if line.len() > MAX_REQUEST_LINE => {
                 // Overlong: answer typed and close — the line framing
                 // is unrecoverable past the cap.
-                shared.stats.long_lines.fetch_add(1, Ordering::Relaxed);
                 shared.metrics.long_lines.add(1);
                 conn.reply(protocol::error_line(
                     0,
@@ -965,10 +964,6 @@ fn read_requests(
                 {
                     // Nothing owed, nothing in progress, nothing said
                     // for the whole idle budget: stop pinning threads.
-                    shared
-                        .stats
-                        .idle_disconnects
-                        .fetch_add(1, Ordering::Relaxed);
                     shared.metrics.idle_disconnects.add(1);
                     return;
                 }
@@ -987,7 +982,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
     let req = match protocol::parse_request(raw) {
         Ok(r) => r,
         Err(bad) => {
-            shared.stats.bad_lines.fetch_add(1, Ordering::Relaxed);
             shared.metrics.bad_lines.add(1);
             conn.reply(protocol::error_line(bad.id, "usage", &bad.message));
             return;
@@ -1003,21 +997,20 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
             shared.cfg.queue_cap,
         )),
         Request::Stats { id } => {
-            let s = &shared.stats;
-            let q = shared.queue.stats();
-            let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
+            let snap = shared.metrics_snapshot();
+            let r = ServeReport::from_snapshot(&snap, &shared.cfg, Vec::new(), 0);
             conn.reply(format!(
                 "{{\"v\":\"{}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
                      \"shed\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\"depth\":{},\
                      \"breaker_open\":{}}}",
                 protocol::PROTOCOL,
-                q.accepted,
-                q.shed,
-                ld(&s.ok),
-                ld(&s.timeouts),
-                ld(&s.errors),
-                shared.queue.depth(),
-                shared.breaker.is_open()
+                r.accepted,
+                r.shed,
+                r.ok,
+                r.timeouts,
+                r.errors,
+                snap.gauge(live::QUEUE_DEPTH, &[]).unwrap_or(0.0) as u64,
+                snap.gauge(live::BREAKER_STATE, &[]) == Some(BREAKER_OPEN),
             ));
         }
         Request::Shutdown { id } => {
@@ -1036,7 +1029,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
             // the cache so soaks always exercise the real path.
             if bfs.chaos.is_none() {
                 if let Some(cached) = shared.dedup.lookup(id, bfs.source) {
-                    shared.stats.deduped.fetch_add(1, Ordering::Relaxed);
                     shared.metrics.deduped.add(1);
                     shared.rec.event(
                         None,
@@ -1092,7 +1084,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
                         }
                     }
                     shared.metrics.admitted.add(1);
-                    shared.metrics.queue_depth.set(shared.queue.depth() as f64);
                     shared.rec.counter(
                         names::metric::QUEUE_DEPTH,
                         0,

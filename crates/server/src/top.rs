@@ -4,159 +4,20 @@
 //! `xbfs-metrics-v1` snapshot it returns, and renders one frame per poll:
 //! queue / worker / breaker / pool / rank state, with per-second rates
 //! computed from *successive* snapshots (so the dashboard shows current
-//! throughput, not lifetime averages). Parsing and rendering are pure
-//! functions over [`TopSnapshot`] — the socket loop in [`run_top`] is the
-//! only I/O — so frames are unit-testable without a server.
+//! throughput, not lifetime averages). It renders from the same
+//! [`MetricsSnapshot`] type the server froze ([`MetricsSnapshot::
+//! from_json`] rebuilds it from the wire), so a frame's percentiles are
+//! the server's own arithmetic over the server's own buckets. Rendering
+//! is a pure function — the socket loop in [`run_top`] is the only I/O —
+//! so frames are unit-testable without a server.
 
-use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
 use xbfs_telemetry::json::JsonValue;
 use xbfs_telemetry::names::live;
-
-/// One scrape, reduced to flat lookup tables keyed by
-/// `name{label=value,…}` (labels in snapshot order, which the registry
-/// keeps sorted).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TopSnapshot {
-    /// Milliseconds since the server's registry was created — the time
-    /// base for rate computation between successive snapshots.
-    pub uptime_ms: f64,
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    /// `(count, sum, p50, p99)` per histogram series.
-    hists: BTreeMap<String, (u64, f64, f64, f64)>,
-}
-
-fn series_key(name: &str, labels: &JsonValue) -> String {
-    let mut key = String::from(name);
-    key.push('{');
-    if let Some(obj) = labels.as_obj() {
-        for (i, (k, v)) in obj.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v.as_str().unwrap_or(""));
-        }
-    }
-    key.push('}');
-    key
-}
-
-impl TopSnapshot {
-    /// Parse a decoded `xbfs-metrics-v1` object (the value under
-    /// `"metrics"` in a `metrics` response, or a whole `/metrics.json`
-    /// body). Returns `None` when the format marker is wrong.
-    pub fn parse(v: &JsonValue) -> Option<TopSnapshot> {
-        if v.get("format").and_then(|f| f.as_str()) != Some("xbfs-metrics-v1") {
-            return None;
-        }
-        let mut snap = TopSnapshot {
-            uptime_ms: v.get("uptime_ms").and_then(|u| u.as_f64()).unwrap_or(0.0),
-            ..TopSnapshot::default()
-        };
-        let empty = JsonValue::parse("{}").ok()?;
-        for s in v.get("series").and_then(|s| s.as_arr()).unwrap_or(&[]) {
-            let name = s.get("name").and_then(|n| n.as_str()).unwrap_or("");
-            let key = series_key(name, s.get("labels").unwrap_or(&empty));
-            match s.get("kind").and_then(|k| k.as_str()) {
-                Some("counter") => {
-                    let v = s.get("value").and_then(|x| x.as_f64()).unwrap_or(0.0);
-                    snap.counters.insert(key, v as u64);
-                }
-                Some("gauge") => {
-                    let v = s.get("value").and_then(|x| x.as_f64()).unwrap_or(0.0);
-                    snap.gauges.insert(key, v);
-                }
-                Some("histogram") => {
-                    let f = |k: &str| s.get(k).and_then(|x| x.as_f64()).unwrap_or(0.0);
-                    snap.hists
-                        .insert(key, (f("count") as u64, f("sum"), f("p50"), f("p99")));
-                }
-                _ => {}
-            }
-        }
-        Some(snap)
-    }
-
-    /// Counter value for exact labels (sorted order), 0 when absent.
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        let mut key = String::from(name);
-        key.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key.push('}');
-        self.counters.get(&key).copied().unwrap_or(0)
-    }
-
-    /// Sum of a counter family across all label sets.
-    pub fn counter_family(&self, name: &str) -> u64 {
-        let prefix = format!("{name}{{");
-        self.counters
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, v)| v)
-            .sum()
-    }
-
-    /// Gauge value for exact labels, `None` when absent.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let mut key = String::from(name);
-        key.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key.push('}');
-        self.gauges.get(&key).copied()
-    }
-
-    /// `(count, sum, p50, p99)` for a histogram series, `None` if absent.
-    pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Option<(u64, f64, f64, f64)> {
-        let mut key = String::from(name);
-        key.push('{');
-        for (i, (k, v)) in labels.iter().enumerate() {
-            if i > 0 {
-                key.push(',');
-            }
-            key.push_str(k);
-            key.push('=');
-            key.push_str(v);
-        }
-        key.push('}');
-        self.hists.get(&key).copied()
-    }
-
-    /// `(worker_index, state_code)` for every worker-state gauge.
-    pub fn worker_states(&self) -> Vec<(usize, f64)> {
-        let prefix = format!("{}{{worker=", live::WORKER_STATE);
-        let mut out: Vec<(usize, f64)> = self
-            .gauges
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .filter_map(|(k, v)| {
-                let idx: usize = k[prefix.len()..].trim_end_matches('}').parse().ok()?;
-                Some((idx, *v))
-            })
-            .collect();
-        out.sort_unstable_by_key(|e| e.0);
-        out
-    }
-}
+use xbfs_telemetry::{MetricsSnapshot, SeriesSnapshot, SeriesValue};
 
 fn fmt_bytes(b: f64) -> String {
     if b >= 1e9 {
@@ -172,7 +33,7 @@ fn fmt_bytes(b: f64) -> String {
 
 /// Per-second rate of a counter between two snapshots ("" when no
 /// previous snapshot or no time elapsed).
-fn rate(prev: Option<&TopSnapshot>, curr: &TopSnapshot, now_v: u64, prev_v: u64) -> String {
+fn rate(prev: Option<&MetricsSnapshot>, curr: &MetricsSnapshot, now_v: u64, prev_v: u64) -> String {
     let Some(p) = prev else {
         return String::new();
     };
@@ -181,6 +42,13 @@ fn rate(prev: Option<&TopSnapshot>, curr: &TopSnapshot, now_v: u64, prev_v: u64)
         return String::new();
     }
     format!(" (+{:.1}/s)", (now_v.saturating_sub(prev_v)) as f64 / dt)
+}
+
+fn gauge_value(s: &SeriesSnapshot) -> Option<f64> {
+    match s.value {
+        SeriesValue::Gauge(v) => Some(v),
+        _ => None,
+    }
 }
 
 fn state_name(code: f64) -> &'static str {
@@ -203,9 +71,17 @@ fn breaker_name(code: f64) -> &'static str {
 
 /// Render one dashboard frame. `prev` (the previous poll) turns lifetime
 /// counters into current rates; the first frame shows totals only.
-pub fn render(prev: Option<&TopSnapshot>, curr: &TopSnapshot, addr: &str) -> String {
+pub fn render(prev: Option<&MetricsSnapshot>, curr: &MetricsSnapshot, addr: &str) -> String {
     let c = |name: &str, labels: &[(&str, &str)]| curr.counter(name, labels);
     let pc = |name: &str, labels: &[(&str, &str)]| prev.map_or(0, |p| p.counter(name, labels));
+    let family = |name: &str| curr.counter_family_total(name);
+    // A histogram's `pct`-th percentile as the server displays it; 0
+    // while the series is absent or empty.
+    let quantile = |name: &str, labels: &[(&str, &str)], pct: f64| {
+        curr.histogram(name, labels)
+            .and_then(|h| h.quantile(pct))
+            .unwrap_or(0.0)
+    };
     let mut out = String::new();
 
     out.push_str(&format!(
@@ -216,10 +92,9 @@ pub fn render(prev: Option<&TopSnapshot>, curr: &TopSnapshot, addr: &str) -> Str
     let ok = c(live::REQUESTS_TOTAL, &[("status", "ok")]);
     let to = c(live::REQUESTS_TOTAL, &[("status", "timeout")]);
     let er = c(live::REQUESTS_TOTAL, &[("status", "error")]);
-    let (_, _, p50, p99) = curr
-        .hist(live::REQUEST_LATENCY_MS, &[("status", "ok")])
-        .unwrap_or((0, 0.0, 0.0, 0.0));
-    let (_, _, write_p50, _) = curr.hist(live::WRITE_MS, &[]).unwrap_or((0, 0.0, 0.0, 0.0));
+    let p50 = quantile(live::REQUEST_LATENCY_MS, &[("status", "ok")], 50.0);
+    let p99 = quantile(live::REQUEST_LATENCY_MS, &[("status", "ok")], 99.0);
+    let write_p50 = quantile(live::WRITE_MS, &[], 50.0);
     out.push_str(&format!(
         "requests   ok {ok}{}  timeout {to}  error {er}   p50 {p50:.2}ms  p99 {p99:.2}ms  \
          write p50 {write_p50:.2}ms\n",
@@ -251,43 +126,42 @@ pub fn render(prev: Option<&TopSnapshot>, curr: &TopSnapshot, addr: &str) -> Str
         c(live::BREAKER_TRIPS_TOTAL, &[]),
     ));
 
+    // Series sort by label *string*; workers show in numeric order.
+    let mut states: Vec<(usize, f64)> = curr
+        .family(live::WORKER_STATE)
+        .filter_map(|s| Some((s.label("worker")?.parse().ok()?, gauge_value(s)?)))
+        .collect();
+    states.sort_unstable_by_key(|e| e.0);
     out.push_str("workers   ");
-    for (idx, code) in curr.worker_states() {
+    for (idx, code) in states {
         out.push_str(&format!(" w{idx}={}", state_name(code)));
     }
     out.push_str(&format!(
         "  panics {}  rebuilds {}\n",
-        curr.counter_family(live::WORKER_PANICS_TOTAL),
-        curr.counter_family(live::WORKER_REBUILDS_TOTAL),
+        family(live::WORKER_PANICS_TOTAL),
+        family(live::WORKER_REBUILDS_TOTAL),
     ));
 
-    let pool_bytes: f64 = {
-        let prefix = format!("{}{{", live::POOL_BYTES);
-        curr.gauges
-            .range(prefix.clone()..)
-            .take_while(|(k, _)| k.starts_with(&prefix))
-            .map(|(_, v)| v)
-            .sum()
-    };
+    let pool_bytes: f64 = curr.family(live::POOL_BYTES).filter_map(gauge_value).sum();
     out.push_str(&format!(
         "pool       bytes {}  hits {}  misses {}  pressure {}\n",
         fmt_bytes(pool_bytes),
-        curr.counter_family(live::POOL_HITS_TOTAL),
-        curr.counter_family(live::POOL_MISSES_TOTAL),
-        curr.counter_family(live::POOL_PRESSURE_TOTAL),
+        family(live::POOL_HITS_TOTAL),
+        family(live::POOL_MISSES_TOTAL),
+        family(live::POOL_PRESSURE_TOTAL),
     ));
 
     // Batching stage: only rendered once a batch has actually launched,
     // so solo (--batch-width 1) servers keep the familiar frame layout.
     let batches = c(live::BATCHES_TOTAL, &[]);
     if batches > 0 {
-        let (_, bsum, bp50, _) = curr
-            .hist(live::BATCH_SIZE, &[])
-            .unwrap_or((0, 0.0, 0.0, 0.0));
+        let bsum = curr
+            .histogram(live::BATCH_SIZE, &[])
+            .map_or(0.0, |h| h.sum());
+        let bp50 = quantile(live::BATCH_SIZE, &[], 50.0);
         let occ = curr.gauge(live::BATCH_OCCUPANCY_PCT, &[]).unwrap_or(0.0);
-        let (_, _, lp50, lp99) = curr
-            .hist(live::LINGER_WAIT_MS, &[])
-            .unwrap_or((0, 0.0, 0.0, 0.0));
+        let lp50 = quantile(live::LINGER_WAIT_MS, &[], 50.0);
+        let lp99 = quantile(live::LINGER_WAIT_MS, &[], 99.0);
         out.push_str(&format!(
             "batching   batches {batches}{}  mean size {:.1} (p50 {bp50:.0})  \
              occupancy {occ:.0}%  linger p50 {lp50:.2}ms p99 {lp99:.2}ms\n",
@@ -296,9 +170,9 @@ pub fn render(prev: Option<&TopSnapshot>, curr: &TopSnapshot, addr: &str) -> Str
         ));
     }
 
-    let crashes = curr.counter_family(live::RANK_CRASHES_TOTAL);
-    let restores = curr.counter_family(live::RANK_RESTORES_TOTAL);
-    let retx = curr.counter_family(live::RANK_RETRANSMITTED_BYTES_TOTAL);
+    let crashes = family(live::RANK_CRASHES_TOTAL);
+    let restores = family(live::RANK_RESTORES_TOTAL);
+    let retx = family(live::RANK_RETRANSMITTED_BYTES_TOTAL);
     let exp = c(live::CLUSTER_EXPAND_US_TOTAL, &[]);
     let exch = c(live::CLUSTER_EXCHANGE_US_TOTAL, &[]);
     if crashes + restores + retx + exp + exch > 0 {
@@ -347,7 +221,7 @@ pub fn run_top(
     let stream = TcpStream::connect(addr)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut prev: Option<TopSnapshot> = None;
+    let mut prev: Option<MetricsSnapshot> = None;
     let mut rendered = 0u64;
     let mut line = String::new();
     loop {
@@ -364,7 +238,7 @@ pub fn run_top(
         }
         let snap = JsonValue::parse(line.trim())
             .ok()
-            .and_then(|v| v.get("metrics").and_then(TopSnapshot::parse));
+            .and_then(|v| v.get("metrics").and_then(MetricsSnapshot::from_json));
         let Some(snap) = snap else {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidData,
@@ -385,47 +259,63 @@ pub fn run_top(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xbfs_telemetry::{MetricUnit, MetricsRegistry};
 
-    fn snap(uptime_ms: f64, ok: u64) -> TopSnapshot {
-        let json = format!(
-            "{{\"format\":\"xbfs-metrics-v1\",\"uptime_ms\":{uptime_ms},\"series\":[\
-             {{\"name\":\"serve.requests_total\",\"labels\":{{\"status\":\"ok\"}},\
-              \"unit\":\"count\",\"kind\":\"counter\",\"value\":{ok}}},\
-             {{\"name\":\"serve.queue_depth\",\"labels\":{{}},\
-              \"unit\":\"count\",\"kind\":\"gauge\",\"value\":3}},\
-             {{\"name\":\"worker.state\",\"labels\":{{\"worker\":\"0\"}},\
-              \"unit\":\"state\",\"kind\":\"gauge\",\"value\":1}},\
-             {{\"name\":\"worker.state\",\"labels\":{{\"worker\":\"1\"}},\
-              \"unit\":\"state\",\"kind\":\"gauge\",\"value\":2}},\
-             {{\"name\":\"serve.request_latency_ms\",\"labels\":{{\"status\":\"ok\"}},\
-              \"unit\":\"ms\",\"kind\":\"histogram\",\"count\":{ok},\"sum\":12.0,\
-              \"p50\":1.5,\"p99\":9.75,\"buckets\":[[100,{ok}]]}},\
-             {{\"name\":\"serve.write_ms\",\"labels\":{{}},\
-              \"unit\":\"ms\",\"kind\":\"histogram\",\"count\":{ok},\"sum\":2.0,\
-              \"p50\":0.25,\"p99\":0.5,\"buckets\":[[60,{ok}]]}}]}}"
-        );
-        TopSnapshot::parse(&JsonValue::parse(&json).unwrap()).unwrap()
+    /// A registry as `run_top` receives it: frozen, serialized, and
+    /// parsed back off the wire.
+    fn over_the_wire(reg: &MetricsRegistry, uptime_ms: f64) -> MetricsSnapshot {
+        let mut snap = reg.snapshot();
+        snap.uptime_ms = uptime_ms;
+        MetricsSnapshot::from_json(&JsonValue::parse(&snap.to_json()).unwrap()).unwrap()
+    }
+
+    /// Two workers (running, quarantined), a queue 3 deep, and `ok`
+    /// answered requests: one took 9.6 ms, the rest 1.4 ms, and every
+    /// reply spent 0.24 ms being written.
+    fn snap(uptime_ms: f64, ok: u64) -> MetricsSnapshot {
+        let reg = MetricsRegistry::new();
+        let status: &[(&str, &str)] = &[("status", "ok")];
+        reg.counter(live::REQUESTS_TOTAL, MetricUnit::Count, status)
+            .add(ok);
+        reg.gauge(live::QUEUE_DEPTH, MetricUnit::Count, &[])
+            .set(3.0);
+        for (worker, code) in [("0", 1.0), ("1", 2.0)] {
+            reg.gauge(live::WORKER_STATE, MetricUnit::State, &[("worker", worker)])
+                .set(code);
+        }
+        let latency = reg.histogram(live::REQUEST_LATENCY_MS, MetricUnit::Millis, status);
+        let write = reg.histogram(live::WRITE_MS, MetricUnit::Millis, &[]);
+        for i in 0..ok {
+            latency.record(if i == 0 { 9.6 } else { 1.4 });
+            write.record(0.24);
+        }
+        over_the_wire(&reg, uptime_ms)
     }
 
     #[test]
-    fn parse_reduces_series_to_lookups() {
+    fn a_snapshot_off_the_wire_answers_every_lookup() {
         let s = snap(2000.0, 40);
+        assert_eq!(s.uptime_ms, 2000.0);
         assert_eq!(s.counter("serve.requests_total", &[("status", "ok")]), 40);
-        assert_eq!(s.counter_family("serve.requests_total"), 40);
+        assert_eq!(s.counter_family_total("serve.requests_total"), 40);
         assert_eq!(s.gauge("serve.queue_depth", &[]), Some(3.0));
-        assert_eq!(s.worker_states(), vec![(0, 1.0), (1, 2.0)]);
-        let (count, sum, p50, p99) = s
-            .hist("serve.request_latency_ms", &[("status", "ok")])
+        let h = s
+            .histogram("serve.request_latency_ms", &[("status", "ok")])
             .unwrap();
-        assert_eq!(count, 40);
-        assert!((sum - 12.0).abs() < 1e-9);
-        assert!((p50 - 1.5).abs() < 1e-9 && (p99 - 9.75).abs() < 1e-9);
+        assert_eq!(h.count(), 40);
+        // Fixed-point sum, to the three decimals the wire carries.
+        assert!((h.sum() - (9.6 + 39.0 * 1.4)).abs() < 0.05, "{}", h.sum());
+        // Upper bounds of the buckets holding 1.4 and 9.6.
+        assert_eq!(
+            (h.quantile(50.0), h.quantile(99.0)),
+            (Some(1.5), Some(10.0))
+        );
     }
 
     #[test]
-    fn parse_rejects_wrong_format() {
+    fn a_reply_without_a_metrics_snapshot_is_rejected() {
         let v = JsonValue::parse("{\"format\":\"nope\",\"series\":[]}").unwrap();
-        assert!(TopSnapshot::parse(&v).is_none());
+        assert!(MetricsSnapshot::from_json(&v).is_none());
     }
 
     #[test]
@@ -435,10 +325,11 @@ mod tests {
         let frame = render(Some(&a), &b, "test:0");
         // 40 more oks over 2 s = +20.0/s.
         assert!(frame.contains("ok 50 (+20.0/s)"), "frame:\n{frame}");
+        assert!(frame.contains("depth 3 "), "frame:\n{frame}");
         assert!(frame.contains("w0=running"), "frame:\n{frame}");
         assert!(frame.contains("w1=quarantined"), "frame:\n{frame}");
         assert!(
-            frame.contains("p99 9.75ms  write p50 0.25ms"),
+            frame.contains("p50 1.50ms  p99 10.00ms  write p50 0.25ms"),
             "frame:\n{frame}"
         );
     }
@@ -455,19 +346,15 @@ mod tests {
 
     #[test]
     fn journal_row_appears_once_journaling_is_live() {
-        let json = "{\"format\":\"xbfs-metrics-v1\",\"uptime_ms\":1000,\"series\":[\
-             {\"name\":\"serve.journal_appends_total\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"counter\",\"value\":12},\
-             {\"name\":\"serve.journal_fsyncs_total\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"counter\",\"value\":2},\
-             {\"name\":\"serve.journal_bytes_total\",\"labels\":{},\
-              \"unit\":\"bytes\",\"kind\":\"counter\",\"value\":2048},\
-             {\"name\":\"serve.replayed_requests_total\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"counter\",\"value\":3},\
-             {\"name\":\"serve.recovery_ms\",\"labels\":{},\
-              \"unit\":\"ms\",\"kind\":\"gauge\",\"value\":7.5}]}";
-        let s = TopSnapshot::parse(&JsonValue::parse(json).unwrap()).unwrap();
-        let frame = render(None, &s, "test:0");
+        let reg = MetricsRegistry::new();
+        let count = |name, unit, v| reg.counter(name, unit, &[]).add(v);
+        count(live::JOURNAL_APPENDS_TOTAL, MetricUnit::Count, 12);
+        count(live::JOURNAL_FSYNCS_TOTAL, MetricUnit::Count, 2);
+        count(live::JOURNAL_BYTES_TOTAL, MetricUnit::Bytes, 2048);
+        count(live::REPLAYED_REQUESTS_TOTAL, MetricUnit::Count, 3);
+        reg.gauge(live::RECOVERY_MS, MetricUnit::Millis, &[])
+            .set(7.5);
+        let frame = render(None, &over_the_wire(&reg, 1000.0), "test:0");
         assert!(frame.contains("journal    appends 12"), "frame:\n{frame}");
         assert!(frame.contains("fsyncs 2"), "frame:\n{frame}");
         assert!(frame.contains("bytes 2.0KB"), "frame:\n{frame}");
@@ -480,22 +367,22 @@ mod tests {
 
     #[test]
     fn batching_row_appears_once_batches_launch() {
-        let json = "{\"format\":\"xbfs-metrics-v1\",\"uptime_ms\":1000,\"series\":[\
-             {\"name\":\"serve.batches_total\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"counter\",\"value\":4},\
-             {\"name\":\"serve.batch_size\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"histogram\",\"count\":4,\"sum\":20.0,\
-              \"p50\":5.0,\"p99\":8.0,\"buckets\":[[8,4]]},\
-             {\"name\":\"serve.batch_occupancy_pct\",\"labels\":{},\
-              \"unit\":\"count\",\"kind\":\"gauge\",\"value\":75},\
-             {\"name\":\"serve.linger_wait_ms\",\"labels\":{},\
-              \"unit\":\"ms\",\"kind\":\"histogram\",\"count\":4,\"sum\":4.0,\
-              \"p50\":0.5,\"p99\":1.75,\"buckets\":[[2,4]]}]}";
-        let s = TopSnapshot::parse(&JsonValue::parse(json).unwrap()).unwrap();
-        let frame = render(None, &s, "test:0");
+        let reg = MetricsRegistry::new();
+        reg.counter(live::BATCHES_TOTAL, MetricUnit::Count, &[])
+            .add(4);
+        reg.gauge(live::BATCH_OCCUPANCY_PCT, MetricUnit::Count, &[])
+            .set(75.0);
+        let size = reg.histogram(live::BATCH_SIZE, MetricUnit::Count, &[]);
+        let linger = reg.histogram(live::LINGER_WAIT_MS, MetricUnit::Millis, &[]);
+        for wait_ms in [0.49, 0.49, 0.49, 1.7] {
+            size.record(5.0);
+            linger.record(wait_ms);
+        }
+        let frame = render(None, &over_the_wire(&reg, 1000.0), "test:0");
         assert!(frame.contains("batching   batches 4"), "frame:\n{frame}");
         assert!(frame.contains("mean size 5.0"), "frame:\n{frame}");
         assert!(frame.contains("occupancy 75%"), "frame:\n{frame}");
+        // Upper bounds of the buckets holding 0.49 and 1.7.
         assert!(
             frame.contains("linger p50 0.50ms p99 1.75ms"),
             "frame:\n{frame}"

@@ -37,7 +37,6 @@
 //! budget (see DESIGN.md §15 for why the two clocks are fungible).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::Ordering;
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -103,7 +102,7 @@ impl Backend for GcdCluster<'_> {
     /// the served modeled time split between expanding frontiers and
     /// exchanging them across links. The cluster has no device pool.
     fn report(&mut self, shared: &Shared, _worker: usize) {
-        shared.merge_rank_health(&self.take_health());
+        shared.metrics.merge_rank_health(&self.take_health());
         let (expand_us, exchange_us) = self.take_phase_us();
         shared.metrics.cluster_expand_us.add(expand_us as u64);
         shared.metrics.cluster_exchange_us.add(exchange_us as u64);
@@ -168,7 +167,7 @@ fn deliver(shared: &Shared, job: &Job, status: &str, line: String) {
         finished: Instant::now(),
     };
     if job.resp.send(done).is_err() {
-        shared.stats.undelivered.fetch_add(1, Ordering::Relaxed);
+        shared.metrics.undelivered.add(1);
     }
 }
 
@@ -282,9 +281,7 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
             Ok(act) => mb.act = act,
             Err(e) => return reject(&mb, "error", protocol::error_line(id, "usage", &e)),
         },
-        Some(_) => {
-            shared.stats.chaos_ignored.fetch_add(1, Ordering::Relaxed);
-        }
+        Some(_) => shared.metrics.chaos_ignored.add(1),
         None => {}
     }
     // Undetected bit flips would silently corrupt the response; chaos
@@ -305,16 +302,6 @@ fn finish_member(
     attempts: u32,
 ) {
     let req = &mb.job.req;
-    let stats = &shared.stats;
-    let terminal = match status {
-        "ok" => &stats.ok,
-        "timeout" => &stats.timeouts,
-        _ => &stats.errors,
-    };
-    terminal.fetch_add(1, Ordering::Relaxed);
-    if status == "ok" && attempts > 1 {
-        stats.replayed.fetch_add(1, Ordering::Relaxed);
-    }
     let rec = &shared.rec;
     rec.span_attr(mb.span, "status", AttrValue::Str(status.into()));
     rec.span_attr(mb.span, "attempts", AttrValue::U64(u64::from(attempts)));
@@ -323,6 +310,9 @@ fn finish_member(
     let m = &shared.metrics;
     let total_ms = mb.job.enqueued.elapsed().as_secs_f64() * 1000.0;
     m.finish_request(worker, status);
+    if status == "ok" && attempts > 1 {
+        m.retried_ok.add(1);
+    }
     if let Some(d) = req.deadline_ms.or(shared.cfg.default_deadline_ms) {
         m.deadline_headroom_ms.record((d - total_ms).max(0.0));
     }
@@ -363,11 +353,9 @@ fn serve_batch<'g>(
     // The batching stage's accounting exists only on a batching server.
     if width > 1 {
         let size = batch.len() as u64;
-        let stats = &shared.stats;
-        stats.batches.fetch_add(1, Ordering::Relaxed);
-        stats.batched_requests.fetch_add(size, Ordering::Relaxed);
-        stats.max_batch.fetch_max(size, Ordering::Relaxed);
         m.batches_total.add(1);
+        m.batched_requests.add(size);
+        m.max_batch_size.raise_to(size as f64);
         m.batch_size.record(size as f64);
         m.batch_occupancy_pct
             .set(size as f64 * 100.0 / width as f64);
@@ -605,10 +593,6 @@ fn record_panic(
     } else {
         "opaque panic payload".to_string()
     };
-    shared
-        .stats
-        .panics_recovered
-        .fetch_add(1, Ordering::Relaxed);
     if let Some(w) = shared.metrics.workers.get(worker) {
         w.panics.add(1);
     }
@@ -643,7 +627,6 @@ fn quarantine(shared: &Shared, engine: &mut Generation<'_>, why: &str, ticket: u
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_RUNNING); // rebuilding + replaying next
     }
-    shared.stats.rebuilds.fetch_add(1, Ordering::Relaxed);
     shared.rec.event(
         None,
         names::event::QUARANTINED,
@@ -666,10 +649,6 @@ fn give_up(
     worker: usize,
 ) -> String {
     if shared.breaker.record_failure() {
-        shared
-            .stats
-            .breaker_trips_seen
-            .fetch_add(1, Ordering::Relaxed);
         shared.metrics.flight.note(
             worker,
             "breaker.trip",

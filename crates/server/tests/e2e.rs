@@ -514,6 +514,38 @@ fn shutdown_op_drains_and_rejects_late_requests() {
     assert_eq!(report.ok, 1);
 }
 
+/// A `bfs` refused because the server is draining never reaches the
+/// queue, and is still on the books: the client is told `draining` and
+/// the report counts it. A slow request in flight keeps the connection
+/// open across the drain, so the late one is certain to be read.
+#[test]
+fn draining_refusal_is_counted_in_the_report() {
+    let cfg = ServeConfig {
+        allow_chaos: true,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, test_graph());
+    let mut c = Client::connect(handle.addr());
+    c.send(&bfs_line(1, 3, ",\"chaos\":\"slow@400\""));
+    // Lines are read in order: the pong says request 1 is admitted.
+    c.send("{\"op\":\"ping\",\"id\":9}");
+    assert_eq!(c.recv().id, 9);
+
+    handle.initiate_drain();
+    c.send(&bfs_line(2, 4, ""));
+    let mut line = String::new();
+    c.reader.read_line(&mut line).expect("recv refusal");
+    assert!(line.contains("\"status\":\"overloaded\""), "{line}");
+    assert!(line.contains("\"reason\":\"draining\""), "{line}");
+    let r = c.recv();
+    assert_eq!((r.id, r.status.as_str()), (1, "ok"));
+
+    let report = handle.join();
+    assert!(report.drain_clean, "{report:?}");
+    assert_eq!(report.rejected_draining, 1, "{report:?}");
+    assert_eq!((report.accepted, report.ok), (1, 1), "{report:?}");
+}
+
 // ---------------------------------------------------------------------
 // Completion-driven replies: reader/writer split per connection.
 // ---------------------------------------------------------------------

@@ -15,11 +15,12 @@ use gcd_sim::Device;
 use xbfs_core::{Xbfs, XbfsConfig};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::Csr;
-use xbfs_server::top::{run_top, TopSnapshot};
-use xbfs_server::{ServeConfig, Server, ServerHandle};
+use xbfs_multi_gcd::RankHealth;
+use xbfs_server::top::run_top;
+use xbfs_server::{ServeConfig, ServeReport, Server, ServerHandle};
 use xbfs_telemetry::json::JsonValue;
 use xbfs_telemetry::names::live;
-use xbfs_telemetry::Recorder;
+use xbfs_telemetry::{MetricsSnapshot, Recorder};
 
 fn test_graph() -> Arc<Csr> {
     Arc::new(erdos_renyi(2000, 8_000, 11))
@@ -63,11 +64,11 @@ impl Client {
     }
 
     /// Scrape via the wire `metrics` op, returning the parsed snapshot.
-    fn scrape(&mut self, id: u64) -> TopSnapshot {
+    fn scrape(&mut self, id: u64) -> MetricsSnapshot {
         let resp = self.roundtrip(&format!("{{\"op\":\"metrics\",\"id\":{id}}}"));
         let v = JsonValue::parse(&resp).expect("metrics response parses");
         assert_eq!(v.get("status").and_then(|s| s.as_str()), Some("ok"));
-        TopSnapshot::parse(v.get("metrics").expect("metrics payload"))
+        MetricsSnapshot::from_json(v.get("metrics").expect("metrics payload"))
             .expect("payload is xbfs-metrics-v1")
     }
 }
@@ -78,15 +79,26 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     d
 }
 
+/// The serve report is a function of the snapshot, and the snapshot
+/// survives the wire: a scrape taken once the scripted session is over,
+/// parsed back with `from_json`, yields field for field the report that
+/// `join` builds from its own last snapshot.
 #[test]
 fn metrics_op_snapshot_reconciles_with_final_report() {
     let g = test_graph();
-    let handle = start(ServeConfig::default(), g);
+    let cfg = ServeConfig::default();
+    let handle = start(cfg.clone(), g);
     let mut c = Client::connect(handle.addr());
 
-    for (id, src) in [(1u64, 0u32), (2, 5), (3, 1999)] {
+    // Three ok; the third carries a chaos token this server never opted
+    // into, so it is counted, ignored, and served like the others.
+    for (id, src, extra) in [
+        (1u64, 0u32, ""),
+        (2, 5, ""),
+        (3, 1999, ",\"chaos\":\"panic\""),
+    ] {
         let r = c.roundtrip(&format!(
-            "{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":{src}}}"
+            "{{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":{id},\"source\":{src}{extra}}}"
         ));
         assert!(r.contains("\"status\":\"ok\""), "{r}");
     }
@@ -95,9 +107,14 @@ fn metrics_op_snapshot_reconciles_with_final_report() {
         "{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":4,\"source\":1,\"deadline_ms\":0.000001}",
     );
     assert!(r.contains("\"status\":\"timeout\""), "{r}");
+    // One line that is not a request, and one replay of a finished id.
+    let r = c.roundtrip("this is not json");
+    assert!(r.contains("\"status\":\"error\""), "{r}");
+    let r = c.roundtrip("{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":1,\"source\":0}");
+    assert!(r.contains("\"deduped\":true"), "{r}");
 
-    // Everything above completed before this scrape, so the snapshot
-    // must agree exactly with what the final report will say.
+    // Everything above completed before this scrape, and nothing in the
+    // script changes during the drain.
     let snap = c.scrape(90);
     assert_eq!(snap.counter(live::REQUESTS_TOTAL, &[("status", "ok")]), 3);
     assert_eq!(
@@ -105,22 +122,97 @@ fn metrics_op_snapshot_reconciles_with_final_report() {
         1
     );
     assert_eq!(snap.counter(live::ADMITTED_TOTAL, &[]), 4);
-    assert!(snap.counter(live::CONNECTIONS_TOTAL, &[]) >= 1);
-    let (count, _, p50, p99) = snap
-        .hist(live::REQUEST_LATENCY_MS, &[("status", "ok")])
+    assert_eq!(snap.counter(live::CHAOS_IGNORED_TOTAL, &[]), 1);
+    let latency = snap
+        .histogram(live::REQUEST_LATENCY_MS, &[("status", "ok")])
         .expect("ok latency histogram present");
-    assert_eq!(count, 3);
-    assert!(p50 > 0.0 && p99 >= p50, "p50 {p50} p99 {p99}");
+    assert_eq!(latency.count(), 3);
+    let (p50, p99) = (latency.quantile(50.0), latency.quantile(99.0));
+    assert!(p50 > Some(0.0) && p99 >= p50, "p50 {p50:?} p99 {p99:?}");
+    // What only the drain-time report used to know is a live series now.
+    for name in [
+        live::RETRIED_OK_TOTAL,
+        live::CHAOS_IGNORED_TOTAL,
+        live::UNDELIVERED_TOTAL,
+        live::DROPPED_CONNECTIONS_TOTAL,
+        live::BATCHED_REQUESTS_TOTAL,
+        live::MAX_BATCH_SIZE,
+        live::MAX_QUEUE_DEPTH,
+    ] {
+        assert!(snap.find(name, &[]).is_some(), "{name} missing mid-load");
+    }
+
+    // The `stats` line is a view of the same books, byte for byte.
+    assert_eq!(
+        c.roundtrip("{\"op\":\"stats\",\"id\":7}"),
+        "{\"v\":\"xbfs-serve-v1\",\"id\":7,\"status\":\"ok\",\"accepted\":4,\"shed\":0,\
+         \"ok\":3,\"timeouts\":1,\"errors\":0,\"depth\":0,\"breaker_open\":false}"
+    );
 
     handle.initiate_drain();
     let report = handle.join();
     assert!(report.drain_clean);
-    assert_eq!(report.ok, 3);
-    assert_eq!(report.timeouts, 1);
     assert_eq!(
-        report.accepted,
-        snap.counter(live::ADMITTED_TOTAL, &[]),
-        "scrape reconciles with the report: nothing lost"
+        (report.ok, report.timeouts, report.bad_lines, report.deduped),
+        (3, 1, 1, 1),
+        "{report:?}"
+    );
+    assert_eq!(report.max_queue_depth, 1, "{report:?}");
+    assert_eq!(
+        ServeReport::from_snapshot(&snap, &cfg, report.flight_dumps.clone(), 0),
+        report,
+        "the wire scrape and the final report are one set of books"
+    );
+}
+
+/// `xbfs-serve-report-v1` byte for byte, captured before the report
+/// became a view of the snapshot (`scripts/ci.sh` greps fields out of it).
+#[test]
+fn serve_report_json_bytes_are_pinned() {
+    let report = ServeReport {
+        accepted: 101,
+        shed: 2,
+        rejected_draining: 3,
+        ok: 94,
+        timeouts: 5,
+        errors: 2,
+        replayed: 7,
+        panics_recovered: 8,
+        rebuilds: 9,
+        chaos_ignored: 10,
+        breaker_trips: 11,
+        breaker_fast_rejects: 12,
+        connections: 13,
+        dropped_connections: 0,
+        bad_lines: 15,
+        max_queue_depth: 16,
+        deduped: 17,
+        batches: 18,
+        batched_requests: 19,
+        max_batch_size: 20,
+        batch_width: 64,
+        journal_appends: 22,
+        journal_fsyncs: 23,
+        journal_bytes: 24,
+        replayed_requests: 25,
+        recovery_ms: 26.5,
+        long_lines: 27,
+        idle_disconnects: 28,
+        flight_dumps: vec!["/tmp/a \"b\".log".into(), "c.log".into()],
+        cluster: 2,
+        rank_health: vec![
+            RankHealth {
+                crashes: 1,
+                checkpoints_restored: 2,
+                retransmitted_bytes: 3,
+            },
+            RankHealth::default(),
+        ],
+        drain_clean: true,
+    };
+    assert_eq!(
+        report.to_json(),
+        r#"{"format":"xbfs-serve-report-v1","accepted":101,"shed":2,"rejected_draining":3,"ok":94,"timeouts":5,"errors":2,"replayed":7,"panics_recovered":8,"rebuilds":9,"chaos_ignored":10,"breaker_trips":11,"breaker_fast_rejects":12,"connections":13,"dropped_connections":0,"bad_lines":15,"max_queue_depth":16,"deduped":17,"batches":18,"batched_requests":19,"max_batch_size":20,"batch_width":64,"journal_appends":22,"journal_fsyncs":23,"journal_bytes":24,"replayed_requests":25,"recovery_ms":26.5,"long_lines":27,"idle_disconnects":28,"cluster":2,"rank_health":[{"rank":0,"crashes":1,"checkpoints_restored":2,"retransmitted_bytes":3},{"rank":1,"crashes":0,"checkpoints_restored":0,"retransmitted_bytes":0}],"flight_dumps":["/tmp/a \"b\".log","c.log"],"drain_clean":true}"#
     );
 }
 
@@ -157,13 +249,19 @@ fn registry_latency_clock_stops_at_the_socket() {
     let client_p50 = client_ms[client_ms.len() / 2];
 
     let snap = c.scrape(90);
-    let (count, _, p50, _) = snap
-        .hist(live::REQUEST_LATENCY_MS, &[("status", "ok")])
+    let latency = snap
+        .histogram(live::REQUEST_LATENCY_MS, &[("status", "ok")])
         .expect("ok latency histogram present");
-    let (written, _, write_p50, _) = snap
-        .hist(live::WRITE_MS, &[])
+    let write = snap
+        .histogram(live::WRITE_MS, &[])
         .expect("write-stage histogram present");
-    assert_eq!((count, written), (15, 15), "one sample per reply written");
+    assert_eq!(
+        (latency.count(), write.count()),
+        (15, 15),
+        "one sample per reply written"
+    );
+    let p50 = latency.quantile(50.0).unwrap();
+    let write_p50 = write.quantile(50.0).unwrap();
     assert!(
         p50 >= engine_ms,
         "registry p50 {p50} ms cannot undercut the engine's {engine_ms} ms"
@@ -217,7 +315,7 @@ fn http_listener_serves_prometheus_and_json_mid_load() {
 
     let json = http_get("/metrics.json");
     let body = json.split("\r\n\r\n").nth(1).expect("has body");
-    let snap = TopSnapshot::parse(&JsonValue::parse(body).expect("json body parses"))
+    let snap = MetricsSnapshot::from_json(&JsonValue::parse(body).expect("json body parses"))
         .expect("body is xbfs-metrics-v1");
     assert_eq!(snap.counter(live::REQUESTS_TOTAL, &[("status", "ok")]), 3);
 

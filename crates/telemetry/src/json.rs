@@ -1,10 +1,9 @@
 //! A minimal, std-only JSON reader/writer.
 //!
-//! The vendored `serde` in this workspace is a compile-only marker
-//! stand-in (no real serialization machinery), so trace validation and
-//! `xbfs trace summarize` parse JSON here instead. The grammar is full
-//! RFC 8259 minus `\u` surrogate-pair pedantry (lone surrogates are
-//! replaced, not rejected).
+//! The workspace has no serialization dependency, so trace validation,
+//! `xbfs trace summarize` and every wire reader parse JSON here. The
+//! grammar is full RFC 8259 minus `\u` surrogate-pair pedantry (lone
+//! surrogates are replaced, not rejected).
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

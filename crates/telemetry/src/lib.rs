@@ -20,8 +20,7 @@
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
 //!   Perfetto `trace.json`, and a rocprofiler-style kernel CSV.
 //! * **JSON** ([`json`]) — a minimal std-only JSON parser used to validate
-//!   and summarize traces (the vendored `serde` is a marker stand-in, so
-//!   parsing is done here).
+//!   and summarize traces (the workspace has no serialization dependency).
 //!
 //! The disabled recorder ([`Recorder::disabled`]) is a no-op sink: every
 //! recording call is a single relaxed atomic load, which keeps untraced
@@ -265,5 +264,19 @@ pub mod names {
         pub const LONG_LINES_TOTAL: &str = "serve.long_lines_total";
         /// Connections closed by the idle read timeout.
         pub const IDLE_DISCONNECTS_TOTAL: &str = "serve.idle_disconnects_total";
+        /// `ok` responses that needed a quarantine replay first.
+        pub const RETRIED_OK_TOTAL: &str = "serve.retried_ok_total";
+        /// Chaos tokens ignored because the server did not opt in.
+        pub const CHAOS_IGNORED_TOTAL: &str = "serve.chaos_ignored_total";
+        /// Finished responses whose connection was already gone.
+        pub const UNDELIVERED_TOTAL: &str = "serve.undelivered_total";
+        /// Connections that died with an unanswered in-flight request.
+        pub const DROPPED_CONNECTIONS_TOTAL: &str = "serve.dropped_connections_total";
+        /// Requests that rode a dispatched multi-source batch.
+        pub const BATCHED_REQUESTS_TOTAL: &str = "serve.batched_requests_total";
+        /// Widest batch coalesced so far (high-water gauge).
+        pub const MAX_BATCH_SIZE: &str = "serve.max_batch_size";
+        /// Deepest admission-queue backlog so far (high-water gauge).
+        pub const MAX_QUEUE_DEPTH: &str = "serve.max_queue_depth";
     }
 }

@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::escape;
+use crate::json::{escape, JsonValue};
 
 /// The unit a metric is denominated in, carried alongside the value so
 /// exposition (Prometheus text, `xbfs-metrics-v1` JSON, dashboards) can
@@ -59,6 +59,14 @@ impl MetricUnit {
             MetricUnit::Micros => "us",
             MetricUnit::State => "state",
         }
+    }
+
+    /// Inverse of [`Self::as_str`].
+    fn parse(token: &str) -> Option<Self> {
+        use MetricUnit::*;
+        [Count, Bytes, Millis, Micros, State]
+            .into_iter()
+            .find(|u| u.as_str() == token)
     }
 }
 
@@ -98,6 +106,14 @@ impl Counter {
         self.value.fetch_add(delta, Ordering::Relaxed);
     }
 
+    /// Raise the counter to `total`, a monotone total some other
+    /// component owns and this counter only samples. One `fetch_max`:
+    /// idempotent, and racing samplers can never double-count or move it
+    /// backwards. A series is either sampled or `add`ed to, never both.
+    pub fn raise_to(&self, total: u64) {
+        self.value.fetch_max(total, Ordering::Relaxed);
+    }
+
     /// Current value: one atomic load, torn-read-free by construction.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
@@ -117,6 +133,14 @@ impl Gauge {
     /// Set the gauge.
     pub fn set(&self, value: f64) {
         self.0.store(value.to_bits(), Ordering::Relaxed);
+    }
+
+    /// Raise a high-water gauge to `value` if that is higher. One
+    /// `fetch_max` on the bit pattern, which orders like the number for
+    /// the non-negative values a high-water mark takes.
+    pub fn raise_to(&self, value: f64) {
+        debug_assert!(value.is_sign_positive(), "negative bits order backwards");
+        self.0.fetch_max(value.to_bits(), Ordering::Relaxed);
     }
 
     /// Current value.
@@ -474,6 +498,14 @@ pub struct SeriesSnapshot {
     pub value: SeriesValue,
 }
 
+impl SeriesSnapshot {
+    /// The value of one label, if the series carries it.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        let (_, v) = self.labels.iter().find(|(k, _)| k == key)?;
+        Some(v)
+    }
+}
+
 /// The frozen value of one series.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SeriesValue {
@@ -521,22 +553,95 @@ fn prom_labels(labels: &[(String, String)], extra: Option<(&str, String)>) -> St
 impl MetricsSnapshot {
     /// Look one series up by name and labels (test/tooling helper).
     pub fn find(&self, name: &str, labels: &[(&str, &str)]) -> Option<&SeriesSnapshot> {
-        let k = key(name, labels);
-        self.series
-            .iter()
-            .find(|s| s.name == k.name && s.labels == k.labels)
+        self.series.iter().find(|s| {
+            s.name == name
+                && s.labels.len() == labels.len()
+                && labels.iter().all(|&(k, v)| s.label(k) == Some(v))
+        })
+    }
+
+    /// Every series of one family (across labels).
+    pub fn family<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a SeriesSnapshot> {
+        self.series.iter().filter(move |s| s.name == name)
     }
 
     /// Sum every counter series of one family (across labels).
     pub fn counter_family_total(&self, name: &str) -> u64 {
-        self.series
-            .iter()
-            .filter(|s| s.name == name)
+        self.family(name)
             .filter_map(|s| match s.value {
                 SeriesValue::Counter(v) => Some(v),
                 _ => None,
             })
             .sum()
+    }
+
+    /// One counter's value; 0 when the series is absent.
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
+        match self.find(name, labels).map(|s| &s.value) {
+            Some(&SeriesValue::Counter(v)) => v,
+            _ => 0,
+        }
+    }
+
+    /// One gauge's value; `None` when the series is absent.
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
+        match self.find(name, labels).map(|s| &s.value) {
+            Some(&SeriesValue::Gauge(v)) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// One histogram's buckets; `None` when the series is absent.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&HistogramSnapshot> {
+        match self.find(name, labels).map(|s| &s.value) {
+            Some(SeriesValue::Histogram(h)) => Some(h),
+            _ => None,
+        }
+    }
+
+    /// Rebuild a snapshot from a decoded `xbfs-metrics-v1` object (the
+    /// value under `"metrics"` in a `metrics` reply, or a `/metrics.json`
+    /// body): the inverse of [`Self::to_json`]. `uptime_ms` and histogram
+    /// sums come back to the three decimals that format prints, counters
+    /// exactly up to 2^53, and histograms from their sparse buckets — so
+    /// `quantile` over the result reproduces the emitted `p50`/`p99`.
+    /// `None` when the format marker, a unit or a kind is not one
+    /// `to_json` writes, or a bucket index is out of range.
+    pub fn from_json(v: &JsonValue) -> Option<Self> {
+        if v.get("format")?.as_str()? != "xbfs-metrics-v1" {
+            return None;
+        }
+        let series = v.get("series")?.as_arr()?.iter().map(|s| {
+            let num = |k: &str| s.get(k)?.as_f64();
+            let value = match s.get("kind")?.as_str()? {
+                "counter" => SeriesValue::Counter(num("value")? as u64),
+                "gauge" => SeriesValue::Gauge(num("value")?),
+                "histogram" => {
+                    let mut h = HistogramSnapshot::empty();
+                    h.sum = num("sum")?;
+                    for pair in s.get("buckets")?.as_arr()? {
+                        let [idx, count] = pair.as_arr()? else {
+                            return None;
+                        };
+                        *h.counts.get_mut(idx.as_f64()? as usize)? = count.as_f64()? as u64;
+                    }
+                    SeriesValue::Histogram(h)
+                }
+                _ => return None,
+            };
+            Some(SeriesSnapshot {
+                name: s.get("name")?.as_str()?.to_string(),
+                labels: (s.get("labels")?.as_obj()?.iter())
+                    .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                    .collect::<Option<_>>()?,
+                unit: MetricUnit::parse(s.get("unit")?.as_str()?)?,
+                value,
+            })
+        });
+        Some(Self {
+            uptime_ms: v.get("uptime_ms")?.as_f64()?,
+            series: series.collect::<Option<_>>()?,
+        })
     }
 
     /// Prometheus-style text exposition.
@@ -667,6 +772,21 @@ mod tests {
         let g = Gauge::new();
         g.set(0.25);
         assert_eq!(g.get(), 0.25);
+    }
+
+    #[test]
+    fn raise_to_samples_an_owners_total_once_and_never_backwards() {
+        let c = Counter::new();
+        c.raise_to(10);
+        c.raise_to(10); // a racing sampler read the same total
+        c.raise_to(7); // a stale sampler read an older one
+        c.raise_to(15);
+        assert_eq!(c.get(), 15);
+        let g = Gauge::new();
+        g.raise_to(3.0);
+        g.raise_to(2.5);
+        g.raise_to(64.0);
+        assert_eq!(g.get(), 64.0);
     }
 
     /// Regression test for scrape consistency: concurrent scrapes of a

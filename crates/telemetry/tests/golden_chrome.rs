@@ -1,8 +1,7 @@
 //! Golden-file test: the chrome-trace exporter's output is deterministic,
 //! byte-stable, and valid Trace Event Format JSON.
 //!
-//! The vendored `serde` is a marker stand-in, so "parse it back" uses the
-//! crate's own `JsonValue` reader. Regenerate the golden file with
+//! "Parse it back" uses the crate's own `JsonValue` reader. Regenerate the golden file with
 //! `BLESS=1 cargo test -p xbfs-telemetry --test golden_chrome`.
 
 use xbfs_telemetry::export::{ChromeTraceSink, TraceSink};

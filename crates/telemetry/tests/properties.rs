@@ -1,8 +1,12 @@
-//! Property tests for span nesting/ordering and the percentiles of the
-//! live plane's bucketed [`LogHistogram`].
+//! Property tests for span nesting/ordering, the percentiles of the
+//! live plane's bucketed [`LogHistogram`], and the `xbfs-metrics-v1`
+//! wire round trip.
 
 use proptest::prelude::*;
-use xbfs_telemetry::{AttrValue, LogHistogram, Recorder};
+use xbfs_telemetry::{
+    AttrValue, JsonValue, LogHistogram, MetricUnit, MetricsRegistry, MetricsSnapshot, Recorder,
+    SeriesValue,
+};
 
 /// A random well-nested span program: at each step either open a child of
 /// the current span, close the current span, or emit an event/counter.
@@ -128,5 +132,59 @@ proptest! {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         prop_assert_eq!(merged, whole.snapshot());
+    }
+
+    /// A snapshot survives the wire: `from_json` over `to_json` gives
+    /// back every series with its name, labels, unit and value — counters
+    /// and gauges exactly, histograms bucket for bucket, so the
+    /// percentiles a remote reader computes are the server's own;
+    /// `uptime_ms` and histogram sums to the three decimals the format
+    /// prints.
+    #[test]
+    fn metrics_snapshot_survives_the_wire(
+        counters in proptest::collection::vec(0u64..(1 << 53), 0..6),
+        gauges in proptest::collection::vec(0u64..4_000_000_000, 0..6),
+        streams in proptest::collection::vec(
+            proptest::collection::vec(0u64..2_000_000_000, 0..40), 0..4),
+    ) {
+        let reg = MetricsRegistry::new();
+        for (i, &v) in counters.iter().enumerate() {
+            reg.counter("c.events_total", MetricUnit::Bytes, &[("k", &i.to_string())]).add(v);
+        }
+        for (i, &v) in gauges.iter().enumerate() {
+            // Fractional, and negative about half the time.
+            reg.gauge("g.level", MetricUnit::State, &[("k", &i.to_string())])
+                .set(v as f64 / 1e3 - 2e6);
+        }
+        for (i, stream) in streams.iter().enumerate() {
+            let labels = [("k", i.to_string()), ("status", "ok".to_string())];
+            let labels: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
+            let h = reg.histogram("h.wait_ms", MetricUnit::Millis, &labels);
+            for &v in stream {
+                h.record(v as f64 / 1e4);
+            }
+        }
+        let sent = reg.snapshot();
+        let wire = JsonValue::parse(&sent.to_json()).expect("to_json emits valid JSON");
+        let got = MetricsSnapshot::from_json(&wire).expect("from_json reads what to_json wrote");
+
+        prop_assert!((got.uptime_ms - sent.uptime_ms).abs() <= 0.000_501);
+        prop_assert_eq!(got.series.len(), sent.series.len());
+        for (a, b) in sent.series.iter().zip(&got.series) {
+            prop_assert_eq!((&a.name, &a.labels, a.unit), (&b.name, &b.labels, b.unit));
+            match (&a.value, &b.value) {
+                (SeriesValue::Histogram(x), SeriesValue::Histogram(y)) => {
+                    prop_assert_eq!(
+                        x.nonzero_buckets().collect::<Vec<_>>(),
+                        y.nonzero_buckets().collect::<Vec<_>>()
+                    );
+                    prop_assert!((x.sum() - y.sum()).abs() <= 0.000_501);
+                    for q in [50.0, 99.0] {
+                        prop_assert_eq!(x.quantile(q), y.quantile(q));
+                    }
+                }
+                (x, y) => prop_assert_eq!(x, y),
+            }
+        }
     }
 }
