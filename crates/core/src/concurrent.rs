@@ -25,19 +25,54 @@
 //! ([`crate::integrity::certify_ms_run`]).
 
 use std::borrow::Borrow;
+use std::cell::RefCell;
 
 use crate::device_graph::DeviceGraph;
-use crate::engine::{reached, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
+use crate::engine::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use crate::error::XbfsError;
 use crate::integrity::{certify_ms_run, verified_run, Certificate};
 use crate::state::UNVISITED;
 use crate::stats::levels_digest;
-use gcd_sim::{BufU32, BufU64, Device, LaunchCfg, WaveCtx};
+use gcd_sim::{fnv1a, fnv1a_mix, BufU32, BufU64, Device, LaunchCfg, WaveCtx};
 use parking_lot::Mutex;
 use xbfs_graph::Csr;
 
 /// Maximum sources per batch (bits in the visited mask = wave width).
 pub const MAX_CONCURRENT: usize = 64;
+
+/// One live lane of an expanding wave: its vertex's slot bits and edges.
+struct Lane {
+    bits: u64,
+    off: u64,
+    deg: u32,
+}
+
+/// The kernels' host-side working vectors. The engine owns one set and
+/// lends it to each wave in turn, so a launch allocates nothing once they
+/// have grown to a wave's width. A wave clears what it uses *before* using
+/// it: nothing an earlier wave left behind — one that returned early
+/// included — reaches the next.
+#[derive(Default)]
+struct WaveScratch {
+    /// Stamps and seen masks gathered at an op's vertices (both kernels).
+    sts: Vec<u32>,
+    svs: Vec<u64>,
+    // Expand: the wave's frontier entries, then one entry per live lane.
+    us: Vec<u32>,
+    ubits: Vec<u64>,
+    offs: Vec<u64>,
+    degs: Vec<u32>,
+    lanes: Vec<Lane>,
+    vs: Vec<u32>,
+    ops: Vec<(usize, u64)>,
+    // Fold: fresh masks, the vertices that have one, and what to write
+    // (level stores per slot, grown to the widest batch seen).
+    fb: Vec<u64>,
+    pending: Vec<(usize, u64)>,
+    members: Vec<u32>,
+    seen_writes: Vec<(usize, u64)>,
+    level_writes: Vec<Vec<(usize, u32)>>,
+}
 
 /// Mutable traversal state, pooled and reused across batches.
 struct MsInner {
@@ -68,6 +103,9 @@ struct MsInner {
     swapped: bool,
     /// Cached `"msbfs level N"` phase labels.
     labels: Vec<String>,
+    /// Lent to every wave of every launch; `Device::launch` takes a `Fn`,
+    /// hence the `RefCell`.
+    scratch: RefCell<WaveScratch>,
 }
 
 /// A persistent, pooled multi-source engine: the graph upload and every
@@ -112,6 +150,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             last_depth: 0,
             swapped: false,
             labels: Vec::new(),
+            scratch: RefCell::default(),
         };
         Ok(Self {
             device,
@@ -156,6 +195,18 @@ impl<D: Borrow<Device>> MsBfs<D> {
         deadline_ms: Option<f64>,
         verify: bool,
     ) -> Result<(MsBfsRun, Option<Vec<Certificate>>), XbfsError> {
+        self.run_timed(sources, deadline_ms, verify)
+            .map(|(run, certs, _)| (run, certs))
+    }
+
+    /// [`MsBfs::run_with`] plus the wall ms the verified pipeline spent
+    /// after the traversal (0 unverified).
+    fn run_timed(
+        &self,
+        sources: &[u32],
+        deadline_ms: Option<f64>,
+        verify: bool,
+    ) -> Result<(MsBfsRun, Option<Vec<Certificate>>, f64), XbfsError> {
         assert!(!sources.is_empty(), "need at least one source");
         assert!(
             sources.len() <= MAX_CONCURRENT,
@@ -170,10 +221,10 @@ impl<D: Borrow<Device>> MsBfs<D> {
         }
         let run = || self.run_impl(sources, deadline_ms);
         if !verify {
-            return run().map(|run| (run, None));
+            return run().map(|run| (run, None, 0.0));
         }
         verified_run(self.device.borrow(), &self.graph, run, certify_ms_run)
-            .map(|(run, certs)| (run, Some(certs)))
+            .map(|(run, certs, wall_ms)| (run, Some(certs), wall_ms))
     }
 
     fn run_impl(&self, sources: &[u32], deadline_ms: Option<f64>) -> Result<MsBfsRun, XbfsError> {
@@ -257,6 +308,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
                         &inner.fresh,
                         &inner.frontier,
                         epoch,
+                        &mut inner.scratch.borrow_mut(),
                     )
                 },
             );
@@ -274,6 +326,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
                     level_of,
                     enc,
                     epoch,
+                    &mut inner.scratch.borrow_mut(),
                 )
             });
             device.sync();
@@ -400,12 +453,24 @@ impl<D: Borrow<Device>> Engine for MsBfs<D> {
                 ))
             }
         }
-        let (run, certs) = self.run_with(sources, req.deadline_ms, req.verify)?;
+        let (run, certs, certify_wall_ms) = self.run_timed(sources, req.deadline_ms, req.verify)?;
+        let slots = (0..run.width()).map(|slot| match &certs {
+            // A certificate already counted and digested its slot's levels.
+            Some(certs) => SlotAnswer {
+                depth: certs[slot].depth,
+                reached: certs[slot].visited,
+                digest: certs[slot].levels_checksum,
+                source: sources[slot],
+                gteps: run.slot_gteps(slot),
+            },
+            None => run.answer(slot),
+        });
         Ok(RunOutcome {
-            slots: (0..run.width()).map(|slot| run.answer(slot)).collect(),
+            slots: slots.collect(),
             total_ms: run.total_ms,
             levels: run.levels,
             certified: certs.is_some(),
+            certify_wall_ms,
             recoveries: None,
         })
     }
@@ -442,32 +507,26 @@ impl MsBfsRun {
         levels_digest(self.sources[slot], &self.levels[slot])
     }
 
-    /// BFS depth of one slot (deepest finite level).
-    pub fn slot_depth(&self, slot: usize) -> u32 {
-        self.levels[slot]
-            .iter()
-            .filter(|&&l| l != UNVISITED)
-            .copied()
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Vertices one slot reached.
-    pub fn slot_reached(&self, slot: usize) -> u64 {
-        reached(&self.levels[slot])
-    }
-
     /// What batched serving answers with for one slot: depth is the
     /// deepest level and the digest is the levels-only
     /// [`MsBfsRun::result_digest`], so batching is invisible next to a
-    /// solo run's `result_digest`.
+    /// solo run's `result_digest`. One pass over the slot's levels.
     pub fn answer(&self, slot: usize) -> SlotAnswer {
+        let (mut reached, mut depth) = (0u64, 0u32);
+        let mut digest = fnv1a([u64::from(self.sources[slot])]);
+        for &l in &self.levels[slot] {
+            digest = fnv1a_mix(digest, u64::from(l));
+            if l != UNVISITED {
+                reached += 1;
+                depth = depth.max(l);
+            }
+        }
         SlotAnswer {
             source: self.sources[slot],
-            depth: self.slot_depth(slot),
-            reached: self.slot_reached(slot),
+            depth,
+            reached,
             gteps: self.slot_gteps(slot),
-            digest: self.result_digest(slot),
+            digest,
         }
     }
 
@@ -485,6 +544,7 @@ impl MsBfsRun {
 /// with a 64-bit `atomicOr` into `fresh`. Neighbor masks are gated by the
 /// epoch stamp: a stale stamp means the mask is leftover from an earlier
 /// batch and reads as empty.
+#[allow(clippy::too_many_arguments)]
 fn expand_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
@@ -493,57 +553,52 @@ fn expand_kernel(
     fresh: &BufU64,
     frontier: &BufU32,
     epoch: u32,
+    s: &mut WaveScratch,
 ) {
     // Launched with `items` = the frontier length: every lane has an entry.
     let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(frontier, gids.start, gids.len(), &mut us);
-    let uidx = us.iter().map(|&u| u as usize);
+    s.us.clear();
+    w.vload32_range(frontier, gids.start, gids.len(), &mut s.us);
+    let uidx = s.us.iter().map(|&u| u as usize);
     // Frontier vertices were stamped when they were discovered, so their
     // own masks need no gate.
-    let mut ubits = Vec::with_capacity(us.len());
-    w.vload64(seen, uidx.clone(), &mut ubits);
-    let mut offs = Vec::with_capacity(us.len());
-    w.vload64(&g.offsets, uidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(us.len());
-    w.vload32(&g.degrees, uidx, &mut degs);
-    struct Lane {
-        bits: u64,
-        off: u64,
-        deg: u32,
-    }
-    let mut lanes: Vec<Lane> = ubits
-        .iter()
-        .zip(offs.iter().zip(&degs))
-        .map(|(&bits, (&off, &deg))| Lane { bits, off, deg })
-        .collect();
-    let (mut vs, mut sts, mut svs) = (Vec::new(), Vec::new(), Vec::new());
-    let mut ops: Vec<(usize, u64)> = Vec::new();
+    s.ubits.clear();
+    w.vload64(seen, uidx.clone(), &mut s.ubits);
+    s.offs.clear();
+    w.vload64(&g.offsets, uidx.clone(), &mut s.offs);
+    s.degs.clear();
+    w.vload32(&g.degrees, uidx, &mut s.degs);
+    s.lanes.clear();
+    let lanes = s.ubits.iter().zip(s.offs.iter().zip(&s.degs));
+    s.lanes
+        .extend(lanes.map(|(&bits, (&off, &deg))| Lane { bits, off, deg }));
     let mut k = 0u32;
     loop {
-        lanes.retain(|l| k < l.deg);
-        if lanes.is_empty() {
+        s.lanes.retain(|l| k < l.deg);
+        if s.lanes.is_empty() {
             break;
         }
-        vs.clear();
-        let aidx = lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
-        w.vload32(&g.adjacency, aidx, &mut vs);
-        sts.clear();
-        w.vload32(stamp, vs.iter().map(|&v| v as usize), &mut sts);
-        svs.clear();
-        w.vload64(seen, vs.iter().map(|&v| v as usize), &mut svs);
+        s.vs.clear();
+        let aidx = s.lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
+        w.vload32(&g.adjacency, aidx, &mut s.vs);
+        s.sts.clear();
+        w.vload32(stamp, s.vs.iter().map(|&v| v as usize), &mut s.sts);
+        s.svs.clear();
+        w.vload64(seen, s.vs.iter().map(|&v| v as usize), &mut s.svs);
         w.alu(2);
-        ops.clear();
-        let fresh_bits = vs.iter().zip(lanes.iter().zip(sts.iter().zip(&svs)));
-        ops.extend(fresh_bits.filter_map(|(&v, (l, (&st, &sv)))| {
+        s.ops.clear();
+        let fresh_bits =
+            s.vs.iter()
+                .zip(s.lanes.iter().zip(s.sts.iter().zip(&s.svs)));
+        s.ops.extend(fresh_bits.filter_map(|(&v, (l, (&st, &sv)))| {
             let sb = if st == epoch { sv } else { 0 };
             let new = l.bits & !sb;
             (new != 0).then_some((v as usize, new))
         }));
-        w.vor64(fresh, &ops);
+        w.vor64(fresh, &s.ops);
         k += 1;
     }
 }
@@ -563,58 +618,61 @@ fn fold_kernel(
     level_of: &[BufU32],
     enc_level: u32,
     epoch: u32,
+    s: &mut WaveScratch,
 ) {
     let gids = w.lanes();
     if gids.is_empty() {
         return;
     }
-    let mut fb = Vec::with_capacity(gids.len());
-    w.vload64_range(fresh, gids.start, gids.len(), &mut fb);
+    s.fb.clear();
+    w.vload64_range(fresh, gids.start, gids.len(), &mut s.fb);
     w.alu(1);
-    let pending: Vec<(usize, u64)> = gids
-        .zip(&fb)
-        .filter(|&(_, &b)| b != 0)
-        .map(|(v, &b)| (v, b))
-        .collect();
-    if pending.is_empty() {
+    s.pending.clear();
+    let pending = gids.zip(&s.fb).filter(|&(_, &b)| b != 0);
+    s.pending.extend(pending.map(|(v, &b)| (v, b)));
+    if s.pending.is_empty() {
         return;
     }
-    let mut sts = Vec::with_capacity(pending.len());
-    w.vload32(stamp, pending.iter().map(|&(v, _)| v), &mut sts);
-    let mut sbits = Vec::with_capacity(pending.len());
-    w.vload64(seen, pending.iter().map(|&(v, _)| v), &mut sbits);
-    let mut members: Vec<u32> = Vec::new();
-    let mut seen_writes: Vec<(usize, u64)> = Vec::new();
-    let mut level_writes: Vec<Vec<(usize, u32)>> = vec![Vec::new(); level_of.len()];
-    for (&(v, b), (&st, &raw_sb)) in pending.iter().zip(sts.iter().zip(&sbits)) {
+    s.sts.clear();
+    w.vload32(stamp, s.pending.iter().map(|&(v, _)| v), &mut s.sts);
+    s.svs.clear();
+    w.vload64(seen, s.pending.iter().map(|&(v, _)| v), &mut s.svs);
+    s.members.clear();
+    s.seen_writes.clear();
+    if s.level_writes.len() < level_of.len() {
+        s.level_writes.resize_with(level_of.len(), Vec::new);
+    }
+    let level_writes = &mut s.level_writes[..level_of.len()];
+    level_writes.iter_mut().for_each(Vec::clear);
+    for (&(v, b), (&st, &raw_sb)) in s.pending.iter().zip(s.sts.iter().zip(&s.svs)) {
         let sb = if st == epoch { raw_sb } else { 0 };
         let new = b & !sb;
         if new == 0 {
             continue;
         }
-        seen_writes.push((v, sb | new));
-        members.push(v as u32);
+        s.seen_writes.push((v, sb | new));
+        s.members.push(v as u32);
         let mut bits = new;
         while bits != 0 {
-            let s = bits.trailing_zeros() as usize;
-            level_writes[s].push((v, enc_level));
+            let slot = bits.trailing_zeros() as usize;
+            level_writes[slot].push((v, enc_level));
             bits &= bits - 1;
         }
         w.alu(1);
     }
-    w.vstore64(fresh, pending.iter().map(|&(v, _)| (v, 0)));
-    w.vstore64(seen, &seen_writes);
-    w.vstore32(stamp, seen_writes.iter().map(|&(v, _)| (v, epoch)));
-    for (s, writes) in level_writes.iter().enumerate() {
-        if !writes.is_empty() {
-            w.vstore32(&level_of[s], writes);
-        }
+    w.vstore64(fresh, s.pending.iter().map(|&(v, _)| (v, 0)));
+    w.vstore64(seen, &s.seen_writes);
+    w.vstore32(stamp, s.seen_writes.iter().map(|&(v, _)| (v, epoch)));
+    // Slot ascending, vertex ascending within a slot: the order of these
+    // stores is coalescer state (DESIGN.md §8). An empty store is free.
+    for (level, writes) in level_of.iter().zip(level_writes.iter()) {
+        w.vstore32(level, writes);
     }
-    if members.is_empty() {
+    if s.members.is_empty() {
         return;
     }
-    let base = w.wave_add32(counters, 0, members.len() as u32) as usize;
-    w.vstore32_range(next_frontier, base, &members);
+    let base = w.wave_add32(counters, 0, s.members.len() as u32) as usize;
+    w.vstore32_range(next_frontier, base, &s.members);
 }
 
 #[cfg(test)]
@@ -731,6 +789,35 @@ mod tests {
     }
 
     #[test]
+    fn lent_scratch_carries_nothing_between_waves_or_batches() {
+        // The kernels' working vectors outlive every wave. Whatever one
+        // leaves in them must not reach the next: a reused engine reports
+        // the levels, kernel counters and modeled time of a fresh one.
+        let g = rmat_graph(RmatParams::graph500(9), 2);
+        let observe = |engine: &MsBfs<&Device>, sources: &[u32]| {
+            let run = engine.run_batch(sources);
+            let kernels: Vec<_> = (engine.device().take_reports().into_iter())
+                .map(|k| (k.name, k.stats, k.runtime_ms.to_bits()))
+                .collect();
+            (run.levels, kernels, run.total_ms.to_bits())
+        };
+        let dev = Device::mi250x();
+        let reused = MsBfs::new(&dev, &g).unwrap();
+        // From an isolated source every wave returns early: the expand
+        // wave has no live lane and no fold wave has a pending bit.
+        let isolated = (0..g.num_vertices() as u32).find(|&v| g.degree(v) == 0);
+        let (levels, ..) = observe(&reused, &[isolated.expect("R-MAT isolates vertices")]);
+        assert_eq!(levels[0].iter().filter(|&&l| l != UNVISITED).count(), 1);
+        for sources in [pick_sources(&g, MAX_CONCURRENT, 5), pick_sources(&g, 3, 6)] {
+            let fresh_dev = Device::mi250x();
+            let fresh = MsBfs::new(&fresh_dev, &g).unwrap();
+            let (warm, cold) = (observe(&reused, &sources), observe(&fresh, &sources));
+            assert!(warm == cold, "width {} diverged", sources.len());
+            assert!(!warm.1.is_empty(), "every launch leaves a report");
+        }
+    }
+
+    #[test]
     fn governed_deadline_aborts_and_engine_stays_reusable() {
         let g = rmat_graph(RmatParams::graph500(11), 3);
         let dev = Device::mi250x();
@@ -758,7 +845,7 @@ mod tests {
         let certs = certs.expect("verify produces certificates");
         assert_eq!(certs.len(), sources.len());
         for (i, c) in certs.iter().enumerate() {
-            assert_eq!(c.visited, run.slot_reached(i));
+            assert_eq!(c.visited, run.answer(i).reached);
             assert_eq!(c.levels_checksum, run.result_digest(i));
         }
     }

@@ -114,6 +114,9 @@ pub struct RunOutcome {
     pub total_ms: f64,
     /// Whether the result was validated (`RunRequest::verify`).
     pub certified: bool,
+    /// Host wall time validation added after the traversal, ms (0 when
+    /// not certified).
+    pub certify_wall_ms: f64,
     /// Mid-run crash recoveries; `None` for an engine with no recovery
     /// machinery.
     pub recoveries: Option<u64>,

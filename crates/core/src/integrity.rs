@@ -30,9 +30,10 @@ use crate::concurrent::MsBfsRun;
 use crate::device_graph::DeviceGraph;
 use crate::error::XbfsError;
 use crate::state::{is_unvisited, BfsState, UNVISITED};
-use crate::stats::{levels_digest, BfsRun};
-use gcd_sim::{fnv1a, splitmix64, Device, PoolError};
+use crate::stats::BfsRun;
+use gcd_sim::{fnv1a, fnv1a_mix, splitmix64, Device, PoolError};
 use std::fmt;
+use std::time::Instant;
 
 /// How many seeded bit flips to inject into each kind of device state.
 ///
@@ -410,6 +411,9 @@ impl fmt::Display for CertViolation {
                 f,
                 "edge {from}->{to} skips levels ({from_level} -> {to_level})"
             ),
+            Self::NoPredecessor { vertex, level: 0 } => {
+                write!(f, "vertex {vertex} at level 0 is not the source")
+            }
             Self::NoPredecessor { vertex, level } => write!(
                 f,
                 "vertex {vertex} at level {level} has no predecessor at level {}",
@@ -494,13 +498,14 @@ impl From<CertViolation> for IntegrityError {
 /// pool sweep, the (optionally sabotaged) `run`, CSR checksum re-check,
 /// `certify` over the host copy of the CSR, and a post-run pool sweep.
 /// The run itself is the exact unverified hot path, so certified
-/// fault-free results are bit-identical to unverified ones.
+/// fault-free results are bit-identical to unverified ones. Also returns
+/// the wall ms spent after the run, i.e. what verification added to it.
 pub(crate) fn verified_run<R, C>(
     dev: &Device,
     graph: &DeviceGraph,
     run: impl FnOnce() -> Result<R, XbfsError>,
     certify: impl FnOnce(&[u64], &[u32], &R) -> Result<C, CertViolation>,
-) -> Result<(R, C), XbfsError> {
+) -> Result<(R, C, f64), XbfsError> {
     // Surface corruption the pool already quarantined (e.g. during
     // engine construction) before investing in a run.
     if let Some(f) = dev.take_pool_faults().into_iter().next() {
@@ -508,6 +513,7 @@ pub(crate) fn verified_run<R, C>(
     }
     dev.verify_pool().map_err(IntegrityError::Pool)?;
     let out = run()?;
+    let ran = Instant::now();
     graph.verify()?;
     let cert = certify(&graph.offsets.to_host(), &graph.adjacency.to_host(), &out)
         .map_err(IntegrityError::Certificate)?;
@@ -517,7 +523,7 @@ pub(crate) fn verified_run<R, C>(
     if let Some(f) = dev.take_pool_faults().into_iter().next() {
         return Err(IntegrityError::Pool(f).into());
     }
-    Ok((out, cert))
+    Ok((out, cert, ran.elapsed().as_secs_f64() * 1000.0))
 }
 
 /// Validate a run's output against the graph in O(|V| + |E|): source at
@@ -692,106 +698,180 @@ pub fn certify_run(
     })
 }
 
+/// Slots [`certify_ms_run`] validates per sweep of the edge list, and so
+/// the width of its rows. Eight `u32`s are one 32-byte vector; 16 sweeps
+/// the edges half as often, doubles the scratch, and measured no faster.
+const CERT_BLOCK: usize = 8;
+
+/// One vertex's levels, or lowest in-neighbour levels, in a block of slots.
+type CertRow = [u32; CERT_BLOCK];
+
 /// Validate a multi-source batch's output against the graph: level-edge
-/// consistency for **every slot** over the shared visited mask. Per slot
-/// this is the sourced subset of [`certify_run`] — source at level 0 (and
-/// nothing else at level 0), every edge relaxed (`level[to] ≤
-/// level[from] + 1`, no visited→unvisited neighbors), and every visited
-/// non-source vertex owning a predecessor one level up. The batch shares
-/// one edge sweep; slot checks ride along bit-parallel, so the cost is
-/// O(|V| + |E| · W) for a W-wide batch.
+/// consistency for **every slot**. Per slot this is the sourced subset of
+/// [`certify_run`] — source at level 0 (and nothing else at level 0),
+/// every edge relaxed (`level[to] ≤ level[from] + 1`, no
+/// visited→unvisited neighbors), and every visited non-source vertex
+/// owning a predecessor one level up.
 ///
-/// Returns one [`Certificate`] per slot. A slot certificate's
-/// `levels_checksum` is the slot's [`MsBfsRun::result_digest`] — the same
-/// levels-only fingerprint a solo run of that source would answer with,
-/// which is what lets batched serving prove response equivalence.
+/// Formulation: slots are taken [`CERT_BLOCK`] at a time, a vertex's
+/// levels in the block forming one row. One sweep over the edges keeps
+/// `lowest[v] = min(level[u])` over `v`'s in-neighbours `u` as a row-wise
+/// `min` (`UNVISITED` is `u32::MAX`, the identity), then one pass over the
+/// vertices checks each non-source entry against it: visited ⇒
+/// `level ≠ 0 ∧ lowest = level − 1`, unvisited ⇒ `lowest = UNVISITED`.
+/// That accepts exactly what the three edge checks accept — with every
+/// visited in-neighbour at `lowest` or above, "none skips a level" is
+/// `level ≤ lowest + 1`, and "one sits a level up" then forces
+/// `lowest + 1 = level`; an unvisited vertex passes iff no in-neighbour is
+/// visited. Only a failing entry is walked edge by edge, to name the
+/// violation; which of several violations gets named is unspecified.
+///
+/// Cost for a `W`-wide batch: `2·|V|·W` level loads plus `|E|·⌈W/8⌉` row
+/// operations, on one scratch array of `|V|` rows (`32·|V|` bytes)
+/// whatever the width.
+///
+/// Returns one [`Certificate`] per slot: `visited`, `depth` (deepest
+/// level) and, as `levels_checksum`, the slot's
+/// [`MsBfsRun::result_digest`] — the same levels-only fingerprint a solo
+/// run of that source would answer with, which is what lets batched
+/// serving prove response equivalence and answer from the certificate.
 pub fn certify_ms_run(
     offsets: &[u64],
     adjacency: &[u32],
     run: &MsBfsRun,
 ) -> Result<Vec<Certificate>, CertViolation> {
     let n = offsets.len().saturating_sub(1);
-    let width = run.sources.len();
-    for (slot, levels) in run.levels.iter().enumerate() {
+    if run.levels.len() != run.sources.len() {
+        return Err(CertViolation::LengthMismatch {
+            expected: run.sources.len(),
+            actual: run.levels.len(),
+        });
+    }
+    for (levels, &source) in run.levels.iter().zip(&run.sources) {
         if levels.len() != n {
             return Err(CertViolation::LengthMismatch {
                 expected: n,
                 actual: levels.len(),
             });
         }
-        let src = run.sources[slot] as usize;
+        let src = source as usize;
         if src >= n || levels[src] != 0 {
             return Err(CertViolation::SourceNotLevelZero {
-                source: run.sources[slot],
+                source,
                 level: levels.get(src).copied().unwrap_or(UNVISITED),
             });
         }
     }
 
-    // One pass over every edge; per-slot predecessor marks live in a
-    // 64-bit mask per vertex (bit i = slot i found a predecessor).
-    let mut has_pred = vec![0u64; n];
-    for (slot, &s) in run.sources.iter().enumerate() {
-        has_pred[s as usize] |= 1 << slot;
-    }
-    for u in 0..n {
-        let beg = offsets[u] as usize;
-        let end = offsets[u + 1] as usize;
-        for &v in &adjacency[beg..end] {
-            for slot in 0..width {
-                let lu = run.levels[slot][u];
-                if lu == UNVISITED {
-                    continue;
-                }
-                let lv = run.levels[slot][v as usize];
-                if lv == UNVISITED {
-                    return Err(CertViolation::UnreachedNeighbor {
-                        vertex: u as u32,
-                        neighbor: v,
-                    });
-                }
-                if lv > lu + 1 {
-                    return Err(CertViolation::LevelSkip {
-                        from: u as u32,
-                        to: v,
-                        from_level: lu,
-                        to_level: lv,
-                    });
-                }
-                if lv == lu + 1 {
-                    has_pred[v as usize] |= 1 << slot;
+    let mut certs = Vec::with_capacity(run.sources.len());
+    let mut lowest: Vec<CertRow> = vec![[UNVISITED; CERT_BLOCK]; n];
+    for (block, sources) in run
+        .levels
+        .chunks(CERT_BLOCK)
+        .zip(run.sources.chunks(CERT_BLOCK))
+    {
+        lowest.fill([UNVISITED; CERT_BLOCK]);
+        for u in 0..n {
+            let from = cert_row(block, u);
+            for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
+                for (low, l) in lowest[v as usize].iter_mut().zip(from) {
+                    *low = (*low).min(l);
                 }
             }
         }
-    }
 
-    let mut certs = Vec::with_capacity(width);
-    for (slot, levels) in run.levels.iter().enumerate() {
-        let src = run.sources[slot] as usize;
-        let mut visited = 0u64;
-        let mut depth = 0u32;
-        for (v, &l) in levels.iter().enumerate() {
-            if l == UNVISITED {
-                continue;
+        let mut visited = [0u64; CERT_BLOCK];
+        let mut depth = [0u32; CERT_BLOCK];
+        let mut digest = [0u64; CERT_BLOCK];
+        for (h, &source) in digest.iter_mut().zip(sources) {
+            *h = fnv1a([u64::from(source)]);
+        }
+        for (v, low) in lowest.iter().enumerate() {
+            let row = cert_row(block, v);
+            let mut suspect = false;
+            for lane in 0..CERT_BLOCK {
+                let l = row[lane];
+                let seen = l != UNVISITED;
+                visited[lane] += u64::from(seen);
+                depth[lane] = depth[lane].max(if seen { l } else { 0 });
+                digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
+                suspect |= !entry_consistent(l, low[lane]);
             }
-            visited += 1;
-            depth = depth.max(l);
-            // A non-source vertex at level 0, or any visited vertex whose
-            // claimed level no in-neighbor supports, is corruption.
-            if v != src && (l == 0 || has_pred[v] & (1 << slot) == 0) {
-                return Err(CertViolation::NoPredecessor {
-                    vertex: v as u32,
-                    level: l,
-                });
+            // A source sits at level 0 by right; anything else the row
+            // check flagged is a violation.
+            if suspect {
+                for (lane, &source) in sources.iter().enumerate() {
+                    if v != source as usize && !entry_consistent(row[lane], low[lane]) {
+                        return Err(name_violation(offsets, adjacency, &block[lane], v));
+                    }
+                }
             }
         }
-        certs.push(Certificate {
-            visited,
-            depth,
-            levels_checksum: levels_digest(run.sources[slot], levels),
-        });
+        for lane in 0..block.len() {
+            certs.push(Certificate {
+                visited: visited[lane],
+                depth: depth[lane],
+                levels_checksum: digest[lane],
+            });
+        }
     }
     Ok(certs)
+}
+
+/// Vertex `v`'s levels in a block of slots, one lane per slot. Lanes past
+/// a short last block read `UNVISITED` at every vertex: no level, no
+/// in-neighbour, nothing to check.
+#[inline]
+fn cert_row(block: &[Vec<u32>], v: usize) -> CertRow {
+    let mut row = [UNVISITED; CERT_BLOCK];
+    for (l, levels) in row.iter_mut().zip(block) {
+        *l = levels[v];
+    }
+    row
+}
+
+/// Whether a non-source vertex's `level` agrees with `lowest`, the lowest
+/// level among its in-neighbours (`UNVISITED` when none is visited).
+#[inline]
+fn entry_consistent(level: u32, lowest: u32) -> bool {
+    let want = if level == UNVISITED {
+        UNVISITED
+    } else {
+        level.wrapping_sub(1)
+    };
+    level != 0 && lowest == want
+}
+
+/// Name the violation at `v`, an entry of one slot's `levels` that failed
+/// [`entry_consistent`]: walk the edges into `v` for a visited tail that
+/// `v` is unreached from or skips a level past; with neither, `v` has no
+/// predecessor one level up.
+fn name_violation(offsets: &[u64], adjacency: &[u32], levels: &[u32], v: usize) -> CertViolation {
+    let lv = levels[v];
+    for (u, &lu) in levels.iter().enumerate() {
+        let out = &adjacency[offsets[u] as usize..offsets[u + 1] as usize];
+        if lu == UNVISITED || !out.contains(&(v as u32)) {
+            continue;
+        }
+        if lv == UNVISITED {
+            return CertViolation::UnreachedNeighbor {
+                vertex: u as u32,
+                neighbor: v as u32,
+            };
+        }
+        if lv > lu + 1 {
+            return CertViolation::LevelSkip {
+                from: u as u32,
+                to: v as u32,
+                from_level: lu,
+                to_level: lv,
+            };
+        }
+    }
+    CertViolation::NoPredecessor {
+        vertex: v as u32,
+        level: lv,
+    }
 }
 
 #[cfg(test)]
@@ -913,7 +993,7 @@ mod tests {
                 cert.visited,
                 run.levels[slot].iter().filter(|&&l| l != UNVISITED).count() as u64
             );
-            assert_eq!(cert.depth, run.slot_depth(slot));
+            assert_eq!(cert.depth, run.answer(slot).depth);
         }
         // Duplicate sources (slots 1 and 3) certify identically.
         assert_eq!(certs[1], certs[3]);
@@ -928,6 +1008,25 @@ mod tests {
             .unwrap();
         run.levels[2][v] ^= 1 << 6;
         assert!(certify_ms_run(&off, &adj, &run).is_err());
+    }
+
+    #[test]
+    fn hand_built_batches_of_any_shape_get_a_typed_answer() {
+        // Rows hold no per-slot mask, so a batch wider than the engine
+        // builds is only a longer one: 65 slots certify.
+        let (off, adj, mut run) = sample_ms_run();
+        run.sources = vec![run.sources[0]; 65];
+        run.levels = vec![run.levels[0].clone(); 65];
+        let certs = certify_ms_run(&off, &adj, &run).expect("65 slots certify");
+        assert!(certs.len() == 65 && certs.iter().all(|c| *c == certs[0]));
+        // A slot without levels (or levels without a slot) is malformed.
+        run.levels.pop();
+        let err = certify_ms_run(&off, &adj, &run).unwrap_err();
+        let want = CertViolation::LengthMismatch {
+            expected: 65,
+            actual: 64,
+        };
+        assert_eq!(err, want);
     }
 
     #[test]

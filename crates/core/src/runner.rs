@@ -156,12 +156,26 @@ impl<D: Borrow<Device>> Xbfs<D> {
         deadline_ms: Option<f64>,
         verify: bool,
     ) -> Result<(BfsRun, Option<Certificate>), XbfsError> {
+        self.run_timed(source, rec, sabotage, deadline_ms, verify)
+            .map(|(run, cert, _)| (run, cert))
+    }
+
+    /// [`Xbfs::run_with`] plus the wall ms the verified pipeline spent
+    /// after the traversal (0 unverified).
+    fn run_timed(
+        &self,
+        source: u32,
+        rec: &Recorder,
+        sabotage: Option<&Sabotage<'_>>,
+        deadline_ms: Option<f64>,
+        verify: bool,
+    ) -> Result<(BfsRun, Option<Certificate>, f64), XbfsError> {
         let run = || self.run_impl(source, rec, sabotage, deadline_ms);
         if !verify {
-            return run().map(|run| (run, None));
+            return run().map(|run| (run, None, 0.0));
         }
         verified_run(self.device.borrow(), &self.graph, run, certify_run)
-            .map(|(run, cert)| (run, Some(cert)))
+            .map(|(run, cert, wall_ms)| (run, Some(cert), wall_ms))
     }
 
     fn run_impl(
@@ -497,13 +511,14 @@ impl<D: Borrow<Device>> Engine for Xbfs<D> {
                 ))
             }
         };
-        let (run, cert) =
-            self.run_with(source, req.trace, sabotage, req.deadline_ms, req.verify)?;
+        let (run, cert, certify_wall_ms) =
+            self.run_timed(source, req.trace, sabotage, req.deadline_ms, req.verify)?;
         Ok(RunOutcome {
             slots: vec![run.answer()],
             total_ms: run.total_ms,
             levels: vec![run.levels],
             certified: cert.is_some(),
+            certify_wall_ms,
             recoveries: None,
         })
     }

@@ -3,7 +3,7 @@
 
 use crate::engine::{reached, SlotAnswer};
 use crate::strategy::Strategy;
-use gcd_sim::KernelReport;
+use gcd_sim::{fnv1a, KernelReport};
 
 /// What happened at one BFS level.
 #[derive(Debug, Clone)]
@@ -65,14 +65,11 @@ pub struct BfsRun {
 /// them or how long it took; this is the value cross-backend
 /// bit-identity checks compare.
 pub fn levels_digest(source: u32, levels: &[u32]) -> u64 {
-    fn mix(acc: u64, v: u64) -> u64 {
-        (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-    }
-    let mut h = mix(0xcbf2_9ce4_8422_2325, u64::from(source));
-    for &l in levels {
-        h = mix(h, u64::from(l));
-    }
-    h
+    fnv1a(
+        std::iter::once(source)
+            .chain(levels.iter().copied())
+            .map(u64::from),
+    )
 }
 
 impl BfsRun {

@@ -1658,14 +1658,18 @@ impl Engine for GcdCluster<'_> {
             }
         }
         let run = self.run_with(source, &faults, req.trace, req.deadline_ms)?;
-        if req.verify {
+        let certify_wall_ms = if req.verify {
+            let started = std::time::Instant::now();
             xbfs_graph::validate_bfs_levels(self.graph, source, &run.levels).map_err(|e| {
                 EngineError::Suspect {
                     kind: "integrity",
                     msg: format!("cluster result failed validation: {e:?}"),
                 }
             })?;
-        }
+            started.elapsed().as_secs_f64() * 1000.0
+        } else {
+            0.0
+        };
         for ls in &run.level_stats {
             self.phase_us.0 += ls.expand_ms * 1000.0;
             self.phase_us.1 += ls.exchange_ms * 1000.0;
@@ -1674,6 +1678,7 @@ impl Engine for GcdCluster<'_> {
             slots: vec![run.answer()],
             total_ms: run.total_ms,
             certified: req.verify,
+            certify_wall_ms,
             recoveries: Some(run.recoveries.len() as u64),
             levels: vec![run.levels],
         })

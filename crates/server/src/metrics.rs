@@ -104,6 +104,10 @@ pub struct ServerMetrics {
     pub(crate) max_queue_depth: Arc<Gauge>,
     pub(crate) retry_after_ms: Arc<Gauge>,
     pub(crate) queue_wait_ms: Arc<LogHistogram>,
+    /// One attempt's `Engine::run`, and the share of a certified one
+    /// spent validating after the traversal.
+    pub(crate) engine_ms: Arc<LogHistogram>,
+    pub(crate) certify_ms: Arc<LogHistogram>,
     pub(crate) deadline_headroom_ms: Arc<LogHistogram>,
 
     // Batching stage (all zero / empty unless `--batch-width > 1`).
@@ -202,6 +206,8 @@ impl ServerMetrics {
             max_queue_depth: reg.gauge(live::MAX_QUEUE_DEPTH, MetricUnit::Count, &[]),
             retry_after_ms: reg.gauge(live::RETRY_AFTER_MS, MetricUnit::Millis, &[]),
             queue_wait_ms: reg.histogram(live::QUEUE_WAIT_MS, MetricUnit::Millis, &[]),
+            engine_ms: reg.histogram(live::ENGINE_MS, MetricUnit::Millis, &[]),
+            certify_ms: reg.histogram(live::CERTIFY_MS, MetricUnit::Millis, &[]),
             deadline_headroom_ms: reg.histogram(
                 live::DEADLINE_HEADROOM_MS,
                 MetricUnit::Millis,

@@ -94,10 +94,12 @@ pub fn render(prev: Option<&MetricsSnapshot>, curr: &MetricsSnapshot, addr: &str
     let er = c(live::REQUESTS_TOTAL, &[("status", "error")]);
     let p50 = quantile(live::REQUEST_LATENCY_MS, &[("status", "ok")], 50.0);
     let p99 = quantile(live::REQUEST_LATENCY_MS, &[("status", "ok")], 99.0);
+    let engine_p50 = quantile(live::ENGINE_MS, &[], 50.0);
+    let certify_p50 = quantile(live::CERTIFY_MS, &[], 50.0);
     let write_p50 = quantile(live::WRITE_MS, &[], 50.0);
     out.push_str(&format!(
         "requests   ok {ok}{}  timeout {to}  error {er}   p50 {p50:.2}ms  p99 {p99:.2}ms  \
-         write p50 {write_p50:.2}ms\n",
+         engine p50 {engine_p50:.2}ms  certify p50 {certify_p50:.2}ms  write p50 {write_p50:.2}ms\n",
         rate(
             prev,
             curr,
@@ -271,7 +273,8 @@ mod tests {
 
     /// Two workers (running, quarantined), a queue 3 deep, and `ok`
     /// answered requests: one took 9.6 ms, the rest 1.4 ms, and every
-    /// reply spent 0.24 ms being written.
+    /// one spent 1.1 ms in the engine (0.3 of it certifying) and 0.24 ms
+    /// being written.
     fn snap(uptime_ms: f64, ok: u64) -> MetricsSnapshot {
         let reg = MetricsRegistry::new();
         let status: &[(&str, &str)] = &[("status", "ok")];
@@ -284,9 +287,13 @@ mod tests {
                 .set(code);
         }
         let latency = reg.histogram(live::REQUEST_LATENCY_MS, MetricUnit::Millis, status);
+        let engine = reg.histogram(live::ENGINE_MS, MetricUnit::Millis, &[]);
+        let certify = reg.histogram(live::CERTIFY_MS, MetricUnit::Millis, &[]);
         let write = reg.histogram(live::WRITE_MS, MetricUnit::Millis, &[]);
         for i in 0..ok {
             latency.record(if i == 0 { 9.6 } else { 1.4 });
+            engine.record(1.1);
+            certify.record(0.3);
             write.record(0.24);
         }
         over_the_wire(&reg, uptime_ms)
@@ -329,7 +336,9 @@ mod tests {
         assert!(frame.contains("w0=running"), "frame:\n{frame}");
         assert!(frame.contains("w1=quarantined"), "frame:\n{frame}");
         assert!(
-            frame.contains("p50 1.50ms  p99 10.00ms  write p50 0.25ms"),
+            frame.contains(
+                "p50 1.50ms  p99 10.00ms  engine p50 1.12ms  certify p50 0.31ms  write p50 0.25ms"
+            ),
             "frame:\n{frame}"
         );
     }

@@ -488,17 +488,23 @@ fn run_members<'g>(
         // Batch-width servers stamp how many shared the run on every
         // `ok`, coalesced or solo.
         let batch = (eng.width() > 1).then_some(members.len());
+        let started = Instant::now();
         let result = catch_unwind(AssertUnwindSafe(|| {
             if panic_injected {
                 panic!("chaos: injected worker panic (ticket {ticket})");
             }
             eng.run(&req)
         }));
+        let m = &shared.metrics;
+        m.engine_ms.record(started.elapsed().as_secs_f64() * 1000.0);
         eng.report(shared, worker);
 
         let (kind, msg) = match result {
             Ok(Ok(out)) => {
                 shared.breaker.record_success();
+                if out.certified {
+                    m.certify_ms.record(out.certify_wall_ms);
+                }
                 if let Some(recoveries) = out.recoveries.filter(|&n| n > 0) {
                     shared.rec.event(
                         None,

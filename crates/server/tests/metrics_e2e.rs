@@ -280,6 +280,43 @@ fn registry_latency_clock_stops_at_the_socket() {
     assert!(report.drain_clean, "{report:?}");
 }
 
+/// The engine and certificate stages nest inside the request's latency:
+/// one verified request on a batching server leaves one sample in each,
+/// `certify ≤ engine ≤ request_latency`.
+#[test]
+fn engine_and_certify_stages_nest_inside_the_request_latency() {
+    let cfg = ServeConfig {
+        batch_width: 64,
+        verify: true,
+        ..ServeConfig::default()
+    };
+    let handle = start(cfg, test_graph());
+    let mut c = Client::connect(handle.addr());
+    let r = c.roundtrip("{\"v\":\"xbfs-serve-v1\",\"op\":\"bfs\",\"id\":1,\"source\":7}");
+    assert!(
+        r.contains("\"status\":\"ok\"") && r.contains("\"certified\":true"),
+        "{r}"
+    );
+    let snap = c.scrape(2);
+    // One sample each, so a histogram's sum is that sample.
+    let [certify, engine, latency] = [
+        (live::CERTIFY_MS, &[][..]),
+        (live::ENGINE_MS, &[][..]),
+        (live::REQUEST_LATENCY_MS, &[("status", "ok")][..]),
+    ]
+    .map(|(name, labels)| {
+        let h = snap.histogram(name, labels).expect(name);
+        assert_eq!(h.count(), 1, "{name}");
+        h.sum()
+    });
+    assert!(
+        0.0 < certify && certify <= engine && engine <= latency,
+        "certify {certify} ms, engine {engine} ms, latency {latency} ms"
+    );
+    handle.initiate_drain();
+    assert!(handle.join().drain_clean);
+}
+
 #[test]
 fn http_listener_serves_prometheus_and_json_mid_load() {
     let g = test_graph();

@@ -198,6 +198,12 @@ pub mod names {
         /// The response-write stage: worker finished to the reply
         /// reaching the socket, wall ms (histogram).
         pub const WRITE_MS: &str = "serve.write_ms";
+        /// The engine stage: one attempt's `Engine::run`, traversal and
+        /// validation together, wall ms (histogram).
+        pub const ENGINE_MS: &str = "serve.engine_ms";
+        /// The certificate stage: the part of a certified attempt spent
+        /// validating after the traversal, wall ms (histogram).
+        pub const CERTIFY_MS: &str = "serve.certify_ms";
         /// Deadline headroom left at completion, wall ms (histogram).
         pub const DEADLINE_HEADROOM_MS: &str = "serve.deadline_headroom_ms";
         /// Per-worker state gauge: 0=idle, 1=running, 2=quarantined;

@@ -8,7 +8,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 STAGES="build-test-lint fault-recovery telemetry sweep corruption serve \
-cluster-serve metrics batch durability lone-latency sim-overhead lines"
+cluster-serve metrics batch durability lone-latency sim-overhead batch-overhead \
+lines"
 
 XBFS=target/release/xbfs
 SMOKE=""
@@ -360,12 +361,17 @@ batch() {
 }
 
 durability() {
-  echo "==> durability smoke (journal overhead gate, then SIGKILL-under-load replay)"
+  echo "==> durability smoke (journal overhead, then SIGKILL-under-load replay)"
   smoke_env
   "$XBFS" generate --out "$SMOKE/profile.bin" --scale 12 --seed 10
   local JAPPENDS NOJ_QPS J_QPS REPLAYED RECOVERY_MS JOVERHEAD
-  # Same offered load with and without the journal: the WAL must cost < 10%
-  # of served throughput under the default batch fsync policy.
+  # Same offered load with and without the journal, under the default batch
+  # fsync policy. The ratio is printed and recorded, not gated: each side is
+  # a ~0.3 s burst whose served qps spreads +-30 % on a shared 2-vCPU box
+  # (the old `>= 0.9x` gate failed 3/3 with the parent's own binary, PR 18),
+  # and ten times the requests only adds shed-and-retry noise (ratios
+  # 0.78-1.03 over four pairs). The gate belongs to the compare-based
+  # `ci.sh perf` of ROADMAP item 4, which alternates sides over many pairs.
   load_profile "" 400 "$SMOKE/loadgen_nojournal.json" "$SMOKE/serve_nojournal.json"
   load_profile "--journal $SMOKE/ci.wal --journal-fsync batch=8" 400 \
     "$SMOKE/loadgen_journal.json" "$SMOKE/serve_journal.json"
@@ -373,9 +379,8 @@ durability() {
   test "$JAPPENDS" -ge 1 || { echo "journaled server appended nothing" >&2; exit 1; }
   NOJ_QPS=$(served_qps "$SMOKE/loadgen_nojournal.json")
   J_QPS=$(served_qps "$SMOKE/loadgen_journal.json")
-  echo "    served qps: journal(batch=8) = ${J_QPS}, no journal = ${NOJ_QPS}"
-  awk -v j="$J_QPS" -v s="$NOJ_QPS" 'BEGIN { exit !(j >= 0.9 * s) }' \
-    || { echo "journaling cost > 10% of served qps" >&2; exit 1; }
+  JOVERHEAD=$(awk -v j="$J_QPS" -v s="$NOJ_QPS" 'BEGIN { printf "%.1f", (1 - j / s) * 100 }')
+  echo "    served qps: journal(batch=8) = ${J_QPS}, no journal = ${NOJ_QPS} (overhead ${JOVERHEAD}%, not gated)"
   # The crash harness: SIGKILL the journaling server mid-load, restart it on
   # the same journal, and require lost=0, >= 1 replayed admit, consistent
   # digests across the crash boundary, and a clean final drain.
@@ -384,7 +389,6 @@ durability() {
   grep -q '"digests_consistent":true' "$SMOKE/killer.json"
   REPLAYED=$(grep -o '"replayed_requests":[0-9]*' "$SMOKE/killer.json" | head -1 | grep -o '[0-9]*$')
   RECOVERY_MS=$(grep -o '"recovery_ms":[0-9.]*' "$SMOKE/killer.json" | head -1 | grep -o '[0-9.]*$')
-  JOVERHEAD=$(awk -v j="$J_QPS" -v s="$NOJ_QPS" 'BEGIN { printf "%.1f", (1 - j / s) * 100 }')
   printf '{"schema":"xbfs-bench-pr9-v1","journal_served_qps":%s,"nojournal_served_qps":%s,"journal_overhead_pct":%s,"recovery_ms":%s,"replayed_requests":%s,"killer":%s,"loadgen_journal":%s,"serve_journal":%s}\n' \
     "$J_QPS" "$NOJ_QPS" "$JOVERHEAD" "${RECOVERY_MS:-0}" "${REPLAYED:-0}" \
     "$(cat "$SMOKE/killer.json")" "$(cat "$SMOKE/loadgen_journal.json")" \
@@ -418,10 +422,20 @@ sim_overhead() {
   overhead_gate direct-timing-s14 7
   overhead_gate direct-solo-s16 2.6
 }
+batch_overhead() {
+  echo "==> batch-overhead (a verified 64-wide batch costs about its traversal, not its certificate)"
+  # Medians before -> after the batched certificate went from per (edge,
+  # slot) loads to 8-slot rows and the kernels stopped allocating per wave
+  # (results/BENCH_pr19.json, 20 s runs): 2.82 -> 1.12, slowest run after
+  # 1.30, fastest before 2.66. The gate's own 2 s runs read higher on both
+  # sides, 1.49-1.55 after and 3.24-3.53 before (three each); the limit
+  # sits between those.
+  overhead_gate serve-batch-hot-s14 2.1
+}
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=29596
+LINES_CEILING=29829
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N
