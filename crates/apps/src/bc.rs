@@ -3,11 +3,10 @@
 //!
 //! The forward pass (the dominant cost at scale) is a device BFS producing
 //! exact levels; shortest-path counts `σ` and dependency accumulation `δ`
-//! run level-synchronously on the host with rayon, walking the level
-//! buckets the device produced.
+//! run level by level on the host, walking the level buckets the device
+//! produced.
 
 use crate::BfsEngine;
-use rayon::prelude::*;
 use xbfs_graph::{Csr, UNVISITED};
 
 /// Exact betweenness centrality from the given sources (pass all vertices
@@ -44,39 +43,29 @@ fn accumulate_from(g: &Csr, s: u32, levels: &[u32], bc: &mut [f64]) {
     // σ: number of shortest paths from s, computed level by level.
     let mut sigma = vec![0.0f64; n];
     sigma[s as usize] = 1.0;
+    // A vertex reads only the level above it, so a level can be written
+    // in place.
     for bucket in buckets.iter().skip(1) {
-        let contrib: Vec<(u32, f64)> = bucket
-            .par_iter()
-            .map(|&v| {
-                let mut sum = 0.0;
-                for &u in g.neighbors(v) {
-                    if levels[u as usize] + 1 == levels[v as usize] {
-                        sum += sigma[u as usize];
-                    }
+        for &v in bucket {
+            let mut sum = 0.0;
+            for &u in g.neighbors(v) {
+                if levels[u as usize] + 1 == levels[v as usize] {
+                    sum += sigma[u as usize];
                 }
-                (v, sum)
-            })
-            .collect();
-        for (v, sum) in contrib {
+            }
             sigma[v as usize] = sum;
         }
     }
-    // δ: dependency, accumulated backwards.
+    // δ: dependency, accumulated backwards (each level reads the one below).
     let mut delta = vec![0.0f64; n];
     for d in (1..=depth).rev() {
-        let contrib: Vec<(u32, f64)> = buckets[d - 1]
-            .par_iter()
-            .map(|&u| {
-                let mut sum = 0.0;
-                for &v in g.neighbors(u) {
-                    if levels[v as usize] == levels[u as usize] + 1 && sigma[v as usize] > 0.0 {
-                        sum += sigma[u as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
-                    }
+        for &u in &buckets[d - 1] {
+            let mut sum = 0.0;
+            for &v in g.neighbors(u) {
+                if levels[v as usize] == levels[u as usize] + 1 && sigma[v as usize] > 0.0 {
+                    sum += sigma[u as usize] / sigma[v as usize] * (1.0 + delta[v as usize]);
                 }
-                (u, sum)
-            })
-            .collect();
-        for (u, sum) in contrib {
+            }
             delta[u as usize] = sum;
         }
     }

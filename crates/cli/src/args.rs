@@ -13,7 +13,13 @@ pub struct Args {
 
 impl Args {
     /// Parse from an iterator of argument strings (excluding `argv[0]`).
-    pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Self, String> {
+    /// `is_flag(command, key)` says which options never take a value: a
+    /// flag does not consume the word after it, and `--flag=value` is an
+    /// error.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        argv: I,
+        is_flag: impl Fn(&str, &str) -> bool,
+    ) -> Result<Self, String> {
         let mut it = argv.into_iter().peekable();
         let command = it.next().unwrap_or_default();
         let mut out = Args {
@@ -27,8 +33,13 @@ impl Args {
                 }
                 // `--key=value`, `--key value`, or bare `--flag`.
                 if let Some((k, v)) = key.split_once('=') {
+                    if is_flag(&out.command, k) {
+                        return Err(format!("--{k} is a flag and takes no value"));
+                    }
                     out.options.insert(k.to_string(), v.to_string());
-                } else if it.peek().is_some_and(|n| !n.starts_with("--")) {
+                } else if !is_flag(&out.command, key)
+                    && it.peek().is_some_and(|n| !n.starts_with("--"))
+                {
                     out.options.insert(key.to_string(), it.next().unwrap());
                 } else {
                     out.options.insert(key.to_string(), String::new());
@@ -69,7 +80,10 @@ mod tests {
     use super::*;
 
     fn parse(parts: &[&str]) -> Args {
-        Args::parse(parts.iter().map(|s| s.to_string())).unwrap()
+        Args::parse(parts.iter().map(|s| s.to_string()), |_, key| {
+            key == "validate"
+        })
+        .unwrap()
     }
 
     #[test]
@@ -102,7 +116,7 @@ mod tests {
 
     #[test]
     fn empty_argv() {
-        let a = Args::parse(std::iter::empty()).unwrap();
+        let a = Args::parse(std::iter::empty(), |_, _| false).unwrap();
         assert_eq!(a.command, "");
     }
 }

@@ -16,6 +16,7 @@ use xbfs_multi_gcd::{
 use xbfs_server::{
     run_loadgen, ChaosPlan, DeviceFactory, FsyncPolicy, LoadgenConfig, ServeConfig, Server,
 };
+use xbfs_telemetry::json::{self, Val};
 use xbfs_telemetry::{names, AttrValue, JsonValue, Recorder, TraceFormat};
 
 /// Exit codes the `xbfs` binary maps failures to.
@@ -112,117 +113,59 @@ impl From<ClusterError> for CliError {
     }
 }
 
-/// Run one subcommand; returns the text to print.
-/// Options each subcommand accepts; anything else is a usage error
-/// rather than being silently ignored.
-const DEVICE_OPTS: [&str; 3] = ["arch", "compiler", "timing"];
-
-fn allowed_options(command: &str) -> Option<Vec<&'static str>> {
-    let mut opts: Vec<&str> = match command {
-        "generate" => vec!["out", "kind", "seed", "scale", "shift"],
-        "convert" | "info" | "analyze" | "trace" | "help" | "" => vec![],
-        "bfs" | "run" => vec![
-            "source",
-            "alpha",
-            "auto-alpha",
-            "forced",
-            "rearrange",
-            "validate",
-            "verify",
-            "inject-bitflips",
-            "deadline-ms",
-            "csv",
-            "trace",
-        ],
-        "serve" => vec![
-            "addr",
-            "workers",
-            "queue-cap",
-            "retry-after-ms",
-            "verify",
-            "allow-chaos",
-            "max-retries",
-            "breaker-threshold",
-            "breaker-cooldown-ms",
-            "deadline-ms",
-            "cluster",
-            "checkpoint-every",
-            "alpha",
-            "metrics-addr",
-            "flight-dir",
-            "flight-ring",
-            "batch-width",
-            "batch-window-ms",
-            "journal",
-            "journal-fsync",
-            "idle-timeout-ms",
-            "json",
-            "trace",
-        ],
-        "loadgen" => vec![
-            "addr",
-            "requests",
-            "rps",
-            "connections",
-            "sources",
-            "seed",
-            "deadline-ms",
-            "verify",
-            "chaos",
-            "retries",
-            "shutdown",
-            "max-shed-pct",
-            "progress-every-ms",
-            "no-reconnect",
-            "json",
-        ],
-        "top" => vec!["interval-ms", "frames"],
-        "cluster" => vec![
-            "gcds",
-            "source",
-            "alpha",
-            "push-only",
-            "inject-faults",
-            "checkpoint-every",
-            "recovery",
-            "validate",
-            "json",
-            "csv",
-            "trace",
-        ],
-        "msbfs" => vec!["sources"],
-        "compare" => vec!["source"],
-        "sweep" => vec![
-            "sources",
-            "threads",
-            "seed",
-            "alpha",
-            "json",
-            "verify",
-            "inject-bitflips",
-            "max-pool-bytes",
-            "deadline-factor",
-            "retries",
-            "multi-source",
-            "trace",
-        ],
+/// The options each subcommand accepts, one word each; a trailing `!`
+/// marks a bare flag, which takes no value (every other option takes
+/// one). Anything not listed is a usage error rather than being silently
+/// ignored. `None` for an unknown command.
+fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
+    let own = match command {
+        "generate" => "out kind seed scale shift",
+        "convert" | "info" | "analyze" | "trace" | "help" | "" => "",
+        "bfs" | "run" => {
+            "source alpha auto-alpha! forced rearrange! validate! verify! inject-bitflips \
+             deadline-ms csv trace"
+        }
+        "serve" => {
+            "addr workers queue-cap retry-after-ms verify! allow-chaos! max-retries \
+             breaker-threshold breaker-cooldown-ms deadline-ms cluster checkpoint-every alpha \
+             metrics-addr flight-dir flight-ring batch-width batch-window-ms journal \
+             journal-fsync idle-timeout-ms json trace"
+        }
+        "loadgen" => {
+            "addr requests rps connections sources seed deadline-ms verify! chaos retries \
+             shutdown! max-shed-pct progress-every-ms no-reconnect! json"
+        }
+        "top" => "interval-ms frames",
+        "cluster" => {
+            "gcds source alpha push-only! inject-faults checkpoint-every recovery validate! \
+             json csv trace"
+        }
+        "msbfs" => "sources",
+        "compare" => "source",
+        "sweep" => {
+            "sources threads seed alpha json verify! inject-bitflips max-pool-bytes \
+             deadline-factor retries multi-source! trace"
+        }
         _ => return None,
     };
-    if matches!(
-        command,
-        "bfs" | "run" | "msbfs" | "compare" | "sweep" | "serve"
-    ) {
-        opts.extend(DEVICE_OPTS);
-    }
-    Some(opts)
+    let device = match command {
+        "bfs" | "run" | "msbfs" | "compare" | "sweep" | "serve" => "arch compiler timing!",
+        _ => "",
+    };
+    Some(own.split_whitespace().chain(device.split_whitespace()))
+}
+
+/// Whether `command` declares `--key` a bare flag (for [`Args::parse`]).
+pub fn is_flag(command: &str, key: &str) -> bool {
+    options(command).is_some_and(|mut o| o.any(|w| w.strip_suffix('!') == Some(key)))
 }
 
 fn reject_unknown_options(args: &Args) -> Result<(), CliError> {
-    let Some(allowed) = allowed_options(&args.command) else {
+    let Some(allowed) = options(&args.command).map(Vec::from_iter) else {
         return Ok(()); // unknown command: reported by dispatch itself
     };
     for key in args.options.keys() {
-        if !allowed.contains(&key.as_str()) {
+        if !allowed.iter().any(|w| w.trim_end_matches('!') == key) {
             return Err(CliError::usage(format!(
                 "unknown option --{key} for `{}` (see `xbfs help`)",
                 args.command
@@ -232,6 +175,7 @@ fn reject_unknown_options(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// Run one subcommand; returns the text to print.
 pub fn dispatch(args: &Args) -> Result<String, CliError> {
     reject_unknown_options(args)?;
     match args.command.as_str() {
@@ -916,8 +860,9 @@ fn compare(args: &Args) -> Result<String, CliError> {
     let path = args.positional.first().ok_or("usage: xbfs compare FILE")?;
     let g = load_graph(path)?;
     let source = args.get::<u32>("source", pick_sources(&g, 1, 1)[0])?;
-    let dev = mk_device(args, 1)?;
-    let xbfs_run = Xbfs::new(&dev, &g, XbfsConfig::default())?.run(source)?;
+    let spec = parse_device(args)?;
+    let xbfs_run =
+        Xbfs::new(&build_device(spec.clone(), 1), &g, XbfsConfig::default())?.run(source)?;
     let mut out = format!(
         "{:<20} {:>10} {:>8}\n{:<20} {:>10.4} {:>8.2}\n",
         "engine", "ms", "GTEPS", "xbfs (adaptive)", xbfs_run.total_ms, xbfs_run.gteps
@@ -931,8 +876,7 @@ fn compare(args: &Args) -> Result<String, CliError> {
         Box::new(BeamerLike::default()),
     ];
     for e in engines {
-        let dev = Device::mi250x();
-        let run = e.run(&dev, &g, source);
+        let run = e.run(&build_device(spec.clone(), 1), &g, source);
         if run.levels != xbfs_run.levels {
             return Err(CliError::new(
                 format!("engine {} disagrees with XBFS levels!", e.name()),
@@ -1310,7 +1254,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
     // <= MAX_CONCURRENT-wide batches. Every slot's levels digest must
     // match the per-run rebuild reference above bit-for-bit.
     let mut multi_txt = String::new();
-    let mut multi_json = String::new();
+    let mut multi_json = None;
     if multi_source {
         let dev = mk_device(args, cfg.required_streams())?;
         let eng = MsBfs::new(dev, &g)?;
@@ -1356,14 +1300,15 @@ fn sweep(args: &Args) -> Result<String, CliError> {
              slot levels bit-identical to rebuild (checksum {ms_ck:#018x})\n",
             xbfs_core::MAX_CONCURRENT,
         );
-        multi_json = format!(
-            "\x20 \"multi_source\": {{\"wall_ms\": {:.3}, \"runs_per_sec\": {ms_rps:.3}, \
-             \"batches\": {batches}, \"width\": {}, \"aggregate_gteps\": {ms_gteps:.4}, \
-             \"speedup_vs_pooled\": {ms_speedup:.3}, \
-             \"checksum\": \"{ms_ck:#018x}\"}},\n",
-            ms_wall * 1000.0,
-            xbfs_core::MAX_CONCURRENT,
-        );
+        multi_json = Some(json::object(|o| {
+            o.key("wall_ms").fixed(ms_wall * 1000.0, 3);
+            o.key("runs_per_sec").fixed(ms_rps, 3);
+            o.key("batches").int(batches);
+            o.key("width").int(xbfs_core::MAX_CONCURRENT);
+            o.key("aggregate_gteps").fixed(ms_gteps, 4);
+            o.key("speedup_vs_pooled").fixed(ms_speedup, 3);
+            o.key("checksum").str(format_args!("{ms_ck:#018x}"));
+        }));
     }
 
     let mut out = format!(
@@ -1407,40 +1352,43 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         ));
     }
     if let Some(json_path) = args.options.get("json") {
-        let json = format!(
-            "{{\n\
-             \x20 \"schema\": \"xbfs-sweep-v1\",\n\
-             \x20 \"graph\": {{\"path\": {path:?}, \"vertices\": {}, \"edges\": {}}},\n\
-             \x20 \"sources\": {n},\n\
-             \x20 \"threads\": {threads},\n\
-             \x20 \"seed\": {seed},\n\
-             \x20 \"pooled\": {{\"wall_ms\": {:.3}, \"runs_per_sec\": {pooled_rps:.3}, \
-             \"aggregate_gteps\": {agg_gteps:.4}}},\n\
-             \x20 \"unpooled\": {{\"wall_ms\": {:.3}, \"runs_per_sec\": {rebuilt_rps:.3}}},\n\
-             \x20 \"speedup\": {speedup:.3},\n\
-             \x20 \"verified\": {verify},\n\
-             \x20 \"health\": {{\"certified\": {}, \"sdc_detected\": {}, \
-             \"quarantined\": {}, \"reexecuted\": {}, \"corrected\": {}, \
-             \"aborted\": {}, \"deadline_exceeded\": {}, \
-             \"pool_pressure_events\": {}, \"engine_rebuilds\": {}}},\n\
-             {multi_json}\
-             \x20 \"checksum\": \"{ck_pooled:#018x}\"\n\
-             }}\n",
-            g.num_vertices(),
-            g.num_edges(),
-            pooled_wall * 1000.0,
-            rebuilt_wall * 1000.0,
-            health.certified,
-            health.sdc_detected,
-            health.quarantined,
-            health.reexecuted,
-            health.corrected,
-            health.aborted,
-            health.deadline_exceeded,
-            health.pool_pressure_events,
-            health.engine_rebuilds,
-        );
-        std::fs::write(json_path, json)
+        let json = json::object(|o| {
+            o.key("schema").str("xbfs-sweep-v1");
+            o.key("graph").obj(|gr| {
+                gr.key("path").str(path);
+                gr.key("vertices").int(g.num_vertices());
+                gr.key("edges").int(g.num_edges());
+            });
+            o.key("sources").int(n);
+            o.key("threads").int(threads);
+            o.key("seed").int(seed);
+            o.key("pooled").obj(|p| {
+                p.key("wall_ms").fixed(pooled_wall * 1000.0, 3);
+                p.key("runs_per_sec").fixed(pooled_rps, 3);
+                p.key("aggregate_gteps").fixed(agg_gteps, 4);
+            });
+            o.key("unpooled").obj(|u| {
+                u.key("wall_ms").fixed(rebuilt_wall * 1000.0, 3);
+                u.key("runs_per_sec").fixed(rebuilt_rps, 3);
+            });
+            o.key("speedup").fixed(speedup, 3);
+            o.key("verified").bool(verify);
+            o.key("health").obj(|h| {
+                h.key("certified").int(health.certified);
+                h.key("sdc_detected").int(health.sdc_detected);
+                h.key("quarantined").int(health.quarantined);
+                h.key("reexecuted").int(health.reexecuted);
+                h.key("corrected").int(health.corrected);
+                h.key("aborted").int(health.aborted);
+                h.key("deadline_exceeded").int(health.deadline_exceeded);
+                h.key("pool_pressure_events")
+                    .int(health.pool_pressure_events);
+                h.key("engine_rebuilds").int(health.engine_rebuilds);
+            });
+            o.opt("multi_source", multi_json.as_deref(), Val::raw);
+            o.key("checksum").str(format_args!("{ck_pooled:#018x}"));
+        });
+        std::fs::write(json_path, json + "\n")
             .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
         out.push_str(&format!("sweep record written to {json_path}\n"));
     }
@@ -1860,6 +1808,30 @@ fn json_attr(v: &JsonValue, key: &str) -> String {
     }
 }
 
+/// Header of the per-level table both summaries print.
+fn level_header() -> String {
+    format!(
+        "{:>5} {:>3} {:>12} {:>12} {:>10}\n",
+        "level", "try", "mode", "frontier", "time ms"
+    )
+}
+
+/// One row of that table, from a level span's attributes and duration.
+fn level_row(attrs: &JsonValue, time_ms: f64) -> String {
+    let or = |key: &str, fallback: String| match json_attr(attrs, key) {
+        s if s.is_empty() => fallback,
+        s => s,
+    };
+    format!(
+        "{:>5} {:>3} {:>12} {:>12} {:>10.4}\n",
+        json_attr(attrs, "level"),
+        or("attempt", "0".into()),
+        or("strategy", json_attr(attrs, "mode")),
+        json_attr(attrs, "frontier_count"),
+        time_ms,
+    )
+}
+
 fn summarize_xbfs_trace(doc: &JsonValue) -> Result<String, String> {
     let mut out = String::from("xbfs-trace-v1\n");
     if let Some(summary) = doc.get("summary") {
@@ -1879,34 +1851,10 @@ fn summarize_xbfs_trace(doc: &JsonValue) -> Result<String, String> {
         .get("levels")
         .and_then(JsonValue::as_arr)
         .ok_or("missing levels array")?;
-    out.push_str(&format!(
-        "{:>5} {:>3} {:>12} {:>12} {:>10}\n",
-        "level", "try", "mode", "frontier", "time ms"
-    ));
+    out.push_str(&level_header());
     for l in levels {
-        let mode = {
-            let s = json_attr(l, "strategy");
-            if s.is_empty() {
-                json_attr(l, "mode")
-            } else {
-                s
-            }
-        };
-        out.push_str(&format!(
-            "{:>5} {:>3} {:>12} {:>12} {:>10.4}\n",
-            json_attr(l, "level"),
-            {
-                let a = json_attr(l, "attempt");
-                if a.is_empty() {
-                    "0".into()
-                } else {
-                    a
-                }
-            },
-            mode,
-            json_attr(l, "frontier_count"),
-            l.get("time_ms").and_then(JsonValue::as_f64).unwrap_or(0.0),
-        ));
+        let time_ms = l.get("time_ms").and_then(JsonValue::as_f64).unwrap_or(0.0);
+        out.push_str(&level_row(l, time_ms));
     }
     let spans = doc.get("spans").and_then(JsonValue::as_arr).unwrap_or(&[]);
     let count_named = |name: &str| {
@@ -1970,35 +1918,11 @@ fn summarize_chrome_trace(doc: &JsonValue) -> Result<String, String> {
         with_ph("i").count(),
         with_ph("C").count(),
     ));
-    out.push_str(&format!(
-        "{:>5} {:>3} {:>12} {:>12} {:>10}\n",
-        "level", "try", "mode", "frontier", "time ms"
-    ));
+    out.push_str(&level_header());
     for l in named(names::span::LEVEL) {
         let args = l.get("args").cloned().unwrap_or(JsonValue::Obj(Vec::new()));
-        let mode = {
-            let s = json_attr(&args, "strategy");
-            if s.is_empty() {
-                json_attr(&args, "mode")
-            } else {
-                s
-            }
-        };
-        out.push_str(&format!(
-            "{:>5} {:>3} {:>12} {:>12} {:>10.4}\n",
-            json_attr(&args, "level"),
-            {
-                let a = json_attr(&args, "attempt");
-                if a.is_empty() {
-                    "0".into()
-                } else {
-                    a
-                }
-            },
-            mode,
-            json_attr(&args, "frontier_count"),
-            l.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0) / 1000.0,
-        ));
+        let dur_us = l.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
+        out.push_str(&level_row(&args, dur_us / 1000.0));
     }
     out.push_str(&format!("total {:.4} ms\n", end_us / 1000.0));
     Ok(out)
@@ -2009,7 +1933,9 @@ mod tests {
     use super::*;
 
     fn run(parts: &[&str]) -> Result<String, CliError> {
-        dispatch(&Args::parse(parts.iter().map(|s| s.to_string())).unwrap())
+        dispatch(
+            &Args::parse(parts.iter().map(|s| s.to_string()), is_flag).map_err(CliError::usage)?,
+        )
     }
 
     fn tmp(name: &str) -> String {
@@ -2069,6 +1995,51 @@ mod tests {
         assert!(ms.contains("sharing gain"), "{ms}");
         let an = run(&["analyze", &path]).unwrap();
         assert!(an.contains("components"), "{an}");
+    }
+
+    /// `--arch` must move every row of the table, not only XBFS's: each
+    /// baseline runs on a fresh device of the requested profile.
+    #[test]
+    fn compare_builds_every_engine_on_the_requested_arch() {
+        let path = tmp("g4_arch.bin");
+        run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
+        let mi250x = run(&["compare", &path]).unwrap();
+        let p6000 = run(&["compare", &path, "--arch", "p6000"]).unwrap();
+        assert_eq!(mi250x.lines().count(), 8, "{mi250x}");
+        for (a, b) in mi250x.lines().zip(p6000.lines()).skip(1) {
+            assert_ne!(a, b, "this engine ignored --arch");
+        }
+    }
+
+    /// A flag before the file must not eat the file, and a flag does not
+    /// take `=value` (`--verify=false` used to certify anyway).
+    #[test]
+    fn flags_never_consume_the_next_word() {
+        let path = tmp("g4_flags.bin");
+        run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
+        let out = run(&["bfs", "--validate", &path]).unwrap();
+        assert!(out.contains("BFS tree: VALID"), "{out}");
+        let err = run(&["bfs", &path, "--verify=false"]).unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
+    }
+
+    /// The two records the CLI writes itself stay JSON on their worst
+    /// input: a non-finite `--alpha`, and a path no `{:?}` escapes right.
+    #[test]
+    fn json_records_survive_hostile_values() {
+        let path = tmp("g4 \"quoted\" \u{7f}.bin");
+        run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
+        let json = tmp("g4_hostile.json");
+        run(&["cluster", &path, "--alpha", "inf", "--json", &json]).unwrap();
+        let doc = JsonValue::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        assert_eq!(
+            doc.get("config").and_then(|c| c.get("alpha")),
+            Some(&JsonValue::Null)
+        );
+        run(&["sweep", &path, "--sources", "2", "--json", &json]).unwrap();
+        let doc = JsonValue::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let written = doc.get("graph").and_then(|g| g.get("path"));
+        assert_eq!(written.and_then(JsonValue::as_str), Some(path.as_str()));
     }
 
     #[test]

@@ -4,7 +4,7 @@ mod args;
 mod commands;
 
 fn main() {
-    let parsed = match args::Args::parse(std::env::args().skip(1)) {
+    let parsed = match args::Args::parse(std::env::args().skip(1), commands::is_flag) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

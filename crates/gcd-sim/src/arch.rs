@@ -122,11 +122,6 @@ impl ArchProfile {
     pub fn bytes_per_cycle(&self) -> f64 {
         self.mem_bw_gbps / self.clock_ghz
     }
-
-    /// Peak lane throughput (lanes retiring per cycle).
-    pub fn peak_lanes_per_cycle(&self) -> f64 {
-        (self.num_cus * self.simds_per_cu * self.wavefront_size) as f64
-    }
 }
 
 /// Which compiler produced the "binary" (paper §IV-A: `clang` beats `hipcc`

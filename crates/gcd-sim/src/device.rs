@@ -12,7 +12,7 @@ use crate::pool::{fnv1a, splitmix64, PoolError, POOL_CANARY};
 use crate::wave::WaveCtx;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Execution fidelity. Either way a launch runs its waves one after
 /// another on the calling thread; the modes differ in what a coalescer
@@ -130,12 +130,9 @@ impl<B: ParkedBuf> Parked<B> {
         Ok(())
     }
 
-    /// Unpark, verifying first when `verify` is set.
-    fn into_verified(self, verify: bool) -> Result<B, PoolError> {
-        if verify {
-            self.check()?;
-        }
-        Ok(self.buf)
+    /// Unpark, verifying first.
+    fn into_verified(self) -> Result<B, PoolError> {
+        self.check().map(|()| self.buf)
     }
 }
 
@@ -207,7 +204,6 @@ pub struct Device {
     dirty: Mutex<Vec<bool>>,
     reports: Mutex<Vec<KernelReport>>,
     phase: Mutex<String>,
-    profiling: bool,
     /// Free lists of released buffers, keyed by exact element count.
     /// Pool-acquired buffers keep their previous contents *and address*, so
     /// repeat runs see an identical memory layout.
@@ -223,8 +219,6 @@ pub struct Device {
     pool_stamp: AtomicU64,
     /// Releases that trimmed or bypassed the pool because of the byte cap.
     pool_pressure: AtomicU64,
-    /// Whether acquires re-verify checksums/canaries (on by default).
-    pool_verify: AtomicBool,
     /// Ledger of detected pool faults, drained by [`Device::take_pool_faults`].
     pool_faults: Mutex<Vec<PoolError>>,
 }
@@ -244,7 +238,6 @@ impl Device {
             dirty: Mutex::new(vec![false; num_streams]),
             reports: Mutex::new(Vec::new()),
             phase: Mutex::new(String::new()),
-            profiling: true,
             pool_u32: Mutex::new(HashMap::new()),
             pool_u64: Mutex::new(HashMap::new()),
             pool_hits: AtomicU64::new(0),
@@ -253,7 +246,6 @@ impl Device {
             pool_limit: AtomicU64::new(u64::MAX),
             pool_stamp: AtomicU64::new(0),
             pool_pressure: AtomicU64::new(0),
-            pool_verify: AtomicBool::new(true),
             pool_faults: Mutex::new(Vec::new()),
         }
     }
@@ -281,11 +273,6 @@ impl Device {
     /// Currently selected compiler model.
     pub fn compiler(&self) -> Compiler {
         self.compiler
-    }
-
-    /// Enable/disable recording of per-kernel reports.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.profiling = on;
     }
 
     /// Tag subsequent kernel reports with a phase label (e.g. `"level 3"`).
@@ -418,12 +405,6 @@ impl Device {
         }
     }
 
-    /// Enable/disable acquire-time checksum+canary verification (on by
-    /// default; the cost is one linear pass over the reused buffer).
-    pub fn set_pool_verify(&self, on: bool) {
-        self.pool_verify.store(on, Ordering::Relaxed);
-    }
-
     /// Drain the ledger of pool faults detected so far (quarantined
     /// corrupt entries, rejected double/foreign releases).
     pub fn take_pool_faults(&self) -> Vec<PoolError> {
@@ -485,7 +466,7 @@ impl Device {
     ) -> B {
         if let Some(p) = popped {
             self.pool_bytes.fetch_sub(p.bytes, Ordering::Relaxed);
-            match p.into_verified(self.pool_verify.load(Ordering::Relaxed)) {
+            match p.into_verified() {
                 Ok(buf) => {
                     self.pool_hits.fetch_add(1, Ordering::Relaxed);
                     return buf;
@@ -592,14 +573,6 @@ impl Device {
         self.dirty.lock()[stream] = true;
     }
 
-    /// Charge arbitrary host-side time (data preparation etc.).
-    pub fn charge_host_us(&self, us: f64) {
-        let mut s = self.streams.lock();
-        for t in s.iter_mut() {
-            *t += us;
-        }
-    }
-
     /// Device synchronization: all stream cursors join at the max, plus a
     /// per-dirty-stream sync cost. This is the §IV-B effect: with three
     /// streams HIP pays the (large, on AMD) sync cost three times per level.
@@ -668,15 +641,12 @@ impl Device {
         let report = self.cost_model(cfg, stats, lds);
         self.streams.lock()[stream] += report.runtime_ms * 1000.0;
         self.dirty.lock()[stream] = true;
-        if self.profiling {
-            self.reports.lock().push(report.clone());
-        }
+        self.reports.lock().push(report.clone());
         report
     }
 
     /// Launch a kernel on `stream`: `body` is invoked once per wavefront,
-    /// in wave order. Returns the report (also recorded if profiling is
-    /// enabled).
+    /// in wave order. Returns the report (also recorded).
     pub fn launch<F>(&self, stream: usize, cfg: LaunchCfg, body: F) -> KernelReport
     where
         F: Fn(&mut WaveCtx),

@@ -69,12 +69,6 @@ impl<'a> WaveCtx<'a> {
         self.wave_id
     }
 
-    /// Total work-items in the launch.
-    #[inline]
-    pub fn n_items(&self) -> usize {
-        self.items
-    }
-
     /// Global thread id of `lane`, or `None` if it falls past the launch
     /// size (partial trailing wave).
     #[inline]
@@ -184,13 +178,6 @@ impl<'a> WaveCtx<'a> {
     pub fn sstore32(&mut self, buf: &BufU32, idx: usize, val: u32) {
         self.stats.instructions += 1;
         self.trace(buf.addr(idx), 4, false);
-        buf.store(idx, val);
-    }
-
-    /// Uniform 64-bit store.
-    pub fn sstore64(&mut self, buf: &BufU64, idx: usize, val: u64) {
-        self.stats.instructions += 1;
-        self.trace(buf.addr(idx), 8, false);
         buf.store(idx, val);
     }
 

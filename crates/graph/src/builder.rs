@@ -3,11 +3,9 @@
 //! All generators and loaders funnel through [`CsrBuilder`], which performs
 //! the same preprocessing the XBFS artifact applies to SNAP/Graph500 inputs:
 //! optional symmetrization (BFS treats graphs as undirected), self-loop
-//! removal and duplicate-edge removal, then a counting-sort CSR build
-//! (parallelized with rayon for large inputs).
+//! removal and duplicate-edge removal, then a counting-sort CSR build.
 
 use crate::csr::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Options controlling edge-list preprocessing.
 #[derive(Debug, Clone, Copy)]
@@ -67,11 +65,6 @@ impl CsrBuilder {
         self.num_vertices
     }
 
-    /// Number of edges currently accumulated (before preprocessing).
-    pub fn num_raw_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Reserve capacity for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
         self.edges.reserve(additional);
@@ -100,19 +93,17 @@ impl CsrBuilder {
         let mut edges = self.edges;
 
         if opts.symmetrize {
-            let rev: Vec<(VertexId, VertexId)> = edges.par_iter().map(|&(u, v)| (v, u)).collect();
+            let rev: Vec<(VertexId, VertexId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
             edges.extend(rev);
         }
         if opts.remove_self_loops {
             edges.retain(|&(u, v)| u != v);
         }
+        // Sorted even without dedup: a stable row order is what makes
+        // generator output reproducible across runs.
+        edges.sort_unstable();
         if opts.dedup {
-            edges.par_sort_unstable();
             edges.dedup();
-        } else {
-            // Sorting is still needed for a deterministic CSR; stable row
-            // order makes generator output reproducible across runs.
-            edges.par_sort_unstable();
         }
 
         // Counting sort into CSR.

@@ -3,15 +3,14 @@
 //! This is the generator behind the paper's `Rmat23` and `Rmat25` datasets.
 //! Each edge is produced by `scale` recursive quadrant choices with
 //! probabilities `(a, b, c, d)`; Graph500 uses `a = 0.57, b = 0.19,
-//! c = 0.19, d = 0.05`, `edge_factor = 16`. Edge generation is parallelized
-//! across rayon workers with per-chunk deterministic RNG streams, so output
-//! is independent of thread count.
+//! c = 0.19, d = 0.05`, `edge_factor = 16`. Edges are generated on the
+//! calling thread in fixed-size chunks, each from its own seeded RNG stream
+//! (the streams are what pin the graph a seed names, so they stay).
 
 use crate::builder::{BuildOptions, CsrBuilder};
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// R-MAT quadrant probabilities and size parameters.
 #[derive(Debug, Clone, Copy)]
@@ -92,30 +91,22 @@ pub fn rmat_graph(params: RmatParams, seed: u64) -> Csr {
     let n = 1usize << params.scale;
     let m = n * params.edge_factor as usize;
 
-    // Deterministic parallel generation: fixed-size chunks, each with its own
-    // seeded stream.
+    // Fixed-size chunks, each with its own seeded stream: the chunking is
+    // part of what a seed means, so it must not change.
     const CHUNK: usize = 1 << 16;
-    let chunks = m.div_ceil(CHUNK);
-    let mut edges: Vec<(VertexId, VertexId)> = (0..chunks)
-        .into_par_iter()
-        .flat_map_iter(|ci| {
-            let mut rng = StdRng::seed_from_u64(
-                seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(ci as u64 + 1)),
-            );
-            let count = CHUNK.min(m - ci * CHUNK);
-            let p = params;
-            (0..count)
-                .map(move |_| gen_edge(&mut rng, &p))
-                .collect::<Vec<_>>()
-        })
-        .collect();
+    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(m);
+    for ci in 0..m.div_ceil(CHUNK) {
+        let mut rng =
+            StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(ci as u64 + 1)));
+        let count = CHUNK.min(m - ci * CHUNK);
+        edges.extend((0..count).map(|_| gen_edge(&mut rng, &params)));
+    }
 
     if params.shuffle_ids {
         let perm = random_permutation(n, seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-        edges.par_iter_mut().for_each(|e| {
-            e.0 = perm[e.0 as usize];
-            e.1 = perm[e.1 as usize];
-        });
+        for e in &mut edges {
+            *e = (perm[e.0 as usize], perm[e.1 as usize]);
+        }
     }
 
     let mut b = CsrBuilder::new(n);

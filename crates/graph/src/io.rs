@@ -3,10 +3,14 @@
 
 use crate::builder::{BuildOptions, CsrBuilder};
 use crate::csr::{Csr, VertexId};
-use bytes::{Buf, BufMut};
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+
+/// Every refusal of a malformed file is this one typed error.
+fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
 
 /// Parse a SNAP-style edge list: one `u v` pair per line, `#` comments
 /// allowed. Vertices are remapped densely in order of first appearance when
@@ -23,25 +27,14 @@ pub fn read_edge_list<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<C
         let mut it = line.split_whitespace();
         let (u, v) = match (it.next(), it.next()) {
             (Some(u), Some(v)) => (u, v),
-            _ => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("malformed edge line: {line:?}"),
-                ))
-            }
+            _ => return Err(invalid(format!("malformed edge line: {line:?}"))),
         };
-        let u: u64 = u.parse().map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad vertex id {u:?}: {e}"),
-            )
-        })?;
-        let v: u64 = v.parse().map_err(|e| {
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("bad vertex id {v:?}: {e}"),
-            )
-        })?;
+        let u: u64 = u
+            .parse()
+            .map_err(|e| invalid(format!("bad vertex id {u:?}: {e}")))?;
+        let v: u64 = v
+            .parse()
+            .map_err(|e| invalid(format!("bad vertex id {v:?}: {e}")))?;
         max_id = max_id.max(u).max(v);
         edges.push((u, v));
     }
@@ -51,10 +44,7 @@ pub fn read_edge_list<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<C
         max_id as usize + 1
     };
     if n > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "vertex id exceeds u32 range",
-        ));
+        return Err(invalid("vertex id exceeds u32 range"));
     }
     let mut b = CsrBuilder::new(n.max(1));
     b.reserve(edges.len());
@@ -94,19 +84,15 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
                     break line;
                 }
                 if !line.trim().is_empty() {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        "missing %%MatrixMarket header",
-                    ));
+                    return Err(invalid("missing %%MatrixMarket header"));
                 }
             }
-            None => return Err(io::Error::new(io::ErrorKind::InvalidData, "empty file")),
+            None => return Err(invalid("empty file")),
         }
     };
     let header_lc = header.to_lowercase();
     if !header_lc.contains("coordinate") {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
+        return Err(invalid(
             "only coordinate (sparse) Matrix Market files are supported",
         ));
     }
@@ -126,21 +112,19 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
     let mut it = size_line.split_whitespace();
     let parse = |s: Option<&str>| -> io::Result<usize> {
         s.and_then(|x| x.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "malformed size line"))
+            .ok_or_else(|| invalid("malformed size line"))
     };
     let rows = parse(it.next())?;
     let cols = parse(it.next())?;
     let nnz = parse(it.next())?;
     let n = rows.max(cols);
     if n > u32::MAX as usize {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "dimension exceeds u32 range",
-        ));
+        return Err(invalid("dimension exceeds u32 range"));
     }
 
+    // `nnz` is the file's claim: checked against the entries read, never
+    // used to size anything.
     let mut b = CsrBuilder::new(n.max(1));
-    b.reserve(if symmetric { 2 * nnz } else { nnz });
     let mut seen = 0usize;
     for line in lines {
         let line = line?;
@@ -152,16 +136,13 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
         let u: u64 = it
             .next()
             .and_then(|x| x.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad entry row"))?;
+            .ok_or_else(|| invalid("bad entry row"))?;
         let v: u64 = it
             .next()
             .and_then(|x| x.parse().ok())
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad entry col"))?;
+            .ok_or_else(|| invalid("bad entry col"))?;
         if u == 0 || v == 0 || u as usize > n || v as usize > n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("entry ({u}, {v}) outside 1..={n}"),
-            ));
+            return Err(invalid(format!("entry ({u}, {v}) outside 1..={n}")));
         }
         let (u, v) = ((u - 1) as VertexId, (v - 1) as VertexId);
         b.add_edge(u, v);
@@ -171,10 +152,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
         seen += 1;
     }
     if seen != nnz {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("expected {nnz} entries, found {seen}"),
-        ));
+        return Err(invalid(format!("expected {nnz} entries, found {seen}")));
     }
     Ok(b.build(opts))
 }
@@ -184,50 +162,66 @@ const BIN_VERSION: u32 = 1;
 
 /// Serialize a CSR in the compact binary cache format.
 pub fn write_binary<W: Write>(g: &Csr, mut w: W) -> io::Result<()> {
-    let mut header = Vec::with_capacity(24);
-    header.put_u32_le(BIN_MAGIC);
-    header.put_u32_le(BIN_VERSION);
-    header.put_u64_le(g.num_vertices() as u64);
-    header.put_u64_le(g.num_edges() as u64);
-    w.write_all(&header)?;
+    w.write_all(&BIN_MAGIC.to_le_bytes())?;
+    w.write_all(&BIN_VERSION.to_le_bytes())?;
+    w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
+    w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
     let mut buf = Vec::with_capacity(8 * g.offsets().len());
-    for &o in g.offsets() {
-        buf.put_u64_le(o);
+    for o in g.offsets() {
+        buf.extend_from_slice(&o.to_le_bytes());
     }
     w.write_all(&buf)?;
     buf.clear();
     buf.reserve(4 * g.num_edges());
-    for &v in g.adjacency() {
-        buf.put_u32_le(v);
+    for v in g.adjacency() {
+        buf.extend_from_slice(&v.to_le_bytes());
     }
-    w.write_all(&buf)?;
-    Ok(())
+    w.write_all(&buf)
+}
+
+/// Exactly `len` bytes from `r`, or `InvalidData`. The buffer grows with
+/// the bytes that actually arrive, never with what a header claimed.
+fn read_exactly<R: Read>(r: &mut R, len: u64) -> io::Result<Vec<u8>> {
+    let mut raw = Vec::new();
+    r.take(len).read_to_end(&mut raw)?;
+    if raw.len() as u64 != len {
+        return Err(invalid("file is shorter than its header claims"));
+    }
+    Ok(raw)
 }
 
 /// Deserialize a CSR from the binary cache format, validating all
-/// structural invariants.
+/// structural invariants. The header's counts are untrusted: sizes are
+/// computed with checked arithmetic, memory is bounded by the bytes
+/// present, and a short or over-long file is `InvalidData`.
 pub fn read_binary<R: Read>(mut r: R) -> io::Result<Csr> {
     let mut header = [0u8; 24];
     r.read_exact(&mut header)?;
-    let mut h = &header[..];
-    if h.get_u32_le() != BIN_MAGIC {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic"));
+    let u32_at = |at: usize| u32::from_le_bytes(header[at..at + 4].try_into().expect("4 bytes"));
+    let u64_at = |at: usize| u64::from_le_bytes(header[at..at + 8].try_into().expect("8 bytes"));
+    if u32_at(0) != BIN_MAGIC {
+        return Err(invalid("bad magic"));
     }
-    if h.get_u32_le() != BIN_VERSION {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "bad version"));
+    if u32_at(4) != BIN_VERSION {
+        return Err(invalid("bad version"));
     }
-    let n = h.get_u64_le() as usize;
-    let m = h.get_u64_le() as usize;
-    let mut raw = vec![0u8; 8 * (n + 1)];
-    r.read_exact(&mut raw)?;
-    let mut buf = &raw[..];
-    let offsets: Vec<u64> = (0..=n).map(|_| buf.get_u64_le()).collect();
-    let mut raw = vec![0u8; 4 * m];
-    r.read_exact(&mut raw)?;
-    let mut buf = &raw[..];
-    let adjacency: Vec<VertexId> = (0..m).map(|_| buf.get_u32_le()).collect();
-    Csr::from_parts(offsets, adjacency)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "corrupt CSR"))
+    let offsets_len = u64_at(8).checked_add(1).and_then(|n| n.checked_mul(8));
+    let adjacency_len = u64_at(16).checked_mul(4);
+    let (Some(offsets_len), Some(adjacency_len)) = (offsets_len, adjacency_len) else {
+        return Err(invalid("header counts overflow"));
+    };
+    let offsets: Vec<u64> = read_exactly(&mut r, offsets_len)?
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
+        .collect();
+    let adjacency: Vec<VertexId> = read_exactly(&mut r, adjacency_len)?
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
+        .collect();
+    if r.read(&mut [0u8; 1])? != 0 {
+        return Err(invalid("file is longer than its header claims"));
+    }
+    Csr::from_parts(offsets, adjacency).ok_or_else(|| invalid("corrupt CSR"))
 }
 
 /// Write the binary format to a file.
@@ -322,8 +316,11 @@ mod tests {
     fn matrix_market_rejects_malformed() {
         let missing_header = "3 3 1\n1 2\n";
         assert!(read_matrix_market(Cursor::new(missing_header), BuildOptions::raw()).is_err());
-        let wrong_count = "%%MatrixMarket matrix coordinate pattern general\n2 2 5\n1 2\n";
-        assert!(read_matrix_market(Cursor::new(wrong_count), BuildOptions::raw()).is_err());
+        for claimed in ["5", "1099511627776", "18446744073709551615"] {
+            let wrong_count =
+                format!("%%MatrixMarket matrix coordinate pattern symmetric\n2 2 {claimed}\n1 2\n");
+            assert!(read_matrix_market(Cursor::new(wrong_count), BuildOptions::raw()).is_err());
+        }
         let oob = "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 9\n";
         assert!(read_matrix_market(Cursor::new(oob), BuildOptions::raw()).is_err());
         let dense = "%%MatrixMarket matrix array real general\n2 2\n1.0\n";

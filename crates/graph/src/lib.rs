@@ -14,7 +14,7 @@
 //!   offline (see `DESIGN.md` §2),
 //! * the degree-aware neighbor re-arrangement of §IV-B,
 //! * plain-text and binary edge-list IO,
-//! * CPU reference BFS (serial and rayon-parallel) used as ground truth, and
+//! * two CPU reference BFS (queue and level-synchronous) used as ground truth, and
 //! * a Graph500-style BFS-tree validator.
 
 pub mod builder;
@@ -31,7 +31,7 @@ pub use builder::{BuildOptions, CsrBuilder};
 pub use csr::{Csr, VertexId};
 pub use datasets::{Dataset, DatasetSpec};
 pub use rearrange::{rearrange_by_degree, RearrangeOrder};
-pub use reference::{bfs_levels_parallel, bfs_levels_serial, bfs_parents_serial};
+pub use reference::{bfs_levels_frontier, bfs_levels_serial, bfs_parents_serial};
 pub use validate::{validate_bfs_levels, validate_bfs_tree, ValidationError};
 
 /// Sentinel level / parent meaning "not visited".

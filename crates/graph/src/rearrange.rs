@@ -11,7 +11,6 @@
 //! end-to-end speedup.
 
 use crate::csr::{Csr, VertexId};
-use rayon::prelude::*;
 
 /// Neighbor ordering applied inside each adjacency row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,43 +34,28 @@ pub fn rearrange_by_degree(g: &Csr, order: RearrangeOrder) -> Csr {
         .map(|v| g.degree(v))
         .collect();
     let mut out = g.clone();
-    let offsets = g.offsets().to_vec();
     let adj = out.adjacency_mut();
-    // Rows are disjoint slices of the adjacency array: safe to sort in
-    // parallel via par_chunks boundaries derived from offsets.
-    let rows: Vec<(usize, usize)> = offsets
-        .windows(2)
-        .map(|w| (w[0] as usize, w[1] as usize))
-        .collect();
-    // Split adjacency into per-row mutable slices.
-    let mut slices: Vec<&mut [VertexId]> = Vec::with_capacity(rows.len());
-    let mut rest = adj;
-    let mut consumed = 0usize;
-    for &(start, end) in &rows {
-        debug_assert_eq!(start, consumed);
-        let (row, tail) = rest.split_at_mut(end - start);
-        slices.push(row);
-        rest = tail;
-        consumed = end;
+    for w in g.offsets().windows(2) {
+        let row = &mut adj[w[0] as usize..w[1] as usize];
+        match order {
+            RearrangeOrder::DegreeDescending => {
+                // Ties broken by vertex id for determinism.
+                row.sort_unstable_by(|&a, &b| {
+                    degrees[b as usize]
+                        .cmp(&degrees[a as usize])
+                        .then(a.cmp(&b))
+                });
+            }
+            RearrangeOrder::DegreeAscending => {
+                row.sort_unstable_by(|&a, &b| {
+                    degrees[a as usize]
+                        .cmp(&degrees[b as usize])
+                        .then(a.cmp(&b))
+                });
+            }
+            RearrangeOrder::VertexId => row.sort_unstable(),
+        }
     }
-    slices.par_iter_mut().for_each(|row| match order {
-        RearrangeOrder::DegreeDescending => {
-            // Ties broken by vertex id for determinism.
-            row.sort_unstable_by(|&a, &b| {
-                degrees[b as usize]
-                    .cmp(&degrees[a as usize])
-                    .then(a.cmp(&b))
-            });
-        }
-        RearrangeOrder::DegreeAscending => {
-            row.sort_unstable_by(|&a, &b| {
-                degrees[a as usize]
-                    .cmp(&degrees[b as usize])
-                    .then(a.cmp(&b))
-            });
-        }
-        RearrangeOrder::VertexId => row.sort_unstable(),
-    });
     out
 }
 

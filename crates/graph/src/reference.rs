@@ -1,16 +1,12 @@
 //! CPU reference BFS implementations.
 //!
 //! These are the ground truth every GPU-substrate strategy is tested
-//! against, plus the rayon-parallel level-synchronous BFS used as the
-//! "CPU-based Graph500" comparison point in the paper's introduction
-//! (Frontier's June-2024 Graph500 submission is CPU-based at ≈ 0.4 GTEPS
-//! per GCD-equivalent).
+//! against: a textbook queue BFS, and a level-synchronous frontier BFS
+//! that shares no structure with it.
 
 use crate::csr::{Csr, VertexId};
 use crate::UNVISITED;
-use rayon::prelude::*;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Serial textbook BFS; returns per-vertex levels (`UNVISITED` for
 /// unreachable vertices).
@@ -51,38 +47,30 @@ pub fn bfs_parents_serial(g: &Csr, source: VertexId) -> Vec<u32> {
     parents
 }
 
-/// Level-synchronous parallel BFS over rayon. Deterministic output
-/// (levels, not parents) regardless of scheduling.
-pub fn bfs_levels_parallel(g: &Csr, source: VertexId) -> Vec<u32> {
+/// Level-synchronous BFS on the calling thread: each step expands one
+/// whole frontier into the next, the shape every device strategy has. It
+/// is the tests' second reference — built unlike the queue walk of
+/// [`bfs_levels_serial`], so the two agreeing is evidence, not tautology.
+pub fn bfs_levels_frontier(g: &Csr, source: VertexId) -> Vec<u32> {
     assert!((source as usize) < g.num_vertices(), "source out of range");
-    let levels: Vec<AtomicU32> = (0..g.num_vertices())
-        .map(|_| AtomicU32::new(UNVISITED))
-        .collect();
-    levels[source as usize].store(0, Ordering::Relaxed);
+    let mut levels = vec![UNVISITED; g.num_vertices()];
+    levels[source as usize] = 0;
     let mut frontier = vec![source];
     let mut depth = 0u32;
     while !frontier.is_empty() {
-        let next: Vec<VertexId> = frontier
-            .par_iter()
-            .flat_map_iter(|&u| {
-                g.neighbors(u).iter().filter_map(|&v| {
-                    // CAS claims each vertex exactly once.
-                    levels[v as usize]
-                        .compare_exchange(
-                            UNVISITED,
-                            depth + 1,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        )
-                        .ok()
-                        .map(|_| v)
-                })
-            })
-            .collect();
-        frontier = next;
         depth += 1;
+        let mut next = Vec::new();
+        for &u in &frontier {
+            for &v in g.neighbors(u) {
+                if levels[v as usize] == UNVISITED {
+                    levels[v as usize] = depth;
+                    next.push(v);
+                }
+            }
+        }
+        frontier = next;
     }
-    levels.into_iter().map(|a| a.into_inner()).collect()
+    levels
 }
 
 /// Number of edges "traversed" by a BFS from `source` under the Graph500
@@ -128,7 +116,7 @@ mod tests {
             for src in [0u32, 37, 123] {
                 assert_eq!(
                     bfs_levels_serial(&g, src),
-                    bfs_levels_parallel(&g, src),
+                    bfs_levels_frontier(&g, src),
                     "seed {seed} src {src}"
                 );
             }

@@ -6,7 +6,7 @@ use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::io::{read_binary, read_edge_list, write_binary, write_edge_list};
 use xbfs_graph::rearrange::{rearrange_by_degree, visit_probability, RearrangeOrder};
-use xbfs_graph::reference::{bfs_levels_parallel, bfs_levels_serial, bfs_parents_serial};
+use xbfs_graph::reference::{bfs_levels_frontier, bfs_levels_serial, bfs_parents_serial};
 use xbfs_graph::validate::{validate_bfs_tree, ValidationError};
 use xbfs_graph::{Csr, UNVISITED};
 
@@ -45,7 +45,7 @@ proptest! {
     #[test]
     fn parallel_bfs_matches_serial(g in arb_graph(), src_sel in 0usize..60) {
         let src = (src_sel % g.num_vertices()) as u32;
-        prop_assert_eq!(bfs_levels_serial(&g, src), bfs_levels_parallel(&g, src));
+        prop_assert_eq!(bfs_levels_serial(&g, src), bfs_levels_frontier(&g, src));
     }
 
     #[test]
@@ -125,4 +125,59 @@ fn validator_rejects_length_mismatch() {
         validate_bfs_tree(&g, 0, &[0; 5]),
         Err(ValidationError::LengthMismatch)
     );
+}
+
+/// An honest 50-vertex file cut to `keep` bytes, its header then
+/// overwritten to claim `n` vertices and/or `m` edges.
+fn tampered(n: Option<u64>, m: Option<u64>, keep: Option<usize>) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_binary(&erdos_renyi(50, 100, 3), &mut buf).unwrap();
+    buf.truncate(keep.unwrap_or(buf.len()));
+    if let Some(n) = n {
+        buf[8..16].copy_from_slice(&n.to_le_bytes());
+    }
+    if let Some(m) = m {
+        buf[16..24].copy_from_slice(&m.to_le_bytes());
+    }
+    buf
+}
+
+/// A header is a claim, not a fact: reading must end in a typed error
+/// with memory bounded by the bytes present — not an abort on a
+/// terabyte allocation, not an overflow panic.
+fn assert_invalid(buf: &[u8]) {
+    let got = std::panic::catch_unwind(|| read_binary(Cursor::new(buf)));
+    let err = got.expect("no panic").expect_err("must be refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+}
+
+#[test]
+fn binary_header_lying_about_vertices_is_a_typed_error() {
+    assert_invalid(&tampered(Some(1 << 40), None, Some(24)));
+    assert_invalid(&tampered(Some(1 << 40), None, None));
+    assert_invalid(&tampered(Some(49), None, None));
+}
+
+#[test]
+fn binary_header_lying_about_edges_is_a_typed_error() {
+    assert_invalid(&tampered(None, Some(1 << 40), None));
+    let honest = u64::from_le_bytes(tampered(None, None, None)[16..24].try_into().unwrap());
+    assert_invalid(&tampered(None, Some(honest - 1), None));
+}
+
+#[test]
+fn binary_header_counts_that_overflow_are_a_typed_error() {
+    assert_invalid(&tampered(Some(u64::MAX), None, None)); // n + 1
+    assert_invalid(&tampered(Some(u64::MAX / 4), None, None)); // 8 (n + 1)
+    assert_invalid(&tampered(None, Some(u64::MAX / 2), None)); // 4 m
+}
+
+#[test]
+fn binary_file_cut_short_or_padded_is_a_typed_error() {
+    let all = tampered(None, None, None).len();
+    assert_invalid(&tampered(None, None, Some(24 + 8 * 20))); // mid-offsets
+    assert_invalid(&tampered(None, None, Some(all - 5))); // mid-adjacency
+    let mut padded = tampered(None, None, None);
+    padded.push(0);
+    assert_invalid(&padded);
 }

@@ -42,7 +42,7 @@ use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx}
 use std::collections::HashMap;
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
-use xbfs_telemetry::{names, AttrValue, Recorder, SpanId};
+use xbfs_telemetry::{json, names, AttrValue, Recorder, SpanId};
 
 /// Not-yet-visited marker (matches single-GCD XBFS).
 pub const UNVISITED: u32 = u32::MAX;
@@ -205,69 +205,53 @@ impl ClusterRun {
     /// stats) as a JSON object. Together with the graph, the `config`,
     /// `seed` and `fault_plan` fields reproduce the run exactly.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"source\":{},\"config\":{{\"num_gcds\":{},\"alpha\":{},\"push_only\":{}}},\
-             \"seed\":{},\"fault_plan\":\"{}\",\"total_ms\":{:.6},\"traversed_edges\":{},\
-             \"gteps\":{:.6},\"gteps_per_gcd\":{:.6},\"depth\":{},\"recoveries\":[",
-            self.source,
-            self.config.num_gcds,
-            self.config.alpha,
-            self.config.push_only,
-            self.seed,
-            self.fault_plan.to_spec(),
-            self.total_ms,
-            self.traversed_edges,
-            self.gteps,
-            self.gteps_per_gcd,
-            self.level_stats
-                .iter()
-                .map(|l| l.level)
-                .max()
-                .map_or(0, |l| l + 1),
-        ));
-        for (i, r) in self.recoveries.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"detected_level\":{},\"dead_rank\":{},\"policy\":\"{}\",\
-                 \"restored_level\":{},\"gcds_after\":{},\"overhead_ms\":{:.6}}}",
-                r.detected_level,
-                r.dead_rank,
-                r.policy,
-                r.restored_level,
-                r.gcds_after,
-                r.overhead_ms,
-            ));
-        }
-        s.push_str("],\"level_stats\":[");
-        for (i, l) in self.level_stats.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"level\":{},\"attempt\":{},\"bottom_up\":{},\"frontier_count\":{},\
-                 \"frontier_edges\":{},\"exchanged_bytes\":{},\"retransmitted_bytes\":{},\
-                 \"retry_ms\":{:.6},\"recovery_ms\":{:.6},\"checkpointed\":{},\
-                 \"expand_ms\":{:.6},\"exchange_ms\":{:.6},\"time_ms\":{:.6}}}",
-                l.level,
-                l.attempt,
-                l.bottom_up,
-                l.frontier_count,
-                l.frontier_edges,
-                l.exchanged_bytes,
-                l.retransmitted_bytes,
-                l.retry_ms,
-                l.recovery_ms,
-                l.checkpointed,
-                l.expand_ms,
-                l.exchange_ms,
-                l.time_ms,
-            ));
-        }
-        s.push_str("]}");
-        s
+        json::object(|o| {
+            o.key("source").int(self.source);
+            o.key("config").obj(|c| {
+                c.key("num_gcds").int(self.config.num_gcds);
+                c.key("alpha").f64(self.config.alpha);
+                c.key("push_only").bool(self.config.push_only);
+            });
+            o.key("seed").int(self.seed);
+            o.key("fault_plan").str(self.fault_plan.to_spec());
+            o.key("total_ms").fixed(self.total_ms, 6);
+            o.key("traversed_edges").int(self.traversed_edges);
+            o.key("gteps").fixed(self.gteps, 6);
+            o.key("gteps_per_gcd").fixed(self.gteps_per_gcd, 6);
+            let deepest = self.level_stats.iter().map(|l| l.level).max();
+            o.key("depth").int(deepest.map_or(0, |l| l + 1));
+            o.key("recoveries").arr(|recoveries| {
+                for r in &self.recoveries {
+                    recoveries.item().obj(|o| {
+                        o.key("detected_level").int(r.detected_level);
+                        o.key("dead_rank").int(r.dead_rank);
+                        o.key("policy").str(r.policy);
+                        o.key("restored_level").int(r.restored_level);
+                        o.key("gcds_after").int(r.gcds_after);
+                        o.key("overhead_ms").fixed(r.overhead_ms, 6);
+                    });
+                }
+            });
+            o.key("level_stats").arr(|levels| {
+                for l in &self.level_stats {
+                    levels.item().obj(|o| {
+                        o.key("level").int(l.level);
+                        o.key("attempt").int(l.attempt);
+                        o.key("bottom_up").bool(l.bottom_up);
+                        o.key("frontier_count").int(l.frontier_count);
+                        o.key("frontier_edges").int(l.frontier_edges);
+                        o.key("exchanged_bytes").int(l.exchanged_bytes);
+                        o.key("retransmitted_bytes").int(l.retransmitted_bytes);
+                        o.key("retry_ms").fixed(l.retry_ms, 6);
+                        o.key("recovery_ms").fixed(l.recovery_ms, 6);
+                        o.key("checkpointed").bool(l.checkpointed);
+                        o.key("expand_ms").fixed(l.expand_ms, 6);
+                        o.key("exchange_ms").fixed(l.exchange_ms, 6);
+                        o.key("time_ms").fixed(l.time_ms, 6);
+                    });
+                }
+            });
+        })
     }
 
     /// Per-level stats as CSV (header + one row per executed level).
@@ -2132,6 +2116,12 @@ mod tests {
         assert!(json.contains("\"seed\":9"));
         assert!(json.contains("drop@0:0-1x1"));
         assert!(json.contains("\"level_stats\":["));
+        // The record stays JSON on its worst input: `null`, not `inf`.
+        let mut hostile = run.clone();
+        hostile.config.alpha = f64::INFINITY;
+        let doc = xbfs_telemetry::JsonValue::parse(&hostile.to_json()).expect("valid JSON");
+        let alpha = doc.get("config").and_then(|c| c.get("alpha"));
+        assert_eq!(alpha, Some(&xbfs_telemetry::JsonValue::Null));
         let csv = run.to_csv();
         assert_eq!(csv.lines().count(), run.level_stats.len() + 1);
         assert!(csv.starts_with("level,attempt,"));

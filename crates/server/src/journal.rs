@@ -59,9 +59,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use xbfs_spec::{tokenize, SpecError, Token};
-use xbfs_telemetry::json::{escape, JsonValue};
+use xbfs_telemetry::json::{JsonValue, Val};
 
-use crate::protocol::BfsRequest;
+use crate::protocol::{BfsRequest, MAX_ID};
 
 /// File magic + format version. A journal that does not start with this
 /// is not ours and replay treats it as empty rather than guessing.
@@ -201,57 +201,40 @@ pub struct DoneRecord {
 impl Record {
     /// Serialize to the single-line JSON payload that goes inside a frame.
     pub fn payload(&self) -> String {
-        match self {
+        // One buffer: an admit is under 128 bytes, a completion is its
+        // response line plus that line's escapes (about one byte in six).
+        let line_len = match self {
+            Record::Done(DoneRecord { line: Some(l), .. }) => l.len(),
+            _ => 0,
+        };
+        let mut s = String::with_capacity(128 + line_len + line_len / 4);
+        Val::new(&mut s).obj(|o| match self {
             Record::Admit(req) => {
-                let mut s = format!("{{\"t\":\"a\",\"id\":{},\"source\":{}", req.id, req.source);
-                if let Some(d) = req.deadline_ms {
-                    s.push_str(&format!(",\"deadline_ms\":{d}"));
-                }
-                if let Some(v) = req.verify {
-                    s.push_str(&format!(",\"verify\":{v}"));
-                }
-                if let Some(c) = &req.chaos {
-                    s.push_str(&format!(",\"chaos\":{}", escape(c)));
-                }
-                s.push('}');
-                s
+                o.key("t").str("a");
+                req.write_fields(o);
             }
             Record::Done(d) => {
-                let mut s = format!(
-                    "{{\"t\":\"d\",\"id\":{},\"source\":{},\"status\":{}",
-                    d.id,
-                    d.source,
-                    escape(&d.status)
-                );
-                if let Some(dg) = &d.digest {
-                    s.push_str(&format!(",\"digest\":{}", escape(dg)));
-                }
-                if let Some(l) = &d.line {
-                    s.push_str(&format!(",\"line\":{}", escape(l)));
-                }
-                s.push('}');
-                s
+                o.key("t").str("d");
+                o.key("id").int(d.id);
+                o.key("source").int(d.source);
+                o.key("status").str(&d.status);
+                o.opt("digest", d.digest.as_deref(), Val::str);
+                o.opt("line", d.line.as_deref(), Val::str);
             }
-        }
+        });
+        s
     }
 
     /// Decode one payload. `None` means the payload is not a record this
     /// version understands — replay treats that as corruption and stops.
     pub fn decode(payload: &str) -> Option<Record> {
         let v = JsonValue::parse(payload).ok()?;
-        let id = v.get("id")?.as_f64()? as u64;
-        let source = v.get("source")?.as_f64()? as u32;
+        let id = v.uint_field("id", MAX_ID).ok()??;
         match v.get("t")?.as_str()? {
-            "a" => Some(Record::Admit(BfsRequest {
-                id,
-                source,
-                deadline_ms: v.get("deadline_ms").and_then(|d| d.as_f64()),
-                verify: v.get("verify").and_then(|b| b.as_bool()),
-                chaos: v.get("chaos").and_then(|c| c.as_str()).map(String::from),
-            })),
+            "a" => BfsRequest::read(&v, id).ok().map(Record::Admit),
             "d" => Some(Record::Done(DoneRecord {
                 id,
-                source,
+                source: v.uint_field("source", u64::from(u32::MAX)).ok()?? as u32,
                 status: v.get("status")?.as_str()?.to_string(),
                 digest: v.get("digest").and_then(|d| d.as_str()).map(String::from),
                 line: v.get("line").and_then(|l| l.as_str()).map(String::from),

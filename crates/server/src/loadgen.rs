@@ -30,10 +30,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
-use xbfs_telemetry::LogHistogram;
+use xbfs_telemetry::{json, LogHistogram};
 
 use crate::chaos::ChaosPlan;
-use crate::protocol::{self, PROTOCOL};
+use crate::protocol::{self, control_line, BfsRequest};
 
 /// What to throw at the server.
 #[derive(Debug, Clone)]
@@ -150,33 +150,28 @@ impl LoadgenReport {
 
     /// `xbfs-loadgen-v1` JSON object (single line).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"format\":\"xbfs-loadgen-v1\",\"sent\":{},\"ok\":{},\"shed\":{},\
-             \"timeouts\":{},\"errors\":{},\"lost\":{},\"replayed\":{},\
-             \"retried_ok\":{},\"retries_sent\":{},\"reconnects\":{},\
-             \"p50_ms\":{:.3},\"p99_ms\":{:.3},\"p999_ms\":{:.3},\"max_ms\":{:.3},\
-             \"shed_pct\":{:.2},\"digests_consistent\":{},\"elapsed_ms\":{:.1},\
-             \"achieved_rps\":{:.1},\"served_qps\":{:.1}}}",
-            self.sent,
-            self.ok,
-            self.shed,
-            self.timeouts,
-            self.errors,
-            self.lost,
-            self.replayed,
-            self.retried_ok,
-            self.retries_sent,
-            self.reconnects,
-            self.p50_ms,
-            self.p99_ms,
-            self.p999_ms,
-            self.max_ms,
-            self.shed_pct(),
-            self.digests_consistent,
-            self.elapsed_ms,
-            self.achieved_rps,
-            self.served_qps
-        )
+        json::object(|o| {
+            o.key("format").str("xbfs-loadgen-v1");
+            o.key("sent").int(self.sent);
+            o.key("ok").int(self.ok);
+            o.key("shed").int(self.shed);
+            o.key("timeouts").int(self.timeouts);
+            o.key("errors").int(self.errors);
+            o.key("lost").int(self.lost);
+            o.key("replayed").int(self.replayed);
+            o.key("retried_ok").int(self.retried_ok);
+            o.key("retries_sent").int(self.retries_sent);
+            o.key("reconnects").int(self.reconnects);
+            o.key("p50_ms").fixed(self.p50_ms, 3);
+            o.key("p99_ms").fixed(self.p99_ms, 3);
+            o.key("p999_ms").fixed(self.p999_ms, 3);
+            o.key("max_ms").fixed(self.max_ms, 3);
+            o.key("shed_pct").fixed(self.shed_pct(), 2);
+            o.key("digests_consistent").bool(self.digests_consistent);
+            o.key("elapsed_ms").fixed(self.elapsed_ms, 1);
+            o.key("achieved_rps").fixed(self.achieved_rps, 1);
+            o.key("served_qps").fixed(self.served_qps, 1);
+        })
     }
 }
 
@@ -393,10 +388,7 @@ pub fn send_shutdown(addr: &str) -> std::io::Result<()> {
     stream
         .set_read_timeout(Some(Duration::from_millis(2000)))
         .ok();
-    writeln!(
-        stream,
-        "{{\"v\":\"{PROTOCOL}\",\"op\":\"shutdown\",\"id\":0}}"
-    )?;
+    writeln!(stream, "{}", control_line("shutdown", 0))?;
     let mut line = String::new();
     let _ = BufReader::new(stream).read_line(&mut line);
     Ok(())
@@ -649,18 +641,14 @@ fn drive_connection(
         }
         let scheduled_ms = due.as_secs_f64() * 1000.0;
         let source = (splitmix64(&mut rng) % u64::from(cfg.source_max.max(1))) as u32;
-        let mut req =
-            format!("{{\"v\":\"{PROTOCOL}\",\"op\":\"bfs\",\"id\":{i},\"source\":{source}");
-        if let Some(d) = cfg.deadline_ms {
-            req.push_str(&format!(",\"deadline_ms\":{d}"));
+        let req = BfsRequest {
+            id: i,
+            source,
+            deadline_ms: cfg.deadline_ms,
+            verify: cfg.verify,
+            chaos: cfg.chaos.and_then(|p| p.action(i).token()),
         }
-        if let Some(v) = cfg.verify {
-            req.push_str(&format!(",\"verify\":{v}"));
-        }
-        if let Some(tok) = cfg.chaos.and_then(|p| p.action(i).token()) {
-            req.push_str(&format!(",\"chaos\":\"{tok}\""));
-        }
-        req.push('}');
+        .to_line();
         // Register metadata before the write so the reader can never see
         // a response to an unknown id.
         let _ = meta_tx.send((

@@ -17,12 +17,14 @@
 //!   typed [`xbfs_core::XbfsError::DeadlineExceeded`]).
 //! - `error` — a typed failure (bad source, uncorrected integrity, …).
 //!
-//! Parsing uses the telemetry crate's std-only JSON reader; building is
-//! plain string assembly with [`xbfs_telemetry::json::escape`] on every
-//! interpolated string.
+//! Every line, request or response, is written and read in this module
+//! through the telemetry crate's std-only JSON reader and writer
+//! (DESIGN.md, "JSON documents").
 
 use xbfs_core::{BfsRun, SlotAnswer};
-use xbfs_telemetry::json::{escape, JsonValue};
+use xbfs_telemetry::json::{self, JsonValue, Obj, Val};
+
+use crate::server::ServeReport;
 
 /// Protocol identifier, echoed in every request and response.
 pub const PROTOCOL: &str = "xbfs-serve-v1";
@@ -83,20 +85,53 @@ pub enum Request {
 /// it is exact, so an accepted id is always echoed as sent.
 pub const MAX_ID: u64 = (1 << 53) - 1;
 
-/// Field `key` as the exact unsigned integer the sender wrote. `Ok(None)`
-/// when it is absent or not a number; an error when it is a number that
-/// is negative, fractional, non-finite or above `max` — never a silently
-/// clamped or truncated stand-in.
-fn uint_field(v: &JsonValue, key: &str, max: u64) -> Result<Option<u64>, String> {
-    match v.get(key).and_then(|n| n.as_f64()) {
-        None => Ok(None),
-        Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= max as f64 => Ok(Some(f as u64)),
-        Some(_) => Err(format!("`{key}` must be an integer in 0..={max}")),
-    }
+/// `{"v":PROTOCOL,"op":op,` + `rest` + `}`: how every request line opens.
+fn request_line(op: &str, rest: impl FnOnce(&mut Obj<'_>)) -> String {
+    json::object(|o| {
+        o.key("v").str(PROTOCOL);
+        o.key("op").str(op);
+        rest(o);
+    })
 }
 
-fn get_u64(v: &JsonValue, key: &str) -> Option<u64> {
-    uint_field(v, key, MAX_ID).ok().flatten()
+/// The request line of a field-less op (`ping`, `info`, `stats`,
+/// `metrics`, `shutdown`).
+pub fn control_line(op: &str, id: u64) -> String {
+    request_line(op, |o| o.key("id").int(id))
+}
+
+impl BfsRequest {
+    /// The request's own fields, in the one order they are ever written:
+    /// shared by the wire line and the journal's admit record. A
+    /// non-finite `deadline_ms` is written as `null`, which reads back as
+    /// "no per-request deadline".
+    pub(crate) fn write_fields(&self, o: &mut Obj<'_>) {
+        o.key("id").int(self.id);
+        o.key("source").int(self.source);
+        o.opt("deadline_ms", self.deadline_ms, Val::f64);
+        o.opt("verify", self.verify, Val::bool);
+        o.opt("chaos", self.chaos.as_deref(), Val::str);
+    }
+
+    /// The `bfs` request line a client sends.
+    pub fn to_line(&self) -> String {
+        request_line("bfs", |o| self.write_fields(o))
+    }
+
+    /// The inverse of [`Self::write_fields`], given the already-parsed
+    /// `id`: `source` must be the exact integer the sender wrote.
+    pub(crate) fn read(v: &JsonValue, id: u64) -> Result<Self, String> {
+        let source = v
+            .uint_field("source", u64::from(u32::MAX))?
+            .ok_or("bfs needs numeric `source`")? as u32;
+        Ok(BfsRequest {
+            id,
+            source,
+            deadline_ms: v.get("deadline_ms").and_then(|d| d.as_f64()),
+            verify: v.get("verify").and_then(|b| b.as_bool()),
+            chaos: v.get("chaos").and_then(|c| c.as_str()).map(String::from),
+        })
+    }
 }
 
 /// Why a request line was refused: answered as a typed `usage` error.
@@ -114,7 +149,8 @@ pub struct BadRequest {
 pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
     let bad = |id: u64, message: String| BadRequest { id, message };
     let v = JsonValue::parse(line).map_err(|e| bad(0, format!("bad JSON: {e}")))?;
-    let id = uint_field(&v, "id", MAX_ID)
+    let id = v
+        .uint_field("id", MAX_ID)
         .map_err(|why| bad(0, why))?
         .ok_or_else(|| bad(0, "missing numeric `id`".into()))?;
     if let Some(proto) = v.get("v").and_then(|p| p.as_str()) {
@@ -133,27 +169,31 @@ pub fn parse_request(line: &str) -> Result<Request, BadRequest> {
         "shutdown" => Ok(Request::Shutdown { id }),
         "metrics" => Ok(Request::Metrics { id }),
         "bfs" => {
-            let source = uint_field(&v, "source", u64::from(u32::MAX))
-                .map_err(|why| bad(id, why))?
-                .ok_or_else(|| bad(id, "bfs needs numeric `source`".into()))?
-                as u32;
-            Ok(Request::Bfs(BfsRequest {
-                id,
-                source,
-                deadline_ms: v.get("deadline_ms").and_then(|d| d.as_f64()),
-                verify: v.get("verify").and_then(|b| b.as_bool()),
-                chaos: v
-                    .get("chaos")
-                    .and_then(|c| c.as_str())
-                    .map(|s| s.to_string()),
-            }))
+            let req = BfsRequest::read(&v, id).map_err(|why| bad(id, why))?;
+            // What cannot be journaled or honoured is refused at the door.
+            match req.deadline_ms {
+                Some(d) if !(d.is_finite() && d >= 0.0) => {
+                    Err(bad(id, "`deadline_ms` must be finite and >= 0".into()))
+                }
+                _ => Ok(Request::Bfs(req)),
+            }
         }
         other => Err(bad(id, format!("unknown op `{other}`"))),
     }
 }
 
-fn head(id: u64, status: &str) -> String {
-    format!("{{\"v\":\"{PROTOCOL}\",\"id\":{id},\"status\":\"{status}\"")
+/// `{"v":PROTOCOL,"id":id,"status":status,` + `rest` + `}`: how every
+/// response line opens. One buffer, sized for an `ok` line (~250 bytes,
+/// the longest the served path writes) so that it never grows.
+fn response(id: u64, status: &str, rest: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut line = String::with_capacity(320);
+    Val::new(&mut line).obj(|o| {
+        o.key("v").str(PROTOCOL);
+        o.key("id").int(id);
+        o.key("status").str(status);
+        rest(o);
+    });
+    line
 }
 
 /// The `ok` response for one slot of an engine run — the one place the
@@ -173,28 +213,19 @@ pub fn slot_ok_line(
     batch: Option<usize>,
     recoveries: Option<u64>,
 ) -> String {
-    let mut line = format!(
-        "{},\"source\":{},\"depth\":{},\"reached\":{},\"total_ms\":{:.6},\"gteps\":{:.6},\
-         \"digest\":\"{:#018x}\",\"certified\":{},\"wait_ms\":{:.3},\"attempts\":{}",
-        head(id, "ok"),
-        slot.source,
-        slot.depth,
-        slot.reached,
-        total_ms,
-        slot.gteps,
-        slot.digest,
-        certified,
-        wait_ms,
-        attempts
-    );
-    if let Some(batch) = batch {
-        line.push_str(&format!(",\"batch\":{batch}"));
-    }
-    if let Some(recoveries) = recoveries {
-        line.push_str(&format!(",\"recoveries\":{recoveries}"));
-    }
-    line.push('}');
-    line
+    response(id, "ok", |o| {
+        o.key("source").int(slot.source);
+        o.key("depth").int(slot.depth);
+        o.key("reached").int(slot.reached);
+        o.key("total_ms").fixed(total_ms, 6);
+        o.key("gteps").fixed(slot.gteps, 6);
+        o.key("digest").str(format_args!("{:#018x}", slot.digest));
+        o.key("certified").bool(certified);
+        o.key("wait_ms").fixed(wait_ms, 3);
+        o.key("attempts").int(attempts);
+        o.opt("batch", batch, Val::int);
+        o.opt("recoveries", recoveries, Val::int);
+    })
 }
 
 /// `ok` response for a completed solo run: depth is the level count and
@@ -214,39 +245,32 @@ pub fn ok_line(id: u64, run: &BfsRun, certified: bool, wait_ms: f64, attempts: u
 
 /// `overloaded` response (admission shed, breaker open, or draining).
 pub fn overloaded_line(id: u64, reason: &str, retry_after_ms: u64) -> String {
-    // NB: `escape` returns the string *with* surrounding quotes.
-    format!(
-        "{},\"reason\":{},\"retry_after_ms\":{}}}",
-        head(id, "overloaded"),
-        escape(reason),
-        retry_after_ms
-    )
+    response(id, "overloaded", |o| {
+        o.key("reason").str(reason);
+        o.key("retry_after_ms").int(retry_after_ms);
+    })
 }
 
 /// `timeout` response: the deadline expired in-queue or mid-run.
 pub fn timeout_line(id: u64, where_: &str, elapsed_ms: f64, deadline_ms: f64) -> String {
-    format!(
-        "{},\"where\":{},\"elapsed_ms\":{:.3},\"deadline_ms\":{:.3}}}",
-        head(id, "timeout"),
-        escape(where_),
-        elapsed_ms,
-        deadline_ms
-    )
+    response(id, "timeout", |o| {
+        o.key("where").str(where_);
+        o.key("elapsed_ms").fixed(elapsed_ms, 3);
+        o.key("deadline_ms").fixed(deadline_ms, 3);
+    })
 }
 
 /// `error` response with an error kind and message.
 pub fn error_line(id: u64, kind: &str, message: &str) -> String {
-    format!(
-        "{},\"kind\":{},\"error\":{}}}",
-        head(id, "error"),
-        escape(kind),
-        escape(message)
-    )
+    response(id, "error", |o| {
+        o.key("kind").str(kind);
+        o.key("error").str(message);
+    })
 }
 
 /// `ok` response to `ping`.
 pub fn pong_line(id: u64) -> String {
-    format!("{},\"pong\":true}}", head(id, "ok"))
+    response(id, "ok", |o| o.key("pong").bool(true))
 }
 
 /// `ok` response to `info`.
@@ -257,25 +281,37 @@ pub fn info_line(
     workers: usize,
     queue_cap: usize,
 ) -> String {
-    format!(
-        "{},\"vertices\":{},\"edges\":{},\"workers\":{},\"queue_cap\":{}}}",
-        head(id, "ok"),
-        vertices,
-        edges,
-        workers,
-        queue_cap
-    )
+    response(id, "ok", |o| {
+        o.key("vertices").int(vertices);
+        o.key("edges").int(edges);
+        o.key("workers").int(workers);
+        o.key("queue_cap").int(queue_cap);
+    })
+}
+
+/// `ok` response to `stats`: the counters a client polls, out of the same
+/// report `join` will return, plus the live queue depth and breaker state.
+pub fn stats_line(id: u64, r: &ServeReport, depth: u64, breaker_open: bool) -> String {
+    response(id, "ok", |o| {
+        o.key("accepted").int(r.accepted);
+        o.key("shed").int(r.shed);
+        o.key("ok").int(r.ok);
+        o.key("timeouts").int(r.timeouts);
+        o.key("errors").int(r.errors);
+        o.key("depth").int(depth);
+        o.key("breaker_open").bool(breaker_open);
+    })
 }
 
 /// `ok` response to `shutdown` (drain initiated).
 pub fn shutdown_line(id: u64) -> String {
-    format!("{},\"draining\":true}}", head(id, "ok"))
+    response(id, "ok", |o| o.key("draining").bool(true))
 }
 
 /// `ok` response to `metrics`: embeds the `xbfs-metrics-v1` snapshot
 /// object (already serialized, single line) under `"metrics"`.
 pub fn metrics_line(id: u64, snapshot_json: &str) -> String {
-    format!("{},\"metrics\":{}}}", head(id, "ok"), snapshot_json)
+    response(id, "ok", |o| o.key("metrics").raw(snapshot_json))
 }
 
 /// What a client can learn from any response line without knowing which
@@ -310,29 +346,19 @@ pub struct ResponseSummary {
 /// Parse one response line into the summary clients act on.
 pub fn parse_response(line: &str) -> Result<ResponseSummary, String> {
     let v = JsonValue::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
-    let id = get_u64(&v, "id").ok_or("response missing `id`")?;
-    let status = v
-        .get("status")
-        .and_then(|s| s.as_str())
-        .ok_or("response missing `status`")?
-        .to_string();
+    let text = |key: &str| v.get(key).and_then(|s| s.as_str()).map(String::from);
+    let uint = |key: &str| v.uint_field(key, MAX_ID).ok().flatten();
     Ok(ResponseSummary {
-        id,
-        status,
-        digest: v
-            .get("digest")
-            .and_then(|d| d.as_str())
-            .map(|s| s.to_string()),
-        source: v.get("source").and_then(|s| s.as_f64()).map(|f| f as u32),
-        retry_after_ms: get_u64(&v, "retry_after_ms"),
-        attempts: get_u64(&v, "attempts").map(|a| a as u32),
-        kind: v
-            .get("kind")
-            .and_then(|k| k.as_str())
-            .map(|s| s.to_string()),
-        recoveries: get_u64(&v, "recoveries"),
+        id: uint("id").ok_or("response missing `id`")?,
+        status: text("status").ok_or("response missing `status`")?,
+        digest: text("digest"),
+        source: uint("source").and_then(|s| u32::try_from(s).ok()),
+        retry_after_ms: uint("retry_after_ms"),
+        attempts: uint("attempts").map(|a| a as u32),
+        kind: text("kind"),
+        recoveries: uint("recoveries"),
         deduped: v.get("deduped").and_then(|d| d.as_bool()),
-        batch: get_u64(&v, "batch"),
+        batch: uint("batch"),
     })
 }
 
@@ -351,23 +377,34 @@ mod tests {
     use xbfs_core::MsBfsRun;
     use xbfs_multi_gcd::ClusterRun;
 
+    /// A request line reads back as the request it was written from, and
+    /// is written byte for byte as `loadgen`, `top` and `send_shutdown`
+    /// formatted it themselves before they shared this writer.
     #[test]
     fn bfs_request_round_trip() {
         let line = format!(
             "{{\"v\":\"{PROTOCOL}\",\"op\":\"bfs\",\"id\":7,\"source\":12,\
              \"deadline_ms\":250.5,\"verify\":true,\"chaos\":\"panic\"}}"
         );
-        let req = parse_request(&line).unwrap();
-        assert_eq!(
-            req,
-            Request::Bfs(BfsRequest {
-                id: 7,
-                source: 12,
-                deadline_ms: Some(250.5),
-                verify: Some(true),
-                chaos: Some("panic".into()),
-            })
-        );
+        let full = BfsRequest {
+            id: 7,
+            source: 12,
+            deadline_ms: Some(250.5),
+            verify: Some(true),
+            chaos: Some("panic".into()),
+        };
+        assert_eq!(parse_request(&line), Ok(Request::Bfs(full.clone())));
+        assert_eq!(full.to_line(), line);
+        let bare = BfsRequest {
+            deadline_ms: None,
+            verify: None,
+            chaos: None,
+            ..full
+        };
+        let line = format!("{{\"v\":\"{PROTOCOL}\",\"op\":\"bfs\",\"id\":7,\"source\":12}}");
+        assert_eq!(bare.to_line(), line);
+        let line = format!("{{\"v\":\"{PROTOCOL}\",\"op\":\"shutdown\",\"id\":0}}");
+        assert_eq!(control_line("shutdown", 0), line);
     }
 
     #[test]
@@ -379,8 +416,7 @@ mod tests {
             ("shutdown", Request::Shutdown { id: 1 }),
             ("metrics", Request::Metrics { id: 1 }),
         ] {
-            let line = format!("{{\"op\":\"{op}\",\"id\":1}}");
-            assert_eq!(parse_request(&line).unwrap(), want);
+            assert_eq!(parse_request(&control_line(op, 1)).unwrap(), want);
         }
     }
 
@@ -408,6 +444,11 @@ mod tests {
             ("{\"op\":\"bfs\",\"id\":1,\"source\":1e999}", 1),
             ("{\"op\":\"bfs\",\"id\":-7,\"source\":0}", 0),
             ("{\"op\":\"bfs\",\"id\":9007199254740993,\"source\":0}", 0),
+            // A budget that is not a time: `1e999` reads as infinity and
+            // could not be journaled; a negative one was never meant.
+            (r#"{"op":"bfs","id":1,"source":0,"deadline_ms":1e999}"#, 1),
+            (r#"{"op":"bfs","id":1,"source":0,"deadline_ms":-1e999}"#, 1),
+            (r#"{"op":"bfs","id":1,"source":0,"deadline_ms":-5}"#, 1),
         ] {
             match parse_request(line) {
                 Err(bad) => assert_eq!(bad.id, id, "{line}: {bad:?}"),

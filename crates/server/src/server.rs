@@ -31,7 +31,7 @@ use gcd_sim::Device;
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::RankHealth;
 use xbfs_telemetry::names::{self, live};
-use xbfs_telemetry::{AttrValue, MetricsSnapshot, Recorder, SeriesValue};
+use xbfs_telemetry::{json, AttrValue, MetricsSnapshot, Recorder, SeriesValue};
 
 use crate::breaker::CircuitBreaker;
 use crate::dedup::DedupCache;
@@ -408,67 +408,52 @@ impl ServeReport {
 
     /// `xbfs-serve-report-v1` JSON object (single line).
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"format\":\"xbfs-serve-report-v1\",\"accepted\":{},\"shed\":{},\
-             \"rejected_draining\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\
-             \"replayed\":{},\"panics_recovered\":{},\"rebuilds\":{},\
-             \"chaos_ignored\":{},\"breaker_trips\":{},\"breaker_fast_rejects\":{},\
-             \"connections\":{},\"dropped_connections\":{},\"bad_lines\":{},\
-             \"max_queue_depth\":{},\"deduped\":{},\"batches\":{},\
-             \"batched_requests\":{},\"max_batch_size\":{},\"batch_width\":{},\
-             \"journal_appends\":{},\"journal_fsyncs\":{},\"journal_bytes\":{},\
-             \"replayed_requests\":{},\"recovery_ms\":{},\
-             \"long_lines\":{},\"idle_disconnects\":{},\
-             \"cluster\":{},\"rank_health\":[",
-            self.accepted,
-            self.shed,
-            self.rejected_draining,
-            self.ok,
-            self.timeouts,
-            self.errors,
-            self.replayed,
-            self.panics_recovered,
-            self.rebuilds,
-            self.chaos_ignored,
-            self.breaker_trips,
-            self.breaker_fast_rejects,
-            self.connections,
-            self.dropped_connections,
-            self.bad_lines,
-            self.max_queue_depth,
-            self.deduped,
-            self.batches,
-            self.batched_requests,
-            self.max_batch_size,
-            self.batch_width,
-            self.journal_appends,
-            self.journal_fsyncs,
-            self.journal_bytes,
-            self.replayed_requests,
-            self.recovery_ms,
-            self.long_lines,
-            self.idle_disconnects,
-            self.cluster,
-        );
-        for (rank, h) in self.rank_health.iter().enumerate() {
-            if rank > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"rank\":{rank},\"crashes\":{},\"checkpoints_restored\":{},\
-                 \"retransmitted_bytes\":{}}}",
-                h.crashes, h.checkpoints_restored, h.retransmitted_bytes
-            ));
-        }
-        s.push_str("],\"flight_dumps\":[");
-        for (i, path) in self.flight_dumps.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&xbfs_telemetry::json::escape(path));
-        }
-        s.push_str(&format!("],\"drain_clean\":{}}}", self.drain_clean));
-        s
+        json::object(|o| {
+            o.key("format").str("xbfs-serve-report-v1");
+            o.key("accepted").int(self.accepted);
+            o.key("shed").int(self.shed);
+            o.key("rejected_draining").int(self.rejected_draining);
+            o.key("ok").int(self.ok);
+            o.key("timeouts").int(self.timeouts);
+            o.key("errors").int(self.errors);
+            o.key("replayed").int(self.replayed);
+            o.key("panics_recovered").int(self.panics_recovered);
+            o.key("rebuilds").int(self.rebuilds);
+            o.key("chaos_ignored").int(self.chaos_ignored);
+            o.key("breaker_trips").int(self.breaker_trips);
+            o.key("breaker_fast_rejects").int(self.breaker_fast_rejects);
+            o.key("connections").int(self.connections);
+            o.key("dropped_connections").int(self.dropped_connections);
+            o.key("bad_lines").int(self.bad_lines);
+            o.key("max_queue_depth").int(self.max_queue_depth);
+            o.key("deduped").int(self.deduped);
+            o.key("batches").int(self.batches);
+            o.key("batched_requests").int(self.batched_requests);
+            o.key("max_batch_size").int(self.max_batch_size);
+            o.key("batch_width").int(self.batch_width);
+            o.key("journal_appends").int(self.journal_appends);
+            o.key("journal_fsyncs").int(self.journal_fsyncs);
+            o.key("journal_bytes").int(self.journal_bytes);
+            o.key("replayed_requests").int(self.replayed_requests);
+            o.key("recovery_ms").f64(self.recovery_ms);
+            o.key("long_lines").int(self.long_lines);
+            o.key("idle_disconnects").int(self.idle_disconnects);
+            o.key("cluster").int(self.cluster);
+            o.key("rank_health").arr(|ranks| {
+                for (rank, h) in self.rank_health.iter().enumerate() {
+                    ranks.item().obj(|o| {
+                        o.key("rank").int(rank);
+                        o.key("crashes").int(h.crashes);
+                        o.key("checkpoints_restored").int(h.checkpoints_restored);
+                        o.key("retransmitted_bytes").int(h.retransmitted_bytes);
+                    });
+                }
+            });
+            let dumps = self.flight_dumps.iter();
+            o.key("flight_dumps")
+                .arr(|a| dumps.for_each(|path| a.item().str(path)));
+            o.key("drain_clean").bool(self.drain_clean);
+        })
     }
 }
 
@@ -999,16 +984,9 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
         Request::Stats { id } => {
             let snap = shared.metrics_snapshot();
             let r = ServeReport::from_snapshot(&snap, &shared.cfg, Vec::new(), 0);
-            conn.reply(format!(
-                "{{\"v\":\"{}\",\"id\":{id},\"status\":\"ok\",\"accepted\":{},\
-                     \"shed\":{},\"ok\":{},\"timeouts\":{},\"errors\":{},\"depth\":{},\
-                     \"breaker_open\":{}}}",
-                protocol::PROTOCOL,
-                r.accepted,
-                r.shed,
-                r.ok,
-                r.timeouts,
-                r.errors,
+            conn.reply(protocol::stats_line(
+                id,
+                &r,
                 snap.gauge(live::QUEUE_DEPTH, &[]).unwrap_or(0.0) as u64,
                 snap.gauge(live::BREAKER_STATE, &[]) == Some(BREAKER_OPEN),
             ));

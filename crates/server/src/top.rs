@@ -19,6 +19,8 @@ use xbfs_telemetry::json::JsonValue;
 use xbfs_telemetry::names::live;
 use xbfs_telemetry::{MetricsSnapshot, SeriesSnapshot, SeriesValue};
 
+use crate::protocol::control_line;
+
 fn fmt_bytes(b: f64) -> String {
     if b >= 1e9 {
         format!("{:.2}GB", b / 1e9)
@@ -230,10 +232,7 @@ pub fn run_top(
         if frames.is_some_and(|f| rendered >= f) {
             return Ok(rendered);
         }
-        writeln!(
-            writer,
-            "{{\"v\":\"xbfs-serve-v1\",\"op\":\"metrics\",\"id\":{rendered}}}"
-        )?;
+        writeln!(writer, "{}", control_line("metrics", rendered))?;
         line.clear();
         if reader.read_line(&mut line)? == 0 {
             return Ok(rendered); // server drained away

@@ -117,6 +117,32 @@ fn open_after_truncation_resumes_appending_cleanly() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// A deadline that is not a JSON number must not produce a frame replay
+/// cannot decode — everything admitted after it would be truncated away.
+/// It is written `null` and replays as "no per-request deadline".
+#[test]
+fn non_finite_deadline_does_not_truncate_the_journal() {
+    let path =
+        std::env::temp_dir().join(format!("xbfs-journal-nonfinite-{}.wal", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    let hostile = BfsRequest {
+        deadline_ms: Some(f64::INFINITY),
+        ..req(2, 20)
+    };
+    {
+        let (j, _) = Journal::open(&path, FsyncPolicy::Off).unwrap();
+        j.append_admit(&req(1, 10)).unwrap();
+        j.append_admit(&hostile).unwrap();
+        j.append_admit(&req(3, 30)).unwrap();
+    }
+    let (_, r) = Journal::open(&path, FsyncPolicy::Off).unwrap();
+    assert_eq!((r.records, r.torn_bytes), (3, 0));
+    let ids: Vec<u64> = r.incomplete.iter().map(|q| q.id).collect();
+    assert_eq!(ids, [1, 2, 3]);
+    assert_eq!(r.incomplete[1].deadline_ms, None);
+    let _ = std::fs::remove_file(&path);
+}
+
 /// A CRC mismatch anywhere in the tail record ends the valid prefix
 /// exactly at the previous record — a flipped bit is indistinguishable
 /// from a torn write and must be discarded the same way.

@@ -216,6 +216,22 @@ fn serve_report_json_bytes_are_pinned() {
     );
 }
 
+/// ... and on its worst input — a dump path full of quotes and control
+/// characters, a recovery time that is not a number — it is still JSON.
+#[test]
+fn serve_report_json_survives_hostile_values() {
+    let path = "/tmp/a \"b\" \\ \n \u{1} \u{7f}.log";
+    let report = ServeReport {
+        flight_dumps: vec![path.into()],
+        recovery_ms: f64::INFINITY,
+        ..ServeReport::default()
+    };
+    let doc = JsonValue::parse(&report.to_json()).expect("valid JSON");
+    let dumps = doc.get("flight_dumps").and_then(JsonValue::as_arr).unwrap();
+    assert_eq!(dumps[0].as_str(), Some(path));
+    assert_eq!(doc.get("recovery_ms"), Some(&JsonValue::Null));
+}
+
 /// The registry's latency series is the wait a client sees: it starts at
 /// admission, stops once the reply is on the socket, and so sits between
 /// the engine's own wall time and the client's round trip.

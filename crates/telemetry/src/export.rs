@@ -11,7 +11,7 @@
 //! * [`RocprofCsvSink`] — rocprofiler-style kernel CSV, unified with
 //!   `gcd-sim::profiler` (same columns, RFC-4180 comma escaping).
 
-use crate::json::escape;
+use crate::json::{self, Obj};
 use crate::names;
 use crate::span::{AttrValue, SpanRecord, Trace};
 
@@ -71,12 +71,10 @@ pub trait TraceSink {
     fn export(&self, trace: &Trace) -> String;
 }
 
-fn attrs_json(attrs: &[(String, AttrValue)]) -> String {
-    let fields: Vec<String> = attrs
-        .iter()
-        .map(|(k, v)| format!("{}:{}", escape(k), v.to_json()))
-        .collect();
-    format!("{{{}}}", fields.join(","))
+fn write_attrs(o: &mut Obj<'_>, attrs: &[(String, AttrValue)]) {
+    for (k, v) in attrs {
+        v.write_json(o.key(k));
+    }
 }
 
 /// Quote a CSV field per RFC 4180 when it contains a comma, quote or
@@ -98,89 +96,62 @@ impl TraceSink for JsonSink {
     }
 
     fn export(&self, trace: &Trace) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":\"xbfs-trace-v1\"");
-        out.push_str(&format!(",\"total_ms\":{}", trace.duration_us() / 1000.0));
-
-        // Summary: the root `run` span's attributes, flattened.
-        out.push_str(",\"summary\":");
-        match trace.spans_named(names::span::RUN).next() {
-            Some(run) => out.push_str(&attrs_json(&run.attrs)),
-            None => out.push_str("{}"),
-        }
-
-        // Per-level convenience rows (level spans, flattened).
-        out.push_str(",\"levels\":[");
-        let mut first = true;
-        for s in trace.spans_named(names::span::LEVEL) {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "{{\"start_ms\":{},\"time_ms\":{},\"track\":{}",
-                s.start_us / 1000.0,
-                s.dur_us() / 1000.0,
-                s.track
-            ));
-            for (k, v) in &s.attrs {
-                out.push_str(&format!(",{}:{}", escape(k), v.to_json()));
-            }
-            out.push('}');
-        }
-        out.push(']');
-
-        // Full-fidelity records.
-        out.push_str(",\"spans\":[");
-        for (i, s) in trace.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"id\":{},\"parent\":{},\"name\":{},\"track\":{},\"start_us\":{},\
-                 \"dur_us\":{},\"attrs\":{}}}",
-                s.id,
-                s.parent,
-                escape(&s.name),
-                s.track,
-                s.start_us,
-                s.dur_us(),
-                attrs_json(&s.attrs)
-            ));
-        }
-        out.push_str("],\"events\":[");
-        for (i, e) in trace.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"span\":{},\"track\":{},\"ts_us\":{},\"attrs\":{}}}",
-                escape(&e.name),
-                e.span,
-                e.track,
-                e.ts_us,
-                attrs_json(&e.attrs)
-            ));
-        }
-        out.push_str("],\"counters\":[");
-        for (i, c) in trace.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":{},\"track\":{},\"ts_us\":{},\"value\":{}}}",
-                escape(&c.name),
-                c.track,
-                c.ts_us,
-                if c.value.is_finite() {
-                    c.value.to_string()
-                } else {
-                    "null".into()
+        json::object(|doc| {
+            doc.key("schema").str("xbfs-trace-v1");
+            doc.key("total_ms").f64(trace.duration_us() / 1000.0);
+            // Summary: the root `run` span's attributes, flattened.
+            doc.key("summary").obj(|o| {
+                if let Some(run) = trace.spans_named(names::span::RUN).next() {
+                    write_attrs(o, &run.attrs);
                 }
-            ));
-        }
-        out.push_str("]}");
-        out
+            });
+            // Per-level convenience rows (level spans, flattened).
+            doc.key("levels").arr(|levels| {
+                for s in trace.spans_named(names::span::LEVEL) {
+                    levels.item().obj(|o| {
+                        o.key("start_ms").f64(s.start_us / 1000.0);
+                        o.key("time_ms").f64(s.dur_us() / 1000.0);
+                        o.key("track").int(s.track);
+                        write_attrs(o, &s.attrs);
+                    });
+                }
+            });
+            // Full-fidelity records.
+            doc.key("spans").arr(|spans| {
+                for s in &trace.spans {
+                    spans.item().obj(|o| {
+                        o.key("id").int(s.id);
+                        o.key("parent").int(s.parent);
+                        o.key("name").str(&s.name);
+                        o.key("track").int(s.track);
+                        o.key("start_us").f64(s.start_us);
+                        o.key("dur_us").f64(s.dur_us());
+                        o.key("attrs").obj(|a| write_attrs(a, &s.attrs));
+                    });
+                }
+            });
+            doc.key("events").arr(|events| {
+                for e in &trace.events {
+                    events.item().obj(|o| {
+                        o.key("name").str(&e.name);
+                        o.key("span").int(e.span);
+                        o.key("track").int(e.track);
+                        o.key("ts_us").f64(e.ts_us);
+                        o.key("attrs").obj(|a| write_attrs(a, &e.attrs));
+                    });
+                }
+            });
+            doc.key("counters").arr(|counters| {
+                for c in &trace.counters {
+                    counters.item().obj(|o| {
+                        o.key("name").str(&c.name);
+                        o.key("track").int(c.track);
+                        o.key("ts_us").f64(c.ts_us);
+                        o.key("value").f64(c.value);
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -205,50 +176,58 @@ impl TraceSink for ChromeTraceSink {
         tracks.sort_unstable();
         tracks.dedup();
         for t in &tracks {
-            events.push(format!(
-                "{{\"ph\":\"M\",\"pid\":{t},\"name\":\"process_name\",\
-                 \"args\":{{\"name\":\"GCD {t}\"}}}}"
-            ));
+            events.push(json::object(|o| {
+                o.key("ph").str("M");
+                o.key("pid").int(*t);
+                o.key("name").str("process_name");
+                o.key("args")
+                    .obj(|a| a.key("name").str(format_args!("GCD {t}")));
+            }));
         }
         for s in &trace.spans {
-            events.push(format!(
-                "{{\"ph\":\"X\",\"name\":{},\"cat\":\"span\",\"pid\":{},\"tid\":0,\
-                 \"ts\":{},\"dur\":{},\"args\":{}}}",
-                escape(&s.name),
-                s.track,
-                s.start_us,
-                s.dur_us(),
-                attrs_json(&s.attrs)
-            ));
+            events.push(json::object(|o| {
+                o.key("ph").str("X");
+                o.key("name").str(&s.name);
+                o.key("cat").str("span");
+                o.key("pid").int(s.track);
+                o.key("tid").int(0u32);
+                o.key("ts").f64(s.start_us);
+                o.key("dur").f64(s.dur_us());
+                o.key("args").obj(|a| write_attrs(a, &s.attrs));
+            }));
         }
         for e in &trace.events {
-            events.push(format!(
-                "{{\"ph\":\"i\",\"s\":\"t\",\"name\":{},\"cat\":\"event\",\"pid\":{},\
-                 \"tid\":0,\"ts\":{},\"args\":{}}}",
-                escape(&e.name),
-                e.track,
-                e.ts_us,
-                attrs_json(&e.attrs)
-            ));
+            events.push(json::object(|o| {
+                o.key("ph").str("i");
+                o.key("s").str("t");
+                o.key("name").str(&e.name);
+                o.key("cat").str("event");
+                o.key("pid").int(e.track);
+                o.key("tid").int(0u32);
+                o.key("ts").f64(e.ts_us);
+                o.key("args").obj(|a| write_attrs(a, &e.attrs));
+            }));
         }
         for c in &trace.counters {
-            events.push(format!(
-                "{{\"ph\":\"C\",\"name\":{},\"pid\":{},\"ts\":{},\
-                 \"args\":{{\"value\":{}}}}}",
-                escape(&c.name),
-                c.track,
-                c.ts_us,
-                if c.value.is_finite() {
-                    c.value.to_string()
-                } else {
-                    "0".into()
-                }
-            ));
+            // A counter track needs a number to plot: a non-finite sample
+            // is drawn at 0 rather than written as `null`.
+            let value = if c.value.is_finite() { c.value } else { 0.0 };
+            events.push(json::object(|o| {
+                o.key("ph").str("C");
+                o.key("name").str(&c.name);
+                o.key("pid").int(c.track);
+                o.key("ts").f64(c.ts_us);
+                o.key("args").obj(|a| a.key("value").f64(value));
+            }));
         }
-        format!(
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-            events.join(",\n")
-        )
+        // One event per line — the layout the golden file pins — is the one
+        // thing here the compact writer does not do, so the array is joined
+        // by hand and spliced in whole.
+        json::object(|o| {
+            o.key("displayTimeUnit").str("ms");
+            o.key("traceEvents")
+                .raw(&format!("[{}]", events.join(",\n")));
+        })
     }
 }
 

@@ -1,9 +1,15 @@
-//! A minimal, std-only JSON reader/writer.
+//! A minimal, std-only JSON reader and writer.
 //!
-//! The workspace has no serialization dependency, so trace validation,
-//! `xbfs trace summarize` and every wire reader parse JSON here. The
-//! grammar is full RFC 8259 minus `\u` surrogate-pair pedantry (lone
-//! surrogates are replaced, not rejected).
+//! The workspace has no serialization dependency, so every document it
+//! reads is parsed here ([`JsonValue`]) and every document it writes is
+//! built here ([`Val`], [`Obj`], [`Arr`]). The reader's grammar is full
+//! RFC 8259 minus `\u` surrogate-pair pedantry (lone surrogates are
+//! replaced, not rejected). The writer is compact (no whitespace), takes
+//! an explicit precision for every fixed-point float, writes a non-finite
+//! float as `null`, and has no value tree: fields go straight into the
+//! caller's `String` in the order they are written.
+
+use std::fmt::{Display, Write};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,6 +89,18 @@ impl JsonValue {
         match self {
             JsonValue::Obj(v) => Some(v),
             _ => None,
+        }
+    }
+
+    /// Field `key` as the exact unsigned integer the sender wrote. `Ok(None)`
+    /// when it is absent or not a number; an error when it is a number that
+    /// is negative, fractional, non-finite or above `max` — never a silently
+    /// clamped or truncated stand-in.
+    pub fn uint_field(&self, key: &str, max: u64) -> Result<Option<u64>, String> {
+        match self.get(key).and_then(|n| n.as_f64()) {
+            None => Ok(None),
+            Some(f) if f >= 0.0 && f.fract() == 0.0 && f <= max as f64 => Ok(Some(f as u64)),
+            Some(_) => Err(format!("`{key}` must be an integer in 0..={max}")),
         }
     }
 }
@@ -282,23 +300,172 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// JSON-escape a string, including the surrounding quotes.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The integer types [`Val::int`] prints. Floats are not among them on
+/// purpose: they go through [`Val::f64`] / [`Val::fixed`], which know that
+/// `inf` and `NaN` are not JSON.
+pub trait Int: Display {}
+impl Int for u32 {}
+impl Int for u64 {}
+impl Int for usize {}
+
+/// The place the next value goes: the start of a document
+/// ([`Val::new`]), after a key ([`Obj::key`]) or the next array element
+/// ([`Arr::item`]). Every method writes exactly one value and uses the
+/// slot up.
+#[must_use = "a slot without a value is not JSON"]
+pub struct Val<'a>(&'a mut String);
+
+/// An open JSON object; see [`Val::obj`].
+pub struct Obj<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+/// An open JSON array; see [`Val::arr`].
+pub struct Arr<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+fn separate(out: &mut String, first: &mut bool) {
+    if !std::mem::take(first) {
+        out.push(',');
+    }
+}
+
+impl<'a> Val<'a> {
+    /// A document appended to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        Val(out)
+    }
+
+    /// An integer.
+    pub fn int<T: Int>(self, v: T) {
+        let _ = write!(self.0, "{v}");
+    }
+
+    /// The one place a float is written: `null` when it is not finite.
+    fn float(self, v: f64, shown: std::fmt::Arguments<'_>) {
+        if v.is_finite() {
+            let _ = self.0.write_fmt(shown);
+        } else {
+            self.0.push_str("null");
         }
     }
-    out.push('"');
+
+    /// A float in its shortest round-trip form.
+    pub fn f64(self, v: f64) {
+        self.float(v, format_args!("{v}"));
+    }
+
+    /// A float with exactly `places` decimals.
+    pub fn fixed(self, v: f64, places: usize) {
+        self.float(v, format_args!("{v:.places$}"));
+    }
+
+    /// `true` / `false`.
+    pub fn bool(self, v: bool) {
+        self.0.push_str(if v { "true" } else { "false" });
+    }
+
+    /// A string: whatever `v` displays as, quoted and escaped.
+    pub fn str<T: Display>(self, v: T) {
+        self.0.push('"');
+        let _ = write!(Escaped(self.0), "{v}");
+        self.0.push('"');
+    }
+
+    /// An already-rendered JSON value, spliced in verbatim.
+    pub fn raw(self, json: &str) {
+        self.0.push_str(json);
+    }
+
+    /// `{…}` with the fields `fill` writes.
+    pub fn obj(self, fill: impl FnOnce(&mut Obj<'_>)) {
+        self.0.push('{');
+        fill(&mut Obj {
+            out: self.0,
+            first: true,
+        });
+        self.0.push('}');
+    }
+
+    /// `[…]` with the elements `fill` writes.
+    pub fn arr(self, fill: impl FnOnce(&mut Arr<'_>)) {
+        self.0.push('[');
+        fill(&mut Arr {
+            out: self.0,
+            first: true,
+        });
+        self.0.push(']');
+    }
+}
+
+impl Obj<'_> {
+    /// `"key":` — the returned slot takes the field's value.
+    pub fn key(&mut self, key: &str) -> Val<'_> {
+        separate(self.out, &mut self.first);
+        self.out.push('"');
+        let _ = Escaped(self.out).write_str(key);
+        self.out.push_str("\":");
+        Val(self.out)
+    }
+
+    /// The field `key` written by `write` when there is a value, and
+    /// nothing at all when there is none: `o.opt("batch", batch, Val::int)`.
+    pub fn opt<'s, T>(&'s mut self, key: &str, v: Option<T>, write: impl FnOnce(Val<'s>, T)) {
+        if let Some(v) = v {
+            write(self.key(key), v);
+        }
+    }
+}
+
+impl Arr<'_> {
+    /// The slot of the next element.
+    pub fn item(&mut self) -> Val<'_> {
+        separate(self.out, &mut self.first);
+        Val(self.out)
+    }
+}
+
+/// One object as a fresh `String` — for documents off the served path,
+/// where [`Val::new`] over a pre-sized buffer buys nothing.
+pub fn object(fill: impl FnOnce(&mut Obj<'_>)) -> String {
+    let mut out = String::with_capacity(256);
+    Val(&mut out).obj(fill);
     out
+}
+
+/// A `fmt::Write` that escapes what passes through it into a JSON string
+/// body: quote, backslash and every control character below 0x20 (DEL and
+/// everything above pass through; JSON allows them raw).
+struct Escaped<'a>(&'a mut String);
+
+impl Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let mut clean = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0..=0x1f => "",
+                _ => continue,
+            };
+            // Escaped bytes are ASCII, so `i` is a char boundary.
+            self.0.push_str(&s[clean..i]);
+            if esc.is_empty() {
+                write!(self.0, "\\u{b:04x}")?;
+            } else {
+                self.0.push_str(esc);
+            }
+            clean = i + 1;
+        }
+        self.0.push_str(&s[clean..]);
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -328,8 +495,7 @@ mod tests {
     #[test]
     fn escape_round_trips() {
         let s = "quote \" backslash \\ newline \n tab \t unicode é";
-        let doc = format!("{{\"k\": {}}}", escape(s));
-        let v = JsonValue::parse(&doc).unwrap();
+        let v = JsonValue::parse(&object(|o| o.key("k").str(s))).unwrap();
         assert_eq!(v.get("k").and_then(JsonValue::as_str), Some(s));
     }
 

@@ -19,8 +19,8 @@
 //!   implementations: human-readable per-level table, machine-readable
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
 //!   Perfetto `trace.json`, and a rocprofiler-style kernel CSV.
-//! * **JSON** ([`json`]) — a minimal std-only JSON parser used to validate
-//!   and summarize traces (the workspace has no serialization dependency).
+//! * **JSON** ([`json`]) — the std-only reader and compact writer behind every
+//!   document the workspace parses or emits (it has no serialization dependency).
 //!
 //! The disabled recorder ([`Recorder::disabled`]) is a no-op sink: every
 //! recording call is a single relaxed atomic load, which keeps untraced

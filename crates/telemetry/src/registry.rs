@@ -29,7 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::json::{escape, JsonValue};
+use crate::json::{self, JsonValue};
 
 /// The unit a metric is denominated in, carried alongside the value so
 /// exposition (Prometheus text, `xbfs-metrics-v1` JSON, dashboards) can
@@ -706,51 +706,54 @@ impl MetricsSnapshot {
     /// newline). Histograms carry sparse buckets plus derived
     /// count/sum/p50/p99 so dashboards need no bucket math.
     pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"format\":\"xbfs-metrics-v1\",\"uptime_ms\":{:.3},\"series\":[",
-            self.uptime_ms
-        );
-        for (i, sr) in self.series.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        json::object(|doc| {
+            doc.key("format").str("xbfs-metrics-v1");
+            doc.key("uptime_ms").fixed(self.uptime_ms, 3);
+            doc.key("series").arr(|series| {
+                for sr in &self.series {
+                    series.item().obj(|o| sr.write_json(o));
+                }
+            });
+        })
+    }
+}
+
+impl SeriesSnapshot {
+    fn write_json(&self, o: &mut json::Obj<'_>) {
+        o.key("name").str(&self.name);
+        o.key("labels").obj(|l| {
+            for (k, v) in &self.labels {
+                l.key(k).str(v);
             }
-            s.push_str(&format!("{{\"name\":{},\"labels\":{{", escape(&sr.name)));
-            for (j, (k, v)) in sr.labels.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                s.push_str(&format!("{}:{}", escape(k), escape(v)));
+        });
+        o.key("unit").str(self.unit.as_str());
+        match &self.value {
+            SeriesValue::Counter(v) => {
+                o.key("kind").str("counter");
+                o.key("value").int(*v);
             }
-            s.push_str(&format!("}},\"unit\":{},", escape(sr.unit.as_str())));
-            match &sr.value {
-                SeriesValue::Counter(v) => {
-                    s.push_str(&format!("\"kind\":\"counter\",\"value\":{v}}}"));
-                }
-                SeriesValue::Gauge(v) => {
-                    let v = if v.is_finite() { *v } else { 0.0 };
-                    s.push_str(&format!("\"kind\":\"gauge\",\"value\":{v}}}"));
-                }
-                SeriesValue::Histogram(h) => {
-                    s.push_str(&format!(
-                        "\"kind\":\"histogram\",\"count\":{},\"sum\":{:.3},\
-                         \"p50\":{:.6},\"p99\":{:.6},\"buckets\":[",
-                        h.count(),
-                        h.sum(),
-                        h.quantile(50.0).unwrap_or(0.0),
-                        h.quantile(99.0).unwrap_or(0.0),
-                    ));
-                    for (j, (idx, c)) in h.nonzero_buckets().enumerate() {
-                        if j > 0 {
-                            s.push(',');
-                        }
-                        s.push_str(&format!("[{idx},{c}]"));
+            SeriesValue::Gauge(v) => {
+                o.key("kind").str("gauge");
+                // `from_json` (and `xbfs top` behind it) reads a number
+                // here, so a non-finite gauge is reported as 0, not `null`.
+                o.key("value").f64(if v.is_finite() { *v } else { 0.0 });
+            }
+            SeriesValue::Histogram(h) => {
+                o.key("kind").str("histogram");
+                o.key("count").int(h.count());
+                o.key("sum").fixed(h.sum(), 3);
+                o.key("p50").fixed(h.quantile(50.0).unwrap_or(0.0), 6);
+                o.key("p99").fixed(h.quantile(99.0).unwrap_or(0.0), 6);
+                o.key("buckets").arr(|buckets| {
+                    for (idx, c) in h.nonzero_buckets() {
+                        buckets.item().arr(|pair| {
+                            pair.item().int(idx);
+                            pair.item().int(c);
+                        });
                     }
-                    s.push_str("]}");
-                }
+                });
             }
         }
-        s.push_str("]}");
-        s
     }
 }
 

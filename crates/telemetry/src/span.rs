@@ -41,19 +41,13 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// Render as a JSON value fragment.
-    pub fn to_json(&self) -> String {
+    /// Write as a JSON value (a non-finite float as `null`).
+    pub fn write_json(&self, slot: crate::json::Val<'_>) {
         match self {
-            AttrValue::U64(v) => v.to_string(),
-            AttrValue::F64(v) => {
-                if v.is_finite() {
-                    format!("{v}")
-                } else {
-                    "null".into()
-                }
-            }
-            AttrValue::Str(s) => crate::json::escape(s),
-            AttrValue::Bool(b) => b.to_string(),
+            AttrValue::U64(v) => slot.int(*v),
+            AttrValue::F64(v) => slot.f64(*v),
+            AttrValue::Str(s) => slot.str(s),
+            AttrValue::Bool(b) => slot.bool(*b),
         }
     }
 }

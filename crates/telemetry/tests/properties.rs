@@ -1,8 +1,11 @@
 //! Property tests for span nesting/ordering, the percentiles of the
-//! live plane's bucketed [`LogHistogram`], and the `xbfs-metrics-v1`
-//! wire round trip.
+//! live plane's bucketed [`LogHistogram`], the `xbfs-metrics-v1` wire
+//! round trip, and the JSON writer against the JSON reader — then each
+//! document this crate writes, on its worst input.
 
 use proptest::prelude::*;
+use xbfs_telemetry::export::{ChromeTraceSink, JsonSink, TraceSink};
+use xbfs_telemetry::json::{self, Val};
 use xbfs_telemetry::{
     AttrValue, JsonValue, LogHistogram, MetricUnit, MetricsRegistry, MetricsSnapshot, Recorder,
     SeriesValue,
@@ -16,8 +19,115 @@ fn arb_program() -> impl Strategy<Value = Vec<u8>> {
     proptest::collection::vec(0u8..4, 1..120)
 }
 
+/// Strings built to hurt: quotes, backslashes, every control character,
+/// DEL, non-BMP scalars, and anything else below the surrogates.
+fn arb_string() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0u8..7, any::<u32>()), 0..24).prop_map(|picks| {
+        let ch = |(kind, r): (u8, u32)| match kind {
+            0 => '"',
+            1 => '\\',
+            2 => char::from_u32(r % 0x20).unwrap(),
+            3 => '\u{7f}',
+            4 => char::from_u32(0x1_0000 + r % 0x10_0000).unwrap(),
+            _ => char::from_u32(r % 0xD800).unwrap(),
+        };
+        picks.into_iter().map(ch).collect()
+    })
+}
+
+/// Floats that are not JSON or sit at the edges of what is, then any bit
+/// pattern at all.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    const EDGES: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        5e-324,
+        2e-308,
+        1e308,
+        f64::MAX,
+        0.1 + 0.2,
+    ];
+    (0usize..12, any::<u64>()).prop_map(|(pick, bits)| match EDGES.get(pick) {
+        Some(&edge) => edge,
+        None => f64::from_bits(bits),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever goes through the writer comes back through the reader:
+    /// strings (as values and as keys) exactly, finite floats exactly in
+    /// the shortest form and to the stated precision in the fixed one,
+    /// non-finite floats as `null` — nested arrays of objects, empty
+    /// containers, skipped and spliced fields included. And the document
+    /// is one line: no raw control byte survives, so a hostile string
+    /// cannot break a line-delimited protocol.
+    #[test]
+    fn written_documents_read_back(
+        strings in proptest::collection::vec(arb_string(), 0..5),
+        floats in proptest::collection::vec(arb_f64(), 0..8),
+    ) {
+        const PLACES: [usize; 3] = [1, 3, 6];
+        let doc = json::object(|o| {
+            o.key("strings").arr(|a| strings.iter().for_each(|s| a.item().str(s)));
+            o.key("keyed").obj(|k| {
+                for (i, s) in strings.iter().enumerate() {
+                    k.key(s).int(i);
+                }
+            });
+            o.key("floats").arr(|a| {
+                for &x in &floats {
+                    a.item().obj(|f| {
+                        f.key("shortest").f64(x);
+                        f.key("fixed").arr(|p| PLACES.iter().for_each(|&n| p.item().fixed(x, n)));
+                    });
+                }
+            });
+            o.key("no_fields").obj(|_| {});
+            o.key("no_items").arr(|_| {});
+            o.opt("absent", None::<u64>, Val::int);
+            o.opt("present", Some(true), Val::bool);
+            o.key("spliced").raw("[1,{}]");
+        });
+        prop_assert!(doc.bytes().all(|b| b >= 0x20), "{doc:?}");
+        let v = JsonValue::parse(&doc).expect("the writer emits valid JSON");
+
+        let read: Vec<&str> = (v.get("strings").unwrap().as_arr().unwrap().iter())
+            .map(|s| s.as_str().unwrap())
+            .collect();
+        prop_assert_eq!(&read, &strings);
+        let keyed = v.get("keyed").unwrap().as_obj().unwrap();
+        prop_assert_eq!(keyed.len(), strings.len());
+        for (i, (key, n)) in keyed.iter().enumerate() {
+            prop_assert_eq!((key, n.as_f64()), (&strings[i], Some(i as f64)));
+        }
+
+        let read = v.get("floats").unwrap().as_arr().unwrap();
+        prop_assert_eq!(read.len(), floats.len());
+        for (&x, got) in floats.iter().zip(read) {
+            let shortest = got.get("shortest").unwrap();
+            let fixed = got.get("fixed").unwrap().as_arr().unwrap();
+            if !x.is_finite() {
+                prop_assert_eq!(shortest, &JsonValue::Null);
+                prop_assert!(fixed.iter().all(|f| *f == JsonValue::Null));
+                continue;
+            }
+            prop_assert_eq!(shortest.as_f64().map(f64::to_bits), Some(x.to_bits()));
+            for (&n, f) in PLACES.iter().zip(fixed) {
+                let slack = 0.5 * 10f64.powi(-(n as i32)) + x.abs() * f64::EPSILON;
+                prop_assert!((f.as_f64().unwrap() - x).abs() <= slack, "{x} at .{n}: {f:?}");
+            }
+        }
+
+        prop_assert_eq!(v.get("no_fields"), Some(&JsonValue::Obj(vec![])));
+        prop_assert_eq!(v.get("no_items"), Some(&JsonValue::Arr(vec![])));
+        prop_assert_eq!(v.get("absent"), None);
+        prop_assert_eq!(v.get("present"), Some(&JsonValue::Bool(true)));
+        prop_assert_eq!(v.get("spliced").unwrap().as_arr().unwrap().len(), 2);
+    }
 
     #[test]
     fn random_well_nested_programs_validate(ops in arb_program(), tracks in 1usize..4) {
@@ -187,4 +297,66 @@ proptest! {
             }
         }
     }
+}
+
+/// Neither JSON sink can be talked out of emitting JSON: hostile
+/// names and keys are escaped, a non-finite attr or sample is `null`
+/// (and 0 where chrome plots it).
+#[test]
+fn json_sinks_survive_hostile_names_and_non_finite_values() {
+    let rec = Recorder::new();
+    let run = rec.begin_span(None, "run \"q\"\n\u{1}", 0, 0.0);
+    rec.span_attr(run, "ratio\\", AttrValue::F64(f64::NAN));
+    rec.span_attr(run, "note", AttrValue::Str("tab\t del\u{7f}".into()));
+    let inf = vec![("x".into(), AttrValue::F64(f64::INFINITY))];
+    rec.event(Some(run), "e", 0, 1.0, inf);
+    rec.counter("c", 0, 1.0, f64::NEG_INFINITY);
+    rec.end_span(run, 2.0);
+    let t = rec.finish();
+
+    let doc = JsonValue::parse(&JsonSink.export(&t)).expect("xbfs-trace-v1 stays JSON");
+    let span = &doc.get("spans").and_then(JsonValue::as_arr).unwrap()[0];
+    assert_eq!(
+        span.get("name").and_then(JsonValue::as_str),
+        Some("run \"q\"\n\u{1}")
+    );
+    let attrs = span.get("attrs").unwrap();
+    assert_eq!(attrs.get("ratio\\"), Some(&JsonValue::Null));
+    assert_eq!(
+        attrs.get("note").and_then(JsonValue::as_str),
+        Some("tab\t del\u{7f}")
+    );
+    let counter = &doc.get("counters").and_then(JsonValue::as_arr).unwrap()[0];
+    assert_eq!(counter.get("value"), Some(&JsonValue::Null));
+
+    let doc = JsonValue::parse(&ChromeTraceSink.export(&t)).expect("trace.json stays JSON");
+    let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
+    let ph = |p: &str| {
+        let is = |e: &&JsonValue| e.get("ph").and_then(JsonValue::as_str) == Some(p);
+        events.iter().find(is).unwrap().get("args").unwrap()
+    };
+    assert_eq!(ph("i").get("x"), Some(&JsonValue::Null));
+    assert_eq!(ph("C").get("value").and_then(JsonValue::as_f64), Some(0.0));
+}
+
+/// The snapshot stays JSON — and stays readable by its own reader —
+/// on its worst input: a label no one escaped by hand, a gauge that is
+/// not a number, an uptime that is not one either.
+#[test]
+fn json_exposition_survives_hostile_labels_and_values() {
+    let reg = MetricsRegistry::new();
+    let label = "q\"uote \\ \n \u{1} \u{7f}";
+    reg.gauge("g", MetricUnit::State, &[(label, label)])
+        .set(f64::NAN);
+    let mut snap = reg.snapshot();
+    let back = |snap: &MetricsSnapshot| {
+        let v = JsonValue::parse(&snap.to_json()).expect("valid JSON");
+        (MetricsSnapshot::from_json(&v), v)
+    };
+    let (read, _) = back(&snap);
+    let read = read.expect("a non-finite gauge still reads back");
+    assert_eq!(read.series[0].labels, [(label.into(), label.into())]);
+    assert_eq!(read.series[0].value, SeriesValue::Gauge(0.0));
+    snap.uptime_ms = f64::INFINITY;
+    assert_eq!(back(&snap).1.get("uptime_ms"), Some(&JsonValue::Null));
 }

@@ -12,7 +12,7 @@ use xbfs_core::{
 };
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
-use xbfs_graph::reference::{bfs_levels_parallel, bfs_levels_serial};
+use xbfs_graph::reference::{bfs_levels_frontier, bfs_levels_serial};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::{rearrange_by_degree, Csr, Dataset, RearrangeOrder};
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
@@ -30,7 +30,7 @@ fn xbfs_matches_reference_on_all_datasets() {
             let run = xbfs.run(s).unwrap();
             assert_eq!(
                 run.levels,
-                bfs_levels_parallel(&g, s),
+                bfs_levels_frontier(&g, s),
                 "dataset {d}, source {s}"
             );
         }
@@ -50,7 +50,7 @@ fn all_baselines_match_reference_on_all_datasets() {
     for d in Dataset::ALL {
         let g = d.generate(SHIFT, 42);
         let s = pick_sources(&g, 1, 7)[0];
-        let expect = bfs_levels_parallel(&g, s);
+        let expect = bfs_levels_frontier(&g, s);
         for e in &engines {
             let dev = Device::mi250x();
             let run = e.run(&dev, &g, s);
@@ -64,7 +64,7 @@ fn rearranged_graphs_give_identical_levels() {
     for d in [Dataset::Rmat25, Dataset::Orkut] {
         let g = d.generate(SHIFT, 5);
         let s = pick_sources(&g, 1, 3)[0];
-        let expect = bfs_levels_parallel(&g, s);
+        let expect = bfs_levels_frontier(&g, s);
         for order in [
             RearrangeOrder::DegreeDescending,
             RearrangeOrder::DegreeAscending,
@@ -85,7 +85,7 @@ fn rearranged_graphs_give_identical_levels() {
 fn forced_strategies_agree_across_architectures() {
     let g = Dataset::Rmat23.generate(SHIFT, 9);
     let s = pick_sources(&g, 1, 1)[0];
-    let expect = bfs_levels_parallel(&g, s);
+    let expect = bfs_levels_frontier(&g, s);
     for arch in [ArchProfile::mi250x_gcd(), ArchProfile::p6000()] {
         for strat in [Strategy::ScanFree, Strategy::SingleScan, Strategy::BottomUp] {
             let cfg = XbfsConfig::forced(strat);
