@@ -17,7 +17,7 @@ use xbfs_server::{
     run_loadgen, ChaosPlan, DeviceFactory, FsyncPolicy, LoadgenConfig, ServeConfig, Server,
 };
 use xbfs_telemetry::json::{self, Val};
-use xbfs_telemetry::{names, AttrValue, JsonValue, Recorder, TraceFormat};
+use xbfs_telemetry::{names, AttrValue, JsonValue, Recorder, Trace, TraceFormat};
 
 /// Exit codes the `xbfs` binary maps failures to.
 pub mod exit_code {
@@ -501,17 +501,25 @@ fn mk_device(args: &Args, streams: usize) -> Result<Device, CliError> {
     Ok(build_device(parse_device(args)?, streams))
 }
 
-/// Parse `--trace` and build the recorder: enabled only when tracing was
-/// requested, so untraced runs pay a single relaxed atomic load per
-/// telemetry call.
+/// Parse `--trace FMT:PATH`, if given.
+fn trace_target(args: &Args) -> Result<Option<(TraceFormat, String)>, CliError> {
+    args.options
+        .get("trace")
+        .map(|spec| TraceFormat::parse(spec).map_err(CliError::usage))
+        .transpose()
+}
+
+/// `--trace` for the commands that record on the wall clock as they go
+/// (`sweep`, `serve`): the target plus a recorder that is enabled only
+/// when tracing was requested.
 fn trace_setup(args: &Args) -> Result<(Option<(TraceFormat, String)>, Recorder), CliError> {
-    match args.options.get("trace") {
-        Some(spec) => {
-            let parsed = TraceFormat::parse(spec).map_err(CliError::usage)?;
-            Ok((Some(parsed), Recorder::new()))
-        }
-        None => Ok((None, Recorder::disabled())),
-    }
+    let target = trace_target(args)?;
+    let recorder = if target.is_some() {
+        Recorder::new()
+    } else {
+        Recorder::disabled()
+    };
+    Ok((target, recorder))
 }
 
 /// Parse an optional float option; absent is `None`, unparsable is a
@@ -537,14 +545,14 @@ fn parse_bitflip_plan(args: &Args) -> Result<Option<BitflipPlan>, CliError> {
     }
 }
 
-/// Deliver a recorded trace. Path `-` replaces the whole command output
+/// Deliver a rendered trace. Path `-` replaces the whole command output
 /// with the rendered trace (pure JSON/CSV on stdout, pipeable); any other
 /// path writes the file and appends a note to `out`. Never fails: the
 /// trace is an exporter of an already-finished run, and a full disk or a
 /// bad path must not turn a successful run into a nonzero exit.
-fn emit_trace(out: &mut String, fmt: TraceFormat, path: &str, rec: &Recorder) -> Option<String> {
+fn emit_trace(out: &mut String, fmt: TraceFormat, path: &str, trace: &Trace) -> Option<String> {
     let sink = fmt.sink();
-    let rendered = sink.export(&rec.finish());
+    let rendered = sink.export(trace);
     if path == "-" {
         return Some(rendered);
     }
@@ -594,7 +602,7 @@ fn bfs(args: &Args) -> Result<String, CliError> {
             result.best_alpha
         );
     }
-    let (trace_opt, recorder) = trace_setup(args)?;
+    let trace_opt = trace_target(args)?;
     let plan = parse_bitflip_plan(args)?;
     let deadline_ms = opt_f64(args, "deadline-ms")?;
     let xbfs = Xbfs::new(&dev, &g, cfg)?;
@@ -611,7 +619,7 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     let sab = plan.as_ref().map(|plan| Sabotage { plan, salt: 0 });
     // Sabotage, deadline budget and certification compose; a blown
     // budget maps to exit code 8.
-    let (run, cert) = xbfs.run_with(source, &recorder, sab.as_ref(), deadline_ms, verify)?;
+    let (run, cert) = xbfs.run_with(source, sab.as_ref(), deadline_ms, verify)?;
     let mut cert_note = String::new();
     if let Some(cert) = &cert {
         cert_note = format!(
@@ -676,7 +684,7 @@ fn bfs(args: &Args) -> Result<String, CliError> {
         }
     }
     if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder) {
+        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &xbfs.trace_of(&run)) {
             return Ok(direct);
         }
     }
@@ -733,7 +741,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         ..FaultConfig::default()
     };
 
-    let (trace_opt, recorder) = trace_setup(args)?;
+    let trace_opt = trace_target(args)?;
     let crash_planned = faults
         .plan
         .events
@@ -753,7 +761,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         eprint!("{trace_warning}");
     }
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
-    let run = cluster.run_with(source, &faults, &recorder, None)?;
+    let run = cluster.run_with(source, &faults, None)?;
 
     let mut out = trace_warning;
     out.push_str(&format!(
@@ -784,7 +792,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
             l.retry_ms,
             l.recovery_ms,
             l.time_ms,
-            if l.checkpointed { "  [ckpt]" } else { "" },
+            if l.checkpointed() { "  [ckpt]" } else { "" },
         ));
     }
     for r in &run.recoveries {
@@ -820,7 +828,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         out.push_str(&format!("per-level stats written to {csv_path}\n"));
     }
     if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder) {
+        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &cluster.trace_of(&run)) {
             return Ok(direct);
         }
     }
@@ -1016,7 +1024,7 @@ fn sweep_worker(
                         })
                     })
                     .flatten();
-                match engine.run_with(s, &Recorder::disabled(), sab.as_ref(), None, true) {
+                match engine.run_with(s, sab.as_ref(), None, true) {
                     Ok((run, _cert)) => {
                         health.certified += 1;
                         if attempt > 0 {
@@ -1220,7 +1228,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         // Under --verify the pooled pass certifies every run; the rebuild
         // reference must pay the same certification cost or the
         // pooled-vs-unpooled ratio compares different amounts of work.
-        let (run, _cert) = xbfs.run_with(s, &Recorder::disabled(), None, None, verify)?;
+        let (run, _cert) = xbfs.run_with(s, None, None, verify)?;
         ref_levels.push(run.result_digest());
         rebuilt.push(SweepRec {
             ms: run.total_ms,
@@ -1393,7 +1401,7 @@ fn sweep(args: &Args) -> Result<String, CliError> {
         out.push_str(&format!("sweep record written to {json_path}\n"));
     }
     if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder) {
+        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder.finish()) {
             return Ok(direct);
         }
     }
@@ -1618,7 +1626,7 @@ fn serve(args: &Args) -> Result<String, CliError> {
         out.push_str(&format!("serve report written to {json_path}\n"));
     }
     if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &rec) {
+        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &rec.finish()) {
             return Ok(direct);
         }
     }

@@ -26,6 +26,7 @@
 
 use std::borrow::Borrow;
 use std::cell::RefCell;
+use std::sync::{Mutex, PoisonError};
 
 use crate::device_graph::DeviceGraph;
 use crate::engine::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
@@ -34,7 +35,6 @@ use crate::integrity::{certify_ms_run, verified_run, Certificate};
 use crate::state::UNVISITED;
 use crate::stats::levels_digest;
 use gcd_sim::{fnv1a, fnv1a_mix, BufU32, BufU64, Device, LaunchCfg, WaveCtx};
-use parking_lot::Mutex;
 use xbfs_graph::Csr;
 
 /// Maximum sources per batch (bits in the visited mask = wave width).
@@ -231,7 +231,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let device: &Device = self.device.borrow();
         let graph = &self.graph;
         let n = graph.num_vertices();
-        let mut guard = self.inner.lock();
+        let mut guard = crate::lock(&self.inner);
         let inner = &mut *guard;
 
         // O(1) between-batch resets: bump the stamp epoch (stale seen
@@ -406,7 +406,7 @@ impl<D: Borrow<Device>> Drop for MsBfs<D> {
     /// next build — the bit-identical warm-rebuild invariant.
     fn drop(&mut self) {
         let device: &Device = self.device.borrow();
-        let inner = self.inner.get_mut();
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         if inner.swapped {
             std::mem::swap(&mut inner.frontier, &mut inner.next_frontier);
             inner.swapped = false;

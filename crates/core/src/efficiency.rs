@@ -77,10 +77,15 @@ mod tests {
                     stats: WaveStats::default(),
                     occupancy: 1.0,
                 }],
+                start_us: 0.0,
+                gen_end_us: None,
+                expand_end_us: total_ms * 1000.0,
+                end_us: total_ms * 1000.0,
             }],
             total_ms,
             traversed_edges: 0,
             gteps: 0.0,
+            init_end_us: 0.0,
         }
     }
 

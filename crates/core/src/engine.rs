@@ -16,7 +16,6 @@
 use crate::error::XbfsError;
 use crate::integrity::Sabotage;
 use crate::state::UNVISITED;
-use xbfs_telemetry::Recorder;
 
 /// A fault to inject into one run (chaos and detection drills).
 #[derive(Debug, Clone, Copy, Default)]
@@ -50,19 +49,16 @@ pub struct RunRequest<'a> {
     /// Fault to inject; an engine that cannot honour it answers
     /// [`EngineError::Rejected`] before doing any work.
     pub inject: Inject<'a>,
-    /// Span/counter sink (pass a disabled recorder for an untraced run).
-    pub trace: &'a Recorder,
 }
 
 impl<'a> RunRequest<'a> {
     /// A plain request: no deadline, no verification, no injection.
-    pub fn plain(sources: &'a [u32], trace: &'a Recorder) -> Self {
+    pub fn plain(sources: &'a [u32]) -> Self {
         Self {
             sources,
             deadline_ms: None,
             verify: false,
             inject: Inject::None,
-            trace,
         }
     }
 

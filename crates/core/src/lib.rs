@@ -66,3 +66,10 @@ pub use state::{decode_level, is_unvisited, BfsState, BinThresholds, QueueState,
 pub use stats::{levels_digest, BfsRun, LevelStats};
 pub use strategy::Strategy;
 pub use tuner::{tune_alpha, TuneResult};
+
+/// Lock an engine's run context, taking it back from a poisoned mutex: a
+/// quarantined engine's `Drop` must still park its buffers after a panic
+/// mid-launch, and every run starts by resetting the state it finds.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -22,10 +22,10 @@ use crate::strategy::{
     Strategy,
 };
 use gcd_sim::Device;
-use parking_lot::Mutex;
 use std::borrow::Borrow;
+use std::sync::{Mutex, PoisonError};
 use xbfs_graph::Csr;
-use xbfs_telemetry::{names, AttrValue, Recorder};
+use xbfs_telemetry::{attrs, names, Recorder, Trace};
 
 /// Per-engine mutable run context, reused across runs: the pooled BFS
 /// state, the previous run's depth (how far to advance the epoch), and
@@ -118,23 +118,19 @@ impl<D: Borrow<Device>> Xbfs<D> {
     /// warm-up run, repeat runs of no greater depth keep this constant —
     /// the level loop performs no scratch allocation.
     pub fn scratch_allocs(&self) -> u64 {
-        self.inner.lock().scratch_allocs
+        crate::lock(&self.inner).scratch_allocs
     }
 
     /// Run one BFS from `source`, returning levels plus full per-level
     /// statistics. Models the paper's "n to n" measured window: status
     /// initialization through final sync.
     pub fn run(&self, source: u32) -> Result<BfsRun, XbfsError> {
-        self.run_impl(source, &Recorder::disabled(), None, None)
+        self.run_impl(source, None, None)
     }
 
     /// The full form of [`Xbfs::run`]: one run under every governor at
     /// once.
     ///
-    /// * `rec` records a `run > level > {queue_gen, expand} > kernel` span
-    ///   tree on the modeled device timeline, per-level strategy-choice
-    ///   events, and frontier/fetch counter series. With a disabled
-    ///   recorder every telemetry call is a single relaxed atomic load.
     /// * `sabotage` injects bit flips after the level loop — with `verify`
     ///   this exercises the detection path end to end; without, it is the
     ///   "what does corruption do when nothing checks" baseline.
@@ -151,12 +147,11 @@ impl<D: Borrow<Device>> Xbfs<D> {
     pub fn run_with(
         &self,
         source: u32,
-        rec: &Recorder,
         sabotage: Option<&Sabotage<'_>>,
         deadline_ms: Option<f64>,
         verify: bool,
     ) -> Result<(BfsRun, Option<Certificate>), XbfsError> {
-        self.run_timed(source, rec, sabotage, deadline_ms, verify)
+        self.run_timed(source, sabotage, deadline_ms, verify)
             .map(|(run, cert, _)| (run, cert))
     }
 
@@ -165,12 +160,11 @@ impl<D: Borrow<Device>> Xbfs<D> {
     fn run_timed(
         &self,
         source: u32,
-        rec: &Recorder,
         sabotage: Option<&Sabotage<'_>>,
         deadline_ms: Option<f64>,
         verify: bool,
     ) -> Result<(BfsRun, Option<Certificate>, f64), XbfsError> {
-        let run = || self.run_impl(source, rec, sabotage, deadline_ms);
+        let run = || self.run_impl(source, sabotage, deadline_ms);
         if !verify {
             return run().map(|run| (run, None, 0.0));
         }
@@ -181,7 +175,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
     fn run_impl(
         &self,
         source: u32,
-        rec: &Recorder,
         sabotage: Option<&Sabotage<'_>>,
         deadline_ms: Option<f64>,
     ) -> Result<BfsRun, XbfsError> {
@@ -196,7 +189,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         }
         let controller = Controller::new(self.cfg.alpha, self.cfg.scan_free_max_ratio);
 
-        let mut guard = self.inner.lock();
+        let mut guard = crate::lock(&self.inner);
         let RunInner {
             st,
             last_depth,
@@ -210,23 +203,11 @@ impl<D: Borrow<Device>> Xbfs<D> {
         dev.reset_timeline();
         let _ = dev.take_reports();
 
-        let run_span = rec.begin_span(None, names::span::RUN, 0, 0.0);
-        rec.span_attr(run_span, "engine", AttrValue::Str("xbfs".into()));
-        rec.span_attr(run_span, "source", AttrValue::U64(u64::from(source)));
-        rec.span_attr(run_span, "vertices", AttrValue::U64(n as u64));
-        rec.span_attr(
-            run_span,
-            "edges",
-            AttrValue::U64(self.graph.num_edges() as u64),
-        );
-        rec.span_attr(run_span, "alpha", AttrValue::F64(self.cfg.alpha));
-
         // --- measured window starts ---
         // Epoch-versioned state needs no O(|V|) fill kernels here: entries
         // from older epochs read as unvisited, and the parent array decode
         // is gated on visited-ness, so seeding the source is the whole
         // initialization (satellite of the paper's "n to n" window).
-        let init_span = rec.begin_span(Some(run_span), names::span::INIT, 0, 0.0);
         dev.set_phase("init");
         if let Some(parents) = &st.parents {
             parents.store(source as usize, source);
@@ -234,7 +215,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         st.status.store(source as usize, st.base); // level 0, epoch-encoded
         st.queues[0].store(0, source);
         dev.charge_transfer(0, 8); // seed the source + queue head
-        rec.end_span(init_span, dev.elapsed_us());
+        let init_end_us = dev.elapsed_us();
 
         let m = g.num_edges().max(1) as f64;
         let mut exact: Option<[usize; 3]> = Some([1, 0, 0]);
@@ -254,25 +235,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
             let strategy = self.cfg.forced.unwrap_or_else(|| controller.choose(ratio));
             dev.set_phase(phase_label(labels, scratch_allocs, level));
             let t0 = dev.elapsed_us();
-            let mut used_nfg = true;
-
-            let lvl_span = rec.begin_span(Some(run_span), names::span::LEVEL, 0, t0);
-            rec.event(
-                Some(lvl_span),
-                names::event::STRATEGY_CHOICE,
-                0,
-                t0,
-                vec![
-                    ("strategy".into(), AttrValue::Str(strategy.to_string())),
-                    ("ratio".into(), AttrValue::F64(ratio)),
-                    ("alpha".into(), AttrValue::F64(self.cfg.alpha)),
-                    ("forced".into(), AttrValue::Bool(self.cfg.forced.is_some())),
-                ],
-            );
-            rec.counter(names::metric::FRONTIER_SIZE, 0, t0, frontier_count as f64);
-            rec.counter(names::metric::FRONTIER_EDGES, 0, t0, frontier_edges as f64);
-            rec.counter(names::metric::FRONTIER_RATIO, 0, t0, ratio);
-            let mut expand_start = t0;
+            let mut gen_end_us = None;
 
             match strategy {
                 Strategy::BottomUp => {
@@ -299,7 +262,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
                         // Frontier-queue generation scan (single-scan
                         // kernel 1; also the fallback scan-free pays when
                         // no queue survived).
-                        used_nfg = false;
                         launch_reset_counters(dev, 0, st);
                         launch_generation_scan(dev, 0, g, st, st.base + level, &self.cfg);
                         dev.sync();
@@ -307,10 +269,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
                         let lens = st.next_queue_lens();
                         st.swap_queues();
                         qstate = QueueState::Exact(lens);
-                        let q1 = dev.elapsed_us();
-                        let qg = rec.begin_span(Some(lvl_span), names::span::QUEUE_GEN, 0, t0);
-                        rec.end_span(qg, q1);
-                        expand_start = q1;
+                        gen_end_us = Some(dev.elapsed_us());
                     }
                     launch_reset_counters(dev, 0, st);
                     let atomic_claim = strategy == Strategy::ScanFree;
@@ -327,8 +286,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
             }
 
             dev.sync();
-            let expand_span = rec.begin_span(Some(lvl_span), names::span::EXPAND, 0, expand_start);
-            rec.end_span(expand_span, dev.elapsed_us());
+            let expand_end_us = dev.elapsed_us();
             dev.charge_transfer(0, 48); // counter readback
             let claimed = u64::from(st.counters.load(ctr::CLAIMED));
             let proactive = u64::from(st.counters.load(ctr::PROACTIVE));
@@ -354,47 +312,17 @@ impl<D: Borrow<Device>> Xbfs<D> {
             level_stats.push(LevelStats {
                 level,
                 strategy,
-                used_nfg,
+                used_nfg: gen_end_us.is_none(),
                 ratio,
                 frontier_count,
                 frontier_edges,
                 time_ms: (t1 - t0) / 1000.0,
                 kernels: dev.take_reports(),
+                start_us: t0,
+                gen_end_us,
+                expand_end_us,
+                end_us: t1,
             });
-            if rec.is_enabled() {
-                let ls = level_stats.last().expect("just pushed");
-                // Lay the level's kernel reports out as sequential child
-                // spans so chrome://tracing shows the dispatch stream.
-                let mut cursor = t0;
-                for k in &ls.kernels {
-                    let ks = rec.begin_span(Some(lvl_span), names::span::KERNEL, 0, cursor);
-                    rec.span_attr(ks, "phase", AttrValue::Str(k.phase.clone()));
-                    rec.span_attr(ks, "kernel", AttrValue::Str(k.name.clone()));
-                    rec.span_attr(ks, "l2_hit_pct", AttrValue::F64(k.l2_hit_pct));
-                    rec.span_attr(ks, "mem_busy_pct", AttrValue::F64(k.mem_busy_pct));
-                    rec.span_attr(ks, "fetch_kb", AttrValue::F64(k.fetch_kb));
-                    rec.span_attr(ks, "instructions", AttrValue::U64(k.stats.instructions));
-                    rec.span_attr(ks, "atomics", AttrValue::U64(k.stats.atomics));
-                    rec.span_attr(ks, "hbm_lines", AttrValue::U64(k.stats.hbm_lines));
-                    rec.span_attr(ks, "occupancy", AttrValue::F64(k.occupancy));
-                    cursor = (cursor + (k.runtime_ms * 1000.0).max(0.0)).min(t1);
-                    rec.end_span(ks, cursor);
-                }
-                rec.counter(names::metric::FETCH_KB, 0, t1, ls.fetch_kb());
-                rec.counter(
-                    names::metric::ATOMICS,
-                    0,
-                    t1,
-                    ls.kernels.iter().map(|k| k.stats.atomics).sum::<u64>() as f64,
-                );
-                rec.span_attr(lvl_span, "level", AttrValue::U64(u64::from(level)));
-                rec.span_attr(lvl_span, "strategy", AttrValue::Str(strategy.to_string()));
-                rec.span_attr(lvl_span, "used_nfg", AttrValue::Bool(used_nfg));
-                rec.span_attr(lvl_span, "ratio", AttrValue::F64(ratio));
-                rec.span_attr(lvl_span, "frontier_count", AttrValue::U64(frontier_count));
-                rec.span_attr(lvl_span, "frontier_edges", AttrValue::U64(frontier_edges));
-            }
-            rec.end_span(lvl_span, t1);
 
             let next_count = claimed + pending_pro.0;
             let next_edges = claimed_edges + pending_pro.1;
@@ -412,9 +340,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
                 let budget_us = budget_ms * 1000.0;
                 if t1 > budget_us {
                     *last_depth = level_stats.len() as u32;
-                    rec.span_attr(run_span, "deadline_ms", AttrValue::F64(budget_ms));
-                    rec.span_attr(run_span, "timed_out", AttrValue::Bool(true));
-                    rec.end_span(run_span, t1);
                     return Err(XbfsError::DeadlineExceeded {
                         level,
                         elapsed_us: t1 as u64,
@@ -465,11 +390,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
         } else {
             0.0
         };
-        rec.span_attr(run_span, "depth", AttrValue::U64(level_stats.len() as u64));
-        rec.span_attr(run_span, "total_ms", AttrValue::F64(total_ms));
-        rec.span_attr(run_span, "traversed_edges", AttrValue::U64(traversed_edges));
-        rec.span_attr(run_span, "gteps", AttrValue::F64(gteps));
-        rec.end_span(run_span, total_us);
         Ok(BfsRun {
             source,
             levels,
@@ -478,7 +398,107 @@ impl<D: Borrow<Device>> Xbfs<D> {
             total_ms,
             traversed_edges,
             gteps,
+            init_end_us,
         })
+    }
+
+    /// Render a finished run as its `run > {init, level > {queue_gen,
+    /// expand, kernel}}` span tree on the modeled device timeline, with
+    /// per-level strategy-choice events and frontier/fetch counter
+    /// series. A pure function of the record and this engine's graph and
+    /// config: spans open in row order, so ids — and every byte a sink
+    /// renders from them — are the same on every call.
+    pub fn trace_of(&self, run: &BfsRun) -> Trace {
+        let rec = Recorder::new();
+        let alpha = self.cfg.alpha;
+        let run_span = rec.begin_span(None, names::span::RUN, 0, 0.0);
+        let init_span = rec.begin_span(Some(run_span), names::span::INIT, 0, 0.0);
+        rec.end_span(init_span, run.init_end_us);
+
+        for ls in &run.level_stats {
+            let (t0, t1) = (ls.start_us, ls.end_us);
+            let strategy = ls.strategy.to_string();
+            let lvl_span = rec.begin_span(Some(run_span), names::span::LEVEL, 0, t0);
+            rec.event(
+                Some(lvl_span),
+                names::event::STRATEGY_CHOICE,
+                0,
+                t0,
+                attrs![
+                    "strategy" => strategy.clone(),
+                    "ratio" => ls.ratio,
+                    "alpha" => alpha,
+                    "forced" => self.cfg.forced.is_some(),
+                ],
+            );
+            let counter = |name, ts, value| rec.counter(name, 0, ts, value);
+            counter(names::metric::FRONTIER_SIZE, t0, ls.frontier_count as f64);
+            counter(names::metric::FRONTIER_EDGES, t0, ls.frontier_edges as f64);
+            counter(names::metric::FRONTIER_RATIO, t0, ls.ratio);
+            if let Some(scanned) = ls.gen_end_us {
+                let qg = rec.begin_span(Some(lvl_span), names::span::QUEUE_GEN, 0, t0);
+                rec.end_span(qg, scanned);
+            }
+            let expand_start = ls.gen_end_us.unwrap_or(t0);
+            let expand_span = rec.begin_span(Some(lvl_span), names::span::EXPAND, 0, expand_start);
+            rec.end_span(expand_span, ls.expand_end_us);
+            // Lay the level's kernel reports out as sequential child
+            // spans so chrome://tracing shows the dispatch stream.
+            let mut cursor = t0;
+            for k in &ls.kernels {
+                let ks = rec.begin_span(Some(lvl_span), names::span::KERNEL, 0, cursor);
+                rec.span_attrs(
+                    ks,
+                    attrs![
+                        "phase" => k.phase.clone(),
+                        "kernel" => k.name.clone(),
+                        "l2_hit_pct" => k.l2_hit_pct,
+                        "mem_busy_pct" => k.mem_busy_pct,
+                        "fetch_kb" => k.fetch_kb,
+                        "instructions" => k.stats.instructions,
+                        "atomics" => k.stats.atomics,
+                        "hbm_lines" => k.stats.hbm_lines,
+                        "occupancy" => k.occupancy,
+                    ],
+                );
+                cursor = (cursor + (k.runtime_ms * 1000.0).max(0.0)).min(t1);
+                rec.end_span(ks, cursor);
+            }
+            let atomics: u64 = ls.kernels.iter().map(|k| k.stats.atomics).sum();
+            counter(names::metric::FETCH_KB, t1, ls.fetch_kb());
+            counter(names::metric::ATOMICS, t1, atomics as f64);
+            rec.span_attrs(
+                lvl_span,
+                attrs![
+                    "level" => ls.level,
+                    "strategy" => strategy,
+                    "used_nfg" => ls.used_nfg,
+                    "ratio" => ls.ratio,
+                    "frontier_count" => ls.frontier_count,
+                    "frontier_edges" => ls.frontier_edges,
+                ],
+            );
+            rec.end_span(lvl_span, t1);
+        }
+
+        rec.span_attrs(
+            run_span,
+            attrs![
+                "engine" => "xbfs",
+                "source" => run.source,
+                "vertices" => run.levels.len(),
+                "edges" => self.graph.num_edges(),
+                "alpha" => alpha,
+                "depth" => run.level_stats.len(),
+                "total_ms" => run.total_ms,
+                "traversed_edges" => run.traversed_edges,
+                "gteps" => run.gteps,
+            ],
+        );
+        // The measured window closes with its last level: nothing after
+        // it advances the device clock.
+        rec.end_span(run_span, run.level_stats.last().map_or(0.0, |l| l.end_us));
+        rec.finish()
     }
 }
 
@@ -488,7 +508,8 @@ impl<D: Borrow<Device>> Drop for Xbfs<D> {
     /// addresses, hence bit-identical modeled timings). State goes back
     /// first — it was acquired last, and the pool's free lists are LIFO.
     fn drop(&mut self) {
-        if let Some(st) = self.inner.get_mut().st.take() {
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        if let Some(st) = inner.st.take() {
             st.release_to_pool(self.device.borrow());
         }
         self.graph.release_to_pool(self.device.borrow());
@@ -512,7 +533,7 @@ impl<D: Borrow<Device>> Engine for Xbfs<D> {
             }
         };
         let (run, cert, certify_wall_ms) =
-            self.run_timed(source, req.trace, sabotage, req.deadline_ms, req.verify)?;
+            self.run_timed(source, sabotage, req.deadline_ms, req.verify)?;
         Ok(RunOutcome {
             slots: vec![run.answer()],
             total_ms: run.total_ms,
@@ -688,9 +709,9 @@ mod tests {
         );
     }
 
-    /// `run_with` under a deadline only (no trace, sabotage or verify).
+    /// `run_with` under a deadline only (no sabotage or verify).
     fn run_until(xbfs: &Xbfs<&Device>, source: u32, ms: f64) -> Result<BfsRun, XbfsError> {
-        xbfs.run_with(source, &Recorder::disabled(), None, Some(ms), false)
+        xbfs.run_with(source, None, Some(ms), false)
             .map(|(run, _)| run)
     }
 
@@ -739,14 +760,13 @@ mod tests {
         let g = erdos_renyi(2000, 8000, 5);
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
-        let rec = Recorder::disabled();
-        let (run, cert) = xbfs.run_with(0, &rec, None, Some(1e9), true).unwrap();
+        let (run, cert) = xbfs.run_with(0, None, Some(1e9), true).unwrap();
         assert!(cert.is_some(), "verify=true must yield a certificate");
         assert_eq!(run.levels, bfs_levels_serial(&g, 0));
-        let (fast, no_cert) = xbfs.run_with(0, &rec, None, None, false).unwrap();
+        let (fast, no_cert) = xbfs.run_with(0, None, None, false).unwrap();
         assert!(no_cert.is_none());
         assert_eq!(fast.digest(), run.digest());
-        let err = xbfs.run_with(0, &rec, None, Some(1e-6), true).unwrap_err();
+        let err = xbfs.run_with(0, None, Some(1e-6), true).unwrap_err();
         assert!(matches!(err, XbfsError::DeadlineExceeded { .. }));
     }
 }

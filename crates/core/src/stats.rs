@@ -25,6 +25,18 @@ pub struct LevelStats {
     pub time_ms: f64,
     /// rocprof-style rows for every kernel launched this level.
     pub kernels: Vec<KernelReport>,
+    /// Modeled instant the level started, µs. The four instants are what
+    /// [`crate::Xbfs::trace_of`] draws spans from; they are stored, not
+    /// re-derived from `time_ms`, so a span's bytes never depend on a
+    /// round trip through milliseconds.
+    pub start_us: f64,
+    /// Instant the frontier-generation scan finished (`None` when the
+    /// level ran without one, i.e. `used_nfg` or bottom-up), µs.
+    pub gen_end_us: Option<f64>,
+    /// Instant the expansion's final sync returned, µs.
+    pub expand_end_us: f64,
+    /// Instant the level ended (after the counter readback), µs.
+    pub end_us: f64,
 }
 
 impl LevelStats {
@@ -56,6 +68,8 @@ pub struct BfsRun {
     pub traversed_edges: u64,
     /// Giga-traversed-edges per second.
     pub gteps: f64,
+    /// Modeled instant initialization (seeding the source) finished, µs.
+    pub init_end_us: f64,
 }
 
 /// FNV-1a digest over a source vertex and a per-vertex level array —
@@ -156,6 +170,10 @@ mod tests {
             frontier_edges: 2,
             time_ms: 3.0,
             kernels: vec![kr(1.0, 10.0), kr(0.5, 20.0)],
+            start_us: 0.0,
+            gen_end_us: None,
+            expand_end_us: 3000.0,
+            end_us: 3000.0,
         };
         assert!((l.fetch_kb() - 30.0).abs() < 1e-12);
         assert!((l.kernel_ms() - 1.5).abs() < 1e-12);
@@ -171,6 +189,7 @@ mod tests {
             total_ms,
             traversed_edges: 0,
             gteps: 0.0,
+            init_end_us: 0.0,
         };
         let a = mk(1.0, vec![0, 1, 1, 2]);
         let b = mk(9.5, vec![0, 1, 1, 2]);

@@ -10,9 +10,17 @@ use crate::kernel::{KernelReport, LaunchCfg, WaveStats};
 use crate::l2::L2Model;
 use crate::pool::{fnv1a, splitmix64, PoolError, POOL_CANARY};
 use crate::wave::WaveCtx;
-use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock a piece of device state, taking it back from a poisoned mutex. A
+/// kernel body that panics mid-launch poisons what the launch held (the
+/// L2 model in timing mode); the device is quarantined along with its
+/// engine, and that engine's `Drop` must still be able to park buffers.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Execution fidelity. Either way a launch runs its waves one after
 /// another on the calling thread; the modes differ in what a coalescer
@@ -148,7 +156,7 @@ fn verify_parked<B: ParkedBuf>(
             if let Err(e) = entries[i].check() {
                 let victim = entries.swap_remove(i);
                 pool_bytes.fetch_sub(victim.bytes, Ordering::Relaxed);
-                ledger.lock().push(e.clone());
+                lock(ledger).push(e.clone());
                 return Err(e);
             }
         }
@@ -277,12 +285,12 @@ impl Device {
 
     /// Tag subsequent kernel reports with a phase label (e.g. `"level 3"`).
     pub fn set_phase(&self, phase: impl Into<String>) {
-        *self.phase.lock() = phase.into();
+        *lock(&self.phase) = phase.into();
     }
 
     /// Number of streams.
     pub fn num_streams(&self) -> usize {
-        self.streams.lock().len()
+        lock(&self.streams).len()
     }
 
     // ---- allocation ----
@@ -334,14 +342,14 @@ impl Device {
     /// fails verification is quarantined and replaced by a fresh
     /// allocation (recorded as a miss plus a ledger fault).
     pub fn pool_acquire_u32(&self, len: usize) -> BufU32 {
-        let popped = self.pool_u32.lock().get_mut(&len).and_then(Vec::pop);
+        let popped = lock(&self.pool_u32).get_mut(&len).and_then(Vec::pop);
         self.admit_acquired(popped, len, Self::alloc_u32)
     }
 
     /// Acquire a `u64` buffer of exactly `len` elements from the pool (see
     /// [`Device::pool_acquire_u32`] for the verification semantics).
     pub fn pool_acquire_u64(&self, len: usize) -> BufU64 {
-        let popped = self.pool_u64.lock().get_mut(&len).and_then(Vec::pop);
+        let popped = lock(&self.pool_u64).get_mut(&len).and_then(Vec::pop);
         self.admit_acquired(popped, len, Self::alloc_u64)
     }
 
@@ -408,7 +416,7 @@ impl Device {
     /// Drain the ledger of pool faults detected so far (quarantined
     /// corrupt entries, rejected double/foreign releases).
     pub fn take_pool_faults(&self) -> Vec<PoolError> {
-        std::mem::take(&mut self.pool_faults.lock())
+        std::mem::take(&mut lock(&self.pool_faults))
     }
 
     /// Re-verify every parked entry in place. The first corrupted entry is
@@ -417,12 +425,12 @@ impl Device {
     /// matches its release-time checksum and canary.
     pub fn verify_pool(&self) -> Result<(), PoolError> {
         verify_parked(
-            &mut self.pool_u32.lock(),
+            &mut lock(&self.pool_u32),
             &self.pool_bytes,
             &self.pool_faults,
         )?;
         verify_parked(
-            &mut self.pool_u64.lock(),
+            &mut lock(&self.pool_u64),
             &self.pool_bytes,
             &self.pool_faults,
         )
@@ -434,7 +442,7 @@ impl Device {
     /// nothing is parked. Deterministic for a given seed and pool state.
     pub fn corrupt_parked(&self, seed: u64) -> Option<(u64, usize, u32)> {
         let mut s = seed;
-        let pool = self.pool_u32.lock();
+        let pool = lock(&self.pool_u32);
         let mut keys: Vec<usize> = pool.keys().copied().filter(|k| *k > 0).collect();
         keys.sort_unstable();
         let total: usize = keys.iter().map(|k| pool[k].len()).sum();
@@ -471,7 +479,7 @@ impl Device {
                     self.pool_hits.fetch_add(1, Ordering::Relaxed);
                     return buf;
                 }
-                Err(e) => self.pool_faults.lock().push(e), // quarantined: drop it
+                Err(e) => lock(&self.pool_faults).push(e), // quarantined: drop it
             }
         }
         self.pool_misses.fetch_add(1, Ordering::Relaxed);
@@ -493,7 +501,7 @@ impl Device {
         let bytes = buf.byte_len();
         if addr + bytes > self.next_addr.load(Ordering::Relaxed) {
             let e = PoolError::ForeignBuffer { addr, len };
-            self.pool_faults.lock().push(e.clone());
+            lock(&self.pool_faults).push(e.clone());
             return Err(e);
         }
         if bytes > self.pool_limit.load(Ordering::Relaxed) {
@@ -503,11 +511,11 @@ impl Device {
             return Ok(());
         }
         {
-            let mut map = pool.lock();
+            let mut map = lock(pool);
             let entries = map.entry(len).or_default();
             if entries.iter().any(|p| p.buf.base_addr() == addr) {
                 let e = PoolError::DoubleRelease { addr, len };
-                self.pool_faults.lock().push(e.clone());
+                lock(&self.pool_faults).push(e.clone());
                 return Err(e);
             }
             entries.push(Parked::new(
@@ -543,8 +551,8 @@ impl Device {
             if self.pool_bytes.load(Ordering::Relaxed) <= limit {
                 return;
             }
-            let mut p32 = self.pool_u32.lock();
-            let mut p64 = self.pool_u64.lock();
+            let mut p32 = lock(&self.pool_u32);
+            let mut p64 = lock(&self.pool_u64);
             let min32 = oldest_stamp(&p32);
             let min64 = oldest_stamp(&p64);
             let freed = match (min32, min64) {
@@ -568,17 +576,17 @@ impl Device {
     /// Charge a host↔device transfer on `stream`.
     pub fn charge_transfer(&self, stream: usize, bytes: u64) {
         let cost = self.copy_cost_us(bytes);
-        let mut s = self.streams.lock();
+        let mut s = lock(&self.streams);
         s[stream] += cost;
-        self.dirty.lock()[stream] = true;
+        lock(&self.dirty)[stream] = true;
     }
 
     /// Device synchronization: all stream cursors join at the max, plus a
     /// per-dirty-stream sync cost. This is the §IV-B effect: with three
     /// streams HIP pays the (large, on AMD) sync cost three times per level.
     pub fn sync(&self) -> f64 {
-        let mut s = self.streams.lock();
-        let mut d = self.dirty.lock();
+        let mut s = lock(&self.streams);
+        let mut d = lock(&self.dirty);
         let dirty_count = d.iter().filter(|&&x| x).count().max(1);
         let t = s.iter().cloned().fold(0.0f64, f64::max) + self.arch.sync_us * dirty_count as f64;
         for x in s.iter_mut() {
@@ -590,14 +598,14 @@ impl Device {
 
     /// Current modeled elapsed time (max over streams), microseconds.
     pub fn elapsed_us(&self) -> f64 {
-        self.streams.lock().iter().cloned().fold(0.0, f64::max)
+        lock(&self.streams).iter().cloned().fold(0.0, f64::max)
     }
 
     /// Advance every stream cursor to at least `us` — used by multi-device
     /// simulations to model barriers/communication completing at a common
     /// global time.
     pub fn advance_to(&self, us: f64) {
-        let mut s = self.streams.lock();
+        let mut s = lock(&self.streams);
         for t in s.iter_mut() {
             *t = t.max(us);
         }
@@ -605,17 +613,17 @@ impl Device {
 
     /// Zero the timeline and cold-start the L2 (start of a measured run).
     pub fn reset_timeline(&self) {
-        self.streams.lock().fill(0.0);
-        self.dirty.lock().fill(false);
+        lock(&self.streams).fill(0.0);
+        lock(&self.dirty).fill(false);
         // Functional mode never consults the L2: leave its arrays alone.
         if self.mode == ExecMode::Timing {
-            self.l2.lock().invalidate();
+            lock(&self.l2).invalidate();
         }
     }
 
     /// Drain recorded kernel reports.
     pub fn take_reports(&self) -> Vec<KernelReport> {
-        std::mem::take(&mut self.reports.lock())
+        std::mem::take(&mut lock(&self.reports))
     }
 
     // ---- kernel launch ----
@@ -624,7 +632,7 @@ impl Device {
     /// zeroed, residency kept), `None` in functional mode.
     fn launch_l2(&self) -> Option<MutexGuard<'_, L2Model>> {
         (self.mode == ExecMode::Timing).then(|| {
-            let mut l2 = self.l2.lock();
+            let mut l2 = lock(&self.l2);
             l2.reset_counters();
             l2
         })
@@ -639,9 +647,9 @@ impl Device {
         lds: Option<(usize, usize)>,
     ) -> KernelReport {
         let report = self.cost_model(cfg, stats, lds);
-        self.streams.lock()[stream] += report.runtime_ms * 1000.0;
-        self.dirty.lock()[stream] = true;
-        self.reports.lock().push(report.clone());
+        lock(&self.streams)[stream] += report.runtime_ms * 1000.0;
+        lock(&self.dirty)[stream] = true;
+        lock(&self.reports).push(report.clone());
         report
     }
 
@@ -762,7 +770,7 @@ impl Device {
 
         KernelReport {
             name: cfg.name.to_string(),
-            phase: self.phase.lock().clone(),
+            phase: lock(&self.phase).clone(),
             runtime_ms: runtime_us / 1000.0,
             l2_hit_pct,
             mem_busy_pct,

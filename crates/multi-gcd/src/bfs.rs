@@ -42,7 +42,7 @@ use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx}
 use std::collections::HashMap;
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
-use xbfs_telemetry::{json, names, AttrValue, Recorder, SpanId};
+use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
 
 /// Not-yet-visited marker (matches single-GCD XBFS).
 pub const UNVISITED: u32 = u32::MAX;
@@ -72,6 +72,32 @@ impl ClusterConfig {
     }
 }
 
+/// When one collective of a level ran and what the retry layer charged
+/// it. Its kind and payload are already on the level row (`bottom_up`,
+/// `exchanged_bytes`); this is the part the row's sums cannot give back.
+#[derive(Debug, Clone, Copy)]
+pub struct CollectiveStats {
+    /// Fleet clock when the collective started, µs.
+    pub start_us: f64,
+    /// Fleet clock when every rank had finished it, µs.
+    pub end_us: f64,
+    /// Bytes this collective retransmitted (link drops).
+    pub retransmitted_bytes: u64,
+    /// Retry timeouts/backoff this collective waited, ms.
+    pub retry_ms: f64,
+}
+
+/// A level-synchronous checkpoint taken right after a level.
+#[derive(Debug, Clone, Copy)]
+pub struct CheckpointStats {
+    /// Fleet clock when the snapshot started, µs.
+    pub start_us: f64,
+    /// Fleet clock when every rank had copied its share out, µs.
+    pub end_us: f64,
+    /// Bytes snapshotted (status array + next frontier).
+    pub bytes: u64,
+}
+
 /// What one level did.
 #[derive(Debug, Clone)]
 pub struct ClusterLevelStats {
@@ -95,8 +121,8 @@ pub struct ClusterLevelStats {
     /// Crash detection + checkpoint-restore time charged before this level
     /// ran, ms (non-zero only on the first level after a recovery).
     pub recovery_ms: f64,
-    /// True if a checkpoint was taken right after this level.
-    pub checkpointed: bool,
+    /// The checkpoint taken right after this level, if one was.
+    pub checkpoint: Option<CheckpointStats>,
     /// Modeled time this level spent expanding/claiming frontiers on
     /// the devices (kernel launches outside the collectives), ms.
     pub expand_ms: f64,
@@ -105,6 +131,25 @@ pub struct ClusterLevelStats {
     pub exchange_ms: f64,
     /// Modeled wall time of the level (compute + comm + faults), ms.
     pub time_ms: f64,
+    /// Fleet clock when the level started, µs. Stored, like every
+    /// instant below, because recovery rewinds the level counter and a
+    /// round trip through `time_ms` does not give the same bits back;
+    /// [`GcdCluster::trace_of`] draws its spans from these. None of them
+    /// is part of [`ClusterRun::to_json`] / [`ClusterRun::to_csv`].
+    pub start_us: f64,
+    /// Fleet clock when the level ended, µs.
+    pub end_us: f64,
+    /// The frontier exchange: all-to-all (push) or allgather (pull).
+    pub exchange: CollectiveStats,
+    /// The termination allreduce that closes the level.
+    pub allreduce: CollectiveStats,
+}
+
+impl ClusterLevelStats {
+    /// True if a checkpoint was taken right after this level.
+    pub fn checkpointed(&self) -> bool {
+        self.checkpoint.is_some()
+    }
 }
 
 /// One crash recovery performed during a run.
@@ -122,6 +167,13 @@ pub struct RecoveryReport {
     pub gcds_after: usize,
     /// Detection + rebuild + restore time, ms.
     pub overhead_ms: f64,
+    /// Fleet clock when the rank died, µs.
+    pub crash_us: f64,
+    /// Fleet clock when execution resumed, µs.
+    pub resume_us: f64,
+    /// Index into [`ClusterRun::level_stats`] of the first level executed
+    /// after this recovery: what orders it among the level rows.
+    pub before_row: usize,
 }
 
 /// Cumulative per-rank health counters, maintained across runs on the
@@ -166,6 +218,8 @@ pub struct ClusterRun {
     /// Per-GCD GTEPS (aggregate / the *initial* GCD count) — the paper's
     /// headline metric, kept comparable across degraded runs.
     pub gteps_per_gcd: f64,
+    /// Fleet clock when initialization finished, µs.
+    pub init_end_us: f64,
 }
 
 impl ClusterRun {
@@ -244,7 +298,7 @@ impl ClusterRun {
                         o.key("retransmitted_bytes").int(l.retransmitted_bytes);
                         o.key("retry_ms").fixed(l.retry_ms, 6);
                         o.key("recovery_ms").fixed(l.recovery_ms, 6);
-                        o.key("checkpointed").bool(l.checkpointed);
+                        o.key("checkpointed").bool(l.checkpointed());
                         o.key("expand_ms").fixed(l.expand_ms, 6);
                         o.key("exchange_ms").fixed(l.exchange_ms, 6);
                         o.key("time_ms").fixed(l.time_ms, 6);
@@ -272,7 +326,7 @@ impl ClusterRun {
                 l.retransmitted_bytes,
                 l.retry_ms,
                 l.recovery_ms,
-                l.checkpointed,
+                l.checkpointed(),
                 l.expand_ms,
                 l.exchange_ms,
                 l.time_ms,
@@ -323,16 +377,13 @@ struct Checkpoint {
 }
 
 /// Per-level communication tally returned by the level drivers.
-#[derive(Default)]
 struct LevelComm {
     exchanged: u64,
-    retransmitted: u64,
+    /// The exchange collective (the level loop adds the allreduce).
+    exchange: CollectiveStats,
     retry_us: f64,
     /// Modeled µs the level's device phases (expand/claim/pull) took.
     expand_us: f64,
-    /// Modeled µs the level's inter-GCD exchange took (excluding the
-    /// termination allreduce, which the level loop adds).
-    exchange_us: f64,
 }
 
 /// Host-side scratch reused across levels and runs so the level loop does
@@ -522,22 +573,17 @@ impl<'g> GcdCluster<'g> {
 
     /// Run one fault-free distributed BFS from `source`.
     pub fn run(&mut self, source: VertexId) -> Result<ClusterRun, ClusterError> {
-        self.run_with(source, &FaultConfig::none(), &Recorder::disabled(), None)
+        self.run_with(source, &FaultConfig::none(), None)
     }
 
     /// The full form of [`GcdCluster::run`]: one distributed BFS from
-    /// `source` under a fault schedule, a recorder and an optional budget.
+    /// `source` under a fault schedule and an optional budget.
     ///
     /// * `faults`: collectives retry dropped messages per `faults.retry`;
     ///   GCD crashes are recovered per `faults.recovery` from the last
     ///   checkpoint (the initial state always counts as one). After a
     ///   [`RecoveryPolicy::Degrade`] recovery, the cluster permanently
     ///   runs with one GCD fewer.
-    /// * `rec` records a `run > level > collective` span tree on the
-    ///   modeled cluster timeline (max over GCD clocks), plus checkpoint
-    ///   and recovery spans, fault events, and byte/retry counter series.
-    ///   With a disabled recorder every telemetry call is one relaxed
-    ///   atomic load.
     /// * `deadline_ms` is a modeled-time budget: the fleet clock is
     ///   checked between levels — and immediately after a crash recovery
     ///   is charged — and a run that crosses it aborts with
@@ -551,7 +597,6 @@ impl<'g> GcdCluster<'g> {
         &mut self,
         source: VertexId,
         faults: &FaultConfig,
-        rec: &Recorder,
         deadline_ms: Option<f64>,
     ) -> Result<ClusterRun, ClusterError> {
         let n = self.graph.num_vertices();
@@ -565,28 +610,7 @@ impl<'g> GcdCluster<'g> {
         let initial_p = self.cfg.num_gcds;
         let m_global = self.graph.num_edges().max(1) as f64;
 
-        let run_span = rec.begin_span(None, names::span::RUN, 0, 0.0);
-        rec.span_attr(run_span, "engine", AttrValue::Str("xbfs-cluster".into()));
-        rec.span_attr(run_span, "num_gcds", AttrValue::U64(initial_p as u64));
-        rec.span_attr(run_span, "source", AttrValue::U64(u64::from(source)));
-        rec.span_attr(run_span, "vertices", AttrValue::U64(n as u64));
-        rec.span_attr(
-            run_span,
-            "edges",
-            AttrValue::U64(self.graph.num_edges() as u64),
-        );
-        rec.span_attr(run_span, "alpha", AttrValue::F64(self.cfg.alpha));
-        rec.span_attr(run_span, "push_only", AttrValue::Bool(self.cfg.push_only));
-        if !faults.plan.is_empty() {
-            rec.span_attr(
-                run_span,
-                "fault_plan",
-                AttrValue::Str(faults.plan.to_spec()),
-            );
-        }
-
         // --- init (measured) ---
-        let init_span = rec.begin_span(Some(run_span), names::span::INIT, 0, 0.0);
         for r in &self.ranks {
             r.device.reset_timeline();
             r.device.fill_u32(0, &r.status, UNVISITED);
@@ -604,8 +628,8 @@ impl<'g> GcdCluster<'g> {
         let mut frontier_count = 1u64;
         let mut frontier_edges = u64::from(self.graph.degree(source));
         let mut level = 0u32;
-        let mut clock_us = self.max_elapsed();
-        rec.end_span(init_span, clock_us);
+        let init_end_us = self.max_elapsed();
+        let mut clock_us = init_end_us;
         let mut stats: Vec<ClusterLevelStats> = Vec::new();
         let mut recoveries: Vec<RecoveryReport> = Vec::new();
 
@@ -629,17 +653,13 @@ impl<'g> GcdCluster<'g> {
         let mut pending_recovery_us = 0.0f64;
 
         // Deadline gate, shared by the between-levels and post-recovery
-        // check sites. Ends the run span before surfacing the typed
-        // error so an aborted trace is still well formed.
+        // check sites.
         let check_deadline = |elapsed_us: f64, level: u32| -> Result<(), ClusterError> {
             let Some(budget_ms) = deadline_ms else {
                 return Ok(());
             };
             let budget_us = budget_ms * 1000.0;
             if elapsed_us > budget_us {
-                rec.span_attr(run_span, "deadline_ms", AttrValue::F64(budget_ms));
-                rec.span_attr(run_span, "timed_out", AttrValue::Bool(true));
-                rec.end_span(run_span, elapsed_us);
                 return Err(ClusterError::DeadlineExceeded {
                     level,
                     elapsed_us: elapsed_us as u64,
@@ -657,18 +677,7 @@ impl<'g> GcdCluster<'g> {
                     if let Some(h) = self.health.get_mut(rank) {
                         h.crashes += 1;
                     }
-                    let t_crash = self.max_elapsed();
-                    rec.event(
-                        Some(run_span),
-                        names::event::FAULT_CRASH,
-                        rank,
-                        t_crash,
-                        vec![
-                            ("rank".into(), AttrValue::U64(rank as u64)),
-                            ("level".into(), AttrValue::U64(u64::from(level))),
-                        ],
-                    );
-                    let report = self.recover(rank, level, faults, &mut ckpt)?;
+                    let report = self.recover(rank, level, faults, &mut ckpt, stats.len())?;
                     let restored = ckpt.as_ref().expect("recover leaves a checkpoint");
                     level = restored.next_level;
                     frontier_count = restored.frontier_count;
@@ -676,32 +685,6 @@ impl<'g> GcdCluster<'g> {
                     frontier_lens = self.restore_frontiers(restored);
                     pending_recovery_us += report.overhead_ms * 1000.0;
                     clock_us = self.max_elapsed();
-                    let rspan = rec.begin_span(Some(run_span), names::span::RECOVERY, 0, t_crash);
-                    rec.span_attr(rspan, "dead_rank", AttrValue::U64(report.dead_rank as u64));
-                    rec.span_attr(rspan, "policy", AttrValue::Str(report.policy.to_string()));
-                    rec.span_attr(
-                        rspan,
-                        "restored_level",
-                        AttrValue::U64(u64::from(report.restored_level)),
-                    );
-                    rec.span_attr(
-                        rspan,
-                        "gcds_after",
-                        AttrValue::U64(report.gcds_after as u64),
-                    );
-                    rec.span_attr(rspan, "overhead_ms", AttrValue::F64(report.overhead_ms));
-                    rec.event(
-                        Some(rspan),
-                        names::event::RECOVERY_RESTORE,
-                        0,
-                        clock_us,
-                        vec![(
-                            "restored_level".into(),
-                            AttrValue::U64(u64::from(report.restored_level)),
-                        )],
-                    );
-                    rec.end_span(rspan, clock_us);
-                    rec.counter(names::metric::RECOVERY_MS, 0, clock_us, report.overhead_ms);
                     recoveries.push(report);
                     // Every rank present after recovery restored its
                     // status partition from the checkpoint.
@@ -719,38 +702,10 @@ impl<'g> GcdCluster<'g> {
             let p = self.cfg.num_gcds;
             let ratio = frontier_edges as f64 / m_global;
             let bottom_up = !self.cfg.push_only && ratio > self.cfg.alpha;
-            let lvl_span = rec.begin_span(Some(run_span), names::span::LEVEL, 0, clock_us);
-            rec.event(
-                Some(lvl_span),
-                names::event::STRATEGY_CHOICE,
-                0,
-                clock_us,
-                vec![
-                    (
-                        "mode".into(),
-                        AttrValue::Str(if bottom_up { "pull" } else { "push" }.into()),
-                    ),
-                    ("ratio".into(), AttrValue::F64(ratio)),
-                    ("alpha".into(), AttrValue::F64(self.cfg.alpha)),
-                ],
-            );
-            rec.counter(
-                names::metric::FRONTIER_SIZE,
-                0,
-                clock_us,
-                frontier_count as f64,
-            );
-            rec.counter(
-                names::metric::FRONTIER_EDGES,
-                0,
-                clock_us,
-                frontier_edges as f64,
-            );
-            rec.counter(names::metric::FRONTIER_RATIO, 0, clock_us, ratio);
             let comm = if bottom_up {
-                self.run_pull_level(level, &frontier_lens, faults, rec, lvl_span)?
+                self.run_pull_level(level, &frontier_lens, faults)?
             } else {
-                self.run_push_level(level, &frontier_lens, faults, rec, lvl_span)?
+                self.run_push_level(level, &frontier_lens, faults)?
             };
 
             // Barrier + counter allreduce (retries charged like any other
@@ -763,30 +718,6 @@ impl<'g> GcdCluster<'g> {
                 r.device.advance_to(t);
             }
             Self::spread_retransmits(&mut self.health, p, ar.retransmitted_bytes);
-            if rec.is_enabled() {
-                let ac = rec.begin_span(Some(lvl_span), names::span::COLLECTIVE, 0, ar_t0);
-                rec.span_attr(ac, "kind", AttrValue::Str("allreduce".into()));
-                rec.span_attr(
-                    ac,
-                    "retransmitted_bytes",
-                    AttrValue::U64(ar.retransmitted_bytes),
-                );
-                rec.span_attr(ac, "retry_ms", AttrValue::F64(ar.retry_us / 1000.0));
-                rec.end_span(ac, t);
-                if ar.retransmitted_bytes > 0 {
-                    rec.event(
-                        Some(ac),
-                        names::event::FAULT_RETRY,
-                        0,
-                        t,
-                        vec![
-                            ("kind".into(), AttrValue::Str("allreduce".into())),
-                            ("bytes".into(), AttrValue::U64(ar.retransmitted_bytes)),
-                        ],
-                    );
-                }
-            }
-
             let mut claimed = 0u64;
             let mut claimed_edges = 0u64;
             for (i, r) in self.ranks.iter().enumerate() {
@@ -805,55 +736,26 @@ impl<'g> GcdCluster<'g> {
                 frontier_count,
                 frontier_edges,
                 exchanged_bytes: comm.exchanged,
-                retransmitted_bytes: comm.retransmitted + ar.retransmitted_bytes,
+                retransmitted_bytes: comm.exchange.retransmitted_bytes + ar.retransmitted_bytes,
                 retry_ms: (comm.retry_us + ar.retry_us) / 1000.0,
                 recovery_ms: pending_recovery_us / 1000.0,
-                checkpointed: false,
+                checkpoint: None,
                 expand_ms: comm.expand_us / 1000.0,
-                exchange_ms: (comm.exchange_us + (t - ar_t0)) / 1000.0,
-                time_ms: (self.max_elapsed() - clock_us) / 1000.0,
+                exchange_ms: ((comm.exchange.end_us - comm.exchange.start_us) + (t - ar_t0))
+                    / 1000.0,
+                time_ms: (t - clock_us) / 1000.0,
+                start_us: clock_us,
+                end_us: t,
+                exchange: comm.exchange,
+                allreduce: CollectiveStats {
+                    start_us: ar_t0,
+                    end_us: t,
+                    retransmitted_bytes: ar.retransmitted_bytes,
+                    retry_ms: ar.retry_us / 1000.0,
+                },
             });
             pending_recovery_us = 0.0;
-            clock_us = self.max_elapsed();
-            if rec.is_enabled() {
-                let row = stats.last().expect("just pushed");
-                rec.span_attr(lvl_span, "level", AttrValue::U64(u64::from(level)));
-                rec.span_attr(lvl_span, "attempt", AttrValue::U64(u64::from(attempt)));
-                rec.span_attr(
-                    lvl_span,
-                    "mode",
-                    AttrValue::Str(if bottom_up { "pull" } else { "push" }.into()),
-                );
-                rec.span_attr(lvl_span, "frontier_count", AttrValue::U64(frontier_count));
-                rec.span_attr(lvl_span, "frontier_edges", AttrValue::U64(frontier_edges));
-                rec.span_attr(
-                    lvl_span,
-                    "exchanged_bytes",
-                    AttrValue::U64(row.exchanged_bytes),
-                );
-                rec.span_attr(
-                    lvl_span,
-                    "retransmitted_bytes",
-                    AttrValue::U64(row.retransmitted_bytes),
-                );
-                rec.span_attr(lvl_span, "retry_ms", AttrValue::F64(row.retry_ms));
-                rec.span_attr(lvl_span, "recovery_ms", AttrValue::F64(row.recovery_ms));
-                rec.counter(
-                    names::metric::EXCHANGED_BYTES,
-                    0,
-                    clock_us,
-                    row.exchanged_bytes as f64,
-                );
-                rec.counter(
-                    names::metric::RETRANSMITTED_BYTES,
-                    0,
-                    clock_us,
-                    row.retransmitted_bytes as f64,
-                );
-                rec.counter(names::metric::RETRY_MS, 0, clock_us, row.retry_ms);
-            }
-            rec.end_span(lvl_span, clock_us);
-
+            clock_us = t;
             if claimed == 0 {
                 break;
             }
@@ -873,32 +775,14 @@ impl<'g> GcdCluster<'g> {
                     frontier_count,
                     frontier_edges,
                 ));
-                if let Some(row) = stats.last_mut() {
-                    row.checkpointed = true;
-                }
                 clock_us = self.max_elapsed();
-                rec.span_attr(lvl_span, "checkpointed", AttrValue::Bool(true));
-                let ckpt_bytes = 4 * (n as u64 + frontier_count);
-                let ck = rec.begin_span(Some(run_span), names::span::CHECKPOINT, 0, ck_t0);
-                rec.span_attr(ck, "level", AttrValue::U64(u64::from(level)));
-                rec.span_attr(ck, "bytes", AttrValue::U64(ckpt_bytes));
-                rec.event(
-                    Some(ck),
-                    names::event::CHECKPOINT_TAKEN,
-                    0,
-                    clock_us,
-                    vec![
-                        ("level".into(), AttrValue::U64(u64::from(level))),
-                        ("bytes".into(), AttrValue::U64(ckpt_bytes)),
-                    ],
-                );
-                rec.end_span(ck, clock_us);
-                rec.counter(
-                    names::metric::CHECKPOINT_BYTES,
-                    0,
-                    clock_us,
-                    ckpt_bytes as f64,
-                );
+                if let Some(row) = stats.last_mut() {
+                    row.checkpoint = Some(CheckpointStats {
+                        start_us: ck_t0,
+                        end_us: clock_us,
+                        bytes: 4 * (n as u64 + frontier_count),
+                    });
+                }
             }
         }
 
@@ -921,26 +805,6 @@ impl<'g> GcdCluster<'g> {
         } else {
             0.0
         };
-        rec.span_attr(
-            run_span,
-            "depth",
-            AttrValue::U64(
-                stats
-                    .iter()
-                    .map(|l| u64::from(l.level) + 1)
-                    .max()
-                    .unwrap_or(0),
-            ),
-        );
-        rec.span_attr(run_span, "total_ms", AttrValue::F64(total_ms));
-        rec.span_attr(run_span, "traversed_edges", AttrValue::U64(traversed_edges));
-        rec.span_attr(run_span, "gteps", AttrValue::F64(gteps));
-        rec.span_attr(
-            run_span,
-            "recoveries",
-            AttrValue::U64(recoveries.len() as u64),
-        );
-        rec.end_span(run_span, total_us);
         Ok(ClusterRun {
             source,
             config: ClusterConfig {
@@ -956,7 +820,143 @@ impl<'g> GcdCluster<'g> {
             traversed_edges,
             gteps,
             gteps_per_gcd: gteps / initial_p as f64,
+            init_end_us,
         })
+    }
+
+    /// Render a finished run as its `run > {init, level > collective,
+    /// checkpoint, recovery}` span tree on the modeled cluster timeline
+    /// (max over GCD clocks), with fault/recovery/checkpoint events and
+    /// the frontier, byte and retry counter series. A pure function of
+    /// the record and this cluster's graph. Spans open in execution
+    /// order — level rows as stored, each recovery just ahead of its
+    /// `before_row`, a checkpoint right after the level that took it — so
+    /// ids, and every byte a sink renders from them, are stable.
+    pub fn trace_of(&self, run: &ClusterRun) -> Trace {
+        let rec = Recorder::new();
+        let alpha = run.config.alpha;
+        let edges = self.graph.num_edges();
+        let run_span = rec.begin_span(None, names::span::RUN, 0, 0.0);
+        let init_span = rec.begin_span(Some(run_span), names::span::INIT, 0, 0.0);
+        rec.end_span(init_span, run.init_end_us);
+
+        let mut recoveries = run.recoveries.iter().peekable();
+        for (i, row) in run.level_stats.iter().enumerate() {
+            while let Some(r) = recoveries.next_if(|r| r.before_row == i) {
+                rec.event(
+                    Some(run_span),
+                    names::event::FAULT_CRASH,
+                    r.dead_rank,
+                    r.crash_us,
+                    attrs!["rank" => r.dead_rank, "level" => r.detected_level],
+                );
+                let rspan = rec.begin_span(Some(run_span), names::span::RECOVERY, 0, r.crash_us);
+                rec.span_attrs(
+                    rspan,
+                    attrs![
+                        "dead_rank" => r.dead_rank,
+                        "policy" => r.policy.to_string(),
+                        "restored_level" => r.restored_level,
+                        "gcds_after" => r.gcds_after,
+                        "overhead_ms" => r.overhead_ms,
+                    ],
+                );
+                rec.event(
+                    Some(rspan),
+                    names::event::RECOVERY_RESTORE,
+                    0,
+                    r.resume_us,
+                    attrs!["restored_level" => r.restored_level],
+                );
+                rec.end_span(rspan, r.resume_us);
+                rec.counter(names::metric::RECOVERY_MS, 0, r.resume_us, r.overhead_ms);
+            }
+
+            let (t0, t1) = (row.start_us, row.end_us);
+            let ratio = row.frontier_edges as f64 / edges.max(1) as f64;
+            let (mode, exchange) = if row.bottom_up {
+                ("pull", "allgather")
+            } else {
+                ("push", "alltoall")
+            };
+            let counter = |name, ts, value| rec.counter(name, 0, ts, value);
+            let lvl_span = rec.begin_span(Some(run_span), names::span::LEVEL, 0, t0);
+            rec.event(
+                Some(lvl_span),
+                names::event::STRATEGY_CHOICE,
+                0,
+                t0,
+                attrs!["mode" => mode, "ratio" => ratio, "alpha" => alpha],
+            );
+            counter(names::metric::FRONTIER_SIZE, t0, row.frontier_count as f64);
+            counter(names::metric::FRONTIER_EDGES, t0, row.frontier_edges as f64);
+            counter(names::metric::FRONTIER_RATIO, t0, ratio);
+            let (exchanged, resent) = (row.exchanged_bytes, row.retransmitted_bytes);
+            collective_span(&rec, lvl_span, exchange, Some(exchanged), &row.exchange);
+            collective_span(&rec, lvl_span, "allreduce", None, &row.allreduce);
+            let mut summary = attrs![
+                "level" => row.level,
+                "attempt" => row.attempt,
+                "mode" => mode,
+                "frontier_count" => row.frontier_count,
+                "frontier_edges" => row.frontier_edges,
+                "exchanged_bytes" => exchanged,
+                "retransmitted_bytes" => resent,
+                "retry_ms" => row.retry_ms,
+                "recovery_ms" => row.recovery_ms,
+            ];
+            if row.checkpointed() {
+                summary.extend(attrs!["checkpointed" => true]);
+            }
+            rec.span_attrs(lvl_span, summary);
+            counter(names::metric::EXCHANGED_BYTES, t1, exchanged as f64);
+            counter(names::metric::RETRANSMITTED_BYTES, t1, resent as f64);
+            counter(names::metric::RETRY_MS, t1, row.retry_ms);
+            rec.end_span(lvl_span, t1);
+
+            if let Some(ck) = &row.checkpoint {
+                // The snapshot is the state at the start of the next
+                // level, which is the level its span and event name.
+                let taken = attrs!["level" => row.level + 1, "bytes" => ck.bytes];
+                let span = rec.begin_span(Some(run_span), names::span::CHECKPOINT, 0, ck.start_us);
+                rec.span_attrs(span, taken.clone());
+                rec.event(
+                    Some(span),
+                    names::event::CHECKPOINT_TAKEN,
+                    0,
+                    ck.end_us,
+                    taken,
+                );
+                rec.end_span(span, ck.end_us);
+                counter(names::metric::CHECKPOINT_BYTES, ck.end_us, ck.bytes as f64);
+            }
+        }
+
+        let mut summary = attrs![
+            "engine" => "xbfs-cluster",
+            "num_gcds" => run.config.num_gcds,
+            "source" => run.source,
+            "vertices" => run.levels.len(),
+            "edges" => edges,
+            "alpha" => alpha,
+            "push_only" => run.config.push_only,
+        ];
+        if !run.fault_plan.is_empty() {
+            summary.extend(attrs!["fault_plan" => run.fault_plan.to_spec()]);
+        }
+        let depth = run.level_stats.iter().map(|l| l.level + 1).max();
+        summary.extend(attrs![
+            "depth" => depth.unwrap_or(0),
+            "total_ms" => run.total_ms,
+            "traversed_edges" => run.traversed_edges,
+            "gteps" => run.gteps,
+            "recoveries" => run.recoveries.len(),
+        ]);
+        rec.span_attrs(run_span, summary);
+        // The run ends with its last level (the one that claimed nothing
+        // takes no checkpoint).
+        rec.end_span(run_span, run.level_stats.last().map_or(0.0, |l| l.end_us));
+        rec.finish()
     }
 
     /// Snapshot the global status array and frontier at the start of
@@ -1008,9 +1008,11 @@ impl<'g> GcdCluster<'g> {
         level: u32,
         faults: &FaultConfig,
         ckpt: &mut Option<Checkpoint>,
+        before_row: usize,
     ) -> Result<RecoveryReport, ClusterError> {
         let arch = ArchProfile::mi250x_gcd();
-        let t_detect = self.max_elapsed() + faults.retry.detection_us();
+        let crash_us = self.max_elapsed();
+        let t_detect = crash_us + faults.retry.detection_us();
 
         let gcds_after = match faults.recovery {
             RecoveryPolicy::PromoteSpare => {
@@ -1092,6 +1094,9 @@ impl<'g> GcdCluster<'g> {
             restored_level: restored.next_level,
             gcds_after,
             overhead_ms: (t_done - (t_detect - faults.retry.detection_us())) / 1000.0,
+            crash_us,
+            resume_us: t_done,
+            before_row,
         })
     }
 
@@ -1117,8 +1122,6 @@ impl<'g> GcdCluster<'g> {
         level: u32,
         frontier_lens: &[usize],
         faults: &FaultConfig,
-        rec: &Recorder,
-        lvl_span: SpanId,
     ) -> Result<LevelComm, ClusterError> {
         let Self {
             partition,
@@ -1171,9 +1174,8 @@ impl<'g> GcdCluster<'g> {
                 *cell = 4 * u64::from(r.counters.load(d));
             }
         }
-        let mut comm = LevelComm::default();
         let t0 = fleet_elapsed(ranks);
-        comm.expand_us = t0 - t_entry;
+        let (mut exchanged, mut retransmitted, mut retry_us) = (0u64, 0u64, 0.0f64);
         let mut t_end = t0;
         for (rank, sent) in send.iter().enumerate() {
             for (d, slot) in recv.iter_mut().enumerate() {
@@ -1181,9 +1183,9 @@ impl<'g> GcdCluster<'g> {
             }
             let cost = faulty_alltoall(link, &faults.plan, &faults.retry, level, rank, sent, recv)?;
             t_end = t_end.max(t0 + cost.time_us);
-            comm.exchanged += sent.iter().sum::<u64>();
-            comm.retransmitted += cost.retransmitted_bytes;
-            comm.retry_us = comm.retry_us.max(cost.retry_us);
+            exchanged += sent.iter().sum::<u64>();
+            retransmitted += cost.retransmitted_bytes;
+            retry_us = retry_us.max(cost.retry_us);
             // The all-to-all knows its sender: exact attribution.
             if let Some(h) = health.get_mut(rank) {
                 h.retransmitted_bytes += cost.retransmitted_bytes;
@@ -1191,30 +1193,6 @@ impl<'g> GcdCluster<'g> {
         }
         for r in ranks.iter() {
             r.device.advance_to(t_end);
-        }
-        if rec.is_enabled() {
-            let coll = rec.begin_span(Some(lvl_span), names::span::COLLECTIVE, 0, t0);
-            rec.span_attr(coll, "kind", AttrValue::Str("alltoall".into()));
-            rec.span_attr(coll, "bytes", AttrValue::U64(comm.exchanged));
-            rec.span_attr(
-                coll,
-                "retransmitted_bytes",
-                AttrValue::U64(comm.retransmitted),
-            );
-            rec.span_attr(coll, "retry_ms", AttrValue::F64(comm.retry_us / 1000.0));
-            rec.end_span(coll, t_end);
-            if comm.retransmitted > 0 {
-                rec.event(
-                    Some(coll),
-                    names::event::FAULT_RETRY,
-                    0,
-                    t_end,
-                    vec![
-                        ("kind".into(), AttrValue::Str("alltoall".into())),
-                        ("bytes".into(), AttrValue::U64(comm.retransmitted)),
-                    ],
-                );
-            }
         }
         // Deliver candidates into inboxes (data motion already charged).
         inbox_lens.fill(0);
@@ -1248,9 +1226,17 @@ impl<'g> GcdCluster<'g> {
                 |w| claim_kernel(w, r, part, level, p),
             );
         }
-        comm.exchange_us = t_end - t0;
-        comm.expand_us += fleet_elapsed(ranks) - t_end;
-        Ok(comm)
+        Ok(LevelComm {
+            exchanged,
+            exchange: CollectiveStats {
+                start_us: t0,
+                end_us: t_end,
+                retransmitted_bytes: retransmitted,
+                retry_ms: retry_us / 1000.0,
+            },
+            retry_us,
+            expand_us: (t0 - t_entry) + (fleet_elapsed(ranks) - t_end),
+        })
     }
 
     /// Bottom-up pull level.
@@ -1259,8 +1245,6 @@ impl<'g> GcdCluster<'g> {
         level: u32,
         frontier_lens: &[usize],
         faults: &FaultConfig,
-        rec: &Recorder,
-        lvl_span: SpanId,
     ) -> Result<LevelComm, ClusterError> {
         let Self {
             graph,
@@ -1317,30 +1301,6 @@ impl<'g> GcdCluster<'g> {
             r.device.advance_to(t);
         }
         Self::spread_retransmits(health, p, cost.retransmitted_bytes);
-        if rec.is_enabled() {
-            let coll = rec.begin_span(Some(lvl_span), names::span::COLLECTIVE, 0, ag_t0);
-            rec.span_attr(coll, "kind", AttrValue::Str("allgather".into()));
-            rec.span_attr(coll, "bytes", AttrValue::U64(slice_bytes * p as u64));
-            rec.span_attr(
-                coll,
-                "retransmitted_bytes",
-                AttrValue::U64(cost.retransmitted_bytes),
-            );
-            rec.span_attr(coll, "retry_ms", AttrValue::F64(cost.retry_us / 1000.0));
-            rec.end_span(coll, t);
-            if cost.retransmitted_bytes > 0 {
-                rec.event(
-                    Some(coll),
-                    names::event::FAULT_RETRY,
-                    0,
-                    t,
-                    vec![
-                        ("kind".into(), AttrValue::Str("allgather".into())),
-                        ("bytes".into(), AttrValue::U64(cost.retransmitted_bytes)),
-                    ],
-                );
-            }
-        }
         // Merge host-side (motion already charged): OR all slices together,
         // word by word into the reused scratch buffer (no per-level Vec).
         let merged = &mut scratch.merged;
@@ -1369,11 +1329,41 @@ impl<'g> GcdCluster<'g> {
         }
         Ok(LevelComm {
             exchanged: slice_bytes * p as u64,
-            retransmitted: cost.retransmitted_bytes,
+            exchange: CollectiveStats {
+                start_us: ag_t0,
+                end_us: t,
+                retransmitted_bytes: cost.retransmitted_bytes,
+                retry_ms: cost.retry_us / 1000.0,
+            },
             retry_us: cost.retry_us,
             expand_us: (ag_t0 - t_entry) + (fleet_elapsed(ranks) - t),
-            exchange_us: t - ag_t0,
         })
+    }
+}
+
+/// One collective as a child span of its level, plus the `fault.retry`
+/// event when the retry layer had to resend ([`GcdCluster::trace_of`]).
+fn collective_span(
+    rec: &Recorder,
+    lvl_span: SpanId,
+    kind: &str,
+    bytes: Option<u64>,
+    c: &CollectiveStats,
+) {
+    let span = rec.begin_span(Some(lvl_span), names::span::COLLECTIVE, 0, c.start_us);
+    let mut list = attrs!["kind" => kind];
+    if let Some(bytes) = bytes {
+        list.extend(attrs!["bytes" => bytes]);
+    }
+    list.extend(attrs![
+        "retransmitted_bytes" => c.retransmitted_bytes,
+        "retry_ms" => c.retry_ms,
+    ]);
+    rec.span_attrs(span, list);
+    rec.end_span(span, c.end_us);
+    if c.retransmitted_bytes > 0 {
+        let resent = attrs!["kind" => kind, "bytes" => c.retransmitted_bytes];
+        rec.event(Some(span), names::event::FAULT_RETRY, 0, c.end_us, resent);
     }
 }
 
@@ -1641,7 +1631,7 @@ impl Engine for GcdCluster<'_> {
                 ))
             }
         }
-        let run = self.run_with(source, &faults, req.trace, req.deadline_ms)?;
+        let run = self.run_with(source, &faults, req.deadline_ms)?;
         let certify_wall_ms = if req.verify {
             let started = std::time::Instant::now();
             xbfs_graph::validate_bfs_levels(self.graph, source, &run.levels).map_err(|e| {
@@ -1698,7 +1688,7 @@ mod tests {
         src: u32,
         faults: &FaultConfig,
     ) -> Result<ClusterRun, ClusterError> {
-        cluster.run_with(src, faults, &Recorder::disabled(), None)
+        cluster.run_with(src, faults, None)
     }
 
     #[test]
@@ -1952,7 +1942,7 @@ mod tests {
         let flagged: Vec<u32> = run
             .level_stats
             .iter()
-            .filter(|l| l.checkpointed)
+            .filter(|l| l.checkpointed())
             .map(|l| l.level)
             .collect();
         assert!(!flagged.is_empty(), "expected checkpoints every 2 levels");
@@ -1973,9 +1963,8 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let clean = cluster.run(1).unwrap();
         assert!(clean.level_stats.len() > 2, "need a multi-level run");
-        let rec = Recorder::disabled();
         let err = cluster
-            .run_with(1, &FaultConfig::none(), &rec, Some(clean.total_ms / 100.0))
+            .run_with(1, &FaultConfig::none(), Some(clean.total_ms / 100.0))
             .unwrap_err();
         match err {
             ClusterError::DeadlineExceeded {
@@ -1993,7 +1982,7 @@ mod tests {
         assert_eq!(again.levels, clean.levels);
         // A generous budget behaves exactly like no budget at all.
         let roomy = cluster
-            .run_with(1, &FaultConfig::none(), &rec, Some(clean.total_ms * 100.0))
+            .run_with(1, &FaultConfig::none(), Some(clean.total_ms * 100.0))
             .unwrap();
         assert_eq!(roomy.levels, clean.levels);
         assert_eq!(roomy.result_digest(), clean.result_digest());
@@ -2008,11 +1997,10 @@ mod tests {
         };
         let clean = check(&g, cfg, 1);
         let faults = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
-        let rec = Recorder::disabled();
         // Generous budget: the crash is recovered *within* it.
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let run = cluster
-            .run_with(1, &faults, &rec, Some(clean.total_ms * 100.0))
+            .run_with(1, &faults, Some(clean.total_ms * 100.0))
             .unwrap();
         assert_eq!(run.recoveries.len(), 1);
         assert_eq!(run.levels, clean.levels, "recovered within the budget");
@@ -2020,7 +2008,7 @@ mod tests {
         // recovery: the run aborts typed instead of overrunning.
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let err = cluster
-            .run_with(1, &faults, &rec, Some(clean.total_ms * 0.2))
+            .run_with(1, &faults, Some(clean.total_ms * 0.2))
             .unwrap_err();
         assert!(
             matches!(err, ClusterError::DeadlineExceeded { .. }),

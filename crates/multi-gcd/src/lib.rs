@@ -29,7 +29,8 @@ pub mod interconnect;
 pub mod partition;
 
 pub use bfs::{
-    ClusterConfig, ClusterLevelStats, ClusterRun, GcdCluster, RankHealth, RecoveryReport,
+    CheckpointStats, ClusterConfig, ClusterLevelStats, ClusterRun, CollectiveStats, GcdCluster,
+    RankHealth, RecoveryReport,
 };
 pub use error::ClusterError;
 pub use faults::{FaultConfig, FaultEvent, FaultPlan, RecoveryPolicy, RetryPolicy};

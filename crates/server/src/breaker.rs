@@ -121,25 +121,18 @@ impl CircuitBreaker {
         should_trip
     }
 
-    /// Times the breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.lock().trips
-    }
-
-    /// Current state as a stable gauge code: 0 = closed, 1 = half-open,
-    /// 2 = open.
-    pub fn state_code(&self) -> u8 {
-        match self.lock().state {
+    /// `(state, transitions, trips)` read under one lock, so a scrape never
+    /// shows an open breaker without the trip that opened it. `state` is a
+    /// stable gauge code (0 = closed, 1 = half-open, 2 = open);
+    /// `transitions` counts state-kind changes in any direction.
+    pub fn sample(&self) -> (u8, u64, u64) {
+        let g = self.lock();
+        let state = match g.state {
             State::Closed => 0,
             State::HalfOpen { .. } => 1,
             State::Open { .. } => 2,
-        }
-    }
-
-    /// State-kind changes since creation (closed ↔ open ↔ half-open in
-    /// any direction) — the live-plane transition counter.
-    pub fn transitions(&self) -> u64 {
-        self.lock().transitions
+        };
+        (state, g.transitions, g.trips)
     }
 }
 
@@ -153,7 +146,7 @@ mod tests {
         assert!(!b.record_failure());
         assert!(!b.record_failure());
         assert!(b.record_failure());
-        assert_eq!(b.trips(), 1);
+        assert_eq!(b.sample(), (2, 1, 1));
         assert!(b.admit().is_err());
     }
 
@@ -173,7 +166,7 @@ mod tests {
         assert!(b.admit().is_ok(), "post-cooldown admit is the probe");
         b.record_success();
         assert!(b.admit().is_ok());
-        assert_eq!(b.state_code(), 0);
+        assert_eq!(b.sample(), (0, 3, 1));
     }
 
     #[test]
@@ -182,25 +175,49 @@ mod tests {
         b.record_failure();
         assert!(b.admit().is_ok());
         assert!(b.record_failure(), "failed probe re-trips");
-        assert_eq!(b.trips(), 2);
+        assert_eq!(b.sample(), (2, 3, 2));
     }
 
     #[test]
     fn state_codes_and_transitions_track_the_lifecycle() {
         let b = CircuitBreaker::new(1, 0);
-        assert_eq!(b.state_code(), 0);
-        assert_eq!(b.transitions(), 0);
+        assert_eq!(b.sample(), (0, 0, 0));
         assert!(b.record_failure()); // closed -> open
-        assert_eq!(b.state_code(), 2);
-        assert_eq!(b.transitions(), 1);
+        assert_eq!(b.sample(), (2, 1, 1));
         assert!(b.admit().is_ok()); // open -> half-open (probe)
-        assert_eq!(b.state_code(), 1);
-        assert_eq!(b.transitions(), 2);
+        assert_eq!(b.sample(), (1, 2, 1));
         b.record_success(); // half-open -> closed
-        assert_eq!(b.state_code(), 0);
-        assert_eq!(b.transitions(), 3);
+        assert_eq!(b.sample(), (0, 3, 1));
         // Redundant success: no state-kind change, no transition.
         b.record_success();
-        assert_eq!(b.transitions(), 3);
+        assert_eq!(b.sample(), (0, 3, 1));
+    }
+
+    #[test]
+    fn a_sample_is_never_torn() {
+        // Threshold 1 and no admits: every failure is closed -> open (a
+        // trip and a transition), every success open -> closed, so at any
+        // instant `transitions == 2 * trips - [open]`. A sample pieced
+        // together from separate lock acquisitions breaks that (trips from
+        // after a failure, state and transitions from before it).
+        let b = CircuitBreaker::new(1, 10_000);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let flipper = scope.spawn(|| {
+                start.wait();
+                for _ in 0..20_000 {
+                    b.record_failure();
+                    b.record_success();
+                }
+            });
+            start.wait();
+            while !flipper.is_finished() {
+                let sample @ (state, transitions, trips) = b.sample();
+                let open = u64::from(state == 2);
+                assert!(trips >= open && transitions >= open, "{sample:?}");
+                assert_eq!(transitions, 2 * trips - open, "{sample:?}");
+            }
+        });
+        assert_eq!(b.sample(), (0, 40_000, 20_000));
     }
 }

@@ -489,6 +489,7 @@ mod tests {
             total_ms: 1.5,
             traversed_edges: 6,
             gteps: 0.004,
+            init_end_us: 0.0,
         };
         let line = ok_line(9, &run, true, 3.25, 2);
         // The wire format, byte for byte (captured before the three
@@ -524,6 +525,7 @@ mod tests {
             traversed_edges: 8,
             gteps: 0.003,
             gteps_per_gcd: 0.0004,
+            init_end_us: 0.0,
         };
         let line = slot_ok_line(11, &run.answer(), run.total_ms, true, 1.5, 1, None, Some(3));
         assert_eq!(
@@ -594,6 +596,7 @@ mod tests {
             total_ms: 1.5,
             traversed_edges: 6,
             gteps: 0.004,
+            init_end_us: 0.0,
         };
         let line = mark_deduped(&ok_line(9, &run, true, 3.25, 1));
         let s = parse_response(&line).unwrap();

@@ -46,8 +46,8 @@ pub enum Admission {
 
 /// Counters the queue maintains under its own lock: its own invariants
 /// (and the shed hint's spreading). Of these the server's books sample
-/// only `max_depth`; admission outcomes are counted once, at the
-/// decision sites, in the metrics registry.
+/// only `depth` and `max_depth`, in one reading; admission outcomes are
+/// counted once, at the decision sites, in the metrics registry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
     /// Requests admitted (tickets issued).
@@ -58,6 +58,8 @@ pub struct QueueStats {
     pub rejected_draining: u64,
     /// Deepest backlog ever observed.
     pub max_depth: usize,
+    /// Backlog depth at the moment of the snapshot.
+    pub depth: usize,
 }
 
 struct Inner<T> {
@@ -215,14 +217,13 @@ impl<T> AdmissionQueue<T> {
         self.lock().q.len()
     }
 
-    /// Current lifecycle state.
-    pub fn state(&self) -> QueueState {
-        self.lock().state
-    }
-
-    /// Snapshot of the admission counters.
+    /// Snapshot of the admission counters and the current depth.
     pub fn stats(&self) -> QueueStats {
-        self.lock().stats
+        let g = self.lock();
+        QueueStats {
+            depth: g.q.len(),
+            ..g.stats
+        }
     }
 }
 

@@ -197,12 +197,13 @@ impl Shared {
     /// scraping thread; workers are never stopped or signaled.
     pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let m = &self.metrics;
-        m.breaker_state.set(f64::from(self.breaker.state_code()));
-        m.breaker_transitions.raise_to(self.breaker.transitions());
-        m.breaker_trips.raise_to(self.breaker.trips());
-        m.queue_depth.set(self.queue.depth() as f64);
-        m.max_queue_depth
-            .raise_to(self.queue.stats().max_depth as f64);
+        let (state, transitions, trips) = self.breaker.sample();
+        m.breaker_state.set(f64::from(state));
+        m.breaker_transitions.raise_to(transitions);
+        m.breaker_trips.raise_to(trips);
+        let queue = self.queue.stats();
+        m.queue_depth.set(queue.depth as f64);
+        m.max_queue_depth.raise_to(queue.max_depth as f64);
         if let Some(j) = &self.journal {
             m.journal_appends.raise_to(j.appends());
             m.journal_fsyncs.raise_to(j.fsyncs());

@@ -46,7 +46,7 @@ use xbfs_core::{
 };
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
-use xbfs_telemetry::{names, AttrValue, Recorder, SpanId};
+use xbfs_telemetry::{names, AttrValue, SpanId};
 
 use crate::chaos::ChaosAction;
 use crate::metrics::{status_idx, WORKER_IDLE, WORKER_QUARANTINED, WORKER_RUNNING};
@@ -433,7 +433,6 @@ fn run_members<'g>(
         plan: &flip_plan,
         salt: ticket,
     };
-    let untraced = Recorder::disabled();
     let every = |status: &'static str, attempts: u32, line: &dyn Fn(&Member) -> String| {
         for mb in &members {
             finish_member(shared, worker, mb, status, line(mb), attempts);
@@ -483,7 +482,6 @@ fn run_members<'g>(
             deadline_ms,
             verify,
             inject,
-            trace: &untraced,
         };
         // Batch-width servers stamp how many shared the run on every
         // `ok`, coalesced or solo.

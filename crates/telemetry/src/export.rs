@@ -277,16 +277,26 @@ impl TraceSink for TableSink {
                     Some(AttrValue::F64(v)) => Some(*v),
                     _ => None,
                 })
-                .sum::<f64>();
+                // Not `.sum()`: an empty f64 sum is -0.0, and a cluster
+                // level has no kernel spans.
+                .fold(0.0, |acc, v| acc + v);
+            // The cluster engine puts the ratio on the level's
+            // strategy-choice event, not on the span.
+            let ratio = s.attr("ratio").or_else(|| {
+                trace
+                    .events_named(names::event::STRATEGY_CHOICE)
+                    .find(|e| e.span == s.id)
+                    .and_then(|e| e.attr("ratio"))
+            });
             out.push_str(&format!(
                 "{:>5} {:>12} {:>12} {:>14} {:>12} {:>10.4} {:>10.1}  {}\n",
                 attr_str(s, "level"),
                 mode,
                 attr_str(s, "frontier_count"),
                 attr_str(s, "frontier_edges"),
-                {
-                    let r = attr_str(s, "ratio");
-                    r.parse::<f64>().map(|r| format!("{r:.3e}")).unwrap_or(r)
+                match ratio {
+                    Some(AttrValue::F64(r)) => format!("{r:.3e}"),
+                    _ => String::new(),
                 },
                 s.dur_us() / 1000.0,
                 fetch,
@@ -448,6 +458,27 @@ mod tests {
         let table = TableSink.export(&t);
         assert!(table.contains("scan-free"), "{table}");
         assert!(table.contains("total"), "{table}");
+
+        // A cluster level: no kernel children, ratio on the event only.
+        let rec = Recorder::new();
+        let run = rec.begin_span(None, names::span::RUN, 0, 0.0);
+        let lvl = rec.begin_span(Some(run), names::span::LEVEL, 0, 0.0);
+        rec.event(
+            Some(lvl),
+            names::event::STRATEGY_CHOICE,
+            0,
+            0.0,
+            vec![("ratio".into(), AttrValue::F64(0.25))],
+        );
+        rec.span_attr(lvl, "level", AttrValue::U64(0));
+        rec.span_attr(lvl, "mode", AttrValue::Str("pull".into()));
+        rec.end_span(lvl, 44.0);
+        rec.end_span(run, 44.0);
+        let table = TableSink.export(&rec.finish());
+        let row = table.lines().nth(1).expect("one level row");
+        assert!(row.contains("pull") && row.contains("2.500e-1"), "{row}");
+        assert!(row.trim_end().ends_with(" 0.0"), "{row}");
+        assert!(!table.contains("-0.0"), "{table}");
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! The paper's evaluation is built on *explaining* where BFS time goes:
 //! per-level strategy choices driven by the frontier edge ratio `r`,
 //! queue-generation cost, and rocprofiler counter rows per kernel. This
-//! crate provides the structured-telemetry layer that every engine in the
-//! workspace reports through:
+//! crate provides the structured-telemetry layer a finished run is rendered
+//! into (`trace_of`) and that `sweep` and `serve` record through live:
 //!
 //! * **Spans** ([`Recorder`], [`SpanRecord`]) — hierarchical timed regions
 //!   (`run > level > {expand, queue_gen, scan, collective, checkpoint,
@@ -23,8 +23,8 @@
 //!   document the workspace parses or emits (it has no serialization dependency).
 //!
 //! The disabled recorder ([`Recorder::disabled`]) is a no-op sink: every
-//! recording call is a single relaxed atomic load, which keeps untraced
-//! runs effectively free.
+//! recording call is a single relaxed atomic load, which keeps an untraced
+//! `sweep` or `serve` effectively free.
 //!
 //! # Quick start
 //!
@@ -77,8 +77,6 @@ pub mod names {
         pub const EXPAND: &str = "expand";
         /// Frontier-queue generation scan (single-scan kernel 1).
         pub const QUEUE_GEN: &str = "queue_gen";
-        /// Status scan phases of the bottom-up double scan.
-        pub const SCAN: &str = "scan";
         /// A collective (all-to-all / allgather / allreduce) on the fabric.
         pub const COLLECTIVE: &str = "collective";
         /// Level-synchronous checkpoint snapshot.

@@ -52,6 +52,32 @@ impl AttrValue {
     }
 }
 
+macro_rules! attr_from {
+    ($($t:ty => $variant:ident),*) => {$(
+        impl From<$t> for AttrValue {
+            fn from(v: $t) -> Self {
+                AttrValue::$variant(v.into())
+            }
+        }
+    )*};
+}
+attr_from!(u64 => U64, u32 => U64, f64 => F64, bool => Bool, String => Str, &str => Str);
+
+impl From<usize> for AttrValue {
+    fn from(v: usize) -> Self {
+        AttrValue::U64(v as u64)
+    }
+}
+
+/// An [`Attrs`] list written as a table: `attrs!["level" => 3u32,
+/// "mode" => "pull"]`. Values go through `AttrValue::from`.
+#[macro_export]
+macro_rules! attrs {
+    ($($key:literal => $value:expr),* $(,)?) => {
+        vec![$(($key.to_string(), $crate::AttrValue::from($value))),*]
+    };
+}
+
 impl std::fmt::Display for AttrValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -143,8 +169,9 @@ struct Inner {
 ///
 /// A `Recorder` is either *enabled* (every call appends to the trace) or
 /// *disabled* (every call returns after one relaxed atomic load — the
-/// "no-op sink" that keeps untraced runs effectively free). The engines
-/// take `&Recorder`, so one recorder can be shared across ranks/threads.
+/// "no-op sink" that keeps an untraced `sweep` or `serve` effectively
+/// free). Methods take `&self`, so one recorder can be shared across
+/// threads.
 pub struct Recorder {
     enabled: AtomicBool,
     inner: Mutex<Inner>,
@@ -220,6 +247,16 @@ impl Recorder {
         }
     }
 
+    /// Attach a list of attributes, in order.
+    pub fn span_attrs(&self, id: SpanId, attrs: Attrs) {
+        if !self.is_enabled() || id.is_none() {
+            return;
+        }
+        if let Some(s) = self.lock().spans.get_mut(id.0 as usize - 1) {
+            s.attrs.extend(attrs);
+        }
+    }
+
     /// Close a span at `end_us`.
     pub fn end_span(&self, id: SpanId, end_us: f64) {
         if !self.is_enabled() || id.is_none() {
@@ -270,7 +307,7 @@ impl Recorder {
 }
 
 /// An immutable snapshot of everything a [`Recorder`] collected.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// Spans in id order (id = index + 1).
     pub spans: Vec<SpanRecord>,

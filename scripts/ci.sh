@@ -77,6 +77,15 @@ telemetry() {
   "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 --inject-faults crash@1:rank1 \
     --checkpoint-every 1 --trace json:- > "$SMOKE/cluster_trace.json"
   "$XBFS" trace summarize "$SMOKE/cluster_trace.json" | grep -q '1 recoveries'
+  # the same run as a table: a cluster level has no kernel spans, and an
+  # empty f64 sum must still print as 0.0
+  "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 --inject-faults crash@1:rank1 \
+    --checkpoint-every 1 --trace table:- 2> /dev/null > "$SMOKE/cluster_table.txt"
+  grep -q 'recoveries: 1' "$SMOKE/cluster_table.txt"
+  if grep -q -e '-0\.0' "$SMOKE/cluster_table.txt"; then
+    echo "cluster trace table prints -0.0" >&2
+    exit 1
+  fi
 }
 
 sweep() {

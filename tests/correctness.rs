@@ -16,7 +16,6 @@ use xbfs_graph::reference::{bfs_levels_frontier, bfs_levels_serial};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::{rearrange_by_degree, Csr, Dataset, RearrangeOrder};
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
-use xbfs_telemetry::Recorder;
 
 const SHIFT: u32 = 11; // tiny analogs: keep the full matrix fast
 
@@ -184,7 +183,6 @@ fn every_engine_answers_every_request_like_the_reference() {
             undirected(8, [(1, 2), (2, 3), (3, 1)]),
         ),
     ];
-    let rec = Recorder::disabled();
     for (input, sources, g) in &inputs {
         let reference: Vec<Vec<u32>> = sources.iter().map(|&s| bfs_levels_serial(g, s)).collect();
         for (name, mut engine) in every_engine(g) {
@@ -204,7 +202,7 @@ fn every_engine_answers_every_request_like_the_reference() {
                         );
                     }
                 };
-                let plain = RunRequest::plain(chunk, &rec);
+                let plain = RunRequest::plain(chunk);
                 check(&mut *engine, plain);
                 check(
                     &mut *engine,

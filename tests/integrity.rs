@@ -42,8 +42,7 @@ fn certified(
     source: u32,
     sabotage: Option<&Sabotage<'_>>,
 ) -> Result<(BfsRun, Certificate), XbfsError> {
-    let rec = xbfs_telemetry::Recorder::disabled();
-    let (run, cert) = xbfs.run_with(source, &rec, sabotage, None, true)?;
+    let (run, cert) = xbfs.run_with(source, sabotage, None, true)?;
     Ok((run, cert.expect("verify yields a certificate")))
 }
 

@@ -12,7 +12,6 @@ use xbfs_graph::{validate_bfs_levels, Csr};
 use xbfs_multi_gcd::{
     ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel, RecoveryPolicy,
 };
-use xbfs_telemetry::Recorder;
 
 fn arb_graph_and_source() -> impl Strategy<Value = (Csr, u32)> {
     (2usize..60).prop_flat_map(|n| {
@@ -64,7 +63,7 @@ proptest! {
         };
         let mut cluster = cluster_for(&g, num_gcds);
         let run = cluster
-            .run_with(src, &faults, &Recorder::disabled(), None)
+            .run_with(src, &faults, None)
             .expect("random plans are recoverable");
         prop_assert_eq!(&run.levels, &expect, "seed {} plan {}", seed, faults.plan.to_spec());
         prop_assert!(validate_bfs_levels(&g, src, &run.levels).is_ok());
@@ -91,7 +90,7 @@ proptest! {
         };
         let mut cluster = cluster_for(&g, 3);
         let run = cluster
-            .run_with(src, &faults, &Recorder::disabled(), None)
+            .run_with(src, &faults, None)
             .expect("spare rank makes every crash recoverable");
         prop_assert_eq!(&run.levels, &clean.levels);
         let crash_fires = clean.level_stats.iter().any(|s| s.level >= crash_level);
@@ -116,12 +115,12 @@ proptest! {
             plan: FaultPlan::random(seed, 3, 8),
             ..FaultConfig::default()
         };
-        let a = cluster_for(&g, 3).run_with(src, &faults, &Recorder::disabled(), None).expect("recoverable");
+        let a = cluster_for(&g, 3).run_with(src, &faults, None).expect("recoverable");
         let replayed = FaultConfig {
             plan: FaultPlan::parse(&a.fault_plan.to_spec()).expect("exported spec parses"),
             ..FaultConfig::default()
         };
-        let b = cluster_for(&g, 3).run_with(src, &replayed, &Recorder::disabled(), None).expect("recoverable");
+        let b = cluster_for(&g, 3).run_with(src, &replayed, None).expect("recoverable");
         prop_assert_eq!(&a.levels, &b.levels);
         prop_assert_eq!(a.total_ms, b.total_ms);
     }

@@ -1,16 +1,37 @@
-//! End-to-end telemetry: traced single-GCD and cluster runs produce
-//! well-formed span trees that cover every BFS level, and instrumentation
-//! never changes the modeled results — a traced run, an untraced run and a
-//! run with a disabled recorder are bit-identical.
+//! End-to-end telemetry: a trace is a rendering of the run record. The
+//! engines record nothing while they run; `Xbfs::trace_of` and
+//! `GcdCluster::trace_of` turn a finished record into a well-formed span
+//! tree that covers every BFS level, deterministically, and the bytes the
+//! sinks render from it are pinned against the build that still narrated
+//! runs live into a `Recorder`.
 
-use gcd_sim::Device;
-use xbfs_core::{Xbfs, XbfsConfig};
+use gcd_sim::{fnv1a, ArchProfile, Device, ExecMode};
+use xbfs_core::{Strategy, Xbfs, XbfsConfig};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_multi_gcd::{ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel};
-use xbfs_telemetry::{names, AttrValue, Recorder};
+use xbfs_telemetry::{names, AttrValue, Trace, TraceFormat};
 
 fn small_rmat() -> xbfs_graph::Csr {
     rmat_graph(RmatParams::graph500(12), 7)
+}
+
+const FOUR_RANKS: ClusterConfig = ClusterConfig {
+    num_gcds: 4,
+    alpha: 0.1,
+    push_only: false,
+};
+
+/// `spec` as a fault schedule checkpointing every level (fault-free and
+/// no checkpoints when empty).
+fn faults(spec: &str) -> FaultConfig {
+    if spec.is_empty() {
+        return FaultConfig::none();
+    }
+    FaultConfig {
+        plan: FaultPlan::parse(spec).unwrap(),
+        checkpoint_every: 1,
+        ..FaultConfig::default()
+    }
 }
 
 #[test]
@@ -23,16 +44,15 @@ fn traced_single_gcd_run_covers_every_level_and_matches_untraced() {
 
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
-    let rec = Recorder::new();
-    let (traced, _) = xbfs2.run_with(0, &rec, None, None, false).unwrap();
+    let (traced, _) = xbfs2.run_with(0, None, None, false).unwrap();
+    let trace = xbfs2.trace_of(&traced);
 
-    // Instrumentation must not perturb the modeled run.
+    // The run a trace is rendered from is the run everyone else gets.
     assert_eq!(plain.levels, traced.levels);
     assert_eq!(plain.traversed_edges, traced.traversed_edges);
     assert!((plain.total_ms - traced.total_ms).abs() < 1e-12);
     assert!((plain.gteps - traced.gteps).abs() < 1e-12);
 
-    let trace = rec.finish();
     trace.well_formed().expect("trace must be well-formed");
 
     // Exactly one run root, one level span per BFS level, nested kernels.
@@ -66,52 +86,20 @@ fn traced_single_gcd_run_covers_every_level_and_matches_untraced() {
 }
 
 #[test]
-fn disabled_recorder_records_nothing_and_changes_nothing() {
-    let g = small_rmat();
-    let dev = Device::mi250x();
-    let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
-    let plain = xbfs.run(3).unwrap();
-
-    let dev2 = Device::mi250x();
-    let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
-    let off = Recorder::disabled();
-    let (run, _) = xbfs2.run_with(3, &off, None, None, false).unwrap();
-
-    assert_eq!(plain.levels, run.levels);
-    assert!((plain.total_ms - run.total_ms).abs() < 1e-12);
-    let trace = off.finish();
-    assert_eq!(trace.spans.len(), 0);
-    assert_eq!(trace.events.len(), 0);
-    assert_eq!(trace.counters.len(), 0);
-}
-
-#[test]
 fn traced_faulted_cluster_run_records_recovery_and_matches_untraced() {
     let g = small_rmat();
-    let cfg = ClusterConfig {
-        num_gcds: 4,
-        alpha: 0.1,
-        push_only: false,
-    };
-    let faults = FaultConfig {
-        plan: FaultPlan::parse("crash@1:rank1").unwrap(),
-        checkpoint_every: 1,
-        ..FaultConfig::default()
-    };
+    let faults = faults("crash@1:rank1");
 
-    let mut plain_cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-    let plain = plain_cluster
-        .run_with(0, &faults, &Recorder::disabled(), None)
-        .unwrap();
+    let mut plain_cluster = GcdCluster::new(&g, FOUR_RANKS, LinkModel::frontier()).unwrap();
+    let plain = plain_cluster.run_with(0, &faults, None).unwrap();
 
-    let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-    let rec = Recorder::new();
-    let run = cluster.run_with(0, &faults, &rec, None).unwrap();
+    let mut cluster = GcdCluster::new(&g, FOUR_RANKS, LinkModel::frontier()).unwrap();
+    let run = cluster.run_with(0, &faults, None).unwrap();
+    let trace = cluster.trace_of(&run);
 
     assert_eq!(plain.levels, run.levels);
     assert!((plain.total_ms - run.total_ms).abs() < 1e-12);
 
-    let trace = rec.finish();
     trace
         .well_formed()
         .expect("cluster trace must be well-formed");
@@ -144,4 +132,101 @@ fn traced_faulted_cluster_run_records_recovery_and_matches_untraced() {
         Some(AttrValue::U64(n)) => assert_eq!(*n as usize, run.recoveries.len()),
         other => panic!("run span missing recoveries attr: {other:?}"),
     }
+}
+
+/// FNV-1a digests of the `json:` and `chrome:` renderings.
+fn rendered(trace: &Trace) -> [u64; 2] {
+    [TraceFormat::Json, TraceFormat::Chrome]
+        .map(|fmt| fnv1a(fmt.sink().export(trace).bytes().map(u64::from)))
+}
+
+#[test]
+fn trace_bytes_match_golden() {
+    // Captured at the parent of the change that introduced `trace_of`,
+    // where the engines wrote these spans into a live `Recorder` as they
+    // ran. Span ids, attribute order, events and counter series are all in
+    // the bytes: a digest that moves means `trace_of` replays differently.
+    // Do not re-record to make it pass.
+    let g = small_rmat();
+
+    let dev = Device::mi250x();
+    let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
+    let adaptive = xbfs.trace_of(&xbfs.run(0).unwrap());
+    assert_eq!(
+        rendered(&adaptive),
+        [0x99375b2524e154db, 0xab14a53b1a329d94],
+        "adaptive, functional"
+    );
+
+    let cfg = XbfsConfig::forced(Strategy::BottomUp);
+    let dev = Device::new(
+        ArchProfile::mi250x_gcd(),
+        ExecMode::Timing,
+        cfg.required_streams(),
+    );
+    let xbfs = Xbfs::new(&dev, &g, cfg).unwrap();
+    let bottom_up = xbfs.trace_of(&xbfs.run(0).unwrap());
+    assert_eq!(
+        rendered(&bottom_up),
+        [0xcc2241c7f5510b86, 0xeca60eb2f3726d25],
+        "forced bottom-up, timing"
+    );
+
+    for (spec, golden) in [
+        ("", [0xc22426ae4e0ba45a, 0x8d4297961283b7f1]),
+        (
+            "crash@1:rank1,drop@0:0-1x2",
+            [0xad1d24f417712365, 0xb38653a74c82b14a],
+        ),
+    ] {
+        let mut cluster = GcdCluster::new(&g, FOUR_RANKS, LinkModel::frontier()).unwrap();
+        let run = cluster.run_with(0, &faults(spec), None).unwrap();
+        assert_eq!(
+            rendered(&cluster.trace_of(&run)),
+            golden,
+            "4 ranks, {spec:?}"
+        );
+    }
+}
+
+#[test]
+fn trace_of_is_a_pure_function_of_the_record() {
+    let g = small_rmat();
+    let count = |t: &Trace, name: &str| t.spans_named(name).count();
+
+    let dev = Device::mi250x();
+    let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
+    let run = xbfs.run(0).unwrap();
+    let trace = xbfs.trace_of(&run);
+    trace.well_formed().expect("well-formed");
+    assert_eq!(count(&trace, names::span::LEVEL), run.level_stats.len());
+    // The engine has moved on to another run; the record has not.
+    xbfs.run(5).unwrap();
+    assert_eq!(xbfs.trace_of(&run), trace);
+
+    // A crash late enough that levels are re-executed: the recovery has
+    // to land between the right two level rows.
+    let late_crash = FaultConfig {
+        checkpoint_every: 3,
+        ..faults("crash@2:rank1,drop@0:0-1x2")
+    };
+    let mut cluster = GcdCluster::new(&g, FOUR_RANKS, LinkModel::frontier()).unwrap();
+    let run = cluster.run_with(0, &late_crash, None).unwrap();
+    let trace = cluster.trace_of(&run);
+    trace.well_formed().expect("well-formed");
+    let rows = &run.level_stats;
+    assert!(rows.iter().any(|l| l.attempt > 0), "levels re-executed");
+    assert_eq!(count(&trace, names::span::LEVEL), rows.len());
+    assert_eq!(count(&trace, names::span::COLLECTIVE), 2 * rows.len());
+    assert_eq!(
+        count(&trace, names::span::CHECKPOINT),
+        rows.iter().filter(|l| l.checkpointed()).count()
+    );
+    assert_eq!(count(&trace, names::span::RECOVERY), run.recoveries.len());
+    let recovery = trace.spans_named(names::span::RECOVERY).next().unwrap();
+    let resumed = &rows[run.recoveries[0].before_row];
+    assert_eq!((resumed.level, resumed.attempt), (0, 1));
+    assert_eq!(recovery.end_us, Some(resumed.start_us));
+    cluster.run(5).unwrap();
+    assert_eq!(cluster.trace_of(&run), trace);
 }
