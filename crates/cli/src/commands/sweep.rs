@@ -1,0 +1,475 @@
+//! `xbfs sweep`: N searches from random keys, each checked against a
+//! reference — the Graph500 harness. One pass function drives the job
+//! through whatever [`Engine`] it is handed; the command calls it three
+//! times (pooled, per-source rebuild, `--multi-source`).
+
+use super::{
+    build_device, emit_trace, exit_code, load_graph, parse_bitflip_plan, parse_device, trace_setup,
+    CliError,
+};
+use crate::args::Args;
+use gcd_sim::Device;
+use std::rc::Rc;
+use std::time::Instant;
+use xbfs_core::{
+    levels_digest, BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest, Sabotage, Xbfs,
+    XbfsConfig,
+};
+use xbfs_graph::reference::traversed_edges;
+use xbfs_graph::stats::pick_sources;
+use xbfs_graph::Csr;
+use xbfs_telemetry::json::{self, Val};
+use xbfs_telemetry::{names, AttrValue, Recorder};
+
+/// Aggregated supervisor health for one sweep: every detection,
+/// quarantine, re-execution and resource-pressure event, summed across
+/// workers. Lands in the report text and the `xbfs-sweep-v1` JSON.
+#[derive(Default)]
+struct SweepHealth {
+    certified: u64,
+    sdc_detected: u64,
+    quarantined: u64,
+    reexecuted: u64,
+    corrected: u64,
+    deadline_exceeded: u64,
+    pool_pressure_events: u64,
+    engine_rebuilds: u64,
+}
+
+impl SweepHealth {
+    fn add(&mut self, o: &SweepHealth) {
+        self.certified += o.certified;
+        self.sdc_detected += o.sdc_detected;
+        self.quarantined += o.quarantined;
+        self.reexecuted += o.reexecuted;
+        self.corrected += o.corrected;
+        self.deadline_exceeded += o.deadline_exceeded;
+        self.pool_pressure_events += o.pool_pressure_events;
+        self.engine_rebuilds += o.engine_rebuilds;
+    }
+}
+
+/// One engine generation, discarded as a unit: the engine and, beside
+/// it, the device it runs on. The device is held here because pool
+/// pressure is read *after* the engine drops — the drop parks its BFS
+/// state, which is where a byte cap trims.
+type Generation = (Rc<Device>, Box<dyn Engine>);
+
+/// What the passes of one sweep share.
+struct SweepJob<'a> {
+    g: &'a Csr,
+    sources: &'a [u32],
+    /// Certify every run; a run that fails is healed (see [`sweep_pass`]).
+    verify: bool,
+    retries: u32,
+    deadline_factor: f64,
+    /// Origin of the trace's wall clock.
+    t0: Instant,
+}
+
+/// What one pass reports, all of it read off [`xbfs_core::RunOutcome`].
+#[derive(Default)]
+struct PassOut {
+    wall_s: f64,
+    /// Modeled ms of each engine run, in run order.
+    ms: Vec<f64>,
+    edges: u64,
+    /// Each source's `SlotAnswer::digest`: what pins a pass bit for bit.
+    digests: Vec<u64>,
+    /// Each source's backend-independent `levels_digest`.
+    level_digests: Vec<u64>,
+    health: SweepHealth,
+}
+
+impl PassOut {
+    fn checksum(&self) -> u64 {
+        self.digests.iter().fold(0, |a, d| a ^ d)
+    }
+
+    fn model_ms(&self) -> f64 {
+        self.ms.iter().sum()
+    }
+}
+
+/// One pass over the job's sources: `threads` workers, each taking a
+/// contiguous share through engines it gets from `mint` — kept across the
+/// share when `pooled`, fresh per run when not — in chunks of the
+/// engine's `width()`. Under `verify` this is the self-healing
+/// supervisor: an [`EngineError::Suspect`] run is quarantined, the engine
+/// *and its device* are discarded (a corrupted CSR or parked buffer must
+/// not outlive detection — re-parking it would checksum the corrupted
+/// contents), and the run re-executes on a fresh generation under bounded
+/// exponential backoff. Bit flips from `plan` hit only attempt 0 —
+/// retries and the reference passes stay clean, which is what keeps the
+/// sweep's bit-identity check meaningful under fault injection.
+fn sweep_pass(
+    job: &SweepJob<'_>,
+    threads: usize,
+    pooled: bool,
+    plan: Option<&BitflipPlan>,
+    rec: &Recorder,
+    mint: &(dyn Fn() -> Result<Generation, CliError> + Sync),
+) -> Result<PassOut, CliError> {
+    let now_us = || job.t0.elapsed().as_secs_f64() * 1e6;
+    // One worker's share of the pass.
+    let share = |track: usize, part: &[u32]| -> Result<PassOut, CliError> {
+        let span = rec.begin_span(None, names::span::SWEEP, track, now_us());
+        rec.span_attr(span, "worker", AttrValue::U64(track as u64));
+        rec.span_attr(span, "runs", AttrValue::U64(part.len() as u64));
+        let note = |name: &str, attrs: &[(&str, AttrValue)]| {
+            let attrs = attrs.iter().map(|(k, v)| (k.to_string(), v.clone()));
+            rec.event(Some(span), name, track, now_us(), attrs.collect());
+        };
+        let num = AttrValue::U64;
+
+        let mut out = PassOut::default();
+        let mut deadline_ms: Option<f64> = None;
+        let mut idx = 0usize; // next source in `part`
+        let mut attempt: u32 = 0; // retry attempt for the run at `idx`
+        let mut generation: Option<Generation> = None;
+        while idx < part.len() {
+            if generation.is_none() {
+                generation = Some(mint()?);
+            }
+            let (_, engine) = generation.as_mut().expect("minted above");
+            let chunk = &part[idx..part.len().min(idx + engine.width())];
+            let source = u64::from(chunk[0]);
+            let sab = (plan.filter(|_| attempt == 0)).map(|plan| Sabotage { plan, salt: source });
+            let run = engine.run(&RunRequest {
+                sources: chunk,
+                deadline_ms: None,
+                verify: job.verify,
+                inject: sab.as_ref().map_or(Inject::None, Inject::Bitflips),
+            });
+            let suspect = match run {
+                Ok(run) => {
+                    if run.certified {
+                        out.health.certified += chunk.len() as u64;
+                        if attempt > 0 {
+                            out.health.corrected += chunk.len() as u64;
+                        }
+                        // The first certified run calibrates the worker's
+                        // modeled-time deadline; exceedances are flagged in
+                        // health (and the trace), not failures.
+                        let dl = *deadline_ms.get_or_insert(run.total_ms * job.deadline_factor);
+                        if run.total_ms > dl {
+                            out.health.deadline_exceeded += 1;
+                            note(
+                                names::event::DEADLINE_EXCEEDED,
+                                &[
+                                    ("source", num(source)),
+                                    ("modeled_ms", AttrValue::F64(run.total_ms)),
+                                    ("deadline_ms", AttrValue::F64(dl)),
+                                ],
+                            );
+                        }
+                    }
+                    out.ms.push(run.total_ms);
+                    for (slot, levels) in run.slots.iter().zip(&run.levels) {
+                        out.edges += traversed_edges(job.g, levels);
+                        out.digests.push(slot.digest);
+                        out.level_digests.push(levels_digest(slot.source, levels));
+                    }
+                    idx += chunk.len();
+                    attempt = 0;
+                    if pooled && idx < part.len() {
+                        continue;
+                    }
+                    None
+                }
+                Err(EngineError::Suspect { msg, .. }) => {
+                    out.health.sdc_detected += 1;
+                    note(
+                        names::event::SDC_DETECTED,
+                        &[
+                            ("source", num(source)),
+                            ("attempt", num(attempt.into())),
+                            ("error", AttrValue::Str(msg.clone())),
+                        ],
+                    );
+                    if attempt == 0 {
+                        out.health.quarantined += 1;
+                        note(names::event::QUARANTINED, &[("source", num(source))]);
+                    }
+                    Some(msg)
+                }
+                Err(other) => return Err(other.into()),
+            };
+            // The generation ends here. Engine first: its drop parks the BFS
+            // state into the pool, and only then is the pressure count final.
+            let (dev, engine) = generation.take().expect("minted above");
+            drop(engine);
+            out.health.pool_pressure_events += dev.pool_pressure_events();
+            let Some(msg) = suspect else { continue };
+            out.health.engine_rebuilds += 1;
+            if attempt >= job.retries {
+                return Err(CliError::new(
+                    format!(
+                        "IntegrityError: source {source} failed certification after {} \
+                         attempt(s): {msg}",
+                        attempt + 1,
+                    ),
+                    exit_code::INTEGRITY,
+                ));
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(6)));
+            attempt += 1;
+            out.health.reexecuted += 1;
+            let attrs = [("source", num(source)), ("attempt", num(attempt.into()))];
+            note(names::event::REEXECUTED, &attrs);
+        }
+        let count = |name: &str, v: u64| rec.counter(name, track, now_us(), v as f64);
+        count(
+            names::metric::POOL_PRESSURE_EVENTS,
+            out.health.pool_pressure_events,
+        );
+        count(names::metric::CERTIFIED_RUNS, out.health.certified);
+        rec.end_span(span, now_us());
+        Ok(out)
+    };
+
+    let started = Instant::now();
+    let per_thread = job.sources.len().div_ceil(threads);
+    let mut out = PassOut::default();
+    std::thread::scope(|scope| -> Result<(), CliError> {
+        let share = &share;
+        let handles: Vec<_> = (job.sources.chunks(per_thread).enumerate())
+            .map(|(track, part)| scope.spawn(move || share(track, part)))
+            .collect();
+        for h in handles {
+            // A panicking worker thread must not take the whole sweep's
+            // process down with an opaque abort: surface it typed.
+            let part = h.join().map_err(|_| {
+                CliError::new(
+                    "sweep worker thread panicked; partial results discarded",
+                    exit_code::GENERIC,
+                )
+            })??;
+            out.ms.extend(part.ms);
+            out.edges += part.edges;
+            out.digests.extend(part.digests);
+            out.level_digests.extend(part.level_digests);
+            out.health.add(&part.health);
+        }
+        Ok(())
+    })?;
+    out.wall_s = started.elapsed().as_secs_f64();
+    Ok(out)
+}
+
+pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
+    let path = args.positional.first().ok_or("usage: xbfs sweep FILE")?;
+    let g = load_graph(path)?;
+    let n = args.get::<usize>("sources", 64)?.max(1);
+    let seed = args.get::<u64>("seed", 13)?;
+    let default_threads = std::thread::available_parallelism()
+        .map_or(1, |p| p.get())
+        .min(8);
+    let threads = args.get::<usize>("threads", default_threads)?.clamp(1, n);
+    let plan = parse_bitflip_plan(args)?;
+    // Injection without verification would just trip the bit-identity
+    // check with an unexplained exit 6 — in a sweep, injection implies
+    // the supervisor.
+    let verify = args.flag("verify") || plan.is_some();
+    let deadline_factor = args.get::<f64>("deadline-factor", 25.0)?;
+    if deadline_factor < 1.0 {
+        return Err(CliError::usage("--deadline-factor must be >= 1"));
+    }
+    let retries = args.get::<u32>("retries", 2)?;
+    let max_pool_bytes = (args.options.get("max-pool-bytes"))
+        .map(|v| {
+            v.parse::<u64>()
+                .map_err(|_| format!("bad --max-pool-bytes {v:?}"))
+        })
+        .transpose()?;
+    // Every pass shares the config (the certificate's parent-tree checks
+    // need recorded parents), so the bit-identity digests stay comparable.
+    let cfg = XbfsConfig {
+        alpha: args.get("alpha", 0.1)?,
+        record_parents: verify,
+        ..XbfsConfig::default()
+    };
+    let sources = pick_sources(&g, n, seed);
+    let n = sources.len(); // graphs smaller than --sources yield fewer
+    let (trace_opt, recorder) = trace_setup(args)?;
+    let job = SweepJob {
+        g: &g,
+        sources: &sources,
+        verify,
+        retries,
+        deadline_factor,
+        t0: Instant::now(),
+    };
+    let spec = parse_device(args)?;
+    let device = |pool_limit: Option<u64>| {
+        let dev = Rc::new(build_device(spec.clone(), cfg.required_streams()));
+        dev.set_pool_limit(pool_limit);
+        dev
+    };
+    let solo = |pool_limit: Option<u64>| -> Result<Generation, CliError> {
+        let dev = device(pool_limit);
+        let engine = Xbfs::new(Rc::clone(&dev), &g, cfg)?;
+        Ok((dev, Box::new(engine)))
+    };
+    // The trace narrates the supervised pass; the reference passes run
+    // unrecorded.
+    let unrecorded = Recorder::disabled();
+
+    // Pooled pass: one engine per OS thread. Each engine owns its device,
+    // uploads the graph once, and recycles its BFS state across its whole
+    // share of sources via the epoch-based O(frontier) reset.
+    let pooled = sweep_pass(&job, threads, true, plan.as_ref(), &recorder, &|| {
+        solo(max_pool_bytes)
+    })?;
+    let health = &pooled.health;
+
+    // Rebuild pass: the unpooled in-process path — a fresh device, a fresh
+    // graph upload, freshly allocated BFS state per source, certified like
+    // the pooled pass so the ratio compares equal work. This is the
+    // bit-identity reference; a shell loop over `xbfs bfs` additionally
+    // pays process spawn + graph load per run (CI measures that baseline).
+    let rebuilt = sweep_pass(&job, 1, false, None, &unrecorded, &|| solo(None))?;
+
+    let (ck_pooled, ck_rebuilt) = (pooled.checksum(), rebuilt.checksum());
+    if ck_pooled != ck_rebuilt {
+        return Err(CliError::new(
+            format!(
+                "pooled sweep diverged from per-run rebuild \
+                 (checksum {ck_pooled:#018x} vs {ck_rebuilt:#018x})"
+            ),
+            exit_code::VALIDATION,
+        ));
+    }
+
+    let (pooled_wall, rebuilt_wall) = (pooled.wall_s, rebuilt.wall_s);
+    let agg_gteps = pooled.edges as f64 / (pooled.model_ms() * 1e-3).max(1e-12) / 1e9;
+    let pooled_rps = n as f64 / pooled_wall.max(1e-9);
+    let rebuilt_rps = n as f64 / rebuilt_wall.max(1e-9);
+    let speedup = pooled_rps / rebuilt_rps.max(1e-9);
+
+    // Multi-source pass (--multi-source): one persistent 64-wide
+    // bit-parallel engine sweeps the whole source set in
+    // <= MAX_CONCURRENT-wide batches. Every slot's levels digest must
+    // match the per-run rebuild reference above bit-for-bit.
+    let mut multi_txt = String::new();
+    let mut multi_json = None;
+    if args.flag("multi-source") {
+        let multi = sweep_pass(&job, 1, true, None, &unrecorded, &|| {
+            let dev = device(None);
+            let engine = MsBfs::new(Rc::clone(&dev), &g)?;
+            Ok((dev, Box::new(engine)))
+        })?;
+        let (slot_digests, ref_levels) = (&multi.digests, &rebuilt.level_digests);
+        if let Some(bad) = (0..n).find(|&i| slot_digests[i] != ref_levels[i]) {
+            return Err(CliError::new(
+                format!(
+                    "multi-source sweep diverged from per-run rebuild at source {} \
+                     (levels digest {:#018x} vs {:#018x})",
+                    sources[bad], slot_digests[bad], ref_levels[bad]
+                ),
+                exit_code::VALIDATION,
+            ));
+        }
+        let (ms_wall, batches, ms_ck) = (multi.wall_s, multi.ms.len(), multi.checksum());
+        let ms_gteps = multi.edges as f64 / (multi.model_ms() * 1e-3).max(1e-12) / 1e9;
+        let ms_rps = n as f64 / ms_wall.max(1e-9);
+        let ms_speedup = ms_rps / pooled_rps.max(1e-9);
+        multi_txt = format!(
+            "multi-source:       {ms_rps:>9.1} runs/sec ({ms_wall:.3} s wall, \
+             {batches} batch(es) of <= {}, {ms_gteps:.2} GTEPS aggregate modeled)\n\
+             speedup vs pooled single-source: {ms_speedup:.2}x runs/sec; \
+             slot levels bit-identical to rebuild (checksum {ms_ck:#018x})\n",
+            xbfs_core::MAX_CONCURRENT,
+        );
+        multi_json = Some(json::object(|o| {
+            o.key("wall_ms").fixed(ms_wall * 1000.0, 3);
+            o.key("runs_per_sec").fixed(ms_rps, 3);
+            o.key("batches").int(batches);
+            o.key("width").int(xbfs_core::MAX_CONCURRENT);
+            o.key("aggregate_gteps").fixed(ms_gteps, 4);
+            o.key("speedup_vs_pooled").fixed(ms_speedup, 3);
+            o.key("checksum").str(format_args!("{ms_ck:#018x}"));
+        }));
+    }
+
+    let mut out = format!(
+        "sweep: {n} sources on {threads} thread(s), |V| = {}, |E| = {}\n\
+         pooled engine:      {pooled_rps:>9.1} runs/sec ({pooled_wall:.3} s wall, \
+         {agg_gteps:.2} GTEPS aggregate modeled)\n\
+         in-process rebuild: {rebuilt_rps:>9.1} runs/sec ({rebuilt_wall:.3} s wall; \
+         fresh device + upload + alloc, no process spawn)\n\
+         speedup vs in-process rebuild: {speedup:.2}x runs/sec; \
+         results bit-identical (checksum {ck_pooled:#018x})\n{multi_txt}",
+        g.num_vertices(),
+        g.num_edges()
+    );
+    if verify {
+        out.push_str(&format!(
+            "supervisor: {}/{n} certified, {} SDC detected, {} quarantined, \
+             {} re-executed, {} corrected, 0 aborted\n            \
+             {} deadline exceedance(s), {} pool pressure event(s), {} engine rebuild(s)\n",
+            health.certified,
+            health.sdc_detected,
+            health.quarantined,
+            health.reexecuted,
+            health.corrected,
+            health.deadline_exceeded,
+            health.pool_pressure_events,
+            health.engine_rebuilds,
+        ));
+    } else if let Some(cap) = max_pool_bytes {
+        out.push_str(&format!(
+            "pool pressure: {} event(s) under the {cap}-byte cap\n",
+            health.pool_pressure_events
+        ));
+    }
+    if let Some(json_path) = args.options.get("json") {
+        let json = json::object(|o| {
+            o.key("schema").str("xbfs-sweep-v1");
+            o.key("graph").obj(|gr| {
+                gr.key("path").str(path);
+                gr.key("vertices").int(g.num_vertices());
+                gr.key("edges").int(g.num_edges());
+            });
+            o.key("sources").int(n);
+            o.key("threads").int(threads);
+            o.key("seed").int(seed);
+            o.key("pooled").obj(|p| {
+                p.key("wall_ms").fixed(pooled_wall * 1000.0, 3);
+                p.key("runs_per_sec").fixed(pooled_rps, 3);
+                p.key("aggregate_gteps").fixed(agg_gteps, 4);
+            });
+            o.key("unpooled").obj(|u| {
+                u.key("wall_ms").fixed(rebuilt_wall * 1000.0, 3);
+                u.key("runs_per_sec").fixed(rebuilt_rps, 3);
+            });
+            o.key("speedup").fixed(speedup, 3);
+            o.key("verified").bool(verify);
+            o.key("health").obj(|h| {
+                h.key("certified").int(health.certified);
+                h.key("sdc_detected").int(health.sdc_detected);
+                h.key("quarantined").int(health.quarantined);
+                h.key("reexecuted").int(health.reexecuted);
+                h.key("corrected").int(health.corrected);
+                // An exhausted-retries abort fails the whole sweep (exit 7):
+                // a report that gets written aborted nothing.
+                h.key("aborted").int(0u64);
+                h.key("deadline_exceeded").int(health.deadline_exceeded);
+                h.key("pool_pressure_events")
+                    .int(health.pool_pressure_events);
+                h.key("engine_rebuilds").int(health.engine_rebuilds);
+            });
+            o.opt("multi_source", multi_json.as_deref(), Val::raw);
+            o.key("checksum").str(format_args!("{ck_pooled:#018x}"));
+        });
+        std::fs::write(json_path, json + "\n")
+            .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
+        out.push_str(&format!("sweep record written to {json_path}\n"));
+    }
+    if let Some((fmt, trace_path)) = trace_opt {
+        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder.finish()) {
+            return Ok(direct);
+        }
+    }
+    Ok(out)
+}

@@ -264,7 +264,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let level_of = &inner.level_of[..sources.len()];
 
         device.reset_timeline();
-        let _ = device.take_reports();
         device.set_phase("msbfs init");
         // Seed: sources may coincide; OR their bits. ≤ 64 entries, sorted
         // by vertex — equivalent to the dedup'd init frontier.

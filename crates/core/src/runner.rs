@@ -201,7 +201,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
         // previous run stored instead of re-filling O(|V|) arrays.
         st.reset_in_place(*last_depth);
         dev.reset_timeline();
-        let _ = dev.take_reports();
 
         // --- measured window starts ---
         // Epoch-versioned state needs no O(|V|) fill kernels here: entries

@@ -611,10 +611,13 @@ impl Device {
         }
     }
 
-    /// Zero the timeline and cold-start the L2 (start of a measured run).
+    /// Zero the timeline, empty the report log and cold-start the L2
+    /// (start of a measured run): a long-lived engine that never reads
+    /// its reports must not accumulate them run after run.
     pub fn reset_timeline(&self) {
         lock(&self.streams).fill(0.0);
         lock(&self.dirty).fill(false);
+        lock(&self.reports).clear();
         // Functional mode never consults the L2: leave its arrays alone.
         if self.mode == ExecMode::Timing {
             lock(&self.l2).invalidate();

@@ -62,8 +62,8 @@ fn timeline_reset_clears_everything() {
     assert!(dev.elapsed_us() > 0.0);
     dev.reset_timeline();
     assert_eq!(dev.elapsed_us(), 0.0);
-    // Reports survive reset (they belong to the profiler, not the clock).
-    assert!(!dev.take_reports().is_empty());
+    // A measured run starts with an empty report log.
+    assert!(dev.take_reports().is_empty());
 }
 
 #[test]

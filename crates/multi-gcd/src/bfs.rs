@@ -677,8 +677,10 @@ impl<'g> GcdCluster<'g> {
                     if let Some(h) = self.health.get_mut(rank) {
                         h.crashes += 1;
                     }
-                    let report = self.recover(rank, level, faults, &mut ckpt, stats.len())?;
-                    let restored = ckpt.as_ref().expect("recover leaves a checkpoint");
+                    let restored = ckpt
+                        .as_ref()
+                        .expect("a crash needs a non-empty plan, which seeded the checkpoint");
+                    let report = self.recover(rank, level, faults, restored, stats.len())?;
                     level = restored.next_level;
                     frontier_count = restored.frontier_count;
                     frontier_edges = restored.frontier_edges;
@@ -1000,14 +1002,14 @@ impl<'g> GcdCluster<'g> {
     }
 
     /// Handle the death of `rank` detected at `level`: rebuild capacity per
-    /// the recovery policy, then restore device state from the last
-    /// checkpoint (creating the implicit initial one if none was taken).
+    /// the recovery policy, then restore device state from `restored`,
+    /// the last checkpoint (the implicit initial one if none was taken).
     fn recover(
         &mut self,
         rank: usize,
         level: u32,
         faults: &FaultConfig,
-        ckpt: &mut Option<Checkpoint>,
+        restored: &Checkpoint,
         before_row: usize,
     ) -> Result<RecoveryReport, ClusterError> {
         let arch = ArchProfile::mi250x_gcd();
@@ -1052,22 +1054,6 @@ impl<'g> GcdCluster<'g> {
                 survivors
             }
         };
-
-        // Crashing before the first checkpoint means restarting from the
-        // source — the initial state is always recoverable.
-        let restored = ckpt.get_or_insert_with(|| {
-            let n = self.graph.num_vertices();
-            let source = 0; // overwritten below: init ckpt is created in run()
-            let mut status = vec![UNVISITED; n];
-            status[source] = 0;
-            Checkpoint {
-                next_level: 0,
-                status,
-                frontier: vec![source as u32],
-                frontier_count: 1,
-                frontier_edges: 0,
-            }
-        });
 
         // Restore status partitions (host→device, charged) and advance all
         // surviving timelines past detection.
@@ -1689,6 +1675,27 @@ mod tests {
         faults: &FaultConfig,
     ) -> Result<ClusterRun, ClusterError> {
         cluster.run_with(src, faults, None)
+    }
+
+    /// A long-lived cluster keeps one run's kernel reports, not every
+    /// run's: nothing reads the rank devices' logs between requests.
+    #[test]
+    fn report_log_does_not_grow_across_runs() {
+        let g = rmat_graph(RmatParams::graph500(8), 3);
+        let cfg = ClusterConfig {
+            num_gcds: 2,
+            ..ClusterConfig::node_of_8()
+        };
+        let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
+        let backlog = |c: &GcdCluster<'_>| -> Vec<usize> {
+            (c.ranks.iter().map(|r| r.device.take_reports().len())).collect()
+        };
+        cluster.run(1).unwrap();
+        let after_one = backlog(&cluster);
+        for _ in 0..50 {
+            cluster.run(1).unwrap();
+        }
+        assert_eq!(backlog(&cluster), after_one);
     }
 
     #[test]

@@ -55,18 +55,12 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Admission-queue bound; beyond it requests are shed.
     pub queue_cap: usize,
-    /// Base backoff hint attached to shed responses, ms.
-    pub retry_after_ms: u64,
     /// Certify every run by default (per-request `verify` overrides).
     pub verify: bool,
     /// Honor chaos tokens stamped on requests (test servers only).
     pub allow_chaos: bool,
     /// Replays after quarantine before a request fails typed.
     pub max_retries: u32,
-    /// Consecutive uncorrected failures that trip the breaker.
-    pub breaker_threshold: u32,
-    /// Breaker cooldown before the half-open probe, ms.
-    pub breaker_cooldown_ms: u64,
     /// Deadline applied when a request does not carry one, ms.
     pub default_deadline_ms: Option<f64>,
     /// Coalesce up to this many admitted requests into one bit-parallel
@@ -85,8 +79,6 @@ pub struct ServeConfig {
     /// levels so an injected rank crash restarts from the latest
     /// checkpoint instead of from scratch.
     pub checkpoint_every: u32,
-    /// Completed responses remembered for idempotent replay (0 disables).
-    pub dedup_cap: usize,
     /// Bind a second TCP listener here serving Prometheus-style text on
     /// `GET /metrics` and the `xbfs-metrics-v1` JSON snapshot on
     /// `GET /metrics.json` (`None` = main protocol's `metrics` op only).
@@ -115,18 +107,14 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             workers: 2,
             queue_cap: 32,
-            retry_after_ms: 25,
             verify: false,
             allow_chaos: false,
             max_retries: 2,
-            breaker_threshold: 3,
-            breaker_cooldown_ms: 250,
             default_deadline_ms: None,
             batch_width: 1,
             batch_window_ms: 2.0,
             cluster: None,
             checkpoint_every: 1,
-            dedup_cap: 128,
             metrics_addr: None,
             flight_dir: None,
             flight_ring: 64,
@@ -136,6 +124,15 @@ impl Default for ServeConfig {
         }
     }
 }
+
+/// Base backoff hint attached to shed responses, ms.
+const RETRY_AFTER_MS: u64 = 25;
+/// Consecutive uncorrected failures that trip the breaker.
+const BREAKER_THRESHOLD: u32 = 3;
+/// Breaker cooldown before the half-open probe, ms.
+const BREAKER_COOLDOWN_MS: u64 = 250;
+/// Completed responses remembered for idempotent replay.
+const DEDUP_CAP: usize = 128;
 
 /// Everything handlers and workers share.
 pub(crate) struct Shared {
@@ -518,14 +515,14 @@ impl Server {
             None => (None, None),
         };
         let shared = Arc::new(Shared {
-            queue: AdmissionQueue::new(cfg.queue_cap, cfg.retry_after_ms),
-            breaker: CircuitBreaker::new(cfg.breaker_threshold, cfg.breaker_cooldown_ms),
+            queue: AdmissionQueue::new(cfg.queue_cap, RETRY_AFTER_MS),
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_COOLDOWN_MS),
             graph,
             xcfg,
             factory,
             rec,
             draining: AtomicBool::new(false),
-            dedup: DedupCache::new(cfg.dedup_cap),
+            dedup: DedupCache::new(DEDUP_CAP),
             metrics,
             journal,
             started: Instant::now(),
@@ -1022,11 +1019,7 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
             }
             if shared.is_draining() {
                 shared.metrics.rejected_draining.add(1);
-                conn.reply(protocol::overloaded_line(
-                    id,
-                    "draining",
-                    shared.cfg.retry_after_ms,
-                ));
+                conn.reply(protocol::overloaded_line(id, "draining", RETRY_AFTER_MS));
                 return;
             }
             if let Err(retry_ms) = shared.breaker.admit() {
@@ -1091,11 +1084,7 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
                 Admission::Draining => {
                     conn.pending.fetch_sub(1, Ordering::AcqRel);
                     shared.metrics.rejected_draining.add(1);
-                    conn.reply(protocol::overloaded_line(
-                        id,
-                        "draining",
-                        shared.cfg.retry_after_ms,
-                    ));
+                    conn.reply(protocol::overloaded_line(id, "draining", RETRY_AFTER_MS));
                 }
             }
         }

@@ -8,8 +8,8 @@
 //! * [`ChromeTraceSink`] — chrome://tracing / Perfetto `trace.json`
 //!   (Trace Event Format): spans become `"ph":"X"` complete events, instant
 //!   events `"ph":"i"`, counters `"ph":"C"`, with one process per track.
-//! * [`RocprofCsvSink`] — rocprofiler-style kernel CSV, unified with
-//!   `gcd-sim::profiler` (same columns, RFC-4180 comma escaping).
+//! * [`RocprofCsvSink`] — rocprofiler-style kernel CSV (one row per
+//!   dispatch, RFC-4180 comma escaping); what `bfs --csv` writes too.
 
 use crate::json::{self, Obj};
 use crate::names;
@@ -315,7 +315,7 @@ impl TraceSink for TableSink {
 /// rocprofiler-style kernel CSV (one row per `kernel` span).
 pub struct RocprofCsvSink;
 
-/// Column order shared with `gcd_sim::profiler::to_csv`.
+/// One column per `gcd_sim::KernelReport` field the paper's tables use.
 const CSV_HEADER: &str =
     "phase,kernel,runtime_ms,l2_hit_pct,mem_busy_pct,fetch_kb,instructions,atomics,hbm_lines,occupancy";
 
