@@ -121,6 +121,15 @@ impl<D: Borrow<Device>> Xbfs<D> {
         crate::lock(&self.inner).scratch_allocs
     }
 
+    /// Summed capacity of the kernels' working vectors: where a warm-up
+    /// pass leaves it, a repeat pass over the same sources keeps it.
+    pub fn kernel_scratch_capacity(&self) -> usize {
+        let inner = crate::lock(&self.inner);
+        let st = inner.st.as_ref().expect("state is released only on drop");
+        let scratch = st.scratch.borrow();
+        scratch.capacity()
+    }
+
     /// Run one BFS from `source`, returning levels plus full per-level
     /// statistics. Models the paper's "n to n" measured window: status
     /// initialization through final sync.

@@ -3,6 +3,7 @@
 //! aggregates into.
 
 use gcd_sim::{BufU32, BufU64, Device};
+use std::cell::RefCell;
 
 /// `status[v]` holds the BFS level of `v`, or this sentinel.
 pub const UNVISITED: u32 = u32::MAX;
@@ -87,6 +88,59 @@ impl BinThresholds {
     }
 }
 
+/// A vertex claimed during expansion: `(vertex, parent, observed_status)`.
+/// The observed (stale-epoch or `UNVISITED`) status is what a CAS claim
+/// must compare against: `next = base + level + 1` can never collide with a
+/// pre-epoch value, so CAS-from-observed keeps exactly-once claiming.
+pub(crate) type Claim = (u32, u32, u32);
+
+/// The solo kernels' host-side working vectors (no device address, no pool
+/// entry, no modeled cost). The state owns one set and a kernel borrows it
+/// once per wave, so a launch allocates nothing once they have grown to a
+/// wave's width; a kernel clears what it uses *before* using it.
+#[derive(Default)]
+pub struct KernelScratch {
+    // The wave's queue entries (live lanes only, once some retire), their
+    // CSR rows (`degs` also the winners'), neighbors probed, statuses read.
+    pub(crate) vs: Vec<u32>,
+    pub(crate) offs: Vec<u64>,
+    pub(crate) degs: Vec<u32>,
+    pub(crate) nbrs: Vec<u32>,
+    pub(crate) sts: Vec<u32>,
+    // Double scan: per-lane segment counts and queue cursors.
+    pub(crate) counts: Vec<u32>,
+    pub(crate) cursors: Vec<u32>,
+    // Stores staged for one `vstore32` (queue placements, status claims).
+    pub(crate) writes: Vec<(usize, u32)>,
+    // Bottom-up live lanes (next adjacency index, end of the list, first
+    // neighbor seen a level ahead); `(vertex, parent, proactive)` pulled.
+    pub(crate) at: Vec<usize>,
+    pub(crate) end: Vec<usize>,
+    pub(crate) cand: Vec<Option<u32>>,
+    pub(crate) pulled: Vec<(u32, u32, bool)>,
+    // Top-down live lanes `(vertex, offset, degree)`, a round's candidates
+    // and CAS results, the wave's winners and the bins they enqueue into.
+    pub(crate) lanes: Vec<(u32, u64, u32)>,
+    pub(crate) cands: Vec<Claim>,
+    pub(crate) results: Vec<Result<u32, u32>>,
+    pub(crate) claimed: Vec<Claim>,
+    pub(crate) bins: [Vec<u32>; 3],
+}
+
+impl KernelScratch {
+    /// Elements all the vectors can hold without growing: constant from one
+    /// run to the next once an engine is warm.
+    pub fn capacity(&self) -> usize {
+        let k = self;
+        let words = [&k.vs, &k.degs, &k.nbrs, &k.sts, &k.counts, &k.cursors];
+        let words = words.into_iter().chain(&k.bins).map(Vec::capacity);
+        let lanes = k.offs.capacity() + k.at.capacity() + k.end.capacity() + k.cand.capacity();
+        let claims = k.cands.capacity() + k.claimed.capacity() + k.results.capacity();
+        let staged = k.writes.capacity() + k.pulled.capacity() + k.lanes.capacity();
+        words.sum::<usize>() + lanes + claims + staged
+    }
+}
+
 /// Device-resident BFS state.
 pub struct BfsState {
     /// Per-vertex level (or [`UNVISITED`]).
@@ -116,37 +170,15 @@ pub struct BfsState {
     /// and any entry below `base` (or `UNVISITED`) is unvisited. `0` gives
     /// the legacy un-versioned semantics.
     pub base: u32,
+    /// Lent to each wave of the solo kernels (`Device::launch` takes a `Fn`).
+    pub scratch: RefCell<KernelScratch>,
 }
 
 impl BfsState {
     /// Allocate state for an `n`-vertex graph.
     pub fn new(device: &Device, n: usize, record_parents: bool, seg_len: usize) -> Self {
-        assert!(seg_len >= 1);
-        let n_segs = n.div_ceil(seg_len);
-        let width = device.arch().wavefront_size;
-        let n_blocks = n_segs.div_ceil(width);
-        Self {
-            status: device.alloc_u32(n),
-            parents: record_parents.then(|| device.alloc_u32(n)),
-            queues: [
-                device.alloc_u32(n),
-                device.alloc_u32(n),
-                device.alloc_u32(n),
-            ],
-            next_queues: [
-                device.alloc_u32(n),
-                device.alloc_u32(n),
-                device.alloc_u32(n),
-            ],
-            bu_queue: device.alloc_u32(n),
-            seg_counts: device.alloc_u32(n_segs),
-            block_sums: device.alloc_u32(n_blocks),
-            seg_offsets: device.alloc_u32(n_segs),
-            counters: device.alloc_u32(ctr::N),
-            edge_counters: device.alloc_u64(ectr::N),
-            seg_len,
-            base: 0,
-        }
+        let (a32, a64) = (Device::alloc_u32, Device::alloc_u64);
+        Self::build(device, n, record_parents, seg_len, 0, a32, a64)
     }
 
     /// Build state from the device buffer pool (epoch-versioned from the
@@ -157,33 +189,41 @@ impl BfsState {
     /// double-scan, parents decode is gated on status), so only `status`
     /// needs one host-side zeroing to establish epoch `1 > 0`.
     pub fn from_pool(device: &Device, n: usize, record_parents: bool, seg_len: usize) -> Self {
+        let (a32, a64) = (Device::pool_acquire_u32, Device::pool_acquire_u64);
+        let st = Self::build(device, n, record_parents, seg_len, 1, a32, a64);
+        st.status.host_fill(0);
+        st
+    }
+
+    /// Both constructors: the buffers in the one order (it fixes their
+    /// device addresses, and with them coalescer sets) from `a32`/`a64`.
+    fn build(
+        device: &Device,
+        n: usize,
+        record_parents: bool,
+        seg_len: usize,
+        base: u32,
+        a32: impl Fn(&Device, usize) -> BufU32,
+        a64: impl Fn(&Device, usize) -> BufU64,
+    ) -> Self {
         assert!(seg_len >= 1);
         let n_segs = n.div_ceil(seg_len);
-        let width = device.arch().wavefront_size;
-        let n_blocks = n_segs.div_ceil(width);
-        let status = device.pool_acquire_u32(n);
-        status.host_fill(0);
+        let n_blocks = n_segs.div_ceil(device.arch().wavefront_size);
+        let a32 = |len| a32(device, len);
         Self {
-            status,
-            parents: record_parents.then(|| device.pool_acquire_u32(n)),
-            queues: [
-                device.pool_acquire_u32(n),
-                device.pool_acquire_u32(n),
-                device.pool_acquire_u32(n),
-            ],
-            next_queues: [
-                device.pool_acquire_u32(n),
-                device.pool_acquire_u32(n),
-                device.pool_acquire_u32(n),
-            ],
-            bu_queue: device.pool_acquire_u32(n),
-            seg_counts: device.pool_acquire_u32(n_segs),
-            block_sums: device.pool_acquire_u32(n_blocks),
-            seg_offsets: device.pool_acquire_u32(n_segs),
-            counters: device.pool_acquire_u32(ctr::N),
-            edge_counters: device.pool_acquire_u64(ectr::N),
+            status: a32(n),
+            parents: record_parents.then(|| a32(n)),
+            queues: [a32(n), a32(n), a32(n)],
+            next_queues: [a32(n), a32(n), a32(n)],
+            bu_queue: a32(n),
+            seg_counts: a32(n_segs),
+            block_sums: a32(n_blocks),
+            seg_offsets: a32(n_segs),
+            counters: a32(ctr::N),
+            edge_counters: a64(device, ectr::N),
             seg_len,
-            base: 1,
+            base,
+            scratch: RefCell::default(),
         }
     }
 
@@ -199,14 +239,8 @@ impl BfsState {
         device.pool_release_u32(self.block_sums);
         device.pool_release_u32(self.seg_counts);
         device.pool_release_u32(self.bu_queue);
-        let [nq0, nq1, nq2] = self.next_queues;
-        let [q0, q1, q2] = self.queues;
-        device.pool_release_u32(nq2);
-        device.pool_release_u32(nq1);
-        device.pool_release_u32(nq0);
-        device.pool_release_u32(q2);
-        device.pool_release_u32(q1);
-        device.pool_release_u32(q0);
+        let queues = self.queues.into_iter().chain(self.next_queues);
+        queues.rev().for_each(|q| device.pool_release_u32(q));
         if let Some(p) = self.parents {
             device.pool_release_u32(p);
         }

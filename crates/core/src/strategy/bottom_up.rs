@@ -37,22 +37,24 @@ pub fn bu_count(w: &mut WaveCtx, st: &BfsState, n: usize) {
     // Stripe stride = actual lane count so partial trailing waves still
     // cover their region contiguously (and coalesced).
     let nl = lanes.len();
-    let mut counts = vec![0u32; nl];
-    let mut sts = Vec::with_capacity(nl);
+    // `epoch` is a local: beside a `RefCell`, `st.base` is reloaded per lane.
+    let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
+    s.counts.clear();
+    s.counts.resize(nl, 0);
     for j in 0..st.seg_len {
         let start = region + j * nl;
         let count = nl.min(n.saturating_sub(start));
         if count == 0 {
             break;
         }
-        sts.clear();
-        w.vload32_range(&st.status, start, count, &mut sts);
+        s.sts.clear();
+        w.vload32_range(&st.status, start, count, &mut s.sts);
         w.alu(1);
-        for (c, &s) in counts.iter_mut().zip(&sts) {
-            *c += u32::from(is_unvisited(s, st.base));
+        for (c, &raw) in s.counts.iter_mut().zip(&s.sts) {
+            *c += u32::from(is_unvisited(raw, epoch));
         }
     }
-    w.vstore32_range(&st.seg_counts, lanes.start, &counts);
+    w.vstore32_range(&st.seg_counts, lanes.start, &s.counts);
 }
 
 /// Kernel 2: block partial sums. Launch with
@@ -117,31 +119,34 @@ pub fn bu_place(w: &mut WaveCtx, st: &BfsState, n: usize) {
     // Per-lane start offset = block offset + exclusive prefix of this
     // wave's segment counts.
     let base = w.sload32(&st.block_sums, w.wave_id());
-    let mut counts = Vec::with_capacity(nl);
-    w.vload32_range(&st.seg_counts, lanes.start, nl, &mut counts);
-    let mut pref = Vec::with_capacity(nl);
-    w.wave_prefix_sum(&counts, &mut pref);
-    let mut cursors: Vec<usize> = pref.iter().map(|&p| (base + p) as usize).collect();
+    let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
+    s.counts.clear();
+    w.vload32_range(&st.seg_counts, lanes.start, nl, &mut s.counts);
+    s.cursors.clear();
+    w.wave_prefix_sum(&s.counts, &mut s.cursors);
+    s.cursors.iter_mut().for_each(|c| *c += base);
 
-    let mut sts = Vec::with_capacity(nl);
-    let mut writes = Vec::with_capacity(nl);
+    s.writes.clear();
+    s.writes.resize(nl, (0, 0));
     for j in 0..st.seg_len {
         let start = region + j * nl;
         let count = nl.min(n.saturating_sub(start));
         if count == 0 {
             break;
         }
-        sts.clear();
-        w.vload32_range(&st.status, start, count, &mut sts);
+        s.sts.clear();
+        w.vload32_range(&st.status, start, count, &mut s.sts);
         w.alu(1);
-        writes.clear();
-        for ((i, cursor), &s) in (start..).zip(&mut cursors).zip(&sts) {
-            if is_unvisited(s, st.base) {
-                writes.push((*cursor, i as u32));
-                *cursor += 1;
-            }
+        // Every lane stages its write and only an unvisited one keeps it:
+        // the pattern is unpredictable in exactly the levels bottom-up runs.
+        let mut len = 0;
+        for ((i, cursor), &raw) in (start..).zip(&mut s.cursors).zip(&s.sts) {
+            let unvisited = is_unvisited(raw, epoch);
+            s.writes[len] = (*cursor as usize, i as u32);
+            len += usize::from(unvisited);
+            *cursor += u32::from(unvisited);
         }
-        w.vstore32(&st.bu_queue, &writes);
+        w.vstore32(&st.bu_queue, &s.writes[..len]);
     }
 }
 
@@ -168,105 +173,100 @@ pub fn bu_expand_thread(
     if gids.is_empty() {
         return;
     }
-    let mut vs = Vec::with_capacity(gids.len());
-    w.vload32_range(&st.bu_queue, gids.start, gids.len(), &mut vs);
+    let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
+    s.vs.clear();
+    w.vload32_range(&st.bu_queue, gids.start, gids.len(), &mut s.vs);
     // A vertex may have been claimed by a previous level's pass while the
     // queue is stale; skip those.
-    let mut cur = Vec::with_capacity(vs.len());
-    w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut cur);
+    s.sts.clear();
+    w.vload32(&st.status, s.vs.iter().map(|&v| v as usize), &mut s.sts);
     w.alu(1);
-    let mut unvisited = cur.iter().map(|&s| is_unvisited(s, st.base));
-    vs.retain(|_| unvisited.next().expect("one status per queue entry"));
-    if vs.is_empty() {
+    let mut unvisited = s.sts.iter().map(|&raw| is_unvisited(raw, epoch));
+    s.vs.retain(|_| unvisited.next().expect("one status per queue entry"));
+    if s.vs.is_empty() {
         return;
     }
-    let mut offs = Vec::with_capacity(vs.len());
-    w.vload64(&g.offsets, vs.iter().map(|&v| v as usize), &mut offs);
-    let mut degs = Vec::with_capacity(vs.len());
-    w.vload32(&g.degrees, vs.iter().map(|&v| v as usize), &mut degs);
+    s.offs.clear();
+    w.vload64(&g.offsets, s.vs.iter().map(|&v| v as usize), &mut s.offs);
+    s.degs.clear();
+    w.vload32(&g.degrees, s.vs.iter().map(|&v| v as usize), &mut s.degs);
 
     // Live lanes, compacted in place as they retire: parallel arrays, so
     // each round's adjacency gather takes its indices straight from `at`.
-    let mut at = Vec::with_capacity(vs.len()); // next adjacency index
-    let mut end = Vec::with_capacity(vs.len());
+    s.at.clear();
+    s.end.clear();
     let mut live = 0;
-    for (i, (&off, &deg)) in offs.iter().zip(&degs).enumerate() {
+    for (i, (&off, &deg)) in s.offs.iter().zip(&s.degs).enumerate() {
         // Isolated vertices are unreachable: no lane.
         if deg > 0 {
-            vs[live] = vs[i];
-            at.push(off as usize);
-            end.push(off as usize + deg as usize);
+            s.vs[live] = s.vs[i];
+            s.at.push(off as usize);
+            s.end.push(off as usize + deg as usize);
             live += 1;
         }
     }
     // First neighbor observed at `level + 1` (proactive candidate).
-    let mut cand: Vec<Option<u32>> = vec![None; live];
+    s.cand.clear();
+    s.cand.resize(live, None);
 
     let next = opts.level + 1;
-    let mut claimed: Vec<(u32, u32, bool)> = Vec::new(); // (v, parent, proactive)
-    let (mut nbrs, mut nsts) = (Vec::with_capacity(live), Vec::with_capacity(live));
-    let mut writes: Vec<(usize, u32)> = Vec::with_capacity(live);
+    s.pulled.clear(); // (v, parent, proactive)
     while live > 0 {
-        nbrs.clear();
-        w.vload32(&g.adjacency, &at[..live], &mut nbrs);
-        nsts.clear();
-        w.vload32(&st.status, nbrs.iter().map(|&v| v as usize), &mut nsts);
+        s.nbrs.clear();
+        w.vload32(&g.adjacency, &s.at[..live], &mut s.nbrs);
+        s.sts.clear();
+        w.vload32(&st.status, s.nbrs.iter().map(|&v| v as usize), &mut s.sts);
         w.alu(2);
-        writes.clear();
+        s.writes.clear();
         let mut kept = 0;
         for i in 0..live {
-            let (v, nb, s) = (vs[i], nbrs[i], nsts[i]);
-            if s == opts.level {
+            let (v, nb, seen) = (s.vs[i], s.nbrs[i], s.sts[i]);
+            if seen == opts.level {
                 // Early termination: parent found.
-                writes.push((v as usize, next));
-                claimed.push((v, nb, false));
+                s.writes.push((v as usize, next));
+                s.pulled.push((v, nb, false));
                 continue;
             }
-            let c = cand[i].or((opts.proactive && s == next).then_some(nb));
-            if at[i] + 1 < end[i] {
-                (vs[kept], at[kept], end[kept], cand[kept]) = (v, at[i] + 1, end[i], c);
+            let c = s.cand[i].or((opts.proactive && seen == next).then_some(nb));
+            if s.at[i] + 1 < s.end[i] {
+                (s.vs[kept], s.at[kept], s.end[kept], s.cand[kept]) = (v, s.at[i] + 1, s.end[i], c);
                 kept += 1;
             } else if let Some(p) = c {
                 // Exhausted: a proactive claim.
-                writes.push((v as usize, next + 1));
-                claimed.push((v, p, true));
+                s.writes.push((v as usize, next + 1));
+                s.pulled.push((v, p, true));
             }
         }
         live = kept;
-        w.vstore32(&st.status, &writes);
+        w.vstore32(&st.status, &s.writes);
     }
 
-    if claimed.is_empty() {
+    if s.pulled.is_empty() {
         return;
     }
+    let pulled = s.pulled.iter();
     if let Some(parents) = &st.parents {
-        w.vstore32(parents, claimed.iter().map(|&(v, p, _)| (v as usize, p)));
+        w.vstore32(parents, pulled.clone().map(|&(v, p, _)| (v as usize, p)));
     }
-    let mut cdegs = Vec::with_capacity(claimed.len());
+    s.degs.clear();
     w.vload32(
         &g.degrees,
-        claimed.iter().map(|&(v, _, _)| v as usize),
-        &mut cdegs,
+        pulled.clone().map(|t| t.0 as usize),
+        &mut s.degs,
     );
-    let (mut n_now, mut n_pro) = (0u32, 0u32);
-    let (mut e_now, mut e_pro) = (0u64, 0u64);
-    for (&(_, _, pro), &d) in claimed.iter().zip(&cdegs) {
-        if pro {
-            n_pro += 1;
-            e_pro += u64::from(d);
-        } else {
-            n_now += 1;
-            e_now += u64::from(d);
-        }
+    let (mut count, mut edges) = ([0u32; 2], [0u64; 2]); // [now, proactive]
+    for (&(_, _, pro), &d) in pulled.zip(&s.degs) {
+        count[usize::from(pro)] += 1;
+        edges[usize::from(pro)] += u64::from(d);
     }
     w.alu(1);
-    if n_now > 0 {
-        w.wave_add32(&st.counters, ctr::CLAIMED, n_now);
-        w.wave_add64(&st.edge_counters, ectr::CLAIMED_EDGES, e_now);
+    if count[0] > 0 {
+        w.wave_add32(&st.counters, ctr::CLAIMED, count[0]);
+        w.wave_add64(&st.edge_counters, ectr::CLAIMED_EDGES, edges[0]);
     }
-    if n_pro > 0 {
-        w.wave_add32(&st.counters, ctr::PROACTIVE, n_pro);
-        w.wave_add64(&st.edge_counters, ectr::PROACTIVE_EDGES, e_pro);
+    if count[1] > 0 {
+        w.wave_add32(&st.counters, ctr::PROACTIVE, count[1]);
+        w.wave_add64(&st.edge_counters, ectr::PROACTIVE_EDGES, edges[1]);
     }
 }
 
@@ -401,6 +401,41 @@ mod tests {
         st.status.host_fill(1);
         let q = run_double_scan(&dev, &st, n);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn place_handles_all_visited_and_partial_waves() {
+        // A stripe with nothing to place issues no store: an op with no
+        // lanes is free. 300 vertices are one wave of 5 segments, 60 stripes.
+        let (dev, st) = setup(300);
+        let place = |dev: &Device, placed| {
+            assert_eq!(run_double_scan(dev, &st, 300).len(), placed);
+            let reports = dev.take_reports();
+            reports.iter().find(|r| r.name == "bu_place").unwrap().stats
+        };
+        let all = place(&dev, 300);
+        st.status.host_fill(1);
+        let none = place(&dev, 0);
+        assert_eq!((all.bytes_written, none.bytes_written), (4 * 300, 0));
+        assert_eq!(all.instructions - none.instructions, 60);
+        assert_eq!(all.accesses - none.accesses, 300);
+
+        // 70 segments: a full wave, then one of 6 lanes striding by 6. The
+        // queue is region after region, within a region segment after
+        // segment, exactly the unvisited vertices.
+        let n = 70 * 64 - 10;
+        let (dev, st) = setup(n);
+        let visited = |v: usize| v % 7 == 3 || (4096..4200).contains(&v);
+        (0..n)
+            .filter(|&v| visited(v))
+            .for_each(|v| st.status.store(v, 2));
+        let mut expect = Vec::new();
+        for (region, nl) in [(0usize, 64usize), (4096, 6)] {
+            let stripe = |t: usize| (0..64).map(move |j| region + j * nl + t);
+            let placed = (0..nl).flat_map(stripe).filter(|&v| v < n && !visited(v));
+            expect.extend(placed.map(|v| v as u32));
+        }
+        assert_eq!(run_double_scan(&dev, &st, n), expect);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! for the large bin.
 
 use crate::device_graph::DeviceGraph;
-use crate::state::{ctr, ectr, is_unvisited, BfsState, BinThresholds};
+use crate::state::{ctr, ectr, is_unvisited, BfsState, BinThresholds, Claim};
 use gcd_sim::{BufU32, WaveCtx};
 
 /// Waves cooperating on one large-bin vertex.
@@ -37,12 +37,6 @@ pub struct TopDownOpts {
     pub thresholds: BinThresholds,
 }
 
-/// A vertex claimed during expansion: `(vertex, parent, observed_status)`.
-/// The observed (stale-epoch or `UNVISITED`) status is what a CAS claim
-/// must compare against: `next = base + level + 1` can never collide with a
-/// pre-epoch value, so CAS-from-observed keeps exactly-once claiming.
-type Claim = (u32, u32, u32);
-
 /// Claim the unvisited members of `cands` and append winners to `claimed`.
 fn claim_candidates(
     w: &mut WaveCtx,
@@ -50,6 +44,7 @@ fn claim_candidates(
     opts: &TopDownOpts,
     cands: &[Claim],
     claimed: &mut Vec<Claim>,
+    results: &mut Vec<Result<u32, u32>>,
 ) {
     if cands.is_empty() {
         return;
@@ -59,13 +54,10 @@ fn claim_candidates(
         let ops = cands
             .iter()
             .map(|&(v, _, observed)| (v as usize, observed, next));
-        let mut results = Vec::with_capacity(cands.len());
-        w.vcas32(&st.status, ops, &mut results);
-        for (c, r) in cands.iter().zip(&results) {
-            if r.is_ok() {
-                claimed.push(*c);
-            }
-        }
+        results.clear();
+        w.vcas32(&st.status, ops, results);
+        let won = cands.iter().zip(&*results).filter(|(_, r)| r.is_ok());
+        claimed.extend(won.map(|(c, _)| *c));
     } else {
         // Plain stores: benign same-value races (single-scan, §III-B).
         w.vstore32(
@@ -84,6 +76,8 @@ fn commit_claims(
     st: &BfsState,
     opts: &TopDownOpts,
     claimed: &[Claim],
+    cdegs: &mut Vec<u32>,
+    bins: &mut [Vec<u32>; 3],
 ) {
     if claimed.is_empty() {
         return;
@@ -93,17 +87,13 @@ fn commit_claims(
     }
     // Degrees of claimed vertices: needed for the edge-ratio counter and,
     // when balancing, for bin selection.
-    let mut cdegs = Vec::with_capacity(claimed.len());
-    w.vload32(
-        &g.degrees,
-        claimed.iter().map(|&(v, _, _)| v as usize),
-        &mut cdegs,
-    );
-    let deg_sum = w.wave_reduce_add(&cdegs);
+    cdegs.clear();
+    w.vload32(&g.degrees, claimed.iter().map(|c| c.0 as usize), cdegs);
+    let deg_sum = w.wave_reduce_add(cdegs);
     w.wave_add32(&st.counters, ctr::CLAIMED, claimed.len() as u32);
     w.wave_add64(&st.edge_counters, ectr::CLAIMED_EDGES, deg_sum);
     if opts.enqueue {
-        enqueue_binned(w, st, opts, claimed.iter().map(|c| c.0), &cdegs);
+        enqueue_binned(w, st, opts, claimed.iter().map(|c| c.0), cdegs, bins);
     }
 }
 
@@ -115,8 +105,9 @@ fn enqueue_binned(
     opts: &TopDownOpts,
     vertices: impl Iterator<Item = u32>,
     degs: &[u32],
+    bins: &mut [Vec<u32>; 3],
 ) {
-    let mut bins: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
+    bins.iter_mut().for_each(Vec::clear);
     for (v, &d) in vertices.zip(degs) {
         let b = if opts.balancing {
             opts.thresholds.bin(d)
@@ -134,37 +125,6 @@ fn enqueue_binned(
     }
 }
 
-/// Load and optionally filter the frontier vertices this wave's lanes
-/// handle (queue entries `w.lanes()`). Returns `(vertex, offset, degree)`
-/// triples for surviving lanes.
-fn load_frontier(
-    w: &mut WaveCtx,
-    g: &DeviceGraph,
-    st: &BfsState,
-    queue: &BufU32,
-    opts: &TopDownOpts,
-) -> Vec<(u32, u64, u32)> {
-    let gids = w.lanes();
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(queue, gids.start, gids.len(), &mut us);
-    if opts.filter {
-        let mut sts = Vec::with_capacity(us.len());
-        w.vload32(&st.status, us.iter().map(|&u| u as usize), &mut sts);
-        w.alu(1);
-        let mut at_level = sts.iter().map(|&s| s == opts.level);
-        us.retain(|_| at_level.next().expect("one status per queue entry"));
-    }
-    us.dedup(); // cheap guard; exact queues contain no duplicates anyway
-    let mut offs = Vec::with_capacity(us.len());
-    w.vload64(&g.offsets, us.iter().map(|&u| u as usize), &mut offs);
-    let mut degs = Vec::with_capacity(us.len());
-    w.vload32(&g.degrees, us.iter().map(|&u| u as usize), &mut degs);
-    us.iter()
-        .zip(offs.iter().zip(&degs))
-        .map(|(&u, (&o, &d))| (u, o, d))
-        .collect()
-}
-
 /// Thread-per-vertex expansion: each lane walks its own adjacency list.
 /// Lockstep iterations cost the wave its longest lane — the divergence
 /// model. Launch with `items = queue length`.
@@ -175,38 +135,54 @@ pub fn expand_thread(
     queue: &BufU32,
     opts: &TopDownOpts,
 ) {
-    if w.lanes().is_empty() {
+    let gids = w.lanes();
+    if gids.is_empty() {
         return;
     }
-    let mut lanes = load_frontier(w, g, st, queue, opts);
-    let mut claimed: Vec<Claim> = Vec::new();
-    let (mut vs, mut svs) = (Vec::new(), Vec::new());
-    let mut cands: Vec<Claim> = Vec::new();
+    // Load and optionally filter the frontier vertices this wave's lanes
+    // handle: `(vertex, offset, degree)` per surviving lane.
+    let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
+    s.vs.clear();
+    w.vload32_range(queue, gids.start, gids.len(), &mut s.vs);
+    if opts.filter {
+        s.sts.clear();
+        w.vload32(&st.status, s.vs.iter().map(|&u| u as usize), &mut s.sts);
+        w.alu(1);
+        let mut at_level = s.sts.iter().map(|&raw| raw == opts.level);
+        s.vs.retain(|_| at_level.next().expect("one status per queue entry"));
+    }
+    s.vs.dedup(); // cheap guard; exact queues contain no duplicates anyway
+    s.offs.clear();
+    w.vload64(&g.offsets, s.vs.iter().map(|&u| u as usize), &mut s.offs);
+    s.degs.clear();
+    w.vload32(&g.degrees, s.vs.iter().map(|&u| u as usize), &mut s.degs);
+    s.lanes.clear();
+    let rows = s.vs.iter().zip(s.offs.iter().zip(&s.degs));
+    s.lanes.extend(rows.map(|(&u, (&o, &d))| (u, o, d)));
+
+    s.claimed.clear();
     let mut k = 0u32;
     loop {
         // Retire finished lanes: each gather below takes one index per lane.
-        lanes.retain(|&(_, _, d)| k < d);
-        if lanes.is_empty() {
+        s.lanes.retain(|&(_, _, d)| k < d);
+        if s.lanes.is_empty() {
             break;
         }
-        let aidx = lanes.iter().map(|&(_, o, _)| (o + u64::from(k)) as usize);
-        vs.clear();
-        w.vload32(&g.adjacency, aidx, &mut vs);
-        svs.clear();
-        w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut svs);
+        let aidx = s.lanes.iter().map(|&(_, o, _)| (o + u64::from(k)) as usize);
+        s.nbrs.clear();
+        w.vload32(&g.adjacency, aidx, &mut s.nbrs);
+        s.sts.clear();
+        w.vload32(&st.status, s.nbrs.iter().map(|&v| v as usize), &mut s.sts);
         w.alu(1);
-        cands.clear();
-        cands.extend(
-            vs.iter()
-                .zip(&lanes)
-                .zip(&svs)
-                .filter(|&(_, &s)| is_unvisited(s, st.base))
-                .map(|((&v, &(u, _, _)), &s)| (v, u, s)),
-        );
-        claim_candidates(w, st, opts, &cands, &mut claimed);
+        s.cands.clear();
+        let probed = s.nbrs.iter().zip(&s.lanes).zip(&s.sts);
+        let unvisited = probed.filter(|&(_, &raw)| is_unvisited(raw, epoch));
+        s.cands
+            .extend(unvisited.map(|((&v, &(u, _, _)), &raw)| (v, u, raw)));
+        claim_candidates(w, st, opts, &s.cands, &mut s.claimed, &mut s.results);
         k += 1;
     }
-    commit_claims(w, g, st, opts, &claimed);
+    commit_claims(w, g, st, opts, &s.claimed, &mut s.degs, &mut s.bins);
 }
 
 /// Wavefront-per-vertex expansion (medium bin): the wave's lanes stride one
@@ -262,25 +238,24 @@ fn expand_cooperative(
     let deg = w.sload32(&g.degrees, u as usize) as usize;
     let width = w.width();
     let stride = width * waves_per_vertex;
-    let mut claimed: Vec<Claim> = Vec::new();
+    let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
+    s.claimed.clear();
     let mut base = sub * width;
     while base < deg {
         let count = width.min(deg - base);
-        let mut vs = Vec::with_capacity(count);
-        w.vload32_range(&g.adjacency, off as usize + base, count, &mut vs);
-        let mut svs = Vec::with_capacity(count);
-        w.vload32(&st.status, vs.iter().map(|&v| v as usize), &mut svs);
+        s.nbrs.clear();
+        w.vload32_range(&g.adjacency, off as usize + base, count, &mut s.nbrs);
+        s.sts.clear();
+        w.vload32(&st.status, s.nbrs.iter().map(|&v| v as usize), &mut s.sts);
         w.alu(1);
-        let cands: Vec<Claim> = vs
-            .iter()
-            .zip(&svs)
-            .filter(|&(_, &s)| is_unvisited(s, st.base))
-            .map(|(&v, &s)| (v, u, s))
-            .collect();
-        claim_candidates(w, st, opts, &cands, &mut claimed);
+        s.cands.clear();
+        let probed = s.nbrs.iter().zip(&s.sts);
+        let unvisited = probed.filter(|&(_, &raw)| is_unvisited(raw, epoch));
+        s.cands.extend(unvisited.map(|(&v, &raw)| (v, u, raw)));
+        claim_candidates(w, st, opts, &s.cands, &mut s.claimed, &mut s.results);
         base += stride;
     }
-    commit_claims(w, g, st, opts, &claimed);
+    commit_claims(w, g, st, opts, &s.claimed, &mut s.degs, &mut s.bins);
 }
 
 /// Block-centric expansion (large bin): a whole workgroup cooperates on
@@ -306,6 +281,7 @@ pub fn expand_block(
     let wpg = g.waves_per_group();
     let width = g.width();
     let stage_cap = (g.lds_len() - 1) / 2;
+    let s = &mut *st.scratch.borrow_mut();
     g.lds_scatter(&[(0, 0)]);
     g.barrier();
 
@@ -342,7 +318,7 @@ pub fn expand_block(
                     .filter(|&(_, &s)| is_unvisited(s, st.base))
                     .map(|(&v, &s)| (v, u, s))
                     .collect();
-                claim_candidates(w, st, opts, &cands, &mut claimed);
+                claim_candidates(w, st, opts, &cands, &mut claimed, &mut s.results);
                 base += stride;
             }
         });
@@ -370,7 +346,9 @@ pub fn expand_block(
         writes.push((0, cursor as u32));
         g.lds_scatter(&writes);
         if !overflow.is_empty() {
-            g.wave(wave, |w| commit_claims(w, dg, st, opts, &overflow));
+            g.wave(wave, |w| {
+                commit_claims(w, dg, st, opts, &overflow, &mut s.degs, &mut s.bins)
+            });
         }
     }
     g.barrier();
@@ -387,7 +365,9 @@ pub fn expand_block(
     g.lds_gather(&idxs, &mut flat);
     // Observed statuses aren't staged: the block commit never re-claims.
     let staged: Vec<Claim> = flat.chunks_exact(2).map(|c| (c[0], c[1], 0)).collect();
-    g.wave(0, |w| commit_claims(w, dg, st, opts, &staged));
+    g.wave(0, |w| {
+        commit_claims(w, dg, st, opts, &staged, &mut s.degs, &mut s.bins)
+    });
 }
 
 /// Frontier-queue generation scan (single-scan kernel 1): sweep the status
@@ -405,15 +385,14 @@ pub fn generation_scan(
     if gids.is_empty() {
         return;
     }
-    let mut sts = Vec::with_capacity(gids.len());
-    w.vload32_range(&st.status, gids.start, gids.len(), &mut sts);
+    let s = &mut *st.scratch.borrow_mut();
+    s.sts.clear();
+    w.vload32_range(&st.status, gids.start, gids.len(), &mut s.sts);
     w.alu(1);
-    let members: Vec<u32> = gids
-        .zip(&sts)
-        .filter(|&(_, &s)| s == level)
-        .map(|(v, _)| v as u32)
-        .collect();
-    if members.is_empty() {
+    s.vs.clear();
+    let members = gids.zip(&s.sts).filter(|&(_, &raw)| raw == level);
+    s.vs.extend(members.map(|(v, _)| v as u32));
+    if s.vs.is_empty() {
         return;
     }
     let opts = TopDownOpts {
@@ -424,9 +403,10 @@ pub fn generation_scan(
         balancing,
         thresholds,
     };
-    let mut degs = Vec::with_capacity(members.len());
-    w.vload32(&g.degrees, members.iter().map(|&v| v as usize), &mut degs);
-    enqueue_binned(w, st, &opts, members.iter().copied(), &degs);
+    s.degs.clear();
+    w.vload32(&g.degrees, s.vs.iter().map(|&v| v as usize), &mut s.degs);
+    let members = s.vs.iter().copied();
+    enqueue_binned(w, st, &opts, members, &s.degs, &mut s.bins);
 }
 
 #[cfg(test)]

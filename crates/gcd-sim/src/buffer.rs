@@ -25,7 +25,9 @@ pub struct BufU64 {
 macro_rules! impl_buf {
     ($name:ident, $atom:ty, $prim:ty, $width:expr) => {
         impl $name {
-            pub(crate) fn new(base: u64, len: usize) -> Self {
+            /// `len` zeroed elements at device address `base`: a device
+            /// line-aligns its own, a test of the trace may make them straddle.
+            pub fn new(base: u64, len: usize) -> Self {
                 let data = (0..len).map(|_| <$atom>::new(0)).collect();
                 Self { base, data }
             }

@@ -68,6 +68,16 @@ impl Coalescer {
     #[inline]
     pub fn touch_run(&mut self, line: u64, k: u64) -> bool {
         debug_assert!(k >= 1);
+        let hit = self.probe(line);
+        self.hits += k - 1 + u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
+    }
+
+    /// [`Self::touch`] without the counters: a caller that probes a whole
+    /// vector op adds its sums to `hits` and `misses` once, afterwards.
+    #[inline]
+    pub fn probe(&mut self, line: u64) -> bool {
         let base = (line & self.set_mask) as usize * WAYS;
         let set: &mut [u64; WAYS] = (&mut self.sets[base..base + WAYS])
             .try_into()
@@ -84,8 +94,6 @@ impl Coalescer {
             if m0 | m1 { s2 } else { s1 },
             if m0 | m1 | m2 { s3 } else { s2 },
         ];
-        self.hits += k - 1 + u64::from(hit);
-        self.misses += u64::from(!hit);
         hit
     }
 

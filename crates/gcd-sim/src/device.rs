@@ -747,23 +747,15 @@ impl Device {
         let cycles = compute_cycles.max(mem_cycles).max(atomic_cycles);
         let runtime_us = a.launch_us + cycles / (a.clock_ghz * 1000.0);
 
-        let l2_hit_pct = match self.mode {
-            ExecMode::Timing => {
-                let total = stats.l2_hits + (stats.l2_accesses - stats.l2_hits);
-                if total == 0 {
-                    0.0
-                } else {
-                    100.0 * stats.l2_hits as f64 / total as f64
-                }
-            }
-            // Functional mode proxies L2 behaviour with the coalescer.
-            ExecMode::Functional => {
-                if stats.accesses == 0 {
-                    0.0
-                } else {
-                    100.0 * stats.l1_hits as f64 / stats.accesses as f64
-                }
-            }
+        // Functional mode proxies L2 behaviour with the coalescer.
+        let (hits, of) = match self.mode {
+            ExecMode::Timing => (stats.l2_hits, stats.l2_accesses),
+            ExecMode::Functional => (stats.l1_hits, stats.accesses),
+        };
+        let l2_hit_pct = if of == 0 {
+            0.0
+        } else {
+            100.0 * hits as f64 / of as f64
         };
         let mem_busy_pct = if cycles > 0.0 {
             (100.0 * mem_cycles / cycles).min(100.0)

@@ -10,9 +10,10 @@
 pub struct L2Model {
     set_mask: u64,
     ways: usize,
+    /// `tags[set * ways + way]` holds line tags (`u64::MAX` = invalid), each
+    /// set most recently used first, as in [`crate::coalescer::Coalescer`]:
+    /// the order is the whole LRU state, invalid ways at the tail.
     tags: Vec<u64>,
-    stamps: Vec<u64>,
-    tick: u64,
     /// Line accesses that hit.
     pub hits: u64,
     /// Line accesses that missed (fetched from HBM).
@@ -30,36 +31,26 @@ impl L2Model {
             set_mask: sets as u64 - 1,
             ways,
             tags: vec![u64::MAX; sets * ways],
-            stamps: vec![0; sets * ways],
-            tick: 0,
             hits: 0,
             misses: 0,
         }
     }
 
     /// Access one line; returns true on hit. A miss replaces the least
-    /// recently used way of the line's set (the first such way on ties).
+    /// recently used way of the line's set (an invalid way while one is
+    /// left).
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
-        self.tick += 1;
         let base = (line & self.set_mask) as usize * self.ways;
-        let tags = &mut self.tags[base..base + self.ways];
-        let stamps = &mut self.stamps[base..base + self.ways];
-        if let Some(w) = tags.iter().position(|&t| t == line) {
-            stamps[w] = self.tick;
-            self.hits += 1;
-            return true;
-        }
-        let mut victim = 0;
-        for (w, &s) in stamps.iter().enumerate().skip(1) {
-            if s < stamps[victim] {
-                victim = w;
-            }
-        }
-        tags[victim] = line;
-        stamps[victim] = self.tick;
-        self.misses += 1;
-        false
+        let set = &mut self.tags[base..base + self.ways];
+        let resident = set.iter().position(|&t| t == line);
+        // Move to front: the ways ahead of the match (all but the last on
+        // a miss, which drops out) shift back one place.
+        set.copy_within(0..resident.unwrap_or(self.ways - 1), 1);
+        set[0] = line;
+        self.hits += u64::from(resident.is_some());
+        self.misses += u64::from(resident.is_none());
+        resident.is_some()
     }
 
     /// Hit rate in percent over all accesses so far (0 if none).
@@ -82,8 +73,6 @@ impl L2Model {
     /// Cold-start the cache (new BFS run).
     pub fn invalidate(&mut self) {
         self.tags.fill(u64::MAX);
-        self.stamps.fill(0);
-        self.tick = 0;
         self.reset_counters();
     }
 }

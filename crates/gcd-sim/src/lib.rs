@@ -9,8 +9,9 @@
 //! results — while charging costs from the same quantities the paper
 //! reasons about:
 //!
-//! * lockstep **wavefronts** (64 lanes AMD / 32 NVIDIA) with
-//!   `__ballot`/`__any`/`__shfl`/`__popcll` intrinsics ([`wave`]),
+//! * lockstep **wavefronts** (64 lanes AMD / 32 NVIDIA) with the wave
+//!   intrinsics the kernels issue — `ballot`, `wave_prefix_sum`,
+//!   `wave_reduce_add` ([`wave`]),
 //! * a **memory hierarchy** — per-wave coalescer ([`coalescer`]) in front
 //!   of a set-associative L2 ([`l2`]) and an HBM bandwidth model — that
 //!   yields rocprofiler's `FetchSize` / `L2CacheHit` / `MemUnitBusy`
@@ -48,4 +49,4 @@ pub use group::{GroupCfg, GroupCtx};
 pub use kernel::{KernelReport, LaunchCfg, WaveStats};
 pub use pool::{fnv1a, fnv1a_mix, splitmix64, PoolError};
 pub use profiler::{group_by_phase, PhaseProfile};
-pub use wave::{popc64, WaveCtx};
+pub use wave::WaveCtx;

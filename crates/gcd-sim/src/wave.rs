@@ -69,15 +69,6 @@ impl<'a> WaveCtx<'a> {
         self.wave_id
     }
 
-    /// Global thread id of `lane`, or `None` if it falls past the launch
-    /// size (partial trailing wave).
-    #[inline]
-    pub fn global_id(&self, lane: usize) -> Option<usize> {
-        debug_assert!(lane < self.width);
-        let gid = self.wave_id * self.width + lane;
-        (gid < self.items).then_some(gid)
-    }
-
     /// The global ids covered by this wave (empty past the launch size).
     #[inline]
     pub fn lanes(&self) -> Range<usize> {
@@ -191,6 +182,7 @@ impl<'a> WaveCtx<'a> {
 
     /// One indexed vector op: charge the issue, then trace (`addr`, `elem`
     /// bytes) and apply each lane in order. An op with no lanes is free.
+    /// Every counter moves once per op, after the lane loop (DESIGN.md §8).
     #[inline]
     fn vector<T: Copy>(
         &mut self,
@@ -198,17 +190,39 @@ impl<'a> WaveCtx<'a> {
         elem: u32,
         is_read: bool,
         addr: impl Fn(&T) -> u64,
-        mut lane: impl FnMut(T),
+        lane: impl FnMut(T),
     ) {
         let ops = ops.into_iter();
-        if ops.len() == 0 {
+        let n = ops.len() as u64;
+        if n == 0 {
             return;
         }
         self.charge_vector(ops.len());
-        for op in ops {
-            let op = *op.borrow();
-            self.trace(addr(&op), elem, is_read);
-            lane(op);
+        let (co, elem) = (&mut *self.coalescer, u64::from(elem));
+        let line_bytes = co.line_bytes();
+        let mut l2_hits = 0;
+        // Only timing mode has an L2 to ask: one loop per mode.
+        let (touched, misses) = match self.l2.as_deref_mut() {
+            None => lane_loop(ops, elem, line_bytes, addr, lane, |line| !co.probe(line)),
+            Some(l2) => lane_loop(ops, elem, line_bytes, addr, lane, |line| {
+                let miss = !co.probe(line);
+                if miss {
+                    l2_hits += u64::from(l2.access_line(line));
+                }
+                miss
+            }),
+        };
+        co.hits += touched - misses;
+        co.misses += misses;
+        self.stats.accesses += n;
+        self.stats.l1_hits += touched - misses;
+        self.stats.l2_accesses += misses;
+        self.stats.l2_hits += l2_hits;
+        if is_read {
+            // Functional mode has no L2 hits: every read miss is a fetch.
+            self.stats.hbm_lines += misses - l2_hits;
+        } else {
+            self.stats.bytes_written += elem * n;
         }
     }
 
@@ -409,7 +423,7 @@ impl<'a> WaveCtx<'a> {
         buf.fetch_add(idx, val)
     }
 
-    // --- wave intrinsics (the __ballot/__any/__shfl/__popcll family) ---
+    // --- wave intrinsics ---
 
     /// `__ballot`: bitmask of lanes whose predicate is true. Predicates are
     /// given for the lanes present (≤ width).
@@ -420,50 +434,6 @@ impl<'a> WaveCtx<'a> {
             .iter()
             .enumerate()
             .fold(0u64, |m, (i, &p)| if p { m | (1 << i) } else { m })
-    }
-
-    /// `__any`: true if any lane's predicate holds.
-    pub fn any(&mut self, preds: &[bool]) -> bool {
-        self.stats.instructions += 1;
-        preds.iter().any(|&p| p)
-    }
-
-    /// `__shfl`: broadcast lane `src`'s value to the wave.
-    pub fn shfl(&mut self, vals: &[u32], src: usize) -> u32 {
-        self.stats.instructions += 1;
-        vals[src]
-    }
-
-    /// `__shfl_up`: each lane receives the value from `delta` lanes below;
-    /// lanes below `delta` keep their own value (HIP semantics).
-    pub fn shfl_up(&mut self, vals: &[u32], delta: usize, out: &mut Vec<u32>) {
-        self.stats.instructions += 1;
-        for (i, &v) in vals.iter().enumerate() {
-            out.push(if i >= delta { vals[i - delta] } else { v });
-        }
-    }
-
-    /// `__shfl_down`: each lane receives the value from `delta` lanes above;
-    /// lanes past the end keep their own value.
-    pub fn shfl_down(&mut self, vals: &[u32], delta: usize, out: &mut Vec<u32>) {
-        self.stats.instructions += 1;
-        for (i, &v) in vals.iter().enumerate() {
-            out.push(if i + delta < vals.len() {
-                vals[i + delta]
-            } else {
-                v
-            });
-        }
-    }
-
-    /// `__shfl_xor`: butterfly exchange — lane `i` receives lane `i ^ mask`
-    /// (own value if the partner is outside the active set).
-    pub fn shfl_xor(&mut self, vals: &[u32], mask: usize, out: &mut Vec<u32>) {
-        self.stats.instructions += 1;
-        for (i, &v) in vals.iter().enumerate() {
-            let p = i ^ mask;
-            out.push(if p < vals.len() { vals[p] } else { v });
-        }
     }
 
     /// Wave-level exclusive prefix sum (log-width butterfly; longer inputs
@@ -487,10 +457,33 @@ impl<'a> WaveCtx<'a> {
     }
 }
 
-/// `__popcll` — population count of a 64-bit ballot mask.
+/// The lane loop of [`WaveCtx::vector`]: probe each lane's line through
+/// `miss` (true when it leaves the coalescer), then apply the lane. At most
+/// 8 bytes long, an element reaches into at most one more line (and only in
+/// a hand-placed buffer). Returns (lines touched, lines missed).
 #[inline]
-pub fn popc64(mask: u64) -> u32 {
-    mask.count_ones()
+fn lane_loop<T: Copy>(
+    ops: impl Iterator<Item: Borrow<T>>,
+    elem: u64,
+    line_bytes: u64,
+    addr: impl Fn(&T) -> u64,
+    mut lane: impl FnMut(T),
+    mut miss: impl FnMut(u64) -> bool,
+) -> (u64, u64) {
+    let shift = line_bytes.trailing_zeros();
+    let (mut touched, mut misses) = (0, 0);
+    for op in ops {
+        let op = *op.borrow();
+        let at = addr(&op);
+        touched += 1;
+        misses += u64::from(miss(at >> shift));
+        if (at & (line_bytes - 1)) + elem > line_bytes {
+            touched += 1;
+            misses += u64::from(miss((at >> shift) + 1));
+        }
+        lane(op);
+    }
+    (touched, misses)
 }
 
 #[cfg(test)]
@@ -508,8 +501,6 @@ mod tests {
         let lanes: Vec<usize> = ctx.lanes().collect();
         assert_eq!(lanes.first(), Some(&128));
         assert_eq!(lanes.len(), 12); // 140 - 128
-        assert_eq!(ctx.global_id(11), Some(139));
-        assert_eq!(ctx.global_id(12), None);
     }
 
     #[test]
@@ -643,52 +634,11 @@ mod tests {
     }
 
     #[test]
-    fn ballot_any_shfl_popc() {
+    fn ballot_sets_one_bit_per_true_lane() {
         let mut co = Coalescer::new(16, 64);
         let mut ctx = ctx_with(&mut co);
-        let mask = ctx.ballot(&[true, false, true]);
-        assert_eq!(mask, 0b101);
-        assert_eq!(popc64(mask), 2);
-        assert!(ctx.any(&[false, true]));
-        assert!(!ctx.any(&[false, false]));
-        assert_eq!(ctx.shfl(&[7, 8, 9], 2), 9);
-        assert_eq!(ctx.stats.instructions, 4);
-    }
-
-    #[test]
-    fn shfl_family_semantics() {
-        let mut co = Coalescer::new(16, 64);
-        let mut ctx = ctx_with(&mut co);
-        let vals = [10u32, 20, 30, 40];
-        let mut up = Vec::new();
-        ctx.shfl_up(&vals, 1, &mut up);
-        assert_eq!(up, vec![10, 10, 20, 30]);
-        let mut down = Vec::new();
-        ctx.shfl_down(&vals, 2, &mut down);
-        assert_eq!(down, vec![30, 40, 30, 40]);
-        let mut xor = Vec::new();
-        ctx.shfl_xor(&vals, 1, &mut xor);
-        assert_eq!(xor, vec![20, 10, 40, 30]);
-        assert_eq!(ctx.stats.instructions, 3);
-    }
-
-    #[test]
-    fn butterfly_reduction_via_shfl_xor() {
-        // The classic log-step wave reduction built from shfl_xor — the
-        // idiom XBFS's warp aggregates compile to.
-        let mut co = Coalescer::new(16, 64);
-        let mut ctx = ctx_with(&mut co);
-        let mut vals: Vec<u32> = (1..=8).collect(); // sum = 36
-        let mut mask = 4;
-        while mask >= 1 {
-            let mut partner = Vec::new();
-            ctx.shfl_xor(&vals, mask, &mut partner);
-            for (v, p) in vals.iter_mut().zip(&partner) {
-                *v += p;
-            }
-            mask /= 2;
-        }
-        assert!(vals.iter().all(|&v| v == 36), "{vals:?}");
+        assert_eq!(ctx.ballot(&[true, false, true]), 0b101);
+        assert_eq!(ctx.stats.instructions, 1);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use gcd_sim::coalescer::Coalescer;
 use gcd_sim::l2::L2Model;
-use gcd_sim::{ArchProfile, Device, ExecMode, LaunchCfg, WaveCtx};
+use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx, WaveStats};
 use proptest::prelude::*;
 
 /// One contiguous request: elements `start..start + count`.
@@ -17,11 +17,13 @@ fn span() -> impl Strategy<Value = Span> {
     (0usize..RANGE_BUF - 400, 0usize..400)
 }
 
-/// The stamp-clock LRU that `Coalescer` was before it kept each set in
-/// recency order (a global tick, a stamp per way, first-minimum-stamp
-/// victim): the model the branch-free one must be indistinguishable from.
+/// The stamp-clock LRU that `Coalescer` and `L2Model` were before they kept
+/// each set in recency order (a global tick, a stamp per way,
+/// first-minimum-stamp victim): the model the recency-ordered ones must be
+/// indistinguishable from.
 struct StampLru {
     set_mask: u64,
+    ways: usize,
     tags: Vec<u64>,
     stamps: Vec<u64>,
     tick: u64,
@@ -30,12 +32,17 @@ struct StampLru {
 }
 
 impl StampLru {
+    /// Shaped like `Coalescer::new(lines, _)`.
     fn new(lines: usize) -> Self {
-        let sets = lines.max(4).div_ceil(4).next_power_of_two();
+        Self::with_ways(lines.max(4).div_ceil(4).next_power_of_two(), 4)
+    }
+
+    fn with_ways(sets: usize, ways: usize) -> Self {
         Self {
             set_mask: sets as u64 - 1,
-            tags: vec![u64::MAX; sets * 4],
-            stamps: vec![0; sets * 4],
+            ways,
+            tags: vec![u64::MAX; sets * ways],
+            stamps: vec![0; sets * ways],
             tick: 0,
             hits: 0,
             misses: 0,
@@ -44,19 +51,76 @@ impl StampLru {
 
     fn touch_run(&mut self, line: u64, k: u64) -> bool {
         self.tick += k;
-        let base = (line & self.set_mask) as usize * 4;
-        let resident = (base..base + 4).find(|&w| self.tags[w] == line);
+        let base = (line & self.set_mask) as usize * self.ways;
+        let set = base..base + self.ways;
+        let resident = set.clone().find(|&w| self.tags[w] == line);
         // `min_by_key` returns the first of equal minima.
-        let way = resident.unwrap_or_else(|| {
-            (base..base + 4)
-                .min_by_key(|&w| self.stamps[w])
-                .expect("4 ways")
-        });
+        let way = resident
+            .unwrap_or_else(|| set.min_by_key(|&w| self.stamps[w]).expect("a set has ways"));
         self.tags[way] = line;
         self.stamps[way] = self.tick;
         self.hits += k - 1 + u64::from(resident.is_some());
         self.misses += u64::from(resident.is_none());
         resident.is_some()
+    }
+}
+
+/// The tracer `WaveCtx`'s vector ops ran every lane through before they
+/// kept their books per op (`trace` and `touch_line` as they were, over
+/// the public `Coalescer::touch` and `L2Model::access_line`): what
+/// the per-op counters must add up to.
+struct LaneTracer {
+    co: Coalescer,
+    l2: Option<L2Model>,
+    stats: WaveStats,
+}
+
+impl LaneTracer {
+    fn touch_line(&mut self, line: u64, is_read: bool) {
+        let hit = self.co.touch(line);
+        let miss = u64::from(!hit);
+        self.stats.l1_hits += 1 - miss;
+        self.stats.l2_accesses += miss;
+        let Some(l2) = self.l2.as_mut() else {
+            self.stats.hbm_lines += miss & u64::from(is_read);
+            return;
+        };
+        if hit {
+            return;
+        }
+        if l2.access_line(line) {
+            self.stats.l2_hits += 1;
+        } else if is_read {
+            self.stats.hbm_lines += 1;
+        }
+    }
+
+    fn trace(&mut self, addr: u64, len: u32, is_read: bool) {
+        self.stats.accesses += 1;
+        let first = self.co.line_of(addr);
+        let last = self.co.line_of(addr + u64::from(len) - 1);
+        self.touch_line(first, is_read);
+        for line in first + 1..=last {
+            self.touch_line(line, is_read);
+        }
+        if !is_read {
+            self.stats.bytes_written += u64::from(len);
+        }
+    }
+
+    /// One vector op over `addrs`, a wave 64 wide; an atomic one also pays
+    /// the atomic unit, where ops on one line serialize.
+    fn vector(&mut self, addrs: &[u64], elem: u32, is_read: bool, atomic: bool) {
+        if atomic {
+            let mut lines: Vec<u64> = addrs.iter().map(|&a| self.co.line_of(a)).collect();
+            lines.sort_unstable();
+            self.stats.atomics += addrs.len() as u64;
+            self.stats.atomic_conflicts += lines.windows(2).filter(|p| p[0] == p[1]).count() as u64;
+        }
+        self.stats.instructions += addrs.len().div_ceil(64) as u64;
+        for &a in addrs {
+            self.trace(a, elem, is_read);
+        }
     }
 }
 
@@ -134,6 +198,81 @@ proptest! {
         let mut expect: Vec<u64> = lru.tags.iter().copied().filter(|&t| t != u64::MAX).collect();
         expect.sort_unstable();
         prop_assert_eq!(resident, expect);
+    }
+
+    /// The L2 in recency order is the same stamp-clock LRU, at every
+    /// associativity, cold-started mid-sequence included.
+    #[test]
+    fn l2_recency_order_is_stamp_lru(
+        assoc in 0usize..3,
+        wide in any::<bool>(),
+        ops in proptest::collection::vec(any::<u64>(), 2..600),
+    ) {
+        let (sets, ways) = (16, [1usize, 4, 16][assoc]);
+        let lines = sets * ways;
+        let span = if wide { 6 * lines } else { 3 * lines / 4 } as u64;
+        let mut l2 = L2Model::new(lines * 64, ways, 64);
+        let mut lru = StampLru::with_ways(sets, ways);
+        for (i, &raw) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                l2.invalidate();
+                lru = StampLru::with_ways(sets, ways);
+            }
+            prop_assert_eq!(l2.access_line(raw % span), lru.touch_run(raw % span, 1));
+        }
+        prop_assert_eq!((l2.hits, l2.misses), (lru.hits, lru.misses));
+        let resident: Vec<u64> = (0..span).filter(|&l| l2.clone().access_line(l)).collect();
+        let mut expect: Vec<u64> = lru.tags.iter().copied().filter(|&t| t != u64::MAX).collect();
+        expect.sort_unstable();
+        prop_assert_eq!(resident, expect);
+    }
+
+    /// Counting per op is counting per lane: every indexed vector op leaves
+    /// the `WaveStats`, the coalescer (state and counters) and the L2 the
+    /// per-lane tracer leaves — empty ops, ops wider than a wave and than
+    /// `atomic`'s stack array, and elements that straddle two lines included.
+    #[test]
+    fn vector_ops_count_like_the_per_lane_tracer(
+        ops in proptest::collection::vec(
+            (0usize..6, proptest::collection::vec((0usize..RANGE_BUF, any::<u32>()), 0..201)),
+            1..10,
+        ),
+        place in 0usize..3,
+        tiny_coalescer in any::<bool>(),
+        timing in any::<bool>(),
+    ) {
+        // Line-aligned like a device allocation, or hand-placed so that
+        // some elements reach into a second line.
+        let offset = [0u64, 2, 62][place];
+        let b32 = BufU32::new(4096 + offset, RANGE_BUF);
+        let b64 = BufU64::new((1 << 16) + offset, RANGE_BUF);
+        let lines = if tiny_coalescer { 4 } else { 128 };
+        let (mut co, mut l2) = (Coalescer::new(lines, 64), L2Model::new(4096, 4, 64));
+        let mut reference = LaneTracer {
+            co: co.clone(),
+            l2: timing.then(|| l2.clone()),
+            stats: WaveStats::default(),
+        };
+        let mut w = WaveCtx::new(3, 64, 1 << 20, &mut co, timing.then_some(&mut l2));
+        for (kind, lanes) in &ops {
+            let idx = lanes.iter().map(|&(i, _)| i);
+            let a32: Vec<u64> = idx.clone().map(|i| b32.addr(i)).collect();
+            let a64: Vec<u64> = idx.clone().map(|i| b64.addr(i)).collect();
+            let wide = lanes.iter().map(|&(i, v)| (i, u64::from(v)));
+            match kind {
+                0 => w.vload32(&b32, idx, &mut Vec::new()),
+                1 => w.vload64(&b64, idx, &mut Vec::new()),
+                2 => w.vstore32(&b32, lanes),
+                3 => w.vstore64(&b64, wide),
+                4 => w.vcas32(&b32, lanes.iter().map(|&(i, v)| (i, 0, v)), &mut Vec::new()),
+                _ => w.vor64(&b64, wide),
+            }
+            let (addrs, elem) = if matches!(kind, 0 | 2 | 4) { (&a32, 4) } else { (&a64, 8) };
+            reference.vector(addrs, elem, !matches!(kind, 2 | 3), *kind >= 4);
+        }
+        prop_assert_eq!(w.stats, reference.stats);
+        prop_assert_eq!(&co, &reference.co);
+        prop_assert_eq!(timing.then_some(l2), reference.l2);
     }
 
     /// `vload32_range` / `vload64_range` / `vstore32_range` are the per-lane

@@ -423,13 +423,14 @@ lone_latency() {
 }
 sim_overhead() {
   echo "==> sim-overhead (a modeled edge stays cheap on the host, in both exec modes)"
-  # Medians before -> after the traced lane access lost its branch and its
-  # index vectors (results/BENCH_pr16.json): 5.55 -> 4.30 and 3.02 -> 2.03.
-  # The solo limit sits about midway between its medians, above the slowest
-  # run after (2.16) and below the fastest before (2.80); the timing limit
-  # sits between the old limit (10) and the slowest run after (4.45).
-  overhead_gate direct-timing-s14 7
-  overhead_gate direct-solo-s16 2.6
+  # Medians before -> after a traced vector op started keeping its books
+  # once per op and the solo kernels stopped allocating per wave
+  # (results/BENCH_pr24.json): 4.17 -> 3.08 and 1.90 -> 1.27. Each limit
+  # sits between the slowest run after (3.33, 1.39) and the fastest run
+  # before (3.86, 1.78); the gate's own 2 s runs read the same (3.0-3.2
+  # and 1.27-1.30 after, 4.1-4.2 and 1.86-1.94 before, three each).
+  overhead_gate direct-timing-s14 3.6
+  overhead_gate direct-solo-s16 1.6
 }
 batch_overhead() {
   echo "==> batch-overhead (a verified 64-wide batch costs about its traversal, not its certificate)"

@@ -250,7 +250,8 @@ fn timing_counters_match_golden() {
 }
 
 /// Steady-state behavior: a second run at the same depth allocates no new
-/// label scratch, and dropping the engine parks its buffers in the device
+/// label scratch, a second pass over the same sources grows no kernel
+/// working vector, and dropping the engine parks its buffers in the device
 /// pool so the next engine rebuilds entirely from pool hits with results
 /// still bit-identical.
 #[test]
@@ -275,6 +276,17 @@ fn steady_state_reuses_scratch_and_pooled_buffers() {
         fingerprint(&first),
         fingerprint(&second),
         "same-source reruns are deterministic"
+    );
+    let sources = pick_sources(&g, 4, 2);
+    let pass = || sources.iter().for_each(|&s| drop(xbfs.run(s).unwrap()));
+    pass();
+    let warmed = xbfs.kernel_scratch_capacity();
+    assert!(warmed > 0, "the kernels work in the engine's scratch");
+    pass();
+    assert_eq!(
+        xbfs.kernel_scratch_capacity(),
+        warmed,
+        "a repeat pass must not grow the kernels' working vectors"
     );
 
     let (hits_before, misses_before) = dev.pool_stats();
