@@ -22,7 +22,7 @@ use xbfs_multi_gcd::{
     ClusterConfig, ClusterError, FaultConfig, FaultEvent, FaultPlan, GcdCluster, LinkModel,
     RecoveryPolicy,
 };
-use xbfs_telemetry::{Recorder, Trace, TraceFormat};
+use xbfs_telemetry::{Trace, TraceFormat};
 
 /// Exit codes the `xbfs` binary maps failures to.
 pub mod exit_code {
@@ -142,8 +142,8 @@ fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
         }
         "serve" => {
             "addr workers queue-cap verify! allow-chaos! max-retries deadline-ms cluster \
-             checkpoint-every alpha metrics-addr flight-dir flight-ring batch-width \
-             batch-window-ms journal journal-fsync idle-timeout-ms json trace"
+             checkpoint-every alpha metrics-addr flight-dir batch-width batch-window-ms \
+             journal journal-fsync idle-timeout-ms json trace"
         }
         "loadgen" => {
             "addr requests rps connections sources seed deadline-ms verify! chaos retries \
@@ -158,7 +158,7 @@ fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
         "compare" => "source",
         "sweep" => {
             "sources threads seed alpha json verify! inject-bitflips max-pool-bytes \
-             deadline-factor retries multi-source! trace"
+             deadline-factor retries multi-source!"
         }
         _ => return None,
     };
@@ -246,7 +246,6 @@ COMMANDS
   sweep     FILE [--sources N] [--threads T] [--seed N] [--alpha F] [--json FILE]
             [--verify] [--inject-bitflips SPEC] [--max-pool-bytes B]
             [--deadline-factor F] [--retries N] [--multi-source]
-            [--trace FMT:PATH]
             batched multi-source sweep: one pooled engine per OS thread runs
             N sources back-to-back, then the same sources are re-run with a
             per-source in-process rebuild (the bit-identity reference);
@@ -270,9 +269,9 @@ COMMANDS
             [--verify] [--allow-chaos] [--max-retries N]
             [--deadline-ms MS] [--cluster N] [--checkpoint-every N]
             [--alpha F] [--metrics-addr HOST:PORT] [--flight-dir DIR]
-            [--flight-ring N] [--batch-width W] [--batch-window-ms MS]
-            [--journal PATH] [--journal-fsync always|batch=N|off]
-            [--idle-timeout-ms MS] [--json FILE] [--trace FMT:PATH]
+            [--batch-width W] [--batch-window-ms MS] [--journal PATH]
+            [--journal-fsync always|batch=N|off] [--idle-timeout-ms MS]
+            [--json FILE] [--trace FMT:PATH]
             long-running BFS daemon: loads the graph once, keeps one warm
             pooled engine per worker, and serves `xbfs-serve-v1` (JSON
             lines over TCP). A bounded admission queue sheds overload with
@@ -297,10 +296,11 @@ COMMANDS
             --metrics-addr binds an HTTP listener serving /metrics
             (Prometheus text) and /metrics.json, scrapeable mid-load
             without perturbing workers. A per-worker flight recorder
-            keeps the last --flight-ring events (default 64); on a
-            worker panic, engine quarantine or breaker trip the ring is
-            dumped to --flight-dir (default under the system temp dir)
-            and the dump paths land in the serve report.
+            keeps the last 64 events; on a worker panic, engine
+            quarantine or breaker trip the rings are dumped to
+            --flight-dir (default under the system temp dir) and the
+            dump paths land in the serve report; --trace renders the
+            rings at drain, one instant per event.
             --batch-width W (default 1, max 64) coalesces up to W queued
             requests per worker into one 64-wide bit-parallel wave on a
             shared engine; --batch-window-ms (default 2) bounds how long
@@ -361,11 +361,12 @@ COMMANDS
                                     JSON or chrome trace.json)
 
 TRACING
-  --trace FMT:PATH records structured telemetry (spans, per-level metrics)
-  during bfs/run and cluster. FMT is table, json, chrome (load the file in
-  chrome://tracing or https://ui.perfetto.dev) or csv (rocprofiler-style
-  kernel rows). PATH `-` writes the trace to stdout instead of the normal
-  report, so `xbfs run g.bin --trace json:- > out.json` emits pure JSON.
+  --trace FMT:PATH renders a finished run (spans, per-level metrics) for
+  bfs/run and cluster, or a server's flight rings at drain for serve. FMT
+  is table, json, chrome (load the file in chrome://tracing or
+  https://ui.perfetto.dev) or csv (rocprofiler-style kernel rows). PATH `-`
+  writes the trace to stdout instead of the normal report, so
+  `xbfs run g.bin --trace json:- > out.json` emits pure JSON.
 
 EXIT CODES
   0 ok, 1 generic, 2 usage, 3 I/O, 4 invalid input, 5 unrecovered fault,
@@ -520,19 +521,6 @@ fn trace_target(args: &Args) -> Result<Option<(TraceFormat, String)>, CliError> 
         .get("trace")
         .map(|spec| TraceFormat::parse(spec).map_err(CliError::usage))
         .transpose()
-}
-
-/// `--trace` for the commands that record on the wall clock as they go
-/// (`sweep`, `serve`): the target plus a recorder that is enabled only
-/// when tracing was requested.
-fn trace_setup(args: &Args) -> Result<(Option<(TraceFormat, String)>, Recorder), CliError> {
-    let target = trace_target(args)?;
-    let recorder = if target.is_some() {
-        Recorder::new()
-    } else {
-        Recorder::disabled()
-    };
-    Ok((target, recorder))
 }
 
 /// Parse an optional float option; absent is `None`, unparsable is a

@@ -2,13 +2,15 @@
 //! client) and `top` (its live dashboard).
 
 use super::{
-    build_device, emit_trace, exit_code, load_graph, opt_f64, parse_device, trace_setup, CliError,
+    build_device, emit_trace, exit_code, load_graph, opt_f64, parse_device, trace_target, CliError,
 };
 use crate::args::Args;
+use std::sync::Arc;
 use xbfs_core::XbfsConfig;
 use xbfs_server::{
     run_loadgen, ChaosPlan, DeviceFactory, FsyncPolicy, LoadgenConfig, ServeConfig, Server,
 };
+use xbfs_telemetry::Recorder;
 
 /// `xbfs serve`: the resilient BFS daemon. Loads the graph once, keeps
 /// one warm pooled engine per worker, and serves `xbfs-serve-v1` until a
@@ -18,7 +20,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         .positional
         .first()
         .ok_or("usage: xbfs serve FILE [--addr HOST:PORT] (see `xbfs help`)")?;
-    let g = std::sync::Arc::new(load_graph(path)?);
+    let g = Arc::new(load_graph(path)?);
     // Every default below is `ServeConfig::default()`'s, written once.
     let d = ServeConfig::default();
     let verify = args.flag("verify");
@@ -89,7 +91,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         checkpoint_every: args.get("checkpoint-every", d.checkpoint_every)?,
         metrics_addr: args.options.get("metrics-addr").cloned(),
         flight_dir: args.options.get("flight-dir").cloned(),
-        flight_ring: args.get("flight-ring", d.flight_ring)?,
         batch_width,
         batch_window_ms,
         journal,
@@ -103,11 +104,15 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     // `args` is gone.
     let streams = xcfg.required_streams();
     let spec = parse_device(args)?;
-    let factory: DeviceFactory = std::sync::Arc::new(move || build_device(spec.clone(), streams));
+    let factory: DeviceFactory = Arc::new(move || build_device(spec.clone(), streams));
 
-    let (trace_opt, recorder) = trace_setup(args)?;
-    let rec = std::sync::Arc::new(recorder);
-    let handle = Server::start(scfg, g, xcfg, factory, std::sync::Arc::clone(&rec))
+    // `--trace` renders the flight rings at drain; nothing records live.
+    let trace_opt = trace_target(args)?;
+    let rec = Arc::new(match trace_opt {
+        Some(_) => Recorder::new(),
+        None => Recorder::disabled(),
+    });
+    let handle = Server::start(scfg, g, xcfg, factory, Arc::clone(&rec))
         .map_err(|e| CliError::io(format!("cannot start server: {e}")))?;
     // The banner goes to stderr immediately (stdout is the end-of-life
     // report) so scripts can scrape the bound port before sending load.
@@ -225,18 +230,16 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
             .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
         out.push_str(&format!("serve report written to {json_path}\n"));
     }
-    if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &rec.finish()) {
-            return Ok(direct);
-        }
-    }
+    // A side-file trace is written either way; the exit status is the
+    // drain's, and only a clean drain hands stdout to a `-` trace.
+    let direct = trace_opt.and_then(|(fmt, path)| emit_trace(&mut out, fmt, &path, &rec.finish()));
     if !report.drain_clean {
         return Err(CliError::new(
             format!("serve: drain was not clean (work lost or dropped)\n{out}"),
             exit_code::GENERIC,
         ));
     }
-    Ok(out)
+    Ok(direct.unwrap_or(out))
 }
 
 /// `xbfs loadgen`: open-loop load generator for `xbfs serve`.

@@ -3,10 +3,7 @@
 //! through whatever [`Engine`] it is handed; the command calls it three
 //! times (pooled, per-source rebuild, `--multi-source`).
 
-use super::{
-    build_device, emit_trace, exit_code, load_graph, parse_bitflip_plan, parse_device, trace_setup,
-    CliError,
-};
+use super::{build_device, exit_code, load_graph, parse_bitflip_plan, parse_device, CliError};
 use crate::args::Args;
 use gcd_sim::Device;
 use std::rc::Rc;
@@ -19,11 +16,11 @@ use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::Csr;
 use xbfs_telemetry::json::{self, Val};
-use xbfs_telemetry::{names, AttrValue, Recorder};
 
 /// Aggregated supervisor health for one sweep: every detection,
 /// quarantine, re-execution and resource-pressure event, summed across
-/// workers. Lands in the report text and the `xbfs-sweep-v1` JSON.
+/// workers — the sweep's only record of them. Lands in the report text
+/// and the `xbfs-sweep-v1` JSON.
 #[derive(Default)]
 struct SweepHealth {
     certified: u64,
@@ -63,8 +60,6 @@ struct SweepJob<'a> {
     verify: bool,
     retries: u32,
     deadline_factor: f64,
-    /// Origin of the trace's wall clock.
-    t0: Instant,
 }
 
 /// What one pass reports, all of it read off [`xbfs_core::RunOutcome`].
@@ -107,21 +102,10 @@ fn sweep_pass(
     threads: usize,
     pooled: bool,
     plan: Option<&BitflipPlan>,
-    rec: &Recorder,
     mint: &(dyn Fn() -> Result<Generation, CliError> + Sync),
 ) -> Result<PassOut, CliError> {
-    let now_us = || job.t0.elapsed().as_secs_f64() * 1e6;
     // One worker's share of the pass.
-    let share = |track: usize, part: &[u32]| -> Result<PassOut, CliError> {
-        let span = rec.begin_span(None, names::span::SWEEP, track, now_us());
-        rec.span_attr(span, "worker", AttrValue::U64(track as u64));
-        rec.span_attr(span, "runs", AttrValue::U64(part.len() as u64));
-        let note = |name: &str, attrs: &[(&str, AttrValue)]| {
-            let attrs = attrs.iter().map(|(k, v)| (k.to_string(), v.clone()));
-            rec.event(Some(span), name, track, now_us(), attrs.collect());
-        };
-        let num = AttrValue::U64;
-
+    let share = |part: &[u32]| -> Result<PassOut, CliError> {
         let mut out = PassOut::default();
         let mut deadline_ms: Option<f64> = None;
         let mut idx = 0usize; // next source in `part`
@@ -150,18 +134,10 @@ fn sweep_pass(
                         }
                         // The first certified run calibrates the worker's
                         // modeled-time deadline; exceedances are flagged in
-                        // health (and the trace), not failures.
+                        // health, not failures.
                         let dl = *deadline_ms.get_or_insert(run.total_ms * job.deadline_factor);
                         if run.total_ms > dl {
                             out.health.deadline_exceeded += 1;
-                            note(
-                                names::event::DEADLINE_EXCEEDED,
-                                &[
-                                    ("source", num(source)),
-                                    ("modeled_ms", AttrValue::F64(run.total_ms)),
-                                    ("deadline_ms", AttrValue::F64(dl)),
-                                ],
-                            );
                         }
                     }
                     out.ms.push(run.total_ms);
@@ -179,17 +155,8 @@ fn sweep_pass(
                 }
                 Err(EngineError::Suspect { msg, .. }) => {
                     out.health.sdc_detected += 1;
-                    note(
-                        names::event::SDC_DETECTED,
-                        &[
-                            ("source", num(source)),
-                            ("attempt", num(attempt.into())),
-                            ("error", AttrValue::Str(msg.clone())),
-                        ],
-                    );
                     if attempt == 0 {
                         out.health.quarantined += 1;
-                        note(names::event::QUARANTINED, &[("source", num(source))]);
                     }
                     Some(msg)
                 }
@@ -215,16 +182,7 @@ fn sweep_pass(
             std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(6)));
             attempt += 1;
             out.health.reexecuted += 1;
-            let attrs = [("source", num(source)), ("attempt", num(attempt.into()))];
-            note(names::event::REEXECUTED, &attrs);
         }
-        let count = |name: &str, v: u64| rec.counter(name, track, now_us(), v as f64);
-        count(
-            names::metric::POOL_PRESSURE_EVENTS,
-            out.health.pool_pressure_events,
-        );
-        count(names::metric::CERTIFIED_RUNS, out.health.certified);
-        rec.end_span(span, now_us());
         Ok(out)
     };
 
@@ -233,8 +191,8 @@ fn sweep_pass(
     let mut out = PassOut::default();
     std::thread::scope(|scope| -> Result<(), CliError> {
         let share = &share;
-        let handles: Vec<_> = (job.sources.chunks(per_thread).enumerate())
-            .map(|(track, part)| scope.spawn(move || share(track, part)))
+        let handles: Vec<_> = (job.sources.chunks(per_thread))
+            .map(|part| scope.spawn(move || share(part)))
             .collect();
         for h in handles {
             // A panicking worker thread must not take the whole sweep's
@@ -291,14 +249,12 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     };
     let sources = pick_sources(&g, n, seed);
     let n = sources.len(); // graphs smaller than --sources yield fewer
-    let (trace_opt, recorder) = trace_setup(args)?;
     let job = SweepJob {
         g: &g,
         sources: &sources,
         verify,
         retries,
         deadline_factor,
-        t0: Instant::now(),
     };
     let spec = parse_device(args)?;
     let device = |pool_limit: Option<u64>| {
@@ -311,16 +267,11 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         let engine = Xbfs::new(Rc::clone(&dev), &g, cfg)?;
         Ok((dev, Box::new(engine)))
     };
-    // The trace narrates the supervised pass; the reference passes run
-    // unrecorded.
-    let unrecorded = Recorder::disabled();
 
     // Pooled pass: one engine per OS thread. Each engine owns its device,
     // uploads the graph once, and recycles its BFS state across its whole
     // share of sources via the epoch-based O(frontier) reset.
-    let pooled = sweep_pass(&job, threads, true, plan.as_ref(), &recorder, &|| {
-        solo(max_pool_bytes)
-    })?;
+    let pooled = sweep_pass(&job, threads, true, plan.as_ref(), &|| solo(max_pool_bytes))?;
     let health = &pooled.health;
 
     // Rebuild pass: the unpooled in-process path — a fresh device, a fresh
@@ -328,7 +279,7 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     // the pooled pass so the ratio compares equal work. This is the
     // bit-identity reference; a shell loop over `xbfs bfs` additionally
     // pays process spawn + graph load per run (CI measures that baseline).
-    let rebuilt = sweep_pass(&job, 1, false, None, &unrecorded, &|| solo(None))?;
+    let rebuilt = sweep_pass(&job, 1, false, None, &|| solo(None))?;
 
     let (ck_pooled, ck_rebuilt) = (pooled.checksum(), rebuilt.checksum());
     if ck_pooled != ck_rebuilt {
@@ -354,7 +305,7 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     let mut multi_txt = String::new();
     let mut multi_json = None;
     if args.flag("multi-source") {
-        let multi = sweep_pass(&job, 1, true, None, &unrecorded, &|| {
+        let multi = sweep_pass(&job, 1, true, None, &|| {
             let dev = device(None);
             let engine = MsBfs::new(Rc::clone(&dev), &g)?;
             Ok((dev, Box::new(engine)))
@@ -465,11 +416,6 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         std::fs::write(json_path, json + "\n")
             .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
         out.push_str(&format!("sweep record written to {json_path}\n"));
-    }
-    if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &recorder.finish()) {
-            return Ok(direct);
-        }
     }
     Ok(out)
 }

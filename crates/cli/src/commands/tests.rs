@@ -144,11 +144,12 @@ fn sweep_reports_throughput_and_writes_json() {
             .unwrap()
             > 0.0
     );
-    // Unknown options stay usage errors.
-    assert_eq!(
-        run(&["sweep", &path, "--frobnicate"]).unwrap_err().code,
-        exit_code::USAGE
-    );
+    // Unknown options stay usage errors; a sweep has no trace to write.
+    for bad in [&["--frobnicate"][..], &["--trace", "json:-"]] {
+        let mut cmd = vec!["sweep", &path];
+        cmd.extend(bad);
+        assert_eq!(run(&cmd).unwrap_err().code, exit_code::USAGE, "{bad:?}");
+    }
 }
 
 /// What the sweep computes is pinned, not only that its passes agree:
@@ -619,23 +620,29 @@ fn exporters_never_abort_a_finished_run() {
     assert!(out.contains("trace NOT written"), "{out}");
 }
 
+/// A free loopback address: bind, read the port, release it, and hand it
+/// to the server (the dispatch API has no way to report an OS-assigned
+/// port back).
+fn free_addr() -> String {
+    let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    format!("127.0.0.1:{}", l.local_addr().unwrap().port())
+}
+
+fn wait_listening(addr: &str) {
+    for _ in 0..200 {
+        if std::net::TcpStream::connect(addr).is_ok() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
 #[test]
 fn serve_and_loadgen_round_trip() {
     let path = tmp("serve.bin");
     run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
     let json = tmp("loadgen.json");
-    // Grab a free port, release it, and hand it to the server (the
-    // dispatch API has no way to report an OS-assigned port back).
-    let port = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let addr = format!("127.0.0.1:{port}");
-    let mport = {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
-    };
-    let maddr = format!("127.0.0.1:{mport}");
+    let (addr, maddr) = (free_addr(), free_addr());
     let srv = std::thread::spawn({
         let (path, addr, maddr) = (path.clone(), addr.clone(), maddr.clone());
         move || {
@@ -654,12 +661,7 @@ fn serve_and_loadgen_round_trip() {
         }
     });
     // Wait until the listener is up before generating load.
-    for _ in 0..200 {
-        if std::net::TcpStream::connect(&addr).is_ok() {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(10));
-    }
+    wait_listening(&addr);
     // The metrics plane is up alongside the serve listener: one
     // Prometheus scrape and one rendered `top` frame.
     {
@@ -702,4 +704,38 @@ fn serve_and_loadgen_round_trip() {
     // --shutdown drained the server; its report must be clean.
     let srv_out = srv.join().unwrap().unwrap();
     assert!(srv_out.contains("drain: clean"), "{srv_out}");
+}
+
+/// An unclean drain is exit 1 even when `--trace FMT:-` owns stdout: a
+/// client that floods and never reads loses its replies, and the trace
+/// must not turn that into a success.
+#[test]
+fn serve_unclean_drain_fails_under_a_stdout_trace() {
+    use std::io::{Read as _, Write as _};
+    let path = tmp("serve_unclean.bin");
+    run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
+    let addr = free_addr();
+    let cmd = format!("serve {path} --addr {addr} --workers 1 --idle-timeout-ms 300");
+    let cmd = cmd + " --trace json:-";
+    let srv = std::thread::spawn(move || run(&cmd.split(' ').collect::<Vec<_>>()));
+    wait_listening(&addr);
+    // Flood fresh ids until our own write blocks: the server stopped
+    // reading because its replies have nowhere to go.
+    let stuck = std::net::TcpStream::connect(&addr).unwrap();
+    let timeout = Some(std::time::Duration::from_millis(500));
+    stuck.set_write_timeout(timeout).unwrap();
+    let line = |id| format!("{{\"op\":\"bfs\",\"id\":{id},\"source\":1}}\n");
+    let wedged = (0..20_000u64).any(|i| {
+        let chunk: String = (i * 64..(i + 1) * 64).map(line).collect();
+        (&stuck).write_all(chunk.as_bytes()).is_err()
+    });
+    assert!(wedged, "flooding connection never wedged");
+    let mut ctl = std::net::TcpStream::connect(&addr).unwrap();
+    ctl.write_all(b"{\"op\":\"shutdown\",\"id\":1}\n").unwrap();
+    ctl.read_exact(&mut [0u8; 1]).unwrap();
+    let err = srv.join().unwrap().unwrap_err();
+    drop(stuck);
+    let msg = &err.message;
+    assert_eq!(err.code, exit_code::GENERIC, "{msg}");
+    assert!(msg.contains("drain was not clean"), "{msg}");
 }

@@ -44,6 +44,9 @@ pub(crate) const WORKER_QUARANTINED: f64 = 2.0;
 /// requests stop writing files (a crash loop must not fill the disk).
 const MAX_FLIGHT_DUMPS: usize = 32;
 
+/// Events each flight-recorder lane remembers.
+const FLIGHT_RING: usize = 64;
+
 /// Request statuses, in the order the per-status handle arrays use.
 const STATUSES: [&str; 3] = ["ok", "timeout", "error"];
 
@@ -144,9 +147,8 @@ pub struct ServerMetrics {
 
 impl ServerMetrics {
     /// Pre-register every fixed series for a `workers`-wide server.
-    /// Flight dumps land in `flight_dir`; each lane remembers
-    /// `flight_ring` events.
-    pub fn new(workers: usize, flight_dir: PathBuf, flight_ring: usize) -> Self {
+    /// Flight dumps land in `flight_dir`.
+    pub fn new(workers: usize, flight_dir: PathBuf) -> Self {
         let reg = MetricsRegistry::new();
         let requests = STATUSES
             .map(|s| reg.counter(live::REQUESTS_TOTAL, MetricUnit::Count, &[("status", s)]));
@@ -175,7 +177,7 @@ impl ServerMetrics {
             })
             .collect();
         Self {
-            flight: FlightRecorder::new(workers.max(1), flight_ring.max(8)),
+            flight: FlightRecorder::new(workers.max(1), FLIGHT_RING),
             flight_dir,
             dumps: Mutex::new(Vec::new()),
             requests,
@@ -316,11 +318,11 @@ impl ServerMetrics {
     /// (already pushed onto the ledger) unless the dump cap was hit or
     /// the write failed — dumps are forensics, never a failure source.
     pub(crate) fn dump_flight(&self, reason: &str) -> Option<String> {
-        {
-            let dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
-            if dumps.len() >= MAX_FLIGHT_DUMPS {
-                return None;
-            }
+        // The cap check and the ledger entry share one hold: two workers
+        // quarantining at once must not both pass the check at 31.
+        let mut dumps = self.dumps.lock().unwrap_or_else(|e| e.into_inner());
+        if dumps.len() >= MAX_FLIGHT_DUMPS {
+            return None;
         }
         let unix_ms = std::time::SystemTime::now()
             .duration_since(std::time::UNIX_EPOCH)
@@ -342,10 +344,7 @@ impl ServerMetrics {
             return None;
         }
         let shown = path.to_string_lossy().into_owned();
-        self.dumps
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(shown.clone());
+        dumps.push(shown.clone());
         self.flight_dumps_total.add(1);
         Some(shown)
     }
@@ -375,7 +374,7 @@ mod tests {
 
     #[test]
     fn finish_request_feeds_status_series_and_worker_counters() {
-        let m = ServerMetrics::new(2, tmpdir("finish"), 16);
+        let m = ServerMetrics::new(2, tmpdir("finish"));
         m.finish_request(0, "ok");
         m.finish_request(1, "timeout");
         m.finish_request(0, "error");
@@ -394,7 +393,7 @@ mod tests {
 
     #[test]
     fn reply_written_stops_both_clocks_on_the_status_series() {
-        let m = ServerMetrics::new(1, tmpdir("written"), 16);
+        let m = ServerMetrics::new(1, tmpdir("written"));
         let enqueued = Instant::now() - std::time::Duration::from_millis(20);
         let finished = Instant::now() - std::time::Duration::from_millis(5);
         m.reply_written(&Completion {
@@ -423,7 +422,7 @@ mod tests {
 
     #[test]
     fn pool_deltas_survive_engine_rebuild_resets() {
-        let m = ServerMetrics::new(1, tmpdir("pool"), 16);
+        let m = ServerMetrics::new(1, tmpdir("pool"));
         m.sample_pool(
             0,
             PoolGauges {
@@ -467,7 +466,7 @@ mod tests {
 
     #[test]
     fn rank_series_appear_on_first_merge_and_accumulate() {
-        let m = ServerMetrics::new(1, tmpdir("rank"), 16);
+        let m = ServerMetrics::new(1, tmpdir("rank"));
         let h = RankHealth {
             crashes: 1,
             checkpoints_restored: 2,
@@ -489,7 +488,7 @@ mod tests {
     #[test]
     fn flight_dump_writes_a_file_and_ledgers_it() {
         let dir = tmpdir("dump");
-        let m = ServerMetrics::new(1, dir.clone(), 16);
+        let m = ServerMetrics::new(1, dir.clone());
         m.flight.note(0, "request.start", "id=1");
         m.flight.note(0, "panic", "chaos: injected worker panic");
         let path = m.dump_flight("worker-panic").expect("dump written");
@@ -501,6 +500,27 @@ mod tests {
         assert_eq!(
             snap.find(live::FLIGHT_DUMPS_TOTAL, &[]).unwrap().value,
             SeriesValue::Counter(1)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn racing_dumps_never_pass_the_cap() {
+        let dir = tmpdir("race");
+        let m = ServerMetrics::new(1, dir.clone());
+        let gate = std::sync::Barrier::new(40);
+        std::thread::scope(|s| {
+            for _ in 0..40 {
+                s.spawn(|| {
+                    gate.wait();
+                    m.dump_flight("quarantine-race");
+                });
+            }
+        });
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(
+            (m.dump_paths().len(), files),
+            (MAX_FLIGHT_DUMPS, MAX_FLIGHT_DUMPS)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 use gcd_sim::Device;
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::RankHealth;
-use xbfs_telemetry::names::{self, live};
-use xbfs_telemetry::{json, AttrValue, MetricsSnapshot, Recorder, SeriesValue};
+use xbfs_telemetry::names::live;
+use xbfs_telemetry::{attrs, json, MetricsSnapshot, Recorder, SeriesValue};
 
 use crate::breaker::CircuitBreaker;
 use crate::dedup::DedupCache;
@@ -86,8 +86,6 @@ pub struct ServeConfig {
     /// Directory for flight-recorder dumps (`None` = a per-process dir
     /// under the system temp dir).
     pub flight_dir: Option<String>,
-    /// Events remembered per flight-recorder lane.
-    pub flight_ring: usize,
     /// Write-ahead request journal path (`None` = durability off). With a
     /// journal, every admitted request and every terminal response is
     /// CRC-framed to this file, and a restart on the same path replays
@@ -117,7 +115,6 @@ impl Default for ServeConfig {
             checkpoint_every: 1,
             metrics_addr: None,
             flight_dir: None,
-            flight_ring: 64,
             journal: None,
             journal_fsync: FsyncPolicy::Batch(8),
             idle_timeout_ms: 30_000,
@@ -142,7 +139,6 @@ pub(crate) struct Shared {
     pub(crate) graph: Arc<Csr>,
     pub(crate) xcfg: xbfs_core::XbfsConfig,
     pub(crate) factory: DeviceFactory,
-    pub(crate) rec: Arc<Recorder>,
     pub(crate) draining: AtomicBool,
     pub(crate) dedup: DedupCache,
     /// The always-on live metrics plane + flight recorder: the server's
@@ -150,17 +146,12 @@ pub(crate) struct Shared {
     pub(crate) metrics: ServerMetrics,
     /// The write-ahead request journal (`None` = durability off).
     pub(crate) journal: Option<Journal>,
-    started: Instant,
     addr: SocketAddr,
     /// Where the scrape listener is bound, for the drain wake-up poke.
     metrics_addr: Option<SocketAddr>,
 }
 
 impl Shared {
-    pub(crate) fn now_us(&self) -> f64 {
-        self.started.elapsed().as_secs_f64() * 1e6
-    }
-
     pub(crate) fn is_draining(&self) -> bool {
         self.draining.load(Ordering::Acquire)
     }
@@ -171,8 +162,6 @@ impl Shared {
         if self.draining.swap(true, Ordering::AcqRel) {
             return;
         }
-        self.rec
-            .event(None, names::event::DRAIN, 0, self.now_us(), vec![]);
         self.metrics.flight.note(
             self.metrics.flight.control_lane(),
             "drain",
@@ -468,10 +457,14 @@ pub struct ServerHandle {
     accept: JoinHandle<()>,
     workers: Vec<JoinHandle<()>>,
     metrics_thread: Option<JoinHandle<()>>,
+    /// Where `join` renders the flight rings (see [`Server::start`]).
+    rec: Arc<Recorder>,
 }
 
 impl Server {
-    /// Bind, spawn workers + accept loop, and return immediately.
+    /// Bind, spawn workers + accept loop, and return immediately. `rec`
+    /// records nothing while the server runs: [`ServerHandle::join`]
+    /// renders the flight recorder into it once, at drain.
     pub fn start(
         cfg: ServeConfig,
         graph: Arc<Csr>,
@@ -499,7 +492,7 @@ impl Server {
             .unwrap_or_else(|| {
                 std::env::temp_dir().join(format!("xbfs-flight-{}", std::process::id()))
             });
-        let metrics = ServerMetrics::new(cfg.workers.max(1), flight_dir, cfg.flight_ring);
+        let metrics = ServerMetrics::new(cfg.workers.max(1), flight_dir);
         // Open + replay the journal before anything serves: completions
         // warm the dedup cache and incomplete admits are re-enqueued
         // below, strictly ahead of new traffic (the listener is bound but
@@ -520,12 +513,10 @@ impl Server {
             graph,
             xcfg,
             factory,
-            rec,
             draining: AtomicBool::new(false),
             dedup: DedupCache::new(DEDUP_CAP),
             metrics,
             journal,
-            started: Instant::now(),
             addr,
             metrics_addr,
             cfg,
@@ -565,6 +556,7 @@ impl Server {
             accept,
             workers,
             metrics_thread,
+            rec,
         })
     }
 }
@@ -652,8 +644,10 @@ impl ServerHandle {
         self.shared.begin_drain();
     }
 
-    /// Block until the drain completes and merge the final report.
-    /// Joining without a drain in progress waits for a wire `shutdown`.
+    /// Block until the drain completes, render the flight rings into the
+    /// [`Server::start`] recorder (one instant per event), and merge the
+    /// final report. Joining without a drain in progress waits for a wire
+    /// `shutdown`.
     pub fn join(self) -> ServeReport {
         // Accept loop exits once draining; it joins all handlers first,
         // and handlers only exit with zero in-flight requests.
@@ -665,6 +659,10 @@ impl ServerHandle {
         // The scrape listener was poked awake by begin_drain.
         if let Some(m) = self.metrics_thread {
             let _ = m.join();
+        }
+        for ev in self.shared.metrics.flight.events() {
+            let (ts_us, detail) = (ev.at_ms * 1000.0, attrs!["detail" => ev.detail]);
+            self.rec.event(None, &ev.kind, ev.lane, ts_us, detail);
         }
         // Anything still queued now is a bug — close() surfaces it.
         let abandoned = self.shared.queue.close();
@@ -1006,13 +1004,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
             if bfs.chaos.is_none() {
                 if let Some(cached) = shared.dedup.lookup(id, bfs.source) {
                     shared.metrics.deduped.add(1);
-                    shared.rec.event(
-                        None,
-                        names::event::DEDUP_HIT,
-                        0,
-                        shared.now_us(),
-                        vec![("id".into(), AttrValue::U64(id))],
-                    );
                     conn.reply(protocol::mark_deduped(&cached));
                     return;
                 }
@@ -1056,12 +1047,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
                         }
                     }
                     shared.metrics.admitted.add(1);
-                    shared.rec.counter(
-                        names::metric::QUEUE_DEPTH,
-                        0,
-                        shared.now_us(),
-                        shared.queue.depth() as f64,
-                    );
                 }
                 Admission::Shed { retry_after_ms } => {
                     conn.pending.fetch_sub(1, Ordering::AcqRel);
@@ -1071,13 +1056,6 @@ fn dispatch_line(shared: &Arc<Shared>, conn: &Conn, tx: &mpsc::Sender<Completion
                         shared.metrics.flight.control_lane(),
                         "shed.queue",
                         format!("id={id} retry_after_ms={retry_after_ms}"),
-                    );
-                    shared.rec.event(
-                        None,
-                        names::event::SHED,
-                        0,
-                        shared.now_us(),
-                        vec![("id".into(), AttrValue::U64(id))],
                     );
                     conn.reply(protocol::overloaded_line(id, "queue-full", retry_after_ms));
                 }

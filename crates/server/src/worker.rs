@@ -46,7 +46,6 @@ use xbfs_core::{
 };
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
-use xbfs_telemetry::{names, AttrValue, SpanId};
 
 use crate::chaos::ChaosAction;
 use crate::metrics::{status_idx, WORKER_IDLE, WORKER_QUARANTINED, WORKER_RUNNING};
@@ -200,7 +199,6 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
 struct Member {
     ticket: u64,
     job: Job,
-    span: SpanId,
     /// Queue wait, charged against the budget first.
     wait_ms: f64,
     /// What is left of the wall budget, granted to the run as modeled
@@ -227,13 +225,6 @@ impl Member {
 fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Member> {
     let id = job.req.id;
     let wait_ms = job.enqueued.elapsed().as_secs_f64() * 1000.0;
-    let now = shared.now_us();
-    let rec = &shared.rec;
-    let span = rec.begin_span(None, names::span::REQUEST, worker, now);
-    rec.span_attr(span, "id", AttrValue::U64(id));
-    rec.span_attr(span, "ticket", AttrValue::U64(ticket));
-    rec.span_attr(span, "source", AttrValue::U64(u64::from(job.req.source)));
-    rec.counter(names::metric::WAIT_MS, worker, now, wait_ms);
     shared.metrics.queue_wait_ms.record(wait_ms);
     shared.metrics.flight.note(
         worker,
@@ -243,7 +234,6 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
     let mut mb = Member {
         ticket,
         job,
-        span,
         wait_ms,
         run_budget_ms: None,
         verify: false,
@@ -290,9 +280,9 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
     Some(mb)
 }
 
-/// The one request epilogue: terminal counters, the request span, status
-/// and headroom series, the idempotency cache, the journal completion
-/// record — and only then delivery.
+/// The one request epilogue: terminal counters, status and headroom
+/// series, the idempotency cache, the journal completion record — and
+/// only then delivery.
 fn finish_member(
     shared: &Shared,
     worker: usize,
@@ -302,11 +292,6 @@ fn finish_member(
     attempts: u32,
 ) {
     let req = &mb.job.req;
-    let rec = &shared.rec;
-    rec.span_attr(mb.span, "status", AttrValue::Str(status.into()));
-    rec.span_attr(mb.span, "attempts", AttrValue::U64(u64::from(attempts)));
-    rec.end_span(mb.span, shared.now_us());
-
     let m = &shared.metrics;
     let total_ms = mb.job.enqueued.elapsed().as_secs_f64() * 1000.0;
     m.finish_request(worker, status);
@@ -503,18 +488,6 @@ fn run_members<'g>(
                 if out.certified {
                     m.certify_ms.record(out.certify_wall_ms);
                 }
-                if let Some(recoveries) = out.recoveries.filter(|&n| n > 0) {
-                    shared.rec.event(
-                        None,
-                        names::event::RANK_RECOVERED,
-                        0,
-                        shared.now_us(),
-                        vec![
-                            ("ticket".into(), AttrValue::U64(ticket)),
-                            ("recoveries".into(), AttrValue::U64(recoveries)),
-                        ],
-                    );
-                }
                 return every("ok", attempt + 1, &|mb| {
                     protocol::slot_ok_line(
                         mb.job.req.id,
@@ -605,16 +578,6 @@ fn record_panic(
         .flight
         .note(worker, "panic", format!("ticket={ticket} {msg}"));
     shared.metrics.dump_flight("worker-panic");
-    shared.rec.event(
-        None,
-        names::event::PANIC_RECOVERED,
-        0,
-        shared.now_us(),
-        vec![
-            ("ticket".into(), AttrValue::U64(ticket)),
-            ("message".into(), AttrValue::Str(msg.clone())),
-        ],
-    );
     msg
 }
 
@@ -631,16 +594,6 @@ fn quarantine(shared: &Shared, engine: &mut Generation<'_>, why: &str, ticket: u
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_RUNNING); // rebuilding + replaying next
     }
-    shared.rec.event(
-        None,
-        names::event::QUARANTINED,
-        0,
-        shared.now_us(),
-        vec![
-            ("ticket".into(), AttrValue::U64(ticket)),
-            ("why".into(), AttrValue::Str(why.into())),
-        ],
-    );
 }
 
 /// The retry budget is spent: feed the breaker and build the typed error.
@@ -659,13 +612,6 @@ fn give_up(
             format!("id={id} kind={kind} after {attempts} attempts"),
         );
         shared.metrics.dump_flight("breaker-open");
-        shared.rec.event(
-            None,
-            names::event::BREAKER_TRIP,
-            0,
-            shared.now_us(),
-            vec![("kind".into(), AttrValue::Str(kind.into()))],
-        );
     }
     protocol::error_line(
         id,

@@ -5,7 +5,7 @@
 //! mid-request checkpoint/restart, idempotent replay, client-side shed
 //! retries, and the completion-driven reply path (no reply waits on a
 //! timer, pipelined lines never interleave, a client that never reads
-//! stalls nobody else).
+//! stalls nobody else), and a serve trace rendered from the flight rings.
 
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
@@ -512,6 +512,42 @@ fn shutdown_op_drains_and_rejects_late_requests() {
     let report = handle.join();
     assert!(report.drain_clean, "{report:?}");
     assert_eq!(report.ok, 1);
+}
+
+/// `--trace` on a server renders what the flight recorder kept, once, at
+/// drain: instants on the lanes' tracks, never a live wall-clock span.
+#[test]
+fn serve_trace_renders_the_flight_rings() {
+    let cfg = ServeConfig {
+        workers: 1,
+        ..ServeConfig::default()
+    };
+    let rec = Arc::new(Recorder::new());
+    let handle = Server::start(
+        cfg,
+        tiny_graph(),
+        XbfsConfig::default(),
+        Arc::new(Device::mi250x),
+        Arc::clone(&rec),
+    )
+    .expect("server binds");
+    let mut c = Client::connect(handle.addr());
+    for id in 1..=3u64 {
+        assert_eq!(c.bfs(id, id as u32, "").status, "ok");
+    }
+    handle.initiate_drain();
+    assert!(handle.join().drain_clean);
+
+    let trace = rec.finish();
+    trace.well_formed().expect("well-formed");
+    assert!(trace.spans.is_empty(), "{:?}", trace.spans);
+    let on = |name: &str, track: usize| {
+        let named = trace.events_named(name);
+        named.filter(|e| e.track == track).count()
+    };
+    assert_eq!((on("request.start", 0), on("request.finish", 0)), (3, 3));
+    assert_eq!(on("drain", 1), 1, "{:?}", trace.events);
+    assert!(trace.events.iter().all(|e| e.attr("detail").is_some()));
 }
 
 /// A `bfs` refused because the server is draining never reaches the

@@ -9,9 +9,12 @@
 //! up to a failure without having had tracing enabled. Recording is one
 //! short mutex hold on the lane's own ring (lanes never contend with
 //! each other), and the ring overwrites oldest-first so memory is fixed
-//! regardless of uptime.
+//! regardless of uptime. `serve --trace` is a rendering of these rings:
+//! at drain the server replays [`FlightRecorder::events`] into a
+//! `Recorder` as one instant per event, on its lane's track.
 
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -39,7 +42,7 @@ pub struct FlightRecorder {
     started: Instant,
     cap_per_lane: usize,
     lanes: Vec<Lane>,
-    sequence: Mutex<u64>,
+    sequence: AtomicU64,
 }
 
 impl std::fmt::Debug for FlightRecorder {
@@ -64,7 +67,7 @@ impl FlightRecorder {
                     ring: Mutex::new(VecDeque::with_capacity(cap)),
                 })
                 .collect(),
-            sequence: Mutex::new(0),
+            sequence: AtomicU64::new(0),
         }
     }
 
@@ -108,16 +111,14 @@ impl FlightRecorder {
                     .collect::<Vec<_>>()
             })
             .collect();
-        all.sort_by(|a, b| a.at_ms.partial_cmp(&b.at_ms).expect("finite times"));
+        all.sort_by(|a, b| a.at_ms.total_cmp(&b.at_ms));
         all
     }
 
     /// Monotone dump sequence number (distinguishes dump files created
     /// within the same millisecond).
     pub fn next_dump_seq(&self) -> u64 {
-        let mut s = self.sequence.lock().unwrap_or_else(|e| e.into_inner());
-        *s += 1;
-        *s
+        self.sequence.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Render the merged rings as a text post-mortem. `reason` heads

@@ -5,8 +5,9 @@
 //! The paper's evaluation is built on *explaining* where BFS time goes:
 //! per-level strategy choices driven by the frontier edge ratio `r`,
 //! queue-generation cost, and rocprofiler counter rows per kernel. This
-//! crate provides the structured-telemetry layer a finished run is rendered
-//! into (`trace_of`) and that `sweep` and `serve` record through live:
+//! crate provides the structured-telemetry layer a finished record is
+//! rendered into — a run's by `trace_of`, a server's flight rings at drain —
+//! plus the wall-clock instruments a live server keeps:
 //!
 //! * **Spans** ([`Recorder`], [`SpanRecord`]) — hierarchical timed regions
 //!   (`run > level > {expand, queue_gen, scan, collective, checkpoint,
@@ -15,6 +16,8 @@
 //! * **Metrics** ([`registry`]) — the live plane's typed counters, gauges
 //!   and log-linear histograms, plus the canonical metric- and span-name
 //!   vocabulary ([`names`]).
+//! * **Flight recorder** ([`flight`]) — fixed-size per-worker rings of the
+//!   server's recent wall-clock events, dumped on a failure.
 //! * **Exporters** ([`export`]) — one [`TraceSink`] trait with four
 //!   implementations: human-readable per-level table, machine-readable
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
@@ -23,8 +26,7 @@
 //!   document the workspace parses or emits (it has no serialization dependency).
 //!
 //! The disabled recorder ([`Recorder::disabled`]) is a no-op sink: every
-//! recording call is a single relaxed atomic load, which keeps an untraced
-//! `sweep` or `serve` effectively free.
+//! recording call is a single relaxed atomic load.
 //!
 //! # Quick start
 //!
@@ -85,10 +87,6 @@ pub mod names {
         pub const RECOVERY: &str = "recovery";
         /// One kernel dispatch (leaf; carries rocprof counters as attrs).
         pub const KERNEL: &str = "kernel";
-        /// One `xbfs sweep` supervisor worker (parent of its runs).
-        pub const SWEEP: &str = "sweep";
-        /// One admitted serving-layer request (queue wait + execution).
-        pub const REQUEST: &str = "request";
     }
 
     /// Instant-event names.
@@ -103,29 +101,6 @@ pub mod names {
         pub const RECOVERY_RESTORE: &str = "recovery.restore";
         /// A checkpoint was taken at a level boundary.
         pub const CHECKPOINT_TAKEN: &str = "checkpoint.taken";
-        /// Silent data corruption was detected (checksum, pool guard, or
-        /// certificate).
-        pub const SDC_DETECTED: &str = "integrity.sdc";
-        /// A run failing certification was quarantined by the supervisor.
-        pub const QUARANTINED: &str = "integrity.quarantine";
-        /// A quarantined run was re-executed on fresh state.
-        pub const REEXECUTED: &str = "integrity.reexec";
-        /// A sweep run exceeded its modeled-time deadline.
-        pub const DEADLINE_EXCEEDED: &str = "sweep.deadline_exceeded";
-        /// Admission control shed a request (queue full).
-        pub const SHED: &str = "serve.shed";
-        /// A worker panic was contained and the engine quarantined.
-        pub const PANIC_RECOVERED: &str = "serve.panic_recovered";
-        /// The circuit breaker tripped open.
-        pub const BREAKER_TRIP: &str = "serve.breaker_trip";
-        /// Graceful drain was initiated.
-        pub const DRAIN: &str = "serve.drain";
-        /// A replayed completed id was answered from the idempotency
-        /// cache instead of re-executing.
-        pub const DEDUP_HIT: &str = "serve.dedup_hit";
-        /// A cluster rank crashed mid-request and was recovered by
-        /// checkpoint/restart inside the request's deadline budget.
-        pub const RANK_RECOVERED: &str = "serve.rank_recovered";
     }
 
     /// Counter/gauge metric names.
@@ -150,14 +125,6 @@ pub mod names {
         pub const CHECKPOINT_BYTES: &str = "ckpt.bytes";
         /// Crash-recovery overhead, ms.
         pub const RECOVERY_MS: &str = "recovery.ms";
-        /// Pool releases trimmed or bypassed under the byte cap.
-        pub const POOL_PRESSURE_EVENTS: &str = "pool.pressure_events";
-        /// Runs that passed certificate validation.
-        pub const CERTIFIED_RUNS: &str = "integrity.certified_runs";
-        /// Admission-queue backlog depth at submit time.
-        pub const QUEUE_DEPTH: &str = "serve.queue_depth";
-        /// Per-request queue wait, wall ms.
-        pub const WAIT_MS: &str = "serve.wait_ms";
     }
 
     /// Canonical series names of the live metrics plane (the always-on

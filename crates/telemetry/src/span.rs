@@ -4,7 +4,9 @@
 //! Timestamps are caller-supplied microseconds (the simulated GCD clock,
 //! `Device::elapsed_us`), not wall-clock, so traces are deterministic and
 //! byte-identical across runs — which is what makes golden-file testing
-//! and cross-run diffing possible.
+//! and cross-run diffing possible. A span is always modeled time; the one
+//! wall-clock rendering, `serve --trace`, holds only instants (the flight
+//! recorder's events, replayed at drain).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -169,9 +171,8 @@ struct Inner {
 ///
 /// A `Recorder` is either *enabled* (every call appends to the trace) or
 /// *disabled* (every call returns after one relaxed atomic load — the
-/// "no-op sink" that keeps an untraced `sweep` or `serve` effectively
-/// free). Methods take `&self`, so one recorder can be shared across
-/// threads.
+/// "no-op sink" a server started without `--trace` renders into).
+/// Methods take `&self`, so one recorder can be shared across threads.
 pub struct Recorder {
     enabled: AtomicBool,
     inner: Mutex<Inner>,

@@ -240,13 +240,14 @@ cluster_serve() {
 }
 
 metrics() {
-  echo "==> metrics smoke (mid-load scrape, flight recorder, scrape-overhead + perf gates)"
+  echo "==> metrics smoke (mid-load scrape, flight recorder and its drain-time trace, scrape overhead)"
   smoke_env
   "$XBFS" generate --out "$SMOKE/metrics.bin" --scale 12 --seed 8
   local PORT=$((20000 + RANDOM % 20000)) MPORT=$((40000 + RANDOM % 20000))
-  local SERVE_PID LOAD_PID SERIES A B T0 T1 SCRAPE_MS DUMP CERT6 CERT7
+  local SERVE_PID LOAD_PID SERIES A B T0 T1 SCRAPE_MS DUMP
   "$XBFS" serve "$SMOKE/metrics.bin" --addr "127.0.0.1:$PORT" --workers 2 \
     --allow-chaos --metrics-addr "127.0.0.1:$MPORT" --flight-dir "$SMOKE/flight" \
+    --trace "json:$SMOKE/serve_trace.json" \
     --json "$SMOKE/metrics_serve_report.json" > "$SMOKE/metrics_serve.out" &
   SERVE_PID=$!
   wait_port "$MPORT"
@@ -302,15 +303,13 @@ metrics() {
   grep -q 'reason: worker-panic' "$DUMP"
   grep -q 'request.start' "$DUMP"
   echo "    flight dumps: $(ls "$SMOKE"/flight | wc -l), scrape overhead ${SCRAPE_MS} ms"
-  # overhead gate: with the registry always on but unscraped, the certified
-  # sweep keeps >= 98% of the PR 6 speedup in the committed results/BENCH_pr6.json
-  CERT6=$(grep -o '"certified_sweep_speedup":[0-9.]*' results/BENCH_pr6.json | grep -o '[0-9.]*$')
-  CERT7=$(certified_sweep_speedup)
-  echo "    certified sweep speedup with live metrics plane: ${CERT7}x (PR 6 baseline ${CERT6}x)"
-  awk -v a="$CERT7" -v b="$CERT6" 'BEGIN { exit !(a >= 0.98 * b) }' \
-    || { echo "metrics plane regressed certified sweep by > 2%" >&2; exit 1; }
-  printf '{"schema":"xbfs-bench-pr7-v1","certified_sweep_speedup":%s,"baseline_pr6_speedup":%s,"scrape_overhead_ms":%s,"loadgen":%s,"serve":%s}\n' \
-    "$CERT7" "$CERT6" "$SCRAPE_MS" "$(cat "$SMOKE/metrics_loadgen.json")" \
+  # --trace is the flight rings rendered at drain: instants, one per event
+  # (a 64-event ring need not still hold a panic by then)
+  "$XBFS" trace summarize "$SMOKE/serve_trace.json" | grep ' events,'
+  grep -q '"name":"request.start"' "$SMOKE/serve_trace.json"
+  grep -q '"name":"drain"' "$SMOKE/serve_trace.json"
+  printf '{"schema":"xbfs-bench-pr7-v1","scrape_overhead_ms":%s,"loadgen":%s,"serve":%s}\n' \
+    "$SCRAPE_MS" "$(cat "$SMOKE/metrics_loadgen.json")" \
     "$(cat "$SMOKE/metrics_serve_report.json")" > "$SMOKE/BENCH_pr7.json"
 }
 
@@ -445,7 +444,7 @@ batch_overhead() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=29823
+LINES_CEILING=29709
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N
