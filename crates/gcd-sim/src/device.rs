@@ -204,7 +204,9 @@ pub struct Device {
     arch: ArchProfile,
     mode: ExecMode,
     compiler: Compiler,
-    l2: Mutex<L2Model>,
+    /// The shared L2, built only in timing mode: functional mode never
+    /// consults it.
+    l2: Option<Mutex<L2Model>>,
     next_addr: AtomicU64,
     /// Per-stream elapsed time cursors, microseconds.
     streams: Mutex<Vec<f64>>,
@@ -235,12 +237,13 @@ impl Device {
     /// Create a device with `num_streams` streams.
     pub fn new(arch: ArchProfile, mode: ExecMode, num_streams: usize) -> Self {
         assert!(num_streams >= 1);
-        let l2 = L2Model::new(arch.l2_bytes, arch.l2_ways, arch.line_bytes);
+        let l2 = (mode == ExecMode::Timing)
+            .then(|| Mutex::new(L2Model::new(arch.l2_bytes, arch.l2_ways, arch.line_bytes)));
         Self {
             arch,
             mode,
             compiler: Compiler::ClangO3,
-            l2: Mutex::new(l2),
+            l2,
             next_addr: AtomicU64::new(0),
             streams: Mutex::new(vec![0.0; num_streams]),
             dirty: Mutex::new(vec![false; num_streams]),
@@ -618,9 +621,8 @@ impl Device {
         lock(&self.streams).fill(0.0);
         lock(&self.dirty).fill(false);
         lock(&self.reports).clear();
-        // Functional mode never consults the L2: leave its arrays alone.
-        if self.mode == ExecMode::Timing {
-            lock(&self.l2).invalidate();
+        if let Some(l2) = &self.l2 {
+            lock(l2).invalidate();
         }
     }
 
@@ -634,8 +636,8 @@ impl Device {
     /// The shared L2 for a timing-mode launch (per-kernel counters
     /// zeroed, residency kept), `None` in functional mode.
     fn launch_l2(&self) -> Option<MutexGuard<'_, L2Model>> {
-        (self.mode == ExecMode::Timing).then(|| {
-            let mut l2 = lock(&self.l2);
+        self.l2.as_ref().map(|l2| {
+            let mut l2 = lock(l2);
             l2.reset_counters();
             l2
         })

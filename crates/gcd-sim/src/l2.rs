@@ -5,15 +5,23 @@
 //! rocprofiler reports (Tables I and III–V of the paper), and
 //! `hits / (hits + misses)` is `L2CacheHit`.
 
+/// Tag of an invalid way.
+const INVALID: u32 = u32::MAX;
+
 /// Set-associative LRU cache over line addresses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct L2Model {
-    set_mask: u64,
-    ways: usize,
-    /// `tags[set * ways + way]` holds line tags (`u64::MAX` = invalid), each
-    /// set most recently used first, as in [`crate::coalescer::Coalescer`]:
-    /// the order is the whole LRU state, invalid ways at the tail.
-    tags: Vec<u64>,
+    set_bits: u32,
+    /// `ways − 1`: the length of each set's slice of `rest`.
+    rest_ways: usize,
+    /// `front[set]` holds the set's most recently used tag. A tag is
+    /// `line >> set_bits` (the set is its index); [`INVALID`] marks an
+    /// empty way.
+    front: Vec<u32>,
+    /// `rest[set * rest_ways..][..rest_ways]` holds the set's other tags,
+    /// most recently used first, as in [`crate::coalescer::Coalescer`]:
+    /// `front` then `rest` is the whole LRU state, invalid ways at the tail.
+    rest: Vec<u32>,
     /// Line accesses that hit.
     pub hits: u64,
     /// Line accesses that missed (fetched from HBM).
@@ -21,16 +29,18 @@ pub struct L2Model {
 }
 
 impl L2Model {
-    /// Build from a capacity in bytes, associativity and line size.
+    /// Build from a capacity in bytes, associativity and line size. The
+    /// set count rounds up to a power of two.
     pub fn new(capacity_bytes: usize, ways: usize, line_bytes: usize) -> Self {
         assert!(ways >= 1);
         assert!(line_bytes.is_power_of_two());
         let lines = (capacity_bytes / line_bytes).max(ways);
         let sets = (lines / ways).next_power_of_two();
         Self {
-            set_mask: sets as u64 - 1,
-            ways,
-            tags: vec![u64::MAX; sets * ways],
+            set_bits: sets.trailing_zeros(),
+            rest_ways: ways - 1,
+            front: vec![INVALID; sets],
+            rest: vec![INVALID; sets * (ways - 1)],
             hits: 0,
             misses: 0,
         }
@@ -38,19 +48,57 @@ impl L2Model {
 
     /// Access one line; returns true on hit. A miss replaces the least
     /// recently used way of the line's set (an invalid way while one is
-    /// left).
+    /// left). Panics on a line whose tag does not fit below `u32::MAX`,
+    /// rather than alias it with another.
     #[inline]
     pub fn access_line(&mut self, line: u64) -> bool {
-        let base = (line & self.set_mask) as usize * self.ways;
-        let set = &mut self.tags[base..base + self.ways];
-        let resident = set.iter().position(|&t| t == line);
-        // Move to front: the ways ahead of the match (all but the last on
-        // a miss, which drops out) shift back one place.
-        set.copy_within(0..resident.unwrap_or(self.ways - 1), 1);
-        set[0] = line;
-        self.hits += u64::from(resident.is_some());
-        self.misses += u64::from(resident.is_none());
-        resident.is_some()
+        let (set, tag) = self.set_and_tag(line);
+        // Moving the front way to the front changes nothing.
+        if self.front[set] == tag {
+            self.hits += 1;
+            return true;
+        }
+        self.access_behind_front(set, tag)
+    }
+
+    /// Whether `line` is its set's most recently used line: an
+    /// [`Self::access_line`] of it would only count a hit. Moves and counts
+    /// nothing; panics on the same lines.
+    #[inline]
+    pub fn front_hit(&self, line: u64) -> bool {
+        let (set, tag) = self.set_and_tag(line);
+        self.front[set] == tag
+    }
+
+    #[inline]
+    fn set_and_tag(&self, line: u64) -> (usize, u32) {
+        let tag = line >> self.set_bits;
+        assert!(
+            tag < u64::from(INVALID),
+            "L2Model: line {line:#x} is beyond the 32-bit tag range"
+        );
+        ((line & ((1 << self.set_bits) - 1)) as usize, tag as u32)
+    }
+
+    /// [`Self::access_line`] for a tag not at the front of `set`.
+    fn access_behind_front(&mut self, set: usize, tag: u32) -> bool {
+        let w = self.rest_ways;
+        // Move to front in one pass: the old front goes in behind the new
+        // one and each way passes its tag one place back, until the tag
+        // handed on is the accessed one (a hit) or an invalid way's
+        // (invalid ways sit behind every valid way, so nothing can match
+        // past one). A miss in a full set hands the last way's tag out.
+        let mut carried = std::mem::replace(&mut self.front[set], tag);
+        for way in &mut self.rest[set * w..(set + 1) * w] {
+            std::mem::swap(way, &mut carried);
+            if carried == tag || carried == INVALID {
+                break;
+            }
+        }
+        let hit = carried == tag;
+        self.hits += u64::from(hit);
+        self.misses += u64::from(!hit);
+        hit
     }
 
     /// Hit rate in percent over all accesses so far (0 if none).
@@ -72,7 +120,8 @@ impl L2Model {
 
     /// Cold-start the cache (new BFS run).
     pub fn invalidate(&mut self) {
-        self.tags.fill(u64::MAX);
+        self.front.fill(INVALID);
+        self.rest.fill(INVALID);
         self.reset_counters();
     }
 }
@@ -134,5 +183,13 @@ mod tests {
     #[test]
     fn hit_pct_empty_is_zero() {
         assert_eq!(L2Model::new(4096, 4, 64).hit_pct(), 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "line 0x100000000000 ")]
+    fn a_tag_past_32_bits_panics() {
+        // 4096 sets: 12 set bits.
+        let mut l2 = L2Model::new(4096 * 16 * 64, 16, 64);
+        l2.access_line(1 << (32 + 12));
     }
 }

@@ -39,7 +39,6 @@ pub mod group;
 pub mod kernel;
 pub mod l2;
 pub mod pool;
-pub mod profiler;
 pub mod wave;
 
 pub use arch::{ArchProfile, Compiler, CompilerModel};
@@ -48,5 +47,4 @@ pub use device::{Device, ExecMode, PoolGauges};
 pub use group::{GroupCfg, GroupCtx};
 pub use kernel::{KernelReport, LaunchCfg, WaveStats};
 pub use pool::{fnv1a, fnv1a_mix, splitmix64, PoolError};
-pub use profiler::{group_by_phase, PhaseProfile};
 pub use wave::WaveCtx;

@@ -204,13 +204,24 @@ impl<'a> WaveCtx<'a> {
         // Only timing mode has an L2 to ask: one loop per mode.
         let (touched, misses) = match self.l2.as_deref_mut() {
             None => lane_loop(ops, elem, line_bytes, addr, lane, |line| !co.probe(line)),
-            Some(l2) => lane_loop(ops, elem, line_bytes, addr, lane, |line| {
-                let miss = !co.probe(line);
-                if miss {
-                    l2_hits += u64::from(l2.access_line(line));
-                }
-                miss
-            }),
+            Some(l2) => {
+                // A miss already at the front of its L2 set only counts a
+                // hit, so it is summed without a branch and the L2 is asked
+                // only about the rest.
+                let mut front_hits = 0;
+                let counts = lane_loop(ops, elem, line_bytes, addr, lane, |line| {
+                    let miss = !co.probe(line);
+                    let front = l2.front_hit(line);
+                    front_hits += u64::from(miss & front);
+                    if miss & !front {
+                        l2_hits += u64::from(l2.access_line(line));
+                    }
+                    miss
+                });
+                l2.hits += front_hits;
+                l2_hits += front_hits;
+                counts
+            }
         };
         co.hits += touched - misses;
         co.misses += misses;

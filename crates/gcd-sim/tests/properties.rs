@@ -227,6 +227,40 @@ proptest! {
         prop_assert_eq!(resident, expect);
     }
 
+    /// The L2 keeps 32-bit tags (`line >> set_bits`), and they are exact up
+    /// to the last line whose tag fits below `u32::MAX`: against the
+    /// stamp-clock LRU, which keeps whole `u64` lines, every hit bit and
+    /// both counters agree on windows anywhere in that range (its top
+    /// included) and on lines that differ only in a high tag bit, at every
+    /// associativity, cold-started mid-sequence included.
+    #[test]
+    fn l2_tags_are_exact_at_high_addresses(
+        assoc in 0usize..3,
+        wide in any::<bool>(),
+        (top, base) in (any::<bool>(), 0u64..=u64::from(u32::MAX) << 4),
+        ops in proptest::collection::vec((any::<u64>(), 16u32..32, any::<bool>()), 2..600),
+    ) {
+        // 16 sets: 4 set bits, so the last line with an exact tag is this.
+        let (sets, ways) = (16, [1usize, 4, 16][assoc]);
+        let last = (u64::from(u32::MAX) << 4) - 1;
+        let lines = sets * ways;
+        let span = if wide { 6 * lines } else { 3 * lines / 4 } as u64;
+        let base = if top { last + 1 - span } else { base.min(last + 1 - span) };
+        let mut l2 = L2Model::new(lines * 64, ways, 64);
+        let mut lru = StampLru::with_ways(sets, ways);
+        for (i, &(raw, bit, flip)) in ops.iter().enumerate() {
+            if i == ops.len() / 2 {
+                l2.invalidate();
+                lru = StampLru::with_ways(sets, ways);
+            }
+            let line = base + raw % span;
+            // Or its twin one high tag bit apart (same set unless clamped).
+            let line = if flip { (line ^ (1 << (4 + bit))).min(last) } else { line };
+            prop_assert_eq!(l2.access_line(line), lru.touch_run(line, 1));
+        }
+        prop_assert_eq!((l2.hits, l2.misses), (lru.hits, lru.misses));
+    }
+
     /// Counting per op is counting per lane: every indexed vector op leaves
     /// the `WaveStats`, the coalescer (state and counters) and the L2 the
     /// per-lane tracer leaves — empty ops, ops wider than a wave and than

@@ -424,11 +424,15 @@ sim_overhead() {
   echo "==> sim-overhead (a modeled edge stays cheap on the host, in both exec modes)"
   # Medians before -> after a traced vector op started keeping its books
   # once per op and the solo kernels stopped allocating per wave
-  # (results/BENCH_pr24.json): 4.17 -> 3.08 and 1.90 -> 1.27. Each limit
-  # sits between the slowest run after (3.33, 1.39) and the fastest run
-  # before (3.86, 1.78); the gate's own 2 s runs read the same (3.0-3.2
-  # and 1.27-1.30 after, 4.1-4.2 and 1.86-1.94 before, three each).
-  overhead_gate direct-timing-s14 3.6
+  # (results/BENCH_pr24.json): 4.17 -> 3.08 and 1.90 -> 1.27. The solo
+  # limit sits between the slowest run after (1.39) and the fastest run
+  # before (1.78). Timing mode then stopped paying a set lookup for an L2
+  # access at the front of its set (results/BENCH_pr26.json): 3.10 ->
+  # 2.63; its limit sits above every run after but one taken while the
+  # host was disturbed (2.71; 2.92 with the yardstick at 1.12 ms against
+  # 0.66-0.78) and below the fastest run before (2.85); the gate's own 2 s
+  # runs read 2.49-2.52 after and 3.00-3.18 before (three each).
+  overhead_gate direct-timing-s14 2.8
   overhead_gate direct-solo-s16 1.6
 }
 batch_overhead() {
@@ -444,7 +448,7 @@ batch_overhead() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=29709
+LINES_CEILING=29683
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N
