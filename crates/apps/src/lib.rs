@@ -2,23 +2,17 @@
 
 //! `xbfs-apps` — graph algorithms built on XBFS.
 //!
-//! The paper's introduction motivates fast BFS through its consumers:
-//! strongly-connected-component detection uses forward and backward BFS
-//! (iSpan, Slota et al.), betweenness centrality and subgraph matching
-//! "rely heavily on BFS", and peer-to-peer routing is BFS in practice.
-//! This crate implements those consumers with XBFS-on-the-simulated-GCD as
-//! the traversal engine, so every algorithm inherits the adaptive
+//! The paper's introduction motivates fast BFS through its consumers.
+//! This crate keeps the ones `xbfs analyze` reports — connected
+//! components and eccentricity/diameter — with XBFS-on-the-simulated-GCD
+//! as the traversal engine, so every algorithm inherits the adaptive
 //! strategies and their performance profile.
 
-pub mod bc;
 pub mod components;
 pub mod reachability;
-pub mod scc;
 
-pub use bc::betweenness_centrality;
 pub use components::{connected_components, largest_component};
 pub use reachability::{eccentricity, estimate_diameter, khop_sizes};
-pub use scc::strongly_connected_components;
 
 use gcd_sim::Device;
 use xbfs_core::{BfsRun, Xbfs, XbfsConfig};
@@ -29,12 +23,11 @@ use xbfs_graph::Csr;
 ///
 /// The engine owns its device (`Xbfs<Device>`), so graph upload and BFS
 /// state construction happen **once** here; the multi-source loops in
-/// every algorithm (BC, components, eccentricity, SCC) then pay only the
+/// every algorithm (components, eccentricity) then pay only the
 /// traversal itself per source.
 pub struct BfsEngine<'g> {
     xbfs: Xbfs<Device>,
     graph: &'g Csr,
-    cfg: XbfsConfig,
 }
 
 impl<'g> BfsEngine<'g> {
@@ -54,7 +47,7 @@ impl<'g> BfsEngine<'g> {
     pub fn with_config(graph: &'g Csr, cfg: XbfsConfig) -> Self {
         let xbfs = Xbfs::new(Device::mi250x(), graph, cfg)
             .expect("engine constructed with compatible device");
-        Self { xbfs, graph, cfg }
+        Self { xbfs, graph }
     }
 
     /// The underlying graph.
@@ -66,56 +59,12 @@ impl<'g> BfsEngine<'g> {
     pub fn bfs(&self, source: u32) -> BfsRun {
         self.xbfs.run(source).expect("caller-validated source")
     }
-
-    /// BFS restricted to a vertex mask: vertices where `alive[v]` is false
-    /// are treated as deleted (used by FW-BW SCC). Implemented by running
-    /// on a filtered copy of the graph — the masked subgraph. The subgraph
-    /// runner draws its state from the device buffer pool, so repeated
-    /// masked runs recycle the same buffers.
-    pub fn bfs_masked(&self, source: u32, alive: &[bool]) -> Vec<u32> {
-        assert_eq!(alive.len(), self.graph.num_vertices());
-        assert!(alive[source as usize], "source must be alive");
-        let sub = masked_subgraph(self.graph, alive);
-        let masked = Xbfs::new(self.xbfs.device(), &sub, self.cfg)
-            .expect("engine constructed with compatible device");
-        let run = masked.run(source).expect("caller-validated source");
-        run.levels
-    }
-}
-
-/// Copy of `g` with all arcs touching dead vertices removed (vertex count
-/// unchanged, so ids remain stable).
-pub fn masked_subgraph(g: &Csr, alive: &[bool]) -> Csr {
-    let n = g.num_vertices();
-    let mut offsets = Vec::with_capacity(n + 1);
-    offsets.push(0u64);
-    let mut adjacency = Vec::new();
-    for (u, nbrs) in g.iter_rows() {
-        if alive[u as usize] {
-            adjacency.extend(nbrs.iter().filter(|&&v| alive[v as usize]));
-        }
-        offsets.push(adjacency.len() as u64);
-    }
-    Csr::from_parts(offsets, adjacency).expect("masked subgraph is valid")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use xbfs_graph::generators::erdos_renyi;
-
-    #[test]
-    fn masked_subgraph_removes_dead_arcs() {
-        let g = erdos_renyi(50, 200, 1);
-        let mut alive = vec![true; 50];
-        alive[3] = false;
-        let sub = masked_subgraph(&g, &alive);
-        assert_eq!(sub.num_vertices(), 50);
-        assert!(sub.neighbors(3).is_empty());
-        for v in 0..50u32 {
-            assert!(!sub.neighbors(v).contains(&3));
-        }
-    }
 
     #[test]
     fn engine_runs_bfs() {

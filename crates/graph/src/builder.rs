@@ -88,33 +88,70 @@ impl CsrBuilder {
     }
 
     /// Build the CSR, consuming the builder.
+    ///
+    /// A counting sort by source, then a sort within each row: the result
+    /// is the edge list in lexicographic `(u, v)` order (even without
+    /// dedup — a stable row order is what makes generator output
+    /// reproducible), without sorting the whole list.
     pub fn build(self, opts: BuildOptions) -> Csr {
         let n = self.num_vertices;
-        let mut edges = self.edges;
+        let edges = self.edges;
+        let kept = || {
+            edges
+                .iter()
+                .copied()
+                .filter(move |&(u, v)| !opts.remove_self_loops || u != v)
+        };
 
-        if opts.symmetrize {
-            let rev: Vec<(VertexId, VertexId)> = edges.iter().map(|&(u, v)| (v, u)).collect();
-            edges.extend(rev);
-        }
-        if opts.remove_self_loops {
-            edges.retain(|&(u, v)| u != v);
-        }
-        // Sorted even without dedup: a stable row order is what makes
-        // generator output reproducible across runs.
-        edges.sort_unstable();
-        if opts.dedup {
-            edges.dedup();
-        }
-
-        // Counting sort into CSR.
+        // offsets[u + 1] counts row u, then becomes its start after an
+        // exclusive scan, then its end after the scatter uses it as the
+        // row's cursor: no second O(n) array.
         let mut offsets = vec![0u64; n + 1];
-        for &(u, _) in &edges {
+        for (u, v) in kept() {
             offsets[u as usize + 1] += 1;
+            if opts.symmetrize {
+                offsets[v as usize + 1] += 1;
+            }
         }
+        let mut start = 0;
+        for slot in &mut offsets[1..] {
+            start += std::mem::replace(slot, start);
+        }
+        let mut adjacency: Vec<VertexId> = vec![0; start as usize];
+        let mut place = |u: VertexId, v: VertexId| {
+            let cursor = &mut offsets[u as usize + 1];
+            adjacency[*cursor as usize] = v;
+            *cursor += 1;
+        };
+        for (u, v) in kept() {
+            place(u, v);
+            if opts.symmetrize {
+                place(v, u);
+            }
+        }
+        drop(edges);
+
+        // Sort each row; with dedup, compact it left and move its end.
+        let mut row_start = 0;
+        let mut write = 0;
         for i in 0..n {
-            offsets[i + 1] += offsets[i];
+            let row_end = offsets[i + 1] as usize;
+            adjacency[row_start..row_end].sort_unstable();
+            if opts.dedup {
+                for k in row_start..row_end {
+                    if k == row_start || adjacency[k] != adjacency[k - 1] {
+                        adjacency[write] = adjacency[k];
+                        write += 1;
+                    }
+                }
+                offsets[i + 1] = write as u64;
+            }
+            row_start = row_end;
         }
-        let adjacency: Vec<VertexId> = edges.iter().map(|&(_, v)| v).collect();
+        if opts.dedup {
+            adjacency.truncate(write);
+        }
+        adjacency.shrink_to_fit();
         Csr::from_parts_unchecked(offsets, adjacency)
     }
 }

@@ -151,8 +151,7 @@ impl Csr {
     }
 
     /// The transpose graph (every arc reversed). For symmetric graphs this
-    /// is the identity; for directed graphs it is the backward-BFS input of
-    /// FW-BW SCC detection.
+    /// is the identity; for directed graphs it is the backward-BFS input.
     pub fn transpose(&self) -> Csr {
         let n = self.num_vertices();
         let mut offsets = vec![0u64; n + 1];

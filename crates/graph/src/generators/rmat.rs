@@ -55,31 +55,25 @@ impl RmatParams {
 
 /// Generate one R-MAT edge with per-level probability noise, as in the
 /// Graph500 reference code (noise prevents exact self-similarity artifacts).
+///
+/// The quadrant is two comparison bits, not often-mispredicted branches. The
+/// float expressions and their order must stay as written, or an `r` can
+/// change quadrant and every seed names a different graph (`tests/golden.rs`).
 fn gen_edge(rng: &mut StdRng, p: &RmatParams) -> (VertexId, VertexId) {
     let (mut u, mut v) = (0u64, 0u64);
     let d = p.d();
     for _ in 0..p.scale {
-        u <<= 1;
-        v <<= 1;
         // ±5% multiplicative noise on the dominant quadrant per level (the
         // Graph500 generator perturbs all four; one draw preserves the
         // anti-self-similarity effect at 40% of the RNG cost).
         let a = p.a * (0.95 + 0.10 * rng.gen::<f64>());
-        let b = p.b;
-        let c = p.c;
-        let dd = d;
-        let total = a + b + c + dd;
+        let total = a + p.b + p.c + d;
         let r = rng.gen::<f64>() * total;
-        if r < a {
-            // quadrant (0, 0)
-        } else if r < a + b {
-            v |= 1;
-        } else if r < a + b + c {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        let ab = a + p.b;
+        let abc = ab + p.c;
+        // [0, a) -> (0, 0), [a, ab) -> (0, 1), [ab, abc) -> (1, 0), else (1, 1).
+        u = (u << 1) | u64::from(r >= ab);
+        v = (v << 1) | u64::from(((r >= a) & (r < ab)) | (r >= abc));
     }
     (u as VertexId, v as VertexId)
 }

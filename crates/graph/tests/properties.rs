@@ -1,6 +1,8 @@
 //! Property-based tests for the graph substrate.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::io::Cursor;
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::generators::erdos_renyi;
@@ -115,6 +117,66 @@ proptest! {
         let mk = mk.min(m);
         let p = visit_probability(m, mk, d);
         prop_assert!((0.0..=1.0).contains(&p), "p = {}", p);
+    }
+}
+
+/// The builder's contract, written the obvious way: symmetrize, filter
+/// loops, sort, dedup, count rows.
+fn reference_build(n: usize, edges: &[(u32, u32)], opts: BuildOptions) -> (Vec<u64>, Vec<u32>) {
+    let mut e = edges.to_vec();
+    if opts.symmetrize {
+        e.extend(edges.iter().map(|&(u, v)| (v, u)));
+    }
+    if opts.remove_self_loops {
+        e.retain(|&(u, v)| u != v);
+    }
+    e.sort_unstable();
+    if opts.dedup {
+        e.dedup();
+    }
+    let mut offsets = vec![0u64; n + 1];
+    for &(u, _) in &e {
+        offsets[u as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    (offsets, e.iter().map(|&(_, v)| v).collect())
+}
+
+/// Random edge lists on 0..=64 vertices — a tail of isolated vertices,
+/// self-loops and repeated edges — under all eight `BuildOptions`. The
+/// harness does not shrink, so a failure names its seed.
+#[test]
+fn builder_matches_naive_reference() {
+    for seed in 0..400u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let n = rng.gen_range(0..=64usize);
+        // Ids come from 0..used, so used..n are isolated.
+        let used = rng.gen_range(0..=n);
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for _ in 0..rng.gen_range(0..=4 * used) {
+            let u = rng.gen_range(0..used) as u32;
+            let edge = match rng.gen_range(0..8u32) {
+                0 => (u, u),
+                1 if !edges.is_empty() => edges[rng.gen_range(0..edges.len())],
+                _ => (u, rng.gen_range(0..used) as u32),
+            };
+            edges.push(edge);
+        }
+        for bits in 0..8 {
+            let opts = BuildOptions {
+                symmetrize: bits & 1 != 0,
+                remove_self_loops: bits & 2 != 0,
+                dedup: bits & 4 != 0,
+            };
+            let mut b = CsrBuilder::new(n);
+            b.extend_edges(edges.iter().copied());
+            let g = b.build(opts);
+            let (offsets, adjacency) = reference_build(n, &edges, opts);
+            assert_eq!(g.offsets(), offsets, "seed {seed}, {opts:?}");
+            assert_eq!(g.adjacency(), adjacency, "seed {seed}, {opts:?}");
+        }
     }
 }
 

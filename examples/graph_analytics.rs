@@ -1,17 +1,12 @@
-//! The BFS consumers from the paper's introduction, end to end: strongly
-//! connected components (forward+backward BFS), betweenness centrality,
-//! connected components, and diameter estimation — all running on XBFS
+//! BFS consumers from the paper's introduction, end to end: connected
+//! components, k-hop sizes and diameter estimation — all running on XBFS
 //! over the simulated GCD.
 //!
 //! ```text
 //! cargo run --release --example graph_analytics [shift]
 //! ```
 
-use xbfs_apps::{
-    betweenness_centrality, connected_components, estimate_diameter, khop_sizes, largest_component,
-    strongly_connected_components,
-};
-use xbfs_graph::builder::{BuildOptions, CsrBuilder};
+use xbfs_apps::{connected_components, estimate_diameter, khop_sizes, largest_component};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::Dataset;
 
@@ -42,51 +37,4 @@ fn main() {
     );
     let hops = khop_sizes(&g, src, 4);
     println!("  k-hop sizes from {src}: {hops:?}");
-
-    // --- betweenness centrality (sampled) on the LiveJournal analog ---
-    let lj = Dataset::LiveJournal.generate(shift.max(10), 7);
-    let samples = pick_sources(&lj, 16, 5);
-    let bc = betweenness_centrality(&lj, &samples);
-    let mut top: Vec<(usize, f64)> = bc.iter().copied().enumerate().collect();
-    top.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap());
-    println!(
-        "\nLiveJournal analog: sampled betweenness over {} sources; top brokers:",
-        samples.len()
-    );
-    for (v, score) in top.iter().take(5) {
-        println!(
-            "  vertex {v:>7} (degree {:>4}): {score:.1}",
-            lj.degree(*v as u32)
-        );
-    }
-
-    // --- SCC on a directed web-like graph (forward + backward BFS) ---
-    let n = 4000usize;
-    let mut b = CsrBuilder::new(n);
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = StdRng::seed_from_u64(11);
-    for _ in 0..6 * n {
-        let u = rng.gen_range(0..n) as u32;
-        let v = rng.gen_range(0..n) as u32;
-        b.add_edge(u, v);
-    }
-    let web = b.build(BuildOptions {
-        symmetrize: false,
-        remove_self_loops: true,
-        dedup: true,
-    });
-    let scc = strongly_connected_components(&web);
-    let n_scc = scc.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let mut sizes = vec![0usize; n_scc as usize];
-    for &l in &scc {
-        sizes[l as usize] += 1;
-    }
-    let giant = sizes.iter().copied().max().unwrap_or(0);
-    println!(
-        "\ndirected web-like graph (|V| = {n}, |E| = {}): {n_scc} SCCs, giant SCC = {giant} \
-         vertices ({:.1}%) — the FW-BW structure of random directed graphs",
-        web.num_edges(),
-        100.0 * giant as f64 / n as f64
-    );
 }
