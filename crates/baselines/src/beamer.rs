@@ -6,30 +6,16 @@
 //! bookkeeping) with the classic `m_f > m/α`-style switch on frontier
 //! edges, plus Beamer's β rule for switching back.
 
-use crate::{finish_run, BaselineRun, GpuBfs};
+use crate::Baseline;
 use gcd_sim::{LaunchCfg, WaveCtx};
 use xbfs_core::device_graph::DeviceGraph;
 use xbfs_core::state::UNVISITED;
-use xbfs_core::RunCtx;
+use xbfs_core::EngineError;
 
-/// Direction-optimizing BFS with Beamer's two-threshold heuristic.
-#[derive(Debug, Clone, Copy)]
-pub struct BeamerLike {
-    /// Switch push→pull when `frontier_edges > |E| / alpha_div`.
-    pub alpha_div: f64,
-    /// Switch pull→push when `frontier_count < |V| / beta_div`.
-    pub beta_div: f64,
-}
-
-impl Default for BeamerLike {
-    fn default() -> Self {
-        // Beamer's published defaults: α = 14, β = 24.
-        Self {
-            alpha_div: 14.0,
-            beta_div: 24.0,
-        }
-    }
-}
+/// Beamer's published α: switch push→pull when `frontier_edges > |E| / α`.
+const ALPHA: f64 = 14.0;
+/// Beamer's published β: switch pull→push when `frontier_count < |V| / β`.
+const BETA: f64 = 24.0;
 
 mod c {
     pub const QUEUE_LEN: usize = 0;
@@ -37,14 +23,13 @@ mod c {
     pub const N: usize = 4;
 }
 
-impl GpuBfs for BeamerLike {
-    fn name(&self) -> &'static str {
-        "beamer-like"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    pub(crate) fn beamer(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1) as f64;
         device.reset_timeline();
@@ -59,15 +44,15 @@ impl GpuBfs for BeamerLike {
         let edge_ctr = device.alloc_u64(1);
 
         let mut qlen = 1usize;
-        let mut frontier_edges = f64::from(ctx.degree(source));
+        let mut frontier_edges = f64::from(self.csr.degree(source));
         let mut frontier_count = 1u64;
         let mut pulling = false;
         let mut level = 0u32;
         loop {
             // Beamer's switch rules.
-            if !pulling && frontier_edges > m / self.alpha_div {
+            if !pulling && frontier_edges > m / ALPHA {
                 pulling = true;
-            } else if pulling && (frontier_count as f64) < n as f64 / self.beta_div {
+            } else if pulling && (frontier_count as f64) < n as f64 / BETA {
                 pulling = false;
                 // Rebuild the explicit queue the pull levels did not keep.
                 device.fill_u32(0, &counters, 0);
@@ -112,9 +97,10 @@ impl GpuBfs for BeamerLike {
                 qlen = counters.load(c::QUEUE_LEN) as usize;
                 std::mem::swap(&mut in_q, &mut out_q);
             }
+            self.check_deadline(deadline_ms)?;
             level += 1;
         }
-        finish_run(ctx, status.to_host())
+        Ok(status.to_host())
     }
 }
 
@@ -172,7 +158,7 @@ fn push_kernel(
         }
         k += 1;
     }
-    commit(w, g, status, Some(out_q), counters, edge_ctr, &claimed);
+    commit(w, g, Some(out_q), counters, edge_ctr, &claimed);
 }
 
 fn pull_kernel(
@@ -239,7 +225,7 @@ fn pull_kernel(
             w.vstore32(status, &writes);
         }
     }
-    commit(w, g, status, None, counters, edge_ctr, &claimed);
+    commit(w, g, None, counters, edge_ctr, &claimed);
 }
 
 fn rebuild_queue(
@@ -271,7 +257,6 @@ fn rebuild_queue(
 fn commit(
     w: &mut WaveCtx,
     g: &DeviceGraph,
-    _status: &gcd_sim::BufU32,
     out_q: Option<&gcd_sim::BufU32>,
     counters: &gcd_sim::BufU32,
     edge_ctr: &gcd_sim::BufU64,
@@ -293,8 +278,10 @@ fn commit(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::tests::run_once;
+    use crate::{Algo, Baseline};
     use gcd_sim::Device;
+    use xbfs_core::{Engine, RunRequest};
     use xbfs_graph::bfs_levels_serial;
     use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
     use xbfs_graph::Csr;
@@ -305,9 +292,8 @@ mod tests {
             (erdos_renyi(500, 2000, 4), 3u32),
             (rmat_graph(RmatParams::graph500(10), 7), 0u32),
         ] {
-            let dev = Device::mi250x();
-            let run = BeamerLike::default().run(&dev, &g, src);
-            assert_eq!(run.levels, bfs_levels_serial(&g, src));
+            let run = run_once(Algo::Beamer, &g, src);
+            assert_eq!(run.levels[0], bfs_levels_serial(&g, src));
         }
     }
 
@@ -315,9 +301,9 @@ mod tests {
     fn switches_direction_on_rmat() {
         // The phase tags record push/pull; R-MAT must trigger both.
         let g = rmat_graph(RmatParams::graph500(12), 5);
-        let dev = Device::mi250x();
-        let _ = BeamerLike::default().run(&dev, &g, 0);
-        let reports = dev.take_reports();
+        let mut engine = Baseline::new(Algo::Beamer, Device::mi250x(), &g);
+        engine.run(&RunRequest::plain(&[0])).unwrap();
+        let reports = engine.device.take_reports();
         let pulls = reports.iter().filter(|r| r.name == "beamer_pull").count();
         let pushes = reports.iter().filter(|r| r.name == "beamer_push").count();
         assert!(pulls > 0, "never pulled");
@@ -327,8 +313,7 @@ mod tests {
     #[test]
     fn handles_disconnected() {
         let g = Csr::from_parts(vec![0, 1, 2, 2], vec![1, 0]).unwrap();
-        let dev = Device::mi250x();
-        let run = BeamerLike::default().run(&dev, &g, 0);
-        assert_eq!(run.levels, vec![0, 1, u32::MAX]);
+        let run = run_once(Algo::Beamer, &g, 0);
+        assert_eq!(run.levels[0], vec![0, 1, u32::MAX]);
     }
 }

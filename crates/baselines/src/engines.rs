@@ -1,35 +1,13 @@
-//! The baseline BFS engines.
+//! The queue-based and status-array baselines: every [`crate::Algo`] but
+//! Beamer's. Each returns the level array, or stops at the deadline
+//! between two levels.
 
-use crate::{finish_run, BaselineRun, GpuBfs};
+use crate::Baseline;
 use gcd_sim::{Device, LaunchCfg, WaveCtx};
 use xbfs_core::device_graph::DeviceGraph;
 use xbfs_core::state::{BfsState, BinThresholds, UNVISITED};
 use xbfs_core::strategy::topdown::{self, TopDownOpts};
-use xbfs_core::RunCtx;
-
-/// Conventional status-array BFS: one kernel per level that rescans the
-/// whole status array and expands matching vertices thread-per-vertex.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SimpleTopDown;
-
-/// Gunrock-style edge-frontier filtering (advance + filter per level).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct GunrockLike;
-
-/// Enterprise-style scan-based queue generation with degree-binned,
-/// CAS-claiming expansion every level.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct EnterpriseLike;
-
-/// Hierarchical-queue BFS: claims land in per-wave private sub-queues that
-/// a second kernel compacts into the global frontier.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct HierarchicalQueue;
-
-/// Asynchronous SSSP-based BFS: unit-weight relaxations with atomic-min,
-/// iterated to fixpoint without level synchronization.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct SsspAsync;
+use xbfs_core::EngineError;
 
 /// Scratch counters shared by the engines.
 mod c {
@@ -46,14 +24,13 @@ fn init_status(device: &Device, n: usize, source: u32) -> gcd_sim::BufU32 {
     status
 }
 
-impl GpuBfs for SimpleTopDown {
-    fn name(&self) -> &'static str {
-        "status-array"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    pub(crate) fn status_array(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         device.reset_timeline();
         let status = init_status(device, n, source);
@@ -72,9 +49,10 @@ impl GpuBfs for SimpleTopDown {
             if counters.load(c::CLAIMED) == 0 {
                 break;
             }
+            self.check_deadline(deadline_ms)?;
             level += 1;
         }
-        finish_run(ctx, status.to_host())
+        Ok(status.to_host())
     }
 }
 
@@ -138,14 +116,13 @@ fn scan_expand_kernel(
     }
 }
 
-impl GpuBfs for GunrockLike {
-    fn name(&self) -> &'static str {
-        "gunrock-like"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    pub(crate) fn gunrock(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1);
         device.reset_timeline();
@@ -180,8 +157,11 @@ impl GpuBfs for GunrockLike {
             device.charge_transfer(0, 4);
             qlen = counters.load(c::OUT_LEN) as usize;
             level += 1;
+            if qlen > 0 {
+                self.check_deadline(deadline_ms)?;
+            }
         }
-        finish_run(ctx, status.to_host())
+        Ok(status.to_host())
     }
 }
 
@@ -264,14 +244,13 @@ fn gunrock_filter(
     w.vstore32_range(out_q, base, &winners);
 }
 
-impl GpuBfs for EnterpriseLike {
-    fn name(&self) -> &'static str {
-        "enterprise-like"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    pub(crate) fn enterprise(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         device.reset_timeline();
         let mut st = BfsState::new(device, n, false, 64);
@@ -296,6 +275,10 @@ impl GpuBfs for EnterpriseLike {
             st.swap_queues();
             if lens.iter().sum::<usize>() == 0 {
                 break;
+            }
+            // Only the scan knows whether a level is left: check here.
+            if level > 0 {
+                self.check_deadline(deadline_ms)?;
             }
             device.fill_u32(0, &st.counters, 0);
             let opts = TopDownOpts {
@@ -340,21 +323,20 @@ impl GpuBfs for EnterpriseLike {
             device.charge_transfer(0, 4);
             level += 1;
         }
-        finish_run(ctx, st.status.to_host())
+        Ok(st.status.to_host())
     }
 }
 
 /// Per-wave private sub-queue capacity (entries).
 const HQ_REGION: usize = 512;
 
-impl GpuBfs for HierarchicalQueue {
-    fn name(&self) -> &'static str {
-        "hierarchical-queue"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    pub(crate) fn hier_queue(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let width = device.arch().wavefront_size;
         device.reset_timeline();
@@ -403,8 +385,11 @@ impl GpuBfs for HierarchicalQueue {
             // Ping-pong the global queues (a pointer swap on real hardware).
             std::mem::swap(&mut in_q, &mut out_q);
             level += 1;
+            if qlen > 0 {
+                self.check_deadline(deadline_ms)?;
+            }
         }
-        finish_run(ctx, status.to_host())
+        Ok(status.to_host())
     }
 }
 
@@ -502,14 +487,14 @@ fn hq_compact(
     store_clipped(w, out_q, base, &vals);
 }
 
-impl GpuBfs for SsspAsync {
-    fn name(&self) -> &'static str {
-        "sssp-async"
-    }
-
-    fn run_in(&self, ctx: &RunCtx<'_>, source: u32) -> BaselineRun {
-        let device = ctx.device();
-        let g = ctx.graph();
+impl Baseline<'_> {
+    /// The deadline is checked between relaxation rounds.
+    pub(crate) fn sssp(
+        &self,
+        source: u32,
+        deadline_ms: Option<f64>,
+    ) -> Result<Vec<u32>, EngineError> {
+        let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1);
         device.reset_timeline();
@@ -533,8 +518,11 @@ impl GpuBfs for SsspAsync {
             // Swap worklists (a pointer swap on real hardware).
             std::mem::swap(&mut in_q, &mut out_q);
             iter += 1;
+            if qlen > 0 {
+                self.check_deadline(deadline_ms)?;
+            }
         }
-        finish_run(ctx, dist.to_host())
+        Ok(dist.to_host())
     }
 }
 
@@ -611,53 +599,10 @@ fn store_clipped(w: &mut WaveCtx, q: &gcd_sim::BufU32, base: usize, vals: &[u32]
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use xbfs_graph::generators::{barabasi_albert, erdos_renyi, rmat_graph, RmatParams};
-    use xbfs_graph::{bfs_levels_serial, Csr, UNVISITED as REF_UNVISITED};
-
-    fn engines() -> Vec<Box<dyn GpuBfs>> {
-        vec![
-            Box::new(SimpleTopDown),
-            Box::new(GunrockLike),
-            Box::new(EnterpriseLike),
-            Box::new(HierarchicalQueue),
-            Box::new(SsspAsync),
-        ]
-    }
-
-    #[test]
-    fn all_engines_match_reference_on_er() {
-        let g = erdos_renyi(600, 2400, 3);
-        for e in engines() {
-            let dev = Device::mi250x();
-            let run = e.run(&dev, &g, 7);
-            assert_eq!(run.levels, bfs_levels_serial(&g, 7), "{}", e.name());
-            assert!(run.total_ms > 0.0, "{}", e.name());
-            assert!(run.gteps > 0.0, "{}", e.name());
-        }
-    }
-
-    #[test]
-    fn all_engines_match_reference_on_rmat() {
-        let g = rmat_graph(RmatParams::graph500(9), 11);
-        for e in engines() {
-            let dev = Device::mi250x();
-            let run = e.run(&dev, &g, 0);
-            assert_eq!(run.levels, bfs_levels_serial(&g, 0), "{}", e.name());
-        }
-    }
-
-    #[test]
-    fn all_engines_handle_disconnected() {
-        // Path 0-1 plus isolated 2.
-        let g = Csr::from_parts(vec![0, 1, 2, 2], vec![1, 0]).unwrap();
-        for e in engines() {
-            let dev = Device::mi250x();
-            let run = e.run(&dev, &g, 0);
-            assert_eq!(run.levels, vec![0, 1, REF_UNVISITED], "{}", e.name());
-            assert_eq!(run.traversed_edges, 2, "{}", e.name());
-        }
-    }
+    use crate::tests::run_once;
+    use crate::Algo;
+    use xbfs_graph::bfs_levels_serial;
+    use xbfs_graph::generators::barabasi_albert;
 
     #[test]
     fn gunrock_struggles_on_hub_heavy_graphs() {
@@ -665,10 +610,8 @@ mod tests {
         // average degree is high. Compare its time against the scan-based
         // engine on a hubby BA graph.
         let g = barabasi_albert(30_000, 30, 5);
-        let dev1 = Device::mi250x();
-        let gunrock = GunrockLike.run(&dev1, &g, 0);
-        let dev2 = Device::mi250x();
-        let enterprise = EnterpriseLike.run(&dev2, &g, 0);
+        let gunrock = run_once(Algo::Gunrock, &g, 0);
+        let enterprise = run_once(Algo::Enterprise, &g, 0);
         assert!(
             gunrock.total_ms > enterprise.total_ms,
             "gunrock {} ms should trail enterprise {} ms on hub-heavy input",
@@ -683,8 +626,7 @@ mod tests {
         // multiple relaxations; its iteration count can exceed the BFS
         // depth.
         let g = barabasi_albert(1000, 4, 2);
-        let dev = Device::mi250x();
-        let run = SsspAsync.run(&dev, &g, 0);
-        assert_eq!(run.levels, bfs_levels_serial(&g, 0));
+        let run = run_once(Algo::Sssp, &g, 0);
+        assert_eq!(run.levels[0], bfs_levels_serial(&g, 0));
     }
 }

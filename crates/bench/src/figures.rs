@@ -3,10 +3,11 @@
 use crate::common::{f2, f3, mi250x_functional, mk_device, render_table, sci, Scale};
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::collections::BTreeMap;
-use xbfs_baselines::{BeamerLike, GpuBfs, GunrockLike};
-use xbfs_core::{RunCtx, Xbfs, XbfsConfig};
+use xbfs_baselines::{Algo, Baseline};
+use xbfs_core::{Engine, RunRequest, Xbfs, XbfsConfig};
+use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::stats::{level_profile, pick_sources};
-use xbfs_graph::{rearrange_by_degree, Dataset, RearrangeOrder};
+use xbfs_graph::{rearrange_by_degree, Csr, Dataset, RearrangeOrder};
 
 /// Fig. 5: per-kernel time breakdown across the three porting stages:
 /// (a) original CUDA XBFS on the P6000 profile, (b) naive hipify on the
@@ -157,6 +158,33 @@ pub struct Fig8Row {
     pub beamer_gteps: f64,
 }
 
+/// n-to-n GTEPS of one engine: the traversed edges of every run from
+/// `sources` over the modeled time of every run.
+fn n_to_n_gteps(engine: &mut dyn Engine, g: &Csr, sources: &[u32]) -> f64 {
+    let (mut edges, mut ms) = (0u64, 0.0f64);
+    for &s in sources {
+        let out = engine
+            .run(&RunRequest::plain(&[s]))
+            .expect("bench inputs are valid");
+        edges += traversed_edges(g, &out.levels[0]);
+        ms += out.total_ms;
+    }
+    edges as f64 / (ms * 1e-3).max(1e-12) / 1e9
+}
+
+/// n-to-n GTEPS of XBFS (default config) on its own functional MI250X.
+fn xbfs_gteps(g: &Csr, sources: &[u32]) -> f64 {
+    let cfg = XbfsConfig::default();
+    let dev = mi250x_functional(&cfg);
+    let mut xbfs = Xbfs::new(&dev, g, cfg).expect("bench inputs are valid");
+    n_to_n_gteps(&mut xbfs, g, sources)
+}
+
+/// n-to-n GTEPS of one baseline on its own MI250X.
+fn baseline_gteps(algo: Algo, g: &Csr, sources: &[u32]) -> f64 {
+    n_to_n_gteps(&mut Baseline::new(algo, Device::mi250x(), g), g, sources)
+}
+
 /// Run the Fig. 8 comparison: XBFS (re-arranged), XBFS (not re-arranged)
 /// and the Gunrock-like baseline, n-to-n over random sources, per dataset.
 pub fn fig8_rows(scale: &Scale) -> Vec<Fig8Row> {
@@ -166,42 +194,12 @@ pub fn fig8_rows(scale: &Scale) -> Vec<Fig8Row> {
             let g = scale.dataset(d, crate::tables::TABLE_SEED);
             let sources = pick_sources(&g, scale.sources, 13);
             let rg = rearrange_by_degree(&g, RearrangeOrder::DegreeDescending);
-            let cfg = XbfsConfig::default();
-
-            let gteps_of = |graph: &xbfs_graph::Csr| {
-                let dev = mi250x_functional(&cfg);
-                let xbfs = Xbfs::new(&dev, graph, cfg).expect("bench inputs are valid");
-                let (mut edges, mut ms) = (0u64, 0.0f64);
-                for &s in &sources {
-                    let run = xbfs.run(s).expect("bench inputs are valid");
-                    edges += run.traversed_edges;
-                    ms += run.total_ms;
-                }
-                edges as f64 / (ms * 1e-3).max(1e-12) / 1e9
-            };
-            let xbfs_gteps = gteps_of(&rg);
-            let xbfs_plain_gteps = gteps_of(&g);
-
-            let baseline_gteps = |engine: &dyn GpuBfs| {
-                let dev = Device::mi250x();
-                let ctx = RunCtx::new(&dev, &g); // uploaded once per engine
-                let (mut edges, mut ms) = (0u64, 0.0f64);
-                for &s in &sources {
-                    let run = engine.run_in(&ctx, s);
-                    edges += run.traversed_edges;
-                    ms += run.total_ms;
-                }
-                edges as f64 / (ms * 1e-3).max(1e-12) / 1e9
-            };
-            let gunrock_gteps = baseline_gteps(&GunrockLike);
-            let beamer_gteps = baseline_gteps(&BeamerLike::default());
-
             Fig8Row {
                 dataset: d,
-                xbfs_gteps,
-                xbfs_plain_gteps,
-                gunrock_gteps,
-                beamer_gteps,
+                xbfs_gteps: xbfs_gteps(&rg, &sources),
+                xbfs_plain_gteps: xbfs_gteps(&g, &sources),
+                gunrock_gteps: baseline_gteps(Algo::Gunrock, &g, &sources),
+                beamer_gteps: baseline_gteps(Algo::Beamer, &g, &sources),
             }
         })
         .collect()
@@ -245,42 +243,12 @@ pub fn fig8(scale: &Scale) -> String {
 /// Extension of Fig. 8: every baseline engine head-to-head with XBFS on
 /// every dataset (n-to-n GTEPS). The §II related-work taxonomy, measured.
 pub fn baselines_sweep(scale: &Scale) -> String {
-    use xbfs_baselines::{EnterpriseLike, HierarchicalQueue, SimpleTopDown, SsspAsync};
-    let engines: Vec<Box<dyn GpuBfs>> = vec![
-        Box::new(GunrockLike),
-        Box::new(EnterpriseLike),
-        Box::new(HierarchicalQueue),
-        Box::new(SimpleTopDown),
-        Box::new(SsspAsync),
-        Box::new(BeamerLike::default()),
-    ];
     let mut rows = Vec::new();
     for d in Dataset::ALL {
         let g = scale.dataset(d, crate::tables::TABLE_SEED);
         let sources = pick_sources(&g, scale.sources.min(4), 13);
-        let gteps_of_runs = |edges: u64, ms: f64| edges as f64 / (ms * 1e-3).max(1e-12) / 1e9;
-
-        let cfg = XbfsConfig::default();
-        let dev = mi250x_functional(&cfg);
-        let xbfs = Xbfs::new(&dev, &g, cfg).expect("bench inputs are valid");
-        let (mut edges, mut ms) = (0u64, 0.0f64);
-        for &s in &sources {
-            let run = xbfs.run(s).expect("bench inputs are valid");
-            edges += run.traversed_edges;
-            ms += run.total_ms;
-        }
-        let mut row = vec![d.to_string(), f2(gteps_of_runs(edges, ms))];
-        for e in &engines {
-            let dev = Device::mi250x();
-            let ctx = RunCtx::new(&dev, &g); // uploaded once per engine
-            let (mut edges, mut ms) = (0u64, 0.0f64);
-            for &s in &sources {
-                let run = e.run_in(&ctx, s);
-                edges += run.traversed_edges;
-                ms += run.total_ms;
-            }
-            row.push(f2(gteps_of_runs(edges, ms)));
-        }
+        let mut row = vec![d.to_string(), f2(xbfs_gteps(&g, &sources))];
+        row.extend(Algo::ALL.map(|algo| f2(baseline_gteps(algo, &g, &sources))));
         rows.push(row);
     }
     render_table(

@@ -13,7 +13,10 @@ mod trace;
 use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
-use xbfs_core::{BitflipPlan, EngineError, MsBfs, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError};
+use xbfs_core::{
+    BitflipPlan, Engine, EngineError, MsBfs, RunRequest, Sabotage, Strategy, Xbfs, XbfsConfig,
+    XbfsError,
+};
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
@@ -138,7 +141,7 @@ fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
         "convert" | "info" | "analyze" | "trace" | "help" | "" => "",
         "bfs" | "run" => {
             "source alpha auto-alpha! forced rearrange! validate! verify! inject-bitflips \
-             deadline-ms csv trace"
+             deadline-ms trace"
         }
         "serve" => {
             "addr workers queue-cap verify! allow-chaos! max-retries deadline-ms cluster \
@@ -152,7 +155,7 @@ fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
         "top" => "interval-ms frames",
         "cluster" => {
             "gcds source alpha push-only! inject-faults checkpoint-every recovery validate! \
-             json csv trace"
+             json trace"
         }
         "msbfs" => "sources",
         "compare" => "source",
@@ -226,8 +229,7 @@ COMMANDS
   bfs       FILE [--source N] [--alpha F | --auto-alpha] [--forced scan-free|single-scan|bottom-up]
             [--rearrange] [--validate] [--verify] [--inject-bitflips SPEC]
             [--deadline-ms MS] [--arch mi250x|mi100|p6000]
-            [--compiler clang|hipcc|clang-O0] [--timing] [--csv FILE]
-            [--trace FMT:PATH]
+            [--compiler clang|hipcc|clang-O0] [--timing] [--trace FMT:PATH]
             run one BFS and report per-level stats (`run` is an alias);
             --verify certifies the result (CSR + pool checksums, O(V+E)
             certificate) and --inject-bitflips flips seeded bits in device
@@ -236,8 +238,7 @@ COMMANDS
             modeled run time exceeds the budget
   cluster   FILE [--gcds N] [--source N] [--alpha F] [--push-only]
             [--inject-faults SPEC|random[:SEED]] [--checkpoint-every N]
-            [--recovery spare|degrade] [--validate] [--json FILE] [--csv FILE]
-            [--trace FMT:PATH]
+            [--recovery spare|degrade] [--validate] [--json FILE] [--trace FMT:PATH]
             distributed BFS across simulated GCDs, optionally under faults;
             SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
             degrade@FROM-TO:FACTOR, seed=N
@@ -671,11 +672,6 @@ fn bfs(args: &Args) -> Result<String, CliError> {
             }
         }
     }
-    if let Some(csv_path) = args.options.get("csv") {
-        // The kernel rows of `--trace csv:`, under their older name.
-        let rows = TraceFormat::RocprofCsv.sink().export(&xbfs.trace_of(&run));
-        write_export(&mut out, "kernel counters", csv_path, &rows);
-    }
     if let Some((fmt, trace_path)) = trace_opt {
         if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &xbfs.trace_of(&run)) {
             return Ok(direct);
@@ -811,14 +807,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         }
     }
     if let Some(json_path) = args.options.get("json") {
-        std::fs::write(json_path, run.to_json())
-            .map_err(|e| CliError::io(format!("cannot write {json_path}: {e}")))?;
-        out.push_str(&format!("run record written to {json_path}\n"));
-    }
-    if let Some(csv_path) = args.options.get("csv") {
-        std::fs::write(csv_path, run.to_csv())
-            .map_err(|e| CliError::io(format!("cannot write {csv_path}: {e}")))?;
-        out.push_str(&format!("per-level stats written to {csv_path}\n"));
+        write_export(&mut out, "run record", json_path, &run.to_json());
     }
     if let Some((fmt, trace_path)) = trace_opt {
         if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &cluster.trace_of(&run)) {
@@ -853,42 +842,34 @@ fn msbfs(args: &Args) -> Result<String, CliError> {
     ))
 }
 
+/// XBFS, then every baseline, each on a fresh device of the requested
+/// profile; every baseline must find XBFS's levels.
 fn compare(args: &Args) -> Result<String, CliError> {
-    use xbfs_baselines::{
-        BeamerLike, EnterpriseLike, GpuBfs, GunrockLike, HierarchicalQueue, SimpleTopDown,
-        SsspAsync,
-    };
+    use xbfs_baselines::{Algo, Baseline};
     let path = args.positional.first().ok_or("usage: xbfs compare FILE")?;
     let g = load_graph(path)?;
     let source = args.get::<u32>("source", pick_sources(&g, 1, 1)[0])?;
     let spec = parse_device(args)?;
-    let xbfs_run =
-        Xbfs::new(&build_device(spec.clone(), 1), &g, XbfsConfig::default())?.run(source)?;
-    let mut out = format!(
-        "{:<20} {:>10} {:>8}\n{:<20} {:>10.4} {:>8.2}\n",
-        "engine", "ms", "GTEPS", "xbfs (adaptive)", xbfs_run.total_ms, xbfs_run.gteps
-    );
-    let engines: Vec<Box<dyn GpuBfs>> = vec![
-        Box::new(GunrockLike),
-        Box::new(EnterpriseLike),
-        Box::new(HierarchicalQueue),
-        Box::new(SimpleTopDown),
-        Box::new(SsspAsync),
-        Box::new(BeamerLike::default()),
-    ];
-    for e in engines {
-        let run = e.run(&build_device(spec.clone(), 1), &g, source);
-        if run.levels != xbfs_run.levels {
+    let xbfs = Xbfs::new(build_device(spec.clone(), 1), &g, XbfsConfig::default())?;
+    let baselines = Algo::ALL.into_iter().map(|algo| {
+        let engine = Baseline::new(algo, build_device(spec.clone(), 1), &g);
+        (algo.name(), Box::new(engine) as Box<dyn Engine + '_>)
+    });
+    let engines = std::iter::once(("xbfs (adaptive)", Box::new(xbfs) as Box<dyn Engine + '_>));
+    let mut out = format!("{:<20} {:>10} {:>8}\n", "engine", "ms", "GTEPS");
+    let mut xbfs_levels = None;
+    for (name, mut engine) in engines.chain(baselines) {
+        let run = engine.run(&RunRequest::plain(&[source]))?;
+        let levels = xbfs_levels.get_or_insert_with(|| run.levels[0].clone());
+        if run.levels[0] != *levels {
             return Err(CliError::new(
-                format!("engine {} disagrees with XBFS levels!", e.name()),
+                format!("engine {name} disagrees with XBFS levels!"),
                 exit_code::VALIDATION,
             ));
         }
         out.push_str(&format!(
             "{:<20} {:>10.4} {:>8.2}\n",
-            e.name(),
-            run.total_ms,
-            run.gteps
+            name, run.total_ms, run.slots[0].gteps
         ));
     }
     Ok(out)
@@ -899,7 +880,7 @@ fn analyze(args: &Args) -> Result<String, CliError> {
     let g = load_graph(path)?;
     let labels = xbfs_apps::connected_components(&g);
     let n_comp = labels.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let (_, giant) = xbfs_apps::largest_component(&g);
+    let (_, giant) = xbfs_apps::largest_component(&labels);
     let src = pick_sources(&g, 1, 1)[0];
     let diameter = xbfs_apps::estimate_diameter(&g, src);
     Ok(format!(

@@ -30,7 +30,8 @@ fn forced_strategy_and_csv() {
     let path = tmp("g2.bin");
     run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
     let csv = tmp("g2.csv");
-    let out = run(&["bfs", &path, "--forced", "bottom-up", "--csv", &csv]).unwrap();
+    let trace = format!("csv:{csv}");
+    let out = run(&["bfs", &path, "--forced", "bottom-up", "--trace", &trace]).unwrap();
     assert!(out.contains("bottom-up"));
     let body = std::fs::read_to_string(&csv).unwrap();
     assert!(body.contains("bu_expand"), "{body}");
@@ -188,20 +189,6 @@ fn sweep_outputs_match_parent_golden() {
     );
 }
 
-/// `--csv` is the kernel rows of the trace under an older flag, not a
-/// second renderer (field quoting is `csv_sink_escapes_commas`'s job:
-/// no real kernel or phase name needs it).
-#[test]
-fn bfs_csv_is_the_trace_csv() {
-    let path = tmp("g26.bin");
-    run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
-    let (a, b) = (tmp("g26_a.csv"), tmp("g26_b.csv"));
-    run(&["bfs", &path, "--csv", &a, "--trace", &format!("csv:{b}")]).unwrap();
-    let rows = std::fs::read_to_string(&a).unwrap();
-    assert!(rows.lines().count() > 4, "{rows}");
-    assert_eq!(rows, std::fs::read_to_string(&b).unwrap());
-}
-
 #[test]
 fn bfs_verify_certifies_clean_runs() {
     let path = tmp("g20.bin");
@@ -352,7 +339,6 @@ fn cluster_crash_demo_recovers_and_exports() {
     let path = tmp("g6.bin");
     run(&["generate", "--out", &path, "--scale", "11"]).unwrap();
     let json = tmp("g6.json");
-    let csv = tmp("g6.csv");
     let out = run(&[
         "cluster",
         &path,
@@ -369,16 +355,16 @@ fn cluster_crash_demo_recovers_and_exports() {
         "--validate",
         "--json",
         &json,
-        "--csv",
-        &csv,
     ])
     .unwrap();
     assert!(out.contains("recovery: rank 1 died at level 2"), "{out}");
     assert!(out.contains("VALID"), "{out}");
     let record = std::fs::read_to_string(&json).unwrap();
     assert!(record.contains("crash@2:rank1"), "{record}");
-    let stats = std::fs::read_to_string(&csv).unwrap();
-    assert!(stats.starts_with("level,attempt,"), "{stats}");
+    assert!(
+        record.contains(r#""level_stats":[{"level":0,"attempt":0,"#),
+        "{record}"
+    );
 }
 
 #[test]
@@ -606,18 +592,13 @@ fn exporters_never_abort_a_finished_run() {
     run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
     // Unwritable side-file paths demote to warnings: the run's own
     // report still lands and the exit code stays 0.
-    let out = run(&[
-        "bfs",
-        &path,
-        "--csv",
-        "/nonexistent-dir/k.csv",
-        "--trace",
-        "json:/nonexistent-dir/t.json",
-    ])
-    .unwrap();
+    let out = run(&["bfs", &path, "--trace", "json:/nonexistent-dir/t.json"]).unwrap();
     assert!(out.contains("GTEPS"), "{out}");
-    assert!(out.contains("kernel counters NOT written"), "{out}");
     assert!(out.contains("trace NOT written"), "{out}");
+    let json = "/nonexistent-dir/r.json";
+    let out = run(&["cluster", &path, "--gcds", "2", "--json", json]).unwrap();
+    assert!(out.contains("GTEPS per GCD"), "{out}");
+    assert!(out.contains("run record NOT written"), "{out}");
 }
 
 /// A free loopback address: bind, read the port, release it, and hand it

@@ -1,21 +1,24 @@
 //! The engine contract: one way to ask any BFS engine for a traversal.
 //!
-//! The paper's host side is one level loop; this repo has three engines
-//! that run it — the adaptive single-GCD [`crate::Xbfs`], the 64-wide
-//! bit-parallel [`crate::MsBfs`], and the partitioned `GcdCluster` of
-//! `xbfs-multi-gcd`. A supervisor (the serving worker, a differential
+//! The paper's host side is one level loop, and every engine that runs it
+//! answers here: the adaptive single-GCD [`crate::Xbfs`], the 64-wide
+//! bit-parallel [`crate::MsBfs`], the partitioned `GcdCluster` of
+//! `xbfs-multi-gcd` and the six §II baselines of `xbfs-baselines`. A
+//! caller (the serving worker, `xbfs compare`, the figures, a differential
 //! test) should not care which one it holds: it hands over a
 //! [`RunRequest`], gets one answer per source slot back in a
 //! [`RunOutcome`], and on failure only needs to know which of three
 //! things to do next — that is all [`EngineError`] says.
 //!
-//! Each engine keeps two inherent entry points next to this trait: a
-//! one-line convenience (`run` / `run_batch`) and a full form
-//! (`run_with`) returning its rich run type, which the trait impl calls.
+//! XBFS, `MsBfs` and the cluster keep two inherent entry points next to
+//! this trait: a one-line convenience (`run` / `run_batch`) and a full
+//! form (`run_with`) returning its rich run type, which the trait impl
+//! calls. The baselines have the trait only.
 
 use crate::error::XbfsError;
 use crate::integrity::Sabotage;
 use crate::state::UNVISITED;
+use xbfs_graph::Csr;
 
 /// A fault to inject into one run (chaos and detection drills).
 #[derive(Debug, Clone, Copy, Default)]
@@ -97,6 +100,27 @@ pub struct SlotAnswer {
 /// Vertices a level array reached.
 pub fn reached(levels: &[u32]) -> u64 {
     levels.iter().filter(|&&l| l != UNVISITED).count() as u64
+}
+
+/// What `verify` means to an engine with no certificate machinery: the
+/// Graph500 level check of a finished single-source run (Buluç et al.).
+/// Returns the wall ms it took (0 when `verify` is off), or a `Suspect`
+/// when `levels` is not a BFS of `graph` from `source`.
+pub fn validate_levels(
+    graph: &Csr,
+    source: u32,
+    levels: &[u32],
+    verify: bool,
+) -> Result<f64, EngineError> {
+    if !verify {
+        return Ok(0.0);
+    }
+    let started = std::time::Instant::now();
+    xbfs_graph::validate_bfs_levels(graph, source, levels).map_err(|e| EngineError::Suspect {
+        kind: "integrity",
+        msg: format!("result failed Graph500 level validation: {e:?}"),
+    })?;
+    Ok(started.elapsed().as_secs_f64() * 1000.0)
 }
 
 /// The result of one engine run.

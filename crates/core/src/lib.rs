@@ -42,7 +42,6 @@ pub mod efficiency;
 pub mod engine;
 pub mod error;
 pub mod integrity;
-pub mod run_ctx;
 pub mod runner;
 pub mod state;
 pub mod stats;
@@ -60,7 +59,6 @@ pub use integrity::{
     apply_sabotage, certify_ms_run, certify_run, BitflipPlan, CertViolation, Certificate,
     IntegrityError, Sabotage,
 };
-pub use run_ctx::RunCtx;
 pub use runner::Xbfs;
 pub use state::{decode_level, is_unvisited, BfsState, BinThresholds, QueueState, UNVISITED};
 pub use stats::{levels_digest, BfsRun, LevelStats};

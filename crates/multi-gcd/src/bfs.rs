@@ -40,6 +40,7 @@ use crate::interconnect::LinkModel;
 use crate::partition::Partition;
 use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx};
 use std::collections::HashMap;
+use xbfs_core::engine::validate_levels;
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
@@ -135,7 +136,7 @@ pub struct ClusterLevelStats {
     /// instant below, because recovery rewinds the level counter and a
     /// round trip through `time_ms` does not give the same bits back;
     /// [`GcdCluster::trace_of`] draws its spans from these. None of them
-    /// is part of [`ClusterRun::to_json`] / [`ClusterRun::to_csv`].
+    /// is part of [`ClusterRun::to_json`].
     pub start_us: f64,
     /// Fleet clock when the level ended, µs.
     pub end_us: f64,
@@ -306,33 +307,6 @@ impl ClusterRun {
                 }
             });
         })
-    }
-
-    /// Per-level stats as CSV (header + one row per executed level).
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "level,attempt,bottom_up,frontier_count,frontier_edges,exchanged_bytes,\
-             retransmitted_bytes,retry_ms,recovery_ms,checkpointed,expand_ms,exchange_ms,time_ms\n",
-        );
-        for l in &self.level_stats {
-            s.push_str(&format!(
-                "{},{},{},{},{},{},{},{:.6},{:.6},{},{:.6},{:.6},{:.6}\n",
-                l.level,
-                l.attempt,
-                l.bottom_up,
-                l.frontier_count,
-                l.frontier_edges,
-                l.exchanged_bytes,
-                l.retransmitted_bytes,
-                l.retry_ms,
-                l.recovery_ms,
-                l.checkpointed(),
-                l.expand_ms,
-                l.exchange_ms,
-                l.time_ms,
-            ));
-        }
-        s
     }
 }
 
@@ -1618,18 +1592,7 @@ impl Engine for GcdCluster<'_> {
             }
         }
         let run = self.run_with(source, &faults, req.deadline_ms)?;
-        let certify_wall_ms = if req.verify {
-            let started = std::time::Instant::now();
-            xbfs_graph::validate_bfs_levels(self.graph, source, &run.levels).map_err(|e| {
-                EngineError::Suspect {
-                    kind: "integrity",
-                    msg: format!("cluster result failed validation: {e:?}"),
-                }
-            })?;
-            started.elapsed().as_secs_f64() * 1000.0
-        } else {
-            0.0
-        };
+        let certify_wall_ms = validate_levels(self.graph, source, &run.levels, req.verify)?;
         for ls in &run.level_stats {
             self.phase_us.0 += ls.expand_ms * 1000.0;
             self.phase_us.1 += ls.exchange_ms * 1000.0;
@@ -2117,9 +2080,6 @@ mod tests {
         let doc = xbfs_telemetry::JsonValue::parse(&hostile.to_json()).expect("valid JSON");
         let alpha = doc.get("config").and_then(|c| c.get("alpha"));
         assert_eq!(alpha, Some(&xbfs_telemetry::JsonValue::Null));
-        let csv = run.to_csv();
-        assert_eq!(csv.lines().count(), run.level_stats.len() + 1);
-        assert!(csv.starts_with("level,attempt,"));
         // The recorded plan reproduces the run exactly.
         let mut again = GcdCluster::new(&g, run.config, LinkModel::frontier()).unwrap();
         let replayed = FaultConfig {

@@ -1,12 +1,12 @@
 //! BFS consumers from the paper's introduction, end to end: connected
-//! components, k-hop sizes and diameter estimation — all running on XBFS
-//! over the simulated GCD.
+//! components and diameter estimation, both running on XBFS over the
+//! simulated GCD.
 //!
 //! ```text
 //! cargo run --release --example graph_analytics [shift]
 //! ```
 
-use xbfs_apps::{connected_components, estimate_diameter, khop_sizes, largest_component};
+use xbfs_apps::{connected_components, estimate_diameter, largest_component};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::Dataset;
 
@@ -25,7 +25,7 @@ fn main() {
     );
     let labels = connected_components(&g);
     let n_components = labels.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let (_, giant) = largest_component(&g);
+    let (_, giant) = largest_component(&labels);
     println!(
         "  {n_components} connected components; giant component holds {giant} vertices ({:.1}%)",
         100.0 * giant as f64 / g.num_vertices() as f64
@@ -35,6 +35,4 @@ fn main() {
         "  estimated diameter (double sweep from {src}): {}",
         estimate_diameter(&g, src)
     );
-    let hops = khop_sizes(&g, src, 4);
-    println!("  k-hop sizes from {src}: {hops:?}");
 }

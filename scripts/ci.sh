@@ -448,7 +448,7 @@ batch_overhead() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=29254
+LINES_CEILING=29038
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N

@@ -4,9 +4,7 @@
 //! answers every kind of request like the serial reference.
 
 use gcd_sim::{ArchProfile, Device, ExecMode};
-use xbfs_baselines::{
-    BeamerLike, EnterpriseLike, GpuBfs, GunrockLike, HierarchicalQueue, SimpleTopDown, SsspAsync,
-};
+use xbfs_baselines::{Algo, Baseline};
 use xbfs_core::{
     levels_digest, Engine, EngineError, MsBfs, RunRequest, Strategy, Xbfs, XbfsConfig,
 };
@@ -19,43 +17,46 @@ use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
 
 const SHIFT: u32 = 11; // tiny analogs: keep the full matrix fast
 
-#[test]
-fn xbfs_matches_reference_on_all_datasets() {
+/// Runs the engines `make` builds for each dataset analog from three
+/// sources and checks every answer against the frontier reference.
+fn assert_match_reference_on_all_datasets<F>(make: F)
+where
+    F: for<'g> Fn(&'g Csr) -> Vec<(&'static str, Box<dyn Engine + 'g>)>,
+{
     for d in Dataset::ALL {
         let g = d.generate(SHIFT, 42);
-        let dev = Device::mi250x();
-        let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
-        for s in pick_sources(&g, 3, 7) {
-            let run = xbfs.run(s).unwrap();
-            assert_eq!(
-                run.levels,
-                bfs_levels_frontier(&g, s),
-                "dataset {d}, source {s}"
-            );
+        let sources = pick_sources(&g, 3, 7);
+        let expect: Vec<Vec<u32>> = sources
+            .iter()
+            .map(|&s| bfs_levels_frontier(&g, s))
+            .collect();
+        for (name, mut engine) in make(&g) {
+            for (&s, expect) in sources.iter().zip(&expect) {
+                let run = engine.run(&RunRequest::plain(&[s])).unwrap();
+                assert_eq!(&run.levels[0], expect, "dataset {d}, {name}, source {s}");
+            }
         }
     }
 }
 
 #[test]
+fn xbfs_matches_reference_on_all_datasets() {
+    assert_match_reference_on_all_datasets(|g| {
+        let xbfs = Xbfs::new(Device::mi250x(), g, XbfsConfig::default()).unwrap();
+        vec![("xbfs", Box::new(xbfs) as Box<dyn Engine + '_>)]
+    });
+}
+
+#[test]
 fn all_baselines_match_reference_on_all_datasets() {
-    let engines: Vec<Box<dyn GpuBfs>> = vec![
-        Box::new(SimpleTopDown),
-        Box::new(GunrockLike),
-        Box::new(EnterpriseLike),
-        Box::new(HierarchicalQueue),
-        Box::new(SsspAsync),
-        Box::new(BeamerLike::default()),
-    ];
-    for d in Dataset::ALL {
-        let g = d.generate(SHIFT, 42);
-        let s = pick_sources(&g, 1, 7)[0];
-        let expect = bfs_levels_frontier(&g, s);
-        for e in &engines {
-            let dev = Device::mi250x();
-            let run = e.run(&dev, &g, s);
-            assert_eq!(run.levels, expect, "dataset {d}, engine {}", e.name());
-        }
-    }
+    assert_match_reference_on_all_datasets(|g| {
+        Algo::ALL
+            .map(|algo| {
+                let engine = Baseline::new(algo, Device::mi250x(), g);
+                (algo.name(), Box::new(engine) as Box<dyn Engine + '_>)
+            })
+            .into()
+    });
 }
 
 #[test]
@@ -118,7 +119,8 @@ fn timing_and_functional_modes_agree() {
 
 /// Every engine the contract covers, each on its own device(s): `Xbfs`
 /// adaptive and with each strategy forced, in both execution modes; the
-/// 64-wide `MsBfs`; the partitioned cluster on 1, 2 and 4 GCDs.
+/// 64-wide `MsBfs`; the partitioned cluster on 1, 2 and 4 GCDs; the six
+/// baselines.
 fn every_engine(g: &Csr) -> Vec<(String, Box<dyn Engine + '_>)> {
     let mut engines: Vec<(String, Box<dyn Engine + '_>)> = Vec::new();
     for mode in [ExecMode::Functional, ExecMode::Timing] {
@@ -139,6 +141,10 @@ fn every_engine(g: &Csr) -> Vec<(String, Box<dyn Engine + '_>)> {
         };
         let cluster = GcdCluster::new(g, cfg, LinkModel::frontier()).unwrap();
         engines.push((format!("cluster x{num_gcds}"), Box::new(cluster)));
+    }
+    for algo in Algo::ALL {
+        let baseline = Baseline::new(algo, Device::mi250x(), g);
+        engines.push((algo.name().into(), Box::new(baseline)));
     }
     engines
 }

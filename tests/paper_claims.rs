@@ -3,8 +3,8 @@
 //! cost model or the kernels show up in CI.
 
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
-use xbfs_baselines::{GpuBfs, GunrockLike};
-use xbfs_core::{Strategy, Xbfs, XbfsConfig};
+use xbfs_baselines::{Algo, Baseline};
+use xbfs_core::{Engine, RunRequest, Strategy, Xbfs, XbfsConfig};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::pick_sources;
 use xbfs_graph::{rearrange_by_degree, Dataset, RearrangeOrder};
@@ -60,8 +60,8 @@ fn xbfs_beats_gunrock_everywhere() {
         let g = d.generate(10, 3);
         let src = pick_sources(&g, 1, 5)[0];
         let x = run_cfg(&g, XbfsConfig::default(), src);
-        let dev = Device::mi250x();
-        let gr = GunrockLike.run(&dev, &g, src);
+        let mut gunrock = Baseline::new(Algo::Gunrock, Device::mi250x(), &g);
+        let gr = gunrock.run(&RunRequest::plain(&[src])).unwrap();
         assert!(
             x.total_ms < gr.total_ms,
             "{d}: xbfs {} ms vs gunrock {} ms",

@@ -1,13 +1,11 @@
 //! Workspace-level property test: on arbitrary graphs, XBFS (all configs)
-//! and all five baseline engines agree with each other and the CPU
+//! and all six baseline engines agree with each other and the CPU
 //! reference — the strongest cross-implementation oracle in the repo.
 
 use gcd_sim::Device;
 use proptest::prelude::*;
-use xbfs_baselines::{
-    BeamerLike, EnterpriseLike, GpuBfs, GunrockLike, HierarchicalQueue, SimpleTopDown, SsspAsync,
-};
-use xbfs_core::{Xbfs, XbfsConfig};
+use xbfs_baselines::{Algo, Baseline};
+use xbfs_core::{Engine, RunRequest, Xbfs, XbfsConfig};
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::reference::{bfs_levels_serial, traversed_edges};
 use xbfs_graph::{rearrange_by_degree, Csr, RearrangeOrder};
@@ -38,18 +36,11 @@ proptest! {
         prop_assert_eq!(&x.levels, &expect, "xbfs adaptive");
         prop_assert_eq!(x.traversed_edges, traversed_edges(&g, &expect));
 
-        let engines: Vec<Box<dyn GpuBfs>> = vec![
-            Box::new(SimpleTopDown),
-            Box::new(GunrockLike),
-            Box::new(EnterpriseLike),
-            Box::new(HierarchicalQueue),
-            Box::new(SsspAsync),
-            Box::new(BeamerLike::default()),
-        ];
-        for e in engines {
-            let dev = Device::mi250x();
-            let run = e.run(&dev, &g, src);
-            prop_assert_eq!(&run.levels, &expect, "engine {}", e.name());
+        for algo in Algo::ALL {
+            let mut engine = Baseline::new(algo, Device::mi250x(), &g);
+            let run = engine.run(&RunRequest::plain(&[src])).unwrap();
+            prop_assert_eq!(&run.levels[0], &expect, "engine {}", algo.name());
+            prop_assert!(run.total_ms > 0.0, "engine {}", algo.name());
         }
     }
 
