@@ -6,6 +6,7 @@
 //! bookkeeping) with the classic `m_f > m/α`-style switch on frontier
 //! edges, plus Beamer's β rule for switching back.
 
+use crate::engines::expand_claiming;
 use crate::Baseline;
 use gcd_sim::{LaunchCfg, WaveCtx};
 use xbfs_core::device_graph::DeviceGraph;
@@ -121,43 +122,7 @@ fn push_kernel(
     }
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(in_q, gids.start, gids.len(), &mut us);
-    let uidx = us.iter().map(|&u| u as usize);
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, uidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, uidx, &mut degs);
-    let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
-    let mut claimed: Vec<u32> = Vec::new();
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|&(_, d)| k < d);
-        if lanes.is_empty() {
-            break;
-        }
-        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, aidx, &mut vs);
-        let sidx = vs.iter().map(|&v| v as usize);
-        let mut svs = Vec::with_capacity(vs.len());
-        w.vload32(status, sidx.clone(), &mut svs);
-        w.alu(1);
-        let ops: Vec<(usize, u32, u32)> = sidx
-            .zip(&svs)
-            .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(i, _)| (i, UNVISITED, level + 1))
-            .collect();
-        if !ops.is_empty() {
-            let mut results = Vec::with_capacity(ops.len());
-            w.vcas32(status, &ops, &mut results);
-            claimed.extend(
-                ops.iter()
-                    .zip(&results)
-                    .filter(|&(_, r)| r.is_ok())
-                    .map(|(&(i, _, _), _)| i as u32),
-            );
-        }
-        k += 1;
-    }
+    let claimed = expand_claiming(w, g, status, &us, level + 1);
     commit(w, g, Some(out_q), counters, edge_ctr, &claimed);
 }
 

@@ -72,29 +72,60 @@ fn scan_expand_kernel(
     let mut sts = Vec::with_capacity(gids.len());
     w.vload32_range(status, gids.start, gids.len(), &mut sts);
     w.alu(1);
-    let us: Vec<usize> = gids
+    let us: Vec<u32> = gids
         .zip(&sts)
         .filter(|&(_, &s)| s == level)
-        .map(|(v, _)| v)
+        .map(|(v, _)| v as u32)
         .collect();
     if us.is_empty() {
         return;
     }
-    let mut offs = Vec::with_capacity(us.len());
-    w.vload64(&g.offsets, &us, &mut offs);
-    let mut degs = Vec::with_capacity(us.len());
-    w.vload32(&g.degrees, &us, &mut degs);
-    let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
-    let mut claimed = 0u32;
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|&(_, d)| k < d);
+    let claimed = expand_claiming(w, g, status, &us, level + 1);
+    if !claimed.is_empty() {
+        w.wave_add32(counters, c::CLAIMED, claimed.len() as u32);
+    }
+}
+
+/// Walk the rows of the vertices `us` one neighbor per lane per round, the
+/// inner loop of every queue baseline's expand kernel: load each row's
+/// offset and degree, then in round `k` load the `k`-th neighbor of every
+/// lane whose row is longer than `k` and hand `round` those lanes
+/// (positions in `us`) and neighbors.
+fn walk_rows(
+    w: &mut WaveCtx,
+    g: &DeviceGraph,
+    us: &[u32],
+    mut round: impl FnMut(&mut WaveCtx, &[usize], &[u32]),
+) {
+    let uidx = us.iter().map(|&u| u as usize);
+    let mut offs = Vec::with_capacity(uidx.len());
+    w.vload64(&g.offsets, uidx.clone(), &mut offs);
+    let mut degs = Vec::with_capacity(uidx.len());
+    w.vload32(&g.degrees, uidx, &mut degs);
+    let mut lanes: Vec<usize> = (0..us.len()).collect();
+    for k in 0u32.. {
+        lanes.retain(|&l| k < degs[l]);
         if lanes.is_empty() {
-            break;
+            return;
         }
-        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
+        let aidx = lanes.iter().map(|&l| (offs[l] + u64::from(k)) as usize);
         let mut vs = Vec::with_capacity(aidx.len());
         w.vload32(&g.adjacency, aidx, &mut vs);
+        round(w, &lanes, &vs);
+    }
+}
+
+/// Expand the rows of `us` top-down, claiming with CAS for `level` every
+/// neighbor whose status reads unvisited; returns the winners.
+pub(crate) fn expand_claiming(
+    w: &mut WaveCtx,
+    g: &DeviceGraph,
+    status: &gcd_sim::BufU32,
+    us: &[u32],
+    level: u32,
+) -> Vec<u32> {
+    let mut claimed = Vec::new();
+    walk_rows(w, g, us, |w, _, vs| {
         let vsidx = vs.iter().map(|&v| v as usize);
         let mut svs = Vec::with_capacity(vs.len());
         w.vload32(status, vsidx.clone(), &mut svs);
@@ -102,18 +133,20 @@ fn scan_expand_kernel(
         let ops: Vec<(usize, u32, u32)> = vsidx
             .zip(&svs)
             .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(i, _)| (i, UNVISITED, level + 1))
+            .map(|(i, _)| (i, UNVISITED, level))
             .collect();
         if !ops.is_empty() {
             let mut results = Vec::with_capacity(ops.len());
             w.vcas32(status, &ops, &mut results);
-            claimed += results.iter().filter(|r| r.is_ok()).count() as u32;
+            claimed.extend(
+                ops.iter()
+                    .zip(&results)
+                    .filter(|&(_, r)| r.is_ok())
+                    .map(|(&(i, _, _), _)| i as u32),
+            );
         }
-        k += 1;
-    }
-    if claimed > 0 {
-        w.wave_add32(counters, c::CLAIMED, claimed);
-    }
+    });
+    claimed
 }
 
 impl Baseline<'_> {
@@ -179,22 +212,8 @@ fn gunrock_advance(
     }
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(in_q, gids.start, gids.len(), &mut us);
-    let uidx = us.iter().map(|&u| u as usize);
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, uidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, uidx, &mut degs);
-    let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
     let mut out: Vec<u32> = Vec::new();
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|&(_, d)| k < d);
-        if lanes.is_empty() {
-            break;
-        }
-        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, aidx, &mut vs);
+    walk_rows(w, g, &us, |w, _, vs| {
         let mut svs = Vec::with_capacity(vs.len());
         w.vload32(status, vs.iter().map(|&v| v as usize), &mut svs);
         w.alu(1);
@@ -205,8 +224,7 @@ fn gunrock_advance(
                 .filter(|&(_, &s)| s == UNVISITED)
                 .map(|(&v, _)| v),
         );
-        k += 1;
-    }
+    });
     if out.is_empty() {
         return;
     }
@@ -411,43 +429,7 @@ fn hq_expand(
     }
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(in_q, gids.start, gids.len(), &mut us);
-    let uidx = us.iter().map(|&u| u as usize);
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, uidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, uidx, &mut degs);
-    let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
-    let mut claimed: Vec<u32> = Vec::new();
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|&(_, d)| k < d);
-        if lanes.is_empty() {
-            break;
-        }
-        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, aidx, &mut vs);
-        let vsidx = vs.iter().map(|&v| v as usize);
-        let mut svs = Vec::with_capacity(vs.len());
-        w.vload32(status, vsidx.clone(), &mut svs);
-        w.alu(1);
-        let ops: Vec<(usize, u32, u32)> = vsidx
-            .zip(&svs)
-            .filter(|&(_, &s)| s == UNVISITED)
-            .map(|(i, _)| (i, UNVISITED, level + 1))
-            .collect();
-        if !ops.is_empty() {
-            let mut results = Vec::with_capacity(ops.len());
-            w.vcas32(status, &ops, &mut results);
-            claimed.extend(
-                ops.iter()
-                    .zip(&results)
-                    .filter(|&(_, r)| r.is_ok())
-                    .map(|(&(i, _, _), _)| i as u32),
-            );
-        }
-        k += 1;
-    }
+    let claimed = expand_claiming(w, g, status, &us, level + 1);
     // Write into this wave's private region; overflow takes the slow path
     // of per-claim global atomics straight into the out queue (both paths
     // allocate from OUT_LEN, so compact and spills interleave safely).
@@ -540,38 +522,15 @@ fn sssp_relax(
     }
     let mut us = Vec::with_capacity(gids.len());
     w.vload32_range(in_q, gids.start, gids.len(), &mut us);
-    let uidx = us.iter().map(|&u| u as usize);
-    let mut dus = Vec::with_capacity(uidx.len());
-    w.vload32(dist, uidx.clone(), &mut dus);
-    let mut offs = Vec::with_capacity(uidx.len());
-    w.vload64(&g.offsets, uidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(uidx.len());
-    w.vload32(&g.degrees, uidx, &mut degs);
-    struct Lane {
-        du: u32,
-        off: u64,
-        deg: u32,
-    }
-    let mut lanes: Vec<Lane> = dus
-        .iter()
-        .zip(offs.iter().zip(&degs))
-        .map(|(&du, (&off, &deg))| Lane { du, off, deg })
-        .collect();
+    let mut dus = Vec::with_capacity(us.len());
+    w.vload32(dist, us.iter().map(|&u| u as usize), &mut dus);
     let mut improved: Vec<u32> = Vec::new();
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|l| k < l.deg);
-        if lanes.is_empty() {
-            break;
-        }
-        let aidx = lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&g.adjacency, aidx, &mut vs);
+    walk_rows(w, g, &us, |w, lanes, vs| {
         // Atomic-min relaxation per neighbor.
         let ops: Vec<(usize, u32)> = vs
             .iter()
-            .zip(lanes.iter())
-            .map(|(&v, l)| (v as usize, l.du.saturating_add(1)))
+            .zip(lanes)
+            .map(|(&v, &l)| (v as usize, dus[l].saturating_add(1)))
             .collect();
         let mut prevs = Vec::with_capacity(ops.len());
         w.vmin32(dist, &ops, &mut prevs);
@@ -581,8 +540,7 @@ fn sssp_relax(
                 improved.push(v);
             }
         }
-        k += 1;
-    }
+    });
     if improved.is_empty() {
         return;
     }

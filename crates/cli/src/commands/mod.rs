@@ -409,6 +409,10 @@ fn generate(args: &Args) -> Result<String, CliError> {
     let g = match kind.as_str() {
         "rmat" => {
             let scale = args.get::<u32>("scale", 16)?;
+            if !(1..=31).contains(&scale) {
+                let msg = format!("--scale {scale} is outside 1..=31");
+                return Err(CliError::usage(msg));
+            }
             rmat_graph(RmatParams::graph500(scale), seed)
         }
         other => {

@@ -308,6 +308,22 @@ fn sweep_pool_cap_reports_pressure_and_stays_bit_identical() {
 }
 
 #[test]
+fn generate_rejects_an_rmat_scale_out_of_range() {
+    let path = tmp("bad-scale.bin");
+    for scale in ["0", "32", "40"] {
+        let err = run(&["generate", "--out", &path, "--scale", scale]).unwrap_err();
+        assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
+    }
+}
+
+#[test]
+fn generate_with_a_shift_past_the_id_width_keeps_the_floor() {
+    let path = tmp("wide-shift.bin");
+    let msg = run(&["generate", "--out", &path, "--kind", "db", "--shift", "70"]).unwrap();
+    assert!(msg.contains("|V| = 256"), "{msg}");
+}
+
+#[test]
 fn errors_are_reported_with_distinct_exit_codes() {
     assert_eq!(run(&["nope"]).unwrap_err().code, exit_code::USAGE);
     assert_eq!(run(&["bfs"]).unwrap_err().code, exit_code::USAGE);

@@ -6,6 +6,7 @@
 //! removal and duplicate-edge removal, then a counting-sort CSR build.
 
 use crate::csr::{Csr, VertexId};
+use std::sync::{Mutex, PoisonError};
 
 /// Options controlling edge-list preprocessing.
 #[derive(Debug, Clone, Copy)]
@@ -65,6 +66,16 @@ impl CsrBuilder {
         self.num_vertices
     }
 
+    /// A builder that takes `edges` as its edge list. Panics if an
+    /// endpoint is out of range.
+    pub fn from_edges(num_vertices: usize, edges: Vec<(VertexId, VertexId)>) -> Self {
+        let (mut b, n) = (Self::new(num_vertices), num_vertices);
+        let bad = edges.iter().find(|&&(u, v)| u.max(v) as usize >= n);
+        assert!(bad.is_none(), "edge {bad:?} out of range for {n} vertices");
+        b.edges = edges;
+        b
+    }
+
     /// Reserve capacity for `additional` more edges.
     pub fn reserve(&mut self, additional: usize) {
         self.edges.reserve(additional);
@@ -93,6 +104,11 @@ impl CsrBuilder {
     /// is the edge list in lexicographic `(u, v)` order (even without
     /// dedup — a stable row order is what makes generator output
     /// reproducible), without sorting the whole list.
+    ///
+    /// The row sort runs on scoped workers over runs of rows that hold
+    /// about 65,536 arcs each. The bytes do not depend on the split: dedup
+    /// looks only inside a row, and the compacted runs are closed up in
+    /// row order afterwards.
     pub fn build(self, opts: BuildOptions) -> Csr {
         let n = self.num_vertices;
         let edges = self.edges;
@@ -131,29 +147,95 @@ impl CsrBuilder {
         }
         drop(edges);
 
-        // Sort each row; with dedup, compact it left and move its end.
-        let mut row_start = 0;
+        // Run k holds rows bounds[k]..bounds[k + 1]: from the first row
+        // starting at or past k / runs of the arcs (a hub row stays whole)
+        // to row n for the last. Its arcs start at arcs[k].
+        let total = adjacency.len();
+        let runs = total.div_ceil(ARCS_PER_RUN).max(1);
+        let first_row = |k| offsets[..n].partition_point(|&s| (s as usize) < total * k / runs);
+        let bounds: Vec<usize> = (0..runs).map(first_row).chain([n]).collect();
+        let arcs: Vec<usize> = bounds.iter().map(|&r| offsets[r] as usize).collect();
+        let (mut ends, mut rows) = (&mut offsets[1..], &mut adjacency[..]);
+        let mut jobs = Vec::with_capacity(runs);
+        for k in 0..runs {
+            let (e, more_ends) = ends.split_at_mut(bounds[k + 1] - bounds[k]);
+            let (r, more_rows) = rows.split_at_mut(arcs[k + 1] - arcs[k]);
+            jobs.push((e, r, arcs[k]));
+            (ends, rows) = (more_ends, more_rows);
+        }
+        on_workers(workers(runs), jobs, |(ends, rows, base)| {
+            sort_rows(ends, rows, base, opts.dedup)
+        });
+
+        // Close the gaps dedup left behind each run. A run's compacted end
+        // is its last row's end; a run without rows ends at its base, above
+        // the earlier row end offsets[hi] then holds.
         let mut write = 0;
-        for i in 0..n {
-            let row_end = offsets[i + 1] as usize;
-            adjacency[row_start..row_end].sort_unstable();
-            if opts.dedup {
-                for k in row_start..row_end {
-                    if k == row_start || adjacency[k] != adjacency[k - 1] {
-                        adjacency[write] = adjacency[k];
-                        write += 1;
-                    }
+        for k in 0..runs {
+            let (lo, hi, gap) = (bounds[k], bounds[k + 1], arcs[k] - write);
+            let end = (offsets[hi] as usize).max(arcs[k]);
+            if gap > 0 {
+                adjacency.copy_within(arcs[k]..end, write);
+                for e in &mut offsets[lo + 1..=hi] {
+                    *e -= gap as u64;
                 }
-                offsets[i + 1] = write as u64;
             }
-            row_start = row_end;
+            write = end - gap;
         }
-        if opts.dedup {
-            adjacency.truncate(write);
-        }
+        adjacency.truncate(write);
         adjacency.shrink_to_fit();
         Csr::from_parts_unchecked(offsets, adjacency)
     }
+}
+
+/// Arcs in one run of rows the row sort hands a worker: a thread start
+/// costs tens of microseconds, sorting a run about a millisecond.
+const ARCS_PER_RUN: usize = 1 << 16;
+
+/// Sort each row of a run whose rows end at `ends` and whose first arc
+/// sits at `base` of the adjacency; with dedup, compact the run left and
+/// move the ends.
+fn sort_rows(ends: &mut [u64], adjacency: &mut [VertexId], base: usize, dedup: bool) {
+    let (mut row_start, mut write) = (0, 0);
+    for end in ends {
+        let row_end = *end as usize - base;
+        adjacency[row_start..row_end].sort_unstable();
+        if dedup {
+            for k in row_start..row_end {
+                if k == row_start || adjacency[k] != adjacency[k - 1] {
+                    adjacency[write] = adjacency[k];
+                    write += 1;
+                }
+            }
+            *end = (base + write) as u64;
+        }
+        row_start = row_end;
+    }
+}
+
+/// One worker per available core, never more than `jobs`, at least one.
+pub(crate) fn workers(jobs: usize) -> usize {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(jobs).max(1)
+}
+
+/// Run `f` on every job on `workers` scoped threads, the caller being one
+/// of them (one worker starts no thread). Jobs are handed out in order as
+/// workers come free, so a worker on a busy core just takes fewer.
+pub(crate) fn on_workers<J: Send>(workers: usize, jobs: Vec<J>, f: impl Fn(J) + Sync) {
+    let queue = Mutex::new(jobs.into_iter());
+    let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let work = || {
+        while let Some(job) = next() {
+            f(job);
+        }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers {
+            s.spawn(work);
+        }
+        work();
+    });
 }
 
 #[cfg(test)]

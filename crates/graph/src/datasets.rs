@@ -115,9 +115,9 @@ impl Dataset {
     }
 
     /// Generate the analog graph, `2^scale_shift` times smaller than the
-    /// paper's. `scale_shift` must leave at least 2^8 vertices.
+    /// paper's, but never below 2^8 vertices.
     pub fn generate(self, scale_shift: u32, seed: u64) -> Csr {
-        let shrink = |v: u64| ((v >> scale_shift) as usize).max(256);
+        let shrink = |v: u64| (v.checked_shr(scale_shift).unwrap_or(0) as usize).max(256);
         match self {
             Dataset::LiveJournal => barabasi_albert(shrink(4_036_538), 8, seed),
             Dataset::Orkut => barabasi_albert(shrink(3_072_627), 38, seed),

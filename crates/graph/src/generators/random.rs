@@ -11,14 +11,9 @@ use rand::{Rng, SeedableRng};
 pub fn erdos_renyi(num_vertices: usize, num_edges: usize, seed: u64) -> Csr {
     assert!(num_vertices > 0, "need at least one vertex");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = CsrBuilder::new(num_vertices);
-    b.reserve(num_edges);
-    for _ in 0..num_edges {
-        let u = rng.gen_range(0..num_vertices) as VertexId;
-        let v = rng.gen_range(0..num_vertices) as VertexId;
-        b.add_edge(u, v);
-    }
-    b.build(BuildOptions::default())
+    let mut vertex = || rng.gen_range(0..num_vertices) as VertexId;
+    let edges = (0..num_edges).map(|_| (vertex(), vertex())).collect();
+    CsrBuilder::from_edges(num_vertices, edges).build(BuildOptions::default())
 }
 
 #[cfg(test)]

@@ -3,11 +3,13 @@
 //! This is the generator behind the paper's `Rmat23` and `Rmat25` datasets.
 //! Each edge is produced by `scale` recursive quadrant choices with
 //! probabilities `(a, b, c, d)`; Graph500 uses `a = 0.57, b = 0.19,
-//! c = 0.19, d = 0.05`, `edge_factor = 16`. Edges are generated on the
-//! calling thread in fixed-size chunks, each from its own seeded RNG stream
-//! (the streams are what pin the graph a seed names, so they stay).
+//! c = 0.19, d = 0.05`, `edge_factor = 16`. Edges are generated in
+//! fixed-size chunks, each from its own seeded RNG stream (the streams are
+//! what pin the graph a seed names, so they stay). Scoped workers, one per
+//! core, take the chunks in turn as they come free, so the bytes depend
+//! neither on how many workers there are nor on which fills which chunk.
 
-use crate::builder::{BuildOptions, CsrBuilder};
+use crate::builder::{on_workers, workers, BuildOptions, CsrBuilder};
 use crate::csr::{Csr, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,11 +58,14 @@ impl RmatParams {
 /// Generate one R-MAT edge with per-level probability noise, as in the
 /// Graph500 reference code (noise prevents exact self-similarity artifacts).
 ///
-/// The quadrant is two comparison bits, not often-mispredicted branches. The
-/// float expressions and their order must stay as written, or an `r` can
-/// change quadrant and every seed names a different graph (`tests/golden.rs`).
+/// The quadrant is two comparison bits, not often-mispredicted branches,
+/// shifted into one word (`u` high, `v` low; `scale <= 31` keeps them
+/// apart) so the compiler does not shuffle them through a vector register.
+/// The float expressions and their order must stay as written, or an `r`
+/// can change quadrant and every seed names a different graph
+/// (`tests/golden.rs`).
 fn gen_edge(rng: &mut StdRng, p: &RmatParams) -> (VertexId, VertexId) {
-    let (mut u, mut v) = (0u64, 0u64);
+    let mut uv = 0u64;
     let d = p.d();
     for _ in 0..p.scale {
         // ±5% multiplicative noise on the dominant quadrant per level (the
@@ -72,11 +77,16 @@ fn gen_edge(rng: &mut StdRng, p: &RmatParams) -> (VertexId, VertexId) {
         let ab = a + p.b;
         let abc = ab + p.c;
         // [0, a) -> (0, 0), [a, ab) -> (0, 1), [ab, abc) -> (1, 0), else (1, 1).
-        u = (u << 1) | u64::from(r >= ab);
-        v = (v << 1) | u64::from(((r >= a) & (r < ab)) | (r >= abc));
+        let u = u64::from(r >= ab);
+        let v = u64::from(((r >= a) & (r < ab)) | (r >= abc));
+        uv = (uv << 1) | (u << 32) | v;
     }
-    (u as VertexId, v as VertexId)
+    ((uv >> 32) as VertexId, uv as VertexId)
 }
+
+/// Arcs per seeded RNG stream. The chunking is part of what a seed means,
+/// so it must not change.
+const CHUNK: usize = 1 << 16;
 
 /// Generate an undirected R-MAT graph (self-loops and duplicates removed,
 /// edges symmetrized), deterministic in `seed`.
@@ -84,28 +94,37 @@ pub fn rmat_graph(params: RmatParams, seed: u64) -> Csr {
     params.validate();
     let n = 1usize << params.scale;
     let m = n * params.edge_factor as usize;
+    let perm = params
+        .shuffle_ids
+        .then(|| random_permutation(n, seed ^ 0xA5A5_5A5A_DEAD_BEEF));
+    let mut edges = vec![(0, 0); m];
+    let workers = workers(m.div_ceil(CHUNK));
+    fill_chunks(&mut edges, &params, seed, perm.as_deref(), workers);
+    CsrBuilder::from_edges(n, edges).build(BuildOptions::default())
+}
 
-    // Fixed-size chunks, each with its own seeded stream: the chunking is
-    // part of what a seed means, so it must not change.
-    const CHUNK: usize = 1 << 16;
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::with_capacity(m);
-    for ci in 0..m.div_ceil(CHUNK) {
+/// Fill `edges` chunk by chunk, each chunk from its own seeded stream and
+/// its ids mapped through `perm`, on `workers` workers: the bytes do not
+/// depend on `workers`.
+fn fill_chunks(
+    edges: &mut [(VertexId, VertexId)],
+    p: &RmatParams,
+    seed: u64,
+    perm: Option<&[VertexId]>,
+    workers: usize,
+) {
+    let chunks = edges.chunks_mut(CHUNK).enumerate().collect();
+    on_workers(workers, chunks, |(ci, chunk)| {
         let mut rng =
             StdRng::seed_from_u64(seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(ci as u64 + 1)));
-        let count = CHUNK.min(m - ci * CHUNK);
-        edges.extend((0..count).map(|_| gen_edge(&mut rng, &params)));
-    }
-
-    if params.shuffle_ids {
-        let perm = random_permutation(n, seed ^ 0xA5A5_5A5A_DEAD_BEEF);
-        for e in &mut edges {
-            *e = (perm[e.0 as usize], perm[e.1 as usize]);
+        for e in chunk {
+            let (u, v) = gen_edge(&mut rng, p);
+            *e = match perm {
+                Some(perm) => (perm[u as usize], perm[v as usize]),
+                None => (u, v),
+            };
         }
-    }
-
-    let mut b = CsrBuilder::new(n);
-    b.extend_edges(edges);
-    b.build(BuildOptions::default())
+    });
 }
 
 /// Fisher–Yates permutation of `0..n`, deterministic in `seed`.
@@ -162,6 +181,21 @@ mod tests {
             assert!(!seen[x as usize]);
             seen[x as usize] = true;
         }
+    }
+
+    #[test]
+    fn chunk_filler_ignores_the_worker_count() {
+        // Two and a half chunks: a short last chunk, and more workers than
+        // chunks.
+        let p = RmatParams::graph500(12);
+        let perm = random_permutation(1 << 12, 9);
+        let fill = |workers| {
+            let mut edges = vec![(0, 0); 2 * CHUNK + CHUNK / 2];
+            fill_chunks(&mut edges, &p, 0xB5, Some(&perm), workers);
+            edges
+        };
+        let one = fill(1);
+        assert!([2, 3, 7].into_iter().all(|workers| fill(workers) == one));
     }
 
     #[test]

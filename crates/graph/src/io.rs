@@ -46,12 +46,10 @@ pub fn read_edge_list<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<C
     if n > u32::MAX as usize {
         return Err(invalid("vertex id exceeds u32 range"));
     }
-    let mut b = CsrBuilder::new(n.max(1));
-    b.reserve(edges.len());
-    for (u, v) in edges {
-        b.add_edge(u as VertexId, v as VertexId);
-    }
-    Ok(b.build(opts))
+    let edges = edges
+        .into_iter()
+        .map(|(u, v)| (u as VertexId, v as VertexId));
+    Ok(CsrBuilder::from_edges(n.max(1), edges.collect()).build(opts))
 }
 
 /// Read an edge-list file from disk.

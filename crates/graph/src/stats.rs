@@ -1,6 +1,6 @@
-//! Graph statistics used by the evaluation harness: degree distributions,
-//! per-level frontier/edge profiles (the raw data behind Fig. 6), and a
-//! summary struct printed by `repro table2`.
+//! Graph statistics used by the evaluation harness: per-level
+//! frontier/edge profiles (the raw data behind Fig. 6) and a summary
+//! struct printed by `repro table2`.
 
 use crate::csr::{Csr, VertexId};
 use crate::reference::bfs_levels_serial;
@@ -36,35 +36,6 @@ pub fn summarize(g: &Csr) -> GraphSummary {
         isolated_vertices: isolated,
         device_bytes: g.device_bytes(),
     }
-}
-
-/// Log2-bucketed degree histogram: `hist[i]` counts vertices with degree in
-/// `[2^i, 2^(i+1))`; bucket 0 also counts degree-1; degree-0 tracked apart.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DegreeHistogram {
-    /// Vertices with degree zero.
-    pub zero: usize,
-    /// `buckets[i]` counts vertices with degree in `[2^i, 2^(i+1))`.
-    pub buckets: Vec<usize>,
-}
-
-/// Build the log2 degree histogram.
-pub fn degree_histogram(g: &Csr) -> DegreeHistogram {
-    let mut zero = 0usize;
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in 0..g.num_vertices() as VertexId {
-        let d = g.degree(v);
-        if d == 0 {
-            zero += 1;
-            continue;
-        }
-        let b = (31 - d.leading_zeros()) as usize;
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    DegreeHistogram { zero, buckets }
 }
 
 /// Per-level frontier profile of a BFS from `source` — the quantity plotted
@@ -145,19 +116,6 @@ mod tests {
         let s = summarize(&g);
         assert_eq!(s.isolated_vertices, 1);
         assert_eq!(s.num_edges, 2);
-    }
-
-    #[test]
-    fn histogram_buckets() {
-        // Degrees: 0, 1, 2, 5
-        let g = Csr::from_parts(vec![0, 0, 1, 3, 8], vec![2, 1, 3, 1, 1, 2, 2, 2]);
-        // Build something simpler instead: directed graph, raw.
-        let g = g.unwrap_or_else(|| panic!("bad test graph"));
-        let h = degree_histogram(&g);
-        assert_eq!(h.zero, 1);
-        assert_eq!(h.buckets[0], 1); // degree 1
-        assert_eq!(h.buckets[1], 1); // degree 2..3
-        assert_eq!(h.buckets[2], 1); // degree 4..7
     }
 
     #[test]

@@ -102,24 +102,7 @@ pub fn validate_bfs_tree(
         }
     }
 
-    // Check every graph edge spans <= 1 level, and that no reachable vertex
-    // was missed (a visited vertex with an unvisited neighbor is an error).
-    for (u, nbrs) in g.iter_rows() {
-        let lu = levels[u as usize];
-        for &v in nbrs {
-            let lv = levels[v as usize];
-            match (lu, lv) {
-                (UNVISITED, UNVISITED) => {}
-                (UNVISITED, _) => return Err(ValidationError::MissedVertex(u)),
-                (_, UNVISITED) => return Err(ValidationError::MissedVertex(v)),
-                (lu, lv) => {
-                    if lu.abs_diff(lv) > 1 {
-                        return Err(ValidationError::LevelSkip { u, v, lu, lv });
-                    }
-                }
-            }
-        }
-    }
+    check_edges(g, &levels)?;
     Ok(levels)
 }
 
@@ -160,6 +143,12 @@ pub fn validate_bfs_levels(
             return Err(ValidationError::BrokenPath(v));
         }
     }
+    check_edges(g, levels)
+}
+
+/// Every graph edge spans at most one level, and no visited vertex has an
+/// unvisited neighbor (that neighbor was missed).
+fn check_edges(g: &Csr, levels: &[u32]) -> Result<(), ValidationError> {
     for (u, nbrs) in g.iter_rows() {
         let lu = levels[u as usize];
         for &v in nbrs {

@@ -138,3 +138,27 @@ fn edge_list_matches_parent_bytes_under_every_option() {
     }
     check(cases);
 }
+
+/// Chunk shapes the Graph500 sizes never produce: one and a half chunks
+/// (98,304 arcs, a short last chunk) and three chunks (196,608 arcs, an
+/// odd count), so a split of the chunks over workers meets both.
+#[test]
+fn rmat_odd_and_short_chunks_match_parent_bytes() {
+    #[rustfmt::skip]
+    const WANT: [(u32, u32, u64, u64); 4] = [
+        (15, 3, 0xB5, 0x5493_04c5_78e1_ca4b), (15, 3, 1, 0x5474_f565_45a0_5dbb),
+        (13, 24, 0xB5, 0x252e_de55_68fe_1b65), (13, 24, 1, 0xb9ec_ca98_9354_8d97),
+    ];
+    let cases = WANT
+        .iter()
+        .map(|&(scale, edge_factor, seed, want)| {
+            let p = RmatParams {
+                edge_factor,
+                ..RmatParams::graph500(scale)
+            };
+            let name = format!("rmat s{scale} ef{edge_factor} seed {seed:#x}");
+            (name, rmat_graph(p, seed), want)
+        })
+        .collect();
+    check(cases);
+}
