@@ -390,6 +390,23 @@ pub fn load_graph(path: &str) -> Result<Csr, CliError> {
     }
 }
 
+/// `count` seeded sources with an edge to leave by (fewer on a small
+/// graph), or a typed refusal when the graph has none. Called only where
+/// a source must be picked: an explicit `--source` needs none.
+fn picked(g: &Csr, count: usize, seed: u64) -> Result<Vec<u32>, CliError> {
+    let sources = pick_sources(g, count, seed);
+    let none = || CliError::new("graph has no edges", exit_code::INVALID_INPUT);
+    (!sources.is_empty()).then_some(sources).ok_or_else(none)
+}
+
+/// `--source`, or a picked one when it is not given.
+fn source_arg(args: &Args, g: &Csr) -> Result<u32, CliError> {
+    match args.options.contains_key("source") {
+        true => Ok(args.get("source", 0)?),
+        false => Ok(picked(g, 1, 1)?[0]),
+    }
+}
+
 fn save_graph(g: &Csr, path: &str) -> Result<(), CliError> {
     let p = Path::new(path);
     let err = |e: std::io::Error| CliError::io(format!("cannot write {path}: {e}"));
@@ -600,10 +617,10 @@ fn bfs(args: &Args) -> Result<String, CliError> {
         });
     }
     let dev = mk_device(args, cfg.required_streams())?;
-    let source = args.get::<u32>("source", pick_sources(&g, 1, 1)[0])?;
+    let source = source_arg(args, &g)?;
     let mut tuned_note = String::new();
     if args.flag("auto-alpha") {
-        let samples = pick_sources(&g, 3, 9);
+        let samples = picked(&g, 3, 9)?;
         let (tuned, result) = xbfs_core::tune_alpha(&dev, &g, &samples, cfg, None);
         cfg = tuned;
         tuned_note = format!(
@@ -711,7 +728,7 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         alpha: args.get("alpha", 0.1)?,
         push_only: args.flag("push-only"),
     };
-    let source = args.get::<u32>("source", pick_sources(&g, 1, 1)[0])?;
+    let source = source_arg(args, &g)?;
     let recovery = match args.get::<String>("recovery", "spare".into())?.as_str() {
         "spare" => RecoveryPolicy::PromoteSpare,
         "degrade" => RecoveryPolicy::Degrade,
@@ -827,7 +844,7 @@ fn msbfs(args: &Args) -> Result<String, CliError> {
     let k = args
         .get::<usize>("sources", 8)?
         .clamp(1, xbfs_core::MAX_CONCURRENT);
-    let sources = pick_sources(&g, k, 7);
+    let sources = picked(&g, k, 7)?;
     let dev = mk_device(args, 1)?;
     let run = MsBfs::new(&dev, &g)?.run_batch(&sources);
     // Compare with sequential runs for the sharing factor.
@@ -852,7 +869,7 @@ fn compare(args: &Args) -> Result<String, CliError> {
     use xbfs_baselines::{Algo, Baseline};
     let path = args.positional.first().ok_or("usage: xbfs compare FILE")?;
     let g = load_graph(path)?;
-    let source = args.get::<u32>("source", pick_sources(&g, 1, 1)[0])?;
+    let source = source_arg(args, &g)?;
     let spec = parse_device(args)?;
     let xbfs = Xbfs::new(build_device(spec.clone(), 1), &g, XbfsConfig::default())?;
     let baselines = Algo::ALL.into_iter().map(|algo| {
@@ -885,7 +902,7 @@ fn analyze(args: &Args) -> Result<String, CliError> {
     let labels = xbfs_apps::connected_components(&g);
     let n_comp = labels.iter().copied().max().map(|m| m + 1).unwrap_or(0);
     let (_, giant) = xbfs_apps::largest_component(&labels);
-    let src = pick_sources(&g, 1, 1)[0];
+    let src = picked(&g, 1, 1)?[0];
     let diameter = xbfs_apps::estimate_diameter(&g, src);
     Ok(format!(
         "components: {n_comp} (largest {giant} of {} vertices, {:.1}%)\n\

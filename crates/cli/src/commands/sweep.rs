@@ -3,7 +3,9 @@
 //! through whatever [`Engine`] it is handed; the command calls it three
 //! times (pooled, per-source rebuild, `--multi-source`).
 
-use super::{build_device, exit_code, load_graph, parse_bitflip_plan, parse_device, CliError};
+use super::{
+    build_device, exit_code, load_graph, parse_bitflip_plan, parse_device, picked, CliError,
+};
 use crate::args::Args;
 use gcd_sim::Device;
 use std::rc::Rc;
@@ -13,7 +15,6 @@ use xbfs_core::{
     XbfsConfig,
 };
 use xbfs_graph::reference::traversed_edges;
-use xbfs_graph::stats::pick_sources;
 use xbfs_graph::Csr;
 use xbfs_telemetry::json::{self, Val};
 
@@ -247,7 +248,7 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         record_parents: verify,
         ..XbfsConfig::default()
     };
-    let sources = pick_sources(&g, n, seed);
+    let sources = picked(&g, n, seed)?;
     let n = sources.len(); // graphs smaller than --sources yield fewer
     let job = SweepJob {
         g: &g,

@@ -736,3 +736,36 @@ fn serve_unclean_drain_fails_under_a_stdout_trace() {
     assert_eq!(err.code, exit_code::GENERIC, "{msg}");
     assert!(msg.contains("drain was not clean"), "{msg}");
 }
+
+/// A command that must pick a source refuses an edge list holding only a
+/// self-loop (one vertex, no edges) with exit 4, where it used to panic;
+/// one that takes `--source` (`sourced`) still runs from it.
+fn refuses_a_graph_with_no_edges(command: &str, sourced: bool) {
+    let path = tmp(&format!("no_edges_{command}.txt"));
+    std::fs::write(&path, "0 0\n").unwrap();
+    let err = run(&[command, &path]).expect_err(command);
+    let want = (exit_code::INVALID_INPUT, "graph has no edges");
+    assert_eq!((err.code, err.message.as_str()), want, "{command}");
+    if sourced {
+        run(&[command, &path, "--source", "0"]).unwrap();
+    }
+}
+
+/// One test per command, each named `COMMAND_refuses_a_graph_with_no_edges`.
+macro_rules! no_edge_tests {
+    ($($name:ident: $command:literal, $sourced:literal;)*) => {$(
+        #[test]
+        fn $name() {
+            refuses_a_graph_with_no_edges($command, $sourced);
+        }
+    )*};
+}
+
+no_edge_tests! {
+    bfs_refuses_a_graph_with_no_edges: "bfs", true;
+    cluster_refuses_a_graph_with_no_edges: "cluster", true;
+    compare_refuses_a_graph_with_no_edges: "compare", true;
+    analyze_refuses_a_graph_with_no_edges: "analyze", false;
+    msbfs_refuses_a_graph_with_no_edges: "msbfs", false;
+    sweep_refuses_a_graph_with_no_edges: "sweep", false;
+}

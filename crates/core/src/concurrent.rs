@@ -25,7 +25,6 @@
 //! ([`crate::integrity::certify_ms_run`]).
 
 use std::borrow::Borrow;
-use std::cell::RefCell;
 use std::sync::{Mutex, PoisonError};
 
 use crate::device_graph::DeviceGraph;
@@ -47,10 +46,10 @@ struct Lane {
     deg: u32,
 }
 
-/// The kernels' host-side working vectors. The engine owns one set and
-/// lends it to each wave in turn, so a launch allocates nothing once they
-/// have grown to a wave's width. A wave clears what it uses *before* using
-/// it: nothing an earlier wave left behind — one that returned early
+/// The kernels' host-side working vectors. The engine owns one set per
+/// core and lends one to each wave, so a launch allocates nothing once
+/// they have grown to a wave's width. A wave clears what it uses *before*
+/// using it: nothing an earlier wave left behind — one that returned early
 /// included — reaches the next.
 #[derive(Default)]
 struct WaveScratch {
@@ -74,8 +73,8 @@ struct WaveScratch {
     level_writes: Vec<Vec<(usize, u32)>>,
 }
 
-/// Mutable traversal state, pooled and reused across batches.
-struct MsInner {
+/// The device buffers the two kernels share, in acquisition order.
+struct MsBufs {
     /// Per-vertex 64-bit visited mask; valid only where `stamp == epoch`.
     seen: BufU64,
     /// Per-vertex freshly-discovered bits for the level in flight. The
@@ -87,6 +86,11 @@ struct MsInner {
     frontier: BufU32,
     next_frontier: BufU32,
     counters: BufU32,
+}
+
+/// Mutable traversal state, pooled and reused across batches.
+struct MsInner {
+    bufs: MsBufs,
     /// Per-slot level arrays, grown lazily to the widest batch seen.
     /// Values are `base + level`; anything `< base` (or `UNVISITED`) is
     /// unvisited — the [`crate::BfsState`] epoch encoding.
@@ -103,9 +107,9 @@ struct MsInner {
     swapped: bool,
     /// Cached `"msbfs level N"` phase labels.
     labels: Vec<String>,
-    /// Lent to every wave of every launch; `Device::launch` takes a `Fn`,
-    /// hence the `RefCell`.
-    scratch: RefCell<WaveScratch>,
+    /// One per core: `msbfs_expand` lends them all to its workers,
+    /// `msbfs_fold` only the first (see `run_impl`).
+    scratch: Vec<WaveScratch>,
 }
 
 /// A persistent, pooled multi-source engine: the graph upload and every
@@ -129,28 +133,27 @@ impl<D: Borrow<Device>> MsBfs<D> {
         }
         let dev: &Device = device.borrow();
         let g = DeviceGraph::upload(dev, graph);
-        let seen = dev.pool_acquire_u64(n);
-        let fresh = dev.pool_acquire_u64(n);
-        fresh.host_fill(0);
-        let stamp = dev.pool_acquire_u32(n);
-        stamp.host_fill(0);
-        let frontier = dev.pool_acquire_u32(n);
-        let next_frontier = dev.pool_acquire_u32(n);
-        let counters = dev.pool_acquire_u32(2);
+        let bufs = MsBufs {
+            seen: dev.pool_acquire_u64(n),
+            fresh: dev.pool_acquire_u64(n),
+            stamp: dev.pool_acquire_u32(n),
+            frontier: dev.pool_acquire_u32(n),
+            next_frontier: dev.pool_acquire_u32(n),
+            counters: dev.pool_acquire_u32(2),
+        };
+        bufs.fresh.host_fill(0);
+        bufs.stamp.host_fill(0);
         let inner = MsInner {
-            seen,
-            fresh,
-            stamp,
-            frontier,
-            next_frontier,
-            counters,
+            bufs,
             level_of: Vec::new(),
             epoch: 0,
             base: 1,
             last_depth: 0,
             swapped: false,
             labels: Vec::new(),
-            scratch: RefCell::default(),
+            scratch: (0..crate::cores())
+                .map(|_| WaveScratch::default())
+                .collect(),
         };
         Ok(Self {
             device,
@@ -177,7 +180,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
     /// returns typed errors and supports deadlines and certification.
     pub fn run_batch(&self, sources: &[u32]) -> MsBfsRun {
         match self.run_with(sources, None, false) {
-            Ok((run, _)) => run,
+            Ok((run, ..)) => run,
             Err(e) => panic!("{e}"),
         }
     }
@@ -186,22 +189,11 @@ impl<D: Borrow<Device>> MsBfs<D> {
     /// governor at once. `deadline_ms` bounds the modeled clock (checked
     /// between levels — a batch that completes on its last level is never
     /// a timeout), `verify` runs the verified pipeline with the per-slot
-    /// certificate ([`certify_ms_run`]). An out-of-range source is a
-    /// typed error; an empty or oversized batch is a caller bug and
-    /// panics.
+    /// certificate ([`certify_ms_run`]); the third field is the wall ms
+    /// that pipeline spent after the traversal (0 unverified). An
+    /// out-of-range source is a typed error; an empty or oversized batch
+    /// is a caller bug and panics.
     pub fn run_with(
-        &self,
-        sources: &[u32],
-        deadline_ms: Option<f64>,
-        verify: bool,
-    ) -> Result<(MsBfsRun, Option<Vec<Certificate>>), XbfsError> {
-        self.run_timed(sources, deadline_ms, verify)
-            .map(|(run, certs, _)| (run, certs))
-    }
-
-    /// [`MsBfs::run_with`] plus the wall ms the verified pipeline spent
-    /// after the traversal (0 unverified).
-    fn run_timed(
         &self,
         sources: &[u32],
         deadline_ms: Option<f64>,
@@ -219,12 +211,8 @@ impl<D: Borrow<Device>> MsBfs<D> {
                 num_vertices: n,
             });
         }
-        let run = || self.run_impl(sources, deadline_ms);
-        if !verify {
-            return run().map(|run| (run, None, 0.0));
-        }
-        verified_run(self.device.borrow(), &self.graph, run, certify_ms_run)
-            .map(|(run, certs, wall_ms)| (run, Some(certs), wall_ms))
+        let (dev, run) = (self.device.borrow(), || self.run_impl(sources, deadline_ms));
+        verified_run(dev, &self.graph, verify, run, certify_ms_run)
     }
 
     fn run_impl(&self, sources: &[u32], deadline_ms: Option<f64>) -> Result<MsBfsRun, XbfsError> {
@@ -238,7 +226,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
         // masks read as empty) and advance the level base past everything
         // the previous batch wrote. Both wrap with an O(|V|) fallback fill.
         if inner.epoch == u32::MAX {
-            inner.stamp.host_fill(0);
+            inner.bufs.stamp.host_fill(0);
             inner.epoch = 1;
         } else {
             inner.epoch += 1;
@@ -276,9 +264,9 @@ impl<D: Borrow<Device>> MsBfs<D> {
             }
         }
         for (i, &(v, bits)) in seeds.iter().enumerate() {
-            inner.frontier.store(i, v);
-            inner.seen.store(v as usize, bits);
-            inner.stamp.store(v as usize, epoch);
+            inner.bufs.frontier.store(i, v);
+            inner.bufs.seen.store(v as usize, bits);
+            inner.bufs.stamp.store(v as usize, epoch);
         }
         device.charge_transfer(0, 12 * (seeds.len() as u64 + 1));
         let budget_us = deadline_ms.map(|d| d * 1000.0);
@@ -294,48 +282,31 @@ impl<D: Borrow<Device>> MsBfs<D> {
                     .push(format!("msbfs level {}", inner.labels.len()));
             }
             device.set_phase(inner.labels[idx].as_str());
-            device.fill_u32(0, &inner.counters, 0);
-            device.launch(
-                0,
-                LaunchCfg::new("msbfs_expand", qlen).with_registers(56),
-                |w| {
-                    expand_kernel(
-                        w,
-                        graph,
-                        &inner.seen,
-                        &inner.stamp,
-                        &inner.fresh,
-                        &inner.frontier,
-                        epoch,
-                        &mut inner.scratch.borrow_mut(),
-                    )
-                },
-            );
+            device.fill_u32(0, &inner.bufs.counters, 0);
+            // Expand waves read only what the last fold wrote and write
+            // only through `atomicOr`: they may run on every core.
+            let (bufs, scratch) = (&inner.bufs, &mut inner.scratch);
+            let expand = LaunchCfg::new("msbfs_expand", qlen).with_registers(56);
+            device.launch_split(0, expand, scratch, |w, s| {
+                expand_kernel(w, graph, bufs, epoch, s)
+            });
             // Fold: merge fresh bits into seen, record levels, build the
             // next union frontier, and zero the fresh entries consumed.
+            // Its `wave_add32` hands out frontier slots in wave order, and
+            // the coalescer sees where they land: one worker, in order.
             let enc = base + level + 1;
-            device.launch(0, LaunchCfg::new("msbfs_fold", n).with_registers(40), |w| {
-                fold_kernel(
-                    w,
-                    &inner.seen,
-                    &inner.stamp,
-                    &inner.fresh,
-                    &inner.next_frontier,
-                    &inner.counters,
-                    level_of,
-                    enc,
-                    epoch,
-                    &mut inner.scratch.borrow_mut(),
-                )
+            let fold = LaunchCfg::new("msbfs_fold", n).with_registers(40);
+            device.launch_split(0, fold, &mut scratch[..1], |w, s| {
+                fold_kernel(w, bufs, level_of, enc, epoch, s)
             });
             device.sync();
             device.charge_transfer(0, 4);
-            let produced = inner.counters.load(0) as usize;
+            let produced = inner.bufs.counters.load(0) as usize;
             if produced > 0 {
                 deepest = level + 1;
             }
             // Pointer-swap frontiers (free on real hardware).
-            std::mem::swap(&mut inner.frontier, &mut inner.next_frontier);
+            std::mem::swap(&mut inner.bufs.frontier, &mut inner.bufs.next_frontier);
             inner.swapped = !inner.swapped;
             qlen = produced;
             level += 1;
@@ -357,29 +328,24 @@ impl<D: Borrow<Device>> MsBfs<D> {
         inner.last_depth = deepest;
 
         let total_ms = device.elapsed_us() / 1000.0;
+        // One pass per slot: decode each level and sum the reached degrees.
+        let mut slot_edges = Vec::with_capacity(level_of.len());
         let levels: Vec<Vec<u32>> = level_of
             .iter()
             .map(|b| {
-                b.to_host()
-                    .into_iter()
-                    .map(|raw| {
-                        if raw == UNVISITED || raw < base {
-                            UNVISITED
-                        } else {
-                            raw - base
-                        }
-                    })
-                    .collect()
-            })
-            .collect();
-        let slot_edges: Vec<u64> = levels
-            .iter()
-            .map(|ls| {
-                ls.iter()
-                    .zip(&self.degrees)
-                    .filter(|&(&l, _)| l != UNVISITED)
-                    .map(|(_, &d)| u64::from(d))
-                    .sum::<u64>()
+                let mut edges = 0u64;
+                let decode = |(raw, &d): (u32, &u32)| {
+                    let reached = raw != UNVISITED && raw >= base;
+                    edges += u64::from(d) * u64::from(reached);
+                    if reached {
+                        raw - base
+                    } else {
+                        UNVISITED
+                    }
+                };
+                let levels = b.iter().zip(&self.degrees).map(decode).collect();
+                slot_edges.push(edges);
+                levels
             })
             .collect();
         let traversed_edges = slot_edges.iter().sum();
@@ -407,27 +373,23 @@ impl<D: Borrow<Device>> Drop for MsBfs<D> {
         let device: &Device = self.device.borrow();
         let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
         if inner.swapped {
-            std::mem::swap(&mut inner.frontier, &mut inner.next_frontier);
+            std::mem::swap(&mut inner.bufs.frontier, &mut inner.bufs.next_frontier);
             inner.swapped = false;
         }
         for l in inner.level_of.drain(..).rev() {
             device.pool_release_u32(l);
         }
-        device.pool_release_u32(std::mem::replace(
-            &mut inner.counters,
-            BufU32::placeholder(),
-        ));
-        device.pool_release_u32(std::mem::replace(
-            &mut inner.next_frontier,
-            BufU32::placeholder(),
-        ));
-        device.pool_release_u32(std::mem::replace(
-            &mut inner.frontier,
-            BufU32::placeholder(),
-        ));
-        device.pool_release_u32(std::mem::replace(&mut inner.stamp, BufU32::placeholder()));
-        device.pool_release_u64(std::mem::replace(&mut inner.fresh, BufU64::placeholder()));
-        device.pool_release_u64(std::mem::replace(&mut inner.seen, BufU64::placeholder()));
+        for b in [
+            &mut inner.bufs.counters,
+            &mut inner.bufs.next_frontier,
+            &mut inner.bufs.frontier,
+            &mut inner.bufs.stamp,
+        ] {
+            device.pool_release_u32(std::mem::replace(b, BufU32::placeholder()));
+        }
+        for b in [&mut inner.bufs.fresh, &mut inner.bufs.seen] {
+            device.pool_release_u64(std::mem::replace(b, BufU64::placeholder()));
+        }
         self.graph.release_to_pool(device);
     }
 }
@@ -452,7 +414,7 @@ impl<D: Borrow<Device>> Engine for MsBfs<D> {
                 ))
             }
         }
-        let (run, certs, certify_wall_ms) = self.run_timed(sources, req.deadline_ms, req.verify)?;
+        let (run, certs, certify_wall_ms) = self.run_with(sources, req.deadline_ms, req.verify)?;
         let slots = (0..run.width()).map(|slot| match &certs {
             // A certificate already counted and digested its slot's levels.
             Some(certs) => SlotAnswer {
@@ -543,17 +505,14 @@ impl MsBfsRun {
 /// with a 64-bit `atomicOr` into `fresh`. Neighbor masks are gated by the
 /// epoch stamp: a stale stamp means the mask is leftover from an earlier
 /// batch and reads as empty.
-#[allow(clippy::too_many_arguments)]
-fn expand_kernel(
-    w: &mut WaveCtx,
-    g: &DeviceGraph,
-    seen: &BufU64,
-    stamp: &BufU32,
-    fresh: &BufU64,
-    frontier: &BufU32,
-    epoch: u32,
-    s: &mut WaveScratch,
-) {
+fn expand_kernel(w: &mut WaveCtx, g: &DeviceGraph, b: &MsBufs, epoch: u32, s: &mut WaveScratch) {
+    let MsBufs {
+        seen,
+        stamp,
+        fresh,
+        frontier,
+        ..
+    } = b;
     // Launched with `items` = the frontier length: every lane has an entry.
     let gids = w.lanes();
     if gids.is_empty() {
@@ -606,19 +565,22 @@ fn expand_kernel(
 /// the epoch), record the level for each new bit, enqueue into the next
 /// union frontier — and zero the fresh entry, restoring the all-zero
 /// invariant without a per-level fill kernel.
-#[allow(clippy::too_many_arguments)]
 fn fold_kernel(
     w: &mut WaveCtx,
-    seen: &BufU64,
-    stamp: &BufU32,
-    fresh: &BufU64,
-    next_frontier: &BufU32,
-    counters: &BufU32,
+    b: &MsBufs,
     level_of: &[BufU32],
     enc_level: u32,
     epoch: u32,
     s: &mut WaveScratch,
 ) {
+    let MsBufs {
+        seen,
+        stamp,
+        fresh,
+        next_frontier,
+        counters,
+        ..
+    } = b;
     let gids = w.lanes();
     if gids.is_empty() {
         return;
@@ -683,50 +645,8 @@ mod tests {
     fn one_shot(device: &Device, graph: &Csr, sources: &[u32]) -> MsBfsRun {
         MsBfs::new(device, graph).unwrap().run_batch(sources)
     }
-    use xbfs_graph::generators::{barabasi_albert, erdos_renyi, rmat_graph, RmatParams};
+    use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
     use xbfs_graph::stats::pick_sources;
-
-    #[test]
-    fn each_source_matches_reference() {
-        let g = erdos_renyi(400, 1600, 9);
-        let sources = pick_sources(&g, 8, 3);
-        let dev = Device::mi250x();
-        let run = one_shot(&dev, &g, &sources);
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(
-                run.levels[i],
-                bfs_levels_serial(&g, s),
-                "source {s} (slot {i})"
-            );
-        }
-    }
-
-    #[test]
-    fn duplicate_and_single_sources() {
-        let g = barabasi_albert(300, 3, 1);
-        let dev = Device::mi250x();
-        let run = one_shot(&dev, &g, &[7, 7, 12]);
-        assert_eq!(run.levels[0], run.levels[1]);
-        assert_eq!(run.result_digest(0), run.result_digest(1));
-        assert_eq!(run.levels[0], bfs_levels_serial(&g, 7));
-        assert_eq!(run.levels[2], bfs_levels_serial(&g, 12));
-
-        let run1 = one_shot(&dev, &g, &[5]);
-        assert_eq!(run1.levels[0], bfs_levels_serial(&g, 5));
-    }
-
-    #[test]
-    fn full_width_batch() {
-        let g = rmat_graph(RmatParams::graph500(9), 2);
-        let sources = pick_sources(&g, MAX_CONCURRENT, 5);
-        let dev = Device::mi250x();
-        let run = one_shot(&dev, &g, &sources);
-        assert_eq!(run.levels.len(), MAX_CONCURRENT);
-        for (i, &s) in sources.iter().enumerate() {
-            assert_eq!(run.levels[i], bfs_levels_serial(&g, s), "source {s}");
-        }
-        assert!(run.gteps > 0.0);
-    }
 
     #[test]
     fn sharing_beats_sequential_runs() {
@@ -828,7 +748,7 @@ mod tests {
             .expect_err("1ns budget must abort");
         assert!(matches!(err, XbfsError::DeadlineExceeded { .. }));
         // ...and the engine must remain consistent for the next batch.
-        let (run, _) = engine.run_with(&sources, None, false).unwrap();
+        let (run, ..) = engine.run_with(&sources, None, false).unwrap();
         for (i, &s) in sources.iter().enumerate() {
             assert_eq!(run.levels[i], bfs_levels_serial(&g, s), "source {s}");
         }
@@ -840,7 +760,7 @@ mod tests {
         let dev = Device::mi250x();
         let engine = MsBfs::new(&dev, &g).unwrap();
         let sources = pick_sources(&g, 16, 7);
-        let (run, certs) = engine.run_with(&sources, None, true).unwrap();
+        let (run, certs, _) = engine.run_with(&sources, None, true).unwrap();
         let certs = certs.expect("verify produces certificates");
         assert_eq!(certs.len(), sources.len());
         for (i, c) in certs.iter().enumerate() {

@@ -66,32 +66,17 @@ impl XbfsConfig {
             // Thresholds tuned for the P6000 memory system.
             alpha: 0.05,
             scan_free_max_ratio: 1e-4,
-            balancing_top_down: true,
             balancing_bottom_up: true,
             multi_stream: true,
-            nfg: true,
-            proactive: true,
-            record_parents: false,
-            forced: None,
-            seg_len: 64,
+            ..Self::optimized_amd()
         }
     }
 
     /// The original CUDA XBFS configuration (paper Fig. 5a, run on the
-    /// P6000 profile where these choices are appropriate).
+    /// P6000 profile where these choices are appropriate): the settings
+    /// the naive port carried over unchanged.
     pub fn cuda_original() -> Self {
-        Self {
-            alpha: 0.05,
-            scan_free_max_ratio: 1e-4,
-            balancing_top_down: true,
-            balancing_bottom_up: true,
-            multi_stream: true,
-            nfg: true,
-            proactive: true,
-            record_parents: false,
-            forced: None,
-            seg_len: 64,
-        }
+        Self::naive_port()
     }
 
     /// Configuration for *directed* graphs: the bottom-up strategy pulls a

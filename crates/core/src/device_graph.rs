@@ -79,19 +79,22 @@ impl DeviceGraph {
         self.checksum
     }
 
-    /// Re-derive the topology digest from device memory and compare it to
-    /// the upload-time record — an O(|V| + |E|) sweep that detects any
-    /// single-word corruption of the resident CSR.
-    pub fn verify(&self) -> Result<(), IntegrityError> {
+    /// Copy the offsets and adjacency to the host and re-derive the
+    /// topology digest from the copies (and the device's degrees) — an
+    /// O(|V| + |E|) sweep that detects any single-word corruption of the
+    /// resident CSR. Returns the copies it checked, so a certificate reads
+    /// exactly the bytes that matched the upload-time record.
+    pub fn verify(&self) -> Result<(Vec<u64>, Vec<u32>), IntegrityError> {
+        let (offsets, adjacency) = (self.offsets.to_host(), self.adjacency.to_host());
         let actual = csr_digest(
             self.num_vertices,
             self.num_edges,
-            (0..self.offsets.len()).map(|i| self.offsets.load(i)),
-            (0..self.adjacency.len()).map(|i| self.adjacency.load(i)),
-            (0..self.degrees.len()).map(|i| self.degrees.load(i)),
+            offsets.iter().copied(),
+            adjacency.iter().copied(),
+            self.degrees.iter(),
         );
         if actual == self.checksum {
-            Ok(())
+            Ok((offsets, adjacency))
         } else {
             Err(IntegrityError::GraphChecksum {
                 expected: self.checksum,

@@ -31,7 +31,7 @@ use crate::device_graph::DeviceGraph;
 use crate::error::XbfsError;
 use crate::state::{is_unvisited, BfsState, UNVISITED};
 use crate::stats::BfsRun;
-use gcd_sim::{fnv1a, fnv1a_mix, splitmix64, Device, PoolError};
+use gcd_sim::{fnv1a, fnv1a_mix, on_workers, splitmix64, Device, PoolError};
 use std::fmt;
 use std::time::Instant;
 
@@ -494,18 +494,23 @@ impl From<CertViolation> for IntegrityError {
     }
 }
 
-/// The verified pipeline both device engines run under `verify`: pre-run
-/// pool sweep, the (optionally sabotaged) `run`, CSR checksum re-check,
-/// `certify` over the host copy of the CSR, and a post-run pool sweep.
-/// The run itself is the exact unverified hot path, so certified
-/// fault-free results are bit-identical to unverified ones. Also returns
-/// the wall ms spent after the run, i.e. what verification added to it.
+/// The pipeline both device engines run: `run` alone, or under `verify`
+/// a pre-run pool sweep, the (optionally sabotaged) `run`, CSR checksum
+/// re-check of a host copy, `certify` over those same bytes, and a
+/// post-run pool sweep. The run itself is the exact unverified hot path,
+/// so certified fault-free results are bit-identical to unverified ones.
+/// Also returns the wall ms spent after the run, i.e. what verification
+/// added to it (0 unverified).
 pub(crate) fn verified_run<R, C>(
     dev: &Device,
     graph: &DeviceGraph,
+    verify: bool,
     run: impl FnOnce() -> Result<R, XbfsError>,
     certify: impl FnOnce(&[u64], &[u32], &R) -> Result<C, CertViolation>,
-) -> Result<(R, C, f64), XbfsError> {
+) -> Result<(R, Option<C>, f64), XbfsError> {
+    if !verify {
+        return run().map(|out| (out, None, 0.0));
+    }
     // Surface corruption the pool already quarantined (e.g. during
     // engine construction) before investing in a run.
     if let Some(f) = dev.take_pool_faults().into_iter().next() {
@@ -514,16 +519,15 @@ pub(crate) fn verified_run<R, C>(
     dev.verify_pool().map_err(IntegrityError::Pool)?;
     let out = run()?;
     let ran = Instant::now();
-    graph.verify()?;
-    let cert = certify(&graph.offsets.to_host(), &graph.adjacency.to_host(), &out)
-        .map_err(IntegrityError::Certificate)?;
+    let (offsets, adjacency) = graph.verify()?;
+    let cert = certify(&offsets, &adjacency, &out).map_err(IntegrityError::Certificate)?;
     // Catch corruption of buffers that sat parked during the run, and
     // any quarantine the run's own acquires performed.
     dev.verify_pool().map_err(IntegrityError::Pool)?;
     if let Some(f) = dev.take_pool_faults().into_iter().next() {
         return Err(IntegrityError::Pool(f).into());
     }
-    Ok((out, cert, ran.elapsed().as_secs_f64() * 1000.0))
+    Ok((out, Some(cert), ran.elapsed().as_secs_f64() * 1000.0))
 }
 
 /// Validate a run's output against the graph in O(|V| + |E|): source at
@@ -727,8 +731,8 @@ type CertRow = [u32; CERT_BLOCK];
 /// violation; which of several violations gets named is unspecified.
 ///
 /// Cost for a `W`-wide batch: `2·|V|·W` level loads plus `|E|·⌈W/8⌉` row
-/// operations, on one scratch array of `|V|` rows (`32·|V|` bytes)
-/// whatever the width.
+/// operations, the blocks spread over one worker per core, each on its own
+/// `|V|` rows (`32·|V|` bytes) whatever the width.
 ///
 /// Returns one [`Certificate`] per slot: `visited`, `depth` (deepest
 /// level) and, as `levels_checksum`, the slot's
@@ -763,59 +767,91 @@ pub fn certify_ms_run(
         }
     }
 
-    let mut certs = Vec::with_capacity(run.sources.len());
-    let mut lowest: Vec<CertRow> = vec![[UNVISITED; CERT_BLOCK]; n];
-    for (block, sources) in run
-        .levels
-        .chunks(CERT_BLOCK)
-        .zip(run.sources.chunks(CERT_BLOCK))
-    {
-        lowest.fill([UNVISITED; CERT_BLOCK]);
-        for u in 0..n {
-            let from = cert_row(block, u);
-            for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
-                for (low, l) in lowest[v as usize].iter_mut().zip(from) {
-                    *low = (*low).min(l);
-                }
-            }
-        }
+    certify_blocks(crate::cores(), offsets, adjacency, run)
+}
 
-        let mut visited = [0u64; CERT_BLOCK];
-        let mut depth = [0u32; CERT_BLOCK];
-        let mut digest = [0u64; CERT_BLOCK];
-        for (h, &source) in digest.iter_mut().zip(sources) {
-            *h = fnv1a([u64::from(source)]);
-        }
-        for (v, low) in lowest.iter().enumerate() {
-            let row = cert_row(block, v);
-            let mut suspect = false;
-            for lane in 0..CERT_BLOCK {
-                let l = row[lane];
-                let seen = l != UNVISITED;
-                visited[lane] += u64::from(seen);
-                depth[lane] = depth[lane].max(if seen { l } else { 0 });
-                digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
-                suspect |= !entry_consistent(l, low[lane]);
+/// [`certify_ms_run`]'s block loop on `workers` workers, each with its own
+/// `lowest` rows. Blocks are answered in block order whatever the worker
+/// count, so a failing batch names its lowest failing block's violation.
+/// Public only as a seam for the worker-count test.
+#[doc(hidden)]
+pub fn certify_blocks(
+    workers: usize,
+    offsets: &[u64],
+    adjacency: &[u32],
+    run: &MsBfsRun,
+) -> Result<Vec<Certificate>, CertViolation> {
+    let n = offsets.len().saturating_sub(1);
+    let blocks: Vec<_> = (run.levels.chunks(CERT_BLOCK))
+        .zip(run.sources.chunks(CERT_BLOCK))
+        .collect();
+    let mut rows = vec![Vec::new(); workers.max(1)];
+    let answers = on_workers(&mut rows, blocks.len(), |lowest, ids| {
+        lowest.resize(n, [UNVISITED; CERT_BLOCK]);
+        let answer = |b: usize| (b, certify_block(offsets, adjacency, blocks[b], lowest));
+        ids.map(answer).collect::<Vec<_>>()
+    });
+    let mut answers: Vec<_> = answers.into_iter().flatten().collect();
+    answers.sort_unstable_by_key(|&(b, _)| b);
+    let certs: Vec<Vec<Certificate>> = answers
+        .into_iter()
+        .map(|(_, a)| a)
+        .collect::<Result<_, _>>()?;
+    Ok(certs.concat())
+}
+
+/// Certify one block of slots (at most [`CERT_BLOCK`]) in `lowest`, one
+/// row per vertex, whatever an earlier block left there.
+fn certify_block(
+    offsets: &[u64],
+    adjacency: &[u32],
+    (block, sources): (&[Vec<u32>], &[u32]),
+    lowest: &mut [CertRow],
+) -> Result<Vec<Certificate>, CertViolation> {
+    lowest.fill([UNVISITED; CERT_BLOCK]);
+    for u in 0..lowest.len() {
+        let from = cert_row(block, u);
+        for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
+            for (low, l) in lowest[v as usize].iter_mut().zip(from) {
+                *low = (*low).min(l);
             }
-            // A source sits at level 0 by right; anything else the row
-            // check flagged is a violation.
-            if suspect {
-                for (lane, &source) in sources.iter().enumerate() {
-                    if v != source as usize && !entry_consistent(row[lane], low[lane]) {
-                        return Err(name_violation(offsets, adjacency, &block[lane], v));
-                    }
-                }
-            }
-        }
-        for lane in 0..block.len() {
-            certs.push(Certificate {
-                visited: visited[lane],
-                depth: depth[lane],
-                levels_checksum: digest[lane],
-            });
         }
     }
-    Ok(certs)
+
+    let mut visited = [0u64; CERT_BLOCK];
+    let mut depth = [0u32; CERT_BLOCK];
+    let mut digest = [0u64; CERT_BLOCK];
+    for (h, &source) in digest.iter_mut().zip(sources) {
+        *h = fnv1a([u64::from(source)]);
+    }
+    for (v, low) in lowest.iter().enumerate() {
+        let row = cert_row(block, v);
+        let mut suspect = false;
+        for lane in 0..CERT_BLOCK {
+            let l = row[lane];
+            let seen = l != UNVISITED;
+            visited[lane] += u64::from(seen);
+            depth[lane] = depth[lane].max(if seen { l } else { 0 });
+            digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
+            suspect |= !entry_consistent(l, low[lane]);
+        }
+        // A source sits at level 0 by right; anything else the row
+        // check flagged is a violation.
+        if suspect {
+            for (lane, &source) in sources.iter().enumerate() {
+                if v != source as usize && !entry_consistent(row[lane], low[lane]) {
+                    return Err(name_violation(offsets, adjacency, &block[lane], v));
+                }
+            }
+        }
+    }
+    Ok((0..block.len())
+        .map(|lane| Certificate {
+            visited: visited[lane],
+            depth: depth[lane],
+            levels_checksum: digest[lane],
+        })
+        .collect())
 }
 
 /// Vertex `v`'s levels in a block of slots, one lane per slot. Lanes past
@@ -979,38 +1015,6 @@ mod tests {
     }
 
     #[test]
-    fn clean_batch_certifies_every_slot_with_solo_digest() {
-        let (off, adj, run) = sample_ms_run();
-        let certs = certify_ms_run(&off, &adj, &run).expect("clean batch must certify");
-        assert_eq!(certs.len(), run.sources.len());
-        for (slot, cert) in certs.iter().enumerate() {
-            assert_eq!(
-                cert.levels_checksum,
-                run.result_digest(slot),
-                "slot {slot}: certificate must quote the levels digest a solo run answers with"
-            );
-            assert_eq!(
-                cert.visited,
-                run.levels[slot].iter().filter(|&&l| l != UNVISITED).count() as u64
-            );
-            assert_eq!(cert.depth, run.answer(slot).depth);
-        }
-        // Duplicate sources (slots 1 and 3) certify identically.
-        assert_eq!(certs[1], certs[3]);
-    }
-
-    #[test]
-    fn corrupting_one_slot_fails_batch_certification() {
-        let (off, adj, mut run) = sample_ms_run();
-        let v = run.levels[2]
-            .iter()
-            .position(|&l| l != UNVISITED && l != 0)
-            .unwrap();
-        run.levels[2][v] ^= 1 << 6;
-        assert!(certify_ms_run(&off, &adj, &run).is_err());
-    }
-
-    #[test]
     fn hand_built_batches_of_any_shape_get_a_typed_answer() {
         // Rows hold no per-slot mask, so a batch wider than the engine
         // builds is only a longer one: 65 slots certify.
@@ -1027,17 +1031,5 @@ mod tests {
             actual: 64,
         };
         assert_eq!(err, want);
-    }
-
-    #[test]
-    fn batch_source_not_at_level_zero_is_a_violation() {
-        let (off, adj, mut run) = sample_ms_run();
-        let src = run.sources[1] as usize;
-        run.levels[1][src] = 3;
-        let err = certify_ms_run(&off, &adj, &run).unwrap_err();
-        assert!(
-            matches!(err, CertViolation::SourceNotLevelZero { .. }),
-            "{err}"
-        );
     }
 }

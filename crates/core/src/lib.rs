@@ -71,3 +71,9 @@ pub use tuner::{tune_alpha, TuneResult};
 fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
+
+/// One worker per available core: how many scratch sets a batch lends to
+/// [`gcd_sim::on_workers`].
+fn cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

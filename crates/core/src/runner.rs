@@ -174,11 +174,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         verify: bool,
     ) -> Result<(BfsRun, Option<Certificate>, f64), XbfsError> {
         let run = || self.run_impl(source, sabotage, deadline_ms);
-        if !verify {
-            return run().map(|run| (run, None, 0.0));
-        }
-        verified_run(self.device.borrow(), &self.graph, run, certify_run)
-            .map(|(run, cert, wall_ms)| (run, Some(cert), wall_ms))
+        verified_run(self.device.borrow(), &self.graph, verify, run, certify_run)
     }
 
     fn run_impl(

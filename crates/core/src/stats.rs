@@ -44,11 +44,6 @@ impl LevelStats {
     pub fn fetch_kb(&self) -> f64 {
         self.kernels.iter().map(|k| k.fetch_kb).sum()
     }
-
-    /// Total kernel runtime (excludes syncs/readbacks), ms.
-    pub fn kernel_ms(&self) -> f64 {
-        self.kernels.iter().map(|k| k.runtime_ms).sum()
-    }
 }
 
 /// Result of one BFS run.
@@ -176,7 +171,6 @@ mod tests {
             end_us: 3000.0,
         };
         assert!((l.fetch_kb() - 30.0).abs() < 1e-12);
-        assert!((l.kernel_ms() - 1.5).abs() < 1e-12);
     }
 
     #[test]

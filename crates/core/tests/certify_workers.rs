@@ -1,0 +1,77 @@
+//! The batched certificate's eight-slot blocks run on one worker per core.
+//! Whatever the worker count, a clean batch must get the same
+//! certificates, and a corrupted one must name the same violation: the
+//! lowest failing block's, as the serial block loop did.
+
+use xbfs_core::integrity::certify_blocks;
+use xbfs_core::{certify_ms_run, CertViolation, MsBfsRun, MAX_CONCURRENT, UNVISITED};
+use xbfs_graph::generators::{rmat_graph, RmatParams};
+use xbfs_graph::reference::bfs_levels_serial;
+use xbfs_graph::stats::pick_sources;
+use xbfs_graph::Csr;
+
+/// A clean 64-wide batch on an R-MAT graph, answered by the serial BFS:
+/// eight blocks of slots.
+fn wide_batch() -> (Csr, MsBfsRun) {
+    let g = rmat_graph(RmatParams::graph500(10), 0x34);
+    let sources = pick_sources(&g, MAX_CONCURRENT, 34);
+    let run = MsBfsRun {
+        levels: sources.iter().map(|&s| bfs_levels_serial(&g, s)).collect(),
+        slot_edges: vec![0; sources.len()],
+        sources,
+        total_ms: 0.0,
+        traversed_edges: 0,
+        gteps: 0.0,
+    };
+    (g, run)
+}
+
+/// `run` with the first vertex each of `slots` reached past its source
+/// moved two levels down.
+fn planted(run: &MsBfsRun, slots: &[usize]) -> MsBfsRun {
+    let mut run = run.clone();
+    for &slot in slots {
+        let levels = &mut run.levels[slot];
+        let v = levels.iter().position(|&l| l != 0 && l != UNVISITED);
+        levels[v.expect("the slot reaches past its source")] += 2;
+    }
+    run
+}
+
+/// What the serial block loop named for violations planted in slot 2
+/// (block 0), slot 61 (block 7) and both: recorded on the commit before
+/// the blocks went to workers.
+fn recorded_violations() -> [(&'static [usize], CertViolation); 3] {
+    let skip = |to_level| CertViolation::LevelSkip {
+        from: 36,
+        to: 0,
+        from_level: 2,
+        to_level,
+    };
+    [(&[2], skip(4)), (&[61], skip(5)), (&[2, 61], skip(4))]
+}
+
+#[test]
+fn planted_violations_name_what_the_serial_loop_named() {
+    let (g, run) = wide_batch();
+    for (slots, want) in recorded_violations() {
+        let got = certify_ms_run(g.offsets(), g.adjacency(), &planted(&run, slots));
+        assert_eq!(got, Err(want), "planted in slots {slots:?}");
+    }
+}
+
+#[test]
+fn the_certificate_ignores_the_worker_count() {
+    let (g, run) = wide_batch();
+    let (off, adj) = (g.offsets(), g.adjacency());
+    let certs = certify_ms_run(off, adj, &run).expect("a clean batch certifies");
+    assert_eq!(certs.len(), MAX_CONCURRENT);
+    for workers in [1, 2, 3, 7] {
+        let got = certify_blocks(workers, off, adj, &run);
+        assert_eq!(got.as_ref(), Ok(&certs), "{workers} workers");
+        for (slots, want) in recorded_violations() {
+            let got = certify_blocks(workers, off, adj, &planted(&run, slots));
+            assert_eq!(got, Err(want), "{workers} workers, slots {slots:?}");
+        }
+    }
+}

@@ -72,26 +72,18 @@ impl ArchProfile {
     }
 
     /// One MI100 (CDNA1), the MI250X's predecessor: 120 CUs, wave64,
-    /// 32 GB HBM2 at 1.23 TB/s, 8 MiB L2. Useful for generation-over-
-    /// generation studies of the same kernels.
+    /// 32 GB HBM2 at 1.23 TB/s, 8 MiB L2; launch, sync and occupancy as
+    /// the MI250X. Useful for generation-over-generation studies of the
+    /// same kernels.
     pub fn mi100() -> Self {
         Self {
             name: "MI100",
-            wavefront_size: 64,
             num_cus: 120,
-            simds_per_cu: 4,
             clock_ghz: 1.502,
-            l2_bytes: 8 << 20,
-            l2_ways: 16,
-            line_bytes: 64,
             mem_bw_gbps: 1230.0,
             atomic_cost_cycles: 44.0,
-            launch_us: 4.0,
-            sync_us: 22.0,
             h2d_bw_gbps: 16.0,
-            h2d_latency_us: 10.0,
-            regfile_bytes_per_simd: 128 << 10,
-            max_waves_per_simd: 8,
+            ..Self::mi250x_gcd()
         }
     }
 

@@ -2,8 +2,8 @@
 //!
 //! Kernels see device memory as typed arrays of `u32` / `u64`; storage is
 //! atomic so kernel bodies can mutate it through a shared reference, the
-//! way real workgroups race on global memory (the simulator itself runs
-//! waves one after another on the launching thread). Each buffer
+//! way real workgroups race on global memory (and the waves of a
+//! `Device::launch_split` race on it for real). Each buffer
 //! carries a base "device address" from a bump allocator so the memory
 //! hierarchy model can reason about cache lines across buffers.
 
@@ -54,13 +54,6 @@ macro_rules! impl_buf {
             #[inline]
             pub fn is_empty(&self) -> bool {
                 self.data.is_empty()
-            }
-
-            /// Device base address of the buffer (valid even when empty —
-            /// unlike [`Self::addr`], which bounds-checks its index).
-            #[inline]
-            pub(crate) fn base_addr(&self) -> u64 {
-                self.base
             }
 
             /// Device byte address of element `idx`.
@@ -134,12 +127,14 @@ macro_rules! impl_buf {
                 self.data[idx].fetch_or(val, Ordering::Relaxed)
             }
 
+            /// The contents, element by element (untraced).
+            pub fn iter(&self) -> impl Iterator<Item = $prim> + '_ {
+                self.data.iter().map(|a| a.load(Ordering::Relaxed))
+            }
+
             /// Copy device contents back to a host vector (untraced).
             pub fn to_host(&self) -> Vec<$prim> {
-                self.data
-                    .iter()
-                    .map(|a| a.load(Ordering::Relaxed))
-                    .collect()
+                self.iter().collect()
             }
 
             /// Fill with a value from the host (untraced; use the device
@@ -154,6 +149,21 @@ macro_rules! impl_buf {
             pub fn host_write(&self, src: &[$prim]) {
                 assert_eq!(src.len(), self.data.len(), "host_write length mismatch");
                 self.store_range(0, src);
+            }
+        }
+
+        impl crate::device::ParkedBuf for $name {
+            fn elem_count(&self) -> usize {
+                self.len()
+            }
+            fn byte_len(&self) -> u64 {
+                $width * self.len() as u64
+            }
+            fn base_addr(&self) -> u64 {
+                self.base
+            }
+            fn content_digest(&self) -> u64 {
+                crate::pool::fnv1a(self.iter().map(u64::from))
             }
         }
     };

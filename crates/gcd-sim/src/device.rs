@@ -8,10 +8,10 @@ use crate::coalescer::Coalescer;
 use crate::group::{GroupCfg, GroupCtx};
 use crate::kernel::{KernelReport, LaunchCfg, WaveStats};
 use crate::l2::L2Model;
-use crate::pool::{fnv1a, splitmix64, PoolError, POOL_CANARY};
+use crate::pool::{splitmix64, PoolError, POOL_CANARY};
 use crate::wave::WaveCtx;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Lock a piece of device state, taking it back from a poisoned mutex. A
@@ -22,9 +22,9 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Execution fidelity. Either way a launch runs its waves one after
-/// another on the calling thread; the modes differ in what a coalescer
-/// miss costs to classify.
+/// Execution fidelity. The modes differ in what a coalescer miss costs to
+/// classify, and so in whether [`Device::launch_split`] may spread waves
+/// over workers: functional mode may, timing mode runs them in order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
     /// Memory effects are approximated by the per-wave coalescer only (no
@@ -66,43 +66,14 @@ struct Parked<B> {
 }
 
 /// The buffer surface the pool needs, implemented for both typed buffers
-/// so park/acquire/trim logic is written once.
-trait ParkedBuf {
+/// by `impl_buf!`, so park/acquire/trim logic is written once.
+pub(crate) trait ParkedBuf {
     fn elem_count(&self) -> usize;
     fn byte_len(&self) -> u64;
+    /// Device base address (valid even when empty, unlike `addr(0)`).
     fn base_addr(&self) -> u64;
     /// FNV-1a digest of the current contents.
     fn content_digest(&self) -> u64;
-}
-
-impl ParkedBuf for BufU32 {
-    fn elem_count(&self) -> usize {
-        self.len()
-    }
-    fn byte_len(&self) -> u64 {
-        self.len() as u64 * u64::from(self.elem_bytes())
-    }
-    fn base_addr(&self) -> u64 {
-        BufU32::base_addr(self)
-    }
-    fn content_digest(&self) -> u64 {
-        fnv1a((0..self.len()).map(|i| u64::from(self.load(i))))
-    }
-}
-
-impl ParkedBuf for BufU64 {
-    fn elem_count(&self) -> usize {
-        self.len()
-    }
-    fn byte_len(&self) -> u64 {
-        self.len() as u64 * u64::from(self.elem_bytes())
-    }
-    fn base_addr(&self) -> u64 {
-        BufU64::base_addr(self)
-    }
-    fn content_digest(&self) -> u64 {
-        fnv1a((0..self.len()).map(|i| self.load(i)))
-    }
 }
 
 impl<B: ParkedBuf> Parked<B> {
@@ -658,21 +629,71 @@ impl Device {
         report
     }
 
+    /// The one wave loop behind [`Device::launch`] and
+    /// [`Device::launch_split`]: waves `ids`, each through a cold coalescer,
+    /// counters summed.
+    fn waves(
+        &self,
+        items: usize,
+        ids: impl Iterator<Item = usize>,
+        mut l2: Option<&mut L2Model>,
+        mut body: impl FnMut(&mut WaveCtx),
+    ) -> WaveStats {
+        let (width, mut stats) = (self.arch.wavefront_size, WaveStats::default());
+        let mut co = Coalescer::new(COALESCER_LINES, self.arch.line_bytes);
+        for w in ids {
+            let mut ctx = WaveCtx::new(w, width, items, &mut co, l2.as_deref_mut());
+            body(&mut ctx);
+            stats.merge(&ctx.stats);
+        }
+        stats
+    }
+
     /// Launch a kernel on `stream`: `body` is invoked once per wavefront,
     /// in wave order. Returns the report (also recorded).
     pub fn launch<F>(&self, stream: usize, cfg: LaunchCfg, body: F) -> KernelReport
     where
         F: Fn(&mut WaveCtx),
     {
-        let width = self.arch.wavefront_size;
-        let mut l2 = self.launch_l2();
-        let mut co = Coalescer::new(COALESCER_LINES, self.arch.line_bytes);
-        let mut stats = WaveStats::default();
-        for w in 0..cfg.items.div_ceil(width) {
-            let mut ctx = WaveCtx::new(w, width, cfg.items, &mut co, l2.as_deref_mut());
-            body(&mut ctx);
-            stats.merge(&ctx.stats);
-        }
+        let waves = 0..cfg.items.div_ceil(self.arch.wavefront_size);
+        let stats = self.waves(cfg.items, waves, self.launch_l2().as_deref_mut(), body);
+        self.finish_launch(stream, &cfg, stats, None)
+    }
+
+    /// [`Device::launch`] for a kernel whose waves may run in any order
+    /// and at once: each wave reads nothing another wave of the launch
+    /// writes, and writes only through commutative atomics. Each wave is
+    /// also lent one of `scratch`. In functional mode the waves go to
+    /// [`on_workers`], one worker per scratch, each with its own coalescer
+    /// and counters, and the counters are summed: the report is the one a
+    /// serial launch gives. In timing mode every wave sees the shared L2
+    /// its predecessors left, so the waves run in order on `scratch[0]`.
+    pub fn launch_split<S, F>(
+        &self,
+        stream: usize,
+        cfg: LaunchCfg,
+        scratch: &mut [S],
+        body: F,
+    ) -> KernelReport
+    where
+        S: Send,
+        F: Fn(&mut WaveCtx, &mut S) + Sync,
+    {
+        let waves = cfg.items.div_ceil(self.arch.wavefront_size);
+        let stats = match self.launch_l2() {
+            Some(mut l2) => {
+                let s = &mut scratch[0];
+                self.waves(cfg.items, 0..waves, Some(&mut *l2), |w| body(w, s))
+            }
+            None => on_workers(scratch, waves, |s, ids| {
+                self.waves(cfg.items, ids, None, |w| body(w, s))
+            })
+            .iter()
+            .fold(WaveStats::default(), |mut sum, part| {
+                sum.merge(part);
+                sum
+            }),
+        };
         self.finish_launch(stream, &cfg, stats, None)
     }
 
@@ -789,6 +810,35 @@ impl Device {
             w.vstore32_range(buf, lanes.start, &vals[..lanes.len()]);
         })
     }
+}
+
+/// Run `work` on `min(scratch.len(), jobs)` workers (at least one), each
+/// lent its own scratch and a feed of job ids: `0..jobs`, handed out in
+/// order from one atomic counter as workers come free, so a worker on a
+/// busy core just takes fewer. The caller is the first worker, and one
+/// worker starts no thread. Returns the workers' results, the caller's
+/// first; a worker's panic is the caller's.
+pub fn on_workers<S: Send, R: Send>(
+    scratch: &mut [S],
+    jobs: usize,
+    work: impl Fn(&mut S, &mut dyn Iterator<Item = usize>) -> R + Sync,
+) -> Vec<R> {
+    let next = AtomicUsize::new(0);
+    let feed =
+        || std::iter::from_fn(|| Some(next.fetch_add(1, Ordering::Relaxed)).filter(|&j| j < jobs));
+    let (first, rest) = scratch.split_first_mut().expect("a worker needs scratch");
+    let helpers = jobs.saturating_sub(1).min(rest.len());
+    let (work, feed) = (&work, &feed);
+    std::thread::scope(|scope| {
+        let spawned: Vec<_> = (rest[..helpers].iter_mut())
+            .map(|s| scope.spawn(move || work(s, &mut feed())))
+            .collect();
+        let mut out = vec![work(first, &mut feed())];
+        for h in spawned {
+            out.push(h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)));
+        }
+        out
+    })
 }
 
 #[cfg(test)]

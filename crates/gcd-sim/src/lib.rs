@@ -23,11 +23,12 @@
 //! * a **compiler/register model** (clang vs hipcc vs no `-O3`, §IV-A)
 //!   feeding an occupancy-based issue model.
 //!
-//! Two fidelity levels ([`device::ExecMode`]), one execution path: a launch
-//! runs its waves one after another on the calling thread. `Functional`
-//! stops at the per-wave coalescer, for end-to-end GTEPS experiments;
-//! `Timing` also classifies every coalescer miss through the shared L2, to
-//! regenerate the paper's profiler tables. Contiguous accesses are traced
+//! Two fidelity levels ([`device::ExecMode`]), one wave loop: a launch runs
+//! its waves in order on the calling thread, and `Device::launch_split`
+//! may hand independent waves to one worker per core. `Functional` stops
+//! at the per-wave coalescer, for end-to-end GTEPS experiments; `Timing`
+//! also classifies every coalescer miss through the shared L2, in wave
+//! order, to regenerate the paper's profiler tables. Contiguous accesses are traced
 //! per cache line rather than per lane (`WaveCtx::vload32_range` and
 //! friends), with the same counters either way (DESIGN.md §8).
 
@@ -43,7 +44,7 @@ pub mod wave;
 
 pub use arch::{ArchProfile, Compiler, CompilerModel};
 pub use buffer::{BufU32, BufU64};
-pub use device::{Device, ExecMode, PoolGauges};
+pub use device::{on_workers, Device, ExecMode, PoolGauges};
 pub use group::{GroupCfg, GroupCtx};
 pub use kernel::{KernelReport, LaunchCfg, WaveStats};
 pub use pool::{fnv1a, fnv1a_mix, splitmix64, PoolError};

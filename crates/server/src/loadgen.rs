@@ -30,6 +30,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
+use gcd_sim::splitmix64;
 use xbfs_telemetry::{json, LogHistogram};
 
 use crate::chaos::ChaosPlan;
@@ -173,15 +174,6 @@ impl LoadgenReport {
             o.key("served_qps").fixed(self.served_qps, 1);
         })
     }
-}
-
-/// splitmix64: tiny, seedable, good enough for a source mix.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Nearest-rank percentile: the smallest sample with at least `q` of
