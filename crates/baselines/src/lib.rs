@@ -117,7 +117,7 @@ impl Engine for Baseline<'_> {
         1
     }
 
-    /// No injection is honoured; `verify` is the Graph500 level check.
+    /// No injection is honoured; `verify` is the level certificate.
     fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
         let source = req.slots(1)?[0];
         match req.inject {
@@ -179,7 +179,9 @@ impl Engine for Baseline<'_> {
 mod tests {
     use super::*;
     use xbfs_core::{BitflipPlan, Sabotage};
+    use xbfs_graph::builder::{BuildOptions, CsrBuilder};
     use xbfs_graph::generators::erdos_renyi;
+    use xbfs_graph::reference::bfs_levels_serial;
 
     /// One plain run of `algo` from `source` on a fresh MI250X.
     pub(crate) fn run_once(algo: Algo, g: &Csr, source: u32) -> RunOutcome {
@@ -215,6 +217,34 @@ mod tests {
             let err = engine.run(&RunRequest::plain(&[100])).unwrap_err();
             assert_eq!(rejected(err), "invalid");
             assert_eq!(engine.device.elapsed_us(), 0.0, "{}", algo.name());
+        }
+    }
+
+    #[test]
+    fn verify_certifies_a_directed_answer() {
+        // 0→1 and 2→1 from 0: vertex 2 is unreached although it has an
+        // edge into the visited 1, and 1's only predecessor is an
+        // in-neighbour.
+        let mut b = CsrBuilder::new(3);
+        b.extend_edges([(0, 1), (2, 1)]);
+        let g = b.build(BuildOptions::raw());
+        let want = bfs_levels_serial(&g, 0);
+        assert_eq!(validate_levels(&g, 0, &want, true).map(|_| ()), Ok(()));
+        for algo in [
+            Algo::Gunrock,
+            Algo::Enterprise,
+            Algo::HierQueue,
+            Algo::StatusArray,
+        ] {
+            let mut engine = Baseline::new(algo, Device::mi250x(), &g);
+            let req = RunRequest {
+                verify: true,
+                ..RunRequest::plain(&[0])
+            };
+            let out = engine
+                .run(&req)
+                .unwrap_or_else(|e| panic!("{}: {e}", algo.name()));
+            assert!(out.certified && out.levels[0] == want, "{}", algo.name());
         }
     }
 }

@@ -677,17 +677,17 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     if args.flag("validate") {
         // cfg.record_parents is set above whenever --validate is; a run
         // without parents here is an engine invariant break, not a crash.
-        let Some(parents) = run.parents.as_ref() else {
+        if run.parents.is_none() {
             return Err(CliError::new(
                 "internal: --validate needs recorded parents but the run kept none",
                 exit_code::GENERIC,
             ));
-        };
-        match xbfs_graph::validate_bfs_tree(&g, source, parents) {
+        }
+        match xbfs_core::certify_run(g.offsets(), g.adjacency(), &run) {
             Ok(_) => out.push_str("BFS tree: VALID (Graph500-style checks passed)\n"),
             Err(e) => {
                 return Err(CliError::new(
-                    format!("BFS tree INVALID: {e:?}"),
+                    format!("BFS tree INVALID: {e}"),
                     exit_code::VALIDATION,
                 ))
             }
@@ -817,11 +817,11 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         run.total_ms, run.gteps, run.gteps_per_gcd
     ));
     if args.flag("validate") {
-        match xbfs_graph::validate_bfs_levels(&g, source, &run.levels) {
-            Ok(()) => out.push_str("BFS levels: VALID (Graph500-style checks passed)\n"),
+        match xbfs_graph::certify_levels(g.offsets(), g.adjacency(), &[source], &[&run.levels]) {
+            Ok(_) => out.push_str("BFS levels: VALID (Graph500-style checks passed)\n"),
             Err(e) => {
                 return Err(CliError::new(
-                    format!("BFS levels INVALID: {e:?}"),
+                    format!("BFS levels INVALID: {e}"),
                     exit_code::VALIDATION,
                 ))
             }

@@ -22,7 +22,7 @@
 //! arrays use the same base-offset encoding as [`crate::BfsState`].
 //! [`MsBfs::run_with`] adds the serving governors: a modeled-time
 //! deadline checked between levels and optional per-slot certification
-//! ([`crate::integrity::certify_ms_run`]).
+//! ([`xbfs_graph::certify_levels`]).
 
 use std::borrow::Borrow;
 use std::sync::{Mutex, PoisonError};
@@ -30,11 +30,10 @@ use std::sync::{Mutex, PoisonError};
 use crate::device_graph::DeviceGraph;
 use crate::engine::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use crate::error::XbfsError;
-use crate::integrity::{certify_ms_run, verified_run, Certificate};
+use crate::integrity::verified_run;
 use crate::state::UNVISITED;
-use crate::stats::levels_digest;
 use gcd_sim::{fnv1a, fnv1a_mix, BufU32, BufU64, Device, LaunchCfg, WaveCtx};
-use xbfs_graph::Csr;
+use xbfs_graph::{certify_levels, levels_digest, Certificate, Csr};
 
 /// Maximum sources per batch (bits in the visited mask = wave width).
 pub const MAX_CONCURRENT: usize = 64;
@@ -189,7 +188,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
     /// governor at once. `deadline_ms` bounds the modeled clock (checked
     /// between levels — a batch that completes on its last level is never
     /// a timeout), `verify` runs the verified pipeline with the per-slot
-    /// certificate ([`certify_ms_run`]); the third field is the wall ms
+    /// certificate ([`certify_levels`]); the third field is the wall ms
     /// that pipeline spent after the traversal (0 unverified). An
     /// out-of-range source is a typed error; an empty or oversized batch
     /// is a caller bug and panics.
@@ -212,7 +211,10 @@ impl<D: Borrow<Device>> MsBfs<D> {
             });
         }
         let (dev, run) = (self.device.borrow(), || self.run_impl(sources, deadline_ms));
-        verified_run(dev, &self.graph, verify, run, certify_ms_run)
+        let certify = |off: &[u64], adj: &[u32], run: &MsBfsRun| {
+            certify_levels(off, adj, &run.sources, &run.levels)
+        };
+        verified_run(dev, &self.graph, verify, run, certify)
     }
 
     fn run_impl(&self, sources: &[u32], deadline_ms: Option<f64>) -> Result<MsBfsRun, XbfsError> {

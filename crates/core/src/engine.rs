@@ -14,6 +14,11 @@
 //! this trait: a one-line convenience (`run` / `run_batch`) and a full
 //! form (`run_with`) returning its rich run type, which the trait impl
 //! calls. The baselines have the trait only.
+//!
+//! Whatever the engine, `verify` means one level certificate,
+//! [`xbfs_graph::certify_levels`]: `MsBfs` calls it on the whole batch,
+//! [`crate::certify_run`] on the solo engine's one row, and
+//! [`validate_levels`] for the cluster and the baselines.
 
 use crate::error::XbfsError;
 use crate::integrity::Sabotage;
@@ -44,10 +49,11 @@ pub struct RunRequest<'a> {
     pub sources: &'a [u32],
     /// Modeled-time budget, checked between levels (`None` = unbounded).
     pub deadline_ms: Option<f64>,
-    /// Validate the result before answering. What that means is the
-    /// engine's business: the device engines run the pool-sweep and
-    /// certificate pipeline, the cluster validates levels against the
-    /// graph. A failure is an [`EngineError::Suspect`].
+    /// Certify the result before answering: every engine checks its
+    /// levels with [`xbfs_graph::certify_levels`]; the device engines wrap
+    /// that in pool sweeps and a CSR re-check, and the solo engine adds
+    /// its frontier counters and parent tree ([`crate::certify_run`]). A
+    /// failure is an [`EngineError::Suspect`].
     pub verify: bool,
     /// Fault to inject; an engine that cannot honour it answers
     /// [`EngineError::Rejected`] before doing any work.
@@ -102,10 +108,11 @@ pub fn reached(levels: &[u32]) -> u64 {
     levels.iter().filter(|&&l| l != UNVISITED).count() as u64
 }
 
-/// What `verify` means to an engine with no certificate machinery: the
-/// Graph500 level check of a finished single-source run (Buluç et al.).
-/// Returns the wall ms it took (0 when `verify` is off), or a `Suspect`
-/// when `levels` is not a BFS of `graph` from `source`.
+/// What `verify` means to an engine with no device to sweep: the level
+/// certificate ([`xbfs_graph::certify_levels`]) of a finished
+/// single-source run. Returns the wall ms it took (0 when `verify` is
+/// off), or a `Suspect` when `levels` is not a BFS of `graph` from
+/// `source`.
 pub fn validate_levels(
     graph: &Csr,
     source: u32,
@@ -116,10 +123,12 @@ pub fn validate_levels(
         return Ok(0.0);
     }
     let started = std::time::Instant::now();
-    xbfs_graph::validate_bfs_levels(graph, source, levels).map_err(|e| EngineError::Suspect {
-        kind: "integrity",
-        msg: format!("result failed Graph500 level validation: {e:?}"),
-    })?;
+    xbfs_graph::certify_levels(graph.offsets(), graph.adjacency(), &[source], &[levels]).map_err(
+        |e| EngineError::Suspect {
+            kind: "integrity",
+            msg: format!("certificate violation: {e}"),
+        },
+    )?;
     Ok(started.elapsed().as_secs_f64() * 1000.0)
 }
 

@@ -16,9 +16,9 @@
 //!   same guarantee for buffers parked between runs.
 //! * **The certificate** ([`certify_run`]) — semantic validation of live
 //!   run output: level histogram bounded by the runner's claims-based
-//!   frontier counters, edge relaxation (`level[v] ≤ level[u] + 1` across
-//!   every edge, no visited→unvisited neighbors), predecessor existence,
-//!   and full parent-tree checks when parents are recorded.
+//!   frontier counters, the one level check every engine shares
+//!   ([`xbfs_graph::certify_levels`]), and full parent-tree checks when
+//!   parents are recorded.
 //!
 //! The injector ([`apply_sabotage`]) deliberately emulates an adversarial
 //! single-event upset *that matters*: it flips bits whose corruption is
@@ -26,14 +26,14 @@
 //! valid alternative parent), so "detected in 100% of injected runs" is a
 //! meaningful property rather than vacuously counting masked flips.
 
-use crate::concurrent::MsBfsRun;
 use crate::device_graph::DeviceGraph;
 use crate::error::XbfsError;
 use crate::state::{is_unvisited, BfsState, UNVISITED};
 use crate::stats::BfsRun;
-use gcd_sim::{fnv1a, fnv1a_mix, on_workers, splitmix64, Device, PoolError};
+use gcd_sim::{splitmix64, Device, PoolError};
 use std::fmt;
 use std::time::Instant;
+use xbfs_graph::{certify_levels, certify_parents, CertViolation, Certificate};
 
 /// How many seeded bit flips to inject into each kind of device state.
 ///
@@ -255,201 +255,6 @@ pub fn apply_sabotage(dev: &Device, g: &DeviceGraph, st: &BfsState, sab: &Sabota
     applied
 }
 
-/// Proof that a run's output passed the certificate validator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Certificate {
-    /// Vertices the run visited.
-    pub visited: u64,
-    /// BFS depth (levels with a non-empty frontier).
-    pub depth: u32,
-    /// FNV-1a digest of the level array (certified-result fingerprint).
-    pub levels_checksum: u64,
-}
-
-/// Why a run's output failed certification.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum CertViolation {
-    /// Output array length does not match the graph.
-    LengthMismatch {
-        /// Expected entries (|V|).
-        expected: usize,
-        /// Entries found.
-        actual: usize,
-    },
-    /// The source vertex is not at level 0.
-    SourceNotLevelZero {
-        /// The run's source.
-        source: u32,
-        /// Its recorded level.
-        level: u32,
-    },
-    /// A visited vertex's level is at or beyond the run's depth.
-    LevelOutOfRange {
-        /// The offending vertex.
-        vertex: u32,
-        /// Its recorded level.
-        level: u32,
-        /// Levels the run reported.
-        depth: usize,
-    },
-    /// A level holds more vertices than the runner's claims-based
-    /// frontier counter for it — the counter over-counts benign duplicate
-    /// claims but can never under-count, so this is always corruption.
-    HistogramMismatch {
-        /// The level.
-        level: u32,
-        /// Vertices the output places there.
-        counted: u64,
-        /// Claims the runner counted there.
-        reported: u64,
-    },
-    /// An edge leads from a visited vertex to an unvisited one — a
-    /// complete BFS cannot leave reachable vertices unreached.
-    UnreachedNeighbor {
-        /// Visited tail of the edge.
-        vertex: u32,
-        /// Unvisited head.
-        neighbor: u32,
-    },
-    /// An edge spans more than one level (`level[to] > level[from] + 1`).
-    LevelSkip {
-        /// Tail of the edge.
-        from: u32,
-        /// Head of the edge.
-        to: u32,
-        /// Tail's level.
-        from_level: u32,
-        /// Head's level.
-        to_level: u32,
-    },
-    /// A visited vertex at level ≥ 1 has no in-neighbor one level up.
-    NoPredecessor {
-        /// The orphaned vertex.
-        vertex: u32,
-        /// Its recorded level.
-        level: u32,
-    },
-    /// An unvisited vertex carries a parent entry.
-    ParentOfUnvisited {
-        /// The offending vertex.
-        vertex: u32,
-    },
-    /// The source's parent entry is not itself.
-    SourceParent {
-        /// The run's source.
-        source: u32,
-        /// Its recorded parent.
-        parent: u32,
-    },
-    /// A parent entry does not name a vertex.
-    ParentOutOfRange {
-        /// The offending vertex.
-        vertex: u32,
-        /// Its recorded parent.
-        parent: u32,
-    },
-    /// `level[v] != level[parent[v]] + 1`.
-    ParentLevel {
-        /// The offending vertex.
-        vertex: u32,
-        /// Its recorded parent.
-        parent: u32,
-        /// The vertex's level.
-        vertex_level: u32,
-        /// The parent's level.
-        parent_level: u32,
-    },
-    /// The recorded parent has no edge to the vertex.
-    ParentNotEdge {
-        /// The offending vertex.
-        vertex: u32,
-        /// Its recorded parent.
-        parent: u32,
-    },
-    /// Traversed-edge count recomputed from the output disagrees with the
-    /// run's reported figure.
-    TraversedEdgesMismatch {
-        /// Recomputed count.
-        counted: u64,
-        /// Reported count.
-        reported: u64,
-    },
-}
-
-impl fmt::Display for CertViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Self::LengthMismatch { expected, actual } => {
-                write!(f, "output has {actual} entries, graph has {expected}")
-            }
-            Self::SourceNotLevelZero { source, level } => {
-                write!(f, "source {source} at level {level}, expected 0")
-            }
-            Self::LevelOutOfRange {
-                vertex,
-                level,
-                depth,
-            } => write!(f, "vertex {vertex} at level {level} beyond depth {depth}"),
-            Self::HistogramMismatch {
-                level,
-                counted,
-                reported,
-            } => write!(
-                f,
-                "level {level} holds {counted} vertices, runner counted {reported}"
-            ),
-            Self::UnreachedNeighbor { vertex, neighbor } => write!(
-                f,
-                "visited vertex {vertex} has unvisited neighbor {neighbor}"
-            ),
-            Self::LevelSkip {
-                from,
-                to,
-                from_level,
-                to_level,
-            } => write!(
-                f,
-                "edge {from}->{to} skips levels ({from_level} -> {to_level})"
-            ),
-            Self::NoPredecessor { vertex, level: 0 } => {
-                write!(f, "vertex {vertex} at level 0 is not the source")
-            }
-            Self::NoPredecessor { vertex, level } => write!(
-                f,
-                "vertex {vertex} at level {level} has no predecessor at level {}",
-                level - 1
-            ),
-            Self::ParentOfUnvisited { vertex } => {
-                write!(f, "unvisited vertex {vertex} has a parent entry")
-            }
-            Self::SourceParent { source, parent } => {
-                write!(f, "source {source} has parent {parent}, expected itself")
-            }
-            Self::ParentOutOfRange { vertex, parent } => {
-                write!(f, "vertex {vertex} has out-of-range parent {parent}")
-            }
-            Self::ParentLevel {
-                vertex,
-                parent,
-                vertex_level,
-                parent_level,
-            } => write!(
-                f,
-                "vertex {vertex} (level {vertex_level}) has parent {parent} \
-                 (level {parent_level}), expected level {}",
-                vertex_level.wrapping_sub(1)
-            ),
-            Self::ParentNotEdge { vertex, parent } => {
-                write!(f, "parent {parent} of vertex {vertex} has no such edge")
-            }
-            Self::TraversedEdgesMismatch { counted, reported } => write!(
-                f,
-                "recomputed {counted} traversed edges, run reported {reported}"
-            ),
-        }
-    }
-}
-
 /// A detected integrity violation, by detector.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IntegrityError {
@@ -530,14 +335,13 @@ pub(crate) fn verified_run<R, C>(
     Ok((out, Some(cert), ran.elapsed().as_secs_f64() * 1000.0))
 }
 
-/// Validate a run's output against the graph in O(|V| + |E|): source at
-/// level 0, per-level histogram bounded by the runner's claims-based
-/// frontier counters (duplicate claims over-count, never under-count),
-/// every edge relaxed (`level[to] ≤ level[from] + 1`, no visited→unvisited
-/// neighbors), every non-source visited vertex owning a predecessor one
-/// level up, the parent tree exact when recorded, and the traversed-edge
-/// count reproducible. Returns a [`Certificate`] carrying the certified
-/// result fingerprint.
+/// Validate a solo run's output against the graph in O(|V| + |E|): the
+/// source at level 0, the per-level histogram bounded by the runner's
+/// claims-based frontier counters (duplicate claims over-count, never
+/// under-count), the levels a BFS ([`certify_levels`], one lane), the
+/// traversed-edge count reproducible, and the parent tree exact when
+/// recorded ([`certify_parents`]). Returns the [`Certificate`]
+/// `certify_levels` gave the levels.
 pub fn certify_run(
     offsets: &[u64],
     adjacency: &[u32],
@@ -566,17 +370,16 @@ pub fn certify_run(
     // claims are all exactly-once). A histogram that exceeds the counter
     // is therefore impossible in a clean run. Equality is not required —
     // status flips that move a vertex between in-range levels are caught
-    // by the NoPredecessor/LevelSkip edge checks below instead (a true
-    // BFS level is 1 + the minimum neighbor level, so a moved vertex
-    // either lacks a predecessor or sits ≥ 2 levels from a neighbor).
+    // by the level check below instead (a true BFS level is 1 + the
+    // minimum in-neighbor level, so a moved vertex either lacks a
+    // predecessor or sits ≥ 2 levels from a neighbor).
     let depth = run.level_stats.len();
     let mut hist = vec![0u64; depth];
-    let mut visited_count = 0u64;
+    let mut traversed = 0u64;
     for (v, &l) in levels.iter().enumerate() {
         if l == UNVISITED {
             continue;
         }
-        visited_count += 1;
         if (l as usize) >= depth {
             return Err(CertViolation::LevelOutOfRange {
                 vertex: v as u32,
@@ -585,6 +388,7 @@ pub fn certify_run(
             });
         }
         hist[l as usize] += 1;
+        traversed += offsets[v + 1] - offsets[v];
     }
     for (l, ls) in run.level_stats.iter().enumerate() {
         if hist[l] > ls.frontier_count {
@@ -596,323 +400,23 @@ pub fn certify_run(
         }
     }
 
-    // One pass over every edge: relaxation, completeness, predecessor
-    // marking, and the traversed-edge recount.
-    let mut has_pred = vec![false; n];
-    has_pred[src] = true;
-    let mut traversed = 0u64;
-    for u in 0..n {
-        let lu = levels[u];
-        if lu == UNVISITED {
-            continue;
-        }
-        let beg = offsets[u] as usize;
-        let end = offsets[u + 1] as usize;
-        traversed += (end - beg) as u64;
-        for &v in &adjacency[beg..end] {
-            let lv = levels[v as usize];
-            if lv == UNVISITED {
-                return Err(CertViolation::UnreachedNeighbor {
-                    vertex: u as u32,
-                    neighbor: v,
-                });
-            }
-            if lv > lu + 1 {
-                return Err(CertViolation::LevelSkip {
-                    from: u as u32,
-                    to: v,
-                    from_level: lu,
-                    to_level: lv,
-                });
-            }
-            if lv == lu + 1 {
-                has_pred[v as usize] = true;
-            }
-        }
-    }
-    for v in 0..n {
-        if levels[v] != UNVISITED && !has_pred[v] {
-            return Err(CertViolation::NoPredecessor {
-                vertex: v as u32,
-                level: levels[v],
-            });
-        }
-    }
+    let mut certs = certify_levels(offsets, adjacency, &[run.source], &[levels])?;
     if traversed != run.traversed_edges {
         return Err(CertViolation::TraversedEdgesMismatch {
             counted: traversed,
             reported: run.traversed_edges,
         });
     }
-
-    // Parent tree, when recorded.
     if let Some(parents) = &run.parents {
-        if parents.len() != n {
-            return Err(CertViolation::LengthMismatch {
-                expected: n,
-                actual: parents.len(),
-            });
-        }
-        for (v, (&p, &lv)) in parents.iter().zip(levels).enumerate() {
-            if lv == UNVISITED {
-                if p != UNVISITED {
-                    return Err(CertViolation::ParentOfUnvisited { vertex: v as u32 });
-                }
-                continue;
-            }
-            if v == src {
-                if p as usize != src {
-                    return Err(CertViolation::SourceParent {
-                        source: run.source,
-                        parent: p,
-                    });
-                }
-                continue;
-            }
-            if p as usize >= n {
-                return Err(CertViolation::ParentOutOfRange {
-                    vertex: v as u32,
-                    parent: p,
-                });
-            }
-            let lp = levels[p as usize];
-            if lp == UNVISITED || lp + 1 != lv {
-                return Err(CertViolation::ParentLevel {
-                    vertex: v as u32,
-                    parent: p,
-                    vertex_level: lv,
-                    parent_level: lp,
-                });
-            }
-            let beg = offsets[p as usize] as usize;
-            let end = offsets[p as usize + 1] as usize;
-            if !adjacency[beg..end].contains(&(v as u32)) {
-                return Err(CertViolation::ParentNotEdge {
-                    vertex: v as u32,
-                    parent: p,
-                });
-            }
-        }
+        certify_parents(offsets, adjacency, run.source, levels, parents)?;
     }
-
-    Ok(Certificate {
-        visited: visited_count,
-        depth: depth as u32,
-        levels_checksum: fnv1a(levels.iter().map(|&l| u64::from(l))),
-    })
-}
-
-/// Slots [`certify_ms_run`] validates per sweep of the edge list, and so
-/// the width of its rows. Eight `u32`s are one 32-byte vector; 16 sweeps
-/// the edges half as often, doubles the scratch, and measured no faster.
-const CERT_BLOCK: usize = 8;
-
-/// One vertex's levels, or lowest in-neighbour levels, in a block of slots.
-type CertRow = [u32; CERT_BLOCK];
-
-/// Validate a multi-source batch's output against the graph: level-edge
-/// consistency for **every slot**. Per slot this is the sourced subset of
-/// [`certify_run`] — source at level 0 (and nothing else at level 0),
-/// every edge relaxed (`level[to] ≤ level[from] + 1`, no
-/// visited→unvisited neighbors), and every visited non-source vertex
-/// owning a predecessor one level up.
-///
-/// Formulation: slots are taken [`CERT_BLOCK`] at a time, a vertex's
-/// levels in the block forming one row. One sweep over the edges keeps
-/// `lowest[v] = min(level[u])` over `v`'s in-neighbours `u` as a row-wise
-/// `min` (`UNVISITED` is `u32::MAX`, the identity), then one pass over the
-/// vertices checks each non-source entry against it: visited ⇒
-/// `level ≠ 0 ∧ lowest = level − 1`, unvisited ⇒ `lowest = UNVISITED`.
-/// That accepts exactly what the three edge checks accept — with every
-/// visited in-neighbour at `lowest` or above, "none skips a level" is
-/// `level ≤ lowest + 1`, and "one sits a level up" then forces
-/// `lowest + 1 = level`; an unvisited vertex passes iff no in-neighbour is
-/// visited. Only a failing entry is walked edge by edge, to name the
-/// violation; which of several violations gets named is unspecified.
-///
-/// Cost for a `W`-wide batch: `2·|V|·W` level loads plus `|E|·⌈W/8⌉` row
-/// operations, the blocks spread over one worker per core, each on its own
-/// `|V|` rows (`32·|V|` bytes) whatever the width.
-///
-/// Returns one [`Certificate`] per slot: `visited`, `depth` (deepest
-/// level) and, as `levels_checksum`, the slot's
-/// [`MsBfsRun::result_digest`] — the same levels-only fingerprint a solo
-/// run of that source would answer with, which is what lets batched
-/// serving prove response equivalence and answer from the certificate.
-pub fn certify_ms_run(
-    offsets: &[u64],
-    adjacency: &[u32],
-    run: &MsBfsRun,
-) -> Result<Vec<Certificate>, CertViolation> {
-    let n = offsets.len().saturating_sub(1);
-    if run.levels.len() != run.sources.len() {
-        return Err(CertViolation::LengthMismatch {
-            expected: run.sources.len(),
-            actual: run.levels.len(),
-        });
-    }
-    for (levels, &source) in run.levels.iter().zip(&run.sources) {
-        if levels.len() != n {
-            return Err(CertViolation::LengthMismatch {
-                expected: n,
-                actual: levels.len(),
-            });
-        }
-        let src = source as usize;
-        if src >= n || levels[src] != 0 {
-            return Err(CertViolation::SourceNotLevelZero {
-                source,
-                level: levels.get(src).copied().unwrap_or(UNVISITED),
-            });
-        }
-    }
-
-    certify_blocks(crate::cores(), offsets, adjacency, run)
-}
-
-/// [`certify_ms_run`]'s block loop on `workers` workers, each with its own
-/// `lowest` rows. Blocks are answered in block order whatever the worker
-/// count, so a failing batch names its lowest failing block's violation.
-/// Public only as a seam for the worker-count test.
-#[doc(hidden)]
-pub fn certify_blocks(
-    workers: usize,
-    offsets: &[u64],
-    adjacency: &[u32],
-    run: &MsBfsRun,
-) -> Result<Vec<Certificate>, CertViolation> {
-    let n = offsets.len().saturating_sub(1);
-    let blocks: Vec<_> = (run.levels.chunks(CERT_BLOCK))
-        .zip(run.sources.chunks(CERT_BLOCK))
-        .collect();
-    let mut rows = vec![Vec::new(); workers.max(1)];
-    let answers = on_workers(&mut rows, blocks.len(), |lowest, ids| {
-        lowest.resize(n, [UNVISITED; CERT_BLOCK]);
-        let answer = |b: usize| (b, certify_block(offsets, adjacency, blocks[b], lowest));
-        ids.map(answer).collect::<Vec<_>>()
-    });
-    let mut answers: Vec<_> = answers.into_iter().flatten().collect();
-    answers.sort_unstable_by_key(|&(b, _)| b);
-    let certs: Vec<Vec<Certificate>> = answers
-        .into_iter()
-        .map(|(_, a)| a)
-        .collect::<Result<_, _>>()?;
-    Ok(certs.concat())
-}
-
-/// Certify one block of slots (at most [`CERT_BLOCK`]) in `lowest`, one
-/// row per vertex, whatever an earlier block left there.
-fn certify_block(
-    offsets: &[u64],
-    adjacency: &[u32],
-    (block, sources): (&[Vec<u32>], &[u32]),
-    lowest: &mut [CertRow],
-) -> Result<Vec<Certificate>, CertViolation> {
-    lowest.fill([UNVISITED; CERT_BLOCK]);
-    for u in 0..lowest.len() {
-        let from = cert_row(block, u);
-        for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
-            for (low, l) in lowest[v as usize].iter_mut().zip(from) {
-                *low = (*low).min(l);
-            }
-        }
-    }
-
-    let mut visited = [0u64; CERT_BLOCK];
-    let mut depth = [0u32; CERT_BLOCK];
-    let mut digest = [0u64; CERT_BLOCK];
-    for (h, &source) in digest.iter_mut().zip(sources) {
-        *h = fnv1a([u64::from(source)]);
-    }
-    for (v, low) in lowest.iter().enumerate() {
-        let row = cert_row(block, v);
-        let mut suspect = false;
-        for lane in 0..CERT_BLOCK {
-            let l = row[lane];
-            let seen = l != UNVISITED;
-            visited[lane] += u64::from(seen);
-            depth[lane] = depth[lane].max(if seen { l } else { 0 });
-            digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
-            suspect |= !entry_consistent(l, low[lane]);
-        }
-        // A source sits at level 0 by right; anything else the row
-        // check flagged is a violation.
-        if suspect {
-            for (lane, &source) in sources.iter().enumerate() {
-                if v != source as usize && !entry_consistent(row[lane], low[lane]) {
-                    return Err(name_violation(offsets, adjacency, &block[lane], v));
-                }
-            }
-        }
-    }
-    Ok((0..block.len())
-        .map(|lane| Certificate {
-            visited: visited[lane],
-            depth: depth[lane],
-            levels_checksum: digest[lane],
-        })
-        .collect())
-}
-
-/// Vertex `v`'s levels in a block of slots, one lane per slot. Lanes past
-/// a short last block read `UNVISITED` at every vertex: no level, no
-/// in-neighbour, nothing to check.
-#[inline]
-fn cert_row(block: &[Vec<u32>], v: usize) -> CertRow {
-    let mut row = [UNVISITED; CERT_BLOCK];
-    for (l, levels) in row.iter_mut().zip(block) {
-        *l = levels[v];
-    }
-    row
-}
-
-/// Whether a non-source vertex's `level` agrees with `lowest`, the lowest
-/// level among its in-neighbours (`UNVISITED` when none is visited).
-#[inline]
-fn entry_consistent(level: u32, lowest: u32) -> bool {
-    let want = if level == UNVISITED {
-        UNVISITED
-    } else {
-        level.wrapping_sub(1)
-    };
-    level != 0 && lowest == want
-}
-
-/// Name the violation at `v`, an entry of one slot's `levels` that failed
-/// [`entry_consistent`]: walk the edges into `v` for a visited tail that
-/// `v` is unreached from or skips a level past; with neither, `v` has no
-/// predecessor one level up.
-fn name_violation(offsets: &[u64], adjacency: &[u32], levels: &[u32], v: usize) -> CertViolation {
-    let lv = levels[v];
-    for (u, &lu) in levels.iter().enumerate() {
-        let out = &adjacency[offsets[u] as usize..offsets[u + 1] as usize];
-        if lu == UNVISITED || !out.contains(&(v as u32)) {
-            continue;
-        }
-        if lv == UNVISITED {
-            return CertViolation::UnreachedNeighbor {
-                vertex: u as u32,
-                neighbor: v as u32,
-            };
-        }
-        if lv > lu + 1 {
-            return CertViolation::LevelSkip {
-                from: u as u32,
-                to: v as u32,
-                from_level: lu,
-                to_level: lv,
-            };
-        }
-    }
-    CertViolation::NoPredecessor {
-        vertex: v as u32,
-        level: lv,
-    }
+    Ok(certs.remove(0))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::concurrent::MsBfsRun;
     use crate::config::XbfsConfig;
     use crate::runner::Xbfs;
     use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
@@ -933,7 +437,7 @@ mod tests {
     fn clean_run_certifies() {
         let (off, adj, run) = sample_run();
         let cert = certify_run(&off, &adj, &run).expect("clean run must certify");
-        assert_eq!(cert.depth as usize, run.level_stats.len());
+        assert_eq!(cert.depth as usize + 1, run.level_stats.len());
         assert_eq!(
             cert.visited,
             run.levels.iter().filter(|&&l| l != UNVISITED).count() as u64
@@ -1021,11 +525,12 @@ mod tests {
         let (off, adj, mut run) = sample_ms_run();
         run.sources = vec![run.sources[0]; 65];
         run.levels = vec![run.levels[0].clone(); 65];
-        let certs = certify_ms_run(&off, &adj, &run).expect("65 slots certify");
+        let certs =
+            certify_levels(&off, &adj, &run.sources, &run.levels).expect("65 slots certify");
         assert!(certs.len() == 65 && certs.iter().all(|c| *c == certs[0]));
         // A slot without levels (or levels without a slot) is malformed.
         run.levels.pop();
-        let err = certify_ms_run(&off, &adj, &run).unwrap_err();
+        let err = certify_levels(&off, &adj, &run.sources, &run.levels).unwrap_err();
         let want = CertViolation::LengthMismatch {
             expected: 65,
             actual: 64,

@@ -55,15 +55,13 @@ pub use device_graph::DeviceGraph;
 pub use efficiency::{bandwidth_efficiency, Efficiency};
 pub use engine::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 pub use error::XbfsError;
-pub use integrity::{
-    apply_sabotage, certify_ms_run, certify_run, BitflipPlan, CertViolation, Certificate,
-    IntegrityError, Sabotage,
-};
+pub use integrity::{apply_sabotage, certify_run, BitflipPlan, IntegrityError, Sabotage};
 pub use runner::Xbfs;
 pub use state::{decode_level, is_unvisited, BfsState, BinThresholds, QueueState, UNVISITED};
-pub use stats::{levels_digest, BfsRun, LevelStats};
+pub use stats::{BfsRun, LevelStats};
 pub use strategy::Strategy;
 pub use tuner::{tune_alpha, TuneResult};
+pub use xbfs_graph::validate::{levels_digest, CertViolation, Certificate};
 
 /// Lock an engine's run context, taking it back from a poisoned mutex: a
 /// quarantined engine's `Drop` must still park its buffers after a panic

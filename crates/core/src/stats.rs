@@ -4,6 +4,7 @@
 use crate::engine::{reached, SlotAnswer};
 use crate::strategy::Strategy;
 use gcd_sim::{fnv1a, KernelReport};
+use xbfs_graph::levels_digest;
 
 /// What happened at one BFS level.
 #[derive(Debug, Clone)]
@@ -67,20 +68,6 @@ pub struct BfsRun {
     pub init_end_us: f64,
 }
 
-/// FNV-1a digest over a source vertex and a per-vertex level array —
-/// the backend-independent part of a BFS result. Two runs with equal
-/// digests found the same levels from the same source, regardless of
-/// which engine (single-GCD, pooled, or partitioned cluster) produced
-/// them or how long it took; this is the value cross-backend
-/// bit-identity checks compare.
-pub fn levels_digest(source: u32, levels: &[u32]) -> u64 {
-    fnv1a(
-        std::iter::once(source)
-            .chain(levels.iter().copied())
-            .map(u64::from),
-    )
-}
-
 impl BfsRun {
     /// BFS depth (number of levels with a non-empty frontier).
     pub fn depth(&self) -> usize {
@@ -103,15 +90,9 @@ impl BfsRun {
     /// checks in the sweep supervisor and the serve protocol both quote
     /// this value.
     pub fn digest(&self) -> u64 {
-        fn mix(acc: u64, v: u64) -> u64 {
-            (acc ^ v).wrapping_mul(0x0000_0100_0000_01b3)
-        }
-        let mut h = mix(0xcbf2_9ce4_8422_2325, u64::from(self.source));
-        h = mix(h, self.total_ms.to_bits());
-        for &l in &self.levels {
-            h = mix(h, u64::from(l));
-        }
-        h
+        let head = [u64::from(self.source), self.total_ms.to_bits()];
+        let levels = self.levels.iter().map(|&l| u64::from(l));
+        fnv1a(head.into_iter().chain(levels))
     }
 
     /// Backend-independent result digest: [`levels_digest`] over this

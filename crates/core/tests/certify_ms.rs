@@ -1,4 +1,4 @@
-//! `certify_ms_run` against the model it replaced.
+//! `certify_levels` against the model it replaced.
 //!
 //! The batched certificate validates eight slots at a time on
 //! vertex-major rows (see its doc comment). What it must accept and
@@ -11,15 +11,13 @@
 //! the class is compared.
 
 use gcd_sim::splitmix64;
-use xbfs_core::{
-    certify_ms_run, levels_digest, CertViolation, Certificate, MsBfsRun, MAX_CONCURRENT, UNVISITED,
-};
+use xbfs_core::{levels_digest, CertViolation, Certificate, MsBfsRun, MAX_CONCURRENT, UNVISITED};
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
 use xbfs_graph::reference::bfs_levels_serial;
-use xbfs_graph::Csr;
+use xbfs_graph::{certify_levels, Csr};
 
-/// The per-(edge, slot) certificate, as `xbfs_core::certify_ms_run` was
+/// The per-(edge, slot) certificate, as the batched certificate was
 /// written until the row formulation: one pass over every edge with `2·W`
 /// scalar loads each, predecessor marks in a 64-bit mask per vertex.
 fn certify_ms_reference(
@@ -120,7 +118,7 @@ fn is_edge_kind(v: &CertViolation) -> bool {
 /// Run both certificates over `run` and hold them to the contract in the
 /// module docs. Returns whether they accepted.
 fn agree(g: &Csr, run: &MsBfsRun, case: &str) -> bool {
-    let new = certify_ms_run(g.offsets(), g.adjacency(), run);
+    let new = certify_levels(g.offsets(), g.adjacency(), &run.sources, &run.levels);
     let reference = certify_ms_reference(g.offsets(), g.adjacency(), run);
     match (&new, &reference) {
         (Ok(a), Ok(b)) => assert_eq!(a, b, "{case}: certificates differ"),
@@ -283,7 +281,7 @@ fn a_path_deeper_than_any_narrowed_level_certifies() {
         BuildOptions::default(),
     );
     let mut run = clean_run(&g, &[0, n - 1]);
-    let certs = certify_ms_run(g.offsets(), g.adjacency(), &run).unwrap();
+    let certs = certify_levels(g.offsets(), g.adjacency(), &run.sources, &run.levels).unwrap();
     assert!(agree(&g, &run, "path"));
     assert_eq!(
         (certs[0].depth, certs[0].visited),
@@ -309,7 +307,8 @@ fn star_isolated_source_and_two_components_certify() {
     // A star: hub 0, leaves 1..=40; from the hub and from a leaf.
     let star = csr(41, (1..=40).map(|v| (0, v)), BuildOptions::default());
     let mut run = clean_run(&star, &[0, 17]);
-    let certs = certify_ms_run(star.offsets(), star.adjacency(), &run).unwrap();
+    let certs =
+        certify_levels(star.offsets(), star.adjacency(), &run.sources, &run.levels).unwrap();
     assert!(agree(&star, &run, "star"));
     assert_eq!((certs[0].depth, certs[1].depth), (1, 2));
     assert_eq!((certs[0].visited, certs[1].visited), (41, 41));
@@ -320,7 +319,7 @@ fn star_isolated_source_and_two_components_certify() {
     let edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)];
     let g = csr(7, edges, BuildOptions::default());
     let mut run = clean_run(&g, &[6, 0, 4, 6]);
-    let certs = certify_ms_run(g.offsets(), g.adjacency(), &run).unwrap();
+    let certs = certify_levels(g.offsets(), g.adjacency(), &run.sources, &run.levels).unwrap();
     assert!(agree(&g, &run, "components"));
     assert_eq!(
         certs.iter().map(|c| c.visited).collect::<Vec<_>>(),

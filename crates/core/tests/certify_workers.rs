@@ -3,12 +3,12 @@
 //! certificates, and a corrupted one must name the same violation: the
 //! lowest failing block's, as the serial block loop did.
 
-use xbfs_core::integrity::certify_blocks;
-use xbfs_core::{certify_ms_run, CertViolation, MsBfsRun, MAX_CONCURRENT, UNVISITED};
+use xbfs_core::{CertViolation, MsBfsRun, MAX_CONCURRENT, UNVISITED};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::reference::bfs_levels_serial;
 use xbfs_graph::stats::pick_sources;
-use xbfs_graph::Csr;
+use xbfs_graph::validate::{certify_blocks, CERT_BLOCK};
+use xbfs_graph::{certify_levels, Csr};
 
 /// A clean 64-wide batch on an R-MAT graph, answered by the serial BFS:
 /// eight blocks of slots.
@@ -55,7 +55,8 @@ fn recorded_violations() -> [(&'static [usize], CertViolation); 3] {
 fn planted_violations_name_what_the_serial_loop_named() {
     let (g, run) = wide_batch();
     for (slots, want) in recorded_violations() {
-        let got = certify_ms_run(g.offsets(), g.adjacency(), &planted(&run, slots));
+        let run = planted(&run, slots);
+        let got = certify_levels(g.offsets(), g.adjacency(), &run.sources, &run.levels);
         assert_eq!(got, Err(want), "planted in slots {slots:?}");
     }
 }
@@ -64,13 +65,15 @@ fn planted_violations_name_what_the_serial_loop_named() {
 fn the_certificate_ignores_the_worker_count() {
     let (g, run) = wide_batch();
     let (off, adj) = (g.offsets(), g.adjacency());
-    let certs = certify_ms_run(off, adj, &run).expect("a clean batch certifies");
+    let certs =
+        certify_levels(off, adj, &run.sources, &run.levels).expect("a clean batch certifies");
     assert_eq!(certs.len(), MAX_CONCURRENT);
     for workers in [1, 2, 3, 7] {
-        let got = certify_blocks(workers, off, adj, &run);
+        let got = certify_blocks::<CERT_BLOCK, _>(workers, off, adj, &run.sources, &run.levels);
         assert_eq!(got.as_ref(), Ok(&certs), "{workers} workers");
         for (slots, want) in recorded_violations() {
-            let got = certify_blocks(workers, off, adj, &planted(&run, slots));
+            let run = planted(&run, slots);
+            let got = certify_blocks::<CERT_BLOCK, _>(workers, off, adj, &run.sources, &run.levels);
             assert_eq!(got, Err(want), "{workers} workers, slots {slots:?}");
         }
     }

@@ -85,8 +85,8 @@ fn mega_hub_exact_on_warp32_and_with_parents() {
     );
     let run = Xbfs::new(&dev, &g, cfg).unwrap().run(17).unwrap();
     assert_eq!(run.levels, bfs_levels_serial(&g, 17));
-    let parents = run.parents.unwrap();
-    xbfs_graph::validate_bfs_tree(&g, 17, &parents).expect("invalid tree");
+    assert!(run.parents.is_some());
+    xbfs_core::certify_run(g.offsets(), g.adjacency(), &run).expect("invalid tree");
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! * the degree-aware neighbor re-arrangement of §IV-B,
 //! * plain-text and binary edge-list IO,
 //! * two CPU reference BFS (queue and level-synchronous) used as ground truth, and
-//! * a Graph500-style BFS-tree validator.
+//! * the BFS certificate every engine's result is checked by.
 
 pub mod builder;
 pub mod csr;
@@ -32,7 +32,7 @@ pub use csr::{Csr, VertexId};
 pub use datasets::{Dataset, DatasetSpec};
 pub use rearrange::{rearrange_by_degree, RearrangeOrder};
 pub use reference::{bfs_levels_frontier, bfs_levels_serial, bfs_parents_serial};
-pub use validate::{validate_bfs_levels, validate_bfs_tree, ValidationError};
+pub use validate::{certify_levels, certify_parents, levels_digest, CertViolation, Certificate};
 
 /// Sentinel level / parent meaning "not visited".
 pub const UNVISITED: u32 = u32::MAX;

@@ -1,168 +1,491 @@
-//! Graph500-style BFS output validation.
+//! The BFS certificate: one check that a level array is the breadth-first
+//! answer from its source, for one source or a batch of them, and the
+//! parent-tree check beside it.
 //!
-//! The Graph500 specification validates a BFS run with five checks; we
-//! implement the ones applicable to a shared-memory parent array:
+//! Graph500 validation (Buluç et al.) restated for levels: take a level
+//! array with the source at level 0 and nothing else there. If no edge
+//! leads from a visited vertex to an unvisited one, no edge skips a level
+//! (`level[to] ≤ level[from] + 1`), and every other visited vertex has an
+//! in-neighbour one level up, it is the BFS answer — so [`certify_levels`]
+//! is the whole level check, for every engine.
 //!
-//! 1. the parent array spans exactly the component containing the source,
-//! 2. the source is its own parent,
-//! 3. every tree edge `(parent[v], v)` exists in the graph,
-//! 4. levels implied by the tree differ by exactly one along tree edges, and
-//! 5. every graph edge spans at most one level (no "level skipping").
+//! Formulation: sources are taken up to [`CERT_BLOCK`] at a time, a
+//! vertex's levels in the block forming one row (one lane when there is a
+//! single source). One sweep over the edges keeps `lowest[v] = min(level[u])`
+//! over `v`'s in-neighbours `u` as a row-wise `min` (`UNVISITED` is
+//! `u32::MAX`, the identity), then one pass over the vertices checks each
+//! non-source entry against it: visited ⇒ `level ≠ 0 ∧ lowest = level − 1`,
+//! unvisited ⇒ `lowest = UNVISITED`. That accepts exactly what the three
+//! edge checks accept — with every visited in-neighbour at `lowest` or
+//! above, "none skips a level" is `level ≤ lowest + 1`, and "one sits a
+//! level up" then forces `lowest + 1 = level`; an unvisited vertex passes
+//! iff no in-neighbour is visited. Only a failing entry is walked edge by
+//! edge, to name the violation; which of several violations gets named is
+//! unspecified.
+//!
+//! Cost for `S` sources: `2·|V|·S` level loads plus `|E|·⌈S/8⌉` row
+//! operations, the blocks spread over one worker per core, each on its own
+//! `|V|` rows: `32·|V|` bytes, or `4·|V|` for a single source.
 
-use crate::csr::{Csr, VertexId};
+use crate::builder::workers;
 use crate::UNVISITED;
+use gcd_sim::{fnv1a, fnv1a_mix, on_workers};
+use std::fmt;
 
-/// Why a BFS tree failed validation.
+/// Proof that a BFS answer passed the certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ValidationError {
-    /// The source index exceeds the vertex count.
-    SourceOutOfRange,
-    /// `parent[source] != source`.
-    SourceNotRoot,
-    /// A vertex is marked visited but its tree path does not reach the source.
-    BrokenPath(VertexId),
-    /// `(parent[v], v)` is not an edge of the graph.
-    PhantomTreeEdge {
-        /// The vertex whose parent pointer is invalid.
-        child: VertexId,
-        /// The claimed (non-adjacent) parent.
-        parent: VertexId,
+pub struct Certificate {
+    /// Vertices the run visited.
+    pub visited: u64,
+    /// The deepest level reached (0 for a source that reaches nothing).
+    pub depth: u32,
+    /// [`levels_digest`] of the certified source and levels.
+    pub levels_checksum: u64,
+}
+
+/// Why a run's output failed certification.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CertViolation {
+    /// Output array length does not match the graph.
+    LengthMismatch {
+        /// Expected entries (|V|).
+        expected: usize,
+        /// Entries found.
+        actual: usize,
     },
-    /// A graph edge connects levels more than 1 apart.
+    /// The source vertex is not at level 0.
+    SourceNotLevelZero {
+        /// The run's source.
+        source: u32,
+        /// Its recorded level.
+        level: u32,
+    },
+    /// A visited vertex's level is at or beyond the run's depth.
+    LevelOutOfRange {
+        /// The offending vertex.
+        vertex: u32,
+        /// Its recorded level.
+        level: u32,
+        /// Levels the run reported.
+        depth: usize,
+    },
+    /// A level holds more vertices than the runner's claims-based
+    /// frontier counter for it — the counter over-counts benign duplicate
+    /// claims but can never under-count, so this is always corruption.
+    HistogramMismatch {
+        /// The level.
+        level: u32,
+        /// Vertices the output places there.
+        counted: u64,
+        /// Claims the runner counted there.
+        reported: u64,
+    },
+    /// An edge leads from a visited vertex to an unvisited one — a
+    /// complete BFS cannot leave reachable vertices unreached.
+    UnreachedNeighbor {
+        /// Visited tail of the edge.
+        vertex: u32,
+        /// Unvisited head.
+        neighbor: u32,
+    },
+    /// An edge spans more than one level (`level[to] > level[from] + 1`).
     LevelSkip {
-        /// One endpoint of the offending edge.
-        u: VertexId,
-        /// The other endpoint.
-        v: VertexId,
-        /// Derived level of `u`.
-        lu: u32,
-        /// Derived level of `v`.
-        lv: u32,
+        /// Tail of the edge.
+        from: u32,
+        /// Head of the edge.
+        to: u32,
+        /// Tail's level.
+        from_level: u32,
+        /// Head's level.
+        to_level: u32,
     },
-    /// A vertex adjacent to a visited vertex was left unvisited.
-    MissedVertex(VertexId),
-    /// Wrong array length.
-    LengthMismatch,
+    /// A visited vertex at level ≥ 1 has no in-neighbor one level up.
+    NoPredecessor {
+        /// The orphaned vertex.
+        vertex: u32,
+        /// Its recorded level.
+        level: u32,
+    },
+    /// An unvisited vertex carries a parent entry.
+    ParentOfUnvisited {
+        /// The offending vertex.
+        vertex: u32,
+    },
+    /// The source's parent entry is not itself.
+    SourceParent {
+        /// The run's source.
+        source: u32,
+        /// Its recorded parent.
+        parent: u32,
+    },
+    /// A parent entry does not name a vertex.
+    ParentOutOfRange {
+        /// The offending vertex.
+        vertex: u32,
+        /// Its recorded parent.
+        parent: u32,
+    },
+    /// `level[v] != level[parent[v]] + 1`.
+    ParentLevel {
+        /// The offending vertex.
+        vertex: u32,
+        /// Its recorded parent.
+        parent: u32,
+        /// The vertex's level.
+        vertex_level: u32,
+        /// The parent's level.
+        parent_level: u32,
+    },
+    /// The recorded parent has no edge to the vertex.
+    ParentNotEdge {
+        /// The offending vertex.
+        vertex: u32,
+        /// Its recorded parent.
+        parent: u32,
+    },
+    /// Traversed-edge count recomputed from the output disagrees with the
+    /// run's reported figure.
+    TraversedEdgesMismatch {
+        /// Recomputed count.
+        counted: u64,
+        /// Reported count.
+        reported: u64,
+    },
 }
 
-/// Validate a parent array against the graph.
-///
-/// Returns the per-vertex levels derived from the tree on success.
-pub fn validate_bfs_tree(
-    g: &Csr,
-    source: VertexId,
-    parents: &[u32],
-) -> Result<Vec<u32>, ValidationError> {
-    let n = g.num_vertices();
-    if (source as usize) >= n {
-        return Err(ValidationError::SourceOutOfRange);
-    }
-    if parents.len() != n {
-        return Err(ValidationError::LengthMismatch);
-    }
-    if parents[source as usize] != source {
-        return Err(ValidationError::SourceNotRoot);
-    }
-
-    // Derive levels by chasing parents with path memoization.
-    let mut levels = vec![UNVISITED; n];
-    levels[source as usize] = 0;
-    let mut path: Vec<VertexId> = Vec::new();
-    for v0 in 0..n as VertexId {
-        if parents[v0 as usize] == UNVISITED || levels[v0 as usize] != UNVISITED {
-            continue;
+impl fmt::Display for CertViolation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Self::LengthMismatch { expected, actual } => {
+                write!(f, "output has {actual} entries, graph has {expected}")
+            }
+            Self::SourceNotLevelZero { source, level } => {
+                write!(f, "source {source} at level {level}, expected 0")
+            }
+            Self::LevelOutOfRange {
+                vertex,
+                level,
+                depth,
+            } => write!(f, "vertex {vertex} at level {level} beyond depth {depth}"),
+            Self::HistogramMismatch {
+                level,
+                counted,
+                reported,
+            } => write!(
+                f,
+                "level {level} holds {counted} vertices, runner counted {reported}"
+            ),
+            Self::UnreachedNeighbor { vertex, neighbor } => write!(
+                f,
+                "visited vertex {vertex} has unvisited neighbor {neighbor}"
+            ),
+            Self::LevelSkip {
+                from,
+                to,
+                from_level,
+                to_level,
+            } => write!(
+                f,
+                "edge {from}->{to} skips levels ({from_level} -> {to_level})"
+            ),
+            Self::NoPredecessor { vertex, level: 0 } => {
+                write!(f, "vertex {vertex} at level 0 is not the source")
+            }
+            Self::NoPredecessor { vertex, level } => write!(
+                f,
+                "vertex {vertex} at level {level} has no predecessor at level {}",
+                level - 1
+            ),
+            Self::ParentOfUnvisited { vertex } => {
+                write!(f, "unvisited vertex {vertex} has a parent entry")
+            }
+            Self::SourceParent { source, parent } => {
+                write!(f, "source {source} has parent {parent}, expected itself")
+            }
+            Self::ParentOutOfRange { vertex, parent } => {
+                write!(f, "vertex {vertex} has out-of-range parent {parent}")
+            }
+            Self::ParentLevel {
+                vertex,
+                parent,
+                vertex_level,
+                parent_level,
+            } => write!(
+                f,
+                "vertex {vertex} (level {vertex_level}) has parent {parent} \
+                 (level {parent_level}), expected level {}",
+                vertex_level.wrapping_sub(1)
+            ),
+            Self::ParentNotEdge { vertex, parent } => {
+                write!(f, "parent {parent} of vertex {vertex} has no such edge")
+            }
+            Self::TraversedEdgesMismatch { counted, reported } => write!(
+                f,
+                "recomputed {counted} traversed edges, run reported {reported}"
+            ),
         }
-        path.clear();
-        let mut v = v0;
-        loop {
-            if levels[v as usize] != UNVISITED {
-                break;
-            }
-            path.push(v);
-            if path.len() > n {
-                return Err(ValidationError::BrokenPath(v0));
-            }
-            let p = parents[v as usize];
-            if p == UNVISITED {
-                return Err(ValidationError::BrokenPath(v0));
-            }
-            // Tree edge must exist in the graph.
-            if !g.neighbors(v).contains(&p) {
-                return Err(ValidationError::PhantomTreeEdge {
-                    child: v,
-                    parent: p,
-                });
-            }
-            v = p;
-        }
-        let mut level = levels[v as usize];
-        for &u in path.iter().rev() {
-            level += 1;
-            levels[u as usize] = level;
-        }
     }
-
-    check_edges(g, &levels)?;
-    Ok(levels)
 }
 
-/// Validate a per-vertex *level* array against the graph (the distributed
-/// engine reports levels, not parents).
-///
-/// Graph500's checks restated for levels: the source is at level 0 and is
-/// the only level-0 vertex, every graph edge spans at most one level, every
-/// visited non-source vertex has a neighbor exactly one level closer to the
-/// source (so a shortest path exists), and no vertex adjacent to a visited
-/// vertex is left unvisited.
-pub fn validate_bfs_levels(
-    g: &Csr,
-    source: VertexId,
-    levels: &[u32],
-) -> Result<(), ValidationError> {
-    let n = g.num_vertices();
-    if (source as usize) >= n {
-        return Err(ValidationError::SourceOutOfRange);
-    }
-    if levels.len() != n {
-        return Err(ValidationError::LengthMismatch);
-    }
-    if levels[source as usize] != 0 {
-        return Err(ValidationError::SourceNotRoot);
-    }
-    for v in 0..n as VertexId {
-        let lv = levels[v as usize];
-        if lv == 0 && v != source {
-            return Err(ValidationError::SourceNotRoot);
-        }
-        if lv == UNVISITED || v == source {
-            continue;
-        }
-        // A visited vertex needs a neighbor one level up: the witness that a
-        // BFS tree (and thus a shortest path to the source) exists.
-        if !g.neighbors(v).iter().any(|&u| levels[u as usize] == lv - 1) {
-            return Err(ValidationError::BrokenPath(v));
-        }
-    }
-    check_edges(g, levels)
+/// FNV-1a digest over a source vertex and a per-vertex level array —
+/// the backend-independent part of a BFS result. Two runs with equal
+/// digests found the same levels from the same source, regardless of
+/// which engine (single-GCD, pooled, or partitioned cluster) produced
+/// them or how long it took; this is the value cross-backend
+/// bit-identity checks compare.
+pub fn levels_digest(source: u32, levels: &[u32]) -> u64 {
+    fnv1a(
+        std::iter::once(source)
+            .chain(levels.iter().copied())
+            .map(u64::from),
+    )
 }
 
-/// Every graph edge spans at most one level, and no visited vertex has an
-/// unvisited neighbor (that neighbor was missed).
-fn check_edges(g: &Csr, levels: &[u32]) -> Result<(), ValidationError> {
-    for (u, nbrs) in g.iter_rows() {
-        let lu = levels[u as usize];
-        for &v in nbrs {
-            let lv = levels[v as usize];
-            match (lu, lv) {
-                (UNVISITED, UNVISITED) => {}
-                (UNVISITED, _) => return Err(ValidationError::MissedVertex(u)),
-                (_, UNVISITED) => return Err(ValidationError::MissedVertex(v)),
-                (lu, lv) => {
-                    if lu.abs_diff(lv) > 1 {
-                        return Err(ValidationError::LevelSkip { u, v, lu, lv });
-                    }
+/// Sources [`certify_levels`] validates per sweep of the edge list when
+/// there are several, and so the width of its rows. Eight `u32`s are one
+/// 32-byte vector; 16 sweeps the edges half as often, doubles the
+/// scratch, and measured no faster.
+pub const CERT_BLOCK: usize = 8;
+
+/// Certify that `rows[i]` is the BFS levels of the graph `(offsets,
+/// adjacency)` from `sources[i]`, for every `i` (see the module docs).
+/// A single row is checked one lane wide, several [`CERT_BLOCK`] lanes
+/// wide. Returns one [`Certificate`] per source: `visited`, `depth`
+/// (deepest level) and, as `levels_checksum`, the source's
+/// [`levels_digest`] — the fingerprint every engine answers with for the
+/// same levels.
+pub fn certify_levels<L: AsRef<[u32]> + Sync>(
+    offsets: &[u64],
+    adjacency: &[u32],
+    sources: &[u32],
+    rows: &[L],
+) -> Result<Vec<Certificate>, CertViolation> {
+    let n = offsets.len().saturating_sub(1);
+    if rows.len() != sources.len() {
+        return Err(CertViolation::LengthMismatch {
+            expected: sources.len(),
+            actual: rows.len(),
+        });
+    }
+    for (levels, &source) in rows.iter().zip(sources) {
+        let levels = levels.as_ref();
+        if levels.len() != n {
+            return Err(CertViolation::LengthMismatch {
+                expected: n,
+                actual: levels.len(),
+            });
+        }
+        let src = source as usize;
+        if src >= n || levels[src] != 0 {
+            return Err(CertViolation::SourceNotLevelZero {
+                source,
+                level: levels.get(src).copied().unwrap_or(UNVISITED),
+            });
+        }
+    }
+
+    let workers = workers(rows.len());
+    if rows.len() == 1 {
+        certify_blocks::<1, L>(workers, offsets, adjacency, sources, rows)
+    } else {
+        certify_blocks::<CERT_BLOCK, L>(workers, offsets, adjacency, sources, rows)
+    }
+}
+
+/// [`certify_levels`]'s block loop, `W` lanes wide, on `workers` workers,
+/// each with its own `lowest` rows. Blocks are answered in block order
+/// whatever the worker count, so a failing batch names its lowest failing
+/// block's violation. Public only as a seam for the worker-count test.
+#[doc(hidden)]
+pub fn certify_blocks<const W: usize, L: AsRef<[u32]> + Sync>(
+    workers: usize,
+    offsets: &[u64],
+    adjacency: &[u32],
+    sources: &[u32],
+    rows: &[L],
+) -> Result<Vec<Certificate>, CertViolation> {
+    let n = offsets.len().saturating_sub(1);
+    let blocks: Vec<_> = rows.chunks(W).zip(sources.chunks(W)).collect();
+    let mut scratch = vec![Vec::new(); workers.max(1)];
+    let answers = on_workers(&mut scratch, blocks.len(), |lowest, ids| {
+        lowest.resize(n, [UNVISITED; W]);
+        let answer = |b: usize| (b, certify_block(offsets, adjacency, blocks[b], lowest));
+        ids.map(answer).collect::<Vec<_>>()
+    });
+    let mut answers: Vec<_> = answers.into_iter().flatten().collect();
+    answers.sort_unstable_by_key(|&(b, _)| b);
+    let certs: Vec<Vec<Certificate>> = answers
+        .into_iter()
+        .map(|(_, a)| a)
+        .collect::<Result<_, _>>()?;
+    Ok(certs.concat())
+}
+
+/// Certify one block of sources (at most `W`) in `lowest`, one row per
+/// vertex, whatever an earlier block left there.
+fn certify_block<const W: usize, L: AsRef<[u32]>>(
+    offsets: &[u64],
+    adjacency: &[u32],
+    (block, sources): (&[L], &[u32]),
+    lowest: &mut [[u32; W]],
+) -> Result<Vec<Certificate>, CertViolation> {
+    lowest.fill([UNVISITED; W]);
+    for u in 0..lowest.len() {
+        let from = cert_row::<W, L>(block, u);
+        for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
+            for (low, l) in lowest[v as usize].iter_mut().zip(from) {
+                *low = (*low).min(l);
+            }
+        }
+    }
+
+    let mut visited = [0u64; W];
+    let mut depth = [0u32; W];
+    let mut digest = [0u64; W];
+    for (h, &source) in digest.iter_mut().zip(sources) {
+        *h = fnv1a([u64::from(source)]);
+    }
+    for (v, low) in lowest.iter().enumerate() {
+        let row = cert_row::<W, L>(block, v);
+        let mut suspect = false;
+        for lane in 0..W {
+            let l = row[lane];
+            let seen = l != UNVISITED;
+            visited[lane] += u64::from(seen);
+            depth[lane] = depth[lane].max(if seen { l } else { 0 });
+            digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
+            suspect |= !entry_consistent(l, low[lane]);
+        }
+        // A source sits at level 0 by right; anything else the row
+        // check flagged is a violation.
+        if suspect {
+            for (lane, &source) in sources.iter().enumerate() {
+                if v != source as usize && !entry_consistent(row[lane], low[lane]) {
+                    return Err(name_violation(offsets, adjacency, block[lane].as_ref(), v));
                 }
             }
+        }
+    }
+    Ok((0..block.len())
+        .map(|lane| Certificate {
+            visited: visited[lane],
+            depth: depth[lane],
+            levels_checksum: digest[lane],
+        })
+        .collect())
+}
+
+/// Vertex `v`'s levels in a block of sources, one lane per source. Lanes
+/// past a short last block read `UNVISITED` at every vertex: no level, no
+/// in-neighbour, nothing to check.
+#[inline]
+fn cert_row<const W: usize, L: AsRef<[u32]>>(block: &[L], v: usize) -> [u32; W] {
+    let mut row = [UNVISITED; W];
+    for (l, levels) in row.iter_mut().zip(block) {
+        *l = levels.as_ref()[v];
+    }
+    row
+}
+
+/// Whether a non-source vertex's `level` agrees with `lowest`, the lowest
+/// level among its in-neighbours (`UNVISITED` when none is visited).
+#[inline]
+fn entry_consistent(level: u32, lowest: u32) -> bool {
+    let want = if level == UNVISITED {
+        UNVISITED
+    } else {
+        level.wrapping_sub(1)
+    };
+    level != 0 && lowest == want
+}
+
+/// Name the violation at `v`, an entry of one source's `levels` that
+/// failed [`entry_consistent`]: walk the edges into `v` for a visited tail
+/// that `v` is unreached from or skips a level past; with neither, `v` has
+/// no predecessor one level up.
+fn name_violation(offsets: &[u64], adjacency: &[u32], levels: &[u32], v: usize) -> CertViolation {
+    let lv = levels[v];
+    for (u, &lu) in levels.iter().enumerate() {
+        let out = &adjacency[offsets[u] as usize..offsets[u + 1] as usize];
+        if lu == UNVISITED || !out.contains(&(v as u32)) {
+            continue;
+        }
+        if lv == UNVISITED {
+            return CertViolation::UnreachedNeighbor {
+                vertex: u as u32,
+                neighbor: v as u32,
+            };
+        }
+        if lv > lu + 1 {
+            return CertViolation::LevelSkip {
+                from: u as u32,
+                to: v as u32,
+                from_level: lu,
+                to_level: lv,
+            };
+        }
+    }
+    CertViolation::NoPredecessor {
+        vertex: v as u32,
+        level: lv,
+    }
+}
+
+/// Check a parent array against `levels` (one source's, already
+/// certified) and the graph: unvisited vertices have no parent, the
+/// source parents itself, and every other visited `v` has a parent `p`
+/// one level up with an edge `p → v`.
+pub fn certify_parents(
+    offsets: &[u64],
+    adjacency: &[u32],
+    source: u32,
+    levels: &[u32],
+    parents: &[u32],
+) -> Result<(), CertViolation> {
+    let n = offsets.len().saturating_sub(1);
+    for actual in [levels.len(), parents.len()] {
+        if actual != n {
+            return Err(CertViolation::LengthMismatch {
+                expected: n,
+                actual,
+            });
+        }
+    }
+    for (v, (&p, &lv)) in parents.iter().zip(levels).enumerate() {
+        if lv == UNVISITED {
+            if p != UNVISITED {
+                return Err(CertViolation::ParentOfUnvisited { vertex: v as u32 });
+            }
+            continue;
+        }
+        if v == source as usize {
+            if p != source {
+                return Err(CertViolation::SourceParent { source, parent: p });
+            }
+            continue;
+        }
+        if p as usize >= n {
+            return Err(CertViolation::ParentOutOfRange {
+                vertex: v as u32,
+                parent: p,
+            });
+        }
+        let lp = levels[p as usize];
+        if lp == UNVISITED || lp + 1 != lv {
+            return Err(CertViolation::ParentLevel {
+                vertex: v as u32,
+                parent: p,
+                vertex_level: lv,
+                parent_level: lp,
+            });
+        }
+        let beg = offsets[p as usize] as usize;
+        let end = offsets[p as usize + 1] as usize;
+        if !adjacency[beg..end].contains(&(v as u32)) {
+            return Err(CertViolation::ParentNotEdge {
+                vertex: v as u32,
+                parent: p,
+            });
         }
     }
     Ok(())
@@ -171,16 +494,29 @@ fn check_edges(g: &Csr, levels: &[u32]) -> Result<(), ValidationError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::Csr;
     use crate::generators::{barabasi_albert, erdos_renyi};
     use crate::reference::{bfs_levels_serial, bfs_parents_serial};
+
+    /// [`certify_levels`] on one source.
+    fn certify(g: &Csr, source: u32, levels: &[u32]) -> Result<Certificate, CertViolation> {
+        certify_levels(g.offsets(), g.adjacency(), &[source], &[levels]).map(|mut c| c.remove(0))
+    }
+
+    /// [`certify_parents`] on one source.
+    fn parents_ok(g: &Csr, source: u32, levels: &[u32], p: &[u32]) -> Result<(), CertViolation> {
+        certify_parents(g.offsets(), g.adjacency(), source, levels, p)
+    }
 
     #[test]
     fn accepts_reference_trees() {
         for seed in 0..4 {
             let g = erdos_renyi(200, 600, seed);
             let p = bfs_parents_serial(&g, 3);
-            let levels = validate_bfs_tree(&g, 3, &p).expect("valid tree rejected");
-            assert_eq!(levels, bfs_levels_serial(&g, 3));
+            let levels = bfs_levels_serial(&g, 3);
+            parents_ok(&g, 3, &levels, &p).expect("valid tree rejected");
+            let cert = certify(&g, 3, &levels).expect("valid levels rejected");
+            assert_eq!(cert.levels_checksum, levels_digest(3, &levels));
         }
     }
 
@@ -190,8 +526,11 @@ mod tests {
         let mut p = bfs_parents_serial(&g, 0);
         p[0] = 5;
         assert_eq!(
-            validate_bfs_tree(&g, 0, &p),
-            Err(ValidationError::SourceNotRoot)
+            parents_ok(&g, 0, &bfs_levels_serial(&g, 0), &p),
+            Err(CertViolation::SourceParent {
+                source: 0,
+                parent: 5
+            })
         );
     }
 
@@ -201,8 +540,8 @@ mod tests {
         // Claim 2's parent is 0, but (0, 2) is not an edge.
         let p = vec![0, 0, 0, 2];
         assert!(matches!(
-            validate_bfs_tree(&g, 0, &p),
-            Err(ValidationError::PhantomTreeEdge { .. })
+            parents_ok(&g, 0, &[0, 1, 1, 2], &p),
+            Err(CertViolation::ParentNotEdge { .. })
         ));
     }
 
@@ -210,10 +549,12 @@ mod tests {
     fn rejects_missed_vertex() {
         // Path 0-1-2; drop vertex 2 from the tree.
         let g = Csr::from_parts(vec![0, 1, 3, 4], vec![1, 0, 2, 1]).unwrap();
-        let p = vec![0, 0, UNVISITED];
         assert_eq!(
-            validate_bfs_tree(&g, 0, &p),
-            Err(ValidationError::MissedVertex(2))
+            certify(&g, 0, &[0, 1, UNVISITED]),
+            Err(CertViolation::UnreachedNeighbor {
+                vertex: 1,
+                neighbor: 2
+            })
         );
     }
 
@@ -223,8 +564,8 @@ mod tests {
         // 1 and 2 point at each other: unreachable from source via parents.
         let p = vec![0, 2, 1];
         assert!(matches!(
-            validate_bfs_tree(&g, 0, &p),
-            Err(ValidationError::BrokenPath(_))
+            parents_ok(&g, 0, &bfs_levels_serial(&g, 0), &p),
+            Err(CertViolation::ParentLevel { .. })
         ));
     }
 
@@ -233,19 +574,22 @@ mod tests {
         for seed in 0..4 {
             let g = erdos_renyi(200, 600, seed);
             let mut levels = bfs_levels_serial(&g, 3);
-            validate_bfs_levels(&g, 3, &levels).expect("valid levels rejected");
+            certify(&g, 3, &levels).expect("valid levels rejected");
             // Corrupt one visited vertex: either a skip, a broken path, a
             // missed vertex, or a phantom root must be detected.
             if let Some(v) = (0..levels.len()).find(|&v| levels[v] != UNVISITED && v != 3) {
                 let orig = levels[v];
                 levels[v] = orig.saturating_add(5);
-                assert!(validate_bfs_levels(&g, 3, &levels).is_err());
+                assert!(certify(&g, 3, &levels).is_err());
                 levels[v] = orig;
             }
             levels[3] = 1;
             assert_eq!(
-                validate_bfs_levels(&g, 3, &levels),
-                Err(ValidationError::SourceNotRoot)
+                certify(&g, 3, &levels),
+                Err(CertViolation::SourceNotLevelZero {
+                    source: 3,
+                    level: 1
+                })
             );
         }
     }
@@ -255,12 +599,18 @@ mod tests {
         // Path 0-1-2.
         let g = Csr::from_parts(vec![0, 1, 3, 4], vec![1, 0, 2, 1]).unwrap();
         assert_eq!(
-            validate_bfs_levels(&g, 0, &[0, 1, UNVISITED]),
-            Err(ValidationError::MissedVertex(2))
+            certify(&g, 0, &[0, 1, UNVISITED]),
+            Err(CertViolation::UnreachedNeighbor {
+                vertex: 1,
+                neighbor: 2
+            })
         );
         assert_eq!(
-            validate_bfs_levels(&g, 0, &[0, 0, 1]),
-            Err(ValidationError::SourceNotRoot)
+            certify(&g, 0, &[0, 0, 1]),
+            Err(CertViolation::NoPredecessor {
+                vertex: 1,
+                level: 0
+            })
         );
     }
 
@@ -270,9 +620,11 @@ mod tests {
         // A DFS tree 0->1->2->3 puts 2 at level 2, but edge (0,2) spans 2.
         let g = Csr::from_parts(vec![0, 2, 4, 7, 8], vec![1, 2, 0, 2, 0, 1, 3, 2]).unwrap();
         let p = vec![0, 0, 1, 2];
+        let tree_levels = [0, 1, 2, 3];
+        parents_ok(&g, 0, &tree_levels, &p).expect("the DFS tree is a tree");
         assert!(matches!(
-            validate_bfs_tree(&g, 0, &p),
-            Err(ValidationError::LevelSkip { .. })
+            certify(&g, 0, &tree_levels),
+            Err(CertViolation::LevelSkip { .. })
         ));
     }
 }

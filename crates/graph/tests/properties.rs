@@ -9,7 +9,7 @@ use xbfs_graph::generators::erdos_renyi;
 use xbfs_graph::io::{read_binary, read_edge_list, write_binary, write_edge_list};
 use xbfs_graph::rearrange::{rearrange_by_degree, visit_probability, RearrangeOrder};
 use xbfs_graph::reference::{bfs_levels_frontier, bfs_levels_serial, bfs_parents_serial};
-use xbfs_graph::validate::{validate_bfs_tree, ValidationError};
+use xbfs_graph::validate::{certify_parents, CertViolation};
 use xbfs_graph::{Csr, UNVISITED};
 
 /// Arbitrary small undirected graph as (n, edges).
@@ -54,8 +54,8 @@ proptest! {
     fn reference_parents_always_validate(g in arb_graph(), src_sel in 0usize..60) {
         let src = (src_sel % g.num_vertices()) as u32;
         let parents = bfs_parents_serial(&g, src);
-        let levels = validate_bfs_tree(&g, src, &parents).expect("reference tree rejected");
-        prop_assert_eq!(levels, bfs_levels_serial(&g, src));
+        let levels = bfs_levels_serial(&g, src);
+        certify_parents(g.offsets(), g.adjacency(), src, &levels, &parents).expect("reference tree rejected");
     }
 
     #[test]
@@ -69,7 +69,8 @@ proptest! {
         prop_assume!(parents[v] != UNVISITED);
         prop_assume!(bogus.is_some());
         parents[v] = bogus.unwrap();
-        prop_assert!(validate_bfs_tree(&g, src, &parents).is_err());
+        let levels = bfs_levels_serial(&g, src);
+        prop_assert!(certify_parents(g.offsets(), g.adjacency(), src, &levels, &parents).is_err());
     }
 
     #[test]
@@ -183,9 +184,13 @@ fn builder_matches_naive_reference() {
 #[test]
 fn validator_rejects_length_mismatch() {
     let g = erdos_renyi(10, 20, 1);
+    let levels = bfs_levels_serial(&g, 0);
     assert_eq!(
-        validate_bfs_tree(&g, 0, &[0; 5]),
-        Err(ValidationError::LengthMismatch)
+        certify_parents(g.offsets(), g.adjacency(), 0, &levels, &[0; 5]),
+        Err(CertViolation::LengthMismatch {
+            expected: 10,
+            actual: 5
+        })
     );
 }
 

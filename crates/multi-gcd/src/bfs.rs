@@ -1612,8 +1612,8 @@ impl Engine for GcdCluster<'_> {
 mod tests {
     use super::*;
     use crate::faults::RetryPolicy;
+    use xbfs_graph::bfs_levels_serial;
     use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
-    use xbfs_graph::{bfs_levels_serial, validate_bfs_levels};
 
     fn check(g: &Csr, cfg: ClusterConfig, src: u32) -> ClusterRun {
         let mut cluster = GcdCluster::new(g, cfg, LinkModel::frontier()).unwrap();
@@ -1799,7 +1799,7 @@ mod tests {
         let faults = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
         let run = faulted(&mut cluster, 1, &faults).unwrap();
         assert_eq!(run.levels, clean.levels, "recovered levels must match");
-        validate_bfs_levels(&g, 1, &run.levels).expect("Graph500 level validation");
+        validate_levels(&g, 1, &run.levels, true).expect("Graph500 level validation");
         assert_eq!(run.recoveries.len(), 1);
         let rec = &run.recoveries[0];
         assert_eq!(rec.detected_level, 2);
@@ -1825,7 +1825,7 @@ mod tests {
         let faults = fault_cfg("crash@2:rank0", RecoveryPolicy::Degrade, 3);
         let run = faulted(&mut cluster, src, &faults).unwrap();
         assert_eq!(run.levels, clean.levels);
-        validate_bfs_levels(&g, src, &run.levels).expect("Graph500 level validation");
+        validate_levels(&g, src, &run.levels, true).expect("Graph500 level validation");
         assert_eq!(run.recoveries[0].gcds_after, 3);
         assert_eq!(run.recoveries[0].restored_level, 0);
         assert_eq!(cluster.num_gcds(), 3, "cluster stays degraded");

@@ -11,10 +11,9 @@
 //! ```
 
 use gcd_sim::Device;
-use xbfs_core::{Xbfs, XbfsConfig};
+use xbfs_core::{certify_run, Xbfs, XbfsConfig};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::pick_sources;
-use xbfs_graph::validate_bfs_tree;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -42,10 +41,9 @@ fn main() {
     let mut teps: Vec<f64> = Vec::new();
     for (i, &key) in keys.iter().enumerate() {
         let run = xbfs.run(key).unwrap();
-        let parents = run.parents.as_ref().expect("parents recorded");
-        match validate_bfs_tree(&graph, key, parents) {
-            Ok(levels) => assert_eq!(levels, run.levels, "level mismatch for key {key}"),
-            Err(e) => panic!("BFS tree from key {key} failed validation: {e:?}"),
+        assert!(run.parents.is_some(), "parents recorded");
+        if let Err(e) = certify_run(graph.offsets(), graph.adjacency(), &run) {
+            panic!("BFS tree from key {key} failed validation: {e}");
         }
         let t = run.traversed_edges as f64 / (run.total_ms * 1e-3);
         teps.push(t);

@@ -106,7 +106,7 @@ fn certified_runs_bit_identical_to_unverified_runs() {
             fingerprint(&certified),
             "source {source}"
         );
-        assert_eq!(cert.depth as usize, certified.level_stats.len());
+        assert_eq!(cert.depth as usize + 1, certified.level_stats.len());
         assert_eq!(
             cert.visited,
             certified

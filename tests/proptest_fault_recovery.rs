@@ -6,9 +6,10 @@
 //! typed errors, never panics.
 
 use proptest::prelude::*;
+use xbfs_core::engine::validate_levels;
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::reference::bfs_levels_serial;
-use xbfs_graph::{validate_bfs_levels, Csr};
+use xbfs_graph::Csr;
 use xbfs_multi_gcd::{
     ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel, RecoveryPolicy,
 };
@@ -66,7 +67,7 @@ proptest! {
             .run_with(src, &faults, None)
             .expect("random plans are recoverable");
         prop_assert_eq!(&run.levels, &expect, "seed {} plan {}", seed, faults.plan.to_spec());
-        prop_assert!(validate_bfs_levels(&g, src, &run.levels).is_ok());
+        prop_assert!(validate_levels(&g, src, &run.levels, true).is_ok());
     }
 
     /// Checkpoint round-trip: snapshotting and restoring state at any
