@@ -4,8 +4,8 @@
 use crate::common::default_source;
 use crate::common::{f2, f3, mi250x_timing, mk_device, render_table, Scale};
 use crate::tables::TABLE_SEED;
-use gcd_sim::{ArchProfile, Compiler, ExecMode};
-use xbfs_core::{bandwidth_efficiency, Strategy, Xbfs, XbfsConfig};
+use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
+use xbfs_core::{bandwidth_efficiency, MsBfs, Strategy, Xbfs, XbfsConfig, MAX_CONCURRENT};
 use xbfs_graph::{rearrange_by_degree, Dataset, RearrangeOrder};
 
 /// §V-F: predicted vs measured bandwidth efficiency on the R-MAT dataset.
@@ -162,11 +162,29 @@ pub fn ablations(scale: &Scale) -> String {
             format!("{:+.1}%", 100.0 * (gteps / base_gteps.max(1e-12) - 1.0)),
         ]);
     }
-    render_table(
+    let solo = render_table(
         "§IV ablations on the R-MAT analog (n-to-n GTEPS)",
         &["Variant", "GTEPS", "vs optimized"],
         &rows,
-    )
+    );
+    // The batched engine's direction switch: one 64-source batch per kind.
+    let rows = Dataset::ALL.map(|d| {
+        let g = scale.dataset(d, TABLE_SEED);
+        let sources = xbfs_graph::stats::pick_sources(&g, MAX_CONCURRENT, 3);
+        let us = |cfg| {
+            let engine =
+                MsBfs::with_config(Device::mi250x(), &g, cfg).expect("bench inputs are valid");
+            1e3 * engine.run_batch(&sources).total_ms / sources.len() as f64
+        };
+        let (push, adaptive) = (us(XbfsConfig::directed()), us(XbfsConfig::default()));
+        vec![d.to_string(), f3(push), f3(adaptive)]
+    });
+    let batched = render_table(
+        "§IV extension: 64-wide MsBfs, modeled µs per source, push only vs direction-optimizing",
+        &["Dataset", "push", "adaptive"],
+        &rows,
+    );
+    solo + "\n" + &batched
 }
 
 /// §V-D "Test of best α": end-to-end n-to-n GTEPS as a function of the

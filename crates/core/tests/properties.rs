@@ -118,18 +118,25 @@ proptest! {
     ) {
         // One 64-wide bit-parallel wave over up to MAX_CONCURRENT random
         // sources (duplicates included) must produce, slot for slot, the
-        // exact levels a sequential solo run finds for that source.
+        // exact levels a sequential solo run finds for that source. The
+        // graph is symmetric, so the engine may pull: push only, the
+        // default switch, and a threshold that pulls at every level must
+        // all agree with the serial reference.
+        prop_assert!(g.is_symmetric());
         let n = g.num_vertices() as u32;
         let sources: Vec<u32> = raw_sources.into_iter().map(|s| s % n).collect();
-        let dev = Device::mi250x();
-        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
-        prop_assert_eq!(run.width(), sources.len());
-        for (slot, &src) in sources.iter().enumerate() {
-            prop_assert_eq!(
-                &run.levels[slot],
-                &bfs_levels_serial(&g, src),
-                "slot {} (source {})", slot, src
-            );
+        let always = XbfsConfig { alpha: 1e-12, ..XbfsConfig::default() };
+        for cfg in [XbfsConfig::directed(), XbfsConfig::default(), always] {
+            let dev = Device::mi250x();
+            let run = MsBfs::with_config(&dev, &g, cfg).unwrap().run_batch(&sources);
+            prop_assert_eq!(run.width(), sources.len());
+            for (slot, &src) in sources.iter().enumerate() {
+                prop_assert_eq!(
+                    &run.levels[slot],
+                    &bfs_levels_serial(&g, src),
+                    "alpha {} slot {} (source {})", cfg.alpha, slot, src
+                );
+            }
         }
     }
 

@@ -67,12 +67,6 @@ macro_rules! impl_buf {
                 self.base + ($width as u64) * idx as u64
             }
 
-            /// Element size in bytes.
-            #[inline]
-            pub fn elem_bytes(&self) -> u32 {
-                $width
-            }
-
             /// Raw load — used by the wave context after tracing; host code
             /// may call it directly (host reads are not traced, mirroring a
             /// mapped read outside kernel time).

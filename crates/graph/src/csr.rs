@@ -172,17 +172,21 @@ impl Csr {
         Csr::from_parts_unchecked(offsets, adjacency)
     }
 
-    /// True if every edge `(u, v)` has a matching `(v, u)`.
-    /// O(|M| log d) — used by tests, not hot paths.
+    /// True if every edge `(u, v)` has a matching `(v, u)`: each vertex's
+    /// in-neighbours (its row of the transpose, sorted) are among its
+    /// out-neighbours. O(|E|) when every row equals its transposed row, as
+    /// a symmetric builder output's does; otherwise a row is sorted first.
     pub fn is_symmetric(&self) -> bool {
-        for (u, nbrs) in self.iter_rows() {
-            for &v in nbrs {
-                if !self.neighbors(v).contains(&u) {
-                    return false;
-                }
+        let (t, mut row) = (self.transpose(), Vec::new());
+        self.iter_rows().all(|(v, out)| {
+            let into = t.neighbors(v);
+            into == out || {
+                row.clear();
+                row.extend_from_slice(out);
+                row.sort_unstable();
+                into.iter().all(|u| row.binary_search(u).is_ok())
             }
-        }
-        true
+        })
     }
 }
 
@@ -242,8 +246,17 @@ mod tests {
     #[test]
     fn symmetry_detection() {
         assert!(path3().is_symmetric());
-        let asym = Csr::from_parts(vec![0, 1, 1], vec![1]).unwrap();
+        // Sorted rows, 0 -> {1, 2} and 1 -> {0}: the arc 0 -> 2 is unmatched.
+        let asym = Csr::from_parts(vec![0, 2, 3, 3], vec![1, 2, 0]).unwrap();
         assert!(!asym.is_symmetric());
+        // A hub row of 999 arcs, matched by all its leaves or all but one.
+        let star = |back: u32| {
+            let mut b = crate::CsrBuilder::new(1000);
+            b.extend_edges((1..1000).map(|v| (0, v)).chain((1..back).map(|v| (v, 0))));
+            b.build(crate::BuildOptions::raw())
+        };
+        assert!(star(1000).is_symmetric());
+        assert!(!star(999).is_symmetric());
     }
 
     #[test]

@@ -45,6 +45,28 @@ proptest! {
     }
 
     #[test]
+    fn symmetry_check_matches_its_definition(
+        n in 1usize..40,
+        edges in proptest::collection::vec((0u32..40, 0u32..40), 0..120),
+    ) {
+        // Raw: duplicates and loops kept, rows sorted. Symmetric means
+        // every arc (u, v) has some arc (v, u).
+        let edges: Vec<_> = edges.into_iter().map(|(u, v)| (u % n as u32, v % n as u32)).collect();
+        let mut b = CsrBuilder::new(n);
+        b.extend_edges(edges.iter().copied());
+        let g = b.build(BuildOptions::raw());
+        let expect = edges.iter().all(|&(u, v)| edges.contains(&(v, u)));
+        prop_assert_eq!(g.is_symmetric(), expect);
+        // The same arcs with every row reversed (unsorted) answer alike.
+        let mut adjacency = g.adjacency().to_vec();
+        for w in g.offsets().windows(2) {
+            adjacency[w[0] as usize..w[1] as usize].reverse();
+        }
+        let reversed = Csr::from_parts(g.offsets().to_vec(), adjacency).unwrap();
+        prop_assert_eq!(reversed.is_symmetric(), expect);
+    }
+
+    #[test]
     fn parallel_bfs_matches_serial(g in arb_graph(), src_sel in 0usize..60) {
         let src = (src_sel % g.num_vertices()) as u32;
         prop_assert_eq!(bfs_levels_serial(&g, src), bfs_levels_frontier(&g, src));

@@ -132,9 +132,10 @@ fn ensure_engine<'e, 'g>(
                 cluster.set_checkpoint_every(shared.cfg.checkpoint_every);
                 Box::new(cluster)
             }
-            None if shared.cfg.batch_width > 1 => {
-                Box::new(MsBfs::new((shared.factory)(), graph).map_err(|e| e.to_string())?)
-            }
+            None if shared.cfg.batch_width > 1 => Box::new(
+                MsBfs::with_config((shared.factory)(), graph, shared.xcfg)
+                    .map_err(|e| e.to_string())?,
+            ),
             None => Box::new(
                 Xbfs::new((shared.factory)(), graph, shared.xcfg).map_err(|e| e.to_string())?,
             ),

@@ -119,7 +119,7 @@ fn timing_and_functional_modes_agree() {
 
 /// Every engine the contract covers, each on its own device(s): `Xbfs`
 /// adaptive and with each strategy forced, in both execution modes; the
-/// 64-wide `MsBfs`; the partitioned cluster on 1, 2 and 4 GCDs; the six
+/// 64-wide `MsBfs`, direction-optimizing and push only; the partitioned cluster on 1, 2 and 4 GCDs; the six
 /// baselines.
 fn every_engine(g: &Csr) -> Vec<(String, Box<dyn Engine + '_>)> {
     let mut engines: Vec<(String, Box<dyn Engine + '_>)> = Vec::new();
@@ -134,6 +134,8 @@ fn every_engine(g: &Csr) -> Vec<(String, Box<dyn Engine + '_>)> {
     }
     let msbfs = MsBfs::new(Device::mi250x(), g).unwrap();
     engines.push(("msbfs".into(), Box::new(msbfs)));
+    let push = MsBfs::with_config(Device::mi250x(), g, XbfsConfig::directed()).unwrap();
+    engines.push(("msbfs-push".into(), Box::new(push)));
     for num_gcds in [1, 2, 4] {
         let cfg = ClusterConfig {
             num_gcds,
@@ -238,6 +240,28 @@ fn every_engine_answers_every_request_like_the_reference() {
                 }
                 check(&mut *engine, plain);
             }
+        }
+    }
+}
+
+/// Pulling through out-edges is exact only on symmetric adjacency: on a
+/// directed graph (two arcs into vertex 1, then a path out of it) the
+/// default-config batched engine must never pull, and must still find
+/// every slot's serial levels. The same arcs made symmetric do pull.
+#[test]
+fn batched_engine_never_pulls_on_asymmetric_adjacency() {
+    let arcs = [(0, 1), (2, 1), (1, 3), (3, 4)];
+    let sources: Vec<u32> = (0..5).collect();
+    for opts in [BuildOptions::raw(), BuildOptions::default()] {
+        let mut b = CsrBuilder::new(5);
+        b.extend_edges(arcs);
+        let g = b.build(opts);
+        let dev = Device::mi250x();
+        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
+        let pulled = dev.take_reports().iter().any(|k| k.name == "msbfs_pull");
+        assert_eq!(pulled, g.is_symmetric(), "symmetrize: {}", opts.symmetrize);
+        for (slot, &s) in sources.iter().enumerate() {
+            assert_eq!(run.levels[slot], bfs_levels_serial(&g, s), "source {s}");
         }
     }
 }

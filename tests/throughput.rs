@@ -140,16 +140,23 @@ fn golden_cells() -> Vec<(String, u64)> {
         }
     }
 
+    // Push only (`α = ∞`), then direction-optimizing: the push cells are
+    // the recorded ones, the adaptive cells were added beside them.
     let batch = pick_sources(&g, 64, SEED);
-    for mode in modes {
-        let dev = Device::new(ArchProfile::mi250x_gcd(), mode, 1);
-        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&batch);
-        let tail: Vec<u64> = (0..run.width())
-            .map(|slot| run.result_digest(slot))
-            .chain([run.total_ms.to_bits()])
-            .collect();
-        let digest = counters_digest(&dev.take_reports(), tail);
-        cells.push((format!("msbfs-64/{mode:?}"), digest));
+    for (name, cfg) in [
+        ("msbfs-64", XbfsConfig::directed()),
+        ("msbfs-64-adaptive", XbfsConfig::default()),
+    ] {
+        for mode in modes {
+            let dev = Device::new(ArchProfile::mi250x_gcd(), mode, 1);
+            let run = MsBfs::with_config(&dev, &g, cfg).unwrap().run_batch(&batch);
+            let tail: Vec<u64> = (0..run.width())
+                .map(|slot| run.result_digest(slot))
+                .chain([run.total_ms.to_bits()])
+                .collect();
+            let digest = counters_digest(&dev.take_reports(), tail);
+            cells.push((format!("{name}/{mode:?}"), digest));
+        }
     }
 
     // The cluster keeps its rank devices private: its per-level modeled
@@ -215,8 +222,9 @@ fn golden_cells() -> Vec<(String, u64)> {
 
 /// Digests captured on the commit before the capture/replay fork was
 /// deleted (PR 15) and carried over unchanged: every modeled counter and
-/// every modeled time is what it was.
-const GOLDEN: [(&str, u64); 13] = [
+/// every modeled time is what it was. The two `msbfs-64-adaptive` cells
+/// were recorded when `MsBfs` gained its pull step.
+const GOLDEN: [(&str, u64); 15] = [
     ("xbfs/Functional/None", 0xc6b8_a16e_42f1_1f10),
     ("xbfs/Functional/Some(ScanFree)", 0x3a54_80ae_9c13_266b),
     ("xbfs/Functional/Some(SingleScan)", 0x6630_b161_996d_96d5),
@@ -227,6 +235,8 @@ const GOLDEN: [(&str, u64); 13] = [
     ("xbfs/Timing/Some(BottomUp)", 0x5603_21ac_c125_4168),
     ("msbfs-64/Functional", 0x53f8_e7cb_ba58_2a43),
     ("msbfs-64/Timing", 0x8f2c_4c5a_f55a_f56b),
+    ("msbfs-64-adaptive/Functional", 0x1dfc_08ee_19f2_a113),
+    ("msbfs-64-adaptive/Timing", 0x0d7b_82bf_dd49_effe),
     ("cluster-4", 0x28d0_c917_f16f_1139),
     ("expand_block/Functional", 0x8997_f176_a2c1_fa4c),
     ("expand_block/Timing", 0x15ba_c905_cf4d_fa45),
