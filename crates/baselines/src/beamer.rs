@@ -33,7 +33,6 @@ impl Baseline<'_> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1) as f64;
-        device.reset_timeline();
         let status = device.alloc_u32(n);
         device.fill_u32(0, &status, UNVISITED);
         status.store(source as usize, 0);
@@ -116,12 +115,9 @@ fn push_kernel(
     edge_ctr: &gcd_sim::BufU64,
     level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(us) = w.lane_entries32(in_q) else {
         return;
-    }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    };
     let claimed = expand_claiming(w, g, status, &us, level + 1);
     commit(w, g, Some(out_q), counters, edge_ctr, &claimed);
 }
@@ -134,27 +130,17 @@ fn pull_kernel(
     edge_ctr: &gcd_sim::BufU64,
     level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
-        return;
-    }
-    let mut sts = Vec::with_capacity(gids.len());
-    w.vload32_range(status, gids.start, gids.len(), &mut sts);
-    w.alu(1);
-    let unvisited: Vec<usize> = gids
-        .zip(&sts)
-        .filter(|&(_, &s)| s == UNVISITED)
-        .map(|(v, _)| v)
-        .collect();
+    let unvisited = w.lanes_where(status, |s| s == UNVISITED);
     if unvisited.is_empty() {
         return;
     }
+    let vidx = unvisited.iter().map(|&v| v as usize);
     let mut offs = Vec::with_capacity(unvisited.len());
-    w.vload64(&g.offsets, &unvisited, &mut offs);
+    w.vload64(&g.offsets, vidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(unvisited.len());
-    w.vload32(&g.degrees, &unvisited, &mut degs);
+    w.vload32(&g.degrees, vidx, &mut degs);
     struct Lane {
-        v: usize,
+        v: u32,
         off: u64,
         deg: u32,
         k: u32,
@@ -179,8 +165,8 @@ fn pull_kernel(
             let s = nsts[i];
             i += 1;
             if s == level {
-                writes.push((l.v, level + 1));
-                claimed.push(l.v as u32);
+                writes.push((l.v as usize, level + 1));
+                claimed.push(l.v);
                 return false;
             }
             l.k += 1;
@@ -200,18 +186,7 @@ fn rebuild_queue(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
-        return;
-    }
-    let mut sts = Vec::with_capacity(gids.len());
-    w.vload32_range(status, gids.start, gids.len(), &mut sts);
-    w.alu(1);
-    let members: Vec<u32> = gids
-        .zip(&sts)
-        .filter(|&(_, &s)| s == level)
-        .map(|(v, _)| v as u32)
-        .collect();
+    let members = w.lanes_where(status, |s| s == level);
     if members.is_empty() {
         return;
     }

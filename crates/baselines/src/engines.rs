@@ -32,7 +32,6 @@ impl Baseline<'_> {
     ) -> Result<Vec<u32>, EngineError> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
-        device.reset_timeline();
         let status = init_status(device, n, source);
         let counters = device.alloc_u32(c::N);
         let mut level = 0u32;
@@ -65,18 +64,7 @@ fn scan_expand_kernel(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
-        return;
-    }
-    let mut sts = Vec::with_capacity(gids.len());
-    w.vload32_range(status, gids.start, gids.len(), &mut sts);
-    w.alu(1);
-    let us: Vec<u32> = gids
-        .zip(&sts)
-        .filter(|&(_, &s)| s == level)
-        .map(|(v, _)| v as u32)
-        .collect();
+    let us = w.lanes_where(status, |s| s == level);
     if us.is_empty() {
         return;
     }
@@ -158,7 +146,6 @@ impl Baseline<'_> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1);
-        device.reset_timeline();
         let status = init_status(device, n, source);
         // Edge-frontier buffers sized for the worst case — the §II space
         // problem is real: the raw (unfiltered) frontier can approach |M|.
@@ -206,12 +193,9 @@ fn gunrock_advance(
     raw_q: &gcd_sim::BufU32,
     counters: &gcd_sim::BufU32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(us) = w.lane_entries32(in_q) else {
         return;
-    }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    };
     let mut out: Vec<u32> = Vec::new();
     walk_rows(w, g, &us, |w, _, vs| {
         let mut svs = Vec::with_capacity(vs.len());
@@ -240,12 +224,9 @@ fn gunrock_filter(
     counters: &gcd_sim::BufU32,
     next_level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(vs) = w.lane_entries32(raw_q) else {
         return;
-    }
-    let mut vs = Vec::with_capacity(gids.len());
-    w.vload32_range(raw_q, gids.start, gids.len(), &mut vs);
+    };
     let ops = vs.iter().map(|&v| (v as usize, UNVISITED, next_level));
     let mut results = Vec::with_capacity(vs.len());
     w.vcas32(status, ops, &mut results);
@@ -270,7 +251,6 @@ impl Baseline<'_> {
     ) -> Result<Vec<u32>, EngineError> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
-        device.reset_timeline();
         let mut st = BfsState::new(device, n, false, 64);
         device.fill_u32(0, &st.status, UNVISITED);
         st.status.store(source as usize, 0);
@@ -357,7 +337,6 @@ impl Baseline<'_> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let width = device.arch().wavefront_size;
-        device.reset_timeline();
         let status = init_status(device, n, source);
         let mut in_q = device.alloc_u32(n);
         let mut out_q = device.alloc_u32(n);
@@ -423,12 +402,9 @@ fn hq_expand(
     counters: &gcd_sim::BufU32,
     level: u32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(us) = w.lane_entries32(in_q) else {
         return;
-    }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    };
     let claimed = expand_claiming(w, g, status, &us, level + 1);
     // Write into this wave's private region; overflow takes the slow path
     // of per-claim global atomics straight into the out queue (both paths
@@ -479,7 +455,6 @@ impl Baseline<'_> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
         let m = g.num_edges().max(1);
-        device.reset_timeline();
         let dist = init_status(device, n, source);
         let mut in_q = device.alloc_u32(m);
         let mut out_q = device.alloc_u32(m);
@@ -516,12 +491,9 @@ fn sssp_relax(
     out_q: &gcd_sim::BufU32,
     counters: &gcd_sim::BufU32,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(us) = w.lane_entries32(in_q) else {
         return;
-    }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(in_q, gids.start, gids.len(), &mut us);
+    };
     let mut dus = Vec::with_capacity(us.len());
     w.vload32(dist, us.iter().map(|&u| u as usize), &mut dus);
     let mut improved: Vec<u32> = Vec::new();

@@ -14,7 +14,7 @@ mod beamer;
 mod engines;
 
 use gcd_sim::Device;
-use xbfs_core::engine::{reached, validate_levels};
+use xbfs_core::engine::{gteps, reached, validate_levels};
 use xbfs_core::{
     levels_digest, DeviceGraph, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
     XbfsError, UNVISITED,
@@ -120,18 +120,13 @@ impl Engine for Baseline<'_> {
     /// No injection is honoured; `verify` is the level certificate.
     fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
         let source = req.slots(1)?[0];
-        match req.inject {
-            Inject::None => {}
-            Inject::Bitflips(_) => {
-                return Err(EngineError::unsupported(
-                    "bitflip chaos requires an XBFS engine",
-                ))
-            }
-            Inject::RankCrash { .. } => {
-                return Err(EngineError::unsupported(
-                    "crash chaos requires a cluster engine",
-                ))
-            }
+        let refusal = match req.inject {
+            Inject::None => None,
+            Inject::Bitflips(_) => Some("bitflip chaos requires an XBFS engine"),
+            Inject::RankCrash { .. } => Some("crash chaos requires a cluster engine"),
+        };
+        if let Some(why) = refusal {
+            return Err(EngineError::unsupported(why));
         }
         let num_vertices = self.graph.num_vertices();
         if source as usize >= num_vertices {
@@ -142,6 +137,7 @@ impl Engine for Baseline<'_> {
             .into());
         }
         let deadline_ms = req.deadline_ms;
+        self.device.reset_timeline();
         let levels = match self.algo {
             Algo::Gunrock => self.gunrock(source, deadline_ms),
             Algo::Enterprise => self.enterprise(source, deadline_ms),
@@ -152,11 +148,7 @@ impl Engine for Baseline<'_> {
         }?;
         let total_us = self.device.elapsed_us();
         let certify_wall_ms = validate_levels(self.csr, source, &levels, req.verify)?;
-        let gteps = if total_us > 0.0 {
-            traversed_edges(self.csr, &levels) as f64 / (total_us * 1e-6) / 1e9
-        } else {
-            0.0
-        };
+        let gteps = gteps(traversed_edges(self.csr, &levels), total_us * 1e-6);
         let deepest = levels.iter().filter(|&&l| l != UNVISITED).max();
         Ok(RunOutcome {
             slots: vec![SlotAnswer {

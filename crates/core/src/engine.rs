@@ -108,6 +108,16 @@ pub fn reached(levels: &[u32]) -> u64 {
     levels.iter().filter(|&&l| l != UNVISITED).count() as u64
 }
 
+/// Giga traversed edges per second: `edges` over `secs` of modeled time
+/// (0 for a run that took none).
+pub fn gteps(edges: u64, secs: f64) -> f64 {
+    if secs > 0.0 {
+        edges as f64 / secs / 1e9
+    } else {
+        0.0
+    }
+}
+
 /// What `verify` means to an engine with no device to sweep: the level
 /// certificate ([`xbfs_graph::certify_levels`]) of a finished
 /// single-source run. Returns the wall ms it took (0 when `verify` is

@@ -69,9 +69,3 @@ pub use xbfs_graph::validate::{levels_digest, CertViolation, Certificate};
 fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
-
-/// One worker per available core: how many scratch sets a batch lends to
-/// [`gcd_sim::on_workers`].
-fn cores() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}

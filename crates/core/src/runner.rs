@@ -389,11 +389,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
             .map(|(_, &d)| u64::from(d))
             .sum();
         let total_ms = total_us / 1000.0;
-        let gteps = if total_us > 0.0 {
-            traversed_edges as f64 / (total_us * 1e-6) / 1e9
-        } else {
-            0.0
-        };
+        let gteps = crate::engine::gteps(traversed_edges, total_us * 1e-6);
         Ok(BfsRun {
             source,
             levels,

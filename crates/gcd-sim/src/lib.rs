@@ -44,7 +44,7 @@ pub mod wave;
 
 pub use arch::{ArchProfile, Compiler, CompilerModel};
 pub use buffer::{BufU32, BufU64};
-pub use device::{on_workers, Device, ExecMode, PoolGauges};
+pub use device::{cores, for_each_job, on_workers, Device, ExecMode, PoolGauges};
 pub use group::{GroupCfg, GroupCtx};
 pub use kernel::{KernelReport, LaunchCfg, WaveStats};
 pub use pool::{fnv1a, fnv1a_mix, splitmix64, PoolError};

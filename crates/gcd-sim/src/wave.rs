@@ -302,6 +302,29 @@ impl<'a> WaveCtx<'a> {
         buf.load_range(start, count, out);
     }
 
+    /// The entries of `buf` under this wave's lanes, one
+    /// [`Self::vload32_range`]; `None` for a wave past the launch's end.
+    pub fn lane_entries32(&mut self, buf: &BufU32) -> Option<Vec<u32>> {
+        let gids = self.lanes();
+        if gids.is_empty() {
+            return None;
+        }
+        let mut entries = Vec::with_capacity(gids.len());
+        self.vload32_range(buf, gids.start, gids.len(), &mut entries);
+        Some(entries)
+    }
+
+    /// The ids of this wave's lanes whose `status` entry passes `keep`:
+    /// [`Self::lane_entries32`] and one compare.
+    pub fn lanes_where(&mut self, status: &BufU32, keep: impl Fn(u32) -> bool) -> Vec<u32> {
+        let Some(sts) = self.lane_entries32(status) else {
+            return Vec::new();
+        };
+        self.alu(1);
+        let kept = self.lanes().zip(sts).filter(|&(_, s)| keep(s));
+        kept.map(|(v, _)| v as u32).collect()
+    }
+
     /// Load `count` consecutive 64-bit values (see [`Self::vload32_range`]).
     pub fn vload64_range(&mut self, buf: &BufU64, start: usize, count: usize, out: &mut Vec<u64>) {
         if count == 0 {

@@ -776,11 +776,7 @@ impl<'g> GcdCluster<'g> {
             .filter(|(_, &l)| l != UNVISITED)
             .map(|(v, _)| self.graph.degree(v as u32) as u64)
             .sum();
-        let gteps = if total_ms > 0.0 {
-            traversed_edges as f64 / (total_ms * 1e-3) / 1e9
-        } else {
-            0.0
-        };
+        let gteps = xbfs_core::engine::gteps(traversed_edges, total_ms * 1e-3);
         Ok(ClusterRun {
             source,
             config: ClusterConfig {
@@ -1100,15 +1096,7 @@ impl<'g> GcdCluster<'g> {
             r.device
                 .set_phase(level_label(&mut scratch.push_labels, "push", level));
             r.device.fill_u32(0, &r.counters, 0);
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_reset64", 1).with_registers(8),
-                |w| {
-                    if w.wave_id() == 0 {
-                        w.vstore64(&r.edge_counters, [(0, 0)]);
-                    }
-                },
-            );
+            reset_edges(r);
             let qlen = frontier_lens[rank];
             if qlen == 0 {
                 continue;
@@ -1225,15 +1213,7 @@ impl<'g> GcdCluster<'g> {
                 .set_phase(level_label(&mut scratch.pull_labels, "pull", level));
             r.device.fill_u32(0, &r.counters, 0);
             r.device.fill_u32(0, &r.bitmap, 0);
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_reset64", 1).with_registers(8),
-                |w| {
-                    if w.wave_id() == 0 {
-                        w.vstore64(&r.edge_counters, [(0, 0)]);
-                    }
-                },
-            );
+            reset_edges(r);
             let qlen = frontier_lens[rank];
             if qlen == 0 {
                 continue;
@@ -1301,6 +1281,13 @@ impl<'g> GcdCluster<'g> {
     }
 }
 
+/// Zero a rank's traversed-edge counter: one single-wave launch.
+fn reset_edges(r: &RankState) {
+    let reset = LaunchCfg::new("dist_reset64", 1).with_registers(8);
+    let edges = &r.edge_counters;
+    r.device.launch(0, reset, |w| w.vstore64(edges, [(0, 0)]));
+}
+
 /// One collective as a child span of its level, plus the `fault.retry`
 /// event when the retry layer had to resend ([`GcdCluster::trace_of`]).
 fn collective_span(
@@ -1337,12 +1324,9 @@ fn push_expand_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(us) = w.lane_entries32(&r.frontier) else {
         return;
-    }
-    let mut us = Vec::with_capacity(gids.len());
-    w.vload32_range(&r.frontier, gids.start, gids.len(), &mut us);
+    };
     let lidx = us.iter().map(|&u| part.to_local(u) as usize);
     let mut offs = Vec::with_capacity(lidx.len());
     w.vload64(&r.offsets, lidx.clone(), &mut offs);
@@ -1411,12 +1395,9 @@ fn claim_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
+    let Some(vs) = w.lane_entries32(&r.inbox) else {
         return;
-    }
-    let mut vs = Vec::with_capacity(gids.len());
-    w.vload32_range(&r.inbox, gids.start, gids.len(), &mut vs);
+    };
     let ops = vs
         .iter()
         .map(|&v| (part.to_local(v) as usize, UNVISITED, level + 1));
@@ -1440,27 +1421,17 @@ fn pull_kernel(
     level: u32,
     p: usize,
 ) {
-    let gids = w.lanes();
-    if gids.is_empty() {
-        return;
-    }
-    let mut sts = Vec::with_capacity(gids.len());
-    w.vload32_range(&r.status, gids.start, gids.len(), &mut sts);
-    w.alu(1);
-    let unvisited: Vec<usize> = gids
-        .zip(&sts)
-        .filter(|&(_, &s)| s == UNVISITED)
-        .map(|(l, _)| l)
-        .collect();
+    let unvisited = w.lanes_where(&r.status, |s| s == UNVISITED);
     if unvisited.is_empty() {
         return;
     }
+    let lidx = unvisited.iter().map(|&l| l as usize);
     let mut offs = Vec::with_capacity(unvisited.len());
-    w.vload64(&r.offsets, &unvisited, &mut offs);
+    w.vload64(&r.offsets, lidx.clone(), &mut offs);
     let mut degs = Vec::with_capacity(unvisited.len());
-    w.vload32(&r.degrees, &unvisited, &mut degs);
+    w.vload32(&r.degrees, lidx, &mut degs);
     struct Lane {
-        local: usize,
+        local: u32,
         off: u64,
         deg: u32,
         k: u32,
@@ -1495,8 +1466,8 @@ fn pull_kernel(
             let word = words[i];
             i += 1;
             if word & (1 << (nb % 32)) != 0 {
-                writes.push((l.local, level + 1));
-                claims.push(part.to_global(l.local as u32));
+                writes.push((l.local as usize, level + 1));
+                claims.push(part.to_global(l.local));
                 return false;
             }
             l.k += 1;

@@ -431,34 +431,44 @@ fn transfer_scaled(link: &LinkModel, from: usize, to: usize, bytes: u64, bw_fact
     lat + (base - lat) / bw_factor
 }
 
-/// Retry one `src`→`dst` message of `bytes` under the plan. Returns the
-/// accumulated cost, or an error if drops exceed the retry budget.
+impl CollectiveCost {
+    fn add(&mut self, c: Self) {
+        self.time_us += c.time_us;
+        self.retransmitted_bytes += c.retransmitted_bytes;
+        self.retry_us += c.retry_us;
+    }
+}
+
+/// One `src`→`dst` block of `bytes` under the plan: every dropped attempt
+/// still occupies the link for the transfer before its timeout fires,
+/// then backs off. `sends` counts the attempts that are not drops (1 for
+/// a message, 0 for a collective whose clean time is charged apart). An
+/// error once the drops exceed the retry budget.
 #[allow(clippy::too_many_arguments)]
-fn retried_message(
+fn resent(
     link: &LinkModel,
     plan: &FaultPlan,
     retry: &RetryPolicy,
     level: u32,
-    src: usize,
-    dst: usize,
+    (src, dst): (usize, usize),
     bytes: u64,
     bw_factor: f64,
+    sends: u32,
 ) -> Result<CollectiveCost, ClusterError> {
-    let one = transfer_scaled(link, src, dst, bytes, bw_factor);
     let drops = plan.drops_for(level, src, dst);
     if drops > retry.max_retries {
+        let attempts = retry.max_retries + 1;
         return Err(ClusterError::LinkFailed {
             level,
             src,
             dst,
-            attempts: drops.min(retry.max_retries + 1),
+            attempts,
         });
     }
     let retry_us = retry.penalty_us(drops);
+    let one = transfer_scaled(link, src, dst, bytes, bw_factor);
     Ok(CollectiveCost {
-        // Every failed attempt still occupies the link for the message
-        // transfer before its timeout fires.
-        time_us: one * f64::from(drops + 1) + retry_us,
+        time_us: one * f64::from(drops + sends) + retry_us,
         retransmitted_bytes: bytes * u64::from(drops),
         retry_us,
     })
@@ -481,22 +491,14 @@ pub fn faulty_alltoall(
     let mut tx = CollectiveCost::default();
     let mut rx = CollectiveCost::default();
     for (d, &bytes) in send.iter().enumerate() {
-        if bytes == 0 || d == rank {
-            continue;
+        if bytes != 0 && d != rank {
+            tx.add(resent(link, plan, retry, level, (rank, d), bytes, bw, 1)?);
         }
-        let c = retried_message(link, plan, retry, level, rank, d, bytes, bw)?;
-        tx.time_us += c.time_us;
-        tx.retransmitted_bytes += c.retransmitted_bytes;
-        tx.retry_us += c.retry_us;
     }
     for (s, &bytes) in recv.iter().enumerate() {
-        if bytes == 0 || s == rank {
-            continue;
+        if bytes != 0 && s != rank {
+            rx.add(resent(link, plan, retry, level, (s, rank), bytes, bw, 1)?);
         }
-        let c = retried_message(link, plan, retry, level, s, rank, bytes, bw)?;
-        rx.time_us += c.time_us;
-        rx.retransmitted_bytes += c.retransmitted_bytes;
-        rx.retry_us += c.retry_us;
     }
     // Duplex: the slower direction bounds wall time; retransmitted bytes on
     // the receive side are counted by the sender's call, not here.
@@ -532,23 +534,8 @@ pub fn faulty_allgather(
     // Drops on any ring edge: each failed pass of a block over that edge
     // stalls the ring for a retransmission + its backoff.
     for i in 0..num_ranks {
-        let j = (i + 1) % num_ranks;
-        let drops = plan.drops_for(level, i, j);
-        if drops == 0 {
-            continue;
-        }
-        if drops > retry.max_retries {
-            return Err(ClusterError::LinkFailed {
-                level,
-                src: i,
-                dst: j,
-                attempts: drops.min(retry.max_retries + 1),
-            });
-        }
-        let retry_us = retry.penalty_us(drops);
-        cost.time_us += transfer_scaled(link, i, j, bytes, bw) * f64::from(drops) + retry_us;
-        cost.retransmitted_bytes += bytes * u64::from(drops);
-        cost.retry_us += retry_us;
+        let edge = (i, (i + 1) % num_ranks);
+        cost.add(resent(link, plan, retry, level, edge, bytes, bw, 0)?);
     }
     Ok(cost)
 }
@@ -575,24 +562,8 @@ pub fn faulty_allreduce(
         ..CollectiveCost::default()
     };
     for src in 0..num_ranks {
-        for dst in 0..num_ranks {
-            let drops = plan.drops_for(level, src, dst);
-            if drops == 0 || src == dst {
-                continue;
-            }
-            if drops > retry.max_retries {
-                return Err(ClusterError::LinkFailed {
-                    level,
-                    src,
-                    dst,
-                    attempts: drops.min(retry.max_retries + 1),
-                });
-            }
-            let retry_us = retry.penalty_us(drops);
-            cost.time_us +=
-                transfer_scaled(link, src, dst, bytes, bw) * f64::from(drops) + retry_us;
-            cost.retransmitted_bytes += bytes * u64::from(drops);
-            cost.retry_us += retry_us;
+        for dst in (0..num_ranks).filter(|&dst| dst != src) {
+            cost.add(resent(link, plan, retry, level, (src, dst), bytes, bw, 0)?);
         }
     }
     Ok(cost)
