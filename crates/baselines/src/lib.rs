@@ -14,7 +14,7 @@ mod beamer;
 mod engines;
 
 use gcd_sim::Device;
-use xbfs_core::engine::{gteps, reached, validate_levels};
+use xbfs_core::engine::{gteps, past_deadline, reached, validate_levels};
 use xbfs_core::{
     levels_digest, DeviceGraph, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
     XbfsError, UNVISITED,
@@ -101,13 +101,12 @@ impl<'g> Baseline<'g> {
     /// The between-levels deadline gate: once the modeled clock is past
     /// the budget, the run ends here.
     fn check_deadline(&self, deadline_ms: Option<f64>) -> Result<(), EngineError> {
-        let elapsed_us = self.device.elapsed_us();
-        match deadline_ms.map(|ms| ms * 1000.0) {
-            Some(deadline_us) if elapsed_us > deadline_us => Err(EngineError::Deadline {
-                elapsed_us: elapsed_us as u64,
-                deadline_us: deadline_us as u64,
+        match past_deadline(deadline_ms, self.device.elapsed_us()) {
+            Some((elapsed_us, deadline_us)) => Err(EngineError::Deadline {
+                elapsed_us,
+                deadline_us,
             }),
-            _ => Ok(()),
+            None => Ok(()),
         }
     }
 }

@@ -33,7 +33,9 @@ use std::sync::{Mutex, PoisonError};
 
 use crate::config::XbfsConfig;
 use crate::device_graph::DeviceGraph;
-use crate::engine::{gteps, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
+use crate::engine::{
+    gteps, past_deadline, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
+};
 use crate::error::XbfsError;
 use crate::integrity::verified_run;
 use crate::state::{decode_level, UNVISITED};
@@ -122,8 +124,6 @@ struct MsInner {
     /// acquisition order — tracked so Drop releases them to the pool in a
     /// deterministic order regardless of batch depths.
     swapped: bool,
-    /// Cached `"msbfs level N"` phase labels.
-    labels: Vec<String>,
     /// One per core: `msbfs_expand` and `msbfs_pull` lend them all to
     /// their workers, `msbfs_fold` only the first (see `run_impl`).
     scratch: Vec<WaveScratch>,
@@ -181,7 +181,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
             base: 1,
             last_depth: 0,
             swapped: false,
-            labels: Vec::new(),
             scratch: (0..gcd_sim::cores())
                 .map(|_| WaveScratch::default())
                 .collect(),
@@ -304,7 +303,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
         device.charge_transfer(0, 12 * (seeds.len() as u64 + 1));
         let pair_edges = graph.num_edges().max(1) as f64 * sources.len() as f64;
         let slots = u64::MAX >> (MAX_CONCURRENT - sources.len());
-        let budget_us = deadline_ms.map(|d| d * 1000.0);
         let mut qlen = seeds.len();
         let mut level = 0u32;
         let mut deepest = 0u32;
@@ -312,13 +310,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let mut folded = inner.bufs.work.as_ref().map_or(0, |t| t.load(0));
 
         while qlen > 0 {
-            let idx = level as usize;
-            // Levels run in order and the labels outlive batches: at most
-            // this one is missing.
-            if inner.labels.len() == idx {
-                inner.labels.push(format!("msbfs level {idx}"));
-            }
-            device.set_phase(inner.labels[idx].as_str());
+            device.set_phase(format!("msbfs level {level}"));
             device.fill_u32(0, &inner.bufs.counters, 0);
             // Expand and pull waves read only what the last fold wrote and
             // write only through `atomicOr` (expand) or to their own
@@ -359,19 +351,17 @@ impl<D: Borrow<Device>> MsBfs<D> {
             inner.swapped = !inner.swapped;
             qlen = produced;
             level += 1;
-            if let Some(budget) = budget_us {
-                let t1 = device.elapsed_us();
-                // A batch that completes on its last level is never a
-                // timeout — only abort while work remains. The fold pass
-                // already zeroed `fresh`, so the engine stays reusable.
-                if qlen > 0 && t1 > budget {
-                    inner.last_depth = deepest;
-                    return Err(XbfsError::DeadlineExceeded {
-                        level: level - 1,
-                        elapsed_us: t1 as u64,
-                        deadline_us: budget as u64,
-                    });
-                }
+            // A batch that completes on its last level is never a
+            // timeout — only abort while work remains. The fold pass
+            // already zeroed `fresh`, so the engine stays reusable.
+            let late = past_deadline(deadline_ms, device.elapsed_us());
+            if let Some((elapsed_us, deadline_us)) = late.filter(|_| qlen > 0) {
+                inner.last_depth = deepest;
+                return Err(XbfsError::DeadlineExceeded {
+                    level: level - 1,
+                    elapsed_us,
+                    deadline_us,
+                });
             }
         }
         inner.last_depth = deepest;

@@ -118,6 +118,14 @@ pub fn gteps(edges: u64, secs: f64) -> f64 {
     }
 }
 
+/// The between-levels deadline gate every engine shares: `Some((elapsed,
+/// deadline))` in whole µs once the modeled clock is strictly past a
+/// budget of `deadline_ms`, `None` while it is not (or there is none).
+pub fn past_deadline(deadline_ms: Option<f64>, elapsed_us: f64) -> Option<(u64, u64)> {
+    let deadline_us = deadline_ms? * 1000.0;
+    (elapsed_us > deadline_us).then_some((elapsed_us as u64, deadline_us as u64))
+}
+
 /// What `verify` means to an engine with no device to sweep: the level
 /// certificate ([`xbfs_graph::certify_levels`]) of a finished
 /// single-source run. Returns the wall ms it took (0 when `verify` is

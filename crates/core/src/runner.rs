@@ -5,14 +5,14 @@
 //!
 //! Since PR 3 the runner is a *throughput engine*: BFS state is acquired
 //! from the device buffer pool once at construction, reset between runs in
-//! O(1) by advancing an epoch bias (no O(|V|) fill kernels), and per-level
-//! scratch (phase-label strings) is cached across runs. Back-to-back runs
-//! from different sources therefore cost O(|frontier work|), not O(|V|).
+//! O(1) by advancing an epoch bias (no O(|V|) fill kernels). Back-to-back
+//! runs from different sources therefore cost O(|frontier work|), not
+//! O(|V|).
 
 use crate::config::XbfsConfig;
 use crate::controller::Controller;
 use crate::device_graph::DeviceGraph;
-use crate::engine::{Engine, EngineError, Inject, RunOutcome, RunRequest};
+use crate::engine::{past_deadline, Engine, EngineError, Inject, RunOutcome, RunRequest};
 use crate::error::XbfsError;
 use crate::integrity::{apply_sabotage, certify_run, verified_run, Sabotage};
 use crate::state::{ctr, decode_level, ectr, BfsState, QueueState, UNVISITED};
@@ -28,30 +28,12 @@ use xbfs_graph::{Certificate, Csr};
 use xbfs_telemetry::{attrs, names, Recorder, Trace};
 
 /// Per-engine mutable run context, reused across runs: the pooled BFS
-/// state, the previous run's depth (how far to advance the epoch), and
-/// cached per-level phase labels so the steady-state level loop performs
-/// no scratch allocation.
+/// state and the previous run's depth (how far to advance the epoch).
 struct RunInner {
     /// `Some` until drop, when the buffers return to the device pool.
     st: Option<BfsState>,
     /// Depth of the previous run; bounds the epoch advance on reset.
     last_depth: u32,
-    /// `labels[l] == "level l"`, grown lazily and kept across runs.
-    labels: Vec<String>,
-    /// How many times the scratch grew (label allocations). Steady-state
-    /// repeat runs must not bump this — asserted in tests.
-    scratch_allocs: u64,
-}
-
-/// Return the cached phase label for `level`, allocating only the first
-/// time this engine reaches a given depth.
-fn phase_label<'s>(labels: &'s mut Vec<String>, scratch_allocs: &mut u64, level: u32) -> &'s str {
-    let idx = level as usize;
-    while labels.len() <= idx {
-        labels.push(format!("level {}", labels.len()));
-        *scratch_allocs += 1;
-    }
-    labels[idx].as_str()
 }
 
 /// An XBFS instance bound to a device-resident graph.
@@ -97,8 +79,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
             inner: Mutex::new(RunInner {
                 st: Some(st),
                 last_depth: 0,
-                labels: Vec::new(),
-                scratch_allocs: 0,
             }),
             device,
         })
@@ -112,13 +92,6 @@ impl<D: Borrow<Device>> Xbfs<D> {
     /// The device this engine runs on.
     pub fn device(&self) -> &Device {
         self.device.borrow()
-    }
-
-    /// Number of times the reusable per-run scratch had to grow. After a
-    /// warm-up run, repeat runs of no greater depth keep this constant —
-    /// the level loop performs no scratch allocation.
-    pub fn scratch_allocs(&self) -> u64 {
-        crate::lock(&self.inner).scratch_allocs
     }
 
     /// Summed capacity of the kernels' working vectors: where a warm-up
@@ -195,12 +168,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         let controller = Controller::new(self.cfg.alpha, self.cfg.scan_free_max_ratio);
 
         let mut guard = crate::lock(&self.inner);
-        let RunInner {
-            st,
-            last_depth,
-            labels,
-            scratch_allocs,
-        } = &mut *guard;
+        let RunInner { st, last_depth } = &mut *guard;
         let st = st.as_mut().expect("state is released only on drop");
         // O(1) between-run reset: advance the epoch past everything the
         // previous run stored instead of re-filling O(|V|) arrays.
@@ -237,7 +205,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         loop {
             let ratio = frontier_edges as f64 / m;
             let strategy = self.cfg.forced.unwrap_or_else(|| controller.choose(ratio));
-            dev.set_phase(phase_label(labels, scratch_allocs, level));
+            dev.set_phase(format!("level {level}"));
             let t0 = dev.elapsed_us();
             let mut gen_end_us = None;
 
@@ -340,16 +308,13 @@ impl<D: Borrow<Device>> Xbfs<D> {
             // marks up to two levels past the last recorded one (proactive
             // claims), which `reset_in_place`'s +3 epoch skip already
             // covers — the state is fully reusable by the next run.
-            if let Some(budget_ms) = deadline_ms {
-                let budget_us = budget_ms * 1000.0;
-                if t1 > budget_us {
-                    *last_depth = level_stats.len() as u32;
-                    return Err(XbfsError::DeadlineExceeded {
-                        level,
-                        elapsed_us: t1 as u64,
-                        deadline_us: budget_us as u64,
-                    });
-                }
+            if let Some((elapsed_us, deadline_us)) = past_deadline(deadline_ms, t1) {
+                *last_depth = level_stats.len() as u32;
+                return Err(XbfsError::DeadlineExceeded {
+                    level,
+                    elapsed_us,
+                    deadline_us,
+                });
             }
             frontier_count = next_count;
             frontier_edges = next_edges;

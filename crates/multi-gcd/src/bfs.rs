@@ -38,18 +38,16 @@ use crate::faults::{
 };
 use crate::interconnect::LinkModel;
 use crate::partition::Partition;
-use gcd_sim::{ArchProfile, BufU32, BufU64, Device, ExecMode, LaunchCfg, WaveCtx};
+use crate::rank::{fleet_elapsed, RankState};
+use gcd_sim::ArchProfile;
 use std::collections::HashMap;
-use xbfs_core::engine::validate_levels;
+use xbfs_core::engine::{past_deadline, validate_levels};
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
 
 /// Not-yet-visited marker (matches single-GCD XBFS).
 pub const UNVISITED: u32 = u32::MAX;
-
-/// Per-destination out-bucket slack factor over the uniform share.
-const BUCKET_SLACK: usize = 4;
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -310,31 +308,6 @@ impl ClusterRun {
     }
 }
 
-/// Per-rank device state.
-struct RankState {
-    device: Device,
-    /// Local CSR on device (targets are global ids).
-    offsets: BufU64,
-    adjacency: BufU32,
-    degrees: BufU32,
-    /// Local status array.
-    status: BufU32,
-    /// Local frontier queues (global ids of owned vertices).
-    frontier: BufU32,
-    next_frontier: BufU32,
-    /// Per-destination candidate buckets.
-    buckets: Vec<BufU32>,
-    /// Inbox for received candidates.
-    inbox: BufU32,
-    /// Counters: [0..P) bucket lengths, [P] next-frontier len,
-    /// [P+1] claimed, [P+2] inbox len (host-managed).
-    counters: BufU32,
-    /// 64-bit counter: claimed degree sum.
-    edge_counters: BufU64,
-    /// Global frontier bitmap (1 bit per global vertex).
-    bitmap: BufU32,
-}
-
 /// Host-side snapshot taken at a level boundary: everything needed to
 /// resume execution from the start of `next_level`.
 struct Checkpoint {
@@ -350,7 +323,7 @@ struct Checkpoint {
     frontier_edges: u64,
 }
 
-/// Per-level communication tally returned by the level drivers.
+/// Per-level communication tally returned by [`GcdCluster::run_level`].
 struct LevelComm {
     exchanged: u64,
     /// The exchange collective (the level loop adds the allreduce).
@@ -373,9 +346,6 @@ struct LevelScratch {
     inbox_lens: Vec<usize>,
     /// OR-merge of the per-rank frontier bitmaps (pull levels).
     merged: Vec<u32>,
-    /// Cached `"L<n> push"` / `"L<n> pull"` phase labels, grown on demand.
-    push_labels: Vec<String>,
-    pull_labels: Vec<String>,
 }
 
 impl LevelScratch {
@@ -391,25 +361,6 @@ impl LevelScratch {
             self.merged = vec![0u32; bitmap_words];
         }
     }
-}
-
-/// Cached phase-label lookup: formats `"L<level> <suffix>"` once per level
-/// ever seen and hands back the cached string thereafter.
-fn level_label<'s>(labels: &'s mut Vec<String>, suffix: &str, level: u32) -> &'s str {
-    let idx = level as usize;
-    while labels.len() <= idx {
-        labels.push(format!("L{} {suffix}", labels.len()));
-    }
-    labels[idx].as_str()
-}
-
-/// Max device clock across the fleet (free function so level drivers can
-/// call it while holding disjoint field borrows).
-fn fleet_elapsed(ranks: &[RankState]) -> f64 {
-    ranks
-        .iter()
-        .map(|r| r.device.elapsed_us())
-        .fold(0.0, f64::max)
 }
 
 /// A cluster of simulated GCDs ready to run BFS on a partitioned graph.
@@ -438,9 +389,11 @@ impl<'g> GcdCluster<'g> {
         if graph.num_vertices() == 0 {
             return Err(ClusterError::EmptyGraph);
         }
-        let arch = ArchProfile::mi250x_gcd();
-        let partition = Partition::new(graph, cfg.num_gcds, arch.wavefront_size);
-        let ranks = Self::build_ranks(graph, &partition, cfg.num_gcds, &arch);
+        let wavefront = ArchProfile::mi250x_gcd().wavefront_size;
+        let partition = Partition::new(graph, cfg.num_gcds, wavefront);
+        let ranks = (partition.parts.iter())
+            .map(|part| RankState::new(graph, part, cfg.num_gcds))
+            .collect();
         Ok(Self {
             graph,
             partition,
@@ -452,46 +405,6 @@ impl<'g> GcdCluster<'g> {
             checkpoint_every: 0,
             phase_us: (0.0, 0.0),
         })
-    }
-
-    fn build_ranks(
-        graph: &Csr,
-        partition: &Partition,
-        p: usize,
-        arch: &ArchProfile,
-    ) -> Vec<RankState> {
-        partition
-            .parts
-            .iter()
-            .map(|part| Self::build_rank(graph, part, p, arch))
-            .collect()
-    }
-
-    fn build_rank(
-        graph: &Csr,
-        part: &crate::partition::Part,
-        p: usize,
-        arch: &ArchProfile,
-    ) -> RankState {
-        let device = Device::new(arch.clone(), ExecMode::Functional, 1);
-        let local = &part.local;
-        let n_local = part.len().max(1);
-        let bucket_cap = (local.num_edges() * BUCKET_SLACK / p.max(1)).max(1024);
-        let degrees: Vec<u32> = (0..part.len() as u32).map(|v| local.degree(v)).collect();
-        RankState {
-            offsets: device.upload_u64(local.offsets()),
-            adjacency: device.upload_u32(local.adjacency()),
-            degrees: device.upload_u32(&degrees),
-            status: device.alloc_u32(n_local),
-            frontier: device.alloc_u32(n_local),
-            next_frontier: device.alloc_u32(n_local),
-            buckets: (0..p).map(|_| device.alloc_u32(bucket_cap)).collect(),
-            inbox: device.alloc_u32(local.num_edges().max(1024)),
-            counters: device.alloc_u32(p + 3),
-            edge_counters: device.alloc_u64(1),
-            bitmap: device.alloc_u32(graph.num_vertices().div_ceil(32).max(1)),
-            device,
-        }
     }
 
     /// Number of GCDs currently in the cluster (shrinks after a
@@ -602,7 +515,7 @@ impl<'g> GcdCluster<'g> {
         let mut frontier_count = 1u64;
         let mut frontier_edges = u64::from(self.graph.degree(source));
         let mut level = 0u32;
-        let init_end_us = self.max_elapsed();
+        let init_end_us = fleet_elapsed(&self.ranks);
         let mut clock_us = init_end_us;
         let mut stats: Vec<ClusterLevelStats> = Vec::new();
         let mut recoveries: Vec<RecoveryReport> = Vec::new();
@@ -628,20 +541,15 @@ impl<'g> GcdCluster<'g> {
 
         // Deadline gate, shared by the between-levels and post-recovery
         // check sites.
-        let check_deadline = |elapsed_us: f64, level: u32| -> Result<(), ClusterError> {
-            let Some(budget_ms) = deadline_ms else {
-                return Ok(());
-            };
-            let budget_us = budget_ms * 1000.0;
-            if elapsed_us > budget_us {
-                return Err(ClusterError::DeadlineExceeded {
+        let check_deadline =
+            |elapsed_us: f64, level: u32| match past_deadline(deadline_ms, elapsed_us) {
+                Some((elapsed_us, deadline_us)) => Err(ClusterError::DeadlineExceeded {
                     level,
-                    elapsed_us: elapsed_us as u64,
-                    deadline_us: budget_us as u64,
-                });
-            }
-            Ok(())
-        };
+                    elapsed_us,
+                    deadline_us,
+                }),
+                None => Ok(()),
+            };
 
         loop {
             // Crash scheduled at this level and not yet handled?
@@ -660,7 +568,7 @@ impl<'g> GcdCluster<'g> {
                     frontier_edges = restored.frontier_edges;
                     frontier_lens = self.restore_frontiers(restored);
                     pending_recovery_us += report.overhead_ms * 1000.0;
-                    clock_us = self.max_elapsed();
+                    clock_us = fleet_elapsed(&self.ranks);
                     recoveries.push(report);
                     // Every rank present after recovery restored its
                     // status partition from the checkpoint.
@@ -678,17 +586,13 @@ impl<'g> GcdCluster<'g> {
             let p = self.cfg.num_gcds;
             let ratio = frontier_edges as f64 / m_global;
             let bottom_up = !self.cfg.push_only && ratio > self.cfg.alpha;
-            let comm = if bottom_up {
-                self.run_pull_level(level, &frontier_lens, faults)?
-            } else {
-                self.run_push_level(level, &frontier_lens, faults)?
-            };
+            let comm = self.run_level(level, bottom_up, &frontier_lens, faults)?;
 
             // Barrier + counter allreduce (retries charged like any other
             // collective).
-            let ar_t0 = self.max_elapsed();
+            let ar_t0 = fleet_elapsed(&self.ranks);
             let ar = faulty_allreduce(&self.link, &faults.plan, &faults.retry, level, p, 16)?;
-            let mut t = self.max_elapsed();
+            let mut t = fleet_elapsed(&self.ranks);
             t += ar.time_us.max(self.ranks[0].device.arch().sync_us);
             for r in &self.ranks {
                 r.device.advance_to(t);
@@ -696,11 +600,11 @@ impl<'g> GcdCluster<'g> {
             Self::spread_retransmits(&mut self.health, p, ar.retransmitted_bytes);
             let mut claimed = 0u64;
             let mut claimed_edges = 0u64;
-            for (i, r) in self.ranks.iter().enumerate() {
-                let nf = r.counters.load(p + 1) as usize;
-                frontier_lens[i] = nf;
+            for (len, r) in frontier_lens.iter_mut().zip(&self.ranks) {
+                let (nf, edges) = r.claimed();
+                *len = nf;
                 claimed += nf as u64;
-                claimed_edges += r.edge_counters.load(0);
+                claimed_edges += edges;
             }
 
             let attempt = attempts.get(&level).copied().unwrap_or(0);
@@ -736,7 +640,7 @@ impl<'g> GcdCluster<'g> {
                 break;
             }
             check_deadline(clock_us, level + 1)?;
-            self.swap_frontiers();
+            self.ranks.iter_mut().for_each(RankState::swap_frontiers);
             frontier_count = claimed;
             frontier_edges = claimed_edges;
             level += 1;
@@ -744,14 +648,14 @@ impl<'g> GcdCluster<'g> {
             // Level-synchronous checkpoint: the boundary between levels is
             // the natural consistency point.
             if faults.checkpoint_every > 0 && level.is_multiple_of(faults.checkpoint_every) {
-                let ck_t0 = self.max_elapsed();
+                let ck_t0 = fleet_elapsed(&self.ranks);
                 ckpt = Some(self.take_checkpoint(
                     level,
                     &frontier_lens,
                     frontier_count,
                     frontier_edges,
                 ));
-                clock_us = self.max_elapsed();
+                clock_us = fleet_elapsed(&self.ranks);
                 if let Some(row) = stats.last_mut() {
                     row.checkpoint = Some(CheckpointStats {
                         start_us: ck_t0,
@@ -763,7 +667,7 @@ impl<'g> GcdCluster<'g> {
         }
 
         // --- collect ---
-        let total_us = self.max_elapsed();
+        let total_us = fleet_elapsed(&self.ranks);
         let total_ms = total_us / 1000.0;
         let mut levels = vec![UNVISITED; n];
         for (part, r) in self.partition.parts.iter().zip(&self.ranks) {
@@ -958,7 +862,7 @@ impl<'g> GcdCluster<'g> {
             r.device
                 .charge_transfer(0, 4 * (part.len() as u64 + flen as u64));
         }
-        let t = self.max_elapsed();
+        let t = fleet_elapsed(&self.ranks);
         for r in &self.ranks {
             r.device.advance_to(t);
         }
@@ -982,8 +886,7 @@ impl<'g> GcdCluster<'g> {
         restored: &Checkpoint,
         before_row: usize,
     ) -> Result<RecoveryReport, ClusterError> {
-        let arch = ArchProfile::mi250x_gcd();
-        let crash_us = self.max_elapsed();
+        let crash_us = fleet_elapsed(&self.ranks);
         let t_detect = crash_us + faults.retry.detection_us();
 
         let gcds_after = match faults.recovery {
@@ -991,13 +894,8 @@ impl<'g> GcdCluster<'g> {
                 // Fresh GCD takes over the dead rank's slot: same partition,
                 // graph block re-uploaded over the fabric.
                 let part = &self.partition.parts[rank];
-                let fresh = Self::build_rank(self.graph, part, self.cfg.num_gcds, &arch);
-                let upload_bytes = 8 * (part.len() as u64 + 1)
-                    + 4 * part.local.num_edges() as u64
-                    + 4 * part.len() as u64;
-                fresh.device.advance_to(t_detect);
-                fresh.device.charge_transfer(0, upload_bytes);
-                self.ranks[rank] = fresh;
+                self.ranks[rank] =
+                    RankState::respawn(self.graph, part, self.cfg.num_gcds, t_detect);
                 self.cfg.num_gcds
             }
             RecoveryPolicy::Degrade => {
@@ -1011,15 +909,11 @@ impl<'g> GcdCluster<'g> {
                 }
                 // Repartition the whole graph across the survivors; every
                 // rank re-uploads its (larger) block.
-                self.partition = Partition::new(self.graph, survivors, arch.wavefront_size);
-                self.ranks = Self::build_ranks(self.graph, &self.partition, survivors, &arch);
-                for (part, r) in self.partition.parts.iter().zip(&self.ranks) {
-                    let upload_bytes = 8 * (part.len() as u64 + 1)
-                        + 4 * part.local.num_edges() as u64
-                        + 4 * part.len() as u64;
-                    r.device.advance_to(t_detect);
-                    r.device.charge_transfer(0, upload_bytes);
-                }
+                let wavefront = self.ranks[0].device.arch().wavefront_size;
+                self.partition = Partition::new(self.graph, survivors, wavefront);
+                self.ranks = (self.partition.parts.iter())
+                    .map(|part| RankState::respawn(self.graph, part, survivors, t_detect))
+                    .collect();
                 self.cfg.num_gcds = survivors;
                 survivors
             }
@@ -1038,7 +932,7 @@ impl<'g> GcdCluster<'g> {
             }
             r.device.charge_transfer(0, 4 * part.len() as u64);
         }
-        let t_done = self.max_elapsed();
+        let t_done = fleet_elapsed(&self.ranks);
         for r in &self.ranks {
             r.device.advance_to(t_done);
         }
@@ -1068,19 +962,47 @@ impl<'g> GcdCluster<'g> {
         lens
     }
 
-    fn max_elapsed(&self) -> f64 {
-        fleet_elapsed(&self.ranks)
-    }
-
-    /// Top-down push level.
-    fn run_push_level(
+    /// One level: every rank's [`RankState::first_step`], the exchange,
+    /// every rank's [`RankState::second_step`].
+    fn run_level(
         &mut self,
         level: u32,
+        pull: bool,
         frontier_lens: &[usize],
         faults: &FaultConfig,
     ) -> Result<LevelComm, ClusterError> {
+        let t_entry = fleet_elapsed(&self.ranks);
+        let (ranks, partition) = (&self.ranks, &self.partition);
+        for ((r, part), &qlen) in ranks.iter().zip(&partition.parts).zip(frontier_lens) {
+            r.first_step(level, pull, part, partition, qlen);
+        }
+        let (exchanged, exchange, retry_us) = self.exchange(level, pull, faults)?;
+        let steps = self.ranks.iter().zip(&self.partition.parts);
+        for ((r, part), &inbox_len) in steps.zip(&self.scratch.inbox_lens) {
+            r.second_step(level, pull, part, inbox_len);
+        }
+        let t_exit = fleet_elapsed(&self.ranks);
+        Ok(LevelComm {
+            exchanged,
+            exchange,
+            retry_us,
+            expand_us: (exchange.start_us - t_entry) + (t_exit - exchange.end_us),
+        })
+    }
+
+    /// The host side of a level, in rank order: the personalized
+    /// all-to-all of the push buckets into the owners' inboxes, or the
+    /// allgather of the pull bitmaps merged into every rank's copy (data
+    /// motion charged by the collective). Returns the bytes exchanged, the
+    /// collective and its retry wait, µs.
+    fn exchange(
+        &mut self,
+        level: u32,
+        pull: bool,
+        faults: &FaultConfig,
+    ) -> Result<(u64, CollectiveStats, f64), ClusterError> {
         let Self {
-            partition,
+            graph,
             link,
             cfg,
             ranks,
@@ -1090,202 +1012,83 @@ impl<'g> GcdCluster<'g> {
         } = self;
         let p = cfg.num_gcds;
         scratch.ensure(p, ranks[0].bitmap.len());
-        let t_entry = fleet_elapsed(ranks);
-        // Phase 1: local expansion into local claims + remote buckets.
-        for (rank, r) in ranks.iter().enumerate() {
-            r.device
-                .set_phase(level_label(&mut scratch.push_labels, "push", level));
-            r.device.fill_u32(0, &r.counters, 0);
-            reset_edges(r);
-            let qlen = frontier_lens[rank];
-            if qlen == 0 {
-                continue;
-            }
-            let part = &partition.parts[rank];
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_expand", qlen).with_registers(48),
-                |w| push_expand_kernel(w, r, part, partition, level, p),
-            );
-        }
-
-        // Phase 2: exchange. Gather bucket sizes, charge the all-to-all
-        // (with retries and degradation under the fault plan).
-        let LevelScratch {
-            send,
-            recv,
-            inbox_lens,
-            ..
-        } = scratch;
-        for (rank, r) in ranks.iter().enumerate() {
-            for (d, cell) in send[rank].iter_mut().enumerate() {
-                *cell = 4 * u64::from(r.counters.load(d));
-            }
-        }
+        let (plan, retry) = (&faults.plan, &faults.retry);
         let t0 = fleet_elapsed(ranks);
-        let (mut exchanged, mut retransmitted, mut retry_us) = (0u64, 0u64, 0.0f64);
-        let mut t_end = t0;
-        for (rank, sent) in send.iter().enumerate() {
-            for (d, slot) in recv.iter_mut().enumerate() {
-                *slot = send[d][rank];
+        let (exchanged, t_end, retransmitted, retry_us) = if pull {
+            // Bytes per rank: its slice of |V|/8.
+            let slice_bytes = (graph.num_vertices().div_ceil(8) / p.max(1)).max(4) as u64;
+            let cost = faulty_allgather(link, plan, retry, level, p, slice_bytes)?;
+            Self::spread_retransmits(health, p, cost.retransmitted_bytes);
+            // OR every rank's slice together, then hand each the result.
+            let merged = &mut scratch.merged;
+            merged.fill(0);
+            for r in ranks.iter() {
+                for (i, m) in merged.iter_mut().enumerate() {
+                    *m |= r.bitmap.load(i);
+                }
             }
-            let cost = faulty_alltoall(link, &faults.plan, &faults.retry, level, rank, sent, recv)?;
-            t_end = t_end.max(t0 + cost.time_us);
-            exchanged += sent.iter().sum::<u64>();
-            retransmitted += cost.retransmitted_bytes;
-            retry_us = retry_us.max(cost.retry_us);
-            // The all-to-all knows its sender: exact attribution.
-            if let Some(h) = health.get_mut(rank) {
-                h.retransmitted_bytes += cost.retransmitted_bytes;
+            for r in ranks.iter() {
+                r.bitmap.host_write(merged);
             }
-        }
+            let t_end = t0 + cost.time_us;
+            (
+                slice_bytes * p as u64,
+                t_end,
+                cost.retransmitted_bytes,
+                cost.retry_us,
+            )
+        } else {
+            let (send, recv) = (&mut scratch.send, &mut scratch.recv);
+            for (r, row) in ranks.iter().zip(send.iter_mut()) {
+                for (d, cell) in row.iter_mut().enumerate() {
+                    *cell = 4 * r.bucket_len(d) as u64;
+                }
+            }
+            let (mut exchanged, mut retransmitted, mut retry_us) = (0u64, 0u64, 0.0f64);
+            let mut t_end = t0;
+            for (rank, sent) in send.iter().enumerate() {
+                for (d, slot) in recv.iter_mut().enumerate() {
+                    *slot = send[d][rank];
+                }
+                let cost = faulty_alltoall(link, plan, retry, level, rank, sent, recv)?;
+                t_end = t_end.max(t0 + cost.time_us);
+                exchanged += sent.iter().sum::<u64>();
+                retransmitted += cost.retransmitted_bytes;
+                retry_us = retry_us.max(cost.retry_us);
+                // The all-to-all knows its sender: exact attribution.
+                if let Some(h) = health.get_mut(rank) {
+                    h.retransmitted_bytes += cost.retransmitted_bytes;
+                }
+            }
+            scratch.inbox_lens.fill(0);
+            for (src, r) in ranks.iter().enumerate() {
+                for (dst, inbox_len) in scratch.inbox_lens.iter_mut().enumerate() {
+                    let cnt = r.bucket_len(dst);
+                    if dst == src || cnt == 0 {
+                        continue;
+                    }
+                    let inbox = &ranks[dst].inbox;
+                    for i in 0..cnt {
+                        let slot = *inbox_len + i;
+                        assert!(slot < inbox.len(), "inbox overflow on rank {dst}");
+                        inbox.store(slot, r.buckets[dst].load(i));
+                    }
+                    *inbox_len += cnt;
+                }
+            }
+            (exchanged, t_end, retransmitted, retry_us)
+        };
         for r in ranks.iter() {
             r.device.advance_to(t_end);
         }
-        // Deliver candidates into inboxes (data motion already charged).
-        inbox_lens.fill(0);
-        for (src, r) in ranks.iter().enumerate() {
-            for (dst, inbox_len) in inbox_lens.iter_mut().enumerate() {
-                let cnt = r.counters.load(dst) as usize;
-                if dst == src || cnt == 0 {
-                    continue;
-                }
-                let dstate = &ranks[dst];
-                let cap = dstate.inbox.len();
-                for i in 0..cnt {
-                    let slot = *inbox_len + i;
-                    assert!(slot < cap, "inbox overflow on rank {dst}");
-                    dstate.inbox.store(slot, r.buckets[dst].load(i));
-                }
-                *inbox_len += cnt;
-            }
-        }
-
-        // Phase 3: claim received candidates.
-        for (rank, r) in ranks.iter().enumerate() {
-            let in_len = inbox_lens[rank];
-            if in_len == 0 {
-                continue;
-            }
-            let part = &partition.parts[rank];
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_claim", in_len).with_registers(24),
-                |w| claim_kernel(w, r, part, level, p),
-            );
-        }
-        Ok(LevelComm {
-            exchanged,
-            exchange: CollectiveStats {
-                start_us: t0,
-                end_us: t_end,
-                retransmitted_bytes: retransmitted,
-                retry_ms: retry_us / 1000.0,
-            },
-            retry_us,
-            expand_us: (t0 - t_entry) + (fleet_elapsed(ranks) - t_end),
-        })
+        let exchange = CollectiveStats {
+            start_us: t0,
+            end_us: t_end,
+            retransmitted_bytes: retransmitted,
+            retry_ms: retry_us / 1000.0,
+        };
+        Ok((exchanged, exchange, retry_us))
     }
-
-    /// Bottom-up pull level.
-    fn run_pull_level(
-        &mut self,
-        level: u32,
-        frontier_lens: &[usize],
-        faults: &FaultConfig,
-    ) -> Result<LevelComm, ClusterError> {
-        let Self {
-            graph,
-            partition,
-            link,
-            cfg,
-            ranks,
-            scratch,
-            health,
-            ..
-        } = self;
-        let p = cfg.num_gcds;
-        scratch.ensure(p, ranks[0].bitmap.len());
-        let t_entry = fleet_elapsed(ranks);
-        // Phase 1: each rank sets bits for its frontier slice.
-        for (rank, r) in ranks.iter().enumerate() {
-            r.device
-                .set_phase(level_label(&mut scratch.pull_labels, "pull", level));
-            r.device.fill_u32(0, &r.counters, 0);
-            r.device.fill_u32(0, &r.bitmap, 0);
-            reset_edges(r);
-            let qlen = frontier_lens[rank];
-            if qlen == 0 {
-                continue;
-            }
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_bitmap_set", qlen).with_registers(12),
-                |w| {
-                    let gids = w.lanes();
-                    let mut vs = Vec::with_capacity(gids.len());
-                    w.vload32_range(&r.frontier, gids.start, gids.len(), &mut vs);
-                    let ops = vs.iter().map(|&v| ((v / 32) as usize, 1u32 << (v % 32)));
-                    w.vor32(&r.bitmap, ops);
-                },
-            );
-        }
-
-        // Phase 2: allgather the bitmap slices (every rank ends with the
-        // full global bitmap). Bytes per rank: its slice of |V|/8.
-        let slice_bytes = (graph.num_vertices().div_ceil(8) / p.max(1)).max(4) as u64;
-        let ag_t0 = fleet_elapsed(ranks);
-        let cost = faulty_allgather(link, &faults.plan, &faults.retry, level, p, slice_bytes)?;
-        let t = fleet_elapsed(ranks) + cost.time_us;
-        for r in ranks.iter() {
-            r.device.advance_to(t);
-        }
-        Self::spread_retransmits(health, p, cost.retransmitted_bytes);
-        // Merge host-side (motion already charged): OR all slices together,
-        // word by word into the reused scratch buffer (no per-level Vec).
-        let merged = &mut scratch.merged;
-        merged.fill(0);
-        for r in ranks.iter() {
-            for (i, m) in merged.iter_mut().enumerate() {
-                *m |= r.bitmap.load(i);
-            }
-        }
-        for r in ranks.iter() {
-            r.bitmap.host_write(merged);
-        }
-
-        // Phase 3: pull — every locally unvisited vertex probes neighbors
-        // against the bitmap with early termination (XBFS bottom-up).
-        for (rank, r) in ranks.iter().enumerate() {
-            let part = &partition.parts[rank];
-            if part.is_empty() {
-                continue;
-            }
-            r.device.launch(
-                0,
-                LaunchCfg::new("dist_pull", part.len()).with_registers(110),
-                |w| pull_kernel(w, r, part, level, p),
-            );
-        }
-        Ok(LevelComm {
-            exchanged: slice_bytes * p as u64,
-            exchange: CollectiveStats {
-                start_us: ag_t0,
-                end_us: t,
-                retransmitted_bytes: cost.retransmitted_bytes,
-                retry_ms: cost.retry_us / 1000.0,
-            },
-            retry_us: cost.retry_us,
-            expand_us: (ag_t0 - t_entry) + (fleet_elapsed(ranks) - t),
-        })
-    }
-}
-
-/// Zero a rank's traversed-edge counter: one single-wave launch.
-fn reset_edges(r: &RankState) {
-    let reset = LaunchCfg::new("dist_reset64", 1).with_registers(8);
-    let edges = &r.edge_counters;
-    r.device.launch(0, reset, |w| w.vstore64(edges, [(0, 0)]));
 }
 
 /// One collective as a child span of its level, plus the `fault.retry`
@@ -1311,203 +1114,6 @@ fn collective_span(
     if c.retransmitted_bytes > 0 {
         let resent = attrs!["kind" => kind, "bytes" => c.retransmitted_bytes];
         rec.event(Some(span), names::event::FAULT_RETRY, 0, c.end_us, resent);
-    }
-}
-
-/// Push expansion: thread-per-frontier-vertex; local neighbors claimed in
-/// place, remote neighbors bucketed by owner.
-fn push_expand_kernel(
-    w: &mut WaveCtx,
-    r: &RankState,
-    part: &crate::partition::Part,
-    partition: &Partition,
-    level: u32,
-    p: usize,
-) {
-    let Some(us) = w.lane_entries32(&r.frontier) else {
-        return;
-    };
-    let lidx = us.iter().map(|&u| part.to_local(u) as usize);
-    let mut offs = Vec::with_capacity(lidx.len());
-    w.vload64(&r.offsets, lidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(lidx.len());
-    w.vload32(&r.degrees, lidx, &mut degs);
-
-    let mut lanes: Vec<(u64, u32)> = offs.iter().zip(&degs).map(|(&o, &d)| (o, d)).collect();
-    let mut local_claims: Vec<u32> = Vec::new();
-    let mut remote: Vec<Vec<u32>> = vec![Vec::new(); p];
-    #[allow(clippy::needless_range_loop)]
-    let mut k = 0u32;
-    loop {
-        lanes.retain(|&(_, d)| k < d);
-        if lanes.is_empty() {
-            break;
-        }
-        let aidx = lanes.iter().map(|&(o, _)| (o + u64::from(k)) as usize);
-        let mut vs = Vec::with_capacity(aidx.len());
-        w.vload32(&r.adjacency, aidx, &mut vs);
-        w.alu(1);
-        // Local neighbors: check + CAS claim now.
-        let local_cands: Vec<u32> = vs.iter().copied().filter(|&v| part.owns(v)).collect();
-        if !local_cands.is_empty() {
-            let sidx = local_cands.iter().map(|&v| part.to_local(v) as usize);
-            let mut sts = Vec::with_capacity(sidx.len());
-            w.vload32(&r.status, sidx.clone(), &mut sts);
-            let ops: Vec<(usize, u32, u32)> = sidx
-                .zip(&sts)
-                .filter(|&(_, &s)| s == UNVISITED)
-                .map(|(i, _)| (i, UNVISITED, level + 1))
-                .collect();
-            if !ops.is_empty() {
-                let mut results = Vec::with_capacity(ops.len());
-                w.vcas32(&r.status, &ops, &mut results);
-                for (&(i, _, _), res) in ops.iter().zip(&results) {
-                    if res.is_ok() {
-                        local_claims.push(part.to_global(i as u32));
-                    }
-                }
-            }
-        }
-        for &v in vs.iter().filter(|&&v| !part.owns(v)) {
-            remote[partition.owner(v)].push(v);
-        }
-        k += 1;
-    }
-
-    commit_local_claims(w, r, part, &local_claims, p);
-    // Wave-aggregated bucket appends.
-    for (d, cands) in remote.iter().enumerate() {
-        if cands.is_empty() {
-            continue;
-        }
-        let base = w.wave_add32(&r.counters, d, cands.len() as u32) as usize;
-        let cap = r.buckets[d].len();
-        assert!(base + cands.len() <= cap, "bucket overflow toward rank {d}");
-        w.vstore32_range(&r.buckets[d], base, cands);
-    }
-}
-
-/// Claim inbox candidates (owned vertices, possibly duplicated).
-fn claim_kernel(
-    w: &mut WaveCtx,
-    r: &RankState,
-    part: &crate::partition::Part,
-    level: u32,
-    p: usize,
-) {
-    let Some(vs) = w.lane_entries32(&r.inbox) else {
-        return;
-    };
-    let ops = vs
-        .iter()
-        .map(|&v| (part.to_local(v) as usize, UNVISITED, level + 1));
-    let mut results = Vec::with_capacity(vs.len());
-    w.vcas32(&r.status, ops, &mut results);
-    let winners: Vec<u32> = vs
-        .iter()
-        .zip(&results)
-        .filter(|&(_, res)| res.is_ok())
-        .map(|(&v, _)| v)
-        .collect();
-    commit_local_claims(w, r, part, &winners, p);
-}
-
-/// Bottom-up pull: thread-per-owned-vertex with early termination against
-/// the global frontier bitmap.
-fn pull_kernel(
-    w: &mut WaveCtx,
-    r: &RankState,
-    part: &crate::partition::Part,
-    level: u32,
-    p: usize,
-) {
-    let unvisited = w.lanes_where(&r.status, |s| s == UNVISITED);
-    if unvisited.is_empty() {
-        return;
-    }
-    let lidx = unvisited.iter().map(|&l| l as usize);
-    let mut offs = Vec::with_capacity(unvisited.len());
-    w.vload64(&r.offsets, lidx.clone(), &mut offs);
-    let mut degs = Vec::with_capacity(unvisited.len());
-    w.vload32(&r.degrees, lidx, &mut degs);
-    struct Lane {
-        local: u32,
-        off: u64,
-        deg: u32,
-        k: u32,
-    }
-    let mut lanes: Vec<Lane> = unvisited
-        .iter()
-        .zip(offs.iter().zip(&degs))
-        .filter(|&(_, (_, &d))| d > 0)
-        .map(|(&local, (&off, &deg))| Lane {
-            local,
-            off,
-            deg,
-            k: 0,
-        })
-        .collect();
-    let mut claims: Vec<u32> = Vec::new();
-    while !lanes.is_empty() {
-        let aidx = lanes.iter().map(|l| (l.off + u64::from(l.k)) as usize);
-        let mut nbrs = Vec::with_capacity(aidx.len());
-        w.vload32(&r.adjacency, aidx, &mut nbrs);
-        let mut words = Vec::with_capacity(nbrs.len());
-        w.vload32(
-            &r.bitmap,
-            nbrs.iter().map(|&v| (v / 32) as usize),
-            &mut words,
-        );
-        w.alu(2);
-        let mut writes: Vec<(usize, u32)> = Vec::new();
-        let mut i = 0;
-        lanes.retain_mut(|l| {
-            let nb = nbrs[i];
-            let word = words[i];
-            i += 1;
-            if word & (1 << (nb % 32)) != 0 {
-                writes.push((l.local as usize, level + 1));
-                claims.push(part.to_global(l.local));
-                return false;
-            }
-            l.k += 1;
-            l.k < l.deg
-        });
-        if !writes.is_empty() {
-            w.vstore32(&r.status, &writes);
-        }
-    }
-    commit_local_claims(w, r, part, &claims, p);
-}
-
-/// Shared tail: enqueue claimed global ids into the next frontier, bump the
-/// claimed count and the degree sum.
-fn commit_local_claims(
-    w: &mut WaveCtx,
-    r: &RankState,
-    part: &crate::partition::Part,
-    claims: &[u32],
-    p: usize,
-) {
-    if claims.is_empty() {
-        return;
-    }
-    let didx = claims.iter().map(|&v| part.to_local(v) as usize);
-    let mut cdegs = Vec::with_capacity(claims.len());
-    w.vload32(&r.degrees, didx, &mut cdegs);
-    let sum = w.wave_reduce_add(&cdegs);
-    let base = w.wave_add32(&r.counters, p + 1, claims.len() as u32) as usize;
-    w.wave_add64(&r.edge_counters, 0, sum);
-    w.vstore32_range(&r.next_frontier, base, claims);
-}
-
-impl GcdCluster<'_> {
-    /// The next-frontier queues become the frontier of the following level
-    /// (a device-pointer swap on real hardware).
-    fn swap_frontiers(&mut self) {
-        for r in &mut self.ranks {
-            std::mem::swap(&mut r.frontier, &mut r.next_frontier);
-        }
     }
 }
 

@@ -27,6 +27,7 @@ pub mod error;
 pub mod faults;
 pub mod interconnect;
 pub mod partition;
+mod rank;
 
 pub use bfs::{
     CheckpointStats, ClusterConfig, ClusterLevelStats, ClusterRun, CollectiveStats, GcdCluster,

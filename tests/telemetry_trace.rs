@@ -8,7 +8,9 @@
 use gcd_sim::{fnv1a, ArchProfile, Device, ExecMode};
 use xbfs_core::{Strategy, Xbfs, XbfsConfig};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
-use xbfs_multi_gcd::{ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel};
+use xbfs_multi_gcd::{
+    ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel, RecoveryPolicy,
+};
 use xbfs_telemetry::{names, AttrValue, Trace, TraceFormat};
 
 fn small_rmat() -> xbfs_graph::Csr {
@@ -229,4 +231,52 @@ fn trace_of_is_a_pure_function_of_the_record() {
     assert_eq!(recovery.end_us, Some(resumed.start_us));
     cluster.run(5).unwrap();
     assert_eq!(cluster.trace_of(&run), trace);
+}
+
+/// FNV-1a digests of a cluster run's record (`to_json`), its `json:`
+/// trace and the rank health it left behind.
+fn cluster_digests(cfg: ClusterConfig, faults: &FaultConfig) -> [u64; 3] {
+    let g = small_rmat();
+    let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
+    let run = cluster.run_with(0, faults, None).unwrap();
+    let trace = TraceFormat::Json.sink().export(&cluster.trace_of(&run));
+    let health = format!("{:?}", cluster.take_health());
+    [run.to_json(), trace, health].map(|s| fnv1a(s.bytes().map(u64::from)))
+}
+
+#[test]
+fn cluster_record_trace_and_health_match_golden() {
+    // Recorded at the parent of the change that split a rank's local step
+    // from the exchange (`rank.rs`), on the cluster paths the pins above
+    // leave open. Do not re-record to make it pass.
+    let with = |num_gcds, push_only| ClusterConfig {
+        num_gcds,
+        push_only,
+        ..FOUR_RANKS
+    };
+    let degrade = FaultConfig {
+        recovery: RecoveryPolicy::Degrade,
+        ..faults("crash@2:rank1")
+    };
+    // Levels 2 and 3 of this run pull, so the drop hits the allgather.
+    let pull_drop = faults("drop@2:0-1x2");
+    let cases = [
+        ("push only", with(4, true), FaultConfig::none()),
+        ("degrade crash", FOUR_RANKS, degrade),
+        ("pull drop", FOUR_RANKS, pull_drop),
+        ("bandwidth window", FOUR_RANKS, faults("degrade@1-3:0.5")),
+        ("2 ranks", with(2, false), FaultConfig::none()),
+        ("8 ranks", with(8, false), FaultConfig::none()),
+    ];
+    let golden = [
+        [0x0b41ea6e56232a7b, 0x4a345acd14fb0ec3, 0xdbad961f540065a9],
+        [0x9d3d8dc14cf17701, 0xd5504ab1de4db2ea, 0x2016c66c986dbcdf],
+        [0xe5238162d0c23b67, 0x2923d84339992f19, 0x984cc15a50caecf9],
+        [0xb114c1802f309723, 0xc406fcf74fd12458, 0xdbad961f540065a9],
+        [0x6380dd28afce0897, 0x64a0cbb1c37c314e, 0xd7db42bb6e776b65],
+        [0xbdc836c8179e453c, 0x987e58403edeb6cf, 0x6f6a53e967787571],
+    ];
+    for ((name, cfg, faults), golden) in cases.into_iter().zip(golden) {
+        assert_eq!(cluster_digests(cfg, &faults), golden, "{name}");
+    }
 }
