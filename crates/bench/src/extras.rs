@@ -60,29 +60,18 @@ pub fn compilers(scale: &Scale) -> String {
             .sum();
         (bu_ms, run.total_ms)
     };
-    let (clang_bu, clang_total) = run_with(Compiler::ClangO3);
-    let (hipcc_bu, hipcc_total) = run_with(Compiler::HipccO3);
-    let (o0_bu, o0_total) = run_with(Compiler::ClangO0);
-    let rows = vec![
+    let runs = [Compiler::ClangO3, Compiler::HipccO3, Compiler::ClangO0].map(run_with);
+    let clang_bu = runs[0].0.max(1e-12);
+    let names = ["clang -O3", "hipcc -O3", "clang (no -O3)"];
+    let row = |(name, (bu, total)): (&str, (f64, f64))| {
         vec![
-            "clang -O3".into(),
-            f3(clang_bu),
-            f3(clang_total),
-            "1.00x".into(),
-        ],
-        vec![
-            "hipcc -O3".into(),
-            f3(hipcc_bu),
-            f3(hipcc_total),
-            format!("{:.2}x", hipcc_bu / clang_bu.max(1e-12)),
-        ],
-        vec![
-            "clang (no -O3)".into(),
-            f3(o0_bu),
-            f3(o0_total),
-            format!("{:.2}x", o0_bu / clang_bu.max(1e-12)),
-        ],
-    ];
+            name.into(),
+            f3(bu),
+            f3(total),
+            format!("{:.2}x", bu / clang_bu),
+        ]
+    };
+    let rows: Vec<_> = names.into_iter().zip(runs).map(row).collect();
     render_table(
         "§IV-A compiler study: bottom-up expansion time (paper: hipcc +17%/iter, no -O3 up to 10x)",
         &["Compiler", "bu_expand ms", "end-to-end ms", "vs clang"],
@@ -98,42 +87,27 @@ pub fn ablations(scale: &Scale) -> String {
         RearrangeOrder::DegreeDescending,
     );
     let sources = xbfs_graph::stats::pick_sources(&g, scale.sources, 3);
-    let variants: Vec<(&str, XbfsConfig)> = vec![
-        ("optimized (all on)", XbfsConfig::optimized_amd()),
+    // Each variant is the optimized configuration with one knob turned.
+    let with = |turn: fn(&mut XbfsConfig)| {
+        let mut cfg = XbfsConfig::optimized_amd();
+        turn(&mut cfg);
+        cfg
+    };
+    let variants = [
+        ("optimized (all on)", with(|_| {})),
         (
             "3 streams (no consolidation)",
-            XbfsConfig {
-                multi_stream: true,
-                ..XbfsConfig::optimized_amd()
-            },
+            with(|c| c.multi_stream = true),
         ),
-        (
-            "no NFG",
-            XbfsConfig {
-                nfg: false,
-                ..XbfsConfig::optimized_amd()
-            },
-        ),
+        ("no NFG", with(|c| c.nfg = false)),
         (
             "bottom-up balancing on",
-            XbfsConfig {
-                balancing_bottom_up: true,
-                ..XbfsConfig::optimized_amd()
-            },
+            with(|c| c.balancing_bottom_up = true),
         ),
-        (
-            "no proactive claims",
-            XbfsConfig {
-                proactive: false,
-                ..XbfsConfig::optimized_amd()
-            },
-        ),
+        ("no proactive claims", with(|c| c.proactive = false)),
         (
             "no top-down balancing",
-            XbfsConfig {
-                balancing_top_down: false,
-                ..XbfsConfig::optimized_amd()
-            },
+            with(|c| c.balancing_top_down = false),
         ),
     ];
     let mut base_gteps = 0.0;

@@ -32,17 +32,21 @@ impl Args {
                     return Err("empty option name".into());
                 }
                 // `--key=value`, `--key value`, or bare `--flag`.
-                if let Some((k, v)) = key.split_once('=') {
+                let (k, v) = if let Some((k, v)) = key.split_once('=') {
                     if is_flag(&out.command, k) {
                         return Err(format!("--{k} is a flag and takes no value"));
                     }
-                    out.options.insert(k.to_string(), v.to_string());
+                    (k, v.to_string())
                 } else if !is_flag(&out.command, key)
                     && it.peek().is_some_and(|n| !n.starts_with("--"))
                 {
-                    out.options.insert(key.to_string(), it.next().unwrap());
+                    (key, it.next().unwrap())
                 } else {
-                    out.options.insert(key.to_string(), String::new());
+                    (key, String::new())
+                };
+                // A repeated key would silently keep one of its values.
+                if out.options.insert(k.to_string(), v).is_some() {
+                    return Err(format!("--{k} given more than once"));
                 }
             } else {
                 out.positional.push(a);
@@ -79,11 +83,12 @@ impl Args {
 mod tests {
     use super::*;
 
+    fn try_parse(parts: &[&str]) -> Result<Args, String> {
+        Args::parse(parts.iter().map(|s| s.to_string()), |_, k| k == "validate")
+    }
+
     fn parse(parts: &[&str]) -> Args {
-        Args::parse(parts.iter().map(|s| s.to_string()), |_, key| {
-            key == "validate"
-        })
-        .unwrap()
+        try_parse(parts).unwrap()
     }
 
     #[test]
@@ -112,6 +117,14 @@ mod tests {
         assert!(parse(&["x", "--scale", "abc"])
             .get::<u32>("scale", 1)
             .is_err());
+    }
+
+    #[test]
+    fn repeated_option_is_a_usage_error() {
+        let err = try_parse(&["cluster", "g.bin", "--gcds", "4", "--gcds", "8"]).unwrap_err();
+        assert_eq!(err, "--gcds given more than once");
+        assert!(try_parse(&["bfs", "--source=1", "--source", "1"]).is_err());
+        assert!(try_parse(&["bfs", "--validate", "--validate"]).is_err());
     }
 
     #[test]

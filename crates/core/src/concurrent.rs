@@ -79,12 +79,10 @@ struct WaveScratch {
     sts: Vec<u32>,
     svs: Vec<u64>,
     ops: Vec<(usize, u64)>,
-    // Fold: fresh masks, the members (vertices with new bits) and how many
-    // each gained, and what to write (level stores per slot, grown to the
-    // widest batch seen).
+    // Fold: fresh masks, the members (vertices with new bits), and what to
+    // write (level stores per slot, grown to the widest batch seen).
     fb: Vec<u64>,
     members: Vec<u32>,
-    gained: Vec<u64>,
     seen_writes: Vec<(usize, u64)>,
     level_writes: Vec<Vec<(usize, u32)>>,
 }
@@ -102,8 +100,8 @@ struct MsBufs {
     frontier: BufU32,
     next_frontier: BufU32,
     counters: BufU32,
-    /// Σ deg(v) · popcount(bits v gained) over every fold so far: the pull
-    /// rule's input. Only an engine that may pull has one.
+    /// Σ deg(v) over every fold's members so far: the pull rule's input.
+    /// Only an engine that may pull has one.
     work: Option<BufU64>,
 }
 
@@ -137,7 +135,7 @@ pub struct MsBfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,
     degrees: Vec<u32>,
-    /// Pull threshold on the weighted edge ratio (used only where
+    /// Pull threshold on the union frontier's edge ratio (used only where
     /// `MsBufs::work` exists).
     alpha: f64,
     inner: Mutex<MsInner>,
@@ -150,11 +148,12 @@ impl<D: Borrow<Device>> MsBfs<D> {
     }
 
     /// Upload `graph` and acquire the reusable traversal state from the
-    /// device pool. A level pulls when Σ_{u∈F} deg(u) · popcount(bits u
-    /// gained) / (|E| · batch width) exceeds `cfg.alpha` (at width 1, the
-    /// solo engine's edge ratio). Pulling through out-edges is exact only
-    /// on symmetric adjacency: an asymmetric `graph`, or `α = ∞`
-    /// ([`XbfsConfig::directed`]), gives a push-only engine.
+    /// device pool. A level pulls when the union frontier F's edges,
+    /// Σ_{u∈F} deg(u) / |E|, exceed `cfg.alpha`: a push walks each row of F
+    /// once and a pull sweeps about |E|, whatever the width. Pulling
+    /// through out-edges is exact only on symmetric adjacency: an
+    /// asymmetric `graph`, or `α = ∞` ([`XbfsConfig::directed`]), gives a
+    /// push-only engine.
     pub fn with_config(device: D, graph: &Csr, cfg: XbfsConfig) -> Result<Self, XbfsError> {
         let n = graph.num_vertices();
         if n == 0 {
@@ -292,16 +291,16 @@ impl<D: Borrow<Device>> MsBfs<D> {
                 Err(p) => seeds.insert(p, (s, 1 << i)),
             }
         }
-        // The pull rule's numerator: the seeds' edges, once per slot.
+        // The pull rule's numerator: the union frontier's edges.
         let mut work = 0u64;
         for (i, &(v, bits)) in seeds.iter().enumerate() {
             inner.bufs.frontier.store(i, v);
             inner.bufs.seen.store(v as usize, bits);
             inner.bufs.stamp.store(v as usize, epoch);
-            work += u64::from(self.degrees[v as usize]) * u64::from(bits.count_ones());
+            work += u64::from(self.degrees[v as usize]);
         }
         device.charge_transfer(0, 12 * (seeds.len() as u64 + 1));
-        let pair_edges = graph.num_edges().max(1) as f64 * sources.len() as f64;
+        let edges = graph.num_edges().max(1) as f64;
         let slots = u64::MAX >> (MAX_CONCURRENT - sources.len());
         let mut qlen = seeds.len();
         let mut level = 0u32;
@@ -316,7 +315,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             // write only through `atomicOr` (expand) or to their own
             // vertices (pull): they may run on every core.
             let (bufs, scratch) = (&inner.bufs, &mut inner.scratch);
-            if bufs.work.is_some() && work as f64 / pair_edges > self.alpha {
+            if bufs.work.is_some() && work as f64 / edges > self.alpha {
                 let pull = LaunchCfg::new("msbfs_pull", n).with_registers(56);
                 device.launch_split(0, pull, scratch, |w, s| {
                     pull_kernel(w, graph, bufs, epoch, slots, s)
@@ -638,7 +637,7 @@ fn walk(
 /// the epoch), record the level for each new bit, enqueue into the next
 /// union frontier — and zero the fresh entry, restoring the all-zero
 /// invariant without a per-level fill kernel. On an engine that may pull
-/// it also adds Σ deg · popcount of the bits its members gained to `work`.
+/// it also adds its members' degrees to `work`.
 fn fold_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
@@ -675,7 +674,6 @@ fn fold_kernel(
     s.svs.clear();
     w.vload64(seen, s.pending.iter().map(|&(v, _)| v), &mut s.svs);
     s.members.clear();
-    s.gained.clear();
     s.seen_writes.clear();
     if s.level_writes.len() < level_of.len() {
         s.level_writes.resize_with(level_of.len(), Vec::new);
@@ -690,7 +688,6 @@ fn fold_kernel(
         }
         s.seen_writes.push((v, sb | new));
         s.members.push(v as u32);
-        s.gained.push(u64::from(new.count_ones()));
         let mut bits = new;
         while bits != 0 {
             let slot = bits.trailing_zeros() as usize;
@@ -717,8 +714,7 @@ fn fold_kernel(
         s.degs.clear();
         w.vload32(&g.degrees, members, &mut s.degs);
         w.alu(1);
-        let gained = s.degs.iter().zip(&s.gained);
-        w.wave_add64(work, 0, gained.map(|(&d, &p)| u64::from(d) * p).sum());
+        w.wave_add64(work, 0, s.degs.iter().map(|&d| u64::from(d)).sum());
     }
 }
 

@@ -121,9 +121,10 @@ pub fn gteps(edges: u64, secs: f64) -> f64 {
 /// The between-levels deadline gate every engine shares: `Some((elapsed,
 /// deadline))` in whole µs once the modeled clock is strictly past a
 /// budget of `deadline_ms`, `None` while it is not (or there is none).
+/// Elapsed rounds up and the budget down, so an abort always reads late.
 pub fn past_deadline(deadline_ms: Option<f64>, elapsed_us: f64) -> Option<(u64, u64)> {
     let deadline_us = deadline_ms? * 1000.0;
-    (elapsed_us > deadline_us).then_some((elapsed_us as u64, deadline_us as u64))
+    (elapsed_us > deadline_us).then_some((elapsed_us.ceil() as u64, deadline_us.floor() as u64))
 }
 
 /// What `verify` means to an engine with no device to sweep: the level
@@ -264,4 +265,14 @@ pub trait Engine {
     /// engine's own state is reusable — whether it should be *trusted*
     /// is what [`EngineError`] classifies.
     fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError>;
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn a_late_run_reads_late_in_whole_microseconds() {
+        assert_eq!(super::past_deadline(Some(0.05), 50.4), Some((51, 50)));
+        assert_eq!(super::past_deadline(Some(0.05), 50.0), None);
+        assert_eq!(super::past_deadline(None, 1e9), None);
+    }
 }

@@ -265,3 +265,40 @@ fn batched_engine_never_pulls_on_asymmetric_adjacency() {
         }
     }
 }
+
+/// The batched engine's direction rule is the solo one applied to the
+/// union frontier it walks: the step out of level L (phase `msbfs level
+/// L`) pulls exactly when the vertices some slot reached at L have more
+/// than α · |E| edges, whatever the batch width.
+#[test]
+fn batched_engine_pulls_on_the_union_frontier_edges() {
+    let g = rmat_graph(RmatParams::graph500(12), 0xB5);
+    assert!(g.is_symmetric());
+    let alpha = XbfsConfig::default().alpha;
+    let edges = g.num_edges() as f64;
+    for width in [1, 8, 64] {
+        let sources = pick_sources(&g, width, 11);
+        let dev = Device::mi250x();
+        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
+        let reports = dev.take_reports();
+        let mut pulls = Vec::new();
+        for level in 0.. {
+            let union = (0..g.num_vertices() as u32)
+                .filter(|&v| run.levels.iter().any(|l| l[v as usize] == level));
+            let frontier_edges: u64 = union.map(|v| u64::from(g.degree(v))).sum();
+            if frontier_edges == 0 {
+                break;
+            }
+            let phase = format!("msbfs level {level}");
+            let pulled = reports
+                .iter()
+                .any(|k| k.phase == phase && k.name == "msbfs_pull");
+            let expected = frontier_edges as f64 / edges > alpha;
+            assert_eq!(pulled, expected, "width {width}, {phase}: {frontier_edges}");
+            pulls.push(pulled);
+        }
+        if width == 64 {
+            assert!(pulls[1], "a 64-wide batch pulls out of level 1");
+        }
+    }
+}
