@@ -14,8 +14,7 @@ use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
 use xbfs_core::{
-    BitflipPlan, Engine, EngineError, MsBfs, RunRequest, Sabotage, Strategy, Xbfs, XbfsConfig,
-    XbfsError,
+    BitflipPlan, Engine, EngineError, RunRequest, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError,
 };
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
@@ -138,9 +137,9 @@ impl From<ClusterError> for CliError {
 fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
     let own = match command {
         "generate" => "out kind seed scale shift",
-        "convert" | "info" | "analyze" | "trace" | "help" | "" => "",
+        "convert" | "info" | "trace" | "help" | "" => "",
         "bfs" | "run" => {
-            "source alpha auto-alpha! forced rearrange! validate! verify! inject-bitflips \
+            "source alpha forced rearrange! validate! verify! inject-bitflips \
              deadline-ms trace"
         }
         "serve" => {
@@ -157,16 +156,15 @@ fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
             "gcds source alpha push-only! inject-faults checkpoint-every recovery validate! \
              json trace"
         }
-        "msbfs" => "sources",
         "compare" => "source",
         "sweep" => {
             "sources threads seed alpha json verify! inject-bitflips max-pool-bytes \
-             deadline-factor retries multi-source!"
+             retries multi-source!"
         }
         _ => return None,
     };
     let device = match command {
-        "bfs" | "run" | "msbfs" | "compare" | "sweep" | "serve" => "arch compiler timing!",
+        "bfs" | "run" | "compare" | "sweep" | "serve" => "arch compiler timing!",
         _ => "",
     };
     Some(own.split_whitespace().chain(device.split_whitespace()))
@@ -201,13 +199,11 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "info" => info(args),
         "bfs" | "run" => bfs(args),
         "cluster" => cluster(args),
-        "msbfs" => msbfs(args),
         "compare" => compare(args),
         "sweep" => sweep::sweep(args),
         "serve" => serve::serve(args),
         "loadgen" => serve::loadgen(args),
         "top" => serve::top_cmd(args),
-        "analyze" => analyze(args),
         "trace" => trace::trace_cmd(args),
         "help" | "" => Ok(HELP.to_string()),
         other => Err(CliError::usage(format!(
@@ -226,7 +222,7 @@ COMMANDS
             write a graph in the binary cache format
   convert   IN OUT        convert between .txt (edge list), .mtx and .bin
   info      FILE          print graph statistics and a level profile
-  bfs       FILE [--source N] [--alpha F | --auto-alpha] [--forced scan-free|single-scan|bottom-up]
+  bfs       FILE [--source N] [--alpha F] [--forced scan-free|single-scan|bottom-up]
             [--rearrange] [--validate] [--verify] [--inject-bitflips SPEC]
             [--deadline-ms MS] [--arch mi250x|mi100|p6000]
             [--compiler clang|hipcc|clang-O0] [--timing] [--trace FMT:PATH]
@@ -242,11 +238,10 @@ COMMANDS
             distributed BFS across simulated GCDs, optionally under faults;
             SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
             degrade@FROM-TO:FACTOR, seed=N
-  msbfs     FILE [--sources N]      concurrent multi-source BFS (iBFS-style)
   compare   FILE [--source N]       XBFS vs every baseline engine
   sweep     FILE [--sources N] [--threads T] [--seed N] [--alpha F] [--json FILE]
             [--verify] [--inject-bitflips SPEC] [--max-pool-bytes B]
-            [--deadline-factor F] [--retries N] [--multi-source]
+            [--retries N] [--multi-source]
             batched multi-source sweep: one pooled engine per OS thread runs
             N sources back-to-back, then the same sources are re-run with a
             per-source in-process rebuild (the bit-identity reference);
@@ -255,12 +250,12 @@ COMMANDS
             --verify turns the sweep into a self-healing supervisor: every
             run is certified, runs failing certification are quarantined
             and re-executed on a fresh engine (non-pooled state) with
-            bounded retries (--retries, default 2) and backoff, runs
-            exceeding --deadline-factor (default 25) x the first run's
-            modeled time are flagged, and a health section lands in the
-            report and JSON. --inject-bitflips (implies --verify) corrupts
-            device state per run; --max-pool-bytes caps parked pool memory
-            with LRU trimming (pressure events counted in health).
+            bounded retries (--retries, default 2), runs exceeding 25x
+            the first run's modeled time are flagged, and a health
+            section lands in the report and JSON. --inject-bitflips
+            (implies --verify) corrupts device state per run;
+            --max-pool-bytes caps parked pool memory with LRU trimming
+            (pressure events counted in health).
             --multi-source adds a third pass: one persistent 64-wide
             bit-parallel engine sweeps the same sources in batches of up
             to 64, every slot checked bit-for-bit (levels digest) against
@@ -357,7 +352,6 @@ COMMANDS
             queue / worker / breaker / pool / rank state with rates
             from successive snapshots; runs until the server drains,
             or for exactly N frames with --frames
-  analyze   FILE                    connected components, diameter estimate
   trace     summarize FILE          summarize a recorded trace (xbfs-trace-v1
                                     JSON or chrome trace.json)
 
@@ -618,16 +612,6 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     }
     let dev = mk_device(args, cfg.required_streams())?;
     let source = source_arg(args, &g)?;
-    let mut tuned_note = String::new();
-    if args.flag("auto-alpha") {
-        let samples = picked(&g, 3, 9)?;
-        let (tuned, result) = xbfs_core::tune_alpha(&dev, &g, &samples, cfg, None);
-        cfg = tuned;
-        tuned_note = format!(
-            "auto-tuned alpha = {} (paper's method, §V-D)\n",
-            result.best_alpha
-        );
-    }
     let trace_opt = trace_target(args)?;
     let plan = parse_bitflip_plan(args)?;
     let deadline_ms = opt_f64(args, "deadline-ms")?;
@@ -646,16 +630,12 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     // Sabotage, deadline budget and certification compose; a blown
     // budget maps to exit code 8.
     let (run, cert) = xbfs.run_with(source, sab.as_ref(), deadline_ms, verify)?;
-    let mut cert_note = String::new();
-    if let Some(cert) = &cert {
-        cert_note = format!(
+    let mut out = cert.map_or(String::new(), |cert| {
+        format!(
             "certified: {} vertices reached, depth {}, levels checksum {:#018x}\n",
             cert.visited, cert.depth, cert.levels_checksum
-        );
-    }
-
-    let mut out = tuned_note;
-    out.push_str(&cert_note);
+        )
+    });
     out.push_str(&format!(
         "source {source}: {} levels, {:.4} ms, {:.2} GTEPS\n",
         run.depth(),
@@ -838,31 +818,6 @@ fn cluster(args: &Args) -> Result<String, CliError> {
     Ok(out)
 }
 
-fn msbfs(args: &Args) -> Result<String, CliError> {
-    let path = args.positional.first().ok_or("usage: xbfs msbfs FILE")?;
-    let g = load_graph(path)?;
-    let k = args
-        .get::<usize>("sources", 8)?
-        .clamp(1, xbfs_core::MAX_CONCURRENT);
-    let sources = picked(&g, k, 7)?;
-    let dev = mk_device(args, 1)?;
-    let run = MsBfs::new(&dev, &g)?.run_batch(&sources);
-    // Compare with sequential runs for the sharing factor.
-    let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default())?;
-    let mut seq_ms = 0.0f64;
-    for &s in &sources {
-        seq_ms += xbfs.run(s)?.total_ms;
-    }
-    Ok(format!(
-        "{} concurrent sources: {:.4} ms shared ({:.4} ms sequential, {:.1}x sharing gain), {:.2} GTEPS aggregate\n",
-        sources.len(),
-        run.total_ms,
-        seq_ms,
-        seq_ms / run.total_ms.max(1e-12),
-        run.gteps
-    ))
-}
-
 /// XBFS, then every baseline, each on a fresh device of the requested
 /// profile; every baseline must find XBFS's levels.
 fn compare(args: &Args) -> Result<String, CliError> {
@@ -894,20 +849,4 @@ fn compare(args: &Args) -> Result<String, CliError> {
         ));
     }
     Ok(out)
-}
-
-fn analyze(args: &Args) -> Result<String, CliError> {
-    let path = args.positional.first().ok_or("usage: xbfs analyze FILE")?;
-    let g = load_graph(path)?;
-    let labels = xbfs_apps::connected_components(&g);
-    let n_comp = labels.iter().copied().max().map(|m| m + 1).unwrap_or(0);
-    let (_, giant) = xbfs_apps::largest_component(&labels);
-    let src = picked(&g, 1, 1)?[0];
-    let diameter = xbfs_apps::estimate_diameter(&g, src);
-    Ok(format!(
-        "components: {n_comp} (largest {giant} of {} vertices, {:.1}%)\n\
-         diameter (double-sweep lower bound): {diameter}\n",
-        g.num_vertices(),
-        100.0 * giant as f64 / g.num_vertices().max(1) as f64
-    ))
 }

@@ -11,47 +11,31 @@ use gcd_sim::Device;
 use std::rc::Rc;
 use std::time::Instant;
 use xbfs_core::{
-    levels_digest, BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest, Sabotage, Xbfs,
-    XbfsConfig,
+    levels_digest, supervise, BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest,
+    Sabotage, Xbfs, XbfsConfig,
 };
 use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::Csr;
 use xbfs_telemetry::json::{self, Val};
-
-/// Aggregated supervisor health for one sweep: every detection,
-/// quarantine, re-execution and resource-pressure event, summed across
-/// workers — the sweep's only record of them. Lands in the report text
-/// and the `xbfs-sweep-v1` JSON.
-#[derive(Default)]
-struct SweepHealth {
-    certified: u64,
-    sdc_detected: u64,
-    quarantined: u64,
-    reexecuted: u64,
-    corrected: u64,
-    deadline_exceeded: u64,
-    pool_pressure_events: u64,
-    engine_rebuilds: u64,
-}
-
-impl SweepHealth {
-    fn add(&mut self, o: &SweepHealth) {
-        self.certified += o.certified;
-        self.sdc_detected += o.sdc_detected;
-        self.quarantined += o.quarantined;
-        self.reexecuted += o.reexecuted;
-        self.corrected += o.corrected;
-        self.deadline_exceeded += o.deadline_exceeded;
-        self.pool_pressure_events += o.pool_pressure_events;
-        self.engine_rebuilds += o.engine_rebuilds;
-    }
-}
 
 /// One engine generation, discarded as a unit: the engine and, beside
 /// it, the device it runs on. The device is held here because pool
 /// pressure is read *after* the engine drops — the drop parks its BFS
 /// state, which is where a byte cap trims.
 type Generation = (Rc<Device>, Box<dyn Engine>);
+
+/// End a generation and return its device's pool pressure count. Engine
+/// first: its drop parks the BFS state into the pool, and only then is
+/// the count final.
+fn retire((dev, engine): Generation) -> u64 {
+    drop(engine);
+    dev.pool_pressure_events()
+}
+
+/// A run a worker flagged past this many times its first certified run's
+/// modeled time counts as a deadline exceedance in health (never a
+/// failure).
+const DEADLINE_FACTOR: f64 = 25.0;
 
 /// What the passes of one sweep share.
 struct SweepJob<'a> {
@@ -60,7 +44,6 @@ struct SweepJob<'a> {
     /// Certify every run; a run that fails is healed (see [`sweep_pass`]).
     verify: bool,
     retries: u32,
-    deadline_factor: f64,
 }
 
 /// What one pass reports, all of it read off [`xbfs_core::RunOutcome`].
@@ -69,12 +52,19 @@ struct PassOut {
     wall_s: f64,
     /// Modeled ms of each engine run, in run order.
     ms: Vec<f64>,
+    /// Attempts each run took: every one past the first was a detection,
+    /// a quarantined and rebuilt generation and a re-execution, and a run
+    /// that took more than one was corrected.
+    attempts: Vec<u32>,
     edges: u64,
     /// Each source's `SlotAnswer::digest`: what pins a pass bit for bit.
     digests: Vec<u64>,
     /// Each source's backend-independent `levels_digest`.
     level_digests: Vec<u64>,
-    health: SweepHealth,
+    /// Slots certified.
+    certified: u64,
+    deadline_exceeded: u64,
+    pool_pressure_events: u64,
 }
 
 impl PassOut {
@@ -90,99 +80,76 @@ impl PassOut {
 /// One pass over the job's sources: `threads` workers, each taking a
 /// contiguous share through engines it gets from `mint` — kept across the
 /// share when `pooled`, fresh per run when not — in chunks of the
-/// engine's `width()`. Under `verify` this is the self-healing
-/// supervisor: an [`EngineError::Suspect`] run is quarantined, the engine
-/// *and its device* are discarded (a corrupted CSR or parked buffer must
-/// not outlive detection — re-parking it would checksum the corrupted
-/// contents), and the run re-executes on a fresh generation under bounded
-/// exponential backoff. Bit flips from `plan` hit only attempt 0 —
-/// retries and the reference passes stay clean, which is what keeps the
-/// sweep's bit-identity check meaningful under fault injection.
+/// engine's `width()`. Under `verify` this is a self-healing supervisor:
+/// each run goes through [`supervise`], so an [`EngineError::Suspect`] run
+/// is quarantined with its engine *and device* and re-executed on a fresh
+/// generation, up to `retries` times. Bit flips from `plan` hit only
+/// attempt 0 — retries and the reference passes stay clean, which is what
+/// keeps the sweep's bit-identity check meaningful under fault injection.
 fn sweep_pass(
     job: &SweepJob<'_>,
     threads: usize,
     pooled: bool,
     plan: Option<&BitflipPlan>,
-    mint: &(dyn Fn() -> Result<Generation, CliError> + Sync),
+    mint: &(dyn Fn() -> Result<Generation, EngineError> + Sync),
 ) -> Result<PassOut, CliError> {
     // One worker's share of the pass.
     let share = |part: &[u32]| -> Result<PassOut, CliError> {
         let mut out = PassOut::default();
         let mut deadline_ms: Option<f64> = None;
         let mut idx = 0usize; // next source in `part`
-        let mut attempt: u32 = 0; // retry attempt for the run at `idx`
         let mut generation: Option<Generation> = None;
         while idx < part.len() {
-            if generation.is_none() {
-                generation = Some(mint()?);
-            }
-            let (_, engine) = generation.as_mut().expect("minted above");
-            let chunk = &part[idx..part.len().min(idx + engine.width())];
-            let source = u64::from(chunk[0]);
-            let sab = (plan.filter(|_| attempt == 0)).map(|plan| Sabotage { plan, salt: source });
-            let run = engine.run(&RunRequest {
-                sources: chunk,
-                deadline_ms: None,
-                verify: job.verify,
-                inject: sab.as_ref().map_or(Inject::None, Inject::Bitflips),
-            });
-            let suspect = match run {
-                Ok(run) => {
-                    if run.certified {
-                        out.health.certified += chunk.len() as u64;
-                        if attempt > 0 {
-                            out.health.corrected += chunk.len() as u64;
-                        }
-                        // The first certified run calibrates the worker's
-                        // modeled-time deadline; exceedances are flagged in
-                        // health, not failures.
-                        let dl = *deadline_ms.get_or_insert(run.total_ms * job.deadline_factor);
-                        if run.total_ms > dl {
-                            out.health.deadline_exceeded += 1;
-                        }
-                    }
-                    out.ms.push(run.total_ms);
-                    for (slot, levels) in run.slots.iter().zip(&run.levels) {
-                        out.edges += traversed_edges(job.g, levels);
-                        out.digests.push(slot.digest);
-                        out.level_digests.push(levels_digest(slot.source, levels));
-                    }
-                    idx += chunk.len();
-                    attempt = 0;
-                    if pooled && idx < part.len() {
-                        continue;
-                    }
-                    None
-                }
-                Err(EngineError::Suspect { msg, .. }) => {
-                    out.health.sdc_detected += 1;
-                    if attempt == 0 {
-                        out.health.quarantined += 1;
-                    }
-                    Some(msg)
-                }
-                Err(other) => return Err(other.into()),
-            };
-            // The generation ends here. Engine first: its drop parks the BFS
-            // state into the pool, and only then is the pressure count final.
-            let (dev, engine) = generation.take().expect("minted above");
-            drop(engine);
-            out.health.pool_pressure_events += dev.pool_pressure_events();
-            let Some(msg) = suspect else { continue };
-            out.health.engine_rebuilds += 1;
-            if attempt >= job.retries {
-                return Err(CliError::new(
+            let source = u64::from(part[idx]);
+            let (verdict, attempts) = supervise(
+                &mut generation,
+                0..job.retries + 1,
+                mint,
+                |(_, engine), first| {
+                    let sab = plan
+                        .filter(|_| first)
+                        .map(|plan| Sabotage { plan, salt: source });
+                    engine.run(&RunRequest {
+                        sources: &part[idx..part.len().min(idx + engine.width())],
+                        deadline_ms: None,
+                        verify: job.verify,
+                        inject: sab.as_ref().map_or(Inject::None, Inject::Bitflips),
+                    })
+                },
+                |generation, _| out.pool_pressure_events += retire(generation),
+            );
+            let run = verdict.map_err(|e| match e {
+                EngineError::Suspect { msg, .. } => CliError::new(
                     format!(
-                        "IntegrityError: source {source} failed certification after {} \
-                         attempt(s): {msg}",
-                        attempt + 1,
+                        "IntegrityError: source {source} failed certification after \
+                         {attempts} attempt(s): {msg}"
                     ),
                     exit_code::INTEGRITY,
-                ));
+                ),
+                other => other.into(),
+            })?;
+            let width = run.slots.len();
+            if run.certified {
+                out.certified += width as u64;
+                // The first certified run calibrates the worker's
+                // modeled-time deadline; exceedances are flagged in
+                // health, not failures.
+                let dl = *deadline_ms.get_or_insert(run.total_ms * DEADLINE_FACTOR);
+                if run.total_ms > dl {
+                    out.deadline_exceeded += 1;
+                }
             }
-            std::thread::sleep(std::time::Duration::from_millis(1 << attempt.min(6)));
-            attempt += 1;
-            out.health.reexecuted += 1;
+            out.ms.push(run.total_ms);
+            out.attempts.push(attempts);
+            for (slot, levels) in run.slots.iter().zip(&run.levels) {
+                out.edges += traversed_edges(job.g, levels);
+                out.digests.push(slot.digest);
+                out.level_digests.push(levels_digest(slot.source, levels));
+            }
+            idx += width;
+            if !pooled || idx == part.len() {
+                out.pool_pressure_events += generation.take().map_or(0, retire);
+            }
         }
         Ok(out)
     };
@@ -205,10 +172,13 @@ fn sweep_pass(
                 )
             })??;
             out.ms.extend(part.ms);
+            out.attempts.extend(part.attempts);
             out.edges += part.edges;
             out.digests.extend(part.digests);
             out.level_digests.extend(part.level_digests);
-            out.health.add(&part.health);
+            out.certified += part.certified;
+            out.deadline_exceeded += part.deadline_exceeded;
+            out.pool_pressure_events += part.pool_pressure_events;
         }
         Ok(())
     })?;
@@ -228,10 +198,6 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     // check with an unexplained exit 6 — in a sweep, injection implies
     // the supervisor.
     let verify = args.flag("verify") || plan.is_some();
-    let deadline_factor = args.get::<f64>("deadline-factor", 25.0)?;
-    if deadline_factor < 1.0 {
-        return Err(CliError::usage("--deadline-factor must be >= 1"));
-    }
     let retries = args.get::<u32>("retries", 2)?;
     let max_pool_bytes = (args.options.get("max-pool-bytes"))
         .map(|v| {
@@ -253,7 +219,6 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         sources: &sources,
         verify,
         retries,
-        deadline_factor,
     };
     let spec = parse_device(args)?;
     let device = |pool_limit: Option<u64>| {
@@ -261,7 +226,7 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         dev.set_pool_limit(pool_limit);
         dev
     };
-    let solo = |pool_limit: Option<u64>| -> Result<Generation, CliError> {
+    let solo = |pool_limit: Option<u64>| -> Result<Generation, EngineError> {
         let dev = device(pool_limit);
         let engine = Xbfs::new(Rc::clone(&dev), &g, cfg)?;
         Ok((dev, Box::new(engine)))
@@ -271,7 +236,10 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     // uploads the graph once, and recycles its BFS state across its whole
     // share of sources via the epoch-based O(frontier) reset.
     let pooled = sweep_pass(&job, threads, true, plan.as_ref(), &|| solo(max_pool_bytes))?;
-    let health = &pooled.health;
+    // The pooled pass runs the solo engine, so a corrected run is one
+    // corrected source.
+    let detected: u64 = pooled.attempts.iter().map(|&a| u64::from(a - 1)).sum();
+    let corrected = pooled.attempts.iter().filter(|&&a| a > 1).count();
 
     // Rebuild pass: the unpooled in-process path — a fresh device, a fresh
     // graph upload, freshly allocated BFS state per source, certified like
@@ -353,24 +321,18 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
         g.num_vertices(),
         g.num_edges()
     );
+    let (certified, late) = (pooled.certified, pooled.deadline_exceeded);
+    let pressure = pooled.pool_pressure_events;
     if verify {
         out.push_str(&format!(
-            "supervisor: {}/{n} certified, {} SDC detected, {} quarantined, \
-             {} re-executed, {} corrected, 0 aborted\n            \
-             {} deadline exceedance(s), {} pool pressure event(s), {} engine rebuild(s)\n",
-            health.certified,
-            health.sdc_detected,
-            health.quarantined,
-            health.reexecuted,
-            health.corrected,
-            health.deadline_exceeded,
-            health.pool_pressure_events,
-            health.engine_rebuilds,
+            "supervisor: {certified}/{n} certified, {detected} SDC detected, \
+             {corrected} quarantined, {detected} re-executed, {corrected} corrected, \
+             0 aborted\n            {late} deadline exceedance(s), {pressure} pool \
+             pressure event(s), {detected} engine rebuild(s)\n"
         ));
     } else if let Some(cap) = max_pool_bytes {
         out.push_str(&format!(
-            "pool pressure: {} event(s) under the {cap}-byte cap\n",
-            health.pool_pressure_events
+            "pool pressure: {pressure} event(s) under the {cap}-byte cap\n"
         ));
     }
     if let Some(json_path) = args.options.get("json") {
@@ -396,18 +358,17 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
             o.key("speedup").fixed(speedup, 3);
             o.key("verified").bool(verify);
             o.key("health").obj(|h| {
-                h.key("certified").int(health.certified);
-                h.key("sdc_detected").int(health.sdc_detected);
-                h.key("quarantined").int(health.quarantined);
-                h.key("reexecuted").int(health.reexecuted);
-                h.key("corrected").int(health.corrected);
+                h.key("certified").int(certified);
+                h.key("sdc_detected").int(detected);
+                h.key("quarantined").int(corrected);
+                h.key("reexecuted").int(detected);
+                h.key("corrected").int(corrected);
                 // An exhausted-retries abort fails the whole sweep (exit 7):
                 // a report that gets written aborted nothing.
                 h.key("aborted").int(0u64);
-                h.key("deadline_exceeded").int(health.deadline_exceeded);
-                h.key("pool_pressure_events")
-                    .int(health.pool_pressure_events);
-                h.key("engine_rebuilds").int(health.engine_rebuilds);
+                h.key("deadline_exceeded").int(late);
+                h.key("pool_pressure_events").int(pressure);
+                h.key("engine_rebuilds").int(detected);
             });
             o.opt("multi_source", multi_json.as_deref(), Val::raw);
             o.key("checksum").str(format_args!("{ck_pooled:#018x}"));

@@ -53,7 +53,7 @@ fn convert_between_formats() {
 }
 
 #[test]
-fn compare_and_msbfs_and_analyze() {
+fn compare_lists_every_baseline() {
     let path = tmp("g4.bin");
     run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
     let cmp = run(&["compare", &path]).unwrap();
@@ -61,10 +61,6 @@ fn compare_and_msbfs_and_analyze() {
         cmp.contains("gunrock-like") && cmp.contains("beamer-like"),
         "{cmp}"
     );
-    let ms = run(&["msbfs", &path, "--sources", "4"]).unwrap();
-    assert!(ms.contains("sharing gain"), "{ms}");
-    let an = run(&["analyze", &path]).unwrap();
-    assert!(an.contains("components"), "{an}");
 }
 
 /// `--arch` must move every row of the table, not only XBFS's: each
@@ -335,6 +331,15 @@ fn errors_are_reported_with_distinct_exit_codes() {
     let typo = run(&["cluster", "g.bin", "--frobnicate"]).unwrap_err();
     assert_eq!(typo.code, exit_code::USAGE);
     assert!(typo.message.contains("--frobnicate"), "{}", typo.message);
+    // Removed front doors stay removed: `sweep --multi-source` is the
+    // batched one, `repro alpha` the α sweep.
+    for gone in [
+        &["msbfs", "g.bin"][..],
+        &["analyze", "g.bin"],
+        &["bfs", "g.bin", "--auto-alpha"],
+    ] {
+        assert_eq!(run(gone).unwrap_err().code, exit_code::USAGE, "{gone:?}");
+    }
     let help = run(&["help"]).unwrap();
     assert!(help.contains("USAGE"));
     assert!(help.contains("cluster"));
@@ -765,7 +770,5 @@ no_edge_tests! {
     bfs_refuses_a_graph_with_no_edges: "bfs", true;
     cluster_refuses_a_graph_with_no_edges: "cluster", true;
     compare_refuses_a_graph_with_no_edges: "compare", true;
-    analyze_refuses_a_graph_with_no_edges: "analyze", false;
-    msbfs_refuses_a_graph_with_no_edges: "msbfs", false;
     sweep_refuses_a_graph_with_no_edges: "sweep", false;
 }

@@ -267,12 +267,142 @@ pub trait Engine {
     fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError>;
 }
 
+/// The one quarantine-and-retry loop, shared by every self-healing caller
+/// (the sweep and the server worker). Runs attempts `attempts.start..
+/// attempts.end` on the generation in `held` — an engine and whatever must
+/// die with it, such as its device — minting one first when none is held.
+/// `attempt` is told whether it is attempt 0, the only one a fault may be
+/// injected into: a retry runs clean and reproduces the fault-free result
+/// bit for bit. An [`EngineError::Suspect`] sends the whole generation to
+/// `quarantine` with the suspect's kind (a corrupted CSR or parked buffer
+/// must not outlive detection), and the next attempt mints a fresh one,
+/// with no backoff: there is nothing to wait for. Anything else — an
+/// answer, another error, a mint that fails — ends the loop and keeps the
+/// generation. Runs at least one attempt. Returns that result, or the
+/// last `Suspect` once the range is spent, and the attempts used so far,
+/// those before `attempts.start` and a failed mint included.
+pub fn supervise<G, R>(
+    held: &mut Option<G>,
+    attempts: std::ops::Range<u32>,
+    mut mint: impl FnMut() -> Result<G, EngineError>,
+    mut attempt: impl FnMut(&mut G, bool) -> Result<R, EngineError>,
+    mut quarantine: impl FnMut(G, &'static str),
+) -> (Result<R, EngineError>, u32) {
+    let mut n = attempts.start;
+    loop {
+        let generation = match held {
+            Some(g) => g,
+            None => match mint() {
+                Ok(g) => held.insert(g),
+                Err(e) => return (Err(e), n + 1),
+            },
+        };
+        let result = attempt(generation, n == 0);
+        n += 1;
+        let Err(EngineError::Suspect { kind, .. }) = result else {
+            return (result, n);
+        };
+        quarantine(held.take().expect("held above"), kind);
+        if n >= attempts.end {
+            return (result, n);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::*;
+    use std::{cell::Cell, ops::Range, rc::Rc};
+
     #[test]
     fn a_late_run_reads_late_in_whole_microseconds() {
         assert_eq!(super::past_deadline(Some(0.05), 50.4), Some((51, 50)));
         assert_eq!(super::past_deadline(Some(0.05), 50.0), None);
         assert_eq!(super::past_deadline(None, 1e9), None);
+    }
+
+    /// An engine answering `Suspect` on the runs numbered in `.1`, counted
+    /// across every generation in `.2`; it models its generation, `.0`, as
+    /// its run time.
+    struct Fake(u32, &'static [u32], Rc<Cell<u32>>);
+
+    impl Engine for Fake {
+        fn width(&self) -> usize {
+            1
+        }
+
+        fn run(&mut self, _: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
+            let run = self.2.replace(self.2.get() + 1);
+            if self.1.contains(&run) {
+                let msg = format!("run {run}");
+                return Err(EngineError::Suspect { kind: "sdc", msg });
+            }
+            Ok(RunOutcome {
+                slots: Vec::new(),
+                levels: Vec::new(),
+                total_ms: f64::from(self.0),
+                certified: true,
+                certify_wall_ms: 0.0,
+                recoveries: None,
+            })
+        }
+    }
+
+    /// The answering generation or the error, attempts used, generations
+    /// minted, each attempt's injection flag and the generations
+    /// quarantined.
+    type Trial = (Result<f64, EngineError>, u32, u32, Vec<bool>, Vec<u32>);
+
+    /// Supervise one request over fakes failing on runs `suspect`, from a
+    /// `held` generation (or none) through `attempts`.
+    fn trial(suspect: &'static [u32], held: bool, attempts: Range<u32>) -> Trial {
+        let runs = Rc::default();
+        let mut held = held.then(|| Fake(0, suspect, Rc::clone(&runs)));
+        let (mut minted, mut injected, mut quarantined) = (0, Vec::new(), Vec::new());
+        let (out, used) = supervise(
+            &mut held,
+            attempts,
+            || {
+                minted += 1;
+                Ok(Fake(minted, suspect, Rc::clone(&runs)))
+            },
+            |engine, first| {
+                injected.push(first);
+                engine.run(&RunRequest::plain(&[0])).map(|run| run.total_ms)
+            },
+            |engine, _| quarantined.push(engine.0),
+        );
+        (out, used, minted, injected, quarantined)
+    }
+
+    #[test]
+    fn a_suspect_replays_clean_on_a_fresh_generation_up_to_the_bound() {
+        // A clean first attempt mints once and quarantines nothing.
+        assert_eq!(trial(&[], false, 0..3), (Ok(1.0), 1, 1, vec![true], vec![]));
+        // A suspect attempt 0 is replayed on a fresh generation, and only
+        // attempt 0 is asked to inject.
+        let healed = (Ok(2.0), 2, 2, vec![true, false], vec![1]);
+        assert_eq!(trial(&[0], false, 0..3), healed);
+        // The loop gives up after exactly the bound and says so.
+        let (out, used, minted, injected, quarantined) = trial(&[0, 1, 2, 3], false, 0..3);
+        assert_eq!(out.unwrap_err().to_string(), "sdc: run 2");
+        assert_eq!((used, minted, quarantined), (3, 3, vec![1, 2, 3]));
+        assert_eq!(injected, [true, false, false]);
+        // A held generation is used as is, and a pre-charged range never
+        // counts as attempt 0.
+        assert_eq!(trial(&[], true, 2..3), (Ok(0.0), 3, 0, vec![false], vec![]));
+    }
+
+    #[test]
+    fn a_failed_mint_ends_the_loop() {
+        let unsupported = || Err(EngineError::unsupported("no device"));
+        let (out, used) = supervise(
+            &mut None::<u32>,
+            1..4,
+            unsupported,
+            |_, _| Ok(()),
+            |_, _| {},
+        );
+        assert_eq!((out, used), (Err(EngineError::unsupported("no device")), 2));
     }
 }

@@ -41,7 +41,7 @@ struct RunInner {
 /// Generic over how it holds the device: `Xbfs<&Device>` borrows a device
 /// owned elsewhere (the common case, inferred from `Xbfs::new(&dev, ..)`),
 /// while `Xbfs<Device>` owns one outright — used by long-lived engines
-/// (e.g. `xbfs-apps`) that would otherwise be self-referential.
+/// (e.g. the server worker's) that would otherwise be self-referential.
 pub struct Xbfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,

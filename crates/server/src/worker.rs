@@ -25,9 +25,10 @@
 //! crash that checkpoint/restart could not recover is **quarantined**:
 //! the engine (and, for the device engines, its device) is discarded, a
 //! fresh one is built, and the members are replayed solo with injection
-//! stripped. Because a fresh engine reproduces the exact result of a
-//! single-shot run, a replayed response carries the same digest as a
-//! fault-free execution — the e2e tests assert this through the socket.
+//! stripped — by [`supervise`], the one retry loop `xbfs sweep` uses too.
+//! Because a fresh engine reproduces the exact result of a single-shot
+//! run, a replayed response carries the same digest as a fault-free
+//! execution — the e2e tests assert this through the socket.
 //! A blown *batch* deadline is not a fault: the batch ran under its
 //! tightest member's budget, so the members are split and re-run solo,
 //! each under its own budget — nobody times out because of coalescing.
@@ -42,7 +43,8 @@ use std::time::{Duration, Instant};
 
 use gcd_sim::Device;
 use xbfs_core::{
-    BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest, Sabotage, Xbfs, XbfsError,
+    supervise, BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest, Sabotage, Xbfs,
+    XbfsError,
 };
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
@@ -110,48 +112,31 @@ impl Backend for GcdCluster<'_> {
 
 /// An engine generation, discarded and rebuilt as a unit on quarantine.
 /// The cluster engine borrows the server's graph.
-type Generation<'g> = Option<Box<dyn Backend + 'g>>;
+type Generation<'g> = Box<dyn Backend + 'g>;
 
-/// Make sure `engine` holds a live generation, building one if not. The
-/// cluster partitions the graph **once** here; per-request runs reuse the
-/// partitioning and only re-upload status arrays.
-fn ensure_engine<'e, 'g>(
-    shared: &Shared,
-    graph: &'g Csr,
-    engine: &'e mut Generation<'g>,
-) -> Result<&'e mut (dyn Backend + 'g), String> {
-    if engine.is_none() {
-        let built: Box<dyn Backend + 'g> = match shared.cfg.cluster {
-            Some(n) => {
-                let cfg = ClusterConfig {
-                    num_gcds: n,
-                    ..ClusterConfig::node_of_8()
-                };
-                let mut cluster = GcdCluster::new(graph, cfg, LinkModel::frontier())
-                    .map_err(|e| e.to_string())?;
-                cluster.set_checkpoint_every(shared.cfg.checkpoint_every);
-                Box::new(cluster)
-            }
-            None if shared.cfg.batch_width > 1 => Box::new(
-                MsBfs::with_config((shared.factory)(), graph, shared.xcfg)
-                    .map_err(|e| e.to_string())?,
-            ),
-            None => Box::new(
-                Xbfs::new((shared.factory)(), graph, shared.xcfg).map_err(|e| e.to_string())?,
-            ),
-        };
-        *engine = Some(built);
-    }
-    Ok(engine.as_deref_mut().expect("just built"))
-}
-
-/// Drop a possibly-poisoned engine without letting its destructor take
-/// the worker down: after a panic mid-run the pool bookkeeping may be
-/// arbitrarily wrong, and `Drop` parks buffers back into it.
-fn discard(engine: &mut Generation<'_>) {
-    if let Some(e) = engine.take() {
-        let _ = catch_unwind(AssertUnwindSafe(move || drop(e)));
-    }
+/// Build a generation. The cluster partitions the graph **once** here;
+/// per-request runs reuse the partitioning and only re-upload status
+/// arrays.
+fn build<'g>(shared: &Shared, graph: &'g Csr) -> Result<Generation<'g>, String> {
+    Ok(match shared.cfg.cluster {
+        Some(n) => {
+            let cfg = ClusterConfig {
+                num_gcds: n,
+                ..ClusterConfig::node_of_8()
+            };
+            let mut cluster =
+                GcdCluster::new(graph, cfg, LinkModel::frontier()).map_err(|e| e.to_string())?;
+            cluster.set_checkpoint_every(shared.cfg.checkpoint_every);
+            Box::new(cluster)
+        }
+        None if shared.cfg.batch_width > 1 => Box::new(
+            MsBfs::with_config((shared.factory)(), graph, shared.xcfg)
+                .map_err(|e| e.to_string())?,
+        ),
+        None => {
+            Box::new(Xbfs::new((shared.factory)(), graph, shared.xcfg).map_err(|e| e.to_string())?)
+        }
+    })
 }
 
 /// Hand a response line to the owning connection's writer, which blocks
@@ -178,14 +163,16 @@ pub(crate) fn worker_loop(shared: Arc<Shared>, worker: usize) {
     // The cluster engine borrows the graph; holding our own Arc clone
     // (declared before `engine`, so dropped after it) pins it.
     let graph = Arc::clone(&shared.graph);
-    let mut engine: Generation<'_> = None;
+    let mut engine: Option<Generation<'_>> = None;
     let linger = Duration::from_secs_f64(shared.cfg.batch_window_ms.max(0.0) / 1000.0);
     loop {
         // A batch is as wide as the engine takes (and the operator
         // allows), so build before popping. A failed build pops singly
         // and `run_members` answers each request with the build error.
-        let width = ensure_engine(&shared, &graph, &mut engine)
-            .map_or(1, |e| e.width().min(shared.cfg.batch_width.max(1)));
+        if engine.is_none() {
+            engine = build(&shared, &graph).ok();
+        }
+        let width = (engine.as_ref()).map_or(1, |e| e.width().min(shared.cfg.batch_width.max(1)));
         let Some(batch) = shared.queue.pop_batch(width, linger) else {
             break;
         };
@@ -330,7 +317,7 @@ fn finish_member(
 fn serve_batch<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Generation<'g>,
+    engine: &mut Option<Generation<'g>>,
     batch: Vec<(u64, Job)>,
     width: usize,
     worker: usize,
@@ -377,15 +364,15 @@ fn serve_batch<'g>(
     }
 }
 
-/// Run `members` as one engine attempt and classify the result; replay
-/// solo whatever the classification says to replay. `prior_attempts`
-/// pre-charges attempts already spent on these members (a failed batch
-/// attempt counts as one), so replayed members report honest attempt
-/// counts and burn their retry budget accordingly.
+/// Run `members` as one engine attempt through [`supervise`] and classify
+/// the result; replay solo whatever the classification says to replay.
+/// `prior_attempts` pre-charges attempts already spent on these members (a
+/// failed batch attempt counts as one), so replayed members report honest
+/// attempt counts and burn their retry budget accordingly.
 fn run_members<'g>(
     shared: &Shared,
     graph: &'g Csr,
-    engine: &mut Generation<'g>,
+    engine: &mut Option<Generation<'g>>,
     mut members: Vec<Member>,
     worker: usize,
     prior_attempts: u32,
@@ -425,133 +412,148 @@ fn run_members<'g>(
         }
     };
 
-    // A pre-charged attempt never eats the whole budget: a replayed
+    // A batch gets one shared attempt. A lone member gets the retry
+    // budget, and a pre-charged attempt never eats all of it: a replayed
     // member always gets at least one solo attempt.
-    let max_attempts = (shared.cfg.max_retries + 1).max(prior_attempts + 1);
-    let mut attempt = prior_attempts;
-    loop {
-        let eng = match ensure_engine(shared, graph, engine) {
-            Ok(eng) => eng,
-            Err(err) => {
+    let end = match members.len() {
+        1 => (shared.cfg.max_retries + 1).max(prior_attempts + 1),
+        _ => prior_attempts + 1,
+    };
+    let (verdict, attempts) = supervise(
+        engine,
+        prior_attempts..end,
+        || {
+            build(shared, graph).map_err(|msg| {
                 shared.breaker.record_failure();
-                return every("error", attempt + 1, &|mb| {
-                    protocol::error_line(mb.job.req.id, "engine", &err)
-                });
-            }
-        };
-        // Injection targets attempt 0 only, so a replay after quarantine
-        // runs clean and reproduces the fault-free result bit for bit.
-        let chaos = |mb: &Member| (attempt == 0).then_some(mb.act);
-        if let Some(ms) = members
-            .iter()
-            .filter_map(|mb| match chaos(mb) {
-                Some(ChaosAction::Slow(ms)) => Some(ms),
-                _ => None,
+                EngineError::Rejected {
+                    kind: "engine",
+                    msg,
+                }
             })
-            .max()
-        {
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        let panic_injected = members
-            .iter()
-            .any(|mb| chaos(mb) == Some(ChaosAction::Panic));
-        let inject = match members.as_slice() {
-            [mb] => match chaos(mb) {
-                Some(ChaosAction::Bitflip) => Inject::Bitflips(&sabotage),
-                Some(ChaosAction::Crash { level, rank }) => Inject::RankCrash { level, rank },
+        },
+        |eng, first| {
+            // Injection targets attempt 0 only, so a replay after
+            // quarantine runs clean and reproduces the fault-free result
+            // bit for bit.
+            let chaos = |mb: &Member| first.then_some(mb.act);
+            if let Some(ms) = members
+                .iter()
+                .filter_map(|mb| match chaos(mb) {
+                    Some(ChaosAction::Slow(ms)) => Some(ms),
+                    _ => None,
+                })
+                .max()
+            {
+                std::thread::sleep(Duration::from_millis(ms));
+            }
+            let panic_injected = members
+                .iter()
+                .any(|mb| chaos(mb) == Some(ChaosAction::Panic));
+            let inject = match members.as_slice() {
+                [mb] => match chaos(mb) {
+                    Some(ChaosAction::Bitflip) => Inject::Bitflips(&sabotage),
+                    Some(ChaosAction::Crash { level, rank }) => Inject::RankCrash { level, rank },
+                    _ => Inject::None,
+                },
                 _ => Inject::None,
-            },
-            _ => Inject::None,
-        };
-        let req = RunRequest {
-            sources: &sources,
-            deadline_ms,
-            verify,
-            inject,
-        };
-        // Batch-width servers stamp how many shared the run on every
-        // `ok`, coalesced or solo.
-        let batch = (eng.width() > 1).then_some(members.len());
-        let started = Instant::now();
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if panic_injected {
-                panic!("chaos: injected worker panic (ticket {ticket})");
-            }
-            eng.run(&req)
-        }));
-        let m = &shared.metrics;
-        m.engine_ms.record(started.elapsed().as_secs_f64() * 1000.0);
-        eng.report(shared, worker);
+            };
+            let req = RunRequest {
+                sources: &sources,
+                deadline_ms,
+                verify,
+                inject,
+            };
+            // Batch-width servers stamp how many shared the run on every
+            // `ok`, coalesced or solo.
+            let batch = (eng.width() > 1).then_some(members.len());
+            let started = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if panic_injected {
+                    panic!("chaos: injected worker panic (ticket {ticket})");
+                }
+                eng.run(&req)
+            }));
+            shared
+                .metrics
+                .engine_ms
+                .record(started.elapsed().as_secs_f64() * 1000.0);
+            eng.report(shared, worker);
+            // A contained panic is one more reason to distrust the engine.
+            let result = result.unwrap_or_else(|payload| {
+                Err(EngineError::Suspect {
+                    kind: "panic",
+                    msg: record_panic(shared, worker, ticket, payload.as_ref()),
+                })
+            });
+            result.map(|out| (out, batch))
+        },
+        |eng, why| quarantine(shared, eng, why, ticket, worker),
+    );
 
-        let (kind, msg) = match result {
-            Ok(Ok(out)) => {
-                shared.breaker.record_success();
-                if out.certified {
-                    m.certify_ms.record(out.certify_wall_ms);
-                }
-                return every("ok", attempt + 1, &|mb| {
-                    protocol::slot_ok_line(
-                        mb.job.req.id,
-                        &out.slots[mb.slot],
-                        out.total_ms,
-                        out.certified && mb.verify,
-                        mb.wait_ms,
-                        attempt + 1,
-                        batch,
-                        out.recoveries,
-                    )
-                });
+    match verdict {
+        Ok((out, batch)) => {
+            shared.breaker.record_success();
+            if out.certified {
+                shared.metrics.certify_ms.record(out.certify_wall_ms);
             }
-            // Typed mid-run timeout: the engine is healthy, and a timeout
-            // is never a breaker penalty.
-            Ok(Err(EngineError::Deadline {
-                elapsed_us,
-                deadline_us,
-            })) => {
-                if members.len() == 1 {
-                    return every("timeout", attempt + 1, &|mb| {
-                        protocol::timeout_line(
-                            mb.job.req.id,
-                            "run",
-                            mb.wait_ms + elapsed_us as f64 / 1000.0,
-                            mb.wait_ms + deadline_us as f64 / 1000.0,
-                        )
-                    });
-                }
-                shared.metrics.flight.note(
-                    worker,
-                    "batch.split",
-                    format!("size={} why=deadline", members.len()),
-                );
-                break;
-            }
-            // Client-input errors: typed, no retry, and no breaker
-            // penalty — the substrate is fine.
-            Ok(Err(EngineError::Rejected { kind, msg })) => {
-                return every("error", attempt + 1, &|mb| {
-                    protocol::error_line(mb.job.req.id, kind, &msg)
-                });
-            }
-            Ok(Err(EngineError::Suspect { kind, msg })) => (kind, msg),
-            Err(payload) => (
-                "panic",
-                record_panic(shared, worker, ticket, payload.as_ref()),
-            ),
-        };
-        quarantine(shared, engine, kind, ticket, worker);
-        if members.len() > 1 {
-            break;
+            return every("ok", attempts, &|mb| {
+                protocol::slot_ok_line(
+                    mb.job.req.id,
+                    &out.slots[mb.slot],
+                    out.total_ms,
+                    out.certified && mb.verify,
+                    mb.wait_ms,
+                    attempts,
+                    batch,
+                    out.recoveries,
+                )
+            });
         }
-        attempt += 1;
-        if attempt >= max_attempts {
-            let line = give_up(shared, members[0].job.req.id, attempt, kind, &msg, worker);
-            return finish_member(shared, worker, &members[0], "error", line, attempt);
+        // Typed mid-run timeout: the engine is healthy, and a timeout is
+        // never a breaker penalty.
+        Err(EngineError::Deadline {
+            elapsed_us,
+            deadline_us,
+        }) if members.len() == 1 => {
+            return every("timeout", attempts, &|mb| {
+                protocol::timeout_line(
+                    mb.job.req.id,
+                    "run",
+                    mb.wait_ms + elapsed_us as f64 / 1000.0,
+                    mb.wait_ms + deadline_us as f64 / 1000.0,
+                )
+            });
         }
+        Err(EngineError::Deadline { .. }) => {
+            let why = format!("size={} why=deadline", members.len());
+            shared.metrics.flight.note(worker, "batch.split", why);
+        }
+        // Client-input errors and a failed build (whose breaker penalty
+        // the mint above paid): typed, no retry.
+        Err(EngineError::Rejected { kind, msg }) => {
+            return every("error", attempts, &|mb| {
+                protocol::error_line(mb.job.req.id, kind, &msg)
+            });
+        }
+        // The retry budget is spent: feed the breaker, answer typed.
+        Err(EngineError::Suspect { kind, msg }) if members.len() == 1 => {
+            let id = members[0].job.req.id;
+            if shared.breaker.record_failure() {
+                let why = format!("id={id} kind={kind} after {attempts} attempts");
+                shared.metrics.flight.note(worker, "breaker.trip", why);
+                shared.metrics.dump_flight("breaker-open");
+            }
+            let msg = format!("uncorrected after {attempts} attempts: {msg}");
+            return every("error", attempts, &|mb| {
+                protocol::error_line(mb.job.req.id, kind, &msg)
+            });
+        }
+        Err(EngineError::Suspect { .. }) => {}
     }
     // The shared attempt is spent: every member runs again alone, with
     // that attempt pre-charged.
     for mb in members {
-        run_members(shared, graph, engine, vec![mb], worker, attempt + 1);
+        run_members(shared, graph, engine, vec![mb], worker, attempts);
     }
 }
 
@@ -582,7 +584,10 @@ fn record_panic(
     msg
 }
 
-fn quarantine(shared: &Shared, engine: &mut Generation<'_>, why: &str, ticket: u64, worker: usize) {
+/// Discard a suspect generation. Its drop is contained: after a panic
+/// mid-run the pool bookkeeping may be arbitrarily wrong, and `Drop` parks
+/// buffers back into it.
+fn quarantine(shared: &Shared, engine: Generation<'_>, why: &str, ticket: u64, worker: usize) {
     let m = &shared.metrics;
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_QUARANTINED);
@@ -591,32 +596,8 @@ fn quarantine(shared: &Shared, engine: &mut Generation<'_>, why: &str, ticket: u
     m.flight
         .note(worker, "quarantine", format!("ticket={ticket} why={why}"));
     m.dump_flight(&format!("quarantine-{why}"));
-    discard(engine);
+    let _ = catch_unwind(AssertUnwindSafe(move || drop(engine)));
     if let Some(w) = m.workers.get(worker) {
         w.state.set(WORKER_RUNNING); // rebuilding + replaying next
     }
-}
-
-/// The retry budget is spent: feed the breaker and build the typed error.
-fn give_up(
-    shared: &Shared,
-    id: u64,
-    attempts: u32,
-    kind: &str,
-    msg: &str,
-    worker: usize,
-) -> String {
-    if shared.breaker.record_failure() {
-        shared.metrics.flight.note(
-            worker,
-            "breaker.trip",
-            format!("id={id} kind={kind} after {attempts} attempts"),
-        );
-        shared.metrics.dump_flight("breaker-open");
-    }
-    protocol::error_line(
-        id,
-        kind,
-        &format!("uncorrected after {attempts} attempts: {msg}"),
-    )
 }
