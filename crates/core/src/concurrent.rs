@@ -97,11 +97,15 @@ struct MsBufs {
     fresh: BufU64,
     /// Per-vertex batch-epoch stamp gating `seen` (0 = never touched).
     stamp: BufU32,
-    frontier: BufU32,
-    next_frontier: BufU32,
+    /// One per level parity: level L's frontier is `frontiers[L & 1]`, its
+    /// length word `L & 1` of `counters`. The fold of L appends to the other
+    /// buffer and adds into the other word, which the step of L zeroed: its
+    /// last reader, the fold of L − 1, is done (a fold wave zeroing its own
+    /// level's word would race the fold's other waves).
+    frontiers: [BufU32; 2],
     counters: BufU32,
-    /// Σ deg(v) over every fold's members so far: the pull rule's input.
-    /// Only an engine that may pull has one.
+    /// Σ deg(v) over each level's frontier, the pull rule's numerator, in
+    /// the same two parity words. Only an engine that may pull has one.
     work: Option<BufU64>,
 }
 
@@ -116,14 +120,12 @@ struct MsInner {
     epoch: u32,
     /// Current level-encoding base.
     base: u32,
-    /// Deepest level the previous batch wrote (bounds the base advance).
+    /// At least the deepest level the last batch wrote (bounds the base).
     last_depth: u32,
-    /// Whether `frontier`/`next_frontier` are swapped relative to their
-    /// acquisition order — tracked so Drop releases them to the pool in a
-    /// deterministic order regardless of batch depths.
-    swapped: bool,
-    /// One per core: `msbfs_expand` and `msbfs_pull` lend them all to
-    /// their workers, `msbfs_fold` only the first (see `run_impl`).
+    /// The levels the last batch pulled (see [`MsBfs::pulled_levels`]).
+    pulled: Vec<u32>,
+    /// One per core: `msbfs_step` lends them all to its workers,
+    /// `msbfs_fold` only the first (see `run_impl`).
     scratch: Vec<WaveScratch>,
 }
 
@@ -166,10 +168,9 @@ impl<D: Borrow<Device>> MsBfs<D> {
             seen: dev.pool_acquire_u64(n),
             fresh: dev.pool_acquire_u64(n),
             stamp: dev.pool_acquire_u32(n),
-            frontier: dev.pool_acquire_u32(n),
-            next_frontier: dev.pool_acquire_u32(n),
+            frontiers: [dev.pool_acquire_u32(n), dev.pool_acquire_u32(n)],
             counters: dev.pool_acquire_u32(2),
-            work: pulls.then(|| dev.pool_acquire_u64(1)),
+            work: pulls.then(|| dev.pool_acquire_u64(2)),
         };
         bufs.fresh.host_fill(0);
         bufs.stamp.host_fill(0);
@@ -179,7 +180,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             epoch: 0,
             base: 1,
             last_depth: 0,
-            swapped: false,
+            pulled: Vec::new(),
             scratch: (0..gcd_sim::cores())
                 .map(|_| WaveScratch::default())
                 .collect(),
@@ -198,16 +199,22 @@ impl<D: Borrow<Device>> MsBfs<D> {
         self.device.borrow()
     }
 
+    /// The levels the last batch pulled, ascending. Each level's step
+    /// chooses its direction on the device; the host applies the same rule
+    /// to the counts it reads back anyway.
+    pub fn pulled_levels(&self) -> Vec<u32> {
+        crate::lock(&self.inner).pulled.clone()
+    }
+
     /// Run up to [`MAX_CONCURRENT`] BFS instances in one shared traversal.
     ///
     /// Panics on invalid input (empty / oversized batch, out-of-range
     /// source); serving layers should use [`MsBfs::run_with`], which
     /// returns typed errors and supports deadlines and certification.
     pub fn run_batch(&self, sources: &[u32]) -> MsBfsRun {
-        match self.run_with(sources, None, false) {
-            Ok((run, ..)) => run,
-            Err(e) => panic!("{e}"),
-        }
+        self.run_with(sources, None, false)
+            .unwrap_or_else(|e| panic!("{e}"))
+            .0
     }
 
     /// The full form of [`MsBfs::run_batch`]: one batch under every
@@ -275,8 +282,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             l.host_fill(UNVISITED);
             inner.level_of.push(l);
         }
-        let epoch = inner.epoch;
-        let base = inner.base;
+        let (epoch, base) = (inner.epoch, inner.base);
         let level_of = &inner.level_of[..sources.len()];
 
         device.reset_timeline();
@@ -291,41 +297,37 @@ impl<D: Borrow<Device>> MsBfs<D> {
                 Err(p) => seeds.insert(p, (s, 1 << i)),
             }
         }
-        // The pull rule's numerator: the union frontier's edges.
+        // Level 0's words: the seeds' count and edges (the pull rule's input).
         let mut work = 0u64;
         for (i, &(v, bits)) in seeds.iter().enumerate() {
-            inner.bufs.frontier.store(i, v);
+            inner.bufs.frontiers[0].store(i, v);
             inner.bufs.seen.store(v as usize, bits);
             inner.bufs.stamp.store(v as usize, epoch);
             work += u64::from(self.degrees[v as usize]);
         }
+        inner.bufs.counters.store(0, seeds.len() as u32);
+        inner.bufs.work.iter().for_each(|t| t.store(0, work));
         device.charge_transfer(0, 12 * (seeds.len() as u64 + 1));
-        let edges = graph.num_edges().max(1) as f64;
+        let (alpha, edges) = (self.alpha, graph.num_edges().max(1) as f64);
+        let pulls = move |work: u64| work as f64 / edges > alpha;
         let slots = u64::MAX >> (MAX_CONCURRENT - sources.len());
-        let mut qlen = seeds.len();
         let mut level = 0u32;
-        let mut deepest = 0u32;
-        // `work` only accumulates; the host last read it after a fold.
-        let mut folded = inner.bufs.work.as_ref().map_or(0, |t| t.load(0));
+        inner.pulled.clear();
 
-        while qlen > 0 {
+        // The host never waits on a level it has just queued: level L's
+        // words, read back in-stream after the fold of L − 1, are read
+        // once level L is queued too. So one empty level runs past the
+        // deepest, and the batch syncs once.
+        let synced = loop {
             device.set_phase(format!("msbfs level {level}"));
-            device.fill_u32(0, &inner.bufs.counters, 0);
-            // Expand and pull waves read only what the last fold wrote and
-            // write only through `atomicOr` (expand) or to their own
-            // vertices (pull): they may run on every core.
-            let (bufs, scratch) = (&inner.bufs, &mut inner.scratch);
-            if bufs.work.is_some() && work as f64 / edges > self.alpha {
-                let pull = LaunchCfg::new("msbfs_pull", n).with_registers(56);
-                device.launch_split(0, pull, scratch, |w, s| {
-                    pull_kernel(w, graph, bufs, epoch, slots, s)
-                });
-            } else {
-                let expand = LaunchCfg::new("msbfs_expand", qlen).with_registers(56);
-                device.launch_split(0, expand, scratch, |w, s| {
-                    expand_kernel(w, graph, bufs, epoch, s)
-                });
-            }
+            let (bufs, scratch, at) = (&inner.bufs, &mut inner.scratch, level as usize & 1);
+            // Step waves read only what the last fold wrote and write only
+            // through `atomicOr` (expand) or to their own vertices (pull):
+            // they may run on every core.
+            let step = LaunchCfg::new("msbfs_step", n).with_registers(56);
+            device.launch_split(0, step, scratch, |w, s| {
+                step_kernel(w, graph, bufs, at, epoch, slots, &pulls, s)
+            });
             // Fold: merge fresh bits into seen, record levels, build the
             // next union frontier, and zero the fresh entries consumed.
             // Its `wave_add32` hands out frontier slots in wave order, and
@@ -333,37 +335,38 @@ impl<D: Borrow<Device>> MsBfs<D> {
             let enc = base + level + 1;
             let fold = LaunchCfg::new("msbfs_fold", n).with_registers(40);
             device.launch_split(0, fold, &mut scratch[..1], |w, s| {
-                fold_kernel(w, graph, bufs, level_of, enc, epoch, s)
+                fold_kernel(w, graph, bufs, level_of, enc, epoch, at, s)
             });
-            device.sync();
-            let produced = inner.bufs.counters.load(0) as usize;
-            let total = inner.bufs.work.as_ref().map(|t| t.load(0));
-            device.charge_transfer(0, if total.is_some() { 12 } else { 4 });
-            if let Some(total) = total {
-                (work, folded) = (total.wrapping_sub(folded), total);
+            inner.last_depth = level + 1;
+            // Queue this fold's readback; this level's words came back earlier.
+            device.charge_transfer(0, if bufs.work.is_some() { 12 } else { 4 });
+            if bufs.counters.load(at) == 0 {
+                break false;
             }
-            if produced > 0 {
-                deepest = level + 1;
+            if bufs.work.as_ref().is_some_and(|t| pulls(t.load(at))) {
+                inner.pulled.push(level);
             }
-            // Pointer-swap frontiers (free on real hardware).
-            std::mem::swap(&mut inner.bufs.frontier, &mut inner.bufs.next_frontier);
-            inner.swapped = !inner.swapped;
-            qlen = produced;
-            level += 1;
-            // A batch that completes on its last level is never a
-            // timeout — only abort while work remains. The fold pass
-            // already zeroed `fresh`, so the engine stays reusable.
-            let late = past_deadline(deadline_ms, device.elapsed_us());
-            if let Some((elapsed_us, deadline_us)) = late.filter(|_| qlen > 0) {
-                inner.last_depth = deepest;
+            // A batch that completes on its last level is never a timeout:
+            // past the budget, sync to read whether this level found
+            // anything. The fold already zeroed `fresh`, so the engine
+            // stays reusable.
+            if let Some((elapsed_us, deadline_us)) = past_deadline(deadline_ms, device.elapsed_us())
+            {
+                device.sync();
+                if bufs.counters.load(at ^ 1) == 0 {
+                    break true;
+                }
                 return Err(XbfsError::DeadlineExceeded {
-                    level: level - 1,
+                    level,
                     elapsed_us,
                     deadline_us,
                 });
             }
+            level += 1;
+        };
+        if !synced {
+            device.sync();
         }
-        inner.last_depth = deepest;
 
         let total_ms = device.elapsed_us() / 1000.0;
         // One pass per slot: decode each level and sum the reached degrees.
@@ -402,26 +405,19 @@ impl<D: Borrow<Device>> Drop for MsBfs<D> {
     fn drop(&mut self) {
         let device: &Device = self.device.borrow();
         let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
-        if inner.swapped {
-            std::mem::swap(&mut inner.bufs.frontier, &mut inner.bufs.next_frontier);
-            inner.swapped = false;
-        }
         for l in inner.level_of.drain(..).rev() {
             device.pool_release_u32(l);
         }
-        if let Some(work) = inner.bufs.work.take() {
+        let b = &mut inner.bufs;
+        if let Some(work) = b.work.take() {
             device.pool_release_u64(work);
         }
-        for b in [
-            &mut inner.bufs.counters,
-            &mut inner.bufs.next_frontier,
-            &mut inner.bufs.frontier,
-            &mut inner.bufs.stamp,
-        ] {
-            device.pool_release_u32(std::mem::replace(b, BufU32::placeholder()));
+        let [first, second] = &mut b.frontiers;
+        for buf in [&mut b.counters, second, first, &mut b.stamp] {
+            device.pool_release_u32(std::mem::replace(buf, BufU32::placeholder()));
         }
-        for b in [&mut inner.bufs.fresh, &mut inner.bufs.seen] {
-            device.pool_release_u64(std::mem::replace(b, BufU64::placeholder()));
+        for buf in [&mut b.fresh, &mut b.seen] {
+            device.pool_release_u64(std::mem::replace(buf, BufU64::placeholder()));
         }
         self.graph.release_to_pool(device);
     }
@@ -525,54 +521,64 @@ impl MsBfsRun {
     }
 }
 
-/// Expansion: each frontier vertex pushes `its bits & !seen` to neighbors
-/// with a 64-bit `atomicOr` into `fresh`.
-fn expand_kernel(w: &mut WaveCtx, g: &DeviceGraph, b: &MsBufs, epoch: u32, s: &mut WaveScratch) {
-    // Launched with `items` = the frontier length: every lane has an entry.
-    let gids = w.lanes();
-    if gids.is_empty() {
-        return;
-    }
-    s.words.clear();
-    w.vload32_range(&b.frontier, gids.start, gids.len(), &mut s.words);
-    // Frontier vertices were stamped when they were discovered, so their
-    // own masks need no gate.
-    let us = s.words.iter().map(|&u| u as usize);
-    s.masks.clear();
-    w.vload64(&b.seen, us.clone(), &mut s.masks);
-    s.pending.clear();
-    s.pending.extend(us.zip(s.masks.iter().copied()));
-    walk(w, g, b, epoch, s, |l, v, sb, _| {
-        let new = l.bits & !sb;
-        (new != 0).then_some((v, new))
-    });
-}
-
-/// Pull, over every vertex: a lane wants the batch's `slots` its vertex
-/// has not seen, ORs in `seen[u] & want` over its neighbours, and retires
-/// once nothing is wanted or the row ends. On symmetric adjacency a bit
-/// of `seen[u]` that `v` lacks reached `u` at the level just folded, so
-/// the lane finds exactly what the frontier would have pushed to it. Each
-/// lane stores only its own `fresh[v]`: no atomics, waves commute.
-fn pull_kernel(
+/// One level's step, launched over every vertex before the host knows the
+/// frontier. Each wave reads the level's count and edges from parity word
+/// `at` (wave 0 also zeroes the other word for the fold to add into); an
+/// empty level exits there. Then it pulls where `pulls(edges)` holds, the
+/// rule the host records, and pushes otherwise.
+///
+/// A push lane holds a frontier entry (lanes past the count exit at once)
+/// and sends `its bits & !seen` to its neighbours with a 64-bit `atomicOr`
+/// into `fresh`. A pull lane wants the batch's `slots` its vertex has not
+/// seen, ORs in `seen[u] & want` over its neighbours, and retires once
+/// nothing is wanted or the row ends. On symmetric adjacency a bit of
+/// `seen[u]` that `v` lacks reached `u` at the level just folded, so the
+/// lane finds exactly what the frontier would have pushed to it. It stores
+/// only its own `fresh[v]`: no atomics, waves commute.
+#[allow(clippy::too_many_arguments)]
+fn step_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
     b: &MsBufs,
+    at: usize,
     epoch: u32,
     slots: u64,
+    pulls: &(impl Fn(u64) -> bool + Sync),
     s: &mut WaveScratch,
 ) {
-    let gids = w.lanes();
+    let count = w.sload32(&b.counters, at) as usize;
+    let work = b.work.as_ref().map(|t| w.sload64(t, at));
+    if w.wave_id() == 0 {
+        w.sstore32(&b.counters, at ^ 1, 0);
+        b.work.iter().for_each(|t| w.vstore64(t, [(at ^ 1, 0)]));
+    }
+    let (gids, pull) = (w.lanes(), count > 0 && work.is_some_and(pulls));
+    if !pull && gids.start >= count {
+        return;
+    }
     s.words.clear();
-    w.vload32_range(&b.stamp, gids.start, gids.len(), &mut s.words);
     s.masks.clear();
+    s.pending.clear();
+    if !pull {
+        let entries = gids.len().min(count - gids.start);
+        w.vload32_range(&b.frontiers[at], gids.start, entries, &mut s.words);
+        // Frontier vertices were stamped when they were discovered, so
+        // their own masks need no gate.
+        let us = s.words.iter().map(|&u| u as usize);
+        w.vload64(&b.seen, us.clone(), &mut s.masks);
+        s.pending.extend(us.zip(s.masks.iter().copied()));
+        return walk(w, g, b, epoch, s, |l, v, sb, _| {
+            let new = l.bits & !sb;
+            (new != 0).then_some((v, new))
+        });
+    }
+    w.vload32_range(&b.stamp, gids.start, gids.len(), &mut s.words);
     w.vload64_range(&b.seen, gids.start, gids.len(), &mut s.masks);
     w.alu(1);
     let seen = s.words.iter().zip(&s.masks);
     let wants = gids
         .zip(seen)
         .map(|(v, (&st, &sv))| (v, slots & !if st == epoch { sv } else { 0 }));
-    s.pending.clear();
     s.pending.extend(wants.filter(|&(_, want)| want != 0));
     s.got.clear();
     s.got.resize(s.pending.len(), 0);
@@ -636,8 +642,10 @@ fn walk(
 /// Fold: for every vertex with fresh bits, merge into `seen` (stamping
 /// the epoch), record the level for each new bit, enqueue into the next
 /// union frontier — and zero the fresh entry, restoring the all-zero
-/// invariant without a per-level fill kernel. On an engine that may pull
-/// it also adds its members' degrees to `work`.
+/// invariant without a per-level fill kernel. Its members' count (and,
+/// on an engine that may pull, their degrees) go to parity word `!at`; an
+/// empty level (word `at` is 0) exits after that scalar load.
+#[allow(clippy::too_many_arguments)]
 fn fold_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
@@ -645,44 +653,35 @@ fn fold_kernel(
     level_of: &[BufU32],
     enc_level: u32,
     epoch: u32,
+    at: usize,
     s: &mut WaveScratch,
 ) {
-    let MsBufs {
-        seen,
-        stamp,
-        fresh,
-        next_frontier,
-        counters,
-        work,
-        ..
-    } = b;
-    let gids = w.lanes();
-    if gids.is_empty() {
+    if w.sload32(&b.counters, at) == 0 {
         return;
     }
+    let gids = w.lanes();
     s.fb.clear();
-    w.vload64_range(fresh, gids.start, gids.len(), &mut s.fb);
+    w.vload64_range(&b.fresh, gids.start, gids.len(), &mut s.fb);
     w.alu(1);
     s.pending.clear();
-    let pending = gids.zip(&s.fb).filter(|&(_, &b)| b != 0);
-    s.pending.extend(pending.map(|(v, &b)| (v, b)));
+    let pending = gids.zip(&s.fb).filter(|&(_, &f)| f != 0);
+    s.pending.extend(pending.map(|(v, &f)| (v, f)));
     if s.pending.is_empty() {
         return;
     }
     s.sts.clear();
-    w.vload32(stamp, s.pending.iter().map(|&(v, _)| v), &mut s.sts);
+    w.vload32(&b.stamp, s.pending.iter().map(|&(v, _)| v), &mut s.sts);
     s.svs.clear();
-    w.vload64(seen, s.pending.iter().map(|&(v, _)| v), &mut s.svs);
+    w.vload64(&b.seen, s.pending.iter().map(|&(v, _)| v), &mut s.svs);
     s.members.clear();
     s.seen_writes.clear();
-    if s.level_writes.len() < level_of.len() {
-        s.level_writes.resize_with(level_of.len(), Vec::new);
-    }
+    let widest = s.level_writes.len().max(level_of.len());
+    s.level_writes.resize_with(widest, Vec::new);
     let level_writes = &mut s.level_writes[..level_of.len()];
     level_writes.iter_mut().for_each(Vec::clear);
-    for (&(v, b), (&st, &raw_sb)) in s.pending.iter().zip(s.sts.iter().zip(&s.svs)) {
+    for (&(v, f), (&st, &raw_sb)) in s.pending.iter().zip(s.sts.iter().zip(&s.svs)) {
         let sb = if st == epoch { raw_sb } else { 0 };
-        let new = b & !sb;
+        let new = f & !sb;
         if new == 0 {
             continue;
         }
@@ -696,9 +695,9 @@ fn fold_kernel(
         }
         w.alu(1);
     }
-    w.vstore64(fresh, s.pending.iter().map(|&(v, _)| (v, 0)));
-    w.vstore64(seen, &s.seen_writes);
-    w.vstore32(stamp, s.seen_writes.iter().map(|&(v, _)| (v, epoch)));
+    w.vstore64(&b.fresh, s.pending.iter().map(|&(v, _)| (v, 0)));
+    w.vstore64(&b.seen, &s.seen_writes);
+    w.vstore32(&b.stamp, s.seen_writes.iter().map(|&(v, _)| (v, epoch)));
     // Slot ascending, vertex ascending within a slot: the order of these
     // stores is coalescer state (DESIGN.md §8). An empty store is free.
     for (level, writes) in level_of.iter().zip(level_writes.iter()) {
@@ -707,14 +706,14 @@ fn fold_kernel(
     if s.members.is_empty() {
         return;
     }
-    let base = w.wave_add32(counters, 0, s.members.len() as u32) as usize;
-    w.vstore32_range(next_frontier, base, &s.members);
-    if let Some(work) = work {
+    let base = w.wave_add32(&b.counters, at ^ 1, s.members.len() as u32) as usize;
+    w.vstore32_range(&b.frontiers[at ^ 1], base, &s.members);
+    if let Some(work) = &b.work {
         let members = s.members.iter().map(|&v| v as usize);
         s.degs.clear();
         w.vload32(&g.degrees, members, &mut s.degs);
         w.alu(1);
-        w.wave_add64(work, 0, s.degs.iter().map(|&d| u64::from(d)).sum());
+        w.wave_add64(work, at ^ 1, s.degs.iter().map(|&d| u64::from(d)).sum());
     }
 }
 

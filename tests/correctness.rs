@@ -257,8 +257,9 @@ fn batched_engine_never_pulls_on_asymmetric_adjacency() {
         b.extend_edges(arcs);
         let g = b.build(opts);
         let dev = Device::mi250x();
-        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
-        let pulled = dev.take_reports().iter().any(|k| k.name == "msbfs_pull");
+        let engine = MsBfs::new(&dev, &g).unwrap();
+        let run = engine.run_batch(&sources);
+        let pulled = !engine.pulled_levels().is_empty();
         assert_eq!(pulled, g.is_symmetric(), "symmetrize: {}", opts.symmetrize);
         for (slot, &s) in sources.iter().enumerate() {
             assert_eq!(run.levels[slot], bfs_levels_serial(&g, s), "source {s}");
@@ -267,9 +268,9 @@ fn batched_engine_never_pulls_on_asymmetric_adjacency() {
 }
 
 /// The batched engine's direction rule is the solo one applied to the
-/// union frontier it walks: the step out of level L (phase `msbfs level
-/// L`) pulls exactly when the vertices some slot reached at L have more
-/// than α · |E| edges, whatever the batch width.
+/// union frontier it walks: the step out of level L pulls
+/// ([`MsBfs::pulled_levels`]) exactly when the vertices some slot reached
+/// at L have more than α · |E| edges, whatever the batch width.
 #[test]
 fn batched_engine_pulls_on_the_union_frontier_edges() {
     let g = rmat_graph(RmatParams::graph500(12), 0xB5);
@@ -278,9 +279,9 @@ fn batched_engine_pulls_on_the_union_frontier_edges() {
     let edges = g.num_edges() as f64;
     for width in [1, 8, 64] {
         let sources = pick_sources(&g, width, 11);
-        let dev = Device::mi250x();
-        let run = MsBfs::new(&dev, &g).unwrap().run_batch(&sources);
-        let reports = dev.take_reports();
+        let engine = MsBfs::new(Device::mi250x(), &g).unwrap();
+        let run = engine.run_batch(&sources);
+        let pulled_levels = engine.pulled_levels();
         let mut pulls = Vec::new();
         for level in 0.. {
             let union = (0..g.num_vertices() as u32)
@@ -289,12 +290,12 @@ fn batched_engine_pulls_on_the_union_frontier_edges() {
             if frontier_edges == 0 {
                 break;
             }
-            let phase = format!("msbfs level {level}");
-            let pulled = reports
-                .iter()
-                .any(|k| k.phase == phase && k.name == "msbfs_pull");
+            let pulled = pulled_levels.contains(&level);
             let expected = frontier_edges as f64 / edges > alpha;
-            assert_eq!(pulled, expected, "width {width}, {phase}: {frontier_edges}");
+            assert_eq!(
+                pulled, expected,
+                "width {width}, level {level}: {frontier_edges}"
+            );
             pulls.push(pulled);
         }
         if width == 64 {

@@ -7,7 +7,8 @@ use gcd_sim::{fnv1a, ArchProfile, Device, ExecMode, GroupCfg, KernelReport};
 use xbfs_core::strategy::topdown::expand_block;
 use xbfs_core::strategy::{TopDownOpts, GROUP_WAVES};
 use xbfs_core::{
-    BfsRun, BfsState, BinThresholds, DeviceGraph, MsBfs, Strategy, Xbfs, XbfsConfig, UNVISITED,
+    BfsRun, BfsState, BinThresholds, DeviceGraph, MsBfs, MsBfsRun, Strategy, Xbfs, XbfsConfig,
+    UNVISITED,
 };
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::pick_sources;
@@ -224,7 +225,11 @@ fn golden_cells() -> Vec<(String, u64)> {
 /// deleted (PR 15) and carried over unchanged: every modeled counter and
 /// every modeled time is what it was. The two `msbfs-64-adaptive` cells
 /// were recorded when `MsBfs` gained its pull step and again when its pull
-/// rule moved to the union frontier's edges.
+/// rule moved to the union frontier's edges. All four `msbfs-64*` cells
+/// were recorded again when its level loop went sync-light: one step
+/// kernel per level choosing its direction on the device, counters zeroed
+/// by the step instead of a fill, counts read back one level late (one
+/// trailing empty level) and one sync per batch.
 const GOLDEN: [(&str, u64); 15] = [
     ("xbfs/Functional/None", 0xc6b8_a16e_42f1_1f10),
     ("xbfs/Functional/Some(ScanFree)", 0x3a54_80ae_9c13_266b),
@@ -234,10 +239,10 @@ const GOLDEN: [(&str, u64); 15] = [
     ("xbfs/Timing/Some(ScanFree)", 0x04f5_0f42_4635_d77a),
     ("xbfs/Timing/Some(SingleScan)", 0x19ff_230d_6ba6_a5c0),
     ("xbfs/Timing/Some(BottomUp)", 0x5603_21ac_c125_4168),
-    ("msbfs-64/Functional", 0x53f8_e7cb_ba58_2a43),
-    ("msbfs-64/Timing", 0x8f2c_4c5a_f55a_f56b),
-    ("msbfs-64-adaptive/Functional", 0xf046_f367_591b_e9ba),
-    ("msbfs-64-adaptive/Timing", 0xad7a_0882_3a9a_8137),
+    ("msbfs-64/Functional", 0xa219_1409_a59e_77db),
+    ("msbfs-64/Timing", 0x5f68_23cc_4114_e47a),
+    ("msbfs-64-adaptive/Functional", 0x7a5a_572c_80d6_172f),
+    ("msbfs-64-adaptive/Timing", 0xe791_05ca_0ab9_bfe7),
     ("cluster-4", 0x28d0_c917_f16f_1139),
     ("expand_block/Functional", 0x8997_f176_a2c1_fa4c),
     ("expand_block/Timing", 0x15ba_c905_cf4d_fa45),
@@ -308,4 +313,140 @@ fn steady_state_reuses_scratch_and_pooled_buffers() {
         fingerprint(&third),
         "pool-recycled state is bit-identical"
     );
+}
+
+/// The batched level loop pays the per-level floor once per batch, not
+/// once per level. A depth-d batch launches exactly d + 2 step/fold pairs
+/// and no fill: the host reads each level's counts one level late, so one
+/// empty level runs past the deepest, and its pair loads only the scalar
+/// count (and edge) words. Its modeled time is its kernels, the seed
+/// upload, one in-stream readback per level and a single sync.
+#[test]
+fn batched_level_loop_syncs_once_and_runs_one_empty_level() {
+    let g = rmat_graph(RmatParams::graph500(12), 0xB5);
+    let waves = g
+        .num_vertices()
+        .div_ceil(ArchProfile::mi250x_gcd().wavefront_size) as u64;
+    // The count word alone (4 bytes) or with the edge word (12 bytes).
+    for (cfg, words, bytes) in [
+        (XbfsConfig::default(), 2, 12),
+        (XbfsConfig::directed(), 1, 4),
+    ] {
+        let sources = pick_sources(&g, 64, 11);
+        let dev = Device::mi250x();
+        let run = MsBfs::with_config(&dev, &g, cfg)
+            .unwrap()
+            .run_batch(&sources);
+        let reports = dev.take_reports();
+        let depth = run
+            .levels
+            .iter()
+            .flatten()
+            .filter(|&&l| l != UNVISITED)
+            .max();
+        let pairs = *depth.unwrap() as usize + 2;
+        let names: Vec<&str> = reports.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(
+            names,
+            ["msbfs_step", "msbfs_fold"].repeat(pairs),
+            "{words} words"
+        );
+
+        // The trailing pair: every wave loads its scalar words and exits;
+        // wave 0 of the step zeroes the other parity's.
+        let (step, fold) = (&reports[2 * pairs - 2].stats, &reports[2 * pairs - 1].stats);
+        assert_eq!(
+            (step.accesses, step.bytes_written),
+            (words * (waves + 1), bytes)
+        );
+        assert_eq!((fold.accesses, fold.bytes_written), (waves, 0));
+
+        let seeds = sources
+            .iter()
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        one_sync(&run, &reports, seeds, pairs, bytes);
+    }
+
+    // Past a deadline the host syncs early to read whether the level it
+    // holds was the last. A batch done at level 0 is then answered, not a
+    // timeout, after one pair and still a single sync.
+    let isolated = (0..g.num_vertices() as u32).find(|&v| g.degree(v) == 0);
+    let dev = Device::mi250x();
+    let (run, ..) = MsBfs::new(&dev, &g)
+        .unwrap()
+        .run_with(
+            &[isolated.expect("R-MAT isolates vertices")],
+            Some(1e-3),
+            false,
+        )
+        .expect("a batch that completes on its last level is never a timeout");
+    one_sync(&run, &dev.take_reports(), 1, 1, 12);
+}
+
+/// `run`'s modeled time is its kernels, the upload of `seeds` seeds, one
+/// `bytes` readback per step/fold pair and one sync.
+fn one_sync(run: &MsBfsRun, reports: &[KernelReport], seeds: u64, pairs: usize, bytes: u64) {
+    let arch = ArchProfile::mi250x_gcd();
+    let transfer = |bytes: u64| arch.h2d_latency_us + bytes as f64 / (arch.h2d_bw_gbps * 1e3);
+    assert_eq!(reports.len(), 2 * pairs);
+    let kernels_us: f64 = reports.iter().map(|k| k.runtime_ms * 1e3).sum();
+    let expect_us =
+        kernels_us + transfer(12 * (seeds + 1)) + pairs as f64 * transfer(bytes) + arch.sync_us;
+    let total_us = run.total_ms * 1e3;
+    assert!(
+        (total_us - expect_us).abs() < 1e-9 * expect_us,
+        "{pairs} pairs: {total_us} µs modeled, {expect_us} µs expected"
+    );
+}
+
+/// A reused batched engine keeps nothing between batches: batches whose
+/// depths alternate in parity, with a deadline abort between them, each
+/// report the levels, kernel counters and modeled time of a fresh engine —
+/// in timing mode too, where buffer addresses reach the shared L2.
+#[test]
+fn reused_batched_engine_matches_fresh_across_depth_parities() {
+    let g = rmat_graph(RmatParams::graph500(10), 6);
+    let depth = |s: u32| {
+        let levels = xbfs_graph::bfs_levels_serial(&g, s);
+        levels
+            .into_iter()
+            .filter(|&l| l != UNVISITED)
+            .max()
+            .unwrap()
+    };
+    let candidates = pick_sources(&g, 64, 3);
+    let odd = *candidates.iter().find(|&&s| depth(s) % 2 == 1).unwrap();
+    let even = *candidates.iter().find(|&&s| depth(s) % 2 == 0).unwrap();
+    let observe = |engine: &MsBfs<&Device>, sources: &[u32]| {
+        let run = engine.run_batch(sources);
+        let kernels: Vec<_> = (engine.device().take_reports().into_iter())
+            .map(|k| (k.name, k.stats, k.runtime_ms.to_bits()))
+            .collect();
+        (
+            run.levels,
+            kernels,
+            run.total_ms.to_bits(),
+            engine.pulled_levels(),
+        )
+    };
+    for mode in [ExecMode::Functional, ExecMode::Timing] {
+        let dev = Device::new(ArchProfile::mi250x_gcd(), mode, 1);
+        let reused = MsBfs::new(&dev, &g).unwrap();
+        for (i, source) in [odd, even, odd, even, even, odd].into_iter().enumerate() {
+            if i == 3 {
+                let err = reused.run_with(&[odd], Some(1e-3), false).unwrap_err();
+                assert!(matches!(err, xbfs_core::XbfsError::DeadlineExceeded { .. }));
+                dev.take_reports();
+            }
+            let fresh_dev = Device::new(ArchProfile::mi250x_gcd(), mode, 1);
+            let fresh = MsBfs::new(&fresh_dev, &g).unwrap();
+            let (warm, cold) = (observe(&reused, &[source]), observe(&fresh, &[source]));
+            assert!(
+                warm == cold,
+                "{mode:?} batch {i} (source {source}) diverged"
+            );
+            assert!(!warm.3.is_empty(), "{mode:?}: one source pulls at s10");
+        }
+    }
 }
