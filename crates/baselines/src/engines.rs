@@ -251,7 +251,7 @@ impl Baseline<'_> {
     ) -> Result<Vec<u32>, EngineError> {
         let (device, g) = (&self.device, &self.graph);
         let n = g.num_vertices();
-        let mut st = BfsState::new(device, n, false, 64);
+        let mut st = BfsState::new(device, n, false);
         device.fill_u32(0, &st.status, UNVISITED);
         st.status.store(source as usize, 0);
         device.charge_transfer(0, 4);

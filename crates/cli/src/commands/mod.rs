@@ -1,6 +1,6 @@
 //! The `xbfs` subcommands, factored as library functions so they are unit-
 //! testable without spawning processes. This module holds what every
-//! command shares (the error type, the option table, dispatch, the help
+//! command shares (the error type, the command table, dispatch, the help
 //! text, device and trace plumbing) and the small commands; `sweep`, the
 //! serving commands and `trace` each have a file.
 
@@ -130,49 +130,206 @@ impl From<ClusterError> for CliError {
     }
 }
 
-/// The options each subcommand accepts, one word each; a trailing `!`
-/// marks a bare flag, which takes no value (every other option takes
-/// one). Anything not listed is a usage error rather than being silently
-/// ignored. `None` for an unknown command.
-fn options(command: &str) -> Option<impl Iterator<Item = &'static str>> {
-    let own = match command {
-        "generate" => "out kind seed scale shift",
-        "convert" | "info" | "trace" | "help" | "" => "",
-        "bfs" | "run" => {
-            "source alpha forced rearrange! validate! verify! inject-bitflips \
-             deadline-ms trace"
-        }
-        "serve" => {
-            "addr workers queue-cap verify! allow-chaos! max-retries deadline-ms cluster \
-             checkpoint-every alpha metrics-addr flight-dir batch-width batch-window-ms \
-             journal journal-fsync idle-timeout-ms json trace"
-        }
-        "loadgen" => {
-            "addr requests rps connections sources seed deadline-ms verify! chaos retries \
-             shutdown! max-shed-pct progress-every-ms no-reconnect! json"
-        }
-        "top" => "interval-ms frames",
-        "cluster" => {
-            "gcds source alpha push-only! inject-faults checkpoint-every recovery validate! \
-             json trace"
-        }
-        "compare" => "source",
-        "sweep" => {
-            "sources threads seed alpha json verify! inject-bitflips max-pool-bytes \
-             retries multi-source!"
-        }
-        _ => return None,
+/// One subcommand as `xbfs help` prints it. The synopsis is also the
+/// command's option grammar: `[--x]` is a bare flag, any other `--x`
+/// takes the value written after it, and an option the synopsis does not
+/// name is a usage error. The about text is prose and is never parsed.
+/// Both are laid out as printed, continuation lines indented 12.
+struct Command {
+    name: &'static str,
+    synopsis: &'static str,
+    about: &'static str,
+}
+
+/// The options of every command that builds a device.
+macro_rules! device_options {
+    () => {
+        "[--arch mi250x|mi100|p6000] [--compiler clang|hipcc|clang-O0] [--timing]"
     };
-    let device = match command {
-        "bfs" | "run" | "compare" | "sweep" | "serve" => "arch compiler timing!",
-        _ => "",
+}
+
+/// Every subcommand, in the order `xbfs help` lists them.
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "generate",
+        synopsis: "--out FILE [--kind rmat|lj|up|or|db] [--scale N | --shift N] [--seed N]",
+        about: "write a graph in the binary cache format",
+    },
+    Command {
+        name: "convert",
+        synopsis: "IN OUT",
+        about: "convert between .txt (edge list), .mtx and .bin",
+    },
+    Command {
+        name: "info",
+        synopsis: "FILE",
+        about: "print graph statistics and a level profile",
+    },
+    Command {
+        name: "bfs",
+        synopsis: concat!(
+            "FILE [--source N] [--alpha F] [--forced scan-free|single-scan|bottom-up]
+            [--rearrange] [--validate] [--verify] [--inject-bitflips SPEC]
+            [--deadline-ms MS] [--trace FMT:PATH]
+            ",
+            device_options!()
+        ),
+        about: "run one BFS and report per-level stats (`run` is an alias);
+            --verify certifies the result (CSR + pool checksums, O(V+E)
+            certificate) and --inject-bitflips flips seeded bits in device
+            state: comma-separated status[:N], parents[:N], csr[:N],
+            pool[:N], seed=N; --deadline-ms aborts with exit 8 when the
+            modeled run time exceeds the budget",
+    },
+    Command {
+        name: "cluster",
+        synopsis: "FILE [--gcds N] [--source N] [--alpha F] [--push-only]
+            [--inject-faults SPEC|random[:SEED]] [--checkpoint-every N]
+            [--recovery spare|degrade] [--validate] [--json FILE] [--trace FMT:PATH]",
+        about: "distributed BFS across simulated GCDs, optionally under faults;
+            SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
+            degrade@FROM-TO:FACTOR, seed=N",
+    },
+    Command {
+        name: "compare",
+        synopsis: concat!("FILE [--source N]\n            ", device_options!()),
+        about: "XBFS vs every baseline engine",
+    },
+    Command {
+        name: "sweep",
+        synopsis: concat!(
+            "FILE [--sources N] [--threads T] [--seed N] [--alpha F] [--json FILE]
+            [--verify] [--inject-bitflips SPEC] [--max-pool-bytes B]
+            [--retries N] [--multi-source]
+            ",
+            device_options!()
+        ),
+        about: "batched multi-source sweep: one pooled engine per OS thread runs
+            N sources back-to-back, then re-runs them with a fresh engine per
+            source and checks that the two passes are bit-identical; reports
+            runs/sec, aggregate modeled GTEPS and the speedup. --verify
+            certifies every run and re-executes a failing one on a fresh
+            engine (up to --retries, default 2), with a health section in the
+            report and JSON; --inject-bitflips (implies --verify) corrupts
+            device state per run; --max-pool-bytes caps parked pool memory.
+            --multi-source adds a pass on one 64-wide bit-parallel engine,
+            every slot checked against the rebuild reference",
+    },
+    Command {
+        name: "serve",
+        synopsis: concat!(
+            "FILE [--addr HOST:PORT] [--workers N] [--queue-cap N]
+            [--verify] [--allow-chaos] [--deadline-ms MS] [--cluster N]
+            [--checkpoint-every N] [--alpha F] [--metrics-addr HOST:PORT]
+            [--flight-dir DIR] [--batch-width W] [--batch-window-ms MS]
+            [--journal PATH] [--journal-fsync always|batch=N|off]
+            [--idle-timeout-ms MS] [--json FILE] [--trace FMT:PATH]
+            ",
+            device_options!()
+        ),
+        about: "long-running BFS daemon serving `xbfs-serve-v1` (JSON lines over
+            TCP) from one warm engine per worker. Overload is shed with
+            `overloaded` + retry-after-ms, deadlines become typed timeouts, a
+            panicking or corrupted engine is quarantined and its request
+            replayed bit-identically (at most twice), and repeated failures
+            trip a circuit breaker. A resent id gets the cached response
+            (deduped:true). A wire `shutdown` drains: in-flight requests
+            complete and the serve report is printed (and written with
+            --json). --cluster N serves on a partitioned N-GCD engine whose
+            chaos rank crashes are healed by checkpoint/restart
+            (--checkpoint-every, default 1). --batch-width W (default 1, max
+            64; not with --cluster) runs up to W queued requests as one
+            64-wide wave, lingering up to --batch-window-ms (default 2) for
+            company. --journal PATH arms a write-ahead journal: a restart on
+            the same path replays unfinished requests (--journal-fsync,
+            default batch=8). --allow-chaos honors client chaos tokens (test
+            servers only). --metrics-addr serves /metrics (Prometheus) and
+            /metrics.json; panics, quarantines and breaker trips dump the
+            flight rings to --flight-dir (default under the temp dir), and
+            --trace renders them at drain. Request lines over 64 KiB are
+            refused, and connections idle for --idle-timeout-ms (default
+            30000; 0 = never) are closed",
+    },
+    Command {
+        name: "loadgen",
+        synopsis: "--addr HOST:PORT [--requests N] [--rps F] [--connections N]
+            [--sources N] [--seed N] [--deadline-ms MS] [--verify]
+            [--chaos SPEC] [--retries N] [--shutdown] [--max-shed-pct F]
+            [--progress-every-ms MS] [--json FILE]",
+        about: "open-loop load generator for `xbfs serve`: paces N requests at a
+            target RPS over pipelined connections and reports ok/shed and
+            p50/p99/p999 latency from each request's scheduled send (no
+            coordinated omission). --chaos stamps fault tokens on every Nth
+            request: comma-separated panic[:N], bitflip[:N], slow[@MS][:N],
+            crash[@LVL][:N], rank=R, seed=N; --retries N resends shed
+            requests after the server's retry-after hint with jittered
+            backoff; --shutdown drains the server afterwards; --max-shed-pct
+            fails with exit 9 above the bound; --json writes xbfs-loadgen-v1;
+            progress goes to stderr every --progress-every-ms (default 1000;
+            0 silences it). A dropped connection is redialed and its
+            outstanding requests resent, latency still counted from the
+            original schedule",
+    },
+    Command {
+        name: "top",
+        synopsis: "HOST:PORT [--interval-ms MS] [--frames N]",
+        about: "live dashboard over a running server's metrics plane: polls
+            the wire `metrics` op at the serve address and renders
+            queue / worker / breaker / pool / rank state with rates
+            from successive snapshots; runs until the server drains,
+            or for exactly N frames with --frames",
+    },
+    Command {
+        name: "trace",
+        synopsis: "summarize FILE",
+        about: "summarize a recorded trace (xbfs-trace-v1 JSON or chrome trace.json)",
+    },
+    Command {
+        name: "help",
+        synopsis: "",
+        about: "print this text",
+    },
+];
+
+/// What `xbfs help` prints after the command table.
+const HELP_TAIL: &str = "
+TRACING
+  --trace FMT:PATH renders a finished run (spans, per-level metrics) for
+  bfs/run and cluster, or a server's flight rings at drain for serve. FMT
+  is table, json, chrome (load the file in chrome://tracing or
+  https://ui.perfetto.dev) or csv (rocprofiler-style kernel rows). PATH `-`
+  writes the trace to stdout instead of the normal report, so
+  `xbfs run g.bin --trace json:- > out.json` emits pure JSON.
+
+EXIT CODES
+  0 ok, 1 generic, 2 usage, 3 I/O, 4 invalid input, 5 unrecovered fault,
+  6 validation failure, 7 integrity violation (silent data corruption
+  detected and not corrected), 8 deadline exceeded, 9 overloaded
+  (loadgen shed more than --max-shed-pct)
+";
+
+/// The options `command`'s synopsis names (`run` is `bfs`, no command is
+/// `help`), each with whether it is a bare flag; `None` for an unknown
+/// command.
+fn options(command: &str) -> Option<impl Iterator<Item = (&'static str, bool)>> {
+    let name = match command {
+        "run" => "bfs",
+        "" => "help",
+        other => other,
     };
-    Some(own.split_whitespace().chain(device.split_whitespace()))
+    let entry = COMMANDS.iter().find(|c| c.name == name)?;
+    Some(entry.synopsis.split_whitespace().filter_map(|word| {
+        let option = word.trim_start_matches('[').strip_prefix("--")?;
+        Some(match option.strip_suffix(']') {
+            Some(flag) => (flag, true),
+            None => (option, false),
+        })
+    }))
 }
 
 /// Whether `command` declares `--key` a bare flag (for [`Args::parse`]).
 pub fn is_flag(command: &str, key: &str) -> bool {
-    options(command).is_some_and(|mut o| o.any(|w| w.strip_suffix('!') == Some(key)))
+    options(command).is_some_and(|mut o| o.any(|(name, flag)| flag && name == key))
 }
 
 fn reject_unknown_options(args: &Args) -> Result<(), CliError> {
@@ -180,7 +337,7 @@ fn reject_unknown_options(args: &Args) -> Result<(), CliError> {
         return Ok(()); // unknown command: reported by dispatch itself
     };
     for key in args.options.keys() {
-        if !allowed.iter().any(|w| w.trim_end_matches('!') == key) {
+        if !allowed.iter().any(|(name, _)| name == key) {
             return Err(CliError::usage(format!(
                 "unknown option --{key} for `{}` (see `xbfs help`)",
                 args.command
@@ -188,6 +345,18 @@ fn reject_unknown_options(args: &Args) -> Result<(), CliError> {
         }
     }
     Ok(())
+}
+
+/// `xbfs help`: the command table, then what every command shares.
+fn help() -> String {
+    let mut out = "xbfs — XBFS-on-simulated-MI250X toolbox\n\n\
+                   USAGE: xbfs <command> [options]\n\nCOMMANDS\n"
+        .to_string();
+    for c in COMMANDS {
+        let head = format!("  {:<10}{}", c.name, c.synopsis);
+        out += &format!("{}\n            {}\n", head.trim_end(), c.about);
+    }
+    out + HELP_TAIL
 }
 
 /// Run one subcommand; returns the text to print.
@@ -205,170 +374,13 @@ pub fn dispatch(args: &Args) -> Result<String, CliError> {
         "loadgen" => serve::loadgen(args),
         "top" => serve::top_cmd(args),
         "trace" => trace::trace_cmd(args),
-        "help" | "" => Ok(HELP.to_string()),
+        "help" | "" => Ok(help()),
         other => Err(CliError::usage(format!(
-            "unknown command {other:?}\n{HELP}"
+            "unknown command {other:?}\n{}",
+            help()
         ))),
     }
 }
-
-const HELP: &str = "\
-xbfs — XBFS-on-simulated-MI250X toolbox
-
-USAGE: xbfs <command> [options]
-
-COMMANDS
-  generate  --out FILE [--kind rmat|lj|up|or|db] [--scale N | --shift N] [--seed N]
-            write a graph in the binary cache format
-  convert   IN OUT        convert between .txt (edge list), .mtx and .bin
-  info      FILE          print graph statistics and a level profile
-  bfs       FILE [--source N] [--alpha F] [--forced scan-free|single-scan|bottom-up]
-            [--rearrange] [--validate] [--verify] [--inject-bitflips SPEC]
-            [--deadline-ms MS] [--arch mi250x|mi100|p6000]
-            [--compiler clang|hipcc|clang-O0] [--timing] [--trace FMT:PATH]
-            run one BFS and report per-level stats (`run` is an alias);
-            --verify certifies the result (CSR + pool checksums, O(V+E)
-            certificate) and --inject-bitflips flips seeded bits in device
-            state: comma-separated status[:N], parents[:N], csr[:N],
-            pool[:N], seed=N; --deadline-ms aborts with exit 8 when the
-            modeled run time exceeds the budget
-  cluster   FILE [--gcds N] [--source N] [--alpha F] [--push-only]
-            [--inject-faults SPEC|random[:SEED]] [--checkpoint-every N]
-            [--recovery spare|degrade] [--validate] [--json FILE] [--trace FMT:PATH]
-            distributed BFS across simulated GCDs, optionally under faults;
-            SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
-            degrade@FROM-TO:FACTOR, seed=N
-  compare   FILE [--source N]       XBFS vs every baseline engine
-  sweep     FILE [--sources N] [--threads T] [--seed N] [--alpha F] [--json FILE]
-            [--verify] [--inject-bitflips SPEC] [--max-pool-bytes B]
-            [--retries N] [--multi-source]
-            batched multi-source sweep: one pooled engine per OS thread runs
-            N sources back-to-back, then the same sources are re-run with a
-            per-source in-process rebuild (the bit-identity reference);
-            reports host runs/sec, aggregate modeled GTEPS and the speedup,
-            and verifies the two passes produce bit-identical results.
-            --verify turns the sweep into a self-healing supervisor: every
-            run is certified, runs failing certification are quarantined
-            and re-executed on a fresh engine (non-pooled state) with
-            bounded retries (--retries, default 2), runs exceeding 25x
-            the first run's modeled time are flagged, and a health
-            section lands in the report and JSON. --inject-bitflips
-            (implies --verify) corrupts device state per run;
-            --max-pool-bytes caps parked pool memory with LRU trimming
-            (pressure events counted in health).
-            --multi-source adds a third pass: one persistent 64-wide
-            bit-parallel engine sweeps the same sources in batches of up
-            to 64, every slot checked bit-for-bit (levels digest) against
-            the rebuild reference; its throughput and speedup vs the
-            pooled single-source pass land in the report and JSON
-  serve     FILE [--addr HOST:PORT] [--workers N] [--queue-cap N]
-            [--verify] [--allow-chaos] [--max-retries N]
-            [--deadline-ms MS] [--cluster N] [--checkpoint-every N]
-            [--alpha F] [--metrics-addr HOST:PORT] [--flight-dir DIR]
-            [--batch-width W] [--batch-window-ms MS] [--journal PATH]
-            [--journal-fsync always|batch=N|off] [--idle-timeout-ms MS]
-            [--json FILE] [--trace FMT:PATH]
-            long-running BFS daemon: loads the graph once, keeps one warm
-            pooled engine per worker, and serves `xbfs-serve-v1` (JSON
-            lines over TCP). A bounded admission queue sheds overload with
-            explicit `overloaded` + retry-after-ms responses, deadlines
-            propagate into the run loop as typed timeouts, worker panics
-            are contained (engine + device quarantined, request replayed
-            bit-identically), and repeated uncorrected failures trip a
-            circuit breaker. Drains gracefully on a wire `shutdown` op:
-            in-flight requests complete, new ones are rejected, and the
-            merged serve report is printed (and written with --json).
-            --cluster N serves each request on a partitioned N-GCD engine
-            instead of a single device: rank crashes injected via chaos
-            are recovered mid-request by level-synchronous checkpoint/
-            restart (snapshot cadence --checkpoint-every, default 1) and
-            per-rank health lands in the serve report. Completed request
-            ids are remembered in a small LRU, so a client that resends
-            an id after a timeout gets the cached response (marked
-            deduped:true) instead of double-executing.
-            --allow-chaos honors client chaos tokens (test servers only).
-            Every stage feeds an always-on metrics registry: a wire
-            `metrics` op returns an xbfs-metrics-v1 snapshot, and
-            --metrics-addr binds an HTTP listener serving /metrics
-            (Prometheus text) and /metrics.json, scrapeable mid-load
-            without perturbing workers. A per-worker flight recorder
-            keeps the last 64 events; on a worker panic, engine
-            quarantine or breaker trip the rings are dumped to
-            --flight-dir (default under the system temp dir) and the
-            dump paths land in the serve report; --trace renders the
-            rings at drain, one instant per event.
-            --batch-width W (default 1, max 64) coalesces up to W queued
-            requests per worker into one 64-wide bit-parallel wave on a
-            shared engine; --batch-window-ms (default 2) bounds how long
-            a partially filled batch lingers for company. Every batched
-            response carries the same timing-independent levels digest a
-            solo run would report, each member keeps its own deadline
-            (a batch member never times out because of coalescing — the
-            batch runs under the tightest member budget and splits back
-            to solo runs on expiry), and a panic or failed certificate
-            quarantines the batch engine and replays members one by one
-            on a rebuilt engine. Does not compose with --cluster.
-            --journal PATH arms a CRC-framed write-ahead journal: every
-            admitted request and every terminal response is appended, so
-            a process killed mid-load (even SIGKILL) can be restarted on
-            the same path and will replay the journal torn-tail-
-            tolerantly — completed ids warm the dedup cache (resends get
-            the cached response), incomplete requests are re-enqueued
-            ahead of new traffic, and recovered results are bit-identical
-            to a fresh run. --journal-fsync picks the durability/latency
-            trade: always (fsync per record), batch=N (fsync every Nth
-            record, default batch=8), off (OS page cache only — still
-            survives SIGKILL, not power loss). Connections are kept
-            honest: request lines over 64 KiB are shed with a typed
-            `overlong` error and idle connections with nothing in flight
-            are closed after --idle-timeout-ms (default 30000; 0 = never)
-  loadgen   --addr HOST:PORT [--requests N] [--rps F] [--connections N]
-            [--sources N] [--seed N] [--deadline-ms MS] [--verify]
-            [--chaos SPEC] [--retries N] [--shutdown] [--max-shed-pct F]
-            [--progress-every-ms MS] [--no-reconnect] [--json FILE]
-            open-loop load generator for `xbfs serve`: paces N requests at
-            a target RPS over pipelined connections, measures latency from
-            each request's scheduled time (no coordinated omission), and
-            reports accepted/shed plus p50/p99/p999. --chaos stamps fault
-            tokens server-side: comma-separated panic[:N], bitflip[:N],
-            slow[@MS][:N], crash[@LVL][:N], rank=R, seed=N (every Nth
-            request; crash targets cluster servers and injects a rank-R
-            crash at level LVL). --retries N re-sends shed requests after
-            the server's retry-after hint with jittered exponential
-            backoff (latency still measured from the original schedule);
-            --shutdown drains the server afterwards; --max-shed-pct fails
-            with exit 9 when shedding exceeds the bound; --json writes
-            xbfs-loadgen-v1. A one-line progress report (sent / ok /
-            shed / p99-so-far) goes to stderr every --progress-every-ms
-            (default 1000; 0 silences it). A dropped connection (server
-            crash, restart) is redialed automatically with jittered
-            backoff and every outstanding request is resent — latency
-            still counts from the original schedule, and the `reconnects`
-            count lands in the report (--no-reconnect disables this, so
-            a dead connection marks its outstanding requests lost)
-  top       HOST:PORT [--interval-ms MS] [--frames N]
-            live dashboard over a running server's metrics plane: polls
-            the wire `metrics` op at the serve address and renders
-            queue / worker / breaker / pool / rank state with rates
-            from successive snapshots; runs until the server drains,
-            or for exactly N frames with --frames
-  trace     summarize FILE          summarize a recorded trace (xbfs-trace-v1
-                                    JSON or chrome trace.json)
-
-TRACING
-  --trace FMT:PATH renders a finished run (spans, per-level metrics) for
-  bfs/run and cluster, or a server's flight rings at drain for serve. FMT
-  is table, json, chrome (load the file in chrome://tracing or
-  https://ui.perfetto.dev) or csv (rocprofiler-style kernel rows). PATH `-`
-  writes the trace to stdout instead of the normal report, so
-  `xbfs run g.bin --trace json:- > out.json` emits pure JSON.
-
-EXIT CODES
-  0 ok, 1 generic, 2 usage, 3 I/O, 4 invalid input, 5 unrecovered fault,
-  6 validation failure, 7 integrity violation (silent data corruption
-  detected and not corrected), 8 deadline exceeded, 9 overloaded
-  (loadgen shed more than --max-shed-pct)
-";
 
 /// Load a graph by extension (.bin, .mtx, anything else = edge list).
 pub fn load_graph(path: &str) -> Result<Csr, CliError> {
@@ -728,7 +740,6 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         plan,
         recovery,
         checkpoint_every,
-        ..FaultConfig::default()
     };
 
     let trace_opt = trace_target(args)?;

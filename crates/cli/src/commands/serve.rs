@@ -85,7 +85,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         queue_cap: args.get("queue-cap", d.queue_cap)?,
         verify,
         allow_chaos: args.flag("allow-chaos"),
-        max_retries: args.get("max-retries", d.max_retries)?,
         default_deadline_ms: opt_f64(args, "deadline-ms")?,
         cluster,
         checkpoint_every: args.get("checkpoint-every", d.checkpoint_every)?,
@@ -272,8 +271,6 @@ pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
         retries: args.get("retries", 0)?,
         shutdown_after: args.flag("shutdown"),
         progress_every_ms: args.get("progress-every-ms", 1000)?,
-        reconnect: !args.flag("no-reconnect"),
-        ..LoadgenConfig::default()
     };
     let report = run_loadgen(&cfg)
         .map_err(|e| CliError::io(format!("loadgen against {}: {e}", cfg.addr)))?;

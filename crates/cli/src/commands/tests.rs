@@ -77,6 +77,40 @@ fn compare_builds_every_engine_on_the_requested_arch() {
     }
 }
 
+/// `xbfs help` and the parser read one table: every command that builds
+/// a device lists the device options and accepts them, `--timing` as a
+/// flag that does not eat the file after it.
+#[test]
+fn help_lists_the_device_options_every_device_command_accepts() {
+    let help = run(&["help"]).unwrap();
+    let path = tmp("g4_device.bin");
+    run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
+    for command in ["bfs", "compare", "sweep", "serve"] {
+        let head = format!("  {command:<10}");
+        let mut lines = help.lines().skip_while(|l| !l.starts_with(&head));
+        let first = lines.next().into_iter();
+        let entry: String = first
+            .chain(lines.take_while(|l| l.starts_with("    ")))
+            .collect();
+        for option in ["[--arch ", "[--compiler ", "[--timing]"] {
+            assert!(entry.contains(option), "{command}: {option}");
+        }
+        // A server loads its graph before it binds: a missing one is an
+        // I/O error, so the options themselves were accepted.
+        let file = [path.as_str(), "/does/not/exist.bin"][usize::from(command == "serve")];
+        let mut cmd = vec![command, "--timing", file, "--arch", "mi100"];
+        cmd.extend(["--compiler", "hipcc"]);
+        if command == "sweep" {
+            cmd.extend(["--sources", "2"]);
+        }
+        match run(&cmd) {
+            Err(e) if command == "serve" => assert_eq!(e.code, exit_code::IO, "{}", e.message),
+            out => assert!(out.is_ok() && command != "serve", "{cmd:?}: {out:?}"),
+        }
+    }
+    assert!(is_flag("run", "timing") && !is_flag("bfs", "arch") && !is_flag("nope", "timing"));
+}
+
 /// A flag before the file must not eat the file, and a flag does not
 /// take `=value` (`--verify=false` used to certify anyway).
 #[test]
@@ -332,11 +366,14 @@ fn errors_are_reported_with_distinct_exit_codes() {
     assert_eq!(typo.code, exit_code::USAGE);
     assert!(typo.message.contains("--frobnicate"), "{}", typo.message);
     // Removed front doors stay removed: `sweep --multi-source` is the
-    // batched one, `repro alpha` the α sweep.
+    // batched one, `repro alpha` the α sweep; the serve replay bound and
+    // loadgen's reconnect are constants.
     for gone in [
         &["msbfs", "g.bin"][..],
         &["analyze", "g.bin"],
         &["bfs", "g.bin", "--auto-alpha"],
+        &["serve", "g.bin", "--max-retries", "3"],
+        &["loadgen", "--addr", "127.0.0.1:1", "--no-reconnect"],
     ] {
         assert_eq!(run(gone).unwrap_err().code, exit_code::USAGE, "{gone:?}");
     }

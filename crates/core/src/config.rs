@@ -32,8 +32,6 @@ pub struct XbfsConfig {
     pub record_parents: bool,
     /// Force a single strategy for every level (Fig. 7 / Tables III–VI).
     pub forced: Option<Strategy>,
-    /// Bottom-up double-scan segment length, in vertices per thread.
-    pub seg_len: usize,
 }
 
 impl Default for XbfsConfig {
@@ -55,7 +53,6 @@ impl XbfsConfig {
             proactive: true,
             record_parents: false,
             forced: None,
-            seg_len: 64,
         }
     }
 

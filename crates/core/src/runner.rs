@@ -71,7 +71,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         }
         let host_degrees = (0..g.num_vertices() as u32).map(|v| g.degree(v)).collect();
         let graph = DeviceGraph::upload(dev, g);
-        let st = BfsState::from_pool(dev, g.num_vertices(), cfg.record_parents, cfg.seg_len);
+        let st = BfsState::from_pool(dev, g.num_vertices(), cfg.record_parents);
         Ok(Self {
             graph,
             cfg,

@@ -8,6 +8,9 @@ use std::cell::RefCell;
 /// `status[v]` holds the BFS level of `v`, or this sentinel.
 pub const UNVISITED: u32 = u32::MAX;
 
+/// Bottom-up double-scan segment length, in vertices per thread.
+pub const SEG_LEN: usize = 64;
+
 /// Epoch-versioned unvisited test: a status entry counts as unvisited
 /// unless it belongs to the current run's epoch (`raw >= base`). With
 /// `base == 0` this degenerates to the classic `raw == UNVISITED` check, so
@@ -164,8 +167,6 @@ pub struct BfsState {
     pub counters: BufU32,
     /// 64-bit counter block (see [`ectr`]).
     pub edge_counters: BufU64,
-    /// Segment length for the double-scan, in vertices.
-    pub seg_len: usize,
     /// Epoch bias: level `L` of the current run is stored as `base + L`,
     /// and any entry below `base` (or `UNVISITED`) is unvisited. `0` gives
     /// the legacy un-versioned semantics.
@@ -176,9 +177,9 @@ pub struct BfsState {
 
 impl BfsState {
     /// Allocate state for an `n`-vertex graph.
-    pub fn new(device: &Device, n: usize, record_parents: bool, seg_len: usize) -> Self {
+    pub fn new(device: &Device, n: usize, record_parents: bool) -> Self {
         let (a32, a64) = (Device::alloc_u32, Device::alloc_u64);
-        Self::build(device, n, record_parents, seg_len, 0, a32, a64)
+        Self::build(device, n, record_parents, 0, a32, a64)
     }
 
     /// Build state from the device buffer pool (epoch-versioned from the
@@ -188,9 +189,9 @@ impl BfsState {
     /// `seg_counts`/`block_sums`/`bu_queue` are rewritten by the
     /// double-scan, parents decode is gated on status), so only `status`
     /// needs one host-side zeroing to establish epoch `1 > 0`.
-    pub fn from_pool(device: &Device, n: usize, record_parents: bool, seg_len: usize) -> Self {
+    pub fn from_pool(device: &Device, n: usize, record_parents: bool) -> Self {
         let (a32, a64) = (Device::pool_acquire_u32, Device::pool_acquire_u64);
-        let st = Self::build(device, n, record_parents, seg_len, 1, a32, a64);
+        let st = Self::build(device, n, record_parents, 1, a32, a64);
         st.status.host_fill(0);
         st
     }
@@ -201,13 +202,11 @@ impl BfsState {
         device: &Device,
         n: usize,
         record_parents: bool,
-        seg_len: usize,
         base: u32,
         a32: impl Fn(&Device, usize) -> BufU32,
         a64: impl Fn(&Device, usize) -> BufU64,
     ) -> Self {
-        assert!(seg_len >= 1);
-        let n_segs = n.div_ceil(seg_len);
+        let n_segs = n.div_ceil(SEG_LEN);
         let n_blocks = n_segs.div_ceil(device.arch().wavefront_size);
         let a32 = |len| a32(device, len);
         Self {
@@ -221,7 +220,6 @@ impl BfsState {
             seg_offsets: a32(n_segs),
             counters: a32(ctr::N),
             edge_counters: a64(device, ectr::N),
-            seg_len,
             base,
             scratch: RefCell::default(),
         }
@@ -327,7 +325,7 @@ mod tests {
     #[test]
     fn state_allocation_sizes() {
         let dev = Device::mi250x();
-        let st = BfsState::new(&dev, 1000, true, 64);
+        let st = BfsState::new(&dev, 1000, true);
         assert_eq!(st.status.len(), 1000);
         assert_eq!(st.parents.as_ref().unwrap().len(), 1000);
         assert_eq!(st.seg_counts.len(), 16); // ceil(1000/64)
@@ -345,7 +343,7 @@ mod tests {
     #[test]
     fn swap_queues_exchanges() {
         let dev = Device::mi250x();
-        let mut st = BfsState::new(&dev, 16, false, 64);
+        let mut st = BfsState::new(&dev, 16, false);
         st.queues[0].store(0, 42);
         st.swap_queues();
         assert_eq!(st.next_queues[0].load(0), 42);
@@ -366,7 +364,7 @@ mod tests {
     #[test]
     fn reset_in_place_advances_epoch_and_falls_back_safely() {
         let dev = Device::mi250x();
-        let mut st = BfsState::from_pool(&dev, 8, false, 64);
+        let mut st = BfsState::from_pool(&dev, 8, false);
         assert_eq!(st.base, 1);
         st.status.store(2, st.base + 4); // visited at level 4
         st.reset_in_place(4);
@@ -382,7 +380,7 @@ mod tests {
     #[test]
     fn epoch_never_wraps_after_thousands_of_resets() {
         let dev = Device::mi250x();
-        let mut st = BfsState::from_pool(&dev, 8, false, 64);
+        let mut st = BfsState::from_pool(&dev, 8, false);
         // Pathologically deep runs push the bias toward the u32 ceiling in
         // ~1000 resets; 5000 iterations force several refill fallbacks.
         let deep = u32::MAX / 1024;
@@ -410,11 +408,11 @@ mod tests {
     #[test]
     fn pooled_state_round_trips_with_stable_addresses() {
         let dev = Device::mi250x();
-        let st = BfsState::from_pool(&dev, 100, true, 64);
+        let st = BfsState::from_pool(&dev, 100, true);
         let status_addr = st.status.addr(0);
         let q1_addr = st.queues[1].addr(0);
         st.release_to_pool(&dev);
-        let st2 = BfsState::from_pool(&dev, 100, true, 64);
+        let st2 = BfsState::from_pool(&dev, 100, true);
         assert_eq!(st2.status.addr(0), status_addr);
         assert_eq!(st2.queues[1].addr(0), q1_addr);
         let (hits, misses) = dev.pool_stats();

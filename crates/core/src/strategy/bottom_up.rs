@@ -22,14 +22,14 @@
 //! `L+1` during this same pass claims itself at `L+2`.
 
 use crate::device_graph::DeviceGraph;
-use crate::state::{ctr, ectr, is_unvisited, BfsState};
+use crate::state::{ctr, ectr, is_unvisited, BfsState, SEG_LEN};
 use gcd_sim::WaveCtx;
 
 /// Kernel 1: per-segment unvisited counts. Launch with
 /// `items = number of segments`; segment `t` of wave `w` is the stripe
 /// `{region(w) + j·width + lane(t)}`.
 pub fn bu_count(w: &mut WaveCtx, st: &BfsState, n: usize) {
-    let region = w.wave_id() * w.width() * st.seg_len;
+    let region = w.wave_id() * w.width() * SEG_LEN;
     if region >= n {
         return;
     }
@@ -41,7 +41,7 @@ pub fn bu_count(w: &mut WaveCtx, st: &BfsState, n: usize) {
     let (s, epoch) = (&mut *st.scratch.borrow_mut(), st.base);
     s.counts.clear();
     s.counts.resize(nl, 0);
-    for j in 0..st.seg_len {
+    for j in 0..SEG_LEN {
         let start = region + j * nl;
         let count = nl.min(n.saturating_sub(start));
         if count == 0 {
@@ -110,7 +110,7 @@ pub fn bu_scan(w: &mut WaveCtx, st: &BfsState) {
 /// the bottom-up queue. Launch with `items = number of segments` (same
 /// striping as [`bu_count`]).
 pub fn bu_place(w: &mut WaveCtx, st: &BfsState, n: usize) {
-    let region = w.wave_id() * w.width() * st.seg_len;
+    let region = w.wave_id() * w.width() * SEG_LEN;
     if region >= n {
         return;
     }
@@ -128,7 +128,7 @@ pub fn bu_place(w: &mut WaveCtx, st: &BfsState, n: usize) {
 
     s.writes.clear();
     s.writes.resize(nl, (0, 0));
-    for j in 0..st.seg_len {
+    for j in 0..SEG_LEN {
         let start = region + j * nl;
         let count = nl.min(n.saturating_sub(start));
         if count == 0 {
@@ -345,7 +345,7 @@ mod tests {
 
     fn setup(n: usize) -> (Device, BfsState) {
         let dev = Device::mi250x();
-        let st = BfsState::new(&dev, n, true, 64);
+        let st = BfsState::new(&dev, n, true);
         st.status.host_fill(UNVISITED);
         (dev, st)
     }
@@ -444,7 +444,7 @@ mod tests {
         let n = g.num_vertices();
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, &g);
-        let st = BfsState::new(&dev, n, true, 64);
+        let st = BfsState::new(&dev, n, true);
         st.status.host_fill(UNVISITED);
         st.status.store(0, 0);
         let q = run_double_scan(&dev, &st, n);
@@ -480,7 +480,7 @@ mod tests {
         let g = Csr::from_parts(vec![0, 3, 4, 5, 6, 8], vec![1, 2, 4, 0, 0, 4, 0, 3]).unwrap();
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, &g);
-        let st = BfsState::new(&dev, 5, true, 64);
+        let st = BfsState::new(&dev, 5, true);
         st.status.host_fill(UNVISITED);
         st.status.store(3, 0);
         let q = run_double_scan(&dev, &st, 5);
@@ -529,7 +529,7 @@ mod tests {
         let g = Csr::from_parts(offsets, adjacency).unwrap();
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, &g);
-        let st = BfsState::new(&dev, g.num_vertices(), true, 64);
+        let st = BfsState::new(&dev, g.num_vertices(), true);
         st.status.host_fill(UNVISITED);
         for j in 0..POOL {
             st.status.store((64 + j) as usize, pool_status(j));
@@ -576,7 +576,7 @@ mod tests {
         let run = |wave: bool| {
             let dev = Device::mi250x();
             let dg = DeviceGraph::upload(&dev, &g);
-            let st = BfsState::new(&dev, n, false, 64);
+            let st = BfsState::new(&dev, n, false);
             st.status.host_fill(UNVISITED);
             st.status.store(7, 0);
             let q = run_double_scan(&dev, &st, n);

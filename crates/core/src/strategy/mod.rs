@@ -243,7 +243,7 @@ mod tests {
     #[test]
     fn reset_counters_zeroes_everything() {
         let dev = Device::mi250x();
-        let st = BfsState::new(&dev, 100, false, 64);
+        let st = BfsState::new(&dev, 100, false);
         st.counters.host_fill(9);
         st.edge_counters.host_fill(9);
         launch_reset_counters(&dev, 0, &st);
@@ -256,7 +256,7 @@ mod tests {
         let g = erdos_renyi(500, 2500, 1);
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, &g);
-        let st = BfsState::new(&dev, g.num_vertices(), false, 64);
+        let st = BfsState::new(&dev, g.num_vertices(), false);
         st.status.host_fill(UNVISITED);
         st.status.store(0, 0);
         let cfg = XbfsConfig::default();
@@ -276,7 +276,7 @@ mod tests {
         let g = erdos_renyi(50, 100, 2);
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, &g);
-        let st = BfsState::new(&dev, 50, false, 64);
+        let st = BfsState::new(&dev, 50, false);
         let cfg = XbfsConfig::default();
         launch_top_down_expand(&dev, &dg, &st, 0, QueueState::None, true, &cfg);
     }

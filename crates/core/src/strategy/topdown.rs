@@ -420,7 +420,7 @@ mod tests {
     fn setup(g: &Csr, source: u32) -> (Device, DeviceGraph, BfsState) {
         let dev = Device::mi250x();
         let dg = DeviceGraph::upload(&dev, g);
-        let st = BfsState::new(&dev, g.num_vertices(), true, 64);
+        let st = BfsState::new(&dev, g.num_vertices(), true);
         st.status.host_fill(UNVISITED);
         st.status.store(source as usize, 0);
         st.queues[0].store(0, source);

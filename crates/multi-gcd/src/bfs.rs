@@ -33,8 +33,8 @@
 
 use crate::error::ClusterError;
 use crate::faults::{
-    faulty_allgather, faulty_allreduce, faulty_alltoall, FaultConfig, FaultEvent, FaultPlan,
-    RecoveryPolicy,
+    detection_us, faulty_allgather, faulty_allreduce, faulty_alltoall, FaultConfig, FaultEvent,
+    FaultPlan, RecoveryPolicy,
 };
 use crate::interconnect::LinkModel;
 use crate::partition::Partition;
@@ -43,6 +43,7 @@ use gcd_sim::ArchProfile;
 use std::collections::HashMap;
 use xbfs_core::engine::{past_deadline, validate_levels};
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
+use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
 
@@ -197,8 +198,6 @@ pub struct ClusterRun {
     pub source: VertexId,
     /// Configuration the run started with.
     pub config: ClusterConfig,
-    /// RNG seed recorded in the fault plan (0 when unseeded).
-    pub seed: u64,
     /// The full fault schedule the run executed under (empty = fault-free).
     pub fault_plan: FaultPlan,
     /// Global per-vertex levels.
@@ -265,7 +264,7 @@ impl ClusterRun {
                 c.key("alpha").f64(self.config.alpha);
                 c.key("push_only").bool(self.config.push_only);
             });
-            o.key("seed").int(self.seed);
+            o.key("seed").int(self.fault_plan.seed);
             o.key("fault_plan").str(self.fault_plan.to_spec());
             o.key("total_ms").fixed(self.total_ms, 6);
             o.key("traversed_edges").int(self.traversed_edges);
@@ -466,7 +465,7 @@ impl<'g> GcdCluster<'g> {
     /// The full form of [`GcdCluster::run`]: one distributed BFS from
     /// `source` under a fault schedule and an optional budget.
     ///
-    /// * `faults`: collectives retry dropped messages per `faults.retry`;
+    /// * `faults`: collectives retry dropped messages (`faults::MAX_RETRIES`);
     ///   GCD crashes are recovered per `faults.recovery` from the last
     ///   checkpoint (the initial state always counts as one). After a
     ///   [`RecoveryPolicy::Degrade`] recovery, the cluster permanently
@@ -591,7 +590,7 @@ impl<'g> GcdCluster<'g> {
             // Barrier + counter allreduce (retries charged like any other
             // collective).
             let ar_t0 = fleet_elapsed(&self.ranks);
-            let ar = faulty_allreduce(&self.link, &faults.plan, &faults.retry, level, p, 16)?;
+            let ar = faulty_allreduce(&self.link, &faults.plan, level, p, 16)?;
             let mut t = fleet_elapsed(&self.ranks);
             t += ar.time_us.max(self.ranks[0].device.arch().sync_us);
             for r in &self.ranks {
@@ -674,12 +673,7 @@ impl<'g> GcdCluster<'g> {
             let local = r.status.to_host();
             levels[part.start as usize..part.end as usize].copy_from_slice(&local[..part.len()]);
         }
-        let traversed_edges: u64 = levels
-            .iter()
-            .enumerate()
-            .filter(|(_, &l)| l != UNVISITED)
-            .map(|(v, _)| self.graph.degree(v as u32) as u64)
-            .sum();
+        let traversed_edges = traversed_edges(self.graph, &levels);
         let gteps = xbfs_core::engine::gteps(traversed_edges, total_ms * 1e-3);
         Ok(ClusterRun {
             source,
@@ -687,7 +681,6 @@ impl<'g> GcdCluster<'g> {
                 num_gcds: initial_p,
                 ..self.cfg
             },
-            seed: faults.plan.seed,
             fault_plan: faults.plan.clone(),
             levels,
             level_stats: stats,
@@ -887,7 +880,7 @@ impl<'g> GcdCluster<'g> {
         before_row: usize,
     ) -> Result<RecoveryReport, ClusterError> {
         let crash_us = fleet_elapsed(&self.ranks);
-        let t_detect = crash_us + faults.retry.detection_us();
+        let t_detect = crash_us + detection_us();
 
         let gcds_after = match faults.recovery {
             RecoveryPolicy::PromoteSpare => {
@@ -943,7 +936,7 @@ impl<'g> GcdCluster<'g> {
             policy: faults.recovery,
             restored_level: restored.next_level,
             gcds_after,
-            overhead_ms: (t_done - (t_detect - faults.retry.detection_us())) / 1000.0,
+            overhead_ms: (t_done - (t_detect - detection_us())) / 1000.0,
             crash_us,
             resume_us: t_done,
             before_row,
@@ -1012,12 +1005,12 @@ impl<'g> GcdCluster<'g> {
         } = self;
         let p = cfg.num_gcds;
         scratch.ensure(p, ranks[0].bitmap.len());
-        let (plan, retry) = (&faults.plan, &faults.retry);
+        let plan = &faults.plan;
         let t0 = fleet_elapsed(ranks);
         let (exchanged, t_end, retransmitted, retry_us) = if pull {
             // Bytes per rank: its slice of |V|/8.
             let slice_bytes = (graph.num_vertices().div_ceil(8) / p.max(1)).max(4) as u64;
-            let cost = faulty_allgather(link, plan, retry, level, p, slice_bytes)?;
+            let cost = faulty_allgather(link, plan, level, p, slice_bytes)?;
             Self::spread_retransmits(health, p, cost.retransmitted_bytes);
             // OR every rank's slice together, then hand each the result.
             let merged = &mut scratch.merged;
@@ -1050,7 +1043,7 @@ impl<'g> GcdCluster<'g> {
                 for (d, slot) in recv.iter_mut().enumerate() {
                     *slot = send[d][rank];
                 }
-                let cost = faulty_alltoall(link, plan, retry, level, rank, sent, recv)?;
+                let cost = faulty_alltoall(link, plan, level, rank, sent, recv)?;
                 t_end = t_end.max(t0 + cost.time_us);
                 exchanged += sent.iter().sum::<u64>();
                 retransmitted += cost.retransmitted_bytes;
@@ -1188,7 +1181,6 @@ impl Engine for GcdCluster<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::RetryPolicy;
     use xbfs_graph::bfs_levels_serial;
     use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
 
@@ -1202,7 +1194,6 @@ mod tests {
     fn fault_cfg(spec: &str, recovery: RecoveryPolicy, checkpoint_every: u32) -> FaultConfig {
         FaultConfig {
             plan: FaultPlan::parse(spec).unwrap(),
-            retry: RetryPolicy::default(),
             recovery,
             checkpoint_every,
         }
@@ -1645,7 +1636,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = faulted(&mut cluster, 3, &faults).unwrap();
-        assert_eq!(run.seed, 9);
+        assert_eq!(run.fault_plan.seed, 9);
         assert_eq!(run.fault_plan, faults.plan);
         let json = run.to_json();
         assert!(json.contains("\"seed\":9"));

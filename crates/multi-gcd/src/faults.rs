@@ -10,7 +10,7 @@
 //!   recovers via checkpoint/restart ([`RecoveryPolicy`]),
 //! * **transient link drops** — a message between two ranks fails `k`
 //!   times before getting through; the collectives retry with exponential
-//!   backoff ([`RetryPolicy`]) and the retransmitted bytes plus the backoff
+//!   backoff ([`backoff_us`]) and the retransmitted bytes plus the backoff
 //!   waits are charged to the cost model, and
 //! * **bandwidth degradation windows** — levels during which every link
 //!   runs at a fraction of nominal bandwidth (a congested or faulty fabric).
@@ -310,43 +310,26 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Timeout-and-retry behavior of the simulated collectives.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryPolicy {
-    /// Retransmissions attempted after the first failure.
-    pub max_retries: u32,
-    /// Timeout before the first retransmission, microseconds.
-    pub base_timeout_us: f64,
-    /// Multiplier applied to the timeout per further attempt.
-    pub backoff_multiplier: f64,
+/// Retransmissions a collective attempts after the first failure.
+pub const MAX_RETRIES: u32 = 3;
+/// Timeout before the first retransmission, microseconds.
+pub const BASE_TIMEOUT_US: f64 = 50.0;
+/// Multiplier applied to the timeout per further attempt.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
+
+/// Backoff wait before retry `attempt` (0-based), microseconds.
+pub fn backoff_us(attempt: u32) -> f64 {
+    BASE_TIMEOUT_US * BACKOFF_MULTIPLIER.powi(attempt as i32)
 }
 
-impl Default for RetryPolicy {
-    /// 3 retries, 50 µs base timeout, doubling per attempt.
-    fn default() -> Self {
-        Self {
-            max_retries: 3,
-            base_timeout_us: 50.0,
-            backoff_multiplier: 2.0,
-        }
-    }
+/// Total wait charged when `failures` transmissions time out in a row.
+pub fn penalty_us(failures: u32) -> f64 {
+    (0..failures).map(backoff_us).sum()
 }
 
-impl RetryPolicy {
-    /// Backoff wait before retry `attempt` (0-based), microseconds.
-    pub fn backoff_us(&self, attempt: u32) -> f64 {
-        self.base_timeout_us * self.backoff_multiplier.powi(attempt as i32)
-    }
-
-    /// Total wait charged when `failures` transmissions time out in a row.
-    pub fn penalty_us(&self, failures: u32) -> f64 {
-        (0..failures).map(|a| self.backoff_us(a)).sum()
-    }
-
-    /// Wait before a silent rank is declared dead: the full backoff ladder.
-    pub fn detection_us(&self) -> f64 {
-        self.penalty_us(self.max_retries + 1)
-    }
+/// Wait before a silent rank is declared dead: the full backoff ladder.
+pub fn detection_us() -> f64 {
+    penalty_us(MAX_RETRIES + 1)
 }
 
 /// How the cluster recovers from a GCD crash.
@@ -373,8 +356,6 @@ impl fmt::Display for RecoveryPolicy {
 pub struct FaultConfig {
     /// The fault schedule.
     pub plan: FaultPlan,
-    /// Collective retry behavior.
-    pub retry: RetryPolicy,
     /// Crash recovery strategy.
     pub recovery: RecoveryPolicy,
     /// Take a checkpoint every this many levels; 0 disables periodic
@@ -387,7 +368,6 @@ impl Default for FaultConfig {
     fn default() -> Self {
         Self {
             plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
             recovery: RecoveryPolicy::PromoteSpare,
             checkpoint_every: 1,
         }
@@ -444,11 +424,9 @@ impl CollectiveCost {
 /// then backs off. `sends` counts the attempts that are not drops (1 for
 /// a message, 0 for a collective whose clean time is charged apart). An
 /// error once the drops exceed the retry budget.
-#[allow(clippy::too_many_arguments)]
 fn resent(
     link: &LinkModel,
     plan: &FaultPlan,
-    retry: &RetryPolicy,
     level: u32,
     (src, dst): (usize, usize),
     bytes: u64,
@@ -456,8 +434,8 @@ fn resent(
     sends: u32,
 ) -> Result<CollectiveCost, ClusterError> {
     let drops = plan.drops_for(level, src, dst);
-    if drops > retry.max_retries {
-        let attempts = retry.max_retries + 1;
+    if drops > MAX_RETRIES {
+        let attempts = MAX_RETRIES + 1;
         return Err(ClusterError::LinkFailed {
             level,
             src,
@@ -465,7 +443,7 @@ fn resent(
             attempts,
         });
     }
-    let retry_us = retry.penalty_us(drops);
+    let retry_us = penalty_us(drops);
     let one = transfer_scaled(link, src, dst, bytes, bw_factor);
     Ok(CollectiveCost {
         time_us: one * f64::from(drops + sends) + retry_us,
@@ -477,11 +455,9 @@ fn resent(
 /// Fault-aware personalized all-to-all for one rank: per-destination sends
 /// serialize on the injection port, receives overlap (duplex max), and each
 /// message retries independently under the plan.
-#[allow(clippy::too_many_arguments)]
 pub fn faulty_alltoall(
     link: &LinkModel,
     plan: &FaultPlan,
-    retry: &RetryPolicy,
     level: u32,
     rank: usize,
     send: &[u64],
@@ -492,12 +468,12 @@ pub fn faulty_alltoall(
     let mut rx = CollectiveCost::default();
     for (d, &bytes) in send.iter().enumerate() {
         if bytes != 0 && d != rank {
-            tx.add(resent(link, plan, retry, level, (rank, d), bytes, bw, 1)?);
+            tx.add(resent(link, plan, level, (rank, d), bytes, bw, 1)?);
         }
     }
     for (s, &bytes) in recv.iter().enumerate() {
         if bytes != 0 && s != rank {
-            rx.add(resent(link, plan, retry, level, (s, rank), bytes, bw, 1)?);
+            rx.add(resent(link, plan, level, (s, rank), bytes, bw, 1)?);
         }
     }
     // Duplex: the slower direction bounds wall time; retransmitted bytes on
@@ -514,7 +490,6 @@ pub fn faulty_alltoall(
 pub fn faulty_allgather(
     link: &LinkModel,
     plan: &FaultPlan,
-    retry: &RetryPolicy,
     level: u32,
     num_ranks: usize,
     bytes: u64,
@@ -535,7 +510,7 @@ pub fn faulty_allgather(
     // stalls the ring for a retransmission + its backoff.
     for i in 0..num_ranks {
         let edge = (i, (i + 1) % num_ranks);
-        cost.add(resent(link, plan, retry, level, edge, bytes, bw, 0)?);
+        cost.add(resent(link, plan, level, edge, bytes, bw, 0)?);
     }
     Ok(cost)
 }
@@ -545,7 +520,6 @@ pub fn faulty_allgather(
 pub fn faulty_allreduce(
     link: &LinkModel,
     plan: &FaultPlan,
-    retry: &RetryPolicy,
     level: u32,
     num_ranks: usize,
     bytes: u64,
@@ -563,7 +537,7 @@ pub fn faulty_allreduce(
     };
     for src in 0..num_ranks {
         for dst in (0..num_ranks).filter(|&dst| dst != src) {
-            cost.add(resent(link, plan, retry, level, (src, dst), bytes, bw, 0)?);
+            cost.add(resent(link, plan, level, (src, dst), bytes, bw, 0)?);
         }
     }
     Ok(cost)
@@ -620,17 +594,16 @@ mod tests {
 
     #[test]
     fn backoff_is_exponential_and_summable() {
-        let r = RetryPolicy {
-            max_retries: 3,
-            base_timeout_us: 10.0,
-            backoff_multiplier: 2.0,
-        };
-        assert_eq!(r.backoff_us(0), 10.0);
-        assert_eq!(r.backoff_us(1), 20.0);
-        assert_eq!(r.backoff_us(2), 40.0);
-        assert_eq!(r.penalty_us(0), 0.0);
-        assert_eq!(r.penalty_us(3), 70.0);
-        assert_eq!(r.detection_us(), 150.0);
+        assert_eq!(
+            (MAX_RETRIES, BASE_TIMEOUT_US, BACKOFF_MULTIPLIER),
+            (3, 50.0, 2.0)
+        );
+        assert_eq!(backoff_us(0), 50.0);
+        assert_eq!(backoff_us(1), 100.0);
+        assert_eq!(backoff_us(2), 200.0);
+        assert_eq!(penalty_us(0), 0.0);
+        assert_eq!(penalty_us(3), 350.0);
+        assert_eq!(detection_us(), 750.0);
     }
 
     #[test]
@@ -660,27 +633,18 @@ mod tests {
     #[test]
     fn retries_are_charged_and_bounded() {
         let link = LinkModel::frontier();
-        let retry = RetryPolicy::default();
         let plan = FaultPlan::parse("drop@0:0-1x2").unwrap();
-        let clean = faulty_alltoall(
-            &link,
-            &FaultPlan::none(),
-            &retry,
-            0,
-            0,
-            &[0, 1 << 20],
-            &[0, 0],
-        )
-        .unwrap();
-        let faulty = faulty_alltoall(&link, &plan, &retry, 0, 0, &[0, 1 << 20], &[0, 0]).unwrap();
+        let clean =
+            faulty_alltoall(&link, &FaultPlan::none(), 0, 0, &[0, 1 << 20], &[0, 0]).unwrap();
+        let faulty = faulty_alltoall(&link, &plan, 0, 0, &[0, 1 << 20], &[0, 0]).unwrap();
         assert_eq!(clean.retransmitted_bytes, 0);
         assert_eq!(faulty.retransmitted_bytes, 2 << 20);
-        assert!(faulty.retry_us >= retry.penalty_us(2));
+        assert!(faulty.retry_us >= penalty_us(2));
         assert!(faulty.time_us > clean.time_us);
         // Exceeding the retry budget is an error.
         let dead = FaultPlan::parse("drop@0:0-1x9").unwrap();
         assert!(matches!(
-            faulty_alltoall(&link, &dead, &retry, 0, 0, &[0, 1], &[0, 0]),
+            faulty_alltoall(&link, &dead, 0, 0, &[0, 1], &[0, 0]),
             Err(ClusterError::LinkFailed { .. })
         ));
     }
@@ -688,11 +652,10 @@ mod tests {
     #[test]
     fn degradation_slows_transfers_but_not_latency() {
         let link = LinkModel::frontier();
-        let retry = RetryPolicy::default();
         let plan = FaultPlan::parse("degrade@0-0:0.5").unwrap();
         let big = 64u64 << 20;
-        let clean = faulty_allgather(&link, &FaultPlan::none(), &retry, 0, 4, big).unwrap();
-        let slow = faulty_allgather(&link, &plan, &retry, 0, 4, big).unwrap();
+        let clean = faulty_allgather(&link, &FaultPlan::none(), 0, 4, big).unwrap();
+        let slow = faulty_allgather(&link, &plan, 0, 4, big).unwrap();
         // Bandwidth halves → the bandwidth term doubles.
         assert!(
             slow.time_us > 1.8 * clean.time_us,
@@ -701,15 +664,14 @@ mod tests {
             clean.time_us
         );
         // Off-window levels are unaffected.
-        let off = faulty_allgather(&link, &plan, &retry, 5, 4, big).unwrap();
+        let off = faulty_allgather(&link, &plan, 5, 4, big).unwrap();
         assert_eq!(off.time_us, clean.time_us);
     }
 
     #[test]
     fn allreduce_matches_fault_free_model_without_faults() {
         let link = LinkModel::frontier();
-        let retry = RetryPolicy::default();
-        let c = faulty_allreduce(&link, &FaultPlan::none(), &retry, 3, 8, 16).unwrap();
+        let c = faulty_allreduce(&link, &FaultPlan::none(), 3, 8, 16).unwrap();
         assert_eq!(c.time_us, link.allreduce_us(8, 16));
         assert_eq!(c.retransmitted_bytes, 0);
     }

@@ -34,6 +34,6 @@ pub use bfs::{
     RankHealth, RecoveryReport,
 };
 pub use error::ClusterError;
-pub use faults::{FaultConfig, FaultEvent, FaultPlan, RecoveryPolicy, RetryPolicy};
+pub use faults::{FaultConfig, FaultEvent, FaultPlan, RecoveryPolicy};
 pub use interconnect::LinkModel;
 pub use partition::{Part, Partition};

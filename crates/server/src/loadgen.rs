@@ -36,6 +36,10 @@ use xbfs_telemetry::{json, LogHistogram};
 use crate::chaos::ChaosPlan;
 use crate::protocol::{self, control_line, BfsRequest};
 
+/// How long a connection waits for stragglers (and redials a dropped
+/// server) after it opens; what is unanswered then counts as lost.
+const STRAGGLER_CUTOFF: Duration = Duration::from_secs(30);
+
 /// What to throw at the server.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
@@ -59,16 +63,9 @@ pub struct LoadgenConfig {
     pub chaos: Option<ChaosPlan>,
     /// Send a `shutdown` after the last response (graceful drain).
     pub shutdown_after: bool,
-    /// Give up waiting for stragglers after this long, ms.
-    pub recv_timeout_ms: u64,
     /// Resend a shed request up to this many times, honoring the
     /// server's `retry_after_ms` hint with jittered backoff (0 = never).
     pub retries: u32,
-    /// On EOF or a connection error, redial the server with jittered
-    /// backoff (until the straggler cutoff) and resend every outstanding
-    /// id. Latency still counts from the original schedule; the kill
-    /// harness depends on this surviving a server restart.
-    pub reconnect: bool,
     /// Print a one-line progress report (sent / ok / shed / p99-so-far)
     /// to stderr this often, ms (0 = silent).
     pub progress_every_ms: u64,
@@ -87,9 +84,7 @@ impl Default for LoadgenConfig {
             verify: None,
             chaos: None,
             shutdown_after: false,
-            recv_timeout_ms: 30_000,
             retries: 0,
-            reconnect: true,
             progress_every_ms: 0,
         }
     }
@@ -466,11 +461,9 @@ fn drive_connection(
 
     let (meta_tx, meta_rx) = mpsc::channel::<(u64, Pending)>();
     let agg = agg.clone();
-    let cutoff = Duration::from_millis(cfg.recv_timeout_ms);
     let reader_wire = Arc::clone(&wire);
     let reconnects = Arc::clone(reconnects);
     let addr = cfg.addr.clone();
-    let allow_reconnect = cfg.reconnect;
     let mut retry_rng = cfg.seed ^ 0xdead_beef ^ (conn_idx as u64).wrapping_mul(0x85eb_ca6b);
     let max_retries = cfg.retries;
     let reader = std::thread::spawn(move || {
@@ -482,7 +475,7 @@ fn drive_connection(
         let mut backlog: Vec<(Instant, u64)> = Vec::new();
         let mut reader = BufReader::new(reader_stream);
         let mut line = String::new();
-        let deadline = Instant::now() + cutoff;
+        let deadline = Instant::now() + STRAGGLER_CUTOFF;
         loop {
             // Absorb any new send metadata (non-blocking).
             loop {
@@ -572,12 +565,11 @@ fn drive_connection(
                 Err(_) => conn_down = true,
             }
             if conn_down {
-                if !allow_reconnect {
-                    break;
-                }
                 // Redial with jittered backoff until the straggler
-                // cutoff; ECONNREFUSED while the server restarts is
-                // expected, not fatal.
+                // cutoff and resend every outstanding id (latency still
+                // counts from the original schedule), so a load survives
+                // a server restart; ECONNREFUSED while the server
+                // restarts is expected, not fatal.
                 let mut dialed = None;
                 let mut attempt = 0u32;
                 while Instant::now() < deadline {
@@ -657,8 +649,8 @@ fn drive_connection(
         // (it is redialing the moment the drop surfaces on its side)
         // instead of abandoning the rest of the schedule.
         let mut write_ok = wire.write_line(&req);
-        if !write_ok && cfg.reconnect {
-            let give_up = Instant::now() + cutoff;
+        if !write_ok {
+            let give_up = Instant::now() + STRAGGLER_CUTOFF;
             while !write_ok && !wire.dead.load(Ordering::Relaxed) && Instant::now() < give_up {
                 std::thread::sleep(Duration::from_millis(10));
                 write_ok = wire.write_line(&req);

@@ -516,7 +516,6 @@ mod tests {
         let run = ClusterRun {
             source: 1,
             config: xbfs_multi_gcd::ClusterConfig::node_of_8(),
-            seed: 0,
             fault_plan: xbfs_multi_gcd::FaultPlan::default(),
             levels: vec![1, 0, 1, 2, u32::MAX],
             level_stats: vec![],

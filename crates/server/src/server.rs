@@ -59,8 +59,6 @@ pub struct ServeConfig {
     pub verify: bool,
     /// Honor chaos tokens stamped on requests (test servers only).
     pub allow_chaos: bool,
-    /// Replays after quarantine before a request fails typed.
-    pub max_retries: u32,
     /// Deadline applied when a request does not carry one, ms.
     pub default_deadline_ms: Option<f64>,
     /// Coalesce up to this many admitted requests into one bit-parallel
@@ -107,7 +105,6 @@ impl Default for ServeConfig {
             queue_cap: 32,
             verify: false,
             allow_chaos: false,
-            max_retries: 2,
             default_deadline_ms: None,
             batch_width: 1,
             batch_window_ms: 2.0,
@@ -130,6 +127,8 @@ const BREAKER_THRESHOLD: u32 = 3;
 const BREAKER_COOLDOWN_MS: u64 = 250;
 /// Completed responses remembered for idempotent replay.
 const DEDUP_CAP: usize = 128;
+/// Replays after quarantine before a lone request fails typed.
+pub(crate) const MAX_RETRIES: u32 = 2;
 
 /// Everything handlers and workers share.
 pub(crate) struct Shared {

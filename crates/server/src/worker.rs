@@ -16,7 +16,7 @@
 //!                           render every   >1: split into   quarantine,   error
 //!                             member       solo re-runs;    replay solo,
 //!                                          1: timeout       give up after
-//!                                                           max_retries
+//!                                                           MAX_RETRIES
 //!                                 └────────────┴───────┬────────┴───────────┘
 //!                                               finish_member
 //! ```
@@ -52,7 +52,7 @@ use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
 use crate::chaos::ChaosAction;
 use crate::metrics::{status_idx, WORKER_IDLE, WORKER_QUARANTINED, WORKER_RUNNING};
 use crate::protocol::{self, BfsRequest};
-use crate::server::Shared;
+use crate::server::{Shared, MAX_RETRIES};
 
 /// One admitted request in flight: the parsed request, when it was
 /// admitted, and the channel that delivers its completion back to the
@@ -416,7 +416,7 @@ fn run_members<'g>(
     // budget, and a pre-charged attempt never eats all of it: a replayed
     // member always gets at least one solo attempt.
     let end = match members.len() {
-        1 => (shared.cfg.max_retries + 1).max(prior_attempts + 1),
+        1 => (MAX_RETRIES + 1).max(prior_attempts + 1),
         _ => prior_attempts + 1,
     };
     let (verdict, attempts) = supervise(

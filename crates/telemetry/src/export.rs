@@ -9,7 +9,7 @@
 //!   (Trace Event Format): spans become `"ph":"X"` complete events, instant
 //!   events `"ph":"i"`, counters `"ph":"C"`, with one process per track.
 //! * [`RocprofCsvSink`] — rocprofiler-style kernel CSV (one row per
-//!   dispatch, RFC-4180 comma escaping); what `bfs --csv` writes too.
+//!   dispatch, RFC-4180 comma escaping); what `bfs --trace csv:PATH` writes.
 
 use crate::json::{self, Obj};
 use crate::names;

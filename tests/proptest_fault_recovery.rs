@@ -60,7 +60,6 @@ proptest! {
                 RecoveryPolicy::PromoteSpare
             },
             checkpoint_every,
-            ..FaultConfig::default()
         };
         let mut cluster = cluster_for(&g, num_gcds);
         let run = cluster

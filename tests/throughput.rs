@@ -197,7 +197,7 @@ fn golden_cells() -> Vec<(String, u64)> {
     for mode in modes {
         let dev = Device::new(ArchProfile::mi250x_gcd(), mode, 1);
         let dg = DeviceGraph::upload(&dev, &hub);
-        let st = BfsState::new(&dev, n, true, 64);
+        let st = BfsState::new(&dev, n, true);
         st.status.host_fill(UNVISITED);
         st.status.store(0, 0);
         st.queues[0].store(0, 0);
