@@ -111,38 +111,6 @@ pub fn mi250x_timing(cfg: &XbfsConfig, shift: u32) -> Device {
     )
 }
 
-/// Render a table: header + rows of equal arity, columns padded.
-pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        assert_eq!(row.len(), header.len(), "row arity mismatch");
-        for (w, cell) in widths.iter_mut().zip(row) {
-            *w = (*w).max(cell.len());
-        }
-    }
-    let mut out = String::new();
-    out.push_str(title);
-    out.push('\n');
-    let line = |cells: &[String], widths: &[usize]| -> String {
-        cells
-            .iter()
-            .zip(widths)
-            .map(|(c, w)| format!("{c:>w$}", w = w))
-            .collect::<Vec<_>>()
-            .join("  ")
-    };
-    let hdr: Vec<String> = header.iter().map(|s| s.to_string()).collect();
-    out.push_str(&line(&hdr, &widths));
-    out.push('\n');
-    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
-    out.push('\n');
-    for row in rows {
-        out.push_str(&line(row, &widths));
-        out.push('\n');
-    }
-    out
-}
-
 /// Format a float with 3 decimals.
 pub fn f3(x: f64) -> String {
     format!("{x:.3}")
@@ -153,49 +121,9 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Scientific notation like the paper's ratio column.
-pub fn sci(x: f64) -> String {
-    if x == 0.0 {
-        "0".into()
-    } else if x >= 1e-2 {
-        format!("{x:.3}")
-    } else {
-        format!("{x:.2e}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let t = render_table(
-            "T",
-            &["a", "bb"],
-            &[
-                vec!["1".into(), "2".into()],
-                vec!["10".into(), "200".into()],
-            ],
-        );
-        assert!(t.contains("a"));
-        let lines: Vec<&str> = t.lines().collect();
-        assert_eq!(lines.len(), 5);
-        assert_eq!(lines[3].len(), lines[4].len());
-    }
-
-    #[test]
-    fn sci_formats() {
-        assert_eq!(sci(0.0), "0");
-        assert_eq!(sci(0.725), "0.725");
-        assert_eq!(sci(1.86e-9), "1.86e-9");
-    }
-
-    #[test]
-    #[should_panic(expected = "arity")]
-    fn table_checks_arity() {
-        render_table("T", &["a"], &[vec!["1".into(), "2".into()]]);
-    }
 
     #[test]
     fn scale_generates() {

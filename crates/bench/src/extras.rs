@@ -2,11 +2,12 @@
 //! compiler study, and the §IV ablation set.
 
 use crate::common::default_source;
-use crate::common::{f2, f3, mi250x_timing, mk_device, render_table, Scale};
+use crate::common::{f2, f3, mi250x_timing, mk_device, Scale};
 use crate::tables::TABLE_SEED;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use xbfs_core::{bandwidth_efficiency, MsBfs, Strategy, Xbfs, XbfsConfig, MAX_CONCURRENT};
 use xbfs_graph::{rearrange_by_degree, Dataset, RearrangeOrder};
+use xbfs_telemetry::export::render_table;
 
 /// §V-F: predicted vs measured bandwidth efficiency on the R-MAT dataset.
 pub fn efficiency(scale: &Scale) -> String {

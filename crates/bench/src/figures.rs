@@ -1,6 +1,6 @@
 //! Regeneration of the paper's Figures 5–8.
 
-use crate::common::{f2, f3, mi250x_functional, mk_device, render_table, sci, Scale};
+use crate::common::{f2, f3, mi250x_functional, mk_device, Scale};
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::collections::BTreeMap;
 use xbfs_baselines::{Algo, Baseline};
@@ -8,6 +8,7 @@ use xbfs_core::{Engine, RunRequest, Xbfs, XbfsConfig};
 use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::stats::{level_profile, pick_sources};
 use xbfs_graph::{rearrange_by_degree, Csr, Dataset, RearrangeOrder};
+use xbfs_telemetry::export::{render_table, sci};
 
 /// Fig. 5: per-kernel time breakdown across the three porting stages:
 /// (a) original CUDA XBFS on the P6000 profile, (b) naive hipify on the
@@ -131,7 +132,7 @@ pub fn fig7(scale: &Scale) -> String {
         .unwrap_or(0);
     let mut rows = Vec::new();
     for (l, &ratio) in ratios.iter().enumerate().take(peak + 1) {
-        let mut row = vec![l.to_string(), sci(ratio)];
+        let mut row = vec![l.to_string(), sci(ratio, 3)];
         for s in &all {
             row.push(
                 s.levels

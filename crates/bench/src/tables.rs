@@ -1,8 +1,9 @@
 //! Regeneration of the paper's Tables I and III–VI.
 
-use crate::common::{f2, f3, mi250x_timing, render_table, sci, Scale};
+use crate::common::{f2, f3, mi250x_timing, Scale};
 use xbfs_core::{Strategy, Xbfs, XbfsConfig};
 use xbfs_graph::{rearrange_by_degree, Csr, RearrangeOrder};
+use xbfs_telemetry::export::{render_table, sci};
 
 /// Fixed seed so "the same seed" comparison of Table I holds.
 pub const TABLE_SEED: u64 = 20240625;
@@ -129,7 +130,7 @@ pub fn profiler_table(scale: &Scale, strategy: Strategy) -> String {
     for ls in &run.level_stats {
         for k in &ls.kernels {
             rows.push(vec![
-                sci(ls.ratio),
+                sci(ls.ratio, 3),
                 ls.level.to_string(),
                 k.name.clone(),
                 f3(k.runtime_ms),
@@ -202,7 +203,7 @@ pub fn table6(scale: &Scale) -> String {
             all[0]
                 .levels
                 .get(l)
-                .map(|&(r, _, _)| sci(r))
+                .map(|&(r, _, _)| sci(r, 3))
                 .unwrap_or_else(|| "-".into()),
         );
         for s in &all {

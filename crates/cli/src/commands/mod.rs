@@ -24,6 +24,7 @@ use xbfs_multi_gcd::{
     ClusterConfig, ClusterError, FaultConfig, FaultEvent, FaultPlan, GcdCluster, LinkModel,
     RecoveryPolicy,
 };
+use xbfs_telemetry::export::{level_rows, level_table};
 use xbfs_telemetry::{Trace, TraceFormat};
 
 /// Exit codes the `xbfs` binary maps failures to.
@@ -588,17 +589,34 @@ fn write_export(out: &mut String, what: &str, path: &str, rendered: &str) {
     }
 }
 
-/// Deliver a rendered trace. Path `-` replaces the whole command output
-/// with the rendered trace (pure JSON/CSV on stdout, pipeable); any other
-/// path is a side file ([`write_export`]).
-fn emit_trace(out: &mut String, fmt: TraceFormat, path: &str, trace: &Trace) -> Option<String> {
+/// Deliver a rendered trace to `--trace`'s target, if one was given. Path
+/// `-` replaces the whole command output with the rendered trace (pure
+/// JSON/CSV on stdout, pipeable); any other path is a side file
+/// ([`write_export`]).
+fn emit_trace(
+    out: &mut String,
+    target: Option<(TraceFormat, String)>,
+    trace: &Trace,
+) -> Option<String> {
+    let (fmt, path) = target?;
     let sink = fmt.sink();
     let rendered = sink.export(trace);
     if path == "-" {
         return Some(rendered);
     }
-    write_export(out, &format!("{} trace", sink.name()), path, &rendered);
+    write_export(out, &format!("{} trace", sink.name()), &path, &rendered);
     None
+}
+
+/// The `--validate` line for `what`, or its failure (exit code 6).
+fn validated<T, E: std::fmt::Display>(what: &str, check: Result<T, E>) -> Result<String, CliError> {
+    match check {
+        Ok(_) => Ok(format!("{what}: VALID (Graph500-style checks passed)\n")),
+        Err(e) => Err(CliError::new(
+            format!("{what} INVALID: {e}"),
+            exit_code::VALIDATION,
+        )),
+    }
 }
 
 fn bfs(args: &Args) -> Result<String, CliError> {
@@ -654,18 +672,8 @@ fn bfs(args: &Args) -> Result<String, CliError> {
         run.total_ms,
         run.gteps
     ));
-    for l in &run.level_stats {
-        out.push_str(&format!(
-            "  L{:<3} {:>12} frontier {:>10} ratio {:>10.3e} {:>9.4} ms {:>10.1} KB{}\n",
-            l.level,
-            l.strategy.to_string(),
-            l.frontier_count,
-            l.ratio,
-            l.time_ms,
-            l.fetch_kb(),
-            if l.used_nfg { "" } else { "  [gen scan]" },
-        ));
-    }
+    let trace = xbfs.trace_of(&run);
+    out.push_str(&level_table(&level_rows(&trace)));
     if args.flag("validate") {
         // cfg.record_parents is set above whenever --validate is; a run
         // without parents here is an engine invariant break, not a crash.
@@ -675,22 +683,10 @@ fn bfs(args: &Args) -> Result<String, CliError> {
                 exit_code::GENERIC,
             ));
         }
-        match xbfs_core::certify_run(g.offsets(), g.adjacency(), &run) {
-            Ok(_) => out.push_str("BFS tree: VALID (Graph500-style checks passed)\n"),
-            Err(e) => {
-                return Err(CliError::new(
-                    format!("BFS tree INVALID: {e}"),
-                    exit_code::VALIDATION,
-                ))
-            }
-        }
+        let cert = xbfs_core::certify_run(g.offsets(), g.adjacency(), &run);
+        out += &validated("BFS tree", cert)?;
     }
-    if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &xbfs.trace_of(&run)) {
-            return Ok(direct);
-        }
-    }
-    Ok(out)
+    Ok(emit_trace(&mut out, trace_opt, &trace).unwrap_or(out))
 }
 
 /// Parse `--inject-faults`: either an explicit spec, or `random[:SEED]`
@@ -748,54 +744,27 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         .events
         .iter()
         .any(|e| matches!(e, FaultEvent::GcdCrash { .. }));
-    let mut trace_warning = String::new();
+    let mut out = String::new();
     if trace_opt.is_some() && crash_planned {
         // Crash recovery rewinds the cluster clock to the last checkpoint,
         // so the trace contains overlapping re-executed level spans. Say so
         // rather than silently emitting a confusing timeline.
-        trace_warning = format!(
+        out = format!(
             "warning: tracing a run with planned GCD crashes ({}) — recovery \
              rewinds execution to the last checkpoint, so the trace contains \
              re-executed level spans (attempt > 0) alongside recovery spans\n",
             faults.plan.to_spec()
         );
-        eprint!("{trace_warning}");
+        eprint!("{out}");
     }
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
     let run = cluster.run_with(source, &faults, None)?;
-
-    let mut out = trace_warning;
     out.push_str(&format!(
         "{} GCDs, source {source}, faults: {}\n",
         cfg.num_gcds, run.fault_plan
     ));
-    out.push_str(&format!(
-        "{:>5} {:>3} {:>6} {:>12} {:>12} {:>10} {:>10} {:>10} {:>10}\n",
-        "level",
-        "try",
-        "mode",
-        "frontier",
-        "exchanged",
-        "retrans",
-        "retry ms",
-        "recov ms",
-        "time ms"
-    ));
-    for l in &run.level_stats {
-        out.push_str(&format!(
-            "{:>5} {:>3} {:>6} {:>12} {:>11.1}K {:>9.1}K {:>10.4} {:>10.4} {:>10.4}{}\n",
-            l.level,
-            l.attempt,
-            if l.bottom_up { "pull" } else { "push" },
-            l.frontier_count,
-            l.exchanged_bytes as f64 / 1024.0,
-            l.retransmitted_bytes as f64 / 1024.0,
-            l.retry_ms,
-            l.recovery_ms,
-            l.time_ms,
-            if l.checkpointed() { "  [ckpt]" } else { "" },
-        ));
-    }
+    let trace = cluster.trace_of(&run);
+    out.push_str(&level_table(&level_rows(&trace)));
     for r in &run.recoveries {
         out.push_str(&format!(
             "recovery: rank {} died at level {}, policy {}, resumed from level {} \
@@ -808,25 +777,14 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         run.total_ms, run.gteps, run.gteps_per_gcd
     ));
     if args.flag("validate") {
-        match xbfs_graph::certify_levels(g.offsets(), g.adjacency(), &[source], &[&run.levels]) {
-            Ok(_) => out.push_str("BFS levels: VALID (Graph500-style checks passed)\n"),
-            Err(e) => {
-                return Err(CliError::new(
-                    format!("BFS levels INVALID: {e}"),
-                    exit_code::VALIDATION,
-                ))
-            }
-        }
+        let cert =
+            xbfs_graph::certify_levels(g.offsets(), g.adjacency(), &[source], &[&run.levels]);
+        out += &validated("BFS levels", cert)?;
     }
     if let Some(json_path) = args.options.get("json") {
         write_export(&mut out, "run record", json_path, &run.to_json());
     }
-    if let Some((fmt, trace_path)) = trace_opt {
-        if let Some(direct) = emit_trace(&mut out, fmt, &trace_path, &cluster.trace_of(&run)) {
-            return Ok(direct);
-        }
-    }
-    Ok(out)
+    Ok(emit_trace(&mut out, trace_opt, &trace).unwrap_or(out))
 }
 
 /// XBFS, then every baseline, each on a fresh device of the requested

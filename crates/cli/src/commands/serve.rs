@@ -231,7 +231,7 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     }
     // A side-file trace is written either way; the exit status is the
     // drain's, and only a clean drain hands stdout to a `-` trace.
-    let direct = trace_opt.and_then(|(fmt, path)| emit_trace(&mut out, fmt, &path, &rec.finish()));
+    let direct = emit_trace(&mut out, trace_opt, &rec.finish());
     if !report.drain_clean {
         return Err(CliError::new(
             format!("serve: drain was not clean (work lost or dropped)\n{out}"),
@@ -241,8 +241,13 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
     Ok(direct.unwrap_or(out))
 }
 
-/// `xbfs loadgen`: open-loop load generator for `xbfs serve`.
-pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
+/// `xbfs loadgen`'s progress line interval, ms: a person watches the
+/// command, while `LoadgenConfig::default()` is silent (0) for library use.
+pub(super) const PROGRESS_EVERY_MS: u64 = 1000;
+
+/// The load `xbfs loadgen` offers: `LoadgenConfig::default()` with each
+/// given option applied, and the CLI's own progress interval.
+pub(super) fn loadgen_config(args: &Args) -> Result<LoadgenConfig, CliError> {
     let addr = args
         .options
         .get("addr")
@@ -258,20 +263,26 @@ pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
         ),
         None => None,
     };
-    let cfg = LoadgenConfig {
+    let d = LoadgenConfig::default();
+    Ok(LoadgenConfig {
         addr,
-        requests: args.get("requests", 100)?,
-        rps: args.get("rps", 200.0)?,
-        connections: args.get("connections", 4)?,
-        source_max: args.get("sources", 1)?,
-        seed: args.get("seed", 1)?,
+        requests: args.get("requests", d.requests)?,
+        rps: args.get("rps", d.rps)?,
+        connections: args.get("connections", d.connections)?,
+        source_max: args.get("sources", d.source_max)?,
+        seed: args.get("seed", d.seed)?,
         deadline_ms: opt_f64(args, "deadline-ms")?,
         verify: args.flag("verify").then_some(true),
         chaos,
-        retries: args.get("retries", 0)?,
+        retries: args.get("retries", d.retries)?,
         shutdown_after: args.flag("shutdown"),
-        progress_every_ms: args.get("progress-every-ms", 1000)?,
-    };
+        progress_every_ms: args.get("progress-every-ms", PROGRESS_EVERY_MS)?,
+    })
+}
+
+/// `xbfs loadgen`: open-loop load generator for `xbfs serve`.
+pub(super) fn loadgen(args: &Args) -> Result<String, CliError> {
+    let cfg = loadgen_config(args)?;
     let report = run_loadgen(&cfg)
         .map_err(|e| CliError::io(format!("loadgen against {}: {e}", cfg.addr)))?;
 

@@ -7,6 +7,11 @@ fn run(parts: &[&str]) -> Result<String, CliError> {
     dispatch(&Args::parse(parts.iter().map(|s| s.to_string()), is_flag).map_err(CliError::usage)?)
 }
 
+/// [`run`] on one command line split at spaces (test paths have none).
+fn cli(line: &str) -> Result<String, CliError> {
+    run(&line.split(' ').collect::<Vec<_>>())
+}
+
 fn tmp(name: &str) -> String {
     let dir = std::env::temp_dir().join("xbfs-cli-tests");
     std::fs::create_dir_all(&dir).unwrap();
@@ -397,23 +402,10 @@ fn cluster_crash_demo_recovers_and_exports() {
     let path = tmp("g6.bin");
     run(&["generate", "--out", &path, "--scale", "11"]).unwrap();
     let json = tmp("g6.json");
-    let out = run(&[
-        "cluster",
-        &path,
-        "--gcds",
-        "4",
-        "--source",
-        "1",
-        "--inject-faults",
-        "crash@2:rank1",
-        "--checkpoint-every",
-        "1",
-        "--recovery",
-        "spare",
-        "--validate",
-        "--json",
-        &json,
-    ])
+    let crash = "--inject-faults crash@2:rank1 --checkpoint-every 1 --recovery spare";
+    let out = cli(&format!(
+        "cluster {path} --gcds 4 --source 1 {crash} --validate --json {json}"
+    ))
     .unwrap();
     assert!(out.contains("recovery: rank 1 died at level 2"), "{out}");
     assert!(out.contains("VALID"), "{out}");
@@ -436,15 +428,7 @@ fn run_alias_and_trace_exports_every_format() {
 
     // chrome trace to a file, then summarize it.
     let chrome = tmp("g8_trace.json");
-    let out = run(&[
-        "run",
-        &path,
-        "--source",
-        "0",
-        "--trace",
-        &format!("chrome:{chrome}"),
-    ])
-    .unwrap();
+    let out = cli(&format!("run {path} --source 0 --trace chrome:{chrome}")).unwrap();
     assert!(out.contains("chrome trace written"), "{out}");
     let body = std::fs::read_to_string(&chrome).unwrap();
     let doc = JsonValue::parse(&body).expect("chrome trace must be valid JSON");
@@ -453,12 +437,6 @@ fn run_alias_and_trace_exports_every_format() {
         .iter()
         .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some("level"))
         .count();
-    // Every BFS level appears as a span: compare against the run report.
-    let depth = plain
-        .lines()
-        .filter(|l| l.trim_start().starts_with('L'))
-        .count();
-    assert_eq!(n_levels, depth, "one level span per BFS level");
     let summary = run(&["trace", "summarize", &chrome]).unwrap();
     assert!(summary.contains("Trace Event Format"), "{summary}");
     assert!(summary.contains("level"), "{summary}");
@@ -470,10 +448,10 @@ fn run_alias_and_trace_exports_every_format() {
         doc.get("schema").and_then(JsonValue::as_str),
         Some("xbfs-trace-v1")
     );
-    assert_eq!(
-        doc.get("levels").and_then(JsonValue::as_arr).unwrap().len(),
-        depth
-    );
+    // Every BFS level appears as a span: compare against the run's depth.
+    let depth = doc.get("levels").and_then(JsonValue::as_arr).unwrap().len();
+    assert!(plain.contains(&format!(": {depth} levels,")), "{plain}");
+    assert_eq!(n_levels, depth, "one level span per BFS level");
     // Summarize the v1 schema from a file, too.
     let v1 = tmp("g8_v1.json");
     std::fs::write(&v1, &json).unwrap();
@@ -501,23 +479,74 @@ fn run_alias_and_trace_exports_every_format() {
     );
 }
 
+/// The `levels` table in `out`: its title, header, rule and `rows` rows.
+fn level_table_in(out: &str, rows: usize) -> Vec<&str> {
+    out.lines()
+        .skip_while(|l| *l != "levels")
+        .take(3 + rows)
+        .collect()
+}
+
+/// Every per-level table is one rendering of the trace: a row per level
+/// span and a column per attribute of those spans and their events, the
+/// same table in the command's report, and one `trace summarize` table for
+/// the run's json and chrome documents.
+#[test]
+fn level_tables_cover_every_level_attribute() {
+    let path = tmp("g_levels.bin");
+    run(&["generate", "--out", &path, "--scale", "10"]).unwrap();
+    let crash =
+        format!("cluster {path} --gcds 4 --inject-faults crash@1:rank1 --checkpoint-every 1");
+    for (tag, cmd) in [("solo", format!("run {path}")), ("crash", crash)] {
+        let traced = |spec: &str| cli(&format!("{cmd} --trace {spec}")).unwrap();
+        let doc = JsonValue::parse(&traced("json:-")).unwrap();
+        let all = |key: &str| doc.get(key).and_then(JsonValue::as_arr).unwrap().iter();
+        let keys = |r: &JsonValue| match r.get("attrs") {
+            Some(JsonValue::Obj(members)) => members.iter().map(|(k, _)| k.clone()).collect(),
+            _ => Vec::new(),
+        };
+        let levels: Vec<&JsonValue> = all("spans")
+            .filter(|s| s.get("name").and_then(JsonValue::as_str) == Some("level"))
+            .collect();
+        let ids: Vec<_> = levels.iter().map(|l| l.get("id")).collect();
+        let events = all("events").filter(|e| ids.contains(&e.get("span")));
+        let mut span_keys: Vec<String> = levels.iter().flat_map(|l| keys(l)).collect();
+
+        let table = traced("table:-");
+        let rows = table.lines().skip(3);
+        let rows = rows.take_while(|l| !l.starts_with("recoveries") && !l.starts_with("total"));
+        assert_eq!(rows.count(), levels.len(), "{tag}: {table}");
+        let lines = level_table_in(&table, levels.len());
+        for key in span_keys.iter().cloned().chain(events.flat_map(keys)) {
+            let column = lines[1].split_whitespace().any(|h| h == key);
+            assert!(column, "{tag}: no {key} column in {table}");
+        }
+        let report = cli(&cmd).unwrap();
+        assert_eq!(level_table_in(&report, levels.len()), lines, "{tag}");
+
+        let summaries = ["json", "chrome"].map(|fmt| {
+            let file = tmp(&format!("{tag}_levels.{fmt}"));
+            traced(&format!("{fmt}:{file}"));
+            run(&["trace", "summarize", &file]).unwrap()
+        });
+        let [json, chrome] = summaries
+            .each_ref()
+            .map(|s| level_table_in(s, levels.len()));
+        assert_eq!(json, chrome, "{tag}");
+        span_keys.push("time_ms".into());
+        for key in span_keys {
+            let column = json[1].split_whitespace().any(|h| h == key);
+            assert!(column, "{tag}: no {key} column in {json:?}");
+        }
+    }
+}
+
 #[test]
 fn cluster_trace_covers_levels_and_recovery_with_warning() {
     let path = tmp("g9.bin");
     run(&["generate", "--out", &path, "--scale", "10"]).unwrap();
-    let out = run(&[
-        "cluster",
-        &path,
-        "--gcds",
-        "4",
-        "--source",
-        "1",
-        "--inject-faults",
-        "crash@1:rank1",
-        "--trace",
-        "json:-",
-    ])
-    .unwrap();
+    let crash = format!("cluster {path} --gcds 4 --source 1 --inject-faults crash@1:rank1");
+    let out = cli(&format!("{crash} --trace json:-")).unwrap();
     // `json:-` output is the pure trace; the crash warning goes to stderr only.
     let doc = JsonValue::parse(&out).expect("stdout must be pure JSON");
     assert_eq!(
@@ -548,19 +577,7 @@ fn cluster_trace_covers_levels_and_recovery_with_warning() {
 
     // With a file path, the warning lands in the report.
     let trace_path = tmp("g9_trace.json");
-    let report = run(&[
-        "cluster",
-        &path,
-        "--gcds",
-        "4",
-        "--source",
-        "1",
-        "--inject-faults",
-        "crash@1:rank1",
-        "--trace",
-        &format!("json:{trace_path}"),
-    ])
-    .unwrap();
+    let report = cli(&format!("{crash} --trace json:{trace_path}")).unwrap();
     assert!(
         report.contains("warning: tracing a run with planned GCD crashes"),
         "{report}"
@@ -604,26 +621,15 @@ fn cluster_fault_errors_map_to_exit_codes() {
     let e = run(&["cluster", &path, "--inject-faults", "crash@x"]).unwrap_err();
     assert_eq!(e.code, exit_code::INVALID_INPUT);
     // More drops than the retry budget -> unrecovered fault.
-    let e = run(&[
-        "cluster",
-        &path,
-        "--gcds",
-        "2",
-        "--inject-faults",
-        "drop@0:0-1x9",
-    ])
+    let e = cli(&format!(
+        "cluster {path} --gcds 2 --inject-faults drop@0:0-1x9"
+    ))
     .unwrap_err();
     assert_eq!(e.code, exit_code::UNRECOVERED_FAULT, "{}", e.message);
     // Random plans parse and run (crash recovery on by default).
-    let out = run(&[
-        "cluster",
-        &path,
-        "--gcds",
-        "2",
-        "--inject-faults",
-        "random:7",
-        "--validate",
-    ])
+    let out = cli(&format!(
+        "cluster {path} --gcds 2 --inject-faults random:7 --validate"
+    ))
     .unwrap();
     assert!(out.contains("VALID"), "{out}");
 }
@@ -676,29 +682,29 @@ fn wait_listening(addr: &str) {
     }
 }
 
+/// `xbfs loadgen --addr X` offers the library's default load; only the
+/// address and the interactive progress interval are the CLI's own.
+#[test]
+fn loadgen_defaults_are_the_library_defaults() {
+    let argv = ["loadgen", "--addr", "10.0.0.1:9"].map(String::from);
+    let cfg = serve::loadgen_config(&Args::parse(argv, is_flag).unwrap()).unwrap();
+    let want = xbfs_server::LoadgenConfig {
+        addr: "10.0.0.1:9".into(),
+        progress_every_ms: serve::PROGRESS_EVERY_MS,
+        ..Default::default()
+    };
+    assert_eq!(format!("{cfg:?}"), format!("{want:?}"));
+}
+
 #[test]
 fn serve_and_loadgen_round_trip() {
     let path = tmp("serve.bin");
     run(&["generate", "--out", &path, "--scale", "9"]).unwrap();
     let json = tmp("loadgen.json");
     let (addr, maddr) = (free_addr(), free_addr());
-    let srv = std::thread::spawn({
-        let (path, addr, maddr) = (path.clone(), addr.clone(), maddr.clone());
-        move || {
-            run(&[
-                "serve",
-                &path,
-                "--addr",
-                &addr,
-                "--workers",
-                "2",
-                "--queue-cap",
-                "64",
-                "--metrics-addr",
-                &maddr,
-            ])
-        }
-    });
+    let serve =
+        format!("serve {path} --addr {addr} --workers 2 --queue-cap 64 --metrics-addr {maddr}");
+    let srv = std::thread::spawn(move || cli(&serve));
     // Wait until the listener is up before generating load.
     wait_listening(&addr);
     // The metrics plane is up alongside the serve listener: one
@@ -713,24 +719,10 @@ fn serve_and_loadgen_round_trip() {
     }
     let top_out = run(&["top", &addr, "--frames", "1", "--interval-ms", "10"]).unwrap();
     assert!(top_out.contains("top: rendered 1 frame(s)"), "{top_out}");
-    let out = run(&[
-        "loadgen",
-        "--addr",
-        &addr,
-        "--requests",
-        "24",
-        "--rps",
-        "400",
-        "--connections",
-        "3",
-        "--sources",
-        "8",
-        "--max-shed-pct",
-        "0",
-        "--shutdown",
-        "--json",
-        &json,
-    ])
+    let load = "--requests 24 --rps 400 --connections 3 --sources 8 --max-shed-pct 0";
+    let out = cli(&format!(
+        "loadgen --addr {addr} {load} --shutdown --json {json}"
+    ))
     .unwrap();
     assert!(out.contains("lost 0"), "{out}");
     assert!(out.contains("digests consistent per source: true"), "{out}");

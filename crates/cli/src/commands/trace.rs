@@ -2,7 +2,9 @@
 
 use super::{exit_code, CliError};
 use crate::args::Args;
-use xbfs_telemetry::{names, JsonValue};
+use xbfs_telemetry::export::level_table;
+use xbfs_telemetry::span::Attrs;
+use xbfs_telemetry::{names, AttrValue, JsonValue};
 
 pub(super) fn trace_cmd(args: &Args) -> Result<String, CliError> {
     match args.positional.first().map(String::as_str) {
@@ -36,64 +38,59 @@ fn summarize_trace(text: &str) -> Result<String, String> {
     }
 }
 
-fn json_attr(v: &JsonValue, key: &str) -> String {
-    match v.get(key) {
-        Some(JsonValue::Str(s)) => s.clone(),
-        Some(JsonValue::Num(n)) => format!("{n}"),
-        Some(JsonValue::Bool(b)) => b.to_string(),
-        _ => String::new(),
-    }
-}
-
-/// Header of the per-level table both summaries print.
-fn level_header() -> String {
-    format!(
-        "{:>5} {:>3} {:>12} {:>12} {:>10}\n",
-        "level", "try", "mode", "frontier", "time ms"
-    )
-}
-
-/// One row of that table, from a level span's attributes and duration.
-fn level_row(attrs: &JsonValue, time_ms: f64) -> String {
-    let or = |key: &str, fallback: String| match json_attr(attrs, key) {
-        s if s.is_empty() => fallback,
-        s => s,
+/// A JSON object's scalar members as attributes (a whole number as `U64`).
+fn attrs_of(obj: Option<&JsonValue>) -> Attrs {
+    let value = |v: &JsonValue| match v {
+        JsonValue::Num(n) if n.fract() == 0.0 && *n >= 0.0 => Some(AttrValue::U64(*n as u64)),
+        JsonValue::Num(n) => Some(AttrValue::F64(*n)),
+        JsonValue::Str(s) => Some(AttrValue::Str(s.clone())),
+        JsonValue::Bool(b) => Some(AttrValue::Bool(*b)),
+        _ => None,
     };
-    format!(
-        "{:>5} {:>3} {:>12} {:>12} {:>10.4}\n",
-        json_attr(attrs, "level"),
-        or("attempt", "0".into()),
-        or("strategy", json_attr(attrs, "mode")),
-        json_attr(attrs, "frontier_count"),
-        time_ms,
-    )
+    let members = obj.and_then(JsonValue::as_obj).unwrap_or_default();
+    let attrs = members
+        .iter()
+        .filter_map(|(k, v)| Some((k.clone(), value(v)?)));
+    attrs.collect()
+}
+
+/// The per-level table of a document's `level` span records: each
+/// record's attributes (`attrs_key`), then its duration (`dur_key`, µs).
+fn levels_of<'a>(
+    records: impl Iterator<Item = &'a JsonValue>,
+    attrs_key: &str,
+    dur_key: &str,
+) -> String {
+    let rows: Vec<Attrs> = records
+        .filter(|r| r.get("name").and_then(JsonValue::as_str) == Some(names::span::LEVEL))
+        .map(|r| {
+            let mut row = attrs_of(r.get(attrs_key));
+            let dur_us = r.get(dur_key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+            row.push(("time_ms".into(), AttrValue::F64(dur_us / 1000.0)));
+            row
+        })
+        .collect();
+    level_table(&rows)
 }
 
 fn summarize_xbfs_trace(doc: &JsonValue) -> Result<String, String> {
     let mut out = String::from("xbfs-trace-v1\n");
-    if let Some(summary) = doc.get("summary") {
-        let engine = json_attr(summary, "engine");
-        if !engine.is_empty() {
-            out.push_str(&format!("engine: {engine}"));
-            for key in ["num_gcds", "vertices", "edges", "gteps"] {
-                let v = json_attr(summary, key);
-                if !v.is_empty() {
-                    out.push_str(&format!("  {key} {v}"));
-                }
+    let summary = attrs_of(doc.get("summary"));
+    let get = |key: &str| summary.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    if let Some(engine) = get("engine") {
+        out.push_str(&format!("engine: {engine}"));
+        for key in ["num_gcds", "vertices", "edges", "gteps"] {
+            if let Some(v) = get(key) {
+                out.push_str(&format!("  {key} {v}"));
             }
-            out.push('\n');
         }
+        out.push('\n');
     }
-    let levels = doc
-        .get("levels")
+    let spans = doc
+        .get("spans")
         .and_then(JsonValue::as_arr)
-        .ok_or("missing levels array")?;
-    out.push_str(&level_header());
-    for l in levels {
-        let time_ms = l.get("time_ms").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        out.push_str(&level_row(l, time_ms));
-    }
-    let spans = doc.get("spans").and_then(JsonValue::as_arr).unwrap_or(&[]);
+        .ok_or("missing spans array")?;
+    out.push_str(&levels_of(spans.iter(), "attrs", "dur_us"));
     let count_named = |name: &str| {
         spans
             .iter()
@@ -155,12 +152,7 @@ fn summarize_chrome_trace(doc: &JsonValue) -> Result<String, String> {
         with_ph("i").count(),
         with_ph("C").count(),
     ));
-    out.push_str(&level_header());
-    for l in named(names::span::LEVEL) {
-        let args = l.get("args").cloned().unwrap_or(JsonValue::Obj(Vec::new()));
-        let dur_us = l.get("dur").and_then(JsonValue::as_f64).unwrap_or(0.0);
-        out.push_str(&level_row(&args, dur_us / 1000.0));
-    }
+    out.push_str(&levels_of(with_ph("X"), "args", "dur"));
     out.push_str(&format!("total {:.4} ms\n", end_us / 1000.0));
     Ok(out)
 }

@@ -38,7 +38,7 @@ use crate::engine::{
 };
 use crate::error::XbfsError;
 use crate::integrity::verified_run;
-use crate::state::{decode_level, UNVISITED};
+use crate::state::{advance_base, decode_level, UNVISITED};
 use gcd_sim::{fnv1a, fnv1a_mix, BufU32, BufU64, Device, LaunchCfg, WaveCtx};
 use xbfs_graph::{certify_levels, levels_digest, Certificate, Csr};
 
@@ -136,7 +136,6 @@ struct MsInner {
 pub struct MsBfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,
-    degrees: Vec<u32>,
     /// Pull threshold on the union frontier's edge ratio (used only where
     /// `MsBufs::work` exists).
     alpha: f64,
@@ -188,7 +187,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
         Ok(Self {
             device,
             graph: g,
-            degrees: (0..n as u32).map(|v| graph.degree(v)).collect(),
             alpha: cfg.alpha,
             inner: Mutex::new(inner),
         })
@@ -266,15 +264,12 @@ impl<D: Borrow<Device>> MsBfs<D> {
         } else {
             inner.epoch += 1;
         }
-        let next_base = u64::from(inner.base) + u64::from(inner.last_depth) + 3;
-        if next_base + n as u64 + 1 >= u64::from(UNVISITED) {
+        inner.base = advance_base(inner.base, inner.last_depth, n).unwrap_or_else(|| {
             for l in &inner.level_of {
                 l.host_fill(UNVISITED);
             }
-            inner.base = 1;
-        } else {
-            inner.base = next_base as u32;
-        }
+            1
+        });
         while inner.level_of.len() < sources.len() {
             let l = device.pool_acquire_u32(n);
             // A recycled pool buffer may hold values that decode as
@@ -303,7 +298,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             inner.bufs.frontiers[0].store(i, v);
             inner.bufs.seen.store(v as usize, bits);
             inner.bufs.stamp.store(v as usize, epoch);
-            work += u64::from(self.degrees[v as usize]);
+            work += u64::from(graph.host_degrees[v as usize]);
         }
         inner.bufs.counters.store(0, seeds.len() as u32);
         inner.bufs.work.iter().for_each(|t| t.store(0, work));
@@ -380,7 +375,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
                     edges += u64::from(d) * u64::from(level != UNVISITED);
                     level
                 };
-                let levels = b.iter().zip(&self.degrees).map(decode).collect();
+                let levels = b.iter().zip(&graph.host_degrees).map(decode).collect();
                 slot_edges.push(edges);
                 levels
             })

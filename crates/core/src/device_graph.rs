@@ -16,6 +16,9 @@ pub struct DeviceGraph {
     pub adjacency: BufU32,
     /// Out-degrees, `|V|` entries of 4 bytes.
     pub degrees: BufU32,
+    /// The same out-degrees on the host, for the engines' host-side
+    /// frontier sums and traversed-edge counts.
+    pub host_degrees: Vec<u32>,
     num_vertices: usize,
     num_edges: usize,
     /// FNV-1a digest of the topology at upload time; [`DeviceGraph::verify`]
@@ -67,6 +70,7 @@ impl DeviceGraph {
             offsets,
             adjacency,
             degrees: degree_buf,
+            host_degrees: degrees,
             num_vertices: g.num_vertices(),
             num_edges: g.num_edges(),
             checksum,

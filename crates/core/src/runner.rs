@@ -46,7 +46,6 @@ pub struct Xbfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,
     cfg: XbfsConfig,
-    host_degrees: Vec<u32>,
     inner: Mutex<RunInner>,
 }
 
@@ -69,13 +68,11 @@ impl<D: Borrow<Device>> Xbfs<D> {
         if g.num_vertices() == 0 {
             return Err(XbfsError::EmptyGraph);
         }
-        let host_degrees = (0..g.num_vertices() as u32).map(|v| g.degree(v)).collect();
         let graph = DeviceGraph::upload(dev, g);
         let st = BfsState::from_pool(dev, g.num_vertices(), cfg.record_parents);
         Ok(Self {
             graph,
             cfg,
-            host_degrees,
             inner: Mutex::new(RunInner {
                 st: Some(st),
                 last_depth: 0,
@@ -193,7 +190,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         let mut exact: Option<[usize; 3]> = Some([1, 0, 0]);
         let mut superset: Option<usize> = None;
         let mut frontier_count = 1u64;
-        let mut frontier_edges = u64::from(self.host_degrees[source as usize]);
+        let mut frontier_edges = u64::from(self.graph.host_degrees[source as usize]);
         // Proactive bottom-up claims targeting the level after next:
         // (count, degree sum), plus whether the *current* frontier contains
         // proactively claimed vertices (then stale exact queues are unusable).
@@ -349,7 +346,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         });
         let traversed_edges: u64 = levels
             .iter()
-            .zip(&self.host_degrees)
+            .zip(&self.graph.host_degrees)
             .filter(|(&l, _)| l != UNVISITED)
             .map(|(_, &d)| u64::from(d))
             .sum();

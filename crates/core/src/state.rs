@@ -245,27 +245,13 @@ impl BfsState {
         device.pool_release_u32(self.status);
     }
 
-    /// O(1) reset between runs: advance the epoch past every value the
-    /// previous run (of `prev_depth` levels) can have stored, instead of
-    /// re-filling O(|V|) arrays. Proactive bottom-up claims write up to
-    /// `base + L + 2` at level `L ≤ prev_depth`, so `prev_depth + 3` clears
-    /// them all.
-    ///
-    /// Overflow guard: the *next* run's deepest possible store is
-    /// `base + (n - 1) + 2` (BFS depth is bounded by the vertex count, and
-    /// proactive claims reach two levels ahead). If that worst case could
-    /// wrap u32 or collide with the [`UNVISITED`] sentinel — which would
-    /// make stale entries read as visited — fall back to one real
-    /// host-side zeroing and restart the epoch at 1. The check is done in
-    /// u64 so the comparison itself cannot overflow.
+    /// O(1) reset between runs of `prev_depth` levels ([`advance_base`]),
+    /// with one host-side zeroing when the base would overflow.
     pub fn reset_in_place(&mut self, prev_depth: u32) {
-        let next = u64::from(self.base) + u64::from(prev_depth) + 3;
-        if next + self.status.len() as u64 + 1 < u64::from(UNVISITED) {
-            self.base = next as u32;
-        } else {
+        self.base = advance_base(self.base, prev_depth, self.status.len()).unwrap_or_else(|| {
             self.status.host_fill(0);
-            self.base = 1;
-        }
+            1
+        });
     }
 
     /// Swap current and next queues (level transition).
@@ -281,6 +267,18 @@ impl BfsState {
             self.counters.load(ctr::QUEUE_LEN[2]) as usize,
         ]
     }
+}
+
+/// The level base after a run of `prev_depth` levels from `base`, past
+/// every value it stored (proactive bottom-up claims write up to
+/// `base + L + 2` at level `L ≤ prev_depth`). `None` when the next run's
+/// deepest store over `n` vertices, `base + (n - 1) + 2`, could wrap u32 or
+/// reach [`UNVISITED`], so that stale entries would read as visited: the
+/// caller then clears its arrays once and restarts at base 1. Computed in
+/// u64 so the check itself cannot overflow.
+pub(crate) fn advance_base(base: u32, prev_depth: u32, n: usize) -> Option<u32> {
+    let next = u64::from(base) + u64::from(prev_depth) + 3;
+    (next + n as u64 + 1 < u64::from(UNVISITED)).then_some(next as u32)
 }
 
 /// What the runner knows about the current frontier queue — the state

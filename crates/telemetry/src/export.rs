@@ -1,7 +1,8 @@
 //! Trace exporters: one [`TraceSink`] trait, four formats.
 //!
-//! * [`TableSink`] — the human-readable per-level breakdown printed by the
-//!   CLI (the paper's Tables III–V shape).
+//! * [`TableSink`] — the per-level table ([`level_rows`] through
+//!   [`level_table`]) that `bfs`, `cluster` and `trace summarize` print too;
+//!   [`render_table`] lays it out, and every `repro` table.
 //! * [`JsonSink`] — machine-readable `xbfs-trace-v1` JSON; this is the
 //!   format the `BENCH_*.json` perf snapshots and `xbfs trace summarize`
 //!   consume.
@@ -13,7 +14,7 @@
 
 use crate::json::{self, Obj};
 use crate::names;
-use crate::span::{AttrValue, SpanRecord, Trace};
+use crate::span::{AttrValue, Attrs, SpanRecord, Trace};
 
 /// A trace output format.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -235,7 +236,110 @@ fn attr_str(s: &SpanRecord, key: &str) -> String {
     s.attr(key).map(|v| v.to_string()).unwrap_or_default()
 }
 
-/// Human-readable per-level table.
+/// Render a table: header + rows of equal arity, columns padded.
+pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
+    for row in rows {
+        assert_eq!(row.len(), header.len(), "row arity mismatch");
+        for (w, cell) in widths.iter_mut().zip(row) {
+            *w = (*w).max(cell.len());
+        }
+    }
+    let mut out = String::new();
+    out.push_str(title);
+    out.push('\n');
+    let line = |cells: &[String], widths: &[usize]| -> String {
+        cells
+            .iter()
+            .zip(widths)
+            .map(|(c, w)| format!("{c:>w$}", w = w))
+            .collect::<Vec<_>>()
+            .join("  ")
+    };
+    let hdr: Vec<String> = header.iter().map(|s| s.to_string()).collect();
+    out.push_str(&line(&hdr, &widths));
+    out.push('\n');
+    out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)));
+    out.push('\n');
+    for row in rows {
+        out.push_str(&line(row, &widths));
+        out.push('\n');
+    }
+    out
+}
+
+/// Scientific notation like the paper's ratio column: `0`, `places`
+/// decimals from 0.01 up, else a mantissa of `places - 1` decimals.
+pub fn sci(x: f64, places: usize) -> String {
+    if x == 0.0 {
+        "0".into()
+    } else if x >= 1e-2 {
+        format!("{x:.places$}")
+    } else {
+        format!("{x:.mantissa$e}", mantissa = places - 1)
+    }
+}
+
+/// The rows of the per-level table, one per `level` span: the span's
+/// attributes, then those of the events recorded on it that it does not
+/// carry itself, then its kernels' summed `fetch_kb` (when it has any
+/// kernels) and its `time_ms`.
+pub fn level_rows(trace: &Trace) -> Vec<Attrs> {
+    let rows = trace.spans_named(names::span::LEVEL).map(|s| {
+        let mut row = s.attrs.clone();
+        for (k, v) in trace
+            .events
+            .iter()
+            .filter(|e| e.span == s.id)
+            .flat_map(|e| &e.attrs)
+        {
+            if !row.iter().any(|(have, _)| have == k) {
+                row.push((k.clone(), v.clone()));
+            }
+        }
+        let fetch = trace
+            .children(s.id)
+            .filter(|c| c.name == names::span::KERNEL)
+            .map(|k| k.attr("fetch_kb").map_or(0.0, AttrValue::as_f64))
+            .reduce(|a, b| a + b);
+        if let Some(kb) = fetch {
+            row.push(("fetch_kb".into(), AttrValue::F64(kb)));
+        }
+        row.push(("time_ms".into(), AttrValue::F64(s.dur_us() / 1000.0)));
+        row
+    });
+    rows.collect()
+}
+
+/// The per-level table: one line per row, a column per key in the order
+/// keys are first seen (blank where a row lacks the key), floats to five
+/// places ([`sci`]). Empty when there are no rows.
+pub fn level_table(rows: &[Attrs]) -> String {
+    let mut header: Vec<&str> = Vec::new();
+    for (k, _) in rows.iter().flatten() {
+        if !header.contains(&k.as_str()) {
+            header.push(k);
+        }
+    }
+    if header.is_empty() {
+        return String::new();
+    }
+    let cell = |v: &AttrValue| match v {
+        AttrValue::F64(x) => sci(*x, 5),
+        v => v.to_string(),
+    };
+    let cells: Vec<Vec<String>> = rows
+        .iter()
+        .map(|row| {
+            let get = |h: &&str| row.iter().find(|(k, _)| k == h).map(|(_, v)| cell(v));
+            header.iter().map(|h| get(h).unwrap_or_default()).collect()
+        })
+        .collect();
+    render_table("levels", &header, &cells)
+}
+
+/// Human-readable per-level table ([`level_table`] of [`level_rows`]),
+/// then the recovery count when there were recoveries, then the total.
 pub struct TableSink;
 
 impl TraceSink for TableSink {
@@ -244,65 +348,7 @@ impl TraceSink for TableSink {
     }
 
     fn export(&self, trace: &Trace) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:>5} {:>12} {:>12} {:>14} {:>12} {:>10} {:>10}  {}\n",
-            "level", "mode", "frontier", "front-edges", "ratio", "time ms", "fetch KB", "notes"
-        ));
-        for s in trace.spans_named(names::span::LEVEL) {
-            let mode = {
-                let m = attr_str(s, "strategy");
-                if m.is_empty() {
-                    attr_str(s, "mode")
-                } else {
-                    m
-                }
-            };
-            let mut notes: Vec<String> = Vec::new();
-            if s.attr("used_nfg") == Some(&AttrValue::Bool(false)) {
-                notes.push("gen-scan".into());
-            }
-            if s.attr("checkpointed") == Some(&AttrValue::Bool(true)) {
-                notes.push("ckpt".into());
-            }
-            if let Some(AttrValue::U64(a)) = s.attr("attempt") {
-                if *a > 0 {
-                    notes.push(format!("retry#{a}"));
-                }
-            }
-            let fetch = trace
-                .children(s.id)
-                .filter(|c| c.name == names::span::KERNEL)
-                .filter_map(|c| match c.attr("fetch_kb") {
-                    Some(AttrValue::F64(v)) => Some(*v),
-                    _ => None,
-                })
-                // Not `.sum()`: an empty f64 sum is -0.0, and a cluster
-                // level has no kernel spans.
-                .fold(0.0, |acc, v| acc + v);
-            // The cluster engine puts the ratio on the level's
-            // strategy-choice event, not on the span.
-            let ratio = s.attr("ratio").or_else(|| {
-                trace
-                    .events_named(names::event::STRATEGY_CHOICE)
-                    .find(|e| e.span == s.id)
-                    .and_then(|e| e.attr("ratio"))
-            });
-            out.push_str(&format!(
-                "{:>5} {:>12} {:>12} {:>14} {:>12} {:>10.4} {:>10.1}  {}\n",
-                attr_str(s, "level"),
-                mode,
-                attr_str(s, "frontier_count"),
-                attr_str(s, "frontier_edges"),
-                match ratio {
-                    Some(AttrValue::F64(r)) => format!("{r:.3e}"),
-                    _ => String::new(),
-                },
-                s.dur_us() / 1000.0,
-                fetch,
-                notes.join(" ")
-            ));
-        }
+        let mut out = level_table(&level_rows(trace));
         let n_recoveries = trace.spans_named(names::span::RECOVERY).count();
         if n_recoveries > 0 {
             out.push_str(&format!("recoveries: {n_recoveries}\n"));
@@ -327,13 +373,7 @@ impl TraceSink for RocprofCsvSink {
     fn export(&self, trace: &Trace) -> String {
         let mut out = String::from(CSV_HEADER);
         out.push('\n');
-        let num = |s: &SpanRecord, key: &str| -> f64 {
-            match s.attr(key) {
-                Some(AttrValue::F64(v)) => *v,
-                Some(AttrValue::U64(v)) => *v as f64,
-                _ => 0.0,
-            }
-        };
+        let num = |s: &SpanRecord, key: &str| s.attr(key).map_or(0.0, AttrValue::as_f64);
         for s in trace.spans_named(names::span::KERNEL) {
             out.push_str(&format!(
                 "{},{},{:.6},{:.3},{:.3},{:.3},{},{},{},{:.3}\n",
@@ -356,6 +396,7 @@ impl TraceSink for RocprofCsvSink {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::attrs;
     use crate::json::JsonValue;
     use crate::span::Recorder;
 
@@ -454,31 +495,73 @@ mod tests {
 
     #[test]
     fn table_sink_renders_levels() {
-        let t = sample_trace();
-        let table = TableSink.export(&t);
-        assert!(table.contains("scan-free"), "{table}");
-        assert!(table.contains("total"), "{table}");
+        // Span attributes, then the event's that the span lacks, then the
+        // kernels' fetch and the duration.
+        let table = TableSink.export(&sample_trace());
+        let want = "levels
+level   strategy  frontier_count      ratio  fetch_kb    time_ms
+----------------------------------------------------------------
+    0  scan-free               1  1.0000e-3  12.50000  3.0000e-3
+total 0.0050 ms
+";
+        assert_eq!(table, want);
 
-        // A cluster level: no kernel children, ratio on the event only.
+        // Cluster-shaped levels: no kernel children, so no fetch column; the
+        // event's ratio joins the row, its copy of `mode` does not, and a
+        // key first seen on the second row opens the last column.
         let rec = Recorder::new();
         let run = rec.begin_span(None, names::span::RUN, 0, 0.0);
         let lvl = rec.begin_span(Some(run), names::span::LEVEL, 0, 0.0);
-        rec.event(
-            Some(lvl),
-            names::event::STRATEGY_CHOICE,
-            0,
-            0.0,
-            vec![("ratio".into(), AttrValue::F64(0.25))],
-        );
-        rec.span_attr(lvl, "level", AttrValue::U64(0));
-        rec.span_attr(lvl, "mode", AttrValue::Str("pull".into()));
+        let choice = attrs!["mode" => "push", "ratio" => 0.25];
+        rec.event(Some(lvl), names::event::STRATEGY_CHOICE, 0, 0.0, choice);
+        rec.span_attrs(lvl, attrs!["level" => 0u32, "mode" => "pull"]);
         rec.end_span(lvl, 44.0);
-        rec.end_span(run, 44.0);
+        let later = rec.begin_span(Some(run), names::span::LEVEL, 0, 44.0);
+        rec.span_attrs(later, attrs!["level" => 1u32, "checkpointed" => true]);
+        rec.end_span(later, 50.0);
+        rec.end_span(run, 50.0);
         let table = TableSink.export(&rec.finish());
-        let row = table.lines().nth(1).expect("one level row");
-        assert!(row.contains("pull") && row.contains("2.500e-1"), "{row}");
-        assert!(row.trim_end().ends_with(" 0.0"), "{row}");
-        assert!(!table.contains("-0.0"), "{table}");
+        let rows = [
+            "levels",
+            "level  mode    ratio    time_ms  checkpointed",
+            "---------------------------------------------",
+            "    0  pull  0.25000    0.04400              ",
+            "    1                 6.0000e-3          true",
+            "total 0.0500 ms\n",
+        ];
+        assert_eq!(table, rows.join("\n"));
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let t = render_table(
+            "T",
+            &["a", "bb"],
+            &[
+                vec!["1".into(), "2".into()],
+                vec!["10".into(), "200".into()],
+            ],
+        );
+        assert!(t.contains("a"));
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 5);
+        assert_eq!(lines[3].len(), lines[4].len());
+    }
+
+    #[test]
+    fn sci_formats() {
+        assert_eq!(sci(0.0, 3), "0");
+        assert_eq!(sci(-0.0, 4), "0");
+        assert_eq!(sci(0.725, 3), "0.725");
+        assert_eq!(sci(1.86e-9, 3), "1.86e-9");
+        assert_eq!(sci(0.25, 4), "0.2500");
+        assert_eq!(sci(1.86e-9, 4), "1.860e-9");
+    }
+
+    #[test]
+    #[should_panic(expected = "arity")]
+    fn table_checks_arity() {
+        render_table("T", &["a"], &[vec!["1".into(), "2".into()]]);
     }
 
     #[test]

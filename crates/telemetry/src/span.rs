@@ -52,6 +52,15 @@ impl AttrValue {
             AttrValue::Bool(b) => slot.bool(*b),
         }
     }
+
+    /// The value as a number (0 for a string or a flag).
+    pub fn as_f64(&self) -> f64 {
+        match self {
+            AttrValue::U64(v) => *v as f64,
+            AttrValue::F64(v) => *v,
+            _ => 0.0,
+        }
+    }
 }
 
 macro_rules! attr_from {

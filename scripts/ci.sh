@@ -77,8 +77,8 @@ telemetry() {
   "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 --inject-faults crash@1:rank1 \
     --checkpoint-every 1 --trace json:- > "$SMOKE/cluster_trace.json"
   "$XBFS" trace summarize "$SMOKE/cluster_trace.json" | grep -q '1 recoveries'
-  # the same run as a table: a cluster level has no kernel spans, and an
-  # empty f64 sum must still print as 0.0
+  # the same run as a table: a cluster level has no kernel spans (so no
+  # fetch column), and no float cell may print as -0.0
   "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 --inject-faults crash@1:rank1 \
     --checkpoint-every 1 --trace table:- 2> /dev/null > "$SMOKE/cluster_table.txt"
   grep -q 'recoveries: 1' "$SMOKE/cluster_table.txt"
@@ -473,7 +473,7 @@ repro_smoke() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=28494
+LINES_CEILING=28464
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N
