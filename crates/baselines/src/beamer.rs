@@ -10,6 +10,7 @@ use crate::engines::expand_claiming;
 use crate::Baseline;
 use gcd_sim::{LaunchCfg, WaveCtx};
 use xbfs_core::device_graph::DeviceGraph;
+use xbfs_core::engine::check_deadline;
 use xbfs_core::state::UNVISITED;
 use xbfs_core::EngineError;
 
@@ -97,7 +98,7 @@ impl Baseline<'_> {
                 qlen = counters.load(c::QUEUE_LEN) as usize;
                 std::mem::swap(&mut in_q, &mut out_q);
             }
-            self.check_deadline(deadline_ms)?;
+            check_deadline(deadline_ms, device.elapsed_us(), level + 1)?;
             level += 1;
         }
         Ok(status.to_host())

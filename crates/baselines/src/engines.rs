@@ -5,6 +5,7 @@
 use crate::Baseline;
 use gcd_sim::{Device, LaunchCfg, WaveCtx};
 use xbfs_core::device_graph::DeviceGraph;
+use xbfs_core::engine::check_deadline;
 use xbfs_core::state::{BfsState, BinThresholds, UNVISITED};
 use xbfs_core::strategy::topdown::{self, TopDownOpts};
 use xbfs_core::EngineError;
@@ -48,7 +49,7 @@ impl Baseline<'_> {
             if counters.load(c::CLAIMED) == 0 {
                 break;
             }
-            self.check_deadline(deadline_ms)?;
+            check_deadline(deadline_ms, device.elapsed_us(), level + 1)?;
             level += 1;
         }
         Ok(status.to_host())
@@ -178,7 +179,7 @@ impl Baseline<'_> {
             qlen = counters.load(c::OUT_LEN) as usize;
             level += 1;
             if qlen > 0 {
-                self.check_deadline(deadline_ms)?;
+                check_deadline(deadline_ms, device.elapsed_us(), level)?;
             }
         }
         Ok(status.to_host())
@@ -276,7 +277,7 @@ impl Baseline<'_> {
             }
             // Only the scan knows whether a level is left: check here.
             if level > 0 {
-                self.check_deadline(deadline_ms)?;
+                check_deadline(deadline_ms, device.elapsed_us(), level)?;
             }
             device.fill_u32(0, &st.counters, 0);
             let opts = TopDownOpts {
@@ -383,7 +384,7 @@ impl Baseline<'_> {
             std::mem::swap(&mut in_q, &mut out_q);
             level += 1;
             if qlen > 0 {
-                self.check_deadline(deadline_ms)?;
+                check_deadline(deadline_ms, device.elapsed_us(), level)?;
             }
         }
         Ok(status.to_host())
@@ -476,7 +477,7 @@ impl Baseline<'_> {
             std::mem::swap(&mut in_q, &mut out_q);
             iter += 1;
             if qlen > 0 {
-                self.check_deadline(deadline_ms)?;
+                check_deadline(deadline_ms, device.elapsed_us(), iter)?;
             }
         }
         Ok(dist.to_host())

@@ -14,10 +14,10 @@ mod beamer;
 mod engines;
 
 use gcd_sim::Device;
-use xbfs_core::engine::{gteps, past_deadline, reached, validate_levels};
+use xbfs_core::engine::{check_source, gteps, reached, validate_levels};
 use xbfs_core::{
     levels_digest, DeviceGraph, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
-    XbfsError, UNVISITED,
+    UNVISITED,
 };
 use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::Csr;
@@ -97,18 +97,6 @@ impl<'g> Baseline<'g> {
             csr,
         }
     }
-
-    /// The between-levels deadline gate: once the modeled clock is past
-    /// the budget, the run ends here.
-    fn check_deadline(&self, deadline_ms: Option<f64>) -> Result<(), EngineError> {
-        match past_deadline(deadline_ms, self.device.elapsed_us()) {
-            Some((elapsed_us, deadline_us)) => Err(EngineError::Deadline {
-                elapsed_us,
-                deadline_us,
-            }),
-            None => Ok(()),
-        }
-    }
 }
 
 impl Engine for Baseline<'_> {
@@ -127,14 +115,7 @@ impl Engine for Baseline<'_> {
         if let Some(why) = refusal {
             return Err(EngineError::unsupported(why));
         }
-        let num_vertices = self.graph.num_vertices();
-        if source as usize >= num_vertices {
-            return Err(XbfsError::SourceOutOfRange {
-                source,
-                num_vertices,
-            }
-            .into());
-        }
+        check_source(source, self.graph.num_vertices())?;
         let deadline_ms = req.deadline_ms;
         self.device.reset_timeline();
         let levels = match self.algo {

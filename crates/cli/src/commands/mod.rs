@@ -21,8 +21,7 @@ use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
 use xbfs_graph::{io, rearrange_by_degree, Csr, Dataset, RearrangeOrder};
 use xbfs_multi_gcd::{
-    ClusterConfig, ClusterError, FaultConfig, FaultEvent, FaultPlan, GcdCluster, LinkModel,
-    RecoveryPolicy,
+    ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel, RecoveryPolicy,
 };
 use xbfs_telemetry::export::{level_rows, level_table};
 use xbfs_telemetry::{Trace, TraceFormat};
@@ -95,39 +94,35 @@ impl From<&str> for CliError {
     }
 }
 
+/// The one exit-code map of an engine failure. Integrity failures keep
+/// the stable "IntegrityError:" prefix CI greps for.
 impl From<XbfsError> for CliError {
     fn from(e: XbfsError) -> Self {
-        match e {
-            // Keeps the level the budget ran out at in the message.
-            XbfsError::DeadlineExceeded { .. } => Self::new(e.to_string(), exit_code::TIMEOUT),
-            other => EngineError::from(other).into(),
-        }
+        let code = match &e {
+            XbfsError::DeadlineExceeded { .. } => exit_code::TIMEOUT,
+            XbfsError::LinkFailed { .. } | XbfsError::Unrecoverable { .. } => {
+                exit_code::UNRECOVERED_FAULT
+            }
+            XbfsError::Integrity(e) => {
+                return Self::new(format!("IntegrityError: {e}"), exit_code::INTEGRITY)
+            }
+            _ => exit_code::INVALID_INPUT,
+        };
+        Self::new(e.to_string(), code)
     }
 }
 
+/// A failure seen through the [`Engine`] contract (the sweep), where only
+/// the classification is left: either `Suspect` kind exits 7.
 impl From<EngineError> for CliError {
     fn from(e: EngineError) -> Self {
         match e {
-            // Stable "IntegrityError:" prefix — CI greps for it.
             EngineError::Suspect { msg, .. } => {
                 Self::new(format!("IntegrityError: {msg}"), exit_code::INTEGRITY)
             }
             EngineError::Deadline { .. } => Self::new(e.to_string(), exit_code::TIMEOUT),
             EngineError::Rejected { msg, .. } => Self::new(msg, exit_code::INVALID_INPUT),
         }
-    }
-}
-
-impl From<ClusterError> for CliError {
-    fn from(e: ClusterError) -> Self {
-        let code = match &e {
-            ClusterError::LinkFailed { .. } | ClusterError::Unrecoverable { .. } => {
-                exit_code::UNRECOVERED_FAULT
-            }
-            ClusterError::DeadlineExceeded { .. } => exit_code::TIMEOUT,
-            _ => exit_code::INVALID_INPUT,
-        };
-        Self::new(e.to_string(), code)
     }
 }
 
@@ -570,7 +565,7 @@ fn parse_bitflip_plan(args: &Args) -> Result<Option<BitflipPlan>, CliError> {
     match args.options.get("inject-bitflips") {
         Some(spec) => BitflipPlan::parse(spec)
             .map(Some)
-            .map_err(|e| CliError::new(e, exit_code::INVALID_INPUT)),
+            .map_err(|e| CliError::new(e.to_string(), exit_code::INVALID_INPUT)),
         None => Ok(None),
     }
 }
@@ -691,20 +686,20 @@ fn bfs(args: &Args) -> Result<String, CliError> {
 
 /// Parse `--inject-faults`: either an explicit spec, or `random[:SEED]`
 /// for a generated plan.
-fn parse_fault_plan(spec: &str, num_gcds: usize) -> Result<FaultPlan, ClusterError> {
+fn parse_fault_plan(spec: &str, num_gcds: usize) -> Result<FaultPlan, CliError> {
+    let bad =
+        |why: String| CliError::new(format!("bad fault spec: {why}"), exit_code::INVALID_INPUT);
     if let Some(rest) = spec.strip_prefix("random") {
         let seed = match rest.strip_prefix(':') {
-            Some(s) => s
-                .parse::<u64>()
-                .map_err(|_| ClusterError::FaultSpec(format!("bad random seed {s:?}")))?,
+            Some(s) => (s.parse::<u64>()).map_err(|_| bad(format!("bad random seed {s:?}")))?,
             None if rest.is_empty() => 42,
-            _ => return Err(ClusterError::FaultSpec(format!("bad fault spec {spec:?}"))),
+            _ => return Err(bad(format!("bad fault spec {spec:?}"))),
         };
         // A mid-run horizon of ~8 levels places crashes where checkpoints
         // matter on typical scale-free diameters.
         Ok(FaultPlan::random(seed, num_gcds, 8))
     } else {
-        FaultPlan::parse(spec)
+        FaultPlan::parse(spec).map_err(|e| bad(e.to_string()))
     }
 }
 
@@ -739,26 +734,32 @@ fn cluster(args: &Args) -> Result<String, CliError> {
     };
 
     let trace_opt = trace_target(args)?;
-    let crash_planned = faults
-        .plan
-        .events
-        .iter()
-        .any(|e| matches!(e, FaultEvent::GcdCrash { .. }));
-    let mut out = String::new();
-    if trace_opt.is_some() && crash_planned {
-        // Crash recovery rewinds the cluster clock to the last checkpoint,
-        // so the trace contains overlapping re-executed level spans. Say so
-        // rather than silently emitting a confusing timeline.
-        out = format!(
-            "warning: tracing a run with planned GCD crashes ({}) — recovery \
-             rewinds execution to the last checkpoint, so the trace contains \
-             re-executed level spans (attempt > 0) alongside recovery spans\n",
-            faults.plan.to_spec()
-        );
-        eprint!("{out}");
-    }
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
     let run = cluster.run_with(source, &faults, None)?;
+    let mut out = String::new();
+    // Crash recovery that rewinds past the crash re-runs levels, and the
+    // trace then holds one span per attempt. Say so once: on stderr when
+    // stdout is the trace itself.
+    let rerun: std::collections::BTreeSet<u32> = (run.level_stats.iter())
+        .filter(|ls| ls.attempt > 0)
+        .map(|ls| ls.level)
+        .collect();
+    match &trace_opt {
+        Some((_, path)) if !rerun.is_empty() => {
+            let levels: Vec<String> = rerun.iter().map(u32::to_string).collect();
+            let warning = format!(
+                "warning: crash recovery re-ran level(s) {}; the trace holds a level \
+                 span per attempt (attempt > 0) alongside the recovery spans\n",
+                levels.join(", ")
+            );
+            if path == "-" {
+                eprint!("{warning}");
+            } else {
+                out = warning;
+            }
+        }
+        _ => {}
+    }
     out.push_str(&format!(
         "{} GCDs, source {source}, faults: {}\n",
         cfg.num_gcds, run.fault_plan

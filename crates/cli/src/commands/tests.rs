@@ -1,6 +1,7 @@
 //! Command-level tests: every subcommand through [`dispatch`].
 
 use super::*;
+use xbfs_core::IntegrityError;
 use xbfs_telemetry::JsonValue;
 
 fn run(parts: &[&str]) -> Result<String, CliError> {
@@ -545,6 +546,8 @@ fn level_tables_cover_every_level_attribute() {
 fn cluster_trace_covers_levels_and_recovery_with_warning() {
     let path = tmp("g9.bin");
     run(&["generate", "--out", &path, "--scale", "10"]).unwrap();
+    // Checkpointing every level, recovery resumes at the crash level and
+    // re-runs nothing.
     let crash = format!("cluster {path} --gcds 4 --source 1 --inject-faults crash@1:rank1");
     let out = cli(&format!("{crash} --trace json:-")).unwrap();
     // `json:-` output is the pure trace; the crash warning goes to stderr only.
@@ -575,16 +578,23 @@ fn cluster_trace_covers_levels_and_recovery_with_warning() {
     };
     assert!(evt("fault.crash") && evt("recovery.restore"), "{out}");
 
-    // With a file path, the warning lands in the report.
+    // With a file path, a warning would land in the report.
     let trace_path = tmp("g9_trace.json");
     let report = cli(&format!("{crash} --trace json:{trace_path}")).unwrap();
-    assert!(
-        report.contains("warning: tracing a run with planned GCD crashes"),
-        "{report}"
-    );
+    assert!(!report.contains("warning"), "{report}");
     assert!(report.contains("json trace written"), "{report}");
     let summary = run(&["trace", "summarize", &trace_path]).unwrap();
     assert!(summary.contains("1 recoveries"), "{summary}");
+    // A crash at level 2 rewound to the level-0 checkpoint re-runs levels
+    // 0 and 1, and the report says so once.
+    let rewind = format!(
+        "cluster {path} --gcds 4 --source 1 --inject-faults crash@2:rank1 \
+         --checkpoint-every 3 --trace json:{trace_path}"
+    );
+    let report = cli(&rewind).unwrap();
+    let warning = "warning: crash recovery re-ran level(s) 0, 1;";
+    assert_eq!(report.matches("warning").count(), 1, "{report}");
+    assert!(report.starts_with(warning), "{report}");
 }
 
 #[test]
@@ -634,6 +644,57 @@ fn cluster_fault_errors_map_to_exit_codes() {
     assert!(out.contains("VALID"), "{out}");
 }
 
+/// Every engine failure has one exit code, one message and one
+/// classification (class and wire kind) for a supervisor.
+#[test]
+fn every_engine_error_has_one_exit_code_and_class() {
+    use exit_code::{INTEGRITY, INVALID_INPUT as INVALID, TIMEOUT, UNRECOVERED_FAULT as FAULT};
+    use XbfsError as E;
+    let deadline = ("deadline", None);
+    let invalid = ("rejected", Some("invalid"));
+    let unrecoverable = ("suspect", Some("unrecoverable"));
+    let checksum = IntegrityError::GraphChecksum {
+        expected: 1,
+        actual: 2,
+    };
+    #[rustfmt::skip]
+    let cases = [
+        (E::InsufficientStreams { required: 4, available: 1 }, INVALID, invalid,
+         "config requires 4 streams, device has 1"),
+        (E::InvalidConfig("num_gcds must be at least 1".into()), INVALID, invalid,
+         "invalid cluster config: num_gcds must be at least 1"),
+        (E::EmptyGraph, INVALID, invalid, "graph has no vertices"),
+        (E::SourceOutOfRange { source: 9, num_vertices: 4 }, INVALID, invalid,
+         "source vertex 9 out of range (graph has 4 vertices)"),
+        (E::InvalidFaultPlan("crash rank 7 >= 4 GCDs".into()), INVALID, invalid,
+         "fault plan not applicable: crash rank 7 >= 4 GCDs"),
+        (E::Integrity(checksum), INTEGRITY, ("suspect", Some("integrity")),
+         "IntegrityError: CSR corrupted in device memory: checksum 0x0000000000000002, \
+          expected 0x0000000000000001"),
+        (E::DeadlineExceeded { level: 2, elapsed_us: 51, deadline_us: 50 }, TIMEOUT, deadline,
+         "deadline exceeded before level 2: 51us modeled (budget 50us)"),
+        (E::LinkFailed { level: 0, src: 0, dst: 1, attempts: 4 }, FAULT, unrecoverable,
+         "link 0->1 failed at level 0 after 4 attempts"),
+        (E::Unrecoverable { rank: 0, level: 2, reason: "no spare".into() }, FAULT, unrecoverable,
+         "GCD 0 crash at level 2 is unrecoverable: no spare"),
+    ];
+    for (e, code, class, message) in cases {
+        // One row per variant: this match stops compiling when one is added.
+        match e {
+            E::InsufficientStreams { .. } | E::InvalidConfig(_) | E::EmptyGraph => {}
+            E::SourceOutOfRange { .. } | E::InvalidFaultPlan(_) | E::Integrity(_) => {}
+            E::DeadlineExceeded { .. } | E::LinkFailed { .. } | E::Unrecoverable { .. } => {}
+        }
+        assert_eq!(CliError::from(e.clone()), CliError::new(message, code));
+        let classified = match EngineError::from(e) {
+            EngineError::Deadline { .. } => deadline,
+            EngineError::Suspect { kind, .. } => ("suspect", Some(kind)),
+            EngineError::Rejected { kind, .. } => ("rejected", Some(kind)),
+        };
+        assert_eq!(classified, class, "{message}");
+    }
+}
+
 #[test]
 fn bfs_deadline_maps_to_timeout_exit_code() {
     let path = tmp("deadline.bin");
@@ -642,6 +703,14 @@ fn bfs_deadline_maps_to_timeout_exit_code() {
     let e = run(&["bfs", &path, "--deadline-ms", "0.000001"]).unwrap_err();
     assert_eq!(e.code, exit_code::TIMEOUT, "{}", e.message);
     assert!(e.message.contains("deadline"), "{}", e.message);
+    // Level 0 always finishes; the message names the first level that did
+    // not, and the budget rounded down to whole microseconds.
+    let (head, tail) = (
+        "deadline exceeded before level 1: ",
+        "us modeled (budget 0us)",
+    );
+    assert!(e.message.starts_with(head), "{}", e.message);
+    assert!(e.message.ends_with(tail), "{}", e.message);
     // A generous budget changes nothing about a normal run.
     let out = run(&["bfs", &path, "--deadline-ms", "100000"]).unwrap();
     assert!(out.contains("GTEPS"), "{out}");

@@ -34,7 +34,8 @@ use std::sync::{Mutex, PoisonError};
 use crate::config::XbfsConfig;
 use crate::device_graph::DeviceGraph;
 use crate::engine::{
-    gteps, past_deadline, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
+    check_deadline, check_source, gteps, Engine, EngineError, Inject, RunOutcome, RunRequest,
+    SlotAnswer,
 };
 use crate::error::XbfsError;
 use crate::integrity::verified_run;
@@ -235,11 +236,8 @@ impl<D: Borrow<Device>> MsBfs<D> {
             "at most {MAX_CONCURRENT} concurrent sources"
         );
         let n = self.graph.num_vertices();
-        if let Some(&source) = sources.iter().find(|&&s| s as usize >= n) {
-            return Err(XbfsError::SourceOutOfRange {
-                source,
-                num_vertices: n,
-            });
+        for &source in sources {
+            check_source(source, n)?;
         }
         let (dev, run) = (self.device.borrow(), || self.run_impl(sources, deadline_ms));
         let certify = |off: &[u64], adj: &[u32], run: &MsBfsRun| {
@@ -345,17 +343,12 @@ impl<D: Borrow<Device>> MsBfs<D> {
             // past the budget, sync to read whether this level found
             // anything. The fold already zeroed `fresh`, so the engine
             // stays reusable.
-            if let Some((elapsed_us, deadline_us)) = past_deadline(deadline_ms, device.elapsed_us())
-            {
+            if let Err(late) = check_deadline(deadline_ms, device.elapsed_us(), level + 1) {
                 device.sync();
                 if bufs.counters.load(at ^ 1) == 0 {
                     break true;
                 }
-                return Err(XbfsError::DeadlineExceeded {
-                    level,
-                    elapsed_us,
-                    deadline_us,
-                });
+                return Err(late);
             }
             level += 1;
         };

@@ -118,13 +118,41 @@ pub fn gteps(edges: u64, secs: f64) -> f64 {
     }
 }
 
-/// The between-levels deadline gate every engine shares: `Some((elapsed,
-/// deadline))` in whole µs once the modeled clock is strictly past a
-/// budget of `deadline_ms`, `None` while it is not (or there is none).
-/// Elapsed rounds up and the budget down, so an abort always reads late.
-pub fn past_deadline(deadline_ms: Option<f64>, elapsed_us: f64) -> Option<(u64, u64)> {
-    let deadline_us = deadline_ms? * 1000.0;
-    (elapsed_us > deadline_us).then_some((elapsed_us.ceil() as u64, deadline_us.floor() as u64))
+/// The between-levels deadline gate of every engine, and the only code
+/// that builds [`XbfsError::DeadlineExceeded`]: an error once the modeled
+/// clock is strictly past a budget of `deadline_ms` (never without one).
+/// `level` is the first level the run did not finish. Elapsed rounds up
+/// to whole µs and the budget down, so an abort always reads late.
+#[inline]
+pub fn check_deadline(
+    deadline_ms: Option<f64>,
+    elapsed_us: f64,
+    level: u32,
+) -> Result<(), XbfsError> {
+    let Some(deadline_ms) = deadline_ms else {
+        return Ok(());
+    };
+    let deadline_us = deadline_ms * 1000.0;
+    if elapsed_us <= deadline_us {
+        return Ok(());
+    }
+    Err(XbfsError::DeadlineExceeded {
+        level,
+        elapsed_us: elapsed_us.ceil() as u64,
+        deadline_us: deadline_us.floor() as u64,
+    })
+}
+
+/// The source gate of every engine: an error unless `source` is one of
+/// a graph's `num_vertices` vertices.
+pub fn check_source(source: u32, num_vertices: usize) -> Result<(), XbfsError> {
+    if (source as usize) < num_vertices {
+        return Ok(());
+    }
+    Err(XbfsError::SourceOutOfRange {
+        source,
+        num_vertices,
+    })
 }
 
 /// What `verify` means to an engine with no device to sweep: the level
@@ -247,6 +275,12 @@ impl From<XbfsError> for EngineError {
                 kind: "integrity",
                 msg: e.to_string(),
             },
+            // Checkpoint/restart could not save the run: the whole
+            // cluster is suspect.
+            XbfsError::LinkFailed { .. } | XbfsError::Unrecoverable { .. } => Self::Suspect {
+                kind: "unrecoverable",
+                msg: e.to_string(),
+            },
             // Client-input errors (bad source, …): the substrate is fine.
             other => Self::Rejected {
                 kind: "invalid",
@@ -316,9 +350,14 @@ mod tests {
 
     #[test]
     fn a_late_run_reads_late_in_whole_microseconds() {
-        assert_eq!(super::past_deadline(Some(0.05), 50.4), Some((51, 50)));
-        assert_eq!(super::past_deadline(Some(0.05), 50.0), None);
-        assert_eq!(super::past_deadline(None, 1e9), None);
+        let late = XbfsError::DeadlineExceeded {
+            level: 3,
+            elapsed_us: 51,
+            deadline_us: 50,
+        };
+        assert_eq!(check_deadline(Some(0.05), 50.4, 3), Err(late));
+        assert_eq!(check_deadline(Some(0.05), 50.0, 3), Ok(()));
+        assert_eq!(check_deadline(None, 1e9, 3), Ok(()));
     }
 
     /// An engine answering `Suspect` on the runs numbered in `.1`, counted

@@ -1,13 +1,15 @@
-//! Typed errors for the single-GCD runner.
+//! The one failure vocabulary of every engine.
 //!
-//! Construction and run failures surface as [`XbfsError`] values instead of
-//! panics, so library users and the CLI can map them to messages and exit
-//! codes.
+//! The solo and batched engines, the partitioned cluster of
+//! `xbfs-multi-gcd` and the baselines all fail with an [`XbfsError`]
+//! instead of panicking. [`crate::EngineError`] classifies it for a
+//! supervisor and the CLI maps it to an exit code; a malformed plan spec
+//! is an [`xbfs_spec::SpecError`] and never reaches an engine.
 
 use crate::integrity::IntegrityError;
 use std::fmt;
 
-/// Why an XBFS operation failed.
+/// Why an engine operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum XbfsError {
     /// The device exposes fewer streams than the configuration needs.
@@ -17,6 +19,8 @@ pub enum XbfsError {
         /// Streams the device has.
         available: usize,
     },
+    /// The cluster configuration is unusable (e.g. zero GCDs).
+    InvalidConfig(String),
     /// The graph has no vertices.
     EmptyGraph,
     /// The BFS source does not exist in the graph.
@@ -26,18 +30,43 @@ pub enum XbfsError {
         /// Vertices in the graph.
         num_vertices: usize,
     },
+    /// A fault plan references ranks or levels the cluster cannot host.
+    InvalidFaultPlan(String),
     /// Silent data corruption was detected by a checksum, a pool guard,
     /// or the result certificate (see [`IntegrityError`]).
     Integrity(IntegrityError),
-    /// The run's modeled clock crossed its deadline budget between levels.
-    /// Times are integer microseconds so the error stays `Eq`-comparable.
+    /// The run's modeled clock crossed its deadline budget between levels
+    /// (a cluster's crash recovery included). Built only by
+    /// [`crate::engine::check_deadline`]; times are whole microseconds so
+    /// the error stays `Eq`-comparable.
     DeadlineExceeded {
-        /// Last BFS level that completed before the abort.
+        /// The first level the run did not finish.
         level: u32,
-        /// Modeled device time when the deadline check fired, µs.
+        /// Modeled time when the check fired, µs (rounded up).
         elapsed_us: u64,
-        /// The budget the run was given, µs.
+        /// The budget the run was given, µs (rounded down).
         deadline_us: u64,
+    },
+    /// A cluster link dropped a message more times than the retry policy
+    /// allows.
+    LinkFailed {
+        /// Level at which the collective ran.
+        level: u32,
+        /// Sending rank.
+        src: usize,
+        /// Receiving rank.
+        dst: usize,
+        /// Transmission attempts made (1 + retries).
+        attempts: u32,
+    },
+    /// A GCD crash could not be recovered from.
+    Unrecoverable {
+        /// Rank that died.
+        rank: usize,
+        /// Level at which the crash was detected.
+        level: u32,
+        /// Why recovery was impossible.
+        reason: String,
     },
 }
 
@@ -51,6 +80,7 @@ impl fmt::Display for XbfsError {
                 f,
                 "config requires {required} streams, device has {available}"
             ),
+            Self::InvalidConfig(why) => write!(f, "invalid cluster config: {why}"),
             Self::EmptyGraph => write!(f, "graph has no vertices"),
             Self::SourceOutOfRange {
                 source,
@@ -59,6 +89,7 @@ impl fmt::Display for XbfsError {
                 f,
                 "source vertex {source} out of range (graph has {num_vertices} vertices)"
             ),
+            Self::InvalidFaultPlan(why) => write!(f, "fault plan not applicable: {why}"),
             Self::Integrity(e) => write!(f, "integrity violation: {e}"),
             Self::DeadlineExceeded {
                 level,
@@ -66,7 +97,25 @@ impl fmt::Display for XbfsError {
                 deadline_us,
             } => write!(
                 f,
-                "deadline exceeded after level {level}: {elapsed_us}us elapsed, budget {deadline_us}us"
+                "deadline exceeded before level {level}: {elapsed_us}us modeled \
+                 (budget {deadline_us}us)"
+            ),
+            Self::LinkFailed {
+                level,
+                src,
+                dst,
+                attempts,
+            } => write!(
+                f,
+                "link {src}->{dst} failed at level {level} after {attempts} attempts"
+            ),
+            Self::Unrecoverable {
+                rank,
+                level,
+                reason,
+            } => write!(
+                f,
+                "GCD {rank} crash at level {level} is unrecoverable: {reason}"
             ),
         }
     }

@@ -74,22 +74,18 @@ impl BitflipPlan {
     /// Parse a spec like `status:2,csr,seed=7` (a bare kind means one
     /// flip). Unknown kinds and malformed counts are errors, reported in
     /// the shared ``token `X`: why`` shape of [`xbfs_spec`].
-    pub fn parse(spec: &str) -> Result<Self, String> {
+    pub fn parse(spec: &str) -> Result<Self, xbfs_spec::SpecError> {
         let mut plan = Self::none();
         for tok in xbfs_spec::tokenize(spec) {
             match tok {
                 xbfs_spec::Token::Assign {
                     key: "seed", value, ..
-                } => {
-                    plan.seed = tok.num("seed", value).map_err(|e| e.to_string())?;
-                }
+                } => plan.seed = tok.num("seed", value)?,
                 xbfs_spec::Token::Assign { .. } => {
-                    return Err(tok
-                        .err("unknown assignment (expected seed=<n>)")
-                        .to_string())
+                    return Err(tok.err("unknown assignment (expected seed=<n>)"))
                 }
                 xbfs_spec::Token::Item { kind, .. } => {
-                    let count = tok.arg_count(1).map_err(|e| e.to_string())?;
+                    let count = tok.arg_count(1)?;
                     match kind {
                         "status" => plan.status += count,
                         "parents" => plan.parents += count,
@@ -97,8 +93,7 @@ impl BitflipPlan {
                         "pool" => plan.pool += count,
                         _ => {
                             return Err(tok
-                                .err("unknown bitflip target (expected status|parents|csr|pool)")
-                                .to_string())
+                                .err("unknown bitflip target (expected status|parents|csr|pool)"))
                         }
                     }
                 }

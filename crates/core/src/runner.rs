@@ -12,7 +12,9 @@
 use crate::config::XbfsConfig;
 use crate::controller::Controller;
 use crate::device_graph::DeviceGraph;
-use crate::engine::{past_deadline, Engine, EngineError, Inject, RunOutcome, RunRequest};
+use crate::engine::{
+    check_deadline, check_source, Engine, EngineError, Inject, RunOutcome, RunRequest,
+};
 use crate::error::XbfsError;
 use crate::integrity::{apply_sabotage, certify_run, verified_run, Sabotage};
 use crate::state::{ctr, decode_level, ectr, BfsState, QueueState, UNVISITED};
@@ -156,12 +158,7 @@ impl<D: Borrow<Device>> Xbfs<D> {
         let dev: &Device = self.device.borrow();
         let g = &self.graph;
         let n = g.num_vertices();
-        if (source as usize) >= n {
-            return Err(XbfsError::SourceOutOfRange {
-                source,
-                num_vertices: n,
-            });
-        }
+        check_source(source, n)?;
         let controller = Controller::new(self.cfg.alpha, self.cfg.scan_free_max_ratio);
 
         let mut guard = crate::lock(&self.inner);
@@ -305,13 +302,9 @@ impl<D: Borrow<Device>> Xbfs<D> {
             // marks up to two levels past the last recorded one (proactive
             // claims), which `reset_in_place`'s +3 epoch skip already
             // covers — the state is fully reusable by the next run.
-            if let Some((elapsed_us, deadline_us)) = past_deadline(deadline_ms, t1) {
+            if let Err(late) = check_deadline(deadline_ms, t1, level + 1) {
                 *last_depth = level_stats.len() as u32;
-                return Err(XbfsError::DeadlineExceeded {
-                    level,
-                    elapsed_us,
-                    deadline_us,
-                });
+                return Err(late);
             }
             frontier_count = next_count;
             frontier_edges = next_edges;

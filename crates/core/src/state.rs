@@ -6,7 +6,7 @@ use gcd_sim::{BufU32, BufU64, Device};
 use std::cell::RefCell;
 
 /// `status[v]` holds the BFS level of `v`, or this sentinel.
-pub const UNVISITED: u32 = u32::MAX;
+pub use xbfs_graph::UNVISITED;
 
 /// Bottom-up double-scan segment length, in vertices per thread.
 pub const SEG_LEN: usize = 64;

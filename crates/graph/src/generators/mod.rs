@@ -17,11 +17,9 @@ pub mod layered;
 pub mod random;
 pub mod rmat;
 pub mod scale_free;
-pub mod small_world;
 
 pub use community::community_graph;
 pub use layered::layered_citation_graph;
 pub use random::erdos_renyi;
 pub use rmat::{rmat_graph, RmatParams};
 pub use scale_free::barabasi_albert;
-pub use small_world::watts_strogatz;

@@ -12,8 +12,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use xbfs_graph::generators::{
-    barabasi_albert, community_graph, erdos_renyi, layered_citation_graph, rmat_graph,
-    watts_strogatz, RmatParams,
+    barabasi_albert, community_graph, erdos_renyi, layered_citation_graph, rmat_graph, RmatParams,
 };
 use xbfs_graph::{BuildOptions, Csr, CsrBuilder};
 
@@ -84,11 +83,6 @@ fn other_generators_match_parent_bytes() {
             "barabasi_albert".into(),
             barabasi_albert(3000, 6, 5),
             0xde1c_026d_cfdf_9339,
-        ),
-        (
-            "watts_strogatz".into(),
-            watts_strogatz(3000, 4, 0.1, 5),
-            0x0dc7_f029_010a_edff,
         ),
         (
             "layered_citation".into(),

@@ -31,7 +31,6 @@
 //! Because levels are deterministic, a recovered run produces bit-identical
 //! BFS levels to a fault-free run.
 
-use crate::error::ClusterError;
 use crate::faults::{
     detection_us, faulty_allgather, faulty_allreduce, faulty_alltoall, FaultConfig, FaultEvent,
     FaultPlan, RecoveryPolicy,
@@ -41,14 +40,14 @@ use crate::partition::Partition;
 use crate::rank::{fleet_elapsed, RankState};
 use gcd_sim::ArchProfile;
 use std::collections::HashMap;
-use xbfs_core::engine::{past_deadline, validate_levels};
-use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
+use xbfs_core::engine::{check_deadline, check_source, validate_levels};
+use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer, XbfsError};
 use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::{Csr, VertexId};
 use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
 
-/// Not-yet-visited marker (matches single-GCD XBFS).
-pub const UNVISITED: u32 = u32::MAX;
+/// Not-yet-visited marker, shared with single-GCD XBFS.
+pub use xbfs_graph::UNVISITED;
 
 /// Configuration of a distributed run.
 #[derive(Debug, Clone, Copy)]
@@ -379,14 +378,14 @@ pub struct GcdCluster<'g> {
 
 impl<'g> GcdCluster<'g> {
     /// Partition `graph` across `cfg.num_gcds` simulated MI250X GCDs.
-    pub fn new(graph: &'g Csr, cfg: ClusterConfig, link: LinkModel) -> Result<Self, ClusterError> {
+    pub fn new(graph: &'g Csr, cfg: ClusterConfig, link: LinkModel) -> Result<Self, XbfsError> {
         if cfg.num_gcds < 1 {
-            return Err(ClusterError::InvalidConfig(
+            return Err(XbfsError::InvalidConfig(
                 "num_gcds must be at least 1".into(),
             ));
         }
         if graph.num_vertices() == 0 {
-            return Err(ClusterError::EmptyGraph);
+            return Err(XbfsError::EmptyGraph);
         }
         let wavefront = ArchProfile::mi250x_gcd().wavefront_size;
         let partition = Partition::new(graph, cfg.num_gcds, wavefront);
@@ -458,7 +457,7 @@ impl<'g> GcdCluster<'g> {
     }
 
     /// Run one fault-free distributed BFS from `source`.
-    pub fn run(&mut self, source: VertexId) -> Result<ClusterRun, ClusterError> {
+    pub fn run(&mut self, source: VertexId) -> Result<ClusterRun, XbfsError> {
         self.run_with(source, &FaultConfig::none(), None)
     }
 
@@ -473,7 +472,7 @@ impl<'g> GcdCluster<'g> {
     /// * `deadline_ms` is a modeled-time budget: the fleet clock is
     ///   checked between levels — and immediately after a crash recovery
     ///   is charged — and a run that crosses it aborts with
-    ///   [`ClusterError::DeadlineExceeded`] instead of finishing. A run
+    ///   [`XbfsError::DeadlineExceeded`] instead of finishing. A run
     ///   that completes on its last level is never a timeout. Recovery
     ///   overhead counts against the budget, which is what lets a serving
     ///   layer promise "recovered within the request's remaining
@@ -484,14 +483,9 @@ impl<'g> GcdCluster<'g> {
         source: VertexId,
         faults: &FaultConfig,
         deadline_ms: Option<f64>,
-    ) -> Result<ClusterRun, ClusterError> {
+    ) -> Result<ClusterRun, XbfsError> {
         let n = self.graph.num_vertices();
-        if (source as usize) >= n {
-            return Err(ClusterError::SourceOutOfRange {
-                source,
-                num_vertices: n,
-            });
-        }
+        check_source(source, n)?;
         faults.plan.validate(self.cfg.num_gcds)?;
         let initial_p = self.cfg.num_gcds;
         let m_global = self.graph.num_edges().max(1) as f64;
@@ -538,18 +532,6 @@ impl<'g> GcdCluster<'g> {
         let mut attempts: HashMap<u32, u32> = HashMap::new();
         let mut pending_recovery_us = 0.0f64;
 
-        // Deadline gate, shared by the between-levels and post-recovery
-        // check sites.
-        let check_deadline =
-            |elapsed_us: f64, level: u32| match past_deadline(deadline_ms, elapsed_us) {
-                Some((elapsed_us, deadline_us)) => Err(ClusterError::DeadlineExceeded {
-                    level,
-                    elapsed_us,
-                    deadline_us,
-                }),
-                None => Ok(()),
-            };
-
         loop {
             // Crash scheduled at this level and not yet handled?
             if let Some(rank) = faults.plan.crash_at(level) {
@@ -577,7 +559,7 @@ impl<'g> GcdCluster<'g> {
                     }
                     // A recovery that exhausted the budget aborts here
                     // instead of burning levels it cannot finish.
-                    check_deadline(clock_us, level)?;
+                    check_deadline(deadline_ms, clock_us, level)?;
                     continue;
                 }
             }
@@ -638,7 +620,7 @@ impl<'g> GcdCluster<'g> {
             if claimed == 0 {
                 break;
             }
-            check_deadline(clock_us, level + 1)?;
+            check_deadline(deadline_ms, clock_us, level + 1)?;
             self.ranks.iter_mut().for_each(RankState::swap_frontiers);
             frontier_count = claimed;
             frontier_edges = claimed_edges;
@@ -878,7 +860,7 @@ impl<'g> GcdCluster<'g> {
         faults: &FaultConfig,
         restored: &Checkpoint,
         before_row: usize,
-    ) -> Result<RecoveryReport, ClusterError> {
+    ) -> Result<RecoveryReport, XbfsError> {
         let crash_us = fleet_elapsed(&self.ranks);
         let t_detect = crash_us + detection_us();
 
@@ -894,7 +876,7 @@ impl<'g> GcdCluster<'g> {
             RecoveryPolicy::Degrade => {
                 let survivors = self.cfg.num_gcds - 1;
                 if survivors == 0 {
-                    return Err(ClusterError::Unrecoverable {
+                    return Err(XbfsError::Unrecoverable {
                         rank,
                         level,
                         reason: "no surviving GCDs to repartition onto".into(),
@@ -963,7 +945,7 @@ impl<'g> GcdCluster<'g> {
         pull: bool,
         frontier_lens: &[usize],
         faults: &FaultConfig,
-    ) -> Result<LevelComm, ClusterError> {
+    ) -> Result<LevelComm, XbfsError> {
         let t_entry = fleet_elapsed(&self.ranks);
         let (ranks, partition) = (&self.ranks, &self.partition);
         for ((r, part), &qlen) in ranks.iter().zip(&partition.parts).zip(frontier_lens) {
@@ -993,7 +975,7 @@ impl<'g> GcdCluster<'g> {
         level: u32,
         pull: bool,
         faults: &FaultConfig,
-    ) -> Result<(u64, CollectiveStats, f64), ClusterError> {
+    ) -> Result<(u64, CollectiveStats, f64), XbfsError> {
         let Self {
             graph,
             link,
@@ -1110,31 +1092,6 @@ fn collective_span(
     }
 }
 
-impl From<ClusterError> for EngineError {
-    fn from(e: ClusterError) -> Self {
-        match e {
-            ClusterError::DeadlineExceeded {
-                elapsed_us,
-                deadline_us,
-                ..
-            } => Self::Deadline {
-                elapsed_us,
-                deadline_us,
-            },
-            // Checkpoint/restart could not save the run: the whole
-            // cluster is suspect.
-            ClusterError::Unrecoverable { .. } | ClusterError::LinkFailed { .. } => Self::Suspect {
-                kind: "unrecoverable",
-                msg: e.to_string(),
-            },
-            other => Self::Rejected {
-                kind: "invalid",
-                msg: other.to_string(),
-            },
-        }
-    }
-}
-
 impl Engine for GcdCluster<'_> {
     fn width(&self) -> usize {
         1
@@ -1204,7 +1161,7 @@ mod tests {
         cluster: &mut GcdCluster<'_>,
         src: u32,
         faults: &FaultConfig,
-    ) -> Result<ClusterRun, ClusterError> {
+    ) -> Result<ClusterRun, XbfsError> {
         cluster.run_with(src, faults, None)
     }
 
@@ -1328,7 +1285,7 @@ mod tests {
         let mut c = GcdCluster::new(&g, ClusterConfig::node_of_8(), LinkModel::frontier()).unwrap();
         assert_eq!(
             c.run(10).unwrap_err(),
-            ClusterError::SourceOutOfRange {
+            XbfsError::SourceOutOfRange {
                 source: 10,
                 num_vertices: 10
             }
@@ -1344,14 +1301,14 @@ mod tests {
         };
         assert!(matches!(
             GcdCluster::new(&g, cfg, LinkModel::frontier()),
-            Err(ClusterError::InvalidConfig(_))
+            Err(XbfsError::InvalidConfig(_))
         ));
         let empty = Csr::from_parts(vec![0], vec![]).unwrap();
         assert_eq!(
             GcdCluster::new(&empty, ClusterConfig::node_of_8(), LinkModel::frontier())
                 .err()
                 .unwrap(),
-            ClusterError::EmptyGraph
+            XbfsError::EmptyGraph
         );
     }
 
@@ -1421,7 +1378,7 @@ mod tests {
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::Degrade, 1);
         assert!(matches!(
             faulted(&mut cluster, 0, &faults),
-            Err(ClusterError::Unrecoverable { rank: 0, .. })
+            Err(XbfsError::Unrecoverable { rank: 0, .. })
         ));
     }
 
@@ -1458,7 +1415,7 @@ mod tests {
         let faults = fault_cfg("drop@0:0-1x9", RecoveryPolicy::PromoteSpare, 0);
         assert!(matches!(
             faulted(&mut cluster, 5, &faults),
-            Err(ClusterError::LinkFailed { src: 0, dst: 1, .. })
+            Err(XbfsError::LinkFailed { src: 0, dst: 1, .. })
         ));
     }
 
@@ -1505,7 +1462,7 @@ mod tests {
             .run_with(1, &FaultConfig::none(), Some(clean.total_ms / 100.0))
             .unwrap_err();
         match err {
-            ClusterError::DeadlineExceeded {
+            XbfsError::DeadlineExceeded {
                 level,
                 elapsed_us,
                 deadline_us,
@@ -1549,7 +1506,7 @@ mod tests {
             .run_with(1, &faults, Some(clean.total_ms * 0.2))
             .unwrap_err();
         assert!(
-            matches!(err, ClusterError::DeadlineExceeded { .. }),
+            matches!(err, XbfsError::DeadlineExceeded { .. }),
             "got {err:?}"
         );
     }

@@ -15,9 +15,10 @@
 //! * **bandwidth degradation windows** — levels during which every link
 //!   runs at a fraction of nominal bandwidth (a congested or faulty fabric).
 
-use crate::error::ClusterError;
 use crate::interconnect::LinkModel;
 use std::fmt;
+use xbfs_core::XbfsError;
+use xbfs_spec::SpecError;
 
 /// One scheduled fault.
 #[derive(Debug, Clone, PartialEq)]
@@ -84,7 +85,7 @@ impl FaultPlan {
     /// * `degrade@<from>-<to>:<factor>` — bandwidth × `factor` over the
     ///   inclusive level window,
     /// * `seed=<n>` — recorded seed.
-    pub fn parse(spec: &str) -> Result<Self, ClusterError> {
+    pub fn parse(spec: &str) -> Result<Self, SpecError> {
         // One shared tokenizer (`xbfs_spec`) across fault, bitflip and
         // chaos plans; only the fault vocabulary lives here.
         let mut plan = Self::none();
@@ -96,7 +97,7 @@ impl FaultPlan {
                     plan.seed = tok.num("seed", value)?;
                 }
                 xbfs_spec::Token::Assign { .. } => {
-                    return Err(tok.err("unknown assignment (expected seed=<n>)").into());
+                    return Err(tok.err("unknown assignment (expected seed=<n>)"));
                 }
                 xbfs_spec::Token::Item { kind, at, arg, .. } => {
                     let at = |what: &str| at.ok_or_else(|| tok.err(format!("expected {what}")));
@@ -136,10 +137,10 @@ impl FaultPlan {
                             let factor: f64 =
                                 tok.num("factor", arg("degrade@<from>-<to>:<factor>")?)?;
                             if !(factor > 0.0 && factor <= 1.0) {
-                                return Err(tok.err("factor must be in (0, 1]").into());
+                                return Err(tok.err("factor must be in (0, 1]"));
                             }
                             if from_level > to_level {
-                                return Err(tok.err("window start exceeds end").into());
+                                return Err(tok.err("window start exceeds end"));
                             }
                             plan.events.push(FaultEvent::Degrade {
                                 from_level,
@@ -148,9 +149,7 @@ impl FaultPlan {
                             });
                         }
                         _ => {
-                            return Err(tok
-                                .err("unknown fault kind (crash@/drop@/degrade@/seed=)")
-                                .into())
+                            return Err(tok.err("unknown fault kind (crash@/drop@/degrade@/seed=)"))
                         }
                     }
                 }
@@ -235,21 +234,21 @@ impl FaultPlan {
     }
 
     /// Check the plan fits a cluster of `num_gcds` ranks.
-    pub fn validate(&self, num_gcds: usize) -> Result<(), ClusterError> {
+    pub fn validate(&self, num_gcds: usize) -> Result<(), XbfsError> {
         for ev in &self.events {
             match *ev {
                 FaultEvent::GcdCrash { rank, .. } if rank >= num_gcds => {
-                    return Err(ClusterError::InvalidFaultPlan(format!(
+                    return Err(XbfsError::InvalidFaultPlan(format!(
                         "crash rank {rank} >= {num_gcds} GCDs"
                     )));
                 }
                 FaultEvent::LinkDrop { src, dst, .. } if src >= num_gcds || dst >= num_gcds => {
-                    return Err(ClusterError::InvalidFaultPlan(format!(
+                    return Err(XbfsError::InvalidFaultPlan(format!(
                         "drop route {src}-{dst} outside {num_gcds} GCDs"
                     )));
                 }
                 FaultEvent::LinkDrop { src, dst, .. } if src == dst => {
-                    return Err(ClusterError::InvalidFaultPlan(format!(
+                    return Err(XbfsError::InvalidFaultPlan(format!(
                         "drop route {src}-{dst} is a self-loop"
                     )));
                 }
@@ -432,11 +431,11 @@ fn resent(
     bytes: u64,
     bw_factor: f64,
     sends: u32,
-) -> Result<CollectiveCost, ClusterError> {
+) -> Result<CollectiveCost, XbfsError> {
     let drops = plan.drops_for(level, src, dst);
     if drops > MAX_RETRIES {
         let attempts = MAX_RETRIES + 1;
-        return Err(ClusterError::LinkFailed {
+        return Err(XbfsError::LinkFailed {
             level,
             src,
             dst,
@@ -462,7 +461,7 @@ pub fn faulty_alltoall(
     rank: usize,
     send: &[u64],
     recv: &[u64],
-) -> Result<CollectiveCost, ClusterError> {
+) -> Result<CollectiveCost, XbfsError> {
     let bw = plan.bandwidth_factor(level);
     let mut tx = CollectiveCost::default();
     let mut rx = CollectiveCost::default();
@@ -493,7 +492,7 @@ pub fn faulty_allgather(
     level: u32,
     num_ranks: usize,
     bytes: u64,
-) -> Result<CollectiveCost, ClusterError> {
+) -> Result<CollectiveCost, XbfsError> {
     if num_ranks <= 1 {
         return Ok(CollectiveCost::default());
     }
@@ -523,7 +522,7 @@ pub fn faulty_allreduce(
     level: u32,
     num_ranks: usize,
     bytes: u64,
-) -> Result<CollectiveCost, ClusterError> {
+) -> Result<CollectiveCost, XbfsError> {
     if num_ranks <= 1 {
         return Ok(CollectiveCost::default());
     }
@@ -571,7 +570,7 @@ mod tests {
             "seed=abc",
         ] {
             assert!(
-                matches!(FaultPlan::parse(spec), Err(ClusterError::FaultSpec(_))),
+                FaultPlan::parse(spec).is_err(),
                 "spec `{spec}` should fail to parse"
             );
         }
@@ -583,12 +582,12 @@ mod tests {
         assert!(plan.validate(8).is_ok());
         assert!(matches!(
             plan.validate(4),
-            Err(ClusterError::InvalidFaultPlan(_))
+            Err(XbfsError::InvalidFaultPlan(_))
         ));
         let drop = FaultPlan::parse("drop@0:1-1x1").unwrap();
         assert!(matches!(
             drop.validate(4),
-            Err(ClusterError::InvalidFaultPlan(_))
+            Err(XbfsError::InvalidFaultPlan(_))
         ));
     }
 
@@ -645,7 +644,7 @@ mod tests {
         let dead = FaultPlan::parse("drop@0:0-1x9").unwrap();
         assert!(matches!(
             faulty_alltoall(&link, &dead, 0, 0, &[0, 1], &[0, 0]),
-            Err(ClusterError::LinkFailed { .. })
+            Err(XbfsError::LinkFailed { .. })
         ));
     }
 

@@ -18,12 +18,13 @@
 //!   edge-ratio-vs-α rule as single-GCD XBFS,
 //! * [`faults`] — deterministic fault injection (GCD crashes, link drops,
 //!   bandwidth degradation), retry/backoff collectives, and the recovery
-//!   policies backing checkpoint/restart, and
-//! * [`error`] — the typed [`ClusterError`] every fallible operation
-//!   returns instead of panicking.
+//!   policies backing checkpoint/restart.
+//!
+//! Every fallible operation fails with [`xbfs_core::XbfsError`], the
+//! vocabulary of the single-GCD engines, instead of panicking; a
+//! malformed fault spec is an [`xbfs_spec::SpecError`].
 
 pub mod bfs;
-pub mod error;
 pub mod faults;
 pub mod interconnect;
 pub mod partition;
@@ -33,7 +34,6 @@ pub use bfs::{
     CheckpointStats, ClusterConfig, ClusterLevelStats, ClusterRun, CollectiveStats, GcdCluster,
     RankHealth, RecoveryReport,
 };
-pub use error::ClusterError;
 pub use faults::{FaultConfig, FaultEvent, FaultPlan, RecoveryPolicy};
 pub use interconnect::LinkModel;
 pub use partition::{Part, Partition};

@@ -42,9 +42,9 @@ use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use gcd_sim::Device;
+use xbfs_core::engine::check_source;
 use xbfs_core::{
     supervise, BitflipPlan, Engine, EngineError, Inject, MsBfs, RunRequest, Sabotage, Xbfs,
-    XbfsError,
 };
 use xbfs_graph::Csr;
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
@@ -243,13 +243,8 @@ fn triage(shared: &Shared, ticket: u64, job: Job, worker: usize) -> Option<Membe
     }
     // Validate the source up front: an engine rejects a whole run for one
     // bad source, and that member's error is not its neighbours'.
-    let n = shared.graph.num_vertices();
-    if mb.job.req.source as usize >= n {
-        let msg = XbfsError::SourceOutOfRange {
-            source: mb.job.req.source,
-            num_vertices: n,
-        }
-        .to_string();
+    if let Err(e) = check_source(mb.job.req.source, shared.graph.num_vertices()) {
+        let msg = e.to_string();
         return reject(&mb, "error", protocol::error_line(id, "invalid", &msg));
     }
     // Chaos is honored only when the server opted in; a production

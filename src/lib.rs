@@ -12,61 +12,16 @@ pub use xbfs_baselines;
 pub use xbfs_core;
 pub use xbfs_graph;
 
-use gcd_sim::{ArchProfile, Device, ExecMode};
-use xbfs_core::{BfsRun, Xbfs, XbfsConfig};
-use xbfs_graph::Csr;
-
-/// Run XBFS once on a fresh MI250X-GCD device with the given config —
-/// the one-liner most examples start from.
-///
-/// # Panics
-/// On an empty graph or out-of-range source; use [`xbfs_core::Xbfs`]
-/// directly for typed errors.
-pub fn run_xbfs(graph: &Csr, source: u32, cfg: XbfsConfig) -> BfsRun {
-    let device = Device::new(
-        ArchProfile::mi250x_gcd(),
-        ExecMode::Functional,
-        cfg.required_streams(),
-    );
-    // The engine can own its device outright (`Xbfs<Device>`).
-    let xbfs = Xbfs::new(device, graph, cfg).expect("device built to match config");
-    xbfs.run(source).expect("source must be in range")
-}
-
-/// Harmonic-mean GTEPS over several sources (the paper's "n-to-n" summary
-/// statistic: total edges over total time).
-pub fn n_to_n_gteps(graph: &Csr, sources: &[u32], cfg: XbfsConfig) -> f64 {
-    let device = Device::new(
-        ArchProfile::mi250x_gcd(),
-        ExecMode::Functional,
-        cfg.required_streams(),
-    );
-    let xbfs = Xbfs::new(&device, graph, cfg).expect("device built to match config");
-    let mut edges = 0u64;
-    let mut ms = 0.0f64;
-    for &s in sources {
-        let run = xbfs.run(s).expect("source must be in range");
-        edges += run.traversed_edges;
-        ms += run.total_ms;
-    }
-    if ms > 0.0 {
-        edges as f64 / (ms * 1e-3) / 1e9
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use xbfs_graph::generators::{rmat_graph, RmatParams};
+    use crate::gcd_sim::Device;
+    use crate::xbfs_core::{Xbfs, XbfsConfig};
+    use crate::xbfs_graph::generators::{rmat_graph, RmatParams};
 
     #[test]
     fn facade_runs() {
         let g = rmat_graph(RmatParams::graph500(9), 1);
-        let run = run_xbfs(&g, 0, XbfsConfig::default());
-        assert_eq!(run.levels[0], 0);
-        let gteps = n_to_n_gteps(&g, &[0, 5, 9], XbfsConfig::default());
-        assert!(gteps > 0.0);
+        let xbfs = Xbfs::new(Device::mi250x(), &g, XbfsConfig::default()).unwrap();
+        assert_eq!(xbfs.run(0).unwrap().levels[0], 0);
     }
 }
