@@ -181,7 +181,7 @@ const COMMANDS: &[Command] = &[
         name: "cluster",
         synopsis: "FILE [--gcds N] [--source N] [--alpha F] [--push-only]
             [--inject-faults SPEC|random[:SEED]] [--checkpoint-every N]
-            [--recovery spare|degrade] [--validate] [--json FILE] [--trace FMT:PATH]",
+            [--recovery spare|degrade] [--validate] [--trace FMT:PATH]",
         about: "distributed BFS across simulated GCDs, optionally under faults;
             SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
             degrade@FROM-TO:FACTOR, seed=N",
@@ -570,24 +570,12 @@ fn parse_bitflip_plan(args: &Args) -> Result<Option<BitflipPlan>, CliError> {
     }
 }
 
-/// Write an exporter's side file (`what` names it) and append a note to
-/// `out`. Never fails: the file is a rendering of an already-finished run,
-/// and a full disk or a bad path must not turn a successful run into a
-/// nonzero exit.
-fn write_export(out: &mut String, what: &str, path: &str, rendered: &str) {
-    match std::fs::write(path, rendered) {
-        Ok(()) => out.push_str(&format!("{what} written to {path}\n")),
-        Err(e) => {
-            eprintln!("warning: cannot write {what} {path}: {e}; run results unaffected");
-            out.push_str(&format!("{what} NOT written ({path}: {e})\n"));
-        }
-    }
-}
-
 /// Deliver a rendered trace to `--trace`'s target, if one was given. Path
 /// `-` replaces the whole command output with the rendered trace (pure
-/// JSON/CSV on stdout, pipeable); any other path is a side file
-/// ([`write_export`]).
+/// JSON/CSV on stdout, pipeable); any other path is a side file whose
+/// write never fails the command: the trace renders an already-finished
+/// run, and a full disk or a bad path must not turn a successful run into
+/// a nonzero exit.
 fn emit_trace(
     out: &mut String,
     target: Option<(TraceFormat, String)>,
@@ -599,7 +587,14 @@ fn emit_trace(
     if path == "-" {
         return Some(rendered);
     }
-    write_export(out, &format!("{} trace", sink.name()), &path, &rendered);
+    let what = format!("{} trace", sink.name());
+    match std::fs::write(&path, rendered) {
+        Ok(()) => out.push_str(&format!("{what} written to {path}\n")),
+        Err(e) => {
+            eprintln!("warning: cannot write {what} {path}: {e}; run results unaffected");
+            out.push_str(&format!("{what} NOT written ({path}: {e})\n"));
+        }
+    }
     None
 }
 
@@ -654,7 +649,7 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     let sab = plan.as_ref().map(|plan| Sabotage { plan, salt: 0 });
     // Sabotage, deadline budget and certification compose; a blown
     // budget maps to exit code 8.
-    let (run, cert) = xbfs.run_with(source, sab.as_ref(), deadline_ms, verify)?;
+    let (run, cert, _) = xbfs.run_with(source, sab.as_ref(), deadline_ms, verify)?;
     let mut out = cert.map_or(String::new(), |cert| {
         format!(
             "certified: {} vertices reached, depth {}, levels checksum {:#018x}\n",
@@ -781,9 +776,6 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         let cert =
             xbfs_graph::certify_levels(g.offsets(), g.adjacency(), &[source], &[&run.levels]);
         out += &validated("BFS levels", cert)?;
-    }
-    if let Some(json_path) = args.options.get("json") {
-        write_export(&mut out, "run record", json_path, &run.to_json());
     }
     Ok(emit_trace(&mut out, trace_opt, &trace).unwrap_or(out))
 }

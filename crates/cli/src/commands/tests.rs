@@ -19,6 +19,17 @@ fn tmp(name: &str) -> String {
     dir.join(name).to_string_lossy().into_owned()
 }
 
+/// Attribute `key` of every span named `name` in a `--trace json:` file.
+fn span_attrs(trace: &str, name: &str, key: &str) -> Vec<JsonValue> {
+    let doc = JsonValue::parse(&std::fs::read_to_string(trace).unwrap()).unwrap();
+    let spans = doc.get("spans").and_then(JsonValue::as_arr).unwrap();
+    spans
+        .iter()
+        .filter(|s| s.get("name").and_then(JsonValue::as_str) == Some(name))
+        .filter_map(|s| s.get("attrs")?.get(key).cloned())
+        .collect()
+}
+
 #[test]
 fn generate_info_bfs_round_trip() {
     let path = tmp("g1.bin");
@@ -129,19 +140,16 @@ fn flags_never_consume_the_next_word() {
     assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
 }
 
-/// The two records the CLI writes itself stay JSON on their worst
-/// input: a non-finite `--alpha`, and a path no `{:?}` escapes right.
+/// A cluster trace and the sweep record stay JSON on their worst input:
+/// a non-finite `--alpha`, and a path no `{:?}` escapes right.
 #[test]
 fn json_records_survive_hostile_values() {
     let path = tmp("g4 \"quoted\" \u{7f}.bin");
     run(&["generate", "--out", &path, "--scale", "8"]).unwrap();
     let json = tmp("g4_hostile.json");
-    run(&["cluster", &path, "--alpha", "inf", "--json", &json]).unwrap();
-    let doc = JsonValue::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
-    assert_eq!(
-        doc.get("config").and_then(|c| c.get("alpha")),
-        Some(&JsonValue::Null)
-    );
+    let trace = format!("json:{json}");
+    run(&["cluster", &path, "--alpha", "inf", "--trace", &trace]).unwrap();
+    assert_eq!(span_attrs(&json, "run", "alpha"), [JsonValue::Null]);
     run(&["sweep", &path, "--sources", "2", "--json", &json]).unwrap();
     let doc = JsonValue::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
     let written = doc.get("graph").and_then(|g| g.get("path"));
@@ -404,18 +412,16 @@ fn cluster_crash_demo_recovers_and_exports() {
     run(&["generate", "--out", &path, "--scale", "11"]).unwrap();
     let json = tmp("g6.json");
     let crash = "--inject-faults crash@2:rank1 --checkpoint-every 1 --recovery spare";
-    let out = cli(&format!(
-        "cluster {path} --gcds 4 --source 1 {crash} --validate --json {json}"
-    ))
-    .unwrap();
+    let cmd = format!("cluster {path} --gcds 4 --source 1 {crash} --validate");
+    let out = cli(&format!("{cmd} --trace json:{json}")).unwrap();
     assert!(out.contains("recovery: rank 1 died at level 2"), "{out}");
     assert!(out.contains("VALID"), "{out}");
-    let record = std::fs::read_to_string(&json).unwrap();
-    assert!(record.contains("crash@2:rank1"), "{record}");
-    assert!(
-        record.contains(r#""level_stats":[{"level":0,"attempt":0,"#),
-        "{record}"
-    );
+    let plan = span_attrs(&json, "run", "fault_plan");
+    assert_eq!(plan[0].as_str(), Some("crash@2:rank1"));
+    assert!(!span_attrs(&json, "level", "attempt").is_empty());
+    // The trace is the run's one machine record.
+    let err = cli(&format!("{cmd} --json {json}")).unwrap_err();
+    assert_eq!(err.code, exit_code::USAGE, "{}", err.message);
 }
 
 #[test]
@@ -728,10 +734,10 @@ fn exporters_never_abort_a_finished_run() {
     let out = run(&["bfs", &path, "--trace", "json:/nonexistent-dir/t.json"]).unwrap();
     assert!(out.contains("GTEPS"), "{out}");
     assert!(out.contains("trace NOT written"), "{out}");
-    let json = "/nonexistent-dir/r.json";
-    let out = run(&["cluster", &path, "--gcds", "2", "--json", json]).unwrap();
+    let trace = "json:/nonexistent-dir/r.json";
+    let out = run(&["cluster", &path, "--gcds", "2", "--trace", trace]).unwrap();
     assert!(out.contains("GTEPS per GCD"), "{out}");
-    assert!(out.contains("run record NOT written"), "{out}");
+    assert!(out.contains("trace NOT written"), "{out}");
 }
 
 /// A free loopback address: bind, read the port, release it, and hand it

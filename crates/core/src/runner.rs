@@ -125,20 +125,10 @@ impl<D: Borrow<Device>> Xbfs<D> {
     ///   [`XbfsError::Integrity`]. With `verify` off the certificate is
     ///   `None`. Either way the run itself is the exact hot path
     ///   [`Xbfs::run`] executes.
+    ///
+    /// The third field is the wall ms the verified pipeline spent after
+    /// the traversal (0 unverified).
     pub fn run_with(
-        &self,
-        source: u32,
-        sabotage: Option<&Sabotage<'_>>,
-        deadline_ms: Option<f64>,
-        verify: bool,
-    ) -> Result<(BfsRun, Option<Certificate>), XbfsError> {
-        self.run_timed(source, sabotage, deadline_ms, verify)
-            .map(|(run, cert, _)| (run, cert))
-    }
-
-    /// [`Xbfs::run_with`] plus the wall ms the verified pipeline spent
-    /// after the traversal (0 unverified).
-    fn run_timed(
         &self,
         source: u32,
         sabotage: Option<&Sabotage<'_>>,
@@ -488,7 +478,7 @@ impl<D: Borrow<Device>> Engine for Xbfs<D> {
             }
         };
         let (run, cert, certify_wall_ms) =
-            self.run_timed(source, sabotage, req.deadline_ms, req.verify)?;
+            self.run_with(source, sabotage, req.deadline_ms, req.verify)?;
         Ok(RunOutcome {
             slots: vec![run.answer()],
             total_ms: run.total_ms,
@@ -666,7 +656,7 @@ mod tests {
     /// `run_with` under a deadline only (no sabotage or verify).
     fn run_until(xbfs: &Xbfs<&Device>, source: u32, ms: f64) -> Result<BfsRun, XbfsError> {
         xbfs.run_with(source, None, Some(ms), false)
-            .map(|(run, _)| run)
+            .map(|(run, ..)| run)
     }
 
     #[test]
@@ -714,10 +704,10 @@ mod tests {
         let g = erdos_renyi(2000, 8000, 5);
         let dev = Device::mi250x();
         let xbfs = Xbfs::new(&dev, &g, XbfsConfig::default()).unwrap();
-        let (run, cert) = xbfs.run_with(0, None, Some(1e9), true).unwrap();
+        let (run, cert, _) = xbfs.run_with(0, None, Some(1e9), true).unwrap();
         assert!(cert.is_some(), "verify=true must yield a certificate");
         assert_eq!(run.levels, bfs_levels_serial(&g, 0));
-        let (fast, no_cert) = xbfs.run_with(0, None, None, false).unwrap();
+        let (fast, no_cert, _) = xbfs.run_with(0, None, None, false).unwrap();
         assert!(no_cert.is_none());
         assert_eq!(fast.digest(), run.digest());
         let err = xbfs.run_with(0, None, Some(1e-6), true).unwrap_err();

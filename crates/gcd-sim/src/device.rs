@@ -170,21 +170,26 @@ pub struct PoolGauges {
     pub limit_bytes: Option<u64>,
 }
 
+/// What launches, copies and syncs advance, under one lock.
+struct Timeline {
+    /// Per-stream elapsed time cursors, microseconds.
+    streams: Vec<f64>,
+    /// Streams that received work since the last sync.
+    dirty: Vec<bool>,
+    reports: Vec<KernelReport>,
+    phase: String,
+}
+
 /// A simulated GPU (one MI250X GCD by default).
 pub struct Device {
     arch: ArchProfile,
     mode: ExecMode,
     compiler: Compiler,
     /// The shared L2, built only in timing mode: functional mode never
-    /// consults it.
+    /// consults it. No thread holds it and the timeline at once.
     l2: Option<Mutex<L2Model>>,
     next_addr: AtomicU64,
-    /// Per-stream elapsed time cursors, microseconds.
-    streams: Mutex<Vec<f64>>,
-    /// Streams that received work since the last sync.
-    dirty: Mutex<Vec<bool>>,
-    reports: Mutex<Vec<KernelReport>>,
-    phase: Mutex<String>,
+    timeline: Mutex<Timeline>,
     /// Free lists of released buffers, keyed by exact element count.
     /// Pool-acquired buffers keep their previous contents *and address*, so
     /// repeat runs see an identical memory layout.
@@ -216,10 +221,12 @@ impl Device {
             compiler: Compiler::ClangO3,
             l2,
             next_addr: AtomicU64::new(0),
-            streams: Mutex::new(vec![0.0; num_streams]),
-            dirty: Mutex::new(vec![false; num_streams]),
-            reports: Mutex::new(Vec::new()),
-            phase: Mutex::new(String::new()),
+            timeline: Mutex::new(Timeline {
+                streams: vec![0.0; num_streams],
+                dirty: vec![false; num_streams],
+                reports: Vec::new(),
+                phase: String::new(),
+            }),
             pool_u32: Mutex::new(HashMap::new()),
             pool_u64: Mutex::new(HashMap::new()),
             pool_hits: AtomicU64::new(0),
@@ -259,12 +266,12 @@ impl Device {
 
     /// Tag subsequent kernel reports with a phase label (e.g. `"level 3"`).
     pub fn set_phase(&self, phase: impl Into<String>) {
-        *lock(&self.phase) = phase.into();
+        lock(&self.timeline).phase = phase.into();
     }
 
     /// Number of streams.
     pub fn num_streams(&self) -> usize {
-        lock(&self.streams).len()
+        lock(&self.timeline).streams.len()
     }
 
     // ---- allocation ----
@@ -539,37 +546,35 @@ impl Device {
     /// Charge a host↔device copy of `bytes` on `stream`.
     pub fn charge_transfer(&self, stream: usize, bytes: u64) {
         let cost = self.arch.h2d_latency_us + bytes as f64 / (self.arch.h2d_bw_gbps * 1e3);
-        let mut s = lock(&self.streams);
-        s[stream] += cost;
-        lock(&self.dirty)[stream] = true;
+        let mut t = lock(&self.timeline);
+        t.streams[stream] += cost;
+        t.dirty[stream] = true;
     }
 
     /// Device synchronization: all stream cursors join at the max, plus a
     /// per-dirty-stream sync cost. This is the §IV-B effect: with three
     /// streams HIP pays the (large, on AMD) sync cost three times per level.
     pub fn sync(&self) -> f64 {
-        let mut s = lock(&self.streams);
-        let mut d = lock(&self.dirty);
-        let dirty_count = d.iter().filter(|&&x| x).count().max(1);
-        let t = s.iter().cloned().fold(0.0f64, f64::max) + self.arch.sync_us * dirty_count as f64;
-        for x in s.iter_mut() {
-            *x = t;
-        }
-        d.fill(false);
+        let Timeline { streams, dirty, .. } = &mut *lock(&self.timeline);
+        let dirty_count = dirty.iter().filter(|&&x| x).count().max(1);
+        let t =
+            streams.iter().cloned().fold(0.0f64, f64::max) + self.arch.sync_us * dirty_count as f64;
+        streams.fill(t);
+        dirty.fill(false);
         t
     }
 
     /// Current modeled elapsed time (max over streams), microseconds.
     pub fn elapsed_us(&self) -> f64 {
-        lock(&self.streams).iter().cloned().fold(0.0, f64::max)
+        let t = lock(&self.timeline);
+        t.streams.iter().cloned().fold(0.0, f64::max)
     }
 
     /// Advance every stream cursor to at least `us` — used by multi-device
     /// simulations to model barriers/communication completing at a common
     /// global time.
     pub fn advance_to(&self, us: f64) {
-        let mut s = lock(&self.streams);
-        for t in s.iter_mut() {
+        for t in &mut lock(&self.timeline).streams {
             *t = t.max(us);
         }
     }
@@ -578,17 +583,18 @@ impl Device {
     /// (start of a measured run): a long-lived engine that never reads
     /// its reports must not accumulate them run after run.
     pub fn reset_timeline(&self) {
-        lock(&self.streams).fill(0.0);
-        lock(&self.dirty).fill(false);
-        lock(&self.reports).clear();
         if let Some(l2) = &self.l2 {
             lock(l2).invalidate();
         }
+        let mut t = lock(&self.timeline);
+        t.streams.fill(0.0);
+        t.dirty.fill(false);
+        t.reports.clear();
     }
 
     /// Drain recorded kernel reports.
     pub fn take_reports(&self) -> Vec<KernelReport> {
-        std::mem::take(&mut lock(&self.reports))
+        std::mem::take(&mut lock(&self.timeline).reports)
     }
 
     // ---- kernel launch ----
@@ -611,10 +617,11 @@ impl Device {
         stats: WaveStats,
         lds: Option<(usize, usize)>,
     ) -> KernelReport {
-        let report = self.cost_model(cfg, stats, lds);
-        lock(&self.streams)[stream] += report.runtime_ms * 1000.0;
-        lock(&self.dirty)[stream] = true;
-        lock(&self.reports).push(report.clone());
+        let mut t = lock(&self.timeline);
+        let report = self.cost_model(cfg, stats, lds, t.phase.clone());
+        t.streams[stream] += report.runtime_ms * 1000.0;
+        t.dirty[stream] = true;
+        t.reports.push(report.clone());
         report
     }
 
@@ -711,20 +718,22 @@ impl Device {
             body(&mut ctx);
             stats.merge(&ctx.stats);
         }
+        drop(l2);
         let lcfg = LaunchCfg::new(cfg.name, cfg.groups * cfg.waves_per_group * width)
             .with_registers(cfg.registers_per_thread);
         let lds_use = Some((cfg.lds_bytes, cfg.waves_per_group));
         self.finish_launch(stream, &lcfg, stats, lds_use)
     }
 
-    /// Convert raw counters into a rocprof-style report. `lds` carries
-    /// `(lds_bytes_per_group, waves_per_group)` for workgroup launches,
-    /// whose occupancy LDS usage can additionally cap.
+    /// Convert raw counters into a rocprof-style report tagged `phase`.
+    /// `lds` carries `(lds_bytes_per_group, waves_per_group)` for
+    /// workgroup launches, whose occupancy LDS usage can additionally cap.
     fn cost_model(
         &self,
         cfg: &LaunchCfg,
         stats: WaveStats,
         lds: Option<(usize, usize)>,
+        phase: String,
     ) -> KernelReport {
         let a = &self.arch;
         let cm = self.compiler.model();
@@ -777,7 +786,7 @@ impl Device {
 
         KernelReport {
             name: cfg.name.to_string(),
-            phase: lock(&self.phase).clone(),
+            phase,
             runtime_ms: runtime_us / 1000.0,
             l2_hit_pct,
             mem_busy_pct,

@@ -44,7 +44,7 @@ use xbfs_core::engine::{check_deadline, check_source, validate_levels};
 use xbfs_core::{Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer, XbfsError};
 use xbfs_graph::reference::traversed_edges;
 use xbfs_graph::{Csr, VertexId};
-use xbfs_telemetry::{attrs, json, names, Recorder, SpanId, Trace};
+use xbfs_telemetry::{attrs, names, Recorder, SpanId, Trace};
 
 /// Not-yet-visited marker, shared with single-GCD XBFS.
 pub use xbfs_graph::UNVISITED;
@@ -133,8 +133,7 @@ pub struct ClusterLevelStats {
     /// Fleet clock when the level started, µs. Stored, like every
     /// instant below, because recovery rewinds the level counter and a
     /// round trip through `time_ms` does not give the same bits back;
-    /// [`GcdCluster::trace_of`] draws its spans from these. None of them
-    /// is part of [`ClusterRun::to_json`].
+    /// [`GcdCluster::trace_of`] draws its spans from these.
     pub start_us: f64,
     /// Fleet clock when the level ended, µs.
     pub end_us: f64,
@@ -250,59 +249,6 @@ impl ClusterRun {
             gteps: self.gteps,
             digest: self.result_digest(),
         }
-    }
-
-    /// Serialize the run (config, seed, fault plan, recoveries, per-level
-    /// stats) as a JSON object. Together with the graph, the `config`,
-    /// `seed` and `fault_plan` fields reproduce the run exactly.
-    pub fn to_json(&self) -> String {
-        json::object(|o| {
-            o.key("source").int(self.source);
-            o.key("config").obj(|c| {
-                c.key("num_gcds").int(self.config.num_gcds);
-                c.key("alpha").f64(self.config.alpha);
-                c.key("push_only").bool(self.config.push_only);
-            });
-            o.key("seed").int(self.fault_plan.seed);
-            o.key("fault_plan").str(self.fault_plan.to_spec());
-            o.key("total_ms").fixed(self.total_ms, 6);
-            o.key("traversed_edges").int(self.traversed_edges);
-            o.key("gteps").fixed(self.gteps, 6);
-            o.key("gteps_per_gcd").fixed(self.gteps_per_gcd, 6);
-            let deepest = self.level_stats.iter().map(|l| l.level).max();
-            o.key("depth").int(deepest.map_or(0, |l| l + 1));
-            o.key("recoveries").arr(|recoveries| {
-                for r in &self.recoveries {
-                    recoveries.item().obj(|o| {
-                        o.key("detected_level").int(r.detected_level);
-                        o.key("dead_rank").int(r.dead_rank);
-                        o.key("policy").str(r.policy);
-                        o.key("restored_level").int(r.restored_level);
-                        o.key("gcds_after").int(r.gcds_after);
-                        o.key("overhead_ms").fixed(r.overhead_ms, 6);
-                    });
-                }
-            });
-            o.key("level_stats").arr(|levels| {
-                for l in &self.level_stats {
-                    levels.item().obj(|o| {
-                        o.key("level").int(l.level);
-                        o.key("attempt").int(l.attempt);
-                        o.key("bottom_up").bool(l.bottom_up);
-                        o.key("frontier_count").int(l.frontier_count);
-                        o.key("frontier_edges").int(l.frontier_edges);
-                        o.key("exchanged_bytes").int(l.exchanged_bytes);
-                        o.key("retransmitted_bytes").int(l.retransmitted_bytes);
-                        o.key("retry_ms").fixed(l.retry_ms, 6);
-                        o.key("recovery_ms").fixed(l.recovery_ms, 6);
-                        o.key("checkpointed").bool(l.checkpointed());
-                        o.key("expand_ms").fixed(l.expand_ms, 6);
-                        o.key("exchange_ms").fixed(l.exchange_ms, 6);
-                        o.key("time_ms").fixed(l.time_ms, 6);
-                    });
-                }
-            });
-        })
     }
 }
 
@@ -1580,8 +1526,12 @@ mod tests {
         assert_eq!(healed.result_digest(), single.result_digest());
     }
 
+    /// A run's one machine record is its trace: the run span's
+    /// `fault_plan`, read back from the `json:` rendering, reproduces the
+    /// run exactly, and the document stays JSON on its worst input.
     #[test]
     fn run_exports_reproducibility_record() {
+        use xbfs_telemetry::{JsonValue, TraceFormat};
         let g = erdos_renyi(300, 1500, 7);
         let cfg = ClusterConfig {
             num_gcds: 2,
@@ -1593,26 +1543,32 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = faulted(&mut cluster, 3, &faults).unwrap();
-        assert_eq!(run.fault_plan.seed, 9);
         assert_eq!(run.fault_plan, faults.plan);
-        let json = run.to_json();
-        assert!(json.contains("\"seed\":9"));
-        assert!(json.contains("drop@0:0-1x1"));
-        assert!(json.contains("\"level_stats\":["));
-        // The record stays JSON on its worst input: `null`, not `inf`.
+        let run_attrs = |run: &ClusterRun| {
+            let rendered = TraceFormat::Json.sink().export(&cluster.trace_of(run));
+            let doc = JsonValue::parse(&rendered).expect("valid JSON");
+            let spans = doc.get("spans").and_then(JsonValue::as_arr).unwrap();
+            let span = spans
+                .iter()
+                .find(|s| s.get("name").and_then(JsonValue::as_str) == Some(names::span::RUN))
+                .expect("a run span");
+            span.get("attrs").cloned().unwrap()
+        };
+        let attrs = run_attrs(&run);
+        let spec = attrs.get("fault_plan").and_then(JsonValue::as_str);
+        assert_eq!(spec, Some("seed=9,drop@0:0-1x1"));
+        // `null`, not `inf`.
         let mut hostile = run.clone();
         hostile.config.alpha = f64::INFINITY;
-        let doc = xbfs_telemetry::JsonValue::parse(&hostile.to_json()).expect("valid JSON");
-        let alpha = doc.get("config").and_then(|c| c.get("alpha"));
-        assert_eq!(alpha, Some(&xbfs_telemetry::JsonValue::Null));
+        assert_eq!(run_attrs(&hostile).get("alpha"), Some(&JsonValue::Null));
         // The recorded plan reproduces the run exactly.
         let mut again = GcdCluster::new(&g, run.config, LinkModel::frontier()).unwrap();
         let replayed = FaultConfig {
-            plan: FaultPlan::parse(&run.fault_plan.to_spec()).unwrap(),
+            plan: FaultPlan::parse(spec.unwrap()).unwrap(),
             ..FaultConfig::default()
         };
         let rerun = faulted(&mut again, run.source, &replayed).unwrap();
         assert_eq!(rerun.levels, run.levels);
-        assert_eq!(rerun.total_ms, run.total_ms);
+        assert_eq!(rerun.total_ms.to_bits(), run.total_ms.to_bits());
     }
 }

@@ -159,7 +159,7 @@ impl FaultPlan {
     }
 
     /// Render the plan back to the spec syntax [`FaultPlan::parse`] accepts
-    /// (round-trips, used by the JSON export).
+    /// (round-trips; a cluster trace's run span carries it as `fault_plan`).
     pub fn to_spec(&self) -> String {
         let mut parts: Vec<String> = Vec::with_capacity(self.events.len() + 1);
         if self.seed != 0 {

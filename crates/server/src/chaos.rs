@@ -28,6 +28,7 @@
 //! kinds fire on the same index is crash > panic > bitflip > slow, so a
 //! single request carries exactly one action.
 
+use xbfs_multi_gcd::{FaultEvent, FaultPlan};
 use xbfs_spec::{tokenize, SpecError, Token};
 
 /// What one request is asked to suffer.
@@ -70,30 +71,24 @@ impl ChaosAction {
         match tok {
             "panic" => Ok(Self::Panic),
             "bitflip" => Ok(Self::Bitflip),
+            "slow" => Ok(Self::Slow(50)),
             other => match other.strip_prefix("slow@") {
                 Some(ms) => ms
                     .parse::<u64>()
                     .map(Self::Slow)
                     .map_err(|_| format!("bad slow duration in chaos token `{other}`")),
-                None if other == "slow" => Ok(Self::Slow(50)),
-                None => match other.strip_prefix("crash@") {
-                    // The wire token reuses the fault-plan grammar:
-                    // `crash@<level>:rank<r>`.
-                    Some(rest) => {
-                        let (level, rank) = rest.split_once(":rank").ok_or_else(|| {
-                            format!("expected crash@<level>:rank<r>, got `{other}`")
-                        })?;
-                        Ok(Self::Crash {
-                            level: level
-                                .parse::<u32>()
-                                .map_err(|_| format!("bad crash level in chaos token `{other}`"))?,
-                            rank: rank
-                                .parse::<usize>()
-                                .map_err(|_| format!("bad crash rank in chaos token `{other}`"))?,
-                        })
+                // Anything else must be a fault plan of exactly one crash
+                // and no seed: `crash@<level>:rank<r>`.
+                None => {
+                    let plan = FaultPlan::parse(other)
+                        .map_err(|e| format!("unknown chaos token `{other}`: {e}"))?;
+                    match (plan.seed, &plan.events[..]) {
+                        (0, &[FaultEvent::GcdCrash { rank, level }]) => {
+                            Ok(Self::Crash { level, rank })
+                        }
+                        _ => Err(format!("chaos token `{other}` is not a single crash")),
                     }
-                    None => Err(format!("unknown chaos token `{other}`")),
-                },
+                }
             },
         }
     }
@@ -303,6 +298,16 @@ mod tests {
             assert_eq!(ChaosAction::from_token(&tok).unwrap(), a);
         }
         assert!(ChaosAction::from_token("meltdown").is_err());
+        // A crash token is the fault-plan grammar's single crash, nothing more.
+        for refused in [
+            "drop@0:0-1x1",
+            "degrade@1-2:0.5",
+            "crash@1:rank0,seed=3",
+            "crash@1:rank0,crash@2:rank1",
+            "crash@x:rank1",
+        ] {
+            assert!(ChaosAction::from_token(refused).is_err(), "{refused}");
+        }
         assert_eq!(ChaosAction::None.token(), None);
     }
 }

@@ -18,7 +18,7 @@ fn verified_levels(g: &Csr, src: u32) -> Vec<u32> {
     };
     let xbfs = Xbfs::new(&dev, g, cfg).unwrap();
     // Certify degenerate runs too: the validator must accept them.
-    let (run, cert) = xbfs.run_with(src, None, None, true).unwrap();
+    let (run, cert, _) = xbfs.run_with(src, None, None, true).unwrap();
     assert!(cert.is_some());
     run.levels
 }

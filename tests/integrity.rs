@@ -42,7 +42,7 @@ fn certified(
     source: u32,
     sabotage: Option<&Sabotage<'_>>,
 ) -> Result<(BfsRun, Certificate), XbfsError> {
-    let (run, cert) = xbfs.run_with(source, sabotage, None, true)?;
+    let (run, cert, _) = xbfs.run_with(source, sabotage, None, true)?;
     Ok((run, cert.expect("verify yields a certificate")))
 }
 

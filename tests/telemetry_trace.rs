@@ -46,7 +46,7 @@ fn traced_single_gcd_run_covers_every_level_and_matches_untraced() {
 
     let dev2 = Device::mi250x();
     let xbfs2 = Xbfs::new(&dev2, &g, XbfsConfig::default()).unwrap();
-    let (traced, _) = xbfs2.run_with(0, None, None, false).unwrap();
+    let (traced, ..) = xbfs2.run_with(0, None, None, false).unwrap();
     let trace = xbfs2.trace_of(&traced);
 
     // The run a trace is rendered from is the run everyone else gets.
@@ -233,15 +233,15 @@ fn trace_of_is_a_pure_function_of_the_record() {
     assert_eq!(cluster.trace_of(&run), trace);
 }
 
-/// FNV-1a digests of a cluster run's record (`to_json`), its `json:`
-/// trace and the rank health it left behind.
-fn cluster_digests(cfg: ClusterConfig, faults: &FaultConfig) -> [u64; 3] {
+/// FNV-1a digests of a cluster run's `json:` trace and the rank health
+/// it left behind.
+fn cluster_digests(cfg: ClusterConfig, faults: &FaultConfig) -> [u64; 2] {
     let g = small_rmat();
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
     let run = cluster.run_with(0, faults, None).unwrap();
     let trace = TraceFormat::Json.sink().export(&cluster.trace_of(&run));
     let health = format!("{:?}", cluster.take_health());
-    [run.to_json(), trace, health].map(|s| fnv1a(s.bytes().map(u64::from)))
+    [trace, health].map(|s| fnv1a(s.bytes().map(u64::from)))
 }
 
 #[test]
@@ -269,12 +269,12 @@ fn cluster_record_trace_and_health_match_golden() {
         ("8 ranks", with(8, false), FaultConfig::none()),
     ];
     let golden = [
-        [0x0b41ea6e56232a7b, 0x4a345acd14fb0ec3, 0xdbad961f540065a9],
-        [0x9d3d8dc14cf17701, 0xd5504ab1de4db2ea, 0x2016c66c986dbcdf],
-        [0xe5238162d0c23b67, 0x2923d84339992f19, 0x984cc15a50caecf9],
-        [0xb114c1802f309723, 0xc406fcf74fd12458, 0xdbad961f540065a9],
-        [0x6380dd28afce0897, 0x64a0cbb1c37c314e, 0xd7db42bb6e776b65],
-        [0xbdc836c8179e453c, 0x987e58403edeb6cf, 0x6f6a53e967787571],
+        [0x4a345acd14fb0ec3, 0xdbad961f540065a9],
+        [0xd5504ab1de4db2ea, 0x2016c66c986dbcdf],
+        [0x2923d84339992f19, 0x984cc15a50caecf9],
+        [0xc406fcf74fd12458, 0xdbad961f540065a9],
+        [0x64a0cbb1c37c314e, 0xd7db42bb6e776b65],
+        [0x987e58403edeb6cf, 0x6f6a53e967787571],
     ];
     for ((name, cfg, faults), golden) in cases.into_iter().zip(golden) {
         assert_eq!(cluster_digests(cfg, &faults), golden, "{name}");
