@@ -357,10 +357,12 @@ impl<D: Borrow<Device>> MsBfs<D> {
         }
 
         let total_ms = device.elapsed_us() / 1000.0;
-        // One pass per slot: decode each level and sum the reached degrees.
-        let mut slot_edges = Vec::with_capacity(level_of.len());
-        let levels: Vec<Vec<u32>> = level_of
-            .iter()
+        // One pass per slot: decode each level and sum the reached degrees,
+        // reading the synced buffers as plain values.
+        let degrees = &graph.host_degrees;
+        let mut slot_edges = Vec::with_capacity(sources.len());
+        let levels: Vec<Vec<u32>> = inner.level_of[..sources.len()]
+            .iter_mut()
             .map(|b| {
                 let mut edges = 0u64;
                 let decode = |(raw, &d): (u32, &u32)| {
@@ -368,7 +370,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
                     edges += u64::from(d) * u64::from(level != UNVISITED);
                     level
                 };
-                let levels = b.iter().zip(&graph.host_degrees).map(decode).collect();
+                let levels = b.host_values().zip(degrees).map(decode).collect();
                 slot_edges.push(edges);
                 levels
             })

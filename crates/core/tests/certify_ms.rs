@@ -1,7 +1,11 @@
 //! `certify_levels` against the model it replaced.
 //!
-//! The batched certificate validates eight slots at a time on
-//! vertex-major rows (see its doc comment). What it must accept and
+//! The batched certificate validates up to 64 slots at a time, one byte
+//! lane each, on vertex-major rows, and falls back to `u32` lanes for a
+//! block with a level the bytes cannot hold (see its module docs). The
+//! mutations that move a level by a multiple of 256 or onto the byte
+//! values 254 and 255, and the deep path beside an R-MAT graph, are
+//! there for that narrowing. What it must accept and
 //! reject is defined by the formulation it had before: every (edge, slot)
 //! pair checked on its own, kept here as [`certify_ms_reference`]. The two
 //! must agree on accept/reject for any input and on the certificates when
@@ -11,15 +15,17 @@
 //! the class is compared.
 
 use gcd_sim::splitmix64;
-use xbfs_core::{levels_digest, CertViolation, Certificate, MsBfsRun, MAX_CONCURRENT, UNVISITED};
+use xbfs_core::{levels_digest, CertViolation, Certificate, MsBfsRun, UNVISITED};
 use xbfs_graph::builder::{BuildOptions, CsrBuilder};
 use xbfs_graph::generators::{erdos_renyi, rmat_graph, RmatParams};
 use xbfs_graph::reference::bfs_levels_serial;
+use xbfs_graph::stats::pick_sources;
 use xbfs_graph::{certify_levels, Csr};
 
 /// The per-(edge, slot) certificate, as the batched certificate was
 /// written until the row formulation: one pass over every edge with `2·W`
-/// scalar loads each, predecessor marks in a 64-bit mask per vertex.
+/// scalar loads each, predecessor marks in a bit mask per vertex (128
+/// bits here, so a batch one wider than the engine's fits).
 fn certify_ms_reference(
     offsets: &[u64],
     adjacency: &[u32],
@@ -27,7 +33,7 @@ fn certify_ms_reference(
 ) -> Result<Vec<Certificate>, CertViolation> {
     let n = offsets.len().saturating_sub(1);
     let width = run.sources.len();
-    assert!(width <= MAX_CONCURRENT && run.levels.len() == width);
+    assert!(width <= 128 && run.levels.len() == width);
     for (slot, levels) in run.levels.iter().enumerate() {
         if levels.len() != n {
             return Err(CertViolation::LengthMismatch {
@@ -44,9 +50,9 @@ fn certify_ms_reference(
         }
     }
 
-    let mut has_pred = vec![0u64; n];
+    let mut has_pred = vec![0u128; n];
     for (slot, &s) in run.sources.iter().enumerate() {
-        has_pred[s as usize] |= 1 << slot;
+        has_pred[s as usize] |= 1u128 << slot;
     }
     for u in 0..n {
         let beg = offsets[u] as usize;
@@ -73,7 +79,7 @@ fn certify_ms_reference(
                     });
                 }
                 if lv == lu + 1 {
-                    has_pred[v as usize] |= 1 << slot;
+                    has_pred[v as usize] |= 1u128 << slot;
                 }
             }
         }
@@ -90,7 +96,7 @@ fn certify_ms_reference(
             }
             visited += 1;
             depth = depth.max(l);
-            if v != src && (l == 0 || has_pred[v] & (1 << slot) == 0) {
+            if v != src && (l == 0 || has_pred[v] & (1u128 << slot) == 0) {
                 return Err(CertViolation::NoPredecessor {
                     vertex: v as u32,
                     level: l,
@@ -183,7 +189,7 @@ fn graph(kind: usize, rng: &mut u64) -> Csr {
     }
 }
 
-const MUTATIONS: [&str; 10] = [
+const MUTATIONS: [&str; 15] = [
     "clean",
     "to UNVISITED",
     "to 0",
@@ -192,6 +198,11 @@ const MUTATIONS: [&str; 10] = [
     "+2",
     "-2",
     "high bit",
+    "+256",
+    "-256",
+    "to 255",
+    "to 254",
+    "bits 8-15",
     "source off level 0",
     "slot swapped",
 ];
@@ -217,6 +228,11 @@ fn mutate(run: &mut MsBfsRun, mutation: &str, rng: &mut u64) {
         "+2" => *l = l.wrapping_add(2),
         "-2" => *l = l.wrapping_sub(2),
         "high bit" => *l ^= 1 << (16 + splitmix64(rng) % 16),
+        "+256" => *l = l.wrapping_add(256),
+        "-256" => *l = l.wrapping_sub(256),
+        "to 255" => *l = 255,
+        "to 254" => *l = 254,
+        "bits 8-15" => *l ^= 1 << (8 + splitmix64(rng) % 8),
         "source off level 0" => {
             let src = run.sources[slot] as usize;
             run.levels[slot][src] = 1 + (splitmix64(rng) % 3) as u32;
@@ -231,7 +247,7 @@ fn row_certificate_agrees_with_the_per_edge_reference() {
     let mut rng = 0x19u64;
     let (mut accepted, mut rejected) = (0, 0);
     for kind in 0..3 {
-        for width in [1, 7, 8, 9, 63, 64] {
+        for width in [1, 7, 8, 9, 63, 64, 65] {
             for mutation in MUTATIONS {
                 for rep in 0..3 {
                     let g = graph(kind, &mut rng);
@@ -257,7 +273,7 @@ fn row_certificate_agrees_with_the_per_edge_reference() {
     // Both outcomes are exercised: every clean case accepts, and most
     // mutations land on a reached entry and must reject.
     assert!(
-        accepted >= 3 * 6 * 3 && rejected >= 300,
+        accepted >= 3 * 7 * 3 && rejected >= 300,
         "{accepted} accepted, {rejected} rejected"
     );
 }
@@ -300,6 +316,34 @@ fn a_path_deeper_than_any_narrowed_level_certifies() {
     );
     rejects(&g, &mut run, 0, 300, 300 + 65_536, "path, level + 2^16");
     rejects(&g, &mut run, 1, 66_000, 4_000, "path, far slot");
+}
+
+#[test]
+fn a_wide_batch_with_one_deep_row_certifies_like_single_rows() {
+    // An R-MAT graph beside a 300-vertex path it does not touch. The row
+    // sourced 44 vertices in from one end of the path reaches level 255,
+    // the byte lanes' `UNVISITED`, so the whole 64-row block is checked
+    // on `u32` lanes, as each row alone is.
+    let rmat = rmat_graph(RmatParams::graph500(8), 0x48);
+    let m = rmat.num_vertices() as u32;
+    let edges = (0..m).flat_map(|u| rmat.neighbors(u).iter().map(move |&v| (u, v)));
+    let path = (m..m + 299).map(|v| (v, v + 1));
+    let g = csr(m as usize + 300, edges.chain(path), BuildOptions::default());
+    let mut sources = pick_sources(&rmat, 63, 48);
+    sources.push(m + 44);
+    let mut run = clean_run(&g, &sources);
+    let (off, adj) = (g.offsets(), g.adjacency());
+    let certs = certify_levels(off, adj, &run.sources, &run.levels).unwrap();
+    let single: Vec<Certificate> = sources
+        .iter()
+        .zip(&run.levels)
+        .map(|(&s, levels)| certify_levels(off, adj, &[s], &[levels]).unwrap()[0].clone())
+        .collect();
+    assert_eq!(certs, single);
+    assert_eq!((certs[63].depth, certs[63].visited), (255, 300));
+    assert!(agree(&g, &run, "deep row"));
+    // The far end of the path, two levels late.
+    rejects(&g, &mut run, 63, m as usize + 299, 257, "deep row, +2");
 }
 
 #[test]

@@ -1,17 +1,16 @@
-//! The batched certificate's eight-slot blocks run on one worker per core.
-//! Whatever the worker count, a clean batch must get the same
-//! certificates, and a corrupted one must name the same violation: the
-//! lowest failing block's, as the serial block loop did.
+//! The batched certificate checks a 64-wide batch as one block of byte
+//! lanes. A corrupted batch must still name the violation that the serial
+//! loop over eight-slot blocks named before it (the lowest failing
+//! block's), recorded below.
 
 use xbfs_core::{CertViolation, MsBfsRun, MAX_CONCURRENT, UNVISITED};
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::reference::bfs_levels_serial;
 use xbfs_graph::stats::pick_sources;
-use xbfs_graph::validate::{certify_blocks, CERT_BLOCK};
 use xbfs_graph::{certify_levels, Csr};
 
 /// A clean 64-wide batch on an R-MAT graph, answered by the serial BFS:
-/// eight blocks of slots.
+/// one block of 64 byte lanes.
 fn wide_batch() -> (Csr, MsBfsRun) {
     let g = rmat_graph(RmatParams::graph500(10), 0x34);
     let sources = pick_sources(&g, MAX_CONCURRENT, 34);
@@ -58,23 +57,5 @@ fn planted_violations_name_what_the_serial_loop_named() {
         let run = planted(&run, slots);
         let got = certify_levels(g.offsets(), g.adjacency(), &run.sources, &run.levels);
         assert_eq!(got, Err(want), "planted in slots {slots:?}");
-    }
-}
-
-#[test]
-fn the_certificate_ignores_the_worker_count() {
-    let (g, run) = wide_batch();
-    let (off, adj) = (g.offsets(), g.adjacency());
-    let certs =
-        certify_levels(off, adj, &run.sources, &run.levels).expect("a clean batch certifies");
-    assert_eq!(certs.len(), MAX_CONCURRENT);
-    for workers in [1, 2, 3, 7] {
-        let got = certify_blocks::<CERT_BLOCK, _>(workers, off, adj, &run.sources, &run.levels);
-        assert_eq!(got.as_ref(), Ok(&certs), "{workers} workers");
-        for (slots, want) in recorded_violations() {
-            let run = planted(&run, slots);
-            let got = certify_blocks::<CERT_BLOCK, _>(workers, off, adj, &run.sources, &run.levels);
-            assert_eq!(got, Err(want), "{workers} workers, slots {slots:?}");
-        }
     }
 }

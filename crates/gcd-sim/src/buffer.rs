@@ -126,6 +126,11 @@ macro_rules! impl_buf {
                 self.data.iter().map(|a| a.load(Ordering::Relaxed))
             }
 
+            /// The contents, read through `&mut` without atomics (untraced).
+            pub fn host_values(&mut self) -> impl Iterator<Item = $prim> + '_ {
+                self.data.iter_mut().map(|a| *a.get_mut())
+            }
+
             /// Copy device contents back to a host vector (untraced).
             pub fn to_host(&self) -> Vec<$prim> {
                 self.iter().collect()

@@ -9,27 +9,35 @@
 //! in-neighbour one level up, it is the BFS answer — so [`certify_levels`]
 //! is the whole level check, for every engine.
 //!
-//! Formulation: sources are taken up to [`CERT_BLOCK`] at a time, a
-//! vertex's levels in the block forming one row (one lane when there is a
-//! single source). One sweep over the edges keeps `lowest[v] = min(level[u])`
-//! over `v`'s in-neighbours `u` as a row-wise `min` (`UNVISITED` is
-//! `u32::MAX`, the identity), then one pass over the vertices checks each
-//! non-source entry against it: visited ⇒ `level ≠ 0 ∧ lowest = level − 1`,
-//! unvisited ⇒ `lowest = UNVISITED`. That accepts exactly what the three
-//! edge checks accept — with every visited in-neighbour at `lowest` or
-//! above, "none skips a level" is `level ≤ lowest + 1`, and "one sits a
-//! level up" then forces `lowest + 1 = level`; an unvisited vertex passes
-//! iff no in-neighbour is visited. Only a failing entry is walked edge by
-//! edge, to name the violation; which of several violations gets named is
-//! unspecified.
+//! Formulation: sources are taken up to 64 at a time, a vertex's levels
+//! in the block forming one row of byte lanes. One slot-major pass over
+//! each source's `u32` levels counts `visited`, `depth` and the
+//! [`levels_digest`] from the true values and writes the source's lane
+//! (`255` is `UNVISITED`). One sweep over the edges then keeps `lowest[v]
+//! = min(level[u])` over `v`'s in-neighbours `u` as a 64-byte row-wise
+//! `min` (`UNVISITED` is the largest lane value, the identity), and one
+//! pass over the vertices checks each non-source entry against it:
+//! visited ⇒ `level ≠ 0 ∧ lowest = level − 1`, unvisited ⇒ `lowest =
+//! UNVISITED`. That accepts exactly what the three edge checks accept —
+//! with every visited in-neighbour at `lowest` or above, "none skips a
+//! level" is `level ≤ lowest + 1`, and "one sits a level up" then forces
+//! `lowest + 1 = level`; an unvisited vertex passes iff no in-neighbour is
+//! visited. Only a failing entry is walked edge by edge, to name the
+//! violation; which of several violations gets named is unspecified.
 //!
-//! Cost for `S` sources: `2·|V|·S` level loads plus `|E|·⌈S/8⌉` row
-//! operations, the blocks spread over one worker per core, each on its own
-//! `|V|` rows: `32·|V|` bytes, or `4·|V|` for a single source.
+//! A byte holds levels 0‥254 exactly, and those with `UNVISITED` keep
+//! their order, so the byte check is the `u32` check. A block holding a
+//! visited level ≥ 255 is checked one source at a time on `u32` lanes, the
+//! same body one lane wide, as is a lone source.
+//!
+//! Cost for `S` sources: `2·|V|·S` level loads plus `|E|·⌈S/64⌉` row
+//! operations, with `128·|V|` bytes of scratch (the lanes and `lowest`),
+//! or `4·|V|` for a single source.
 
 use crate::UNVISITED;
-use gcd_sim::{cores, fnv1a, fnv1a_mix, on_workers};
+use gcd_sim::{fnv1a, fnv1a_mix};
 use std::fmt;
+use std::ops::{Not, Sub};
 
 /// Proof that a BFS answer passed the certificate.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -240,20 +248,17 @@ pub fn levels_digest(source: u32, levels: &[u32]) -> u64 {
     )
 }
 
-/// Sources [`certify_levels`] validates per sweep of the edge list when
-/// there are several, and so the width of its rows. Eight `u32`s are one
-/// 32-byte vector; 16 sweeps the edges half as often, doubles the
-/// scratch, and measured no faster.
-pub const CERT_BLOCK: usize = 8;
+/// Sources [`certify_levels`] checks per sweep of the edge list: one
+/// byte lane each, so a vertex's row is one 64-byte line.
+const LANES: usize = 64;
 
 /// Certify that `rows[i]` is the BFS levels of the graph `(offsets,
 /// adjacency)` from `sources[i]`, for every `i` (see the module docs).
-/// A single row is checked one lane wide, several [`CERT_BLOCK`] lanes
-/// wide. Returns one [`Certificate`] per source: `visited`, `depth`
-/// (deepest level) and, as `levels_checksum`, the source's
-/// [`levels_digest`] — the fingerprint every engine answers with for the
-/// same levels.
-pub fn certify_levels<L: AsRef<[u32]> + Sync>(
+/// Returns one [`Certificate`] per source: `visited`, `depth` (deepest
+/// level) and, as `levels_checksum`, the source's [`levels_digest`] — the
+/// fingerprint every engine answers with for the same levels. Of several
+/// failing blocks of sources, the first names the violation.
+pub fn certify_levels<L: AsRef<[u32]>>(
     offsets: &[u64],
     adjacency: &[u32],
     sources: &[u32],
@@ -283,118 +288,105 @@ pub fn certify_levels<L: AsRef<[u32]> + Sync>(
         }
     }
 
-    if rows.len() == 1 {
-        certify_blocks::<1, L>(cores(), offsets, adjacency, sources, rows)
-    } else {
-        certify_blocks::<CERT_BLOCK, L>(cores(), offsets, adjacency, sources, rows)
+    let mut certs = Vec::with_capacity(rows.len());
+    let (mut lanes, mut lowest, mut lowest_u32) = (Vec::new(), Vec::new(), Vec::new());
+    for (block, sources) in rows.chunks(LANES).zip(sources.chunks(LANES)) {
+        let first = certs.len();
+        if block.len() > 1 {
+            lanes.clear();
+            lanes.resize(n, [u8::MAX; LANES]);
+            for (lane, (levels, &source)) in block.iter().zip(sources).enumerate() {
+                let narrow = |v: usize, l: u32| lanes[v][lane] = l.min(255) as u8;
+                certs.push(tally(source, levels.as_ref(), narrow));
+            }
+            if certs[first..].iter().all(|c| c.depth < 255) {
+                check_block(offsets, adjacency, &lanes, &mut lowest, block, sources)?;
+                continue;
+            }
+        } else {
+            certs.push(tally(sources[0], block[0].as_ref(), |_, _| ()));
+        }
+        // One row, or a block too deep for its bytes: `u32` lanes.
+        for i in 0..block.len() {
+            let (one, source) = (&block[i..=i], &sources[i..=i]);
+            let row = one[0].as_ref().as_chunks::<1>().0;
+            check_block(offsets, adjacency, row, &mut lowest_u32, one, source)?;
+        }
+    }
+    Ok(certs)
+}
+
+/// One source's [`Certificate`] from its true levels, slot-major, handing
+/// each `(vertex, level)` to `lane` on the way.
+fn tally(source: u32, levels: &[u32], mut lane: impl FnMut(usize, u32)) -> Certificate {
+    let (mut visited, mut depth, mut digest) = (0u64, 0u32, fnv1a([u64::from(source)]));
+    for (v, &l) in levels.iter().enumerate() {
+        let seen = l != UNVISITED;
+        visited += u64::from(seen);
+        depth = depth.max(if seen { l } else { 0 });
+        digest = fnv1a_mix(digest, u64::from(l));
+        lane(v, l);
+    }
+    Certificate {
+        visited,
+        depth,
+        levels_checksum: digest,
     }
 }
 
-/// [`certify_levels`]'s block loop, `W` lanes wide, on `workers` workers,
-/// each with its own `lowest` rows. Blocks are answered in block order
-/// whatever the worker count, so a failing batch names its lowest failing
-/// block's violation. Public only as a seam for the worker-count test.
-#[doc(hidden)]
-pub fn certify_blocks<const W: usize, L: AsRef<[u32]> + Sync>(
-    workers: usize,
-    offsets: &[u64],
-    adjacency: &[u32],
-    sources: &[u32],
-    rows: &[L],
-) -> Result<Vec<Certificate>, CertViolation> {
-    let n = offsets.len().saturating_sub(1);
-    let blocks: Vec<_> = rows.chunks(W).zip(sources.chunks(W)).collect();
-    let mut scratch = vec![Vec::new(); workers.max(1)];
-    let answers = on_workers(&mut scratch, blocks.len(), |lowest, ids| {
-        lowest.resize(n, [UNVISITED; W]);
-        let answer = |b: usize| (b, certify_block(offsets, adjacency, blocks[b], lowest));
-        ids.map(answer).collect::<Vec<_>>()
-    });
-    let mut answers: Vec<_> = answers.into_iter().flatten().collect();
-    answers.sort_unstable_by_key(|&(b, _)| b);
-    let certs: Vec<Vec<Certificate>> = answers
-        .into_iter()
-        .map(|(_, a)| a)
-        .collect::<Result<_, _>>()?;
-    Ok(certs.concat())
-}
+/// A certificate lane, `u8` or `u32`: one source's level at one vertex,
+/// all ones (`!0`, the largest value, so `min`'s identity) for `UNVISITED`.
+trait Lane: Copy + Ord + From<u8> + Sub<Output = Self> + Not<Output = Self> {}
+impl<T: Copy + Ord + From<u8> + Sub<Output = T> + Not<Output = T>> Lane for T {}
 
-/// Certify one block of sources (at most `W`) in `lowest`, one row per
-/// vertex, whatever an earlier block left there.
-fn certify_block<const W: usize, L: AsRef<[u32]>>(
+/// Check one block of sources (at most `W`) whose levels are `rows`, one
+/// row per vertex, lane `i` holding `block[i]`'s level there (lanes past a
+/// short block read `UNVISITED`: no level, no in-neighbour, nothing to
+/// check). `lowest` is scratch, whatever an earlier block left there.
+fn check_block<T: Lane, const W: usize, L: AsRef<[u32]>>(
     offsets: &[u64],
     adjacency: &[u32],
-    (block, sources): (&[L], &[u32]),
-    lowest: &mut [[u32; W]],
-) -> Result<Vec<Certificate>, CertViolation> {
-    lowest.fill([UNVISITED; W]);
-    for u in 0..lowest.len() {
-        let from = cert_row::<W, L>(block, u);
+    rows: &[[T; W]],
+    lowest: &mut Vec<[T; W]>,
+    block: &[L],
+    sources: &[u32],
+) -> Result<(), CertViolation> {
+    lowest.clear();
+    lowest.resize(rows.len(), [!T::from(0); W]);
+    for (u, from) in rows.iter().enumerate() {
         for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
-            for (low, l) in lowest[v as usize].iter_mut().zip(from) {
+            for (low, &l) in lowest[v as usize].iter_mut().zip(from) {
                 *low = (*low).min(l);
             }
         }
     }
 
-    let mut visited = [0u64; W];
-    let mut depth = [0u32; W];
-    let mut digest = [0u64; W];
-    for (h, &source) in digest.iter_mut().zip(sources) {
-        *h = fnv1a([u64::from(source)]);
-    }
-    for (v, low) in lowest.iter().enumerate() {
-        let row = cert_row::<W, L>(block, v);
-        let mut suspect = false;
-        for lane in 0..W {
-            let l = row[lane];
-            let seen = l != UNVISITED;
-            visited[lane] += u64::from(seen);
-            depth[lane] = depth[lane].max(if seen { l } else { 0 });
-            digest[lane] = fnv1a_mix(digest[lane], u64::from(l));
-            suspect |= !entry_consistent(l, low[lane]);
-        }
+    for (v, (row, low)) in rows.iter().zip(lowest.iter()).enumerate() {
+        let consistent = |lane: usize| entry_consistent(row[lane], low[lane]);
         // A source sits at level 0 by right; anything else the row
         // check flagged is a violation.
-        if suspect {
-            for (lane, &source) in sources.iter().enumerate() {
-                if v != source as usize && !entry_consistent(row[lane], low[lane]) {
-                    return Err(name_violation(offsets, adjacency, block[lane].as_ref(), v));
-                }
+        if (0..W).fold(true, |all, lane| all & consistent(lane)) {
+            continue;
+        }
+        for (lane, &source) in sources.iter().enumerate() {
+            if v != source as usize && !consistent(lane) {
+                return Err(name_violation(offsets, adjacency, block[lane].as_ref(), v));
             }
         }
     }
-    Ok((0..block.len())
-        .map(|lane| Certificate {
-            visited: visited[lane],
-            depth: depth[lane],
-            levels_checksum: digest[lane],
-        })
-        .collect())
-}
-
-/// Vertex `v`'s levels in a block of sources, one lane per source. Lanes
-/// past a short last block read `UNVISITED` at every vertex: no level, no
-/// in-neighbour, nothing to check.
-#[inline]
-fn cert_row<const W: usize, L: AsRef<[u32]>>(block: &[L], v: usize) -> [u32; W] {
-    let mut row = [UNVISITED; W];
-    for (l, levels) in row.iter_mut().zip(block) {
-        *l = levels.as_ref()[v];
-    }
-    row
+    Ok(())
 }
 
 /// Whether a non-source vertex's `level` agrees with `lowest`, the lowest
 /// level among its in-neighbours (`UNVISITED` when none is visited).
 #[inline]
-fn entry_consistent(level: u32, lowest: u32) -> bool {
-    let want = if level == UNVISITED {
-        UNVISITED
+fn entry_consistent<T: Lane>(level: T, lowest: T) -> bool {
+    let unvisited = !T::from(0);
+    if level == unvisited {
+        lowest == unvisited
     } else {
-        level.wrapping_sub(1)
-    };
-    level != 0 && lowest == want
+        level != T::from(0) && lowest == level - T::from(1)
+    }
 }
 
 /// Name the violation at `v`, an entry of one source's `levels` that
