@@ -14,13 +14,10 @@ mod beamer;
 mod engines;
 
 use gcd_sim::Device;
-use xbfs_core::engine::{check_source, gteps, reached, validate_levels};
-use xbfs_core::{
-    levels_digest, DeviceGraph, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer,
-    UNVISITED,
-};
+use xbfs_core::engine::{check_source, gteps, validate_levels};
+use xbfs_core::{DeviceGraph, Engine, EngineError, Inject, RunOutcome, RunRequest, SlotAnswer};
 use xbfs_graph::reference::traversed_edges;
-use xbfs_graph::Csr;
+use xbfs_graph::{certificate, Csr};
 
 /// One algorithm of the §II comparison set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,14 +126,14 @@ impl Engine for Baseline<'_> {
         let total_us = self.device.elapsed_us();
         let certify_wall_ms = validate_levels(self.csr, source, &levels, req.verify)?;
         let gteps = gteps(traversed_edges(self.csr, &levels), total_us * 1e-6);
-        let deepest = levels.iter().filter(|&&l| l != UNVISITED).max();
+        let cert = certificate(source, &levels);
         Ok(RunOutcome {
             slots: vec![SlotAnswer {
                 source,
-                depth: deepest.map_or(0, |&l| l + 1),
-                reached: reached(&levels),
+                depth: cert.depth + 1,
+                reached: cert.visited,
                 gteps,
-                digest: levels_digest(source, &levels),
+                digest: cert.levels_checksum,
             }],
             levels: vec![levels],
             total_ms: total_us / 1000.0,

@@ -493,7 +493,7 @@ fn info(args: &Args) -> Result<String, CliError> {
         let p = level_profile(&g, src);
         out.push_str(&format!(
             "BFS from {src}: {} levels; per-level edge ratios: {}\n",
-            p.num_levels(),
+            p.frontier_sizes.len(),
             p.edge_ratios
                 .iter()
                 .map(|r| format!("{r:.2e}"))

@@ -40,8 +40,8 @@ use crate::engine::{
 use crate::error::XbfsError;
 use crate::integrity::verified_run;
 use crate::state::{advance_base, decode_level, UNVISITED};
-use gcd_sim::{fnv1a, fnv1a_mix, BufU32, BufU64, Device, LaunchCfg, WaveCtx};
-use xbfs_graph::{certify_levels, levels_digest, Certificate, Csr};
+use gcd_sim::{BufU32, BufU64, Device, LaunchCfg, WaveCtx};
+use xbfs_graph::{certificate, certify_levels, levels_digest, Certificate, Csr};
 
 /// Maximum sources per batch (bits in the visited mask = wave width).
 pub const MAX_CONCURRENT: usize = 64;
@@ -305,15 +305,28 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let pulls = move |work: u64| work as f64 / edges > alpha;
         let slots = u64::MAX >> (MAX_CONCURRENT - sources.len());
         let mut level = 0u32;
-        inner.pulled.clear();
+        let bufs = &inner.bufs;
+        let words = |p: usize| (bufs.counters.load(p), bufs.work.as_ref().map(|t| t.load(p)));
+        let pulled = &mut inner.pulled;
+        pulled.clear();
+        // Read level `l`'s words: true if it is empty, else record its pull.
+        let mut empty = |l: u32, (count, work): (u32, Option<u64>)| {
+            if count > 0 && work.is_some_and(pulls) {
+                pulled.push(l);
+            }
+            count == 0
+        };
 
-        // The host never waits on a level it has just queued: level L's
-        // words, read back in-stream after the fold of L − 1, are read
-        // once level L is queued too. So one empty level runs past the
-        // deepest, and the batch syncs once.
+        // The host never waits on a level it has just queued. After the
+        // fold of an even level L both parity words hold live levels, L's
+        // and L + 1's (step L + 1 zeroes the first), so one in-stream copy
+        // carries both; the host reads it once level L + 1 is queued too.
+        // So one empty level runs past the deepest (two if the first empty
+        // level is even), and the batch syncs once.
+        let mut copied = [(0, None); 2];
         let synced = loop {
             device.set_phase(format!("msbfs level {level}"));
-            let (bufs, scratch, at) = (&inner.bufs, &mut inner.scratch, level as usize & 1);
+            let (scratch, at) = (&mut inner.scratch, level as usize & 1);
             // Step waves read only what the last fold wrote and write only
             // through `atomicOr` (expand) or to their own vertices (pull):
             // they may run on every core.
@@ -331,21 +344,21 @@ impl<D: Borrow<Device>> MsBfs<D> {
                 fold_kernel(w, graph, bufs, level_of, enc, epoch, at, s)
             });
             inner.last_depth = level + 1;
-            // Queue this fold's readback; this level's words came back earlier.
-            device.charge_transfer(0, if bufs.work.is_some() { 12 } else { 4 });
-            if bufs.counters.load(at) == 0 {
+            // After an even fold, queue the copy of this level's words and
+            // the next's; after an odd one, read the copy queued before it.
+            if at == 0 {
+                device.charge_transfer(0, if bufs.work.is_some() { 24 } else { 8 });
+                copied = [words(0), words(1)];
+            } else if empty(level - 1, copied[0]) || empty(level, copied[1]) {
                 break false;
             }
-            if bufs.work.as_ref().is_some_and(|t| pulls(t.load(at))) {
-                inner.pulled.push(level);
-            }
             // A batch that completes on its last level is never a timeout:
-            // past the budget, sync to read whether this level found
-            // anything. The fold already zeroed `fresh`, so the engine
-            // stays reusable.
+            // past the budget, sync and read the words not read yet to
+            // learn whether this level found anything. The fold already
+            // zeroed `fresh`, so the engine stays reusable.
             if let Err(late) = check_deadline(deadline_ms, device.elapsed_us(), level + 1) {
                 device.sync();
-                if bufs.counters.load(at ^ 1) == 0 {
+                if (at == 0 && empty(level, words(0))) || words(at ^ 1).0 == 0 {
                     break true;
                 }
                 return Err(late);
@@ -431,13 +444,7 @@ impl<D: Borrow<Device>> Engine for MsBfs<D> {
         let (run, certs, certify_wall_ms) = self.run_with(sources, req.deadline_ms, req.verify)?;
         let slots = (0..run.width()).map(|slot| match &certs {
             // A certificate already counted and digested its slot's levels.
-            Some(certs) => SlotAnswer {
-                depth: certs[slot].depth,
-                reached: certs[slot].visited,
-                digest: certs[slot].levels_checksum,
-                source: sources[slot],
-                gteps: run.slot_gteps(slot),
-            },
+            Some(certs) => run.answer_from(slot, &certs[slot]),
             None => run.answer(slot),
         });
         Ok(RunOutcome {
@@ -487,21 +494,18 @@ impl MsBfsRun {
     /// [`MsBfsRun::result_digest`], so batching is invisible next to a
     /// solo run's `result_digest`. One pass over the slot's levels.
     pub fn answer(&self, slot: usize) -> SlotAnswer {
-        let (mut reached, mut depth) = (0u64, 0u32);
-        let mut digest = fnv1a([u64::from(self.sources[slot])]);
-        for &l in &self.levels[slot] {
-            digest = fnv1a_mix(digest, u64::from(l));
-            if l != UNVISITED {
-                reached += 1;
-                depth = depth.max(l);
-            }
-        }
+        self.answer_from(slot, &certificate(self.sources[slot], &self.levels[slot]))
+    }
+
+    /// [`MsBfsRun::answer`] from the slot's [`Certificate`], which counted
+    /// and digested its levels already.
+    fn answer_from(&self, slot: usize, cert: &Certificate) -> SlotAnswer {
         SlotAnswer {
             source: self.sources[slot],
-            depth,
-            reached,
+            depth: cert.depth,
+            reached: cert.visited,
             gteps: self.slot_gteps(slot),
-            digest,
+            digest: cert.levels_checksum,
         }
     }
 

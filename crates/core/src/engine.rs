@@ -22,7 +22,6 @@
 
 use crate::error::XbfsError;
 use crate::integrity::Sabotage;
-use crate::state::UNVISITED;
 use xbfs_graph::Csr;
 
 /// A fault to inject into one run (chaos and detection drills).
@@ -101,11 +100,6 @@ pub struct SlotAnswer {
     pub gteps: f64,
     /// The digest this engine answers with.
     pub digest: u64,
-}
-
-/// Vertices a level array reached.
-pub fn reached(levels: &[u32]) -> u64 {
-    levels.iter().filter(|&&l| l != UNVISITED).count() as u64
 }
 
 /// Giga traversed edges per second: `edges` over `secs` of modeled time

@@ -33,6 +33,7 @@ use crate::stats::BfsRun;
 use gcd_sim::{splitmix64, Device, PoolError};
 use std::fmt;
 use std::time::Instant;
+use xbfs_graph::validate::check_shape;
 use xbfs_graph::{certify_levels, certify_parents, CertViolation, Certificate};
 
 /// How many seeded bit flips to inject into each kind of device state.
@@ -40,7 +41,7 @@ use xbfs_graph::{certify_levels, certify_parents, CertViolation, Certificate};
 /// Parsed from / rendered to the CLI spec syntax
 /// `status[:N],parents[:N],csr[:N],pool[:N],seed=S` (mirroring the crash
 /// fault specs of `xbfs cluster --inject-faults`).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BitflipPlan {
     /// Flips into the epoch-encoded status (level) array.
     pub status: u32,
@@ -57,13 +58,7 @@ pub struct BitflipPlan {
 impl BitflipPlan {
     /// A plan that injects nothing.
     pub fn none() -> Self {
-        Self {
-            status: 0,
-            parents: 0,
-            csr: 0,
-            pool: 0,
-            seed: 0,
-        }
+        Self::default()
     }
 
     /// True if the plan injects no flips at all.
@@ -342,21 +337,8 @@ pub fn certify_run(
     adjacency: &[u32],
     run: &BfsRun,
 ) -> Result<Certificate, CertViolation> {
-    let n = offsets.len().saturating_sub(1);
     let levels = &run.levels;
-    if levels.len() != n {
-        return Err(CertViolation::LengthMismatch {
-            expected: n,
-            actual: levels.len(),
-        });
-    }
-    let src = run.source as usize;
-    if src >= n || levels[src] != 0 {
-        return Err(CertViolation::SourceNotLevelZero {
-            source: run.source,
-            level: levels.get(src).copied().unwrap_or(UNVISITED),
-        });
-    }
+    check_shape(offsets.len().saturating_sub(1), run.source, levels)?;
 
     // Histogram vs the runner's own per-level frontier counters. The
     // counter is claims-based: single-scan's non-atomic claims can count

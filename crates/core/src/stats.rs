@@ -1,10 +1,10 @@
 //! Per-run and per-level statistics — the raw material for every table and
 //! figure in the paper's evaluation.
 
-use crate::engine::{reached, SlotAnswer};
+use crate::engine::SlotAnswer;
 use crate::strategy::Strategy;
 use gcd_sim::{fnv1a, KernelReport};
-use xbfs_graph::levels_digest;
+use xbfs_graph::{levels_digest, UNVISITED};
 
 /// What happened at one BFS level.
 #[derive(Debug, Clone)]
@@ -110,7 +110,7 @@ impl BfsRun {
         SlotAnswer {
             source: self.source,
             depth: self.depth() as u32,
-            reached: reached(&self.levels),
+            reached: self.levels.iter().filter(|&&l| l != UNVISITED).count() as u64,
             gteps: self.gteps,
             digest: self.digest(),
         }

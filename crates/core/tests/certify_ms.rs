@@ -337,7 +337,7 @@ fn a_wide_batch_with_one_deep_row_certifies_like_single_rows() {
     let single: Vec<Certificate> = sources
         .iter()
         .zip(&run.levels)
-        .map(|(&s, levels)| certify_levels(off, adj, &[s], &[levels]).unwrap()[0].clone())
+        .map(|(&s, levels)| certify_levels(off, adj, &[s], &[levels]).unwrap()[0])
         .collect();
     assert_eq!(certs, single);
     assert_eq!((certs[63].depth, certs[63].visited), (255, 300));

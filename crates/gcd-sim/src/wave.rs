@@ -357,6 +357,9 @@ impl<'a> WaveCtx<'a> {
     ) {
         let ops = ops.into_iter();
         let n = ops.len();
+        if n == 0 {
+            return;
+        }
         self.stats.atomics += n as u64;
         // Ops hitting the same cache line within one wave op serialize at
         // the L2 atomic unit. A batch is at most a wave wide unless the
@@ -558,7 +561,10 @@ mod tests {
         let mut ctx = ctx_with(&mut co);
         let mut out = Vec::new();
         ctx.vload32(&buf, [0usize; 0], &mut out);
-        assert_eq!(ctx.stats.instructions, 0);
+        ctx.vor64(&BufU64::new(0, 4), [(0usize, 0u64); 0]);
+        ctx.vcas32(&buf, [(0usize, 0u32, 0u32); 0], &mut Vec::new());
+        assert!(out.is_empty());
+        assert_eq!(ctx.stats, WaveStats::default());
     }
 
     #[test]

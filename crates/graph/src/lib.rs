@@ -32,7 +32,9 @@ pub use csr::{Csr, VertexId};
 pub use datasets::{Dataset, DatasetSpec};
 pub use rearrange::{rearrange_by_degree, RearrangeOrder};
 pub use reference::{bfs_levels_frontier, bfs_levels_serial, bfs_parents_serial};
-pub use validate::{certify_levels, certify_parents, levels_digest, CertViolation, Certificate};
+pub use validate::{
+    certificate, certify_levels, certify_parents, levels_digest, CertViolation, Certificate,
+};
 
 /// Sentinel level / parent meaning "not visited".
 pub const UNVISITED: u32 = u32::MAX;

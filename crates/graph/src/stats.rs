@@ -52,22 +52,10 @@ pub struct LevelProfile {
     pub edge_ratios: Vec<f64>,
 }
 
-impl LevelProfile {
-    /// Number of BFS levels (depth + 1).
-    pub fn num_levels(&self) -> usize {
-        self.frontier_sizes.len()
-    }
-}
-
 /// Compute the level profile with a serial reference BFS.
 pub fn level_profile(g: &Csr, source: VertexId) -> LevelProfile {
     let levels = bfs_levels_serial(g, source);
-    let depth = levels
-        .iter()
-        .filter(|&&l| l != UNVISITED)
-        .max()
-        .copied()
-        .unwrap_or(0);
+    let depth = crate::certificate(source, &levels).depth;
     let mut sizes = vec![0u64; depth as usize + 1];
     let mut edges = vec![0u64; depth as usize + 1];
     for (v, &l) in levels.iter().enumerate() {

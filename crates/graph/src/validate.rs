@@ -11,9 +11,9 @@
 //!
 //! Formulation: sources are taken up to 64 at a time, a vertex's levels
 //! in the block forming one row of byte lanes. One slot-major pass over
-//! each source's `u32` levels counts `visited`, `depth` and the
-//! [`levels_digest`] from the true values and writes the source's lane
-//! (`255` is `UNVISITED`). One sweep over the edges then keeps `lowest[v]
+//! four sources' `u32` levels counts `visited`, `depth` and the
+//! [`levels_digest`] from the true values and writes their lanes (`255`
+//! is `UNVISITED`). One sweep over the edges then keeps `lowest[v]
 //! = min(level[u])` over `v`'s in-neighbours `u` as a 64-byte row-wise
 //! `min` (`UNVISITED` is the largest lane value, the identity), and one
 //! pass over the vertices checks each non-source entry against it:
@@ -36,11 +36,12 @@
 
 use crate::UNVISITED;
 use gcd_sim::{fnv1a, fnv1a_mix};
+use std::array::from_fn;
 use std::fmt;
 use std::ops::{Not, Sub};
 
 /// Proof that a BFS answer passed the certificate.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Certificate {
     /// Vertices the run visited.
     pub visited: u64,
@@ -241,11 +242,7 @@ impl fmt::Display for CertViolation {
 /// them or how long it took; this is the value cross-backend
 /// bit-identity checks compare.
 pub fn levels_digest(source: u32, levels: &[u32]) -> u64 {
-    fnv1a(
-        std::iter::once(source)
-            .chain(levels.iter().copied())
-            .map(u64::from),
-    )
+    certificate(source, levels).levels_checksum
 }
 
 /// Sources [`certify_levels`] checks per sweep of the edge list: one
@@ -272,20 +269,7 @@ pub fn certify_levels<L: AsRef<[u32]>>(
         });
     }
     for (levels, &source) in rows.iter().zip(sources) {
-        let levels = levels.as_ref();
-        if levels.len() != n {
-            return Err(CertViolation::LengthMismatch {
-                expected: n,
-                actual: levels.len(),
-            });
-        }
-        let src = source as usize;
-        if src >= n || levels[src] != 0 {
-            return Err(CertViolation::SourceNotLevelZero {
-                source,
-                level: levels.get(src).copied().unwrap_or(UNVISITED),
-            });
-        }
+        check_shape(n, source, levels.as_ref())?;
     }
 
     let mut certs = Vec::with_capacity(rows.len());
@@ -295,16 +279,23 @@ pub fn certify_levels<L: AsRef<[u32]>>(
         if block.len() > 1 {
             lanes.clear();
             lanes.resize(n, [u8::MAX; LANES]);
-            for (lane, (levels, &source)) in block.iter().zip(sources).enumerate() {
-                let narrow = |v: usize, l: u32| lanes[v][lane] = l.min(255) as u8;
-                certs.push(tally(source, levels.as_ref(), narrow));
+            // Four rows per slot pass, so that their digest chains overlap.
+            let quads = block.len() / TALLIED * TALLIED;
+            for at in (0..quads).step_by(TALLIED) {
+                let rows: [_; TALLIED] = from_fn(|k| block[at + k].as_ref());
+                let lane = |v: usize, ls| narrow(&mut lanes[v][at..at + TALLIED], ls);
+                certs.extend(tally(from_fn(|k| sources[at + k]), rows, lane));
+            }
+            for at in quads..block.len() {
+                let lane = |v: usize, ls| narrow(&mut lanes[v][at..=at], ls);
+                certs.extend(tally([sources[at]], [block[at].as_ref()], lane));
             }
             if certs[first..].iter().all(|c| c.depth < 255) {
                 check_block(offsets, adjacency, &lanes, &mut lowest, block, sources)?;
                 continue;
             }
         } else {
-            certs.push(tally(sources[0], block[0].as_ref(), |_, _| ()));
+            certs.push(certificate(sources[0], block[0].as_ref()));
         }
         // One row, or a block too deep for its bytes: `u32` lanes.
         for i in 0..block.len() {
@@ -316,22 +307,68 @@ pub fn certify_levels<L: AsRef<[u32]>>(
     Ok(certs)
 }
 
-/// One source's [`Certificate`] from its true levels, slot-major, handing
-/// each `(vertex, level)` to `lane` on the way.
-fn tally(source: u32, levels: &[u32], mut lane: impl FnMut(usize, u32)) -> Certificate {
-    let (mut visited, mut depth, mut digest) = (0u64, 0u32, fnv1a([u64::from(source)]));
-    for (v, &l) in levels.iter().enumerate() {
-        let seen = l != UNVISITED;
-        visited += u64::from(seen);
-        depth = depth.max(if seen { l } else { 0 });
-        digest = fnv1a_mix(digest, u64::from(l));
-        lane(v, l);
+/// What every level check asks first: that `levels` has one entry per
+/// vertex of an `n`-vertex graph and puts `source` at level 0.
+pub fn check_shape(n: usize, source: u32, levels: &[u32]) -> Result<(), CertViolation> {
+    if levels.len() != n {
+        return Err(CertViolation::LengthMismatch {
+            expected: n,
+            actual: levels.len(),
+        });
     }
-    Certificate {
-        visited,
-        depth,
-        levels_checksum: digest,
+    match levels.get(source as usize) {
+        Some(0) => Ok(()),
+        level => Err(CertViolation::SourceNotLevelZero {
+            source,
+            level: level.copied().unwrap_or(UNVISITED),
+        }),
     }
+}
+
+/// The rows [`certify_levels`] takes through one slot pass.
+const TALLIED: usize = 4;
+
+/// One source's [`Certificate`] from its true levels: `visited`, `depth`
+/// and [`levels_digest`] in one pass.
+pub fn certificate(source: u32, levels: &[u32]) -> Certificate {
+    tally([source], [levels], |_, _| ())[0]
+}
+
+/// Write `levels` to byte `lanes`, `UNVISITED` and any level past 254 as 255.
+fn narrow<const K: usize>(lanes: &mut [u8], levels: [u32; K]) {
+    for (lane, l) in lanes.iter_mut().zip(levels) {
+        *lane = l.min(255) as u8;
+    }
+}
+
+/// `K` sources' [`Certificate`]s from their true levels (rows of one
+/// length), in one slot-major pass that hands each vertex's `K` levels to
+/// `lane` on the way.
+fn tally<const K: usize>(
+    sources: [u32; K],
+    rows: [&[u32]; K],
+    mut lane: impl FnMut(usize, [u32; K]),
+) -> [Certificate; K] {
+    let n = rows[0].len();
+    let rows = rows.map(|r| &r[..n]);
+    // One array per field: an array of `Certificate`s timed slower.
+    let (mut visited, mut depth) = ([0u64; K], [0u32; K]);
+    let mut digest = sources.map(|s| fnv1a([u64::from(s)]));
+    for v in 0..n {
+        let ls = rows.map(|r| r[v]);
+        for k in 0..K {
+            let seen = ls[k] != UNVISITED;
+            visited[k] += u64::from(seen);
+            depth[k] = depth[k].max(if seen { ls[k] } else { 0 });
+            digest[k] = fnv1a_mix(digest[k], u64::from(ls[k]));
+        }
+        lane(v, ls);
+    }
+    from_fn(|k| Certificate {
+        visited: visited[k],
+        depth: depth[k],
+        levels_checksum: digest[k],
+    })
 }
 
 /// A certificate lane, `u8` or `u32`: one source's level at one vertex,

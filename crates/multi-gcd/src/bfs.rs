@@ -228,26 +228,16 @@ impl ClusterRun {
         xbfs_core::levels_digest(self.source, &self.levels)
     }
 
-    /// Distinct BFS levels in the result (deepest assigned level + 1).
-    /// Unlike `level_stats.len()`, re-executed levels after a recovery
-    /// don't inflate this.
-    pub fn depth(&self) -> u32 {
-        self.levels
-            .iter()
-            .filter(|&&l| l != UNVISITED)
-            .max()
-            .map_or(0, |&l| l + 1)
-    }
-
     /// What cluster serving answers with: depth is the level count and
     /// the digest is the levels-only [`ClusterRun::result_digest`].
     pub fn answer(&self) -> SlotAnswer {
+        let cert = xbfs_graph::certificate(self.source, &self.levels);
         SlotAnswer {
             source: self.source,
-            depth: self.depth(),
-            reached: xbfs_core::engine::reached(&self.levels),
+            depth: cert.depth + 1,
+            reached: cert.visited,
             gteps: self.gteps,
-            digest: self.result_digest(),
+            digest: cert.levels_checksum,
         }
     }
 }

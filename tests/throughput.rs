@@ -3,6 +3,8 @@
 //! match the digests recorded before the simulator's host path was
 //! rewritten; and the steady state must not grow host scratch.
 
+use std::collections::BTreeSet;
+
 use gcd_sim::{fnv1a, ArchProfile, Device, ExecMode, GroupCfg, KernelReport};
 use xbfs_core::strategy::topdown::expand_block;
 use xbfs_core::strategy::{TopDownOpts, GROUP_WAVES};
@@ -12,7 +14,7 @@ use xbfs_core::{
 };
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::pick_sources;
-use xbfs_graph::{BuildOptions, CsrBuilder, Dataset};
+use xbfs_graph::{BuildOptions, Csr, CsrBuilder, Dataset};
 use xbfs_multi_gcd::{ClusterConfig, GcdCluster, LinkModel};
 
 const SHIFT: u32 = 11;
@@ -229,7 +231,11 @@ fn golden_cells() -> Vec<(String, u64)> {
 /// were recorded again when its level loop went sync-light: one step
 /// kernel per level choosing its direction on the device, counters zeroed
 /// by the step instead of a fill, counts read back one level late (one
-/// trailing empty level) and one sync per batch.
+/// trailing empty level) and one sync per batch; and again when it came
+/// to read back once per two levels (both parity words after every even
+/// fold, so a batch whose first empty level is even runs one more empty
+/// pair). No kernel's counters moved with the last: only the readbacks'
+/// modeled time and that extra pair.
 const GOLDEN: [(&str, u64); 15] = [
     ("xbfs/Functional/None", 0xc6b8_a16e_42f1_1f10),
     ("xbfs/Functional/Some(ScanFree)", 0x3a54_80ae_9c13_266b),
@@ -239,10 +245,10 @@ const GOLDEN: [(&str, u64); 15] = [
     ("xbfs/Timing/Some(ScanFree)", 0x04f5_0f42_4635_d77a),
     ("xbfs/Timing/Some(SingleScan)", 0x19ff_230d_6ba6_a5c0),
     ("xbfs/Timing/Some(BottomUp)", 0x5603_21ac_c125_4168),
-    ("msbfs-64/Functional", 0xa219_1409_a59e_77db),
-    ("msbfs-64/Timing", 0x5f68_23cc_4114_e47a),
-    ("msbfs-64-adaptive/Functional", 0x7a5a_572c_80d6_172f),
-    ("msbfs-64-adaptive/Timing", 0xe791_05ca_0ab9_bfe7),
+    ("msbfs-64/Functional", 0x33ca_5c4a_e5e0_d6f1),
+    ("msbfs-64/Timing", 0x85a6_0b80_042d_c57b),
+    ("msbfs-64-adaptive/Functional", 0x8174_63c8_abd9_cdb6),
+    ("msbfs-64-adaptive/Timing", 0x1feb_1ed6_8373_48a3),
     ("cluster-4", 0x28d0_c917_f16f_1139),
     ("expand_block/Functional", 0x8997_f176_a2c1_fa4c),
     ("expand_block/Timing", 0x15ba_c905_cf4d_fa45),
@@ -315,62 +321,88 @@ fn steady_state_reuses_scratch_and_pooled_buffers() {
     );
 }
 
-/// The batched level loop pays the per-level floor once per batch, not
-/// once per level. A depth-d batch launches exactly d + 2 step/fold pairs
-/// and no fill: the host reads each level's counts one level late, so one
-/// empty level runs past the deepest, and its pair loads only the scalar
-/// count (and edge) words. Its modeled time is its kernels, the seed
-/// upload, one in-stream readback per level and a single sync.
+/// The batched level loop pays the per-level floor once per batch and
+/// reads back once per two levels. After the fold of every even level one
+/// copy carries both parity words (the count, and the edge word on an
+/// engine that may pull), and the host reads it one level late. So a
+/// batch of depth d, whose first empty level is d + 1, launches d + 2
+/// step/fold pairs when d + 1 is odd and d + 3 when it is even, and no
+/// fill; every empty pair loads only the scalar count (and edge) words.
+/// Its modeled time is its kernels, the seed upload, one readback per
+/// two pairs and a single sync.
 #[test]
-fn batched_level_loop_syncs_once_and_runs_one_empty_level() {
+fn batched_level_loop_reads_back_every_other_level_and_syncs_once() {
     let g = rmat_graph(RmatParams::graph500(12), 0xB5);
     let waves = g
         .num_vertices()
         .div_ceil(ArchProfile::mi250x_gcd().wavefront_size) as u64;
-    // The count word alone (4 bytes) or with the edge word (12 bytes).
-    for (cfg, words, bytes) in [
-        (XbfsConfig::default(), 2, 12),
-        (XbfsConfig::directed(), 1, 4),
-    ] {
-        let sources = pick_sources(&g, 64, 11);
-        let dev = Device::mi250x();
-        let run = MsBfs::with_config(&dev, &g, cfg)
+    let depth = |s: &u32| {
+        let levels = xbfs_graph::bfs_levels_serial(&g, *s);
+        levels
+            .into_iter()
+            .filter(|&l| l != UNVISITED)
+            .max()
             .unwrap()
-            .run_batch(&sources);
-        let reports = dev.take_reports();
-        let depth = run
-            .levels
-            .iter()
-            .flatten()
-            .filter(|&&l| l != UNVISITED)
-            .max();
-        let pairs = *depth.unwrap() as usize + 2;
-        let names: Vec<&str> = reports.iter().map(|k| k.name.as_str()).collect();
-        assert_eq!(
-            names,
-            ["msbfs_step", "msbfs_fold"].repeat(pairs),
-            "{words} words"
-        );
-
-        // The trailing pair: every wave loads its scalar words and exits;
-        // wave 0 of the step zeroes the other parity's.
-        let (step, fold) = (&reports[2 * pairs - 2].stats, &reports[2 * pairs - 1].stats);
-        assert_eq!(
-            (step.accesses, step.bytes_written),
-            (words * (waves + 1), bytes)
-        );
-        assert_eq!((fold.accesses, fold.bytes_written), (waves, 0));
-
-        let seeds = sources
-            .iter()
-            .collect::<std::collections::BTreeSet<_>>()
-            .len() as u64;
-        one_sync(&run, &reports, seeds, pairs, bytes);
+    };
+    // Two batches: every source's depth even (first empty level odd) or
+    // every one odd (first empty level even).
+    let candidates = pick_sources(&g, 64, 11);
+    let batches: Vec<Vec<u32>> = [0, 1]
+        .map(|parity| {
+            (candidates.iter().copied())
+                .filter(|s| depth(s) % 2 == parity)
+                .collect()
+        })
+        .into();
+    // The words one empty step loads and writes, and one readback's bytes:
+    // count and edge word (24 bytes for two levels) or the count alone.
+    for (cfg, words, written, bytes) in [
+        (XbfsConfig::default(), 2, 12, 24),
+        (XbfsConfig::directed(), 1, 4, 8),
+    ] {
+        for sources in &batches {
+            let d = sources.iter().map(depth).max().unwrap() as usize;
+            let empty = d + 1;
+            let pairs = if empty % 2 == 1 { empty + 1 } else { empty + 2 };
+            let dev = Device::mi250x();
+            let engine = MsBfs::with_config(&dev, &g, cfg).unwrap();
+            let run = engine.run_batch(sources);
+            let (reports, pulled) = (dev.take_reports(), engine.pulled_levels());
+            assert_eq!(
+                pulled.is_empty(),
+                words == 1,
+                "depth {d}: only the default pulls"
+            );
+            let names: Vec<&str> = reports.iter().map(|k| k.name.as_str()).collect();
+            assert_eq!(
+                names,
+                ["msbfs_step", "msbfs_fold"].repeat(pairs),
+                "depth {d}, {words} words"
+            );
+            // Each trailing pair: every wave loads its scalar words and
+            // exits; wave 0 of the step zeroes the other parity's.
+            for pair in reports[2 * empty..].chunks(2) {
+                let (step, fold) = (&pair[0].stats, &pair[1].stats);
+                assert_eq!(
+                    (step.accesses, step.bytes_written),
+                    (words * (waves + 1), written)
+                );
+                assert_eq!((fold.accesses, fold.bytes_written), (waves, 0));
+            }
+            one_sync(&run, &reports, seeds(sources), pairs, bytes);
+            finishes_in_its_last_level(&g, cfg, sources, bytes);
+        }
     }
+    // A batch whose last level pulls: the host reads that level's words
+    // live after the early sync, and still records the pull.
+    let mut b = CsrBuilder::new(65);
+    b.extend_edges((1..65).map(|v| (0, v)));
+    let star = b.build(BuildOptions::default());
+    let (depth, pulled) = finishes_in_its_last_level(&star, XbfsConfig::default(), &[1], 24);
+    assert_eq!((depth, pulled), (2, vec![1, 2]));
 
-    // Past a deadline the host syncs early to read whether the level it
-    // holds was the last. A batch done at level 0 is then answered, not a
-    // timeout, after one pair and still a single sync.
+    // A batch done at level 0 past its deadline is answered, not a
+    // timeout, after one pair, its one readback and still a single sync.
     let isolated = (0..g.num_vertices() as u32).find(|&v| g.degree(v) == 0);
     let dev = Device::mi250x();
     let (run, ..) = MsBfs::new(&dev, &g)
@@ -381,18 +413,64 @@ fn batched_level_loop_syncs_once_and_runs_one_empty_level() {
             false,
         )
         .expect("a batch that completes on its last level is never a timeout");
-    one_sync(&run, &dev.take_reports(), 1, 1, 12);
+    one_sync(&run, &dev.take_reports(), 1, 1, 24);
+}
+
+/// Distinct sources in a batch: the seeds it uploads.
+fn seeds(sources: &[u32]) -> u64 {
+    sources.iter().collect::<BTreeSet<_>>().len() as u64
+}
+
+/// A budget that runs out during the last level d of a batch: the host
+/// syncs early, reads the words it had not read yet, and answers after
+/// d + 1 pairs with the levels and pulled levels of an unbounded run.
+/// Returns d and those pulled levels.
+fn finishes_in_its_last_level(
+    g: &Csr,
+    cfg: XbfsConfig,
+    sources: &[u32],
+    bytes: u64,
+) -> (usize, Vec<u32>) {
+    let dev = Device::mi250x();
+    let engine = MsBfs::with_config(&dev, g, cfg).unwrap();
+    let full = engine.run_batch(sources);
+    let (reports, pulled) = (dev.take_reports(), engine.pulled_levels());
+    let d = *full
+        .levels
+        .iter()
+        .flatten()
+        .filter(|&&l| l != UNVISITED)
+        .max()
+        .unwrap() as usize;
+    let arch = ArchProfile::mi250x_gcd();
+    let transfer = |b: u64| arch.h2d_latency_us + b as f64 / (arch.h2d_bw_gbps * 1e3);
+    let checked_at = |level: usize| {
+        let kernels: f64 = (reports[..2 * level + 2].iter())
+            .map(|k| k.runtime_ms * 1e3)
+            .sum();
+        let seed_upload = transfer(12 * (seeds(sources) + 1));
+        seed_upload + kernels + (level / 2 + 1) as f64 * transfer(bytes)
+    };
+    let budget_us = (checked_at(d - 1) + checked_at(d)) / 2.0;
+    let (early, ..) = engine
+        .run_with(sources, Some(budget_us * 1e-3), false)
+        .expect("a batch that completes on its last level is never a timeout");
+    one_sync(&early, &dev.take_reports(), seeds(sources), d + 1, bytes);
+    assert_eq!(early.levels, full.levels);
+    assert_eq!(engine.pulled_levels(), pulled, "depth {d}");
+    (d, pulled)
 }
 
 /// `run`'s modeled time is its kernels, the upload of `seeds` seeds, one
-/// `bytes` readback per step/fold pair and one sync.
+/// `bytes` readback per two step/fold pairs (rounded up) and one sync.
 fn one_sync(run: &MsBfsRun, reports: &[KernelReport], seeds: u64, pairs: usize, bytes: u64) {
     let arch = ArchProfile::mi250x_gcd();
     let transfer = |bytes: u64| arch.h2d_latency_us + bytes as f64 / (arch.h2d_bw_gbps * 1e3);
     assert_eq!(reports.len(), 2 * pairs);
     let kernels_us: f64 = reports.iter().map(|k| k.runtime_ms * 1e3).sum();
+    let readbacks = pairs.div_ceil(2) as f64;
     let expect_us =
-        kernels_us + transfer(12 * (seeds + 1)) + pairs as f64 * transfer(bytes) + arch.sync_us;
+        kernels_us + transfer(12 * (seeds + 1)) + readbacks * transfer(bytes) + arch.sync_us;
     let total_us = run.total_ms * 1e3;
     assert!(
         (total_us - expect_us).abs() < 1e-9 * expect_us,
