@@ -20,10 +20,10 @@
 //!
 //! [`MsBfs`] is a pooled run-context in the mold of [`crate::Xbfs`]: the
 //! graph is uploaded once, every buffer comes from the device pool (so a
-//! rebuilt engine reacquires the same addresses), and between batches the
-//! engine does **O(1) epoch resets** instead of O(|V|) fills — the seen
-//! mask is gated by a per-vertex epoch stamp, and the per-slot level
-//! arrays use the same base-offset encoding as [`crate::BfsState`].
+//! rebuilt engine reacquires the same addresses). A batch that reaches its
+//! first empty level leaves no fill to the next: that level's step zeroes
+//! the seen mask, and the per-slot level arrays use the same base-offset
+//! encoding as [`crate::BfsState`].
 //! [`MsBfs::run_with`] adds the serving governors: a modeled-time
 //! deadline checked between levels and optional per-slot certification
 //! ([`xbfs_graph::certify_levels`]).
@@ -62,8 +62,7 @@ struct Lane {
 /// included — reaches the next.
 #[derive(Default)]
 struct WaveScratch {
-    /// The wave's own gathers: frontier entries (expand) or stamps (pull),
-    /// and seen masks.
+    /// The wave's own gathers: frontier entries (expand) and seen masks.
     words: Vec<u32>,
     masks: Vec<u64>,
     /// The vertices the wave works on with their bits: the walk's heads
@@ -71,13 +70,12 @@ struct WaveScratch {
     pending: Vec<(usize, u64)>,
     got: Vec<u64>,
     // The walk: the heads' offsets and degrees, the live lanes, then per
-    // step their neighbours, the stamps and seen masks there (the fold's:
-    // at its fresh entries), and the `atomicOr`s the step issues.
+    // step their neighbours, the seen masks there (the fold's: at its fresh
+    // entries), and the `atomicOr`s the step issues.
     offs: Vec<u64>,
     degs: Vec<u32>,
     lanes: Vec<Lane>,
     vs: Vec<u32>,
-    sts: Vec<u32>,
     svs: Vec<u64>,
     ops: Vec<(usize, u64)>,
     // Fold: fresh masks, the members (vertices with new bits), and what to
@@ -90,14 +88,13 @@ struct WaveScratch {
 
 /// The device buffers the kernels share, in acquisition order.
 struct MsBufs {
-    /// Per-vertex 64-bit visited mask; valid only where `stamp == epoch`.
+    /// Per-vertex 64-bit visited mask, all-zero between batches (see
+    /// `step_kernel` and `MsInner::seen_dirty`).
     seen: BufU64,
     /// Per-vertex freshly-discovered bits for the level in flight. The
     /// fold pass zeroes every entry it consumes, so the buffer is
     /// all-zero between levels and between batches (no per-level fill).
     fresh: BufU64,
-    /// Per-vertex batch-epoch stamp gating `seen` (0 = never touched).
-    stamp: BufU32,
     /// One per level parity: level L's frontier is `frontiers[L & 1]`, its
     /// length word `L & 1` of `counters`. The fold of L appends to the other
     /// buffer and adds into the other word, which the step of L zeroed: its
@@ -117,8 +114,9 @@ struct MsInner {
     /// Values are `base + level`; anything `< base` (or `UNVISITED`) is
     /// unvisited — the [`crate::BfsState`] epoch encoding.
     level_of: Vec<BufU32>,
-    /// Current batch epoch for `stamp` (advances once per batch).
-    epoch: u32,
+    /// `seen` may hold bits: the last batch ended before the step that
+    /// zeroes it (a deadline, or an early sync short of that step).
+    seen_dirty: bool,
     /// Current level-encoding base.
     base: u32,
     /// At least the deepest level the last batch wrote (bounds the base).
@@ -132,8 +130,8 @@ struct MsInner {
 
 /// A persistent, pooled multi-source engine: the graph upload and every
 /// device buffer are built **once**, and each batch reuses them — repeat
-/// batches over one graph pay only the traversal itself (resets are O(1)
-/// epoch bumps).
+/// batches over one graph pay only the traversal itself (the level arrays
+/// reset by a base bump, `seen` in the batch's own trailing empty step).
 pub struct MsBfs<D: Borrow<Device>> {
     device: D,
     graph: DeviceGraph,
@@ -167,17 +165,16 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let bufs = MsBufs {
             seen: dev.pool_acquire_u64(n),
             fresh: dev.pool_acquire_u64(n),
-            stamp: dev.pool_acquire_u32(n),
             frontiers: [dev.pool_acquire_u32(n), dev.pool_acquire_u32(n)],
             counters: dev.pool_acquire_u32(2),
             work: pulls.then(|| dev.pool_acquire_u64(2)),
         };
+        bufs.seen.host_fill(0);
         bufs.fresh.host_fill(0);
-        bufs.stamp.host_fill(0);
         let inner = MsInner {
             bufs,
             level_of: Vec::new(),
-            epoch: 0,
+            seen_dirty: false,
             base: 1,
             last_depth: 0,
             pulled: Vec::new(),
@@ -253,14 +250,11 @@ impl<D: Borrow<Device>> MsBfs<D> {
         let mut guard = crate::lock(&self.inner);
         let inner = &mut *guard;
 
-        // O(1) between-batch resets: bump the stamp epoch (stale seen
-        // masks read as empty) and advance the level base past everything
-        // the previous batch wrote. Both wrap with an O(|V|) fallback fill.
-        if inner.epoch == u32::MAX {
-            inner.bufs.stamp.host_fill(0);
-            inner.epoch = 1;
-        } else {
-            inner.epoch += 1;
+        // Between batches: zero a `seen` the last batch left dirty, and
+        // advance the level base past everything it wrote (a fill when it
+        // wraps); both uncharged. `seen` is dirty until an empty step runs.
+        if std::mem::replace(&mut inner.seen_dirty, true) {
+            inner.bufs.seen.host_fill(0);
         }
         inner.base = advance_base(inner.base, inner.last_depth, n).unwrap_or_else(|| {
             for l in &inner.level_of {
@@ -275,7 +269,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             l.host_fill(UNVISITED);
             inner.level_of.push(l);
         }
-        let (epoch, base) = (inner.epoch, inner.base);
+        let base = inner.base;
         let level_of = &inner.level_of[..sources.len()];
 
         device.reset_timeline();
@@ -295,7 +289,6 @@ impl<D: Borrow<Device>> MsBfs<D> {
         for (i, &(v, bits)) in seeds.iter().enumerate() {
             inner.bufs.frontiers[0].store(i, v);
             inner.bufs.seen.store(v as usize, bits);
-            inner.bufs.stamp.store(v as usize, epoch);
             work += u64::from(graph.host_degrees[v as usize]);
         }
         inner.bufs.counters.store(0, seeds.len() as u32);
@@ -322,9 +315,10 @@ impl<D: Borrow<Device>> MsBfs<D> {
         // and L + 1's (step L + 1 zeroes the first), so one in-stream copy
         // carries both; the host reads it once level L + 1 is queued too.
         // So one empty level runs past the deepest (two if the first empty
-        // level is even), and the batch syncs once.
+        // level is even), and the batch syncs once. The step of an empty
+        // level zeroes `seen`, leaving it clean for the next batch.
         let mut copied = [(0, None); 2];
-        let synced = loop {
+        let clean = loop {
             device.set_phase(format!("msbfs level {level}"));
             let (scratch, at) = (&mut inner.scratch, level as usize & 1);
             // Step waves read only what the last fold wrote and write only
@@ -332,7 +326,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             // they may run on every core.
             let step = LaunchCfg::new("msbfs_step", n).with_registers(56);
             device.launch_split(0, step, scratch, |w, s| {
-                step_kernel(w, graph, bufs, at, epoch, slots, &pulls, s)
+                step_kernel(w, graph, bufs, at, slots, &pulls, s)
             });
             // Fold: merge fresh bits into seen, record levels, build the
             // next union frontier, and zero the fresh entries consumed.
@@ -341,7 +335,7 @@ impl<D: Borrow<Device>> MsBfs<D> {
             let enc = base + level + 1;
             let fold = LaunchCfg::new("msbfs_fold", n).with_registers(40);
             device.launch_split(0, fold, &mut scratch[..1], |w, s| {
-                fold_kernel(w, graph, bufs, level_of, enc, epoch, at, s)
+                fold_kernel(w, graph, bufs, level_of, enc, at, s)
             });
             inner.last_depth = level + 1;
             // After an even fold, queue the copy of this level's words and
@@ -350,24 +344,25 @@ impl<D: Borrow<Device>> MsBfs<D> {
                 device.charge_transfer(0, if bufs.work.is_some() { 24 } else { 8 });
                 copied = [words(0), words(1)];
             } else if empty(level - 1, copied[0]) || empty(level, copied[1]) {
-                break false;
+                device.sync();
+                break true;
             }
             // A batch that completes on its last level is never a timeout:
             // past the budget, sync and read the words not read yet to
             // learn whether this level found anything. The fold already
-            // zeroed `fresh`, so the engine stays reusable.
+            // zeroed `fresh`, so the engine stays reusable; `seen` is clean
+            // only if this level was empty (its step zeroed it).
             if let Err(late) = check_deadline(deadline_ms, device.elapsed_us(), level + 1) {
                 device.sync();
-                if (at == 0 && empty(level, words(0))) || words(at ^ 1).0 == 0 {
-                    break true;
+                let clean = at == 0 && empty(level, words(0));
+                if clean || words(at ^ 1).0 == 0 {
+                    break clean;
                 }
                 return Err(late);
             }
             level += 1;
         };
-        if !synced {
-            device.sync();
-        }
+        inner.seen_dirty = !clean;
 
         let total_ms = device.elapsed_us() / 1000.0;
         // One pass per slot: decode each level and sum the reached degrees,
@@ -416,7 +411,7 @@ impl<D: Borrow<Device>> Drop for MsBfs<D> {
             device.pool_release_u64(work);
         }
         let [first, second] = &mut b.frontiers;
-        for buf in [&mut b.counters, second, first, &mut b.stamp] {
+        for buf in [&mut b.counters, second, first] {
             device.pool_release_u32(std::mem::replace(buf, BufU32::placeholder()));
         }
         for buf in [&mut b.fresh, &mut b.seen] {
@@ -517,9 +512,11 @@ impl MsBfsRun {
 
 /// One level's step, launched over every vertex before the host knows the
 /// frontier. Each wave reads the level's count and edges from parity word
-/// `at` (wave 0 also zeroes the other word for the fold to add into); an
-/// empty level exits there. Then it pulls where `pulls(edges)` holds, the
-/// rule the host records, and pushes otherwise.
+/// `at` (wave 0 also zeroes the other word for the fold to add into). On
+/// an empty level it zeroes `seen` over its own vertices and exits: no
+/// wave of that launch reads `seen`, and every batch that ends normally
+/// runs it, so `seen` starts the next batch all-zero. Otherwise it pulls
+/// where `pulls(edges)` holds, the rule the host records, and pushes.
 ///
 /// A push lane holds a frontier entry (lanes past the count exit at once)
 /// and sends `its bits & !seen` to its neighbours with a 64-bit `atomicOr`
@@ -529,13 +526,11 @@ impl MsBfsRun {
 /// `seen[u]` that `v` lacks reached `u` at the level just folded, so the
 /// lane finds exactly what the frontier would have pushed to it. It stores
 /// only its own `fresh[v]`: no atomics, waves commute.
-#[allow(clippy::too_many_arguments)]
 fn step_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
     b: &MsBufs,
     at: usize,
-    epoch: u32,
     slots: u64,
     pulls: &(impl Fn(u64) -> bool + Sync),
     s: &mut WaveScratch,
@@ -546,7 +541,11 @@ fn step_kernel(
         w.sstore32(&b.counters, at ^ 1, 0);
         b.work.iter().for_each(|t| w.vstore64(t, [(at ^ 1, 0)]));
     }
-    let (gids, pull) = (w.lanes(), count > 0 && work.is_some_and(pulls));
+    let gids = w.lanes();
+    if count == 0 {
+        return w.vstore64(&b.seen, gids.map(|v| (v, 0)));
+    }
+    let pull = work.is_some_and(pulls);
     if !pull && gids.start >= count {
         return;
     }
@@ -556,27 +555,21 @@ fn step_kernel(
     if !pull {
         let entries = gids.len().min(count - gids.start);
         w.vload32_range(&b.frontiers[at], gids.start, entries, &mut s.words);
-        // Frontier vertices were stamped when they were discovered, so
-        // their own masks need no gate.
         let us = s.words.iter().map(|&u| u as usize);
         w.vload64(&b.seen, us.clone(), &mut s.masks);
         s.pending.extend(us.zip(s.masks.iter().copied()));
-        return walk(w, g, b, epoch, s, |l, v, sb, _| {
+        return walk(w, g, b, s, |l, v, sb, _| {
             let new = l.bits & !sb;
             (new != 0).then_some((v, new))
         });
     }
-    w.vload32_range(&b.stamp, gids.start, gids.len(), &mut s.words);
     w.vload64_range(&b.seen, gids.start, gids.len(), &mut s.masks);
     w.alu(1);
-    let seen = s.words.iter().zip(&s.masks);
-    let wants = gids
-        .zip(seen)
-        .map(|(v, (&st, &sv))| (v, slots & !if st == epoch { sv } else { 0 }));
+    let wants = gids.zip(&s.masks).map(|(v, &sv)| (v, slots & !sv));
     s.pending.extend(wants.filter(|&(_, want)| want != 0));
     s.got.clear();
     s.got.resize(s.pending.len(), 0);
-    walk(w, g, b, epoch, s, |l, _, sb, got| {
+    walk(w, g, b, s, |l, _, sb, got| {
         got[l.at] |= l.bits & sb;
         l.bits &= !sb;
         None
@@ -589,15 +582,14 @@ fn step_kernel(
 
 /// The neighbour walk both directions share. Each head `(v, bits)` of
 /// `s.pending` gets a lane over `v`'s row. Per step every live lane
-/// gathers one neighbour, its stamp and its epoch-gated seen mask (a stale
-/// stamp means an earlier batch's mask: empty); `step` sees the lane with
-/// them and `s.got`, and the `atomicOr`s into `fresh` it asks for go out
-/// as one op. A lane retires at its row's end or once its `bits` are 0.
+/// gathers one neighbour and its seen mask, two gathers per edge; `step`
+/// sees the lane with them and `s.got`, and the `atomicOr`s into `fresh`
+/// it asks for go out as one op. A lane retires at its row's end or once
+/// its `bits` are 0.
 fn walk(
     w: &mut WaveCtx,
     g: &DeviceGraph,
     b: &MsBufs,
-    epoch: u32,
     s: &mut WaveScratch,
     mut step: impl FnMut(&mut Lane, usize, u64, &mut [u64]) -> Option<(usize, u64)>,
 ) {
@@ -618,35 +610,29 @@ fn walk(
         s.vs.clear();
         let aidx = s.lanes.iter().map(|l| (l.off + u64::from(k)) as usize);
         w.vload32(&g.adjacency, aidx, &mut s.vs);
-        s.sts.clear();
-        w.vload32(&b.stamp, s.vs.iter().map(|&v| v as usize), &mut s.sts);
         s.svs.clear();
         w.vload64(&b.seen, s.vs.iter().map(|&v| v as usize), &mut s.svs);
         w.alu(2);
         s.ops.clear();
-        let seen = s.sts.iter().zip(&s.svs);
-        for (&v, (l, (&st, &sv))) in s.vs.iter().zip(s.lanes.iter_mut().zip(seen)) {
-            let sb = if st == epoch { sv } else { 0 };
+        for (&v, (l, &sb)) in s.vs.iter().zip(s.lanes.iter_mut().zip(&s.svs)) {
             s.ops.extend(step(l, v as usize, sb, &mut s.got));
         }
         w.vor64(&b.fresh, &s.ops);
     }
 }
 
-/// Fold: for every vertex with fresh bits, merge into `seen` (stamping
-/// the epoch), record the level for each new bit, enqueue into the next
-/// union frontier — and zero the fresh entry, restoring the all-zero
-/// invariant without a per-level fill kernel. Its members' count (and,
-/// on an engine that may pull, their degrees) go to parity word `!at`; an
-/// empty level (word `at` is 0) exits after that scalar load.
-#[allow(clippy::too_many_arguments)]
+/// Fold: for every vertex with fresh bits, merge into `seen`, record the
+/// level for each new bit, enqueue into the next union frontier — and
+/// zero the fresh entry, restoring the all-zero invariant without a
+/// per-level fill kernel. Its members' count (and, on an engine that may
+/// pull, their degrees) go to parity word `!at`; an empty level (word `at`
+/// is 0) exits after that scalar load.
 fn fold_kernel(
     w: &mut WaveCtx,
     g: &DeviceGraph,
     b: &MsBufs,
     level_of: &[BufU32],
     enc_level: u32,
-    epoch: u32,
     at: usize,
     s: &mut WaveScratch,
 ) {
@@ -663,8 +649,6 @@ fn fold_kernel(
     if s.pending.is_empty() {
         return;
     }
-    s.sts.clear();
-    w.vload32(&b.stamp, s.pending.iter().map(|&(v, _)| v), &mut s.sts);
     s.svs.clear();
     w.vload64(&b.seen, s.pending.iter().map(|&(v, _)| v), &mut s.svs);
     s.members.clear();
@@ -673,8 +657,7 @@ fn fold_kernel(
     s.level_writes.resize_with(widest, Vec::new);
     let level_writes = &mut s.level_writes[..level_of.len()];
     level_writes.iter_mut().for_each(Vec::clear);
-    for (&(v, f), (&st, &raw_sb)) in s.pending.iter().zip(s.sts.iter().zip(&s.svs)) {
-        let sb = if st == epoch { raw_sb } else { 0 };
+    for (&(v, f), &sb) in s.pending.iter().zip(&s.svs) {
         let new = f & !sb;
         if new == 0 {
             continue;
@@ -691,7 +674,6 @@ fn fold_kernel(
     }
     w.vstore64(&b.fresh, s.pending.iter().map(|&(v, _)| (v, 0)));
     w.vstore64(&b.seen, &s.seen_writes);
-    w.vstore32(&b.stamp, s.seen_writes.iter().map(|&(v, _)| (v, epoch)));
     // Slot ascending, vertex ascending within a slot: the order of these
     // stores is coalescer state (DESIGN.md §8). An empty store is free.
     for (level, writes) in level_of.iter().zip(level_writes.iter()) {
@@ -752,9 +734,9 @@ mod tests {
 
     #[test]
     fn pooled_engine_reuse_is_bit_identical() {
-        // The tentpole invariant: an engine reused across many batches
-        // (epoch resets, no fills) answers exactly like a fresh one-shot
-        // engine, batch after batch — including interleaved widths.
+        // The tentpole invariant: an engine reused across many batches (each
+        // batch's first empty step zeroes `seen`, no fills) answers exactly
+        // like a fresh one-shot engine, batch after batch — including interleaved widths.
         let g = rmat_graph(RmatParams::graph500(10), 6);
         let dev = Device::mi250x();
         let engine = MsBfs::new(&dev, &g).unwrap();
@@ -808,6 +790,59 @@ mod tests {
             let (warm, cold) = (observe(&reused, &sources), observe(&fresh, &sources));
             assert!(warm == cold, "width {} diverged", sources.len());
             assert!(!warm.1.is_empty(), "every launch leaves a report");
+        }
+    }
+
+    #[test]
+    fn every_way_a_batch_ends_leaves_seen_zeroed_or_dirty() {
+        // `seen` has no epoch gate: whichever way a batch ends, the next
+        // finds it all-zero or knows to zero it, and then reports the
+        // levels, kernel counters and modeled time of a fresh engine.
+        let g = rmat_graph(RmatParams::graph500(10), 6);
+        let depth = |s| certificate(s, &bfs_levels_serial(&g, s)).depth as usize;
+        let candidates = pick_sources(&g, 64, 3);
+        let parity = |p| *candidates.iter().find(|&&s| depth(s) % 2 == p).unwrap();
+        let (even, odd) = (parity(0), parity(1));
+        let (de, dodd) = (depth(even), depth(odd));
+        // The modeled µs a one-source batch has spent at the deadline check
+        // after level `l`: seed upload and readbacks (24 bytes each), kernels.
+        let checked_at = |source, l: usize| {
+            let dev = Device::mi250x();
+            one_shot(&dev, &g, &[source]);
+            let kernels = dev.take_reports()[..2 * l + 2]
+                .iter()
+                .map(|k| k.runtime_ms)
+                .sum::<f64>();
+            let a = dev.arch();
+            (l / 2 + 2) as f64 * (a.h2d_latency_us + 24.0 / (a.h2d_bw_gbps * 1e3)) + kernels * 1e3
+        };
+        // A budget (ms) that runs out at the check after level `l`.
+        let past = |s, l| Some((checked_at(s, l - 1) + checked_at(s, l)) / 2e3);
+        let observe = |engine: &MsBfs<&Device>| {
+            let run = engine.run_batch(&pick_sources(&g, MAX_CONCURRENT, 5));
+            let kernels = engine.device().take_reports().into_iter();
+            let kernels: Vec<_> = kernels.map(|k| (k.stats, k.runtime_ms.to_bits())).collect();
+            (run.levels, kernels, run.total_ms.to_bits())
+        };
+        let fresh = observe(&MsBfs::new(&Device::mi250x(), &g).unwrap());
+        let dev = Device::mi250x();
+        let engine = MsBfs::new(&dev, &g).unwrap();
+        // (how a batch ends, its source and budget, whether `seen` is zeroed)
+        for (how, source, budget, zeroed) in [
+            ("first empty level odd", even, None, true),
+            ("first empty level even", odd, None, true),
+            ("early sync, level L empty", odd, past(odd, dodd + 1), true),
+            ("early sync, level L + 1 empty", even, past(even, de), false),
+            ("deadline", even, past(even, de - 1), false),
+        ] {
+            let ended = engine.run_with(&[source], budget, false);
+            assert_eq!(ended.is_ok(), how != "deadline", "{how}");
+            let inner = crate::lock(&engine.inner);
+            let clean = !inner.seen_dirty && inner.bufs.seen.iter().all(|m| m == 0);
+            assert!(if zeroed { clean } else { inner.seen_dirty }, "{how}");
+            drop(inner);
+            dev.take_reports();
+            assert!(observe(&engine) == fresh, "the batch after: {how}");
         }
     }
 

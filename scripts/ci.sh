@@ -476,7 +476,7 @@ repro_smoke() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=28286
+LINES_CEILING=28321
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N
