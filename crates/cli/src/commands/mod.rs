@@ -13,13 +13,14 @@ mod trace;
 use crate::args::Args;
 use gcd_sim::{ArchProfile, Compiler, Device, ExecMode};
 use std::path::Path;
+use xbfs_core::engine::validate_levels;
 use xbfs_core::{
     BitflipPlan, Engine, EngineError, RunRequest, Sabotage, Strategy, Xbfs, XbfsConfig, XbfsError,
 };
 use xbfs_graph::builder::BuildOptions;
 use xbfs_graph::generators::{rmat_graph, RmatParams};
 use xbfs_graph::stats::{level_profile, pick_sources, summarize};
-use xbfs_graph::{io, rearrange_by_degree, Csr, Dataset, RearrangeOrder};
+use xbfs_graph::{io, rearrange_by_degree, Certificate, Csr, Dataset, RearrangeOrder};
 use xbfs_multi_gcd::{
     ClusterConfig, FaultConfig, FaultPlan, GcdCluster, LinkModel, RecoveryPolicy,
 };
@@ -38,7 +39,7 @@ pub mod exit_code {
     pub const INVALID_INPUT: i32 = 4;
     /// An injected fault the cluster could not recover from.
     pub const UNRECOVERED_FAULT: i32 = 5;
-    /// BFS output failed Graph500 validation.
+    /// Two answers that must agree did not (sweep passes, compare).
     pub const VALIDATION: i32 = 6;
     /// Silent data corruption detected (checksum, pool guard, or result
     /// certificate) and not corrected.
@@ -165,7 +166,7 @@ const COMMANDS: &[Command] = &[
         name: "bfs",
         synopsis: concat!(
             "FILE [--source N] [--alpha F] [--forced scan-free|single-scan|bottom-up]
-            [--rearrange] [--validate] [--verify] [--inject-bitflips SPEC]
+            [--rearrange] [--verify] [--inject-bitflips SPEC]
             [--deadline-ms MS] [--trace FMT:PATH]
             ",
             device_options!()
@@ -181,10 +182,11 @@ const COMMANDS: &[Command] = &[
         name: "cluster",
         synopsis: "FILE [--gcds N] [--source N] [--alpha F] [--push-only]
             [--inject-faults SPEC|random[:SEED]] [--checkpoint-every N]
-            [--recovery spare|degrade] [--validate] [--trace FMT:PATH]",
+            [--recovery spare|degrade] [--verify] [--trace FMT:PATH]",
         about: "distributed BFS across simulated GCDs, optionally under faults;
             SPEC is comma-separated: crash@LVL:rankR, drop@LVL:SRC-DSTxN,
-            degrade@FROM-TO:FACTOR, seed=N",
+            degrade@FROM-TO:FACTOR, seed=N; a planned fault checkpoints
+            every level (--checkpoint-every N overrides; 0 = off)",
     },
     Command {
         name: "compare",
@@ -216,7 +218,7 @@ const COMMANDS: &[Command] = &[
         synopsis: concat!(
             "FILE [--addr HOST:PORT] [--workers N] [--queue-cap N]
             [--verify] [--allow-chaos] [--deadline-ms MS] [--cluster N]
-            [--checkpoint-every N] [--alpha F] [--metrics-addr HOST:PORT]
+            [--alpha F] [--metrics-addr HOST:PORT]
             [--flight-dir DIR] [--batch-width W] [--batch-window-ms MS]
             [--journal PATH] [--journal-fsync always|batch=N|off]
             [--idle-timeout-ms MS] [--json FILE] [--trace FMT:PATH]
@@ -232,8 +234,8 @@ const COMMANDS: &[Command] = &[
             (deduped:true). A wire `shutdown` drains: in-flight requests
             complete and the serve report is printed (and written with
             --json). --cluster N serves on a partitioned N-GCD engine whose
-            chaos rank crashes are healed by checkpoint/restart
-            (--checkpoint-every, default 1). --batch-width W (default 1, max
+            chaos rank crashes are healed by checkpoint/restart (only a
+            crash request checkpoints). --batch-width W (default 1, max
             64; not with --cluster) runs up to W queued requests as one
             64-wide wave, lingering up to --batch-window-ms (default 2) for
             company. --journal PATH arms a write-ahead journal: a restart on
@@ -299,9 +301,9 @@ TRACING
 
 EXIT CODES
   0 ok, 1 generic, 2 usage, 3 I/O, 4 invalid input, 5 unrecovered fault,
-  6 validation failure, 7 integrity violation (silent data corruption
-  detected and not corrected), 8 deadline exceeded, 9 overloaded
-  (loadgen shed more than --max-shed-pct)
+  6 disagreement (sweep passes, compare engines), 7 integrity violation
+  (failed --verify certificate or uncorrected corruption), 8 deadline
+  exceeded, 9 overloaded (loadgen shed more than --max-shed-pct)
 ";
 
 /// The options `command`'s synopsis names (`run` is `bfs`, no command is
@@ -582,12 +584,11 @@ fn emit_trace(
     trace: &Trace,
 ) -> Option<String> {
     let (fmt, path) = target?;
-    let sink = fmt.sink();
-    let rendered = sink.export(trace);
+    let rendered = fmt.render(trace);
     if path == "-" {
         return Some(rendered);
     }
-    let what = format!("{} trace", sink.name());
+    let what = format!("{} trace", fmt.name());
     match std::fs::write(&path, rendered) {
         Ok(()) => out.push_str(&format!("{what} written to {path}\n")),
         Err(e) => {
@@ -598,15 +599,12 @@ fn emit_trace(
     None
 }
 
-/// The `--validate` line for `what`, or its failure (exit code 6).
-fn validated<T, E: std::fmt::Display>(what: &str, check: Result<T, E>) -> Result<String, CliError> {
-    match check {
-        Ok(_) => Ok(format!("{what}: VALID (Graph500-style checks passed)\n")),
-        Err(e) => Err(CliError::new(
-            format!("{what} INVALID: {e}"),
-            exit_code::VALIDATION,
-        )),
-    }
+/// The `--verify` line every command prints for a certified result.
+fn certified_line(cert: &Certificate) -> String {
+    format!(
+        "certified: {} vertices reached, depth {}, levels checksum {:#018x}\n",
+        cert.visited, cert.depth, cert.levels_checksum
+    )
 }
 
 fn bfs(args: &Args) -> Result<String, CliError> {
@@ -615,11 +613,10 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     if args.flag("rearrange") {
         g = rearrange_by_degree(&g, RearrangeOrder::DegreeDescending);
     }
-    // The certificate's parent-tree checks need recorded parents, so
-    // --verify implies them just like --validate does.
+    // The certificate's parent-tree checks need recorded parents.
     let mut cfg = XbfsConfig {
         alpha: args.get("alpha", 0.1)?,
-        record_parents: args.flag("validate") || args.flag("verify"),
+        record_parents: args.flag("verify"),
         ..XbfsConfig::default()
     };
     if let Some(f) = args.options.get("forced") {
@@ -650,12 +647,7 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     // Sabotage, deadline budget and certification compose; a blown
     // budget maps to exit code 8.
     let (run, cert, _) = xbfs.run_with(source, sab.as_ref(), deadline_ms, verify)?;
-    let mut out = cert.map_or(String::new(), |cert| {
-        format!(
-            "certified: {} vertices reached, depth {}, levels checksum {:#018x}\n",
-            cert.visited, cert.depth, cert.levels_checksum
-        )
-    });
+    let mut out = cert.as_ref().map_or(String::new(), certified_line);
     out.push_str(&format!(
         "source {source}: {} levels, {:.4} ms, {:.2} GTEPS\n",
         run.depth(),
@@ -664,18 +656,6 @@ fn bfs(args: &Args) -> Result<String, CliError> {
     ));
     let trace = xbfs.trace_of(&run);
     out.push_str(&level_table(&level_rows(&trace)));
-    if args.flag("validate") {
-        // cfg.record_parents is set above whenever --validate is; a run
-        // without parents here is an engine invariant break, not a crash.
-        if run.parents.is_none() {
-            return Err(CliError::new(
-                "internal: --validate needs recorded parents but the run kept none",
-                exit_code::GENERIC,
-            ));
-        }
-        let cert = xbfs_core::certify_run(g.offsets(), g.adjacency(), &run);
-        out += &validated("BFS tree", cert)?;
-    }
     Ok(emit_trace(&mut out, trace_opt, &trace).unwrap_or(out))
 }
 
@@ -720,13 +700,8 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         Some(spec) => parse_fault_plan(spec, cfg.num_gcds)?,
         None => FaultPlan::none(),
     };
-    // Checkpointing defaults on (every level) when faults are injected.
-    let checkpoint_every = args.get::<u32>("checkpoint-every", u32::from(!plan.is_empty()))?;
-    let faults = FaultConfig {
-        plan,
-        recovery,
-        checkpoint_every,
-    };
+    let mut faults = FaultConfig::new(plan, recovery);
+    faults.checkpoint_every = args.get("checkpoint-every", faults.checkpoint_every)?;
 
     let trace_opt = trace_target(args)?;
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier())?;
@@ -772,10 +747,10 @@ fn cluster(args: &Args) -> Result<String, CliError> {
         "total {:.4} ms -> {:.2} GTEPS aggregate, {:.2} GTEPS per GCD\n",
         run.total_ms, run.gteps, run.gteps_per_gcd
     ));
-    if args.flag("validate") {
-        let cert =
-            xbfs_graph::certify_levels(g.offsets(), g.adjacency(), &[source], &[&run.levels]);
-        out += &validated("BFS levels", cert)?;
+    if args.flag("verify") {
+        // The cluster server's level certificate; the line is its tally.
+        validate_levels(&g, source, &run.levels, true)?;
+        out += &certified_line(&xbfs_graph::certificate(source, &run.levels));
     }
     Ok(emit_trace(&mut out, trace_opt, &trace).unwrap_or(out))
 }

@@ -87,7 +87,6 @@ pub(super) fn serve(args: &Args) -> Result<String, CliError> {
         allow_chaos: args.flag("allow-chaos"),
         default_deadline_ms: opt_f64(args, "deadline-ms")?,
         cluster,
-        checkpoint_every: args.get("checkpoint-every", d.checkpoint_every)?,
         metrics_addr: args.options.get("metrics-addr").cloned(),
         flight_dir: args.options.get("flight-dir").cloned(),
         batch_width,

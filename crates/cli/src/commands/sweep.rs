@@ -326,9 +326,8 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
     if verify {
         out.push_str(&format!(
             "supervisor: {certified}/{n} certified, {detected} SDC detected, \
-             {corrected} quarantined, {detected} re-executed, {corrected} corrected, \
-             0 aborted\n            {late} deadline exceedance(s), {pressure} pool \
-             pressure event(s), {detected} engine rebuild(s)\n"
+             {corrected} corrected\n            {late} deadline exceedance(s), \
+             {pressure} pool pressure event(s)\n"
         ));
     } else if let Some(cap) = max_pool_bytes {
         out.push_str(&format!(
@@ -359,16 +358,12 @@ pub(super) fn sweep(args: &Args) -> Result<String, CliError> {
             o.key("verified").bool(verify);
             o.key("health").obj(|h| {
                 h.key("certified").int(certified);
+                // Each detection quarantined and re-ran one run; an
+                // exhausted run fails the sweep (exit 7) before any report.
                 h.key("sdc_detected").int(detected);
-                h.key("quarantined").int(corrected);
-                h.key("reexecuted").int(detected);
                 h.key("corrected").int(corrected);
-                // An exhausted-retries abort fails the whole sweep (exit 7):
-                // a report that gets written aborted nothing.
-                h.key("aborted").int(0u64);
                 h.key("deadline_exceeded").int(late);
                 h.key("pool_pressure_events").int(pressure);
-                h.key("engine_rebuilds").int(detected);
             });
             o.opt("multi_source", multi_json.as_deref(), Val::raw);
             o.key("checksum").str(format_args!("{ck_pooled:#018x}"));

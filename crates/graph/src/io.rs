@@ -12,14 +12,29 @@ fn invalid(msg: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Erro
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// `n` vertices from `bytes` bytes of text, or `InvalidData`. A text
+/// loader sizes the graph from ids in the file, as untrusted as a binary
+/// header, so as there memory stays bounded by the bytes present: at most
+/// 8 vertices per byte.
+fn check_vertex_count(n: usize, bytes: u64) -> io::Result<()> {
+    match n as u64 <= bytes.saturating_mul(8) {
+        true => Ok(()),
+        false => Err(invalid(format!(
+            "{n} vertices from {bytes} bytes (8 per byte at most)"
+        ))),
+    }
+}
+
 /// Parse a SNAP-style edge list: one `u v` pair per line, `#` comments
-/// allowed. Vertices are remapped densely in order of first appearance when
-/// `remap` is set; otherwise ids are used as-is (max id defines |V|).
+/// allowed. Ids are used as-is: the largest id defines |V|, at most 8 per
+/// byte of the file.
 pub fn read_edge_list<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<Csr> {
     let mut edges: Vec<(u64, u64)> = Vec::new();
     let mut max_id = 0u64;
+    let mut bytes = 0u64;
     for line in reader.lines() {
         let line = line?;
+        bytes += line.len() as u64 + 1;
         let line = line.trim();
         if line.is_empty() || line.starts_with('#') || line.starts_with('%') {
             continue;
@@ -46,6 +61,7 @@ pub fn read_edge_list<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<C
     if n > u32::MAX as usize {
         return Err(invalid("vertex id exceeds u32 range"));
     }
+    check_vertex_count(n, bytes)?;
     let edges = edges
         .into_iter()
         .map(|(u, v)| (u as VertexId, v as VertexId));
@@ -71,9 +87,13 @@ pub fn write_edge_list<W: Write>(g: &Csr, mut w: W) -> io::Result<()> {
 /// coordinate ...`) as a graph — the distribution format of many of the
 /// paper's datasets (SuiteSparse mirrors of SNAP). Ids are 1-based in the
 /// format and converted to 0-based; any value entries are ignored; the
-/// `symmetric` qualifier adds reverse edges regardless of `opts`.
+/// `symmetric` qualifier adds reverse edges regardless of `opts`. The size
+/// line may claim at most 8 vertices per byte of the file.
 pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Result<Csr> {
-    let mut lines = reader.lines();
+    let mut bytes = 0u64;
+    let count =
+        |line: &io::Result<String>| bytes += line.as_ref().map_or(0, |l| l.len() as u64 + 1);
+    let mut lines = reader.lines().inspect(count);
     let header = loop {
         match lines.next() {
             Some(line) => {
@@ -152,6 +172,7 @@ pub fn read_matrix_market<R: BufRead>(reader: R, opts: BuildOptions) -> io::Resu
     if seen != nnz {
         return Err(invalid(format!("expected {nnz} entries, found {seen}")));
     }
+    check_vertex_count(n, bytes)?;
     Ok(b.build(opts))
 }
 
@@ -323,6 +344,24 @@ mod tests {
         assert!(read_matrix_market(Cursor::new(oob), BuildOptions::raw()).is_err());
         let dense = "%%MatrixMarket matrix array real general\n2 2\n1.0\n";
         assert!(read_matrix_market(Cursor::new(dense), BuildOptions::raw()).is_err());
+    }
+
+    /// A text file cannot talk a loader into more than 8 vertices per byte
+    /// it holds: one short line naming a large id is refused, typed, before
+    /// the builder sizes anything from it.
+    #[test]
+    fn text_loaders_bound_vertices_by_bytes_read() {
+        let mtx = "%%MatrixMarket matrix coordinate pattern general\n2000000 2000000 1\n1 2\n";
+        for refused in [
+            read_edge_list(Cursor::new("0 2000000\n"), BuildOptions::raw()),
+            read_matrix_market(Cursor::new(mtx), BuildOptions::raw()),
+            read_edge_list(Cursor::new("0 40\n"), BuildOptions::raw()),
+        ] {
+            assert_eq!(refused.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        // At the bound itself a file still loads: 5 bytes hold 40 vertices.
+        let g = read_edge_list(Cursor::new("0 39\n"), BuildOptions::raw()).unwrap();
+        assert_eq!(g.num_vertices(), 40);
     }
 
     #[test]

@@ -306,8 +306,6 @@ pub struct GcdCluster<'g> {
     ranks: Vec<RankState>,
     scratch: LevelScratch,
     health: Vec<RankHealth>,
-    /// See [`GcdCluster::set_checkpoint_every`].
-    checkpoint_every: u32,
     /// See [`GcdCluster::take_phase_us`].
     phase_us: (f64, f64),
 }
@@ -336,7 +334,6 @@ impl<'g> GcdCluster<'g> {
             ranks,
             scratch: LevelScratch::default(),
             health: vec![RankHealth::default(); cfg.num_gcds],
-            checkpoint_every: 0,
             phase_us: (0.0, 0.0),
         })
     }
@@ -377,12 +374,6 @@ impl<'g> GcdCluster<'g> {
         if let Some(h) = health.first_mut() {
             h.retransmitted_bytes += rem;
         }
-    }
-
-    /// Set the checkpoint cadence (every N levels, 0 = off) for runs made
-    /// through the [`Engine`] contract, which carries no [`FaultConfig`].
-    pub fn set_checkpoint_every(&mut self, levels: u32) {
-        self.checkpoint_every = levels;
     }
 
     /// Drain the modeled `(expand, exchange)` µs summed over the runs the
@@ -1033,27 +1024,26 @@ impl Engine for GcdCluster<'_> {
         1
     }
 
-    /// `Inject::RankCrash` becomes a one-event fault plan, recovered from
-    /// the latest checkpoint within the request's budget. The cluster has
-    /// no certificate machinery; `verify` is a host-side validation of
-    /// the level array against the graph.
+    /// `Inject::RankCrash` becomes a one-event fault plan, checkpointed
+    /// every level ([`FaultConfig::new`]) and recovered from the latest
+    /// checkpoint within the request's budget. The cluster has no
+    /// certificate machinery; `verify` is [`validate_levels`].
     fn run(&mut self, req: &RunRequest<'_>) -> Result<RunOutcome, EngineError> {
         let source = req.slots(1)?[0];
-        let mut faults = FaultConfig {
-            checkpoint_every: self.checkpoint_every,
-            ..FaultConfig::default()
-        };
-        match req.inject {
-            Inject::None => {}
-            Inject::RankCrash { level, rank } => {
-                faults.plan.events = vec![FaultEvent::GcdCrash { rank, level }];
-            }
+        let events = match req.inject {
+            Inject::None => vec![],
+            Inject::RankCrash { level, rank } => vec![FaultEvent::GcdCrash { rank, level }],
             Inject::Bitflips(_) => {
                 return Err(EngineError::unsupported(
                     "bitflip chaos requires a single-device server",
                 ))
             }
-        }
+        };
+        let plan = FaultPlan {
+            events,
+            ..FaultPlan::none()
+        };
+        let faults = FaultConfig::new(plan, RecoveryPolicy::PromoteSpare);
         let run = self.run_with(source, &faults, req.deadline_ms)?;
         let certify_wall_ms = validate_levels(self.graph, source, &run.levels, req.verify)?;
         for ls in &run.level_stats {
@@ -1090,15 +1080,6 @@ mod tests {
             recovery,
             checkpoint_every,
         }
-    }
-
-    /// An untraced, unbudgeted run under `faults`.
-    fn faulted(
-        cluster: &mut GcdCluster<'_>,
-        src: u32,
-        faults: &FaultConfig,
-    ) -> Result<ClusterRun, XbfsError> {
-        cluster.run_with(src, faults, None)
     }
 
     /// A long-lived cluster keeps one run's kernel reports, not every
@@ -1258,7 +1239,7 @@ mod tests {
         let clean = check(&g, cfg, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
-        let run = faulted(&mut cluster, 1, &faults).unwrap();
+        let run = cluster.run_with(1, &faults, None).unwrap();
         assert_eq!(run.levels, clean.levels, "recovered levels must match");
         validate_levels(&g, 1, &run.levels, true).expect("Graph500 level validation");
         assert_eq!(run.recoveries.len(), 1);
@@ -1284,7 +1265,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // Checkpoint every 3 levels: a crash at level 2 rewinds to level 0.
         let faults = fault_cfg("crash@2:rank0", RecoveryPolicy::Degrade, 3);
-        let run = faulted(&mut cluster, src, &faults).unwrap();
+        let run = cluster.run_with(src, &faults, None).unwrap();
         assert_eq!(run.levels, clean.levels);
         validate_levels(&g, src, &run.levels, true).expect("Graph500 level validation");
         assert_eq!(run.recoveries[0].gcds_after, 3);
@@ -1313,7 +1294,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::Degrade, 1);
         assert!(matches!(
-            faulted(&mut cluster, 0, &faults),
+            cluster.run_with(0, &faults, None),
             Err(XbfsError::Unrecoverable { rank: 0, .. })
         ));
     }
@@ -1332,7 +1313,7 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             0,
         );
-        let run = faulted(&mut cluster, 0, &faults).unwrap();
+        let run = cluster.run_with(0, &faults, None).unwrap();
         assert_eq!(run.levels, clean.levels);
         let l0 = &run.level_stats[0];
         assert!(l0.retransmitted_bytes > 0, "drops must retransmit");
@@ -1350,7 +1331,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         let faults = fault_cfg("drop@0:0-1x9", RecoveryPolicy::PromoteSpare, 0);
         assert!(matches!(
-            faulted(&mut cluster, 5, &faults),
+            cluster.run_with(5, &faults, None),
             Err(XbfsError::LinkFailed { src: 0, dst: 1, .. })
         ));
     }
@@ -1367,7 +1348,7 @@ mod tests {
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
         // A plan with a (never-firing) late crash keeps fault mode on.
         let faults = fault_cfg("crash@99:rank0", RecoveryPolicy::PromoteSpare, 2);
-        let run = faulted(&mut cluster, src, &faults).unwrap();
+        let run = cluster.run_with(src, &faults, None).unwrap();
         assert_eq!(run.levels, clean.levels);
         assert!(run.recoveries.is_empty());
         let flagged: Vec<u32> = run
@@ -1464,7 +1445,7 @@ mod tests {
             RecoveryPolicy::PromoteSpare,
             1,
         );
-        faulted(&mut cluster, 1, &faults).unwrap();
+        cluster.run_with(1, &faults, None).unwrap();
         let health = cluster.take_health();
         assert_eq!(health.len(), 4);
         assert_eq!(health[1].crashes, 1, "crash lands on the victim rank");
@@ -1511,9 +1492,40 @@ mod tests {
         // not the (recovery-inflated) timeline.
         let faults = fault_cfg("crash@1:rank0", RecoveryPolicy::PromoteSpare, 1);
         let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
-        let healed = faulted(&mut cluster, 1, &faults).unwrap();
+        let healed = cluster.run_with(1, &faults, None).unwrap();
         assert!(healed.total_ms > clean.total_ms);
         assert_eq!(healed.result_digest(), single.result_digest());
+    }
+
+    /// A served request pays for checkpoints only when it plans a crash:
+    /// a fault-free `Engine::run` is `GcdCluster::run` to the bit, while a
+    /// `RankCrash` request still restores from a per-level checkpoint.
+    #[test]
+    fn engine_run_checkpoints_only_when_a_crash_is_planned() {
+        let g = rmat_graph(RmatParams::graph500(10), 3);
+        let cfg = ClusterConfig {
+            num_gcds: 4,
+            ..ClusterConfig::node_of_8()
+        };
+        let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
+        let plain = cluster.run(1).unwrap();
+        assert!(plain.level_stats.iter().all(|l| !l.checkpointed()));
+        let served = Engine::run(&mut cluster, &RunRequest::plain(&[1])).unwrap();
+        assert_eq!(served.total_ms.to_bits(), plain.total_ms.to_bits());
+        assert_eq!(served.levels[0], plain.levels);
+        // A checkpoint every level would have cost time.
+        let ckpt = cluster.run_with(1, &FaultConfig::default(), None);
+        assert!(ckpt.unwrap().total_ms > served.total_ms);
+        let crash = RunRequest {
+            inject: Inject::RankCrash { level: 2, rank: 1 },
+            ..RunRequest::plain(&[1])
+        };
+        let healed = Engine::run(&mut cluster, &crash).unwrap();
+        assert_eq!(healed.levels[0], plain.levels);
+        assert_eq!(healed.recoveries, Some(1));
+        let every_level = fault_cfg("crash@2:rank1", RecoveryPolicy::PromoteSpare, 1);
+        let want = cluster.run_with(1, &every_level, None).unwrap();
+        assert_eq!(healed.total_ms.to_bits(), want.total_ms.to_bits());
     }
 
     /// A run's one machine record is its trace: the run span's
@@ -1532,10 +1544,10 @@ mod tests {
             plan: FaultPlan::parse("seed=9,drop@0:0-1x1").unwrap(),
             ..FaultConfig::default()
         };
-        let run = faulted(&mut cluster, 3, &faults).unwrap();
+        let run = cluster.run_with(3, &faults, None).unwrap();
         assert_eq!(run.fault_plan, faults.plan);
         let run_attrs = |run: &ClusterRun| {
-            let rendered = TraceFormat::Json.sink().export(&cluster.trace_of(run));
+            let rendered = TraceFormat::Json.render(&cluster.trace_of(run));
             let doc = JsonValue::parse(&rendered).expect("valid JSON");
             let spans = doc.get("spans").and_then(JsonValue::as_arr).unwrap();
             let span = spans
@@ -1557,7 +1569,7 @@ mod tests {
             plan: FaultPlan::parse(spec.unwrap()).unwrap(),
             ..FaultConfig::default()
         };
-        let rerun = faulted(&mut again, run.source, &replayed).unwrap();
+        let rerun = again.run_with(run.source, &replayed, None).unwrap();
         assert_eq!(rerun.levels, run.levels);
         assert_eq!(rerun.total_ms.to_bits(), run.total_ms.to_bits());
     }

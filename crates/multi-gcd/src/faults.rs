@@ -364,24 +364,32 @@ pub struct FaultConfig {
 }
 
 impl Default for FaultConfig {
+    /// No fault planned, yet a checkpoint every level.
     fn default() -> Self {
         Self {
-            plan: FaultPlan::none(),
-            recovery: RecoveryPolicy::PromoteSpare,
             checkpoint_every: 1,
+            ..Self::none()
         }
     }
 }
 
 impl FaultConfig {
-    /// A fault-free config with checkpointing off (what
-    /// [`crate::GcdCluster::run`] uses): zero overhead over the plain
-    /// engine.
-    pub fn none() -> Self {
+    /// `plan` under `recovery`, with the cadence the plan calls for: a
+    /// checkpoint every level when a fault is planned, none otherwise
+    /// (only a crash can restore one, and a fault-free run pays nothing).
+    pub fn new(plan: FaultPlan, recovery: RecoveryPolicy) -> Self {
+        let checkpoint_every = u32::from(!plan.is_empty());
         Self {
-            checkpoint_every: 0,
-            ..Self::default()
+            plan,
+            recovery,
+            checkpoint_every,
         }
+    }
+
+    /// A fault-free config (what [`crate::GcdCluster::run`] uses): zero
+    /// overhead over the plain engine.
+    pub fn none() -> Self {
+        Self::new(FaultPlan::none(), RecoveryPolicy::PromoteSpare)
     }
 }
 

@@ -73,10 +73,6 @@ pub struct ServeConfig {
     /// Route requests through the partitioned multi-GCD engine with this
     /// many modeled GCDs per worker (`None` = single-device engine).
     pub cluster: Option<usize>,
-    /// Cluster checkpoint cadence: snapshot status partitions every N
-    /// levels so an injected rank crash restarts from the latest
-    /// checkpoint instead of from scratch.
-    pub checkpoint_every: u32,
     /// Bind a second TCP listener here serving Prometheus-style text on
     /// `GET /metrics` and the `xbfs-metrics-v1` JSON snapshot on
     /// `GET /metrics.json` (`None` = main protocol's `metrics` op only).
@@ -109,7 +105,6 @@ impl Default for ServeConfig {
             batch_width: 1,
             batch_window_ms: 2.0,
             cluster: None,
-            checkpoint_every: 1,
             metrics_addr: None,
             flight_dir: None,
             journal: None,

@@ -124,10 +124,7 @@ fn build<'g>(shared: &Shared, graph: &'g Csr) -> Result<Generation<'g>, String> 
                 num_gcds: n,
                 ..ClusterConfig::node_of_8()
             };
-            let mut cluster =
-                GcdCluster::new(graph, cfg, LinkModel::frontier()).map_err(|e| e.to_string())?;
-            cluster.set_checkpoint_every(shared.cfg.checkpoint_every);
-            Box::new(cluster)
+            Box::new(GcdCluster::new(graph, cfg, LinkModel::frontier()).map_err(|e| e.to_string())?)
         }
         None if shared.cfg.batch_width > 1 => Box::new(
             MsBfs::with_config((shared.factory)(), graph, shared.xcfg)

@@ -1,15 +1,16 @@
-//! Trace exporters: one [`TraceSink`] trait, four formats.
+//! Trace exporters: one [`TraceFormat`] per format, each rendered by
+//! [`TraceFormat::render`].
 //!
-//! * [`TableSink`] — the per-level table ([`level_rows`] through
+//! * [`TraceFormat::Table`] — the per-level table ([`level_rows`] through
 //!   [`level_table`]) that `bfs`, `cluster` and `trace summarize` print too;
 //!   [`render_table`] lays it out, and every `repro` table.
-//! * [`JsonSink`] — machine-readable `xbfs-trace-v1` JSON; this is the
-//!   format the `BENCH_*.json` perf snapshots and `xbfs trace summarize`
+//! * [`TraceFormat::Json`] — machine-readable `xbfs-trace-v1` JSON; this is
+//!   the format the `BENCH_*.json` perf snapshots and `xbfs trace summarize`
 //!   consume.
-//! * [`ChromeTraceSink`] — chrome://tracing / Perfetto `trace.json`
+//! * [`TraceFormat::Chrome`] — chrome://tracing / Perfetto `trace.json`
 //!   (Trace Event Format): spans become `"ph":"X"` complete events, instant
 //!   events `"ph":"i"`, counters `"ph":"C"`, with one process per track.
-//! * [`RocprofCsvSink`] — rocprofiler-style kernel CSV (one row per
+//! * [`TraceFormat::RocprofCsv`] — rocprofiler-style kernel CSV (one row per
 //!   dispatch, RFC-4180 comma escaping); what `bfs --trace csv:PATH` writes.
 
 use crate::json::{self, Obj};
@@ -43,33 +44,33 @@ impl TraceFormat {
         if path.is_empty() {
             return Err(format!("bad trace spec {spec:?}: empty path"));
         }
-        let fmt = match fmt {
-            "table" => TraceFormat::Table,
-            "json" => TraceFormat::Json,
-            "chrome" => TraceFormat::Chrome,
-            "csv" | "rocprof" => TraceFormat::RocprofCsv,
-            other => return Err(format!("unknown trace format {other:?}")),
+        let keyword = if fmt == "rocprof" { "csv" } else { fmt };
+        let all = [Self::Table, Self::Json, Self::Chrome, Self::RocprofCsv];
+        let Some(fmt) = all.into_iter().find(|f| f.name() == keyword) else {
+            return Err(format!("unknown trace format {fmt:?}"));
         };
         Ok((fmt, path.to_string()))
     }
 
-    /// The sink implementing this format.
-    pub fn sink(&self) -> Box<dyn TraceSink> {
+    /// Short format name (matches the `--trace` spec keyword).
+    pub fn name(self) -> &'static str {
         match self {
-            TraceFormat::Table => Box::new(TableSink),
-            TraceFormat::Json => Box::new(JsonSink),
-            TraceFormat::Chrome => Box::new(ChromeTraceSink),
-            TraceFormat::RocprofCsv => Box::new(RocprofCsvSink),
+            TraceFormat::Table => "table",
+            TraceFormat::Json => "json",
+            TraceFormat::Chrome => "chrome",
+            TraceFormat::RocprofCsv => "csv",
         }
     }
-}
 
-/// Renders a finished [`Trace`] to text in one format.
-pub trait TraceSink {
-    /// Short format name (matches the `--trace` spec keyword).
-    fn name(&self) -> &'static str;
-    /// Render the trace.
-    fn export(&self, trace: &Trace) -> String;
+    /// Render a finished trace in this format.
+    pub fn render(self, trace: &Trace) -> String {
+        match self {
+            TraceFormat::Table => table(trace),
+            TraceFormat::Json => json_doc(trace),
+            TraceFormat::Chrome => chrome(trace),
+            TraceFormat::RocprofCsv => rocprof_csv(trace),
+        }
+    }
 }
 
 fn write_attrs(o: &mut Obj<'_>, attrs: &[(String, AttrValue)]) {
@@ -88,148 +89,130 @@ pub fn csv_field(s: &str) -> String {
     }
 }
 
-/// Machine-readable `xbfs-trace-v1` JSON.
-pub struct JsonSink;
-
-impl TraceSink for JsonSink {
-    fn name(&self) -> &'static str {
-        "json"
-    }
-
-    fn export(&self, trace: &Trace) -> String {
-        json::object(|doc| {
-            doc.key("schema").str("xbfs-trace-v1");
-            doc.key("total_ms").f64(trace.duration_us() / 1000.0);
-            // Summary: the root `run` span's attributes, flattened.
-            doc.key("summary").obj(|o| {
-                if let Some(run) = trace.spans_named(names::span::RUN).next() {
-                    write_attrs(o, &run.attrs);
-                }
-            });
-            // Per-level convenience rows (level spans, flattened).
-            doc.key("levels").arr(|levels| {
-                for s in trace.spans_named(names::span::LEVEL) {
-                    levels.item().obj(|o| {
-                        o.key("start_ms").f64(s.start_us / 1000.0);
-                        o.key("time_ms").f64(s.dur_us() / 1000.0);
-                        o.key("track").int(s.track);
-                        write_attrs(o, &s.attrs);
-                    });
-                }
-            });
-            // Full-fidelity records.
-            doc.key("spans").arr(|spans| {
-                for s in &trace.spans {
-                    spans.item().obj(|o| {
-                        o.key("id").int(s.id);
-                        o.key("parent").int(s.parent);
-                        o.key("name").str(&s.name);
-                        o.key("track").int(s.track);
-                        o.key("start_us").f64(s.start_us);
-                        o.key("dur_us").f64(s.dur_us());
-                        o.key("attrs").obj(|a| write_attrs(a, &s.attrs));
-                    });
-                }
-            });
-            doc.key("events").arr(|events| {
-                for e in &trace.events {
-                    events.item().obj(|o| {
-                        o.key("name").str(&e.name);
-                        o.key("span").int(e.span);
-                        o.key("track").int(e.track);
-                        o.key("ts_us").f64(e.ts_us);
-                        o.key("attrs").obj(|a| write_attrs(a, &e.attrs));
-                    });
-                }
-            });
-            doc.key("counters").arr(|counters| {
-                for c in &trace.counters {
-                    counters.item().obj(|o| {
-                        o.key("name").str(&c.name);
-                        o.key("track").int(c.track);
-                        o.key("ts_us").f64(c.ts_us);
-                        o.key("value").f64(c.value);
-                    });
-                }
-            });
-        })
-    }
+fn json_doc(trace: &Trace) -> String {
+    json::object(|doc| {
+        doc.key("schema").str("xbfs-trace-v1");
+        doc.key("total_ms").f64(trace.duration_us() / 1000.0);
+        // Summary: the root `run` span's attributes, flattened.
+        doc.key("summary").obj(|o| {
+            if let Some(run) = trace.spans_named(names::span::RUN).next() {
+                write_attrs(o, &run.attrs);
+            }
+        });
+        // Per-level convenience rows (level spans, flattened).
+        doc.key("levels").arr(|levels| {
+            for s in trace.spans_named(names::span::LEVEL) {
+                levels.item().obj(|o| {
+                    o.key("start_ms").f64(s.start_us / 1000.0);
+                    o.key("time_ms").f64(s.dur_us() / 1000.0);
+                    o.key("track").int(s.track);
+                    write_attrs(o, &s.attrs);
+                });
+            }
+        });
+        // Full-fidelity records.
+        doc.key("spans").arr(|spans| {
+            for s in &trace.spans {
+                spans.item().obj(|o| {
+                    o.key("id").int(s.id);
+                    o.key("parent").int(s.parent);
+                    o.key("name").str(&s.name);
+                    o.key("track").int(s.track);
+                    o.key("start_us").f64(s.start_us);
+                    o.key("dur_us").f64(s.dur_us());
+                    o.key("attrs").obj(|a| write_attrs(a, &s.attrs));
+                });
+            }
+        });
+        doc.key("events").arr(|events| {
+            for e in &trace.events {
+                events.item().obj(|o| {
+                    o.key("name").str(&e.name);
+                    o.key("span").int(e.span);
+                    o.key("track").int(e.track);
+                    o.key("ts_us").f64(e.ts_us);
+                    o.key("attrs").obj(|a| write_attrs(a, &e.attrs));
+                });
+            }
+        });
+        doc.key("counters").arr(|counters| {
+            for c in &trace.counters {
+                counters.item().obj(|o| {
+                    o.key("name").str(&c.name);
+                    o.key("track").int(c.track);
+                    o.key("ts_us").f64(c.ts_us);
+                    o.key("value").f64(c.value);
+                });
+            }
+        });
+    })
 }
 
-/// chrome://tracing Trace Event Format.
-pub struct ChromeTraceSink;
-
-impl TraceSink for ChromeTraceSink {
-    fn name(&self) -> &'static str {
-        "chrome"
+fn chrome(trace: &Trace) -> String {
+    let mut events: Vec<String> = Vec::new();
+    // One "process" per track, named for readability in Perfetto.
+    let mut tracks: Vec<usize> = trace
+        .spans
+        .iter()
+        .map(|s| s.track)
+        .chain(trace.events.iter().map(|e| e.track))
+        .chain(trace.counters.iter().map(|c| c.track))
+        .collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    for t in &tracks {
+        events.push(json::object(|o| {
+            o.key("ph").str("M");
+            o.key("pid").int(*t);
+            o.key("name").str("process_name");
+            o.key("args")
+                .obj(|a| a.key("name").str(format_args!("GCD {t}")));
+        }));
     }
-
-    fn export(&self, trace: &Trace) -> String {
-        let mut events: Vec<String> = Vec::new();
-        // One "process" per track, named for readability in Perfetto.
-        let mut tracks: Vec<usize> = trace
-            .spans
-            .iter()
-            .map(|s| s.track)
-            .chain(trace.events.iter().map(|e| e.track))
-            .chain(trace.counters.iter().map(|c| c.track))
-            .collect();
-        tracks.sort_unstable();
-        tracks.dedup();
-        for t in &tracks {
-            events.push(json::object(|o| {
-                o.key("ph").str("M");
-                o.key("pid").int(*t);
-                o.key("name").str("process_name");
-                o.key("args")
-                    .obj(|a| a.key("name").str(format_args!("GCD {t}")));
-            }));
-        }
-        for s in &trace.spans {
-            events.push(json::object(|o| {
-                o.key("ph").str("X");
-                o.key("name").str(&s.name);
-                o.key("cat").str("span");
-                o.key("pid").int(s.track);
-                o.key("tid").int(0u32);
-                o.key("ts").f64(s.start_us);
-                o.key("dur").f64(s.dur_us());
-                o.key("args").obj(|a| write_attrs(a, &s.attrs));
-            }));
-        }
-        for e in &trace.events {
-            events.push(json::object(|o| {
-                o.key("ph").str("i");
-                o.key("s").str("t");
-                o.key("name").str(&e.name);
-                o.key("cat").str("event");
-                o.key("pid").int(e.track);
-                o.key("tid").int(0u32);
-                o.key("ts").f64(e.ts_us);
-                o.key("args").obj(|a| write_attrs(a, &e.attrs));
-            }));
-        }
-        for c in &trace.counters {
-            // A counter track needs a number to plot: a non-finite sample
-            // is drawn at 0 rather than written as `null`.
-            let value = if c.value.is_finite() { c.value } else { 0.0 };
-            events.push(json::object(|o| {
-                o.key("ph").str("C");
-                o.key("name").str(&c.name);
-                o.key("pid").int(c.track);
-                o.key("ts").f64(c.ts_us);
-                o.key("args").obj(|a| a.key("value").f64(value));
-            }));
-        }
-        // One event per line — the layout the golden file pins — is the one
-        // thing here the compact writer does not do, so the array is joined
-        // by hand and spliced in whole.
-        json::object(|o| {
-            o.key("displayTimeUnit").str("ms");
-            o.key("traceEvents")
-                .raw(&format!("[{}]", events.join(",\n")));
-        })
+    for s in &trace.spans {
+        events.push(json::object(|o| {
+            o.key("ph").str("X");
+            o.key("name").str(&s.name);
+            o.key("cat").str("span");
+            o.key("pid").int(s.track);
+            o.key("tid").int(0u32);
+            o.key("ts").f64(s.start_us);
+            o.key("dur").f64(s.dur_us());
+            o.key("args").obj(|a| write_attrs(a, &s.attrs));
+        }));
     }
+    for e in &trace.events {
+        events.push(json::object(|o| {
+            o.key("ph").str("i");
+            o.key("s").str("t");
+            o.key("name").str(&e.name);
+            o.key("cat").str("event");
+            o.key("pid").int(e.track);
+            o.key("tid").int(0u32);
+            o.key("ts").f64(e.ts_us);
+            o.key("args").obj(|a| write_attrs(a, &e.attrs));
+        }));
+    }
+    for c in &trace.counters {
+        // A counter track needs a number to plot: a non-finite sample
+        // is drawn at 0 rather than written as `null`.
+        let value = if c.value.is_finite() { c.value } else { 0.0 };
+        events.push(json::object(|o| {
+            o.key("ph").str("C");
+            o.key("name").str(&c.name);
+            o.key("pid").int(c.track);
+            o.key("ts").f64(c.ts_us);
+            o.key("args").obj(|a| a.key("value").f64(value));
+        }));
+    }
+    // One event per line — the layout the golden file pins — is the one
+    // thing here the compact writer does not do, so the array is joined
+    // by hand and spliced in whole.
+    json::object(|o| {
+        o.key("displayTimeUnit").str("ms");
+        o.key("traceEvents")
+            .raw(&format!("[{}]", events.join(",\n")));
+    })
 }
 
 fn attr_str(s: &SpanRecord, key: &str) -> String {
@@ -340,57 +323,40 @@ pub fn level_table(rows: &[Attrs]) -> String {
 
 /// Human-readable per-level table ([`level_table`] of [`level_rows`]),
 /// then the recovery count when there were recoveries, then the total.
-pub struct TableSink;
-
-impl TraceSink for TableSink {
-    fn name(&self) -> &'static str {
-        "table"
+fn table(trace: &Trace) -> String {
+    let mut out = level_table(&level_rows(trace));
+    let n_recoveries = trace.spans_named(names::span::RECOVERY).count();
+    if n_recoveries > 0 {
+        out.push_str(&format!("recoveries: {n_recoveries}\n"));
     }
-
-    fn export(&self, trace: &Trace) -> String {
-        let mut out = level_table(&level_rows(trace));
-        let n_recoveries = trace.spans_named(names::span::RECOVERY).count();
-        if n_recoveries > 0 {
-            out.push_str(&format!("recoveries: {n_recoveries}\n"));
-        }
-        out.push_str(&format!("total {:.4} ms\n", trace.duration_us() / 1000.0));
-        out
-    }
+    out.push_str(&format!("total {:.4} ms\n", trace.duration_us() / 1000.0));
+    out
 }
-
-/// rocprofiler-style kernel CSV (one row per `kernel` span).
-pub struct RocprofCsvSink;
 
 /// One column per `gcd_sim::KernelReport` field the paper's tables use.
 const CSV_HEADER: &str =
     "phase,kernel,runtime_ms,l2_hit_pct,mem_busy_pct,fetch_kb,instructions,atomics,hbm_lines,occupancy";
 
-impl TraceSink for RocprofCsvSink {
-    fn name(&self) -> &'static str {
-        "csv"
+fn rocprof_csv(trace: &Trace) -> String {
+    let mut out = String::from(CSV_HEADER);
+    out.push('\n');
+    let num = |s: &SpanRecord, key: &str| s.attr(key).map_or(0.0, AttrValue::as_f64);
+    for s in trace.spans_named(names::span::KERNEL) {
+        out.push_str(&format!(
+            "{},{},{:.6},{:.3},{:.3},{:.3},{},{},{},{:.3}\n",
+            csv_field(&attr_str(s, "phase")),
+            csv_field(&attr_str(s, "kernel")),
+            s.dur_us() / 1000.0,
+            num(s, "l2_hit_pct"),
+            num(s, "mem_busy_pct"),
+            num(s, "fetch_kb"),
+            num(s, "instructions") as u64,
+            num(s, "atomics") as u64,
+            num(s, "hbm_lines") as u64,
+            num(s, "occupancy"),
+        ));
     }
-
-    fn export(&self, trace: &Trace) -> String {
-        let mut out = String::from(CSV_HEADER);
-        out.push('\n');
-        let num = |s: &SpanRecord, key: &str| s.attr(key).map_or(0.0, AttrValue::as_f64);
-        for s in trace.spans_named(names::span::KERNEL) {
-            out.push_str(&format!(
-                "{},{},{:.6},{:.3},{:.3},{:.3},{},{},{},{:.3}\n",
-                csv_field(&attr_str(s, "phase")),
-                csv_field(&attr_str(s, "kernel")),
-                s.dur_us() / 1000.0,
-                num(s, "l2_hit_pct"),
-                num(s, "mem_busy_pct"),
-                num(s, "fetch_kb"),
-                num(s, "instructions") as u64,
-                num(s, "atomics") as u64,
-                num(s, "hbm_lines") as u64,
-                num(s, "occupancy"),
-            ));
-        }
-        out
-    }
+    out
 }
 
 #[cfg(test)]
@@ -448,7 +414,7 @@ mod tests {
     #[test]
     fn json_sink_is_parseable_and_complete() {
         let t = sample_trace();
-        let doc = JsonValue::parse(&JsonSink.export(&t)).expect("valid JSON");
+        let doc = JsonValue::parse(&TraceFormat::Json.render(&t)).expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(JsonValue::as_str),
             Some("xbfs-trace-v1")
@@ -475,7 +441,7 @@ mod tests {
     #[test]
     fn chrome_sink_is_parseable_trace_event_format() {
         let t = sample_trace();
-        let doc = JsonValue::parse(&ChromeTraceSink.export(&t)).expect("valid JSON");
+        let doc = JsonValue::parse(&TraceFormat::Chrome.render(&t)).expect("valid JSON");
         let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
         // 1 process-name meta + 3 spans + 1 instant + 1 counter.
         assert_eq!(events.len(), 6);
@@ -497,7 +463,7 @@ mod tests {
     fn table_sink_renders_levels() {
         // Span attributes, then the event's that the span lacks, then the
         // kernels' fetch and the duration.
-        let table = TableSink.export(&sample_trace());
+        let table = TraceFormat::Table.render(&sample_trace());
         let want = "levels
 level   strategy  frontier_count      ratio  fetch_kb    time_ms
 ----------------------------------------------------------------
@@ -520,7 +486,7 @@ total 0.0050 ms
         rec.span_attrs(later, attrs!["level" => 1u32, "checkpointed" => true]);
         rec.end_span(later, 50.0);
         rec.end_span(run, 50.0);
-        let table = TableSink.export(&rec.finish());
+        let table = TraceFormat::Table.render(&rec.finish());
         let rows = [
             "levels",
             "level  mode    ratio    time_ms  checkpointed",
@@ -567,7 +533,7 @@ total 0.0050 ms
     #[test]
     fn csv_sink_escapes_commas() {
         let t = sample_trace();
-        let csv = RocprofCsvSink.export(&t);
+        let csv = TraceFormat::RocprofCsv.render(&t);
         let mut lines = csv.lines();
         assert_eq!(lines.next(), Some(CSV_HEADER));
         let row = lines.next().unwrap();

@@ -18,8 +18,8 @@
 //!   vocabulary ([`names`]).
 //! * **Flight recorder** ([`flight`]) — fixed-size per-worker rings of the
 //!   server's recent wall-clock events, dumped on a failure.
-//! * **Exporters** ([`export`]) — one [`TraceSink`] trait with four
-//!   implementations: human-readable per-level table, machine-readable
+//! * **Exporters** ([`export`]) — [`TraceFormat::render`] in four
+//!   formats: human-readable per-level table, machine-readable
 //!   JSON (`xbfs-trace-v1`, the `BENCH_*.json` feed), chrome://tracing /
 //!   Perfetto `trace.json`, and a rocprofiler-style kernel CSV.
 //! * **JSON** ([`json`]) — the std-only reader and compact writer behind every
@@ -32,7 +32,7 @@
 //!
 //! ```
 //! use xbfs_telemetry::{AttrValue, Recorder, names};
-//! use xbfs_telemetry::export::{TraceFormat, TraceSink};
+//! use xbfs_telemetry::export::TraceFormat;
 //!
 //! let rec = Recorder::new();
 //! let run = rec.begin_span(None, names::span::RUN, 0, 0.0);
@@ -43,7 +43,7 @@
 //! rec.end_span(run, 12.0);
 //! let trace = rec.finish();
 //! assert!(trace.well_formed().is_ok());
-//! let json = TraceFormat::Chrome.sink().export(&trace);
+//! let json = TraceFormat::Chrome.render(&trace);
 //! assert!(json.contains("traceEvents"));
 //! ```
 
@@ -53,7 +53,7 @@ pub mod json;
 pub mod registry;
 pub mod span;
 
-pub use export::{TraceFormat, TraceSink};
+pub use export::TraceFormat;
 pub use flight::{FlightEvent, FlightRecorder};
 pub use json::JsonValue;
 pub use registry::{

@@ -4,7 +4,7 @@
 //! "Parse it back" uses the crate's own `JsonValue` reader. Regenerate the golden file with
 //! `BLESS=1 cargo test -p xbfs-telemetry --test golden_chrome`.
 
-use xbfs_telemetry::export::{ChromeTraceSink, TraceSink};
+use xbfs_telemetry::export::TraceFormat;
 use xbfs_telemetry::{names, AttrValue, JsonValue, Recorder, Trace};
 
 const GOLDEN_PATH: &str = concat!(
@@ -68,7 +68,7 @@ fn reference_trace() -> Trace {
 fn chrome_export_matches_golden_file_and_parses_back() {
     let trace = reference_trace();
     trace.well_formed().expect("reference trace is well-formed");
-    let exported = ChromeTraceSink.export(&trace);
+    let exported = TraceFormat::Chrome.render(&trace);
 
     if std::env::var("BLESS").is_ok() {
         std::fs::create_dir_all(std::path::Path::new(GOLDEN_PATH).parent().unwrap()).unwrap();

@@ -4,7 +4,7 @@
 //! document this crate writes, on its worst input.
 
 use proptest::prelude::*;
-use xbfs_telemetry::export::{ChromeTraceSink, JsonSink, TraceSink};
+use xbfs_telemetry::export::TraceFormat;
 use xbfs_telemetry::json::{self, Val};
 use xbfs_telemetry::{
     AttrValue, JsonValue, LogHistogram, MetricUnit, MetricsRegistry, MetricsSnapshot, Recorder,
@@ -314,7 +314,7 @@ fn json_sinks_survive_hostile_names_and_non_finite_values() {
     rec.end_span(run, 2.0);
     let t = rec.finish();
 
-    let doc = JsonValue::parse(&JsonSink.export(&t)).expect("xbfs-trace-v1 stays JSON");
+    let doc = JsonValue::parse(&TraceFormat::Json.render(&t)).expect("xbfs-trace-v1 stays JSON");
     let span = &doc.get("spans").and_then(JsonValue::as_arr).unwrap()[0];
     assert_eq!(
         span.get("name").and_then(JsonValue::as_str),
@@ -329,7 +329,7 @@ fn json_sinks_survive_hostile_names_and_non_finite_values() {
     let counter = &doc.get("counters").and_then(JsonValue::as_arr).unwrap()[0];
     assert_eq!(counter.get("value"), Some(&JsonValue::Null));
 
-    let doc = JsonValue::parse(&ChromeTraceSink.export(&t)).expect("trace.json stays JSON");
+    let doc = JsonValue::parse(&TraceFormat::Chrome.render(&t)).expect("trace.json stays JSON");
     let events = doc.get("traceEvents").and_then(JsonValue::as_arr).unwrap();
     let ph = |p: &str| {
         let is = |e: &&JsonValue| e.get("ph").and_then(JsonValue::as_str) == Some(p);

@@ -47,9 +47,9 @@ fault_recovery() {
   smoke_env
   "$XBFS" generate --out "$SMOKE/g.bin" --scale 12
   "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 \
-    --inject-faults crash@2:rank1 --checkpoint-every 1 --validate
+    --inject-faults crash@2:rank1 --checkpoint-every 1 --verify
   "$XBFS" cluster "$SMOKE/g.bin" --gcds 4 \
-    --inject-faults random:42 --recovery degrade --validate
+    --inject-faults random:42 --recovery degrade --verify
   # an unrecoverable fault must exit 5, not 0 or a panic code
   if "$XBFS" cluster "$SMOKE/g.bin" --gcds 2 --inject-faults drop@0:0-1x9; then
     echo "expected exit 5 for exhausted retries" >&2
@@ -476,7 +476,7 @@ repro_smoke() {
 # Source lines under crates/*/src may not grow unnoticed: a change that
 # must grow the tree raises this number in its own diff, where review
 # sees it; a change that shrinks it lowers the number to the new count.
-LINES_CEILING=28321
+LINES_CEILING=28320
 lines() {
   echo "==> lines (crates/*/src stays at or under $LINES_CEILING lines)"
   local N

@@ -139,7 +139,7 @@ fn traced_faulted_cluster_run_records_recovery_and_matches_untraced() {
 /// FNV-1a digests of the `json:` and `chrome:` renderings.
 fn rendered(trace: &Trace) -> [u64; 2] {
     [TraceFormat::Json, TraceFormat::Chrome]
-        .map(|fmt| fnv1a(fmt.sink().export(trace).bytes().map(u64::from)))
+        .map(|fmt| fnv1a(fmt.render(trace).bytes().map(u64::from)))
 }
 
 #[test]
@@ -239,7 +239,7 @@ fn cluster_digests(cfg: ClusterConfig, faults: &FaultConfig) -> [u64; 2] {
     let g = small_rmat();
     let mut cluster = GcdCluster::new(&g, cfg, LinkModel::frontier()).unwrap();
     let run = cluster.run_with(0, faults, None).unwrap();
-    let trace = TraceFormat::Json.sink().export(&cluster.trace_of(&run));
+    let trace = TraceFormat::Json.render(&cluster.trace_of(&run));
     let health = format!("{:?}", cluster.take_health());
     [trace, health].map(|s| fnv1a(s.bytes().map(u64::from)))
 }
